@@ -1,12 +1,17 @@
 //! The simulator-backed candidate evaluator.
 //!
 //! One [`SharedSession`] carries everything candidate-invariant — the
-//! network, the seed, and the cost-balanced partition plan — and each
-//! candidate only pays for building its [`drq_sim::DrqAccelerator`] and
-//! running the partitioned simulation. The session is `Sync`, so the same
-//! instance serves every `par_map` worker of a leaf batch; reports are
-//! byte-identical to per-candidate [`drq_sim::SimSession`] runs (pinned by
-//! `tests/dse_session_reuse.rs`).
+//! network, the seed, the cost-balanced partition plan, and a memo of each
+//! layer's masks (by layer, synthesizer and effective region/threshold)
+//! and cycle counts (by array geometry). A candidate synthesizes and
+//! predicts a layer only if no earlier candidate of the session met the
+//! same mask key, and runs the cycle model only for a new (mask key,
+//! geometry) pair; on the paper grid that leaves most candidates paying
+//! for just their per-layer energy and traffic, the one pass the buffer
+//! size and energy model enter. The memo lives as long as the evaluator.
+//! The session is `Sync`, so the same instance serves every `par_map`
+//! worker of a leaf batch; reports are byte-identical to per-candidate
+//! [`drq_sim::SimSession`] runs (pinned by `tests/dse_session_reuse.rs`).
 //!
 //! **Objectives.** Latency and energy come straight from the cycle
 //! simulator ([`drq_sim::NetworkSimReport::total_cycles`] /
@@ -52,8 +57,8 @@ pub struct SimSpaceEval<'n> {
 }
 
 impl<'n> SimSpaceEval<'n> {
-    /// Builds the evaluator: the partition plan is computed once here and
-    /// reused by every candidate.
+    /// Builds the evaluator: the partition plan is computed once here, and
+    /// it and the session memo are reused by every candidate.
     pub fn new(net: &'n NetworkTopology, partitions: impl Into<Partitions>, seed: u64) -> Self {
         Self {
             session: SharedSession::new(net, partitions).seed(seed),
@@ -118,6 +123,7 @@ mod tests {
     use super::*;
     use crate::pareto::{CandidateBox, Geometry};
     use drq_models::zoo;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
 
     fn space() -> CandidateSpace {
         CandidateSpace::try_new(
@@ -144,8 +150,17 @@ mod tests {
         );
     }
 
+    /// Serializes the tests that run a shared session, so the one that
+    /// counts `sim/memo/*` under the process-global telemetry switch sees
+    /// only its own lookups.
+    fn session_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn bound_is_optimistic_for_every_candidate_in_the_box() {
+        let _own = session_lock();
         let net = zoo::lenet5();
         let eval = SimSpaceEval::new(&net, Partitions::Auto, 42);
         let s = space();
@@ -163,6 +178,7 @@ mod tests {
     #[test]
     fn evaluation_matches_a_dedicated_session() {
         use drq_sim::SimSession;
+        let _own = session_lock();
         let net = zoo::lenet5();
         let eval = SimSpaceEval::new(&net, Partitions::Auto, 42);
         let c = space().candidate(3);
@@ -175,5 +191,33 @@ mod tests {
         let dedicated =
             SimSession::new(&accel, &net).seed(42).run().unwrap().into_report();
         assert_eq!(via_shared, dedicated);
+    }
+
+    #[test]
+    fn lenet5_paper_grid_builds_each_mask_and_cycle_set_once() {
+        // LeNet-5 has 5 layers. The two convs see all 3 regions x 7
+        // thresholds; the three 1x1 FC inputs fold every region to 1x1, so
+        // only the 7 thresholds tell them apart: 2*21 + 3*7 = 63 mask sets,
+        // each met at all 3 geometries.
+        let _own = session_lock();
+        let net = zoo::lenet5();
+        let space = CandidateSpace::paper_grid();
+        let count = |threads: usize| {
+            drq_tensor::parallel::set_max_threads(threads);
+            drq_telemetry::reset();
+            drq_telemetry::enable();
+            let eval = SimSpaceEval::new(&net, Partitions::Auto, 42);
+            drq_tensor::parallel::par_map(space.len(), |i| eval.simulate(&space.candidate(i)));
+            let snap = drq_telemetry::snapshot();
+            drq_telemetry::disable();
+            drq_telemetry::reset();
+            drq_tensor::parallel::set_max_threads(0);
+            ["mask_builds", "mask_hits", "cycle_builds", "cycle_hits"]
+                .map(|k| snap.counter(&format!("sim/memo/{k}")))
+        };
+        let one = count(1);
+        let lookups = (space.len() * net.layers.len()) as u64;
+        assert_eq!(one, [63, lookups - 63, 189, lookups - 189]);
+        assert_eq!(count(2), one, "memo counts depend on the thread count");
     }
 }

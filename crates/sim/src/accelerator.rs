@@ -80,37 +80,12 @@ impl ArchConfig {
     pub fn builder() -> ArchBuilder {
         ArchBuilder::new()
     }
-
-    /// Returns a copy with a different DRQ configuration.
-    #[deprecated(since = "0.1.0", note = "use `ArchConfig::builder().drq(..)` instead")]
-    pub fn with_drq(mut self, drq: DrqConfig) -> Self {
-        self.drq = drq;
-        self
-    }
-
-    /// Returns a copy with a different array organization (PE count =
-    /// `pages × rows × cols` may differ from the paper's 3168).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension is zero.
-    #[deprecated(since = "0.1.0", note = "use `ArchConfig::builder().geometry(..)` instead")]
-    pub fn with_geometry(mut self, pages: usize, rows: usize, cols: usize) -> Self {
-        assert!(pages > 0 && rows > 0 && cols > 0, "geometry must be positive");
-        self.pages = pages;
-        self.rows = rows;
-        self.cols = cols;
-        self
-    }
 }
 
 /// Builder over [`ArchConfig`] plus the simulator's pluggable models.
 ///
-/// Consolidates what used to be two chains
-/// (`ArchConfig::paper_default().with_drq(..).with_geometry(..)` and
-/// `DrqAccelerator::new(..).with_energy_model(..).with_synthesizer(..)`)
-/// into one: every knob is set in one place and [`ArchBuilder::build`]
-/// returns the ready [`DrqAccelerator`]. Starts from
+/// Every knob is set in one place and [`ArchBuilder::build`] returns the
+/// ready [`DrqAccelerator`]. Starts from
 /// [`ArchConfig::paper_default`], [`EnergyModel::tsmc45`] and the default
 /// [`FeatureMapSynthesizer`].
 #[derive(Debug, Clone, PartialEq)]
@@ -422,22 +397,18 @@ pub struct DrqAccelerator {
     synth: FeatureMapSynthesizer,
 }
 
-/// Output of one partitioned-simulation shard: per-layer reports for its
-/// contiguous layer range, the shard-local virtual-clock stamp at which
-/// each layer retires, and the shard's total cycles (the amount by which
-/// the merge advances the global clock).
-pub(crate) struct ShardOutput {
-    pub(crate) reports: Vec<LayerReport>,
-    pub(crate) retire_cycles: Vec<u64>,
-    pub(crate) total_cycles: u64,
-}
-
 /// Per-layer memory-traffic summary shared between energy accounting and
 /// the `sim/bytes/*` telemetry counters.
 struct LayerTraffic {
     dram_bytes: f64,
     buffer_bytes: f64,
     occupancy: f64,
+}
+
+/// Layer `i`'s position through `net` in `[0, 1)`: drives the
+/// synthesizer's depth profile and the deep-layer threshold rule.
+pub(crate) fn layer_depth(net: &NetworkTopology, i: usize) -> f64 {
+    i as f64 / net.layers.len().max(1) as f64
 }
 
 impl DrqAccelerator {
@@ -455,23 +426,19 @@ impl DrqAccelerator {
         self.config
     }
 
-    /// Overrides the energy model (builder style).
-    #[deprecated(since = "0.1.0", note = "use `ArchConfig::builder().energy_model(..)` instead")]
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Self {
-        self.energy = energy;
-        self
-    }
-
-    /// Overrides the feature-map synthesizer (builder style).
-    #[deprecated(since = "0.1.0", note = "use `ArchConfig::builder().synthesizer(..)` instead")]
-    pub fn with_synthesizer(mut self, synth: FeatureMapSynthesizer) -> Self {
-        self.synth = synth;
-        self
-    }
-
     /// The energy model in use (for the fault post-pass).
     pub(crate) fn energy_model(&self) -> &EnergyModel {
         &self.energy
+    }
+
+    /// The feature-map synthesizer in use (part of the session memo key).
+    pub(crate) fn synthesizer(&self) -> &FeatureMapSynthesizer {
+        &self.synth
+    }
+
+    /// The analytic cycle model for this accelerator's array geometry.
+    pub(crate) fn cycle_model(&self) -> LayerCycleModel {
+        LayerCycleModel::new(self.config.rows, self.config.cols, self.config.pages)
     }
 
     /// Simulates one layer given externally produced masks.
@@ -499,8 +466,17 @@ impl DrqAccelerator {
         masks: &[drq_core::MaskMap],
         sensitive_fraction: f64,
     ) -> LayerReport {
-        let model = LayerCycleModel::new(self.config.rows, self.config.cols, self.config.pages);
-        let cycles = model.simulate_layer(spec, masks);
+        self.layer_report(spec, self.cycle_model().simulate_layer(spec, masks), sensitive_fraction)
+    }
+
+    /// Completes a layer's report from its cycle count: the energy model
+    /// (and through it the buffer size) enters only here.
+    pub(crate) fn layer_report(
+        &self,
+        spec: &ConvLayerSpec,
+        cycles: LayerCycles,
+        sensitive_fraction: f64,
+    ) -> LayerReport {
         let energy = self.layer_energy(spec, &cycles, sensitive_fraction);
         LayerReport {
             name: spec.name.clone(),
@@ -532,33 +508,23 @@ impl DrqAccelerator {
         observe!("sim/buffer/occupancy", traffic.occupancy);
     }
 
-    /// Simulates one contiguous layer range against a shard-local virtual
-    /// clock starting at zero. Layer `i` draws from its own RNG substream
-    /// (`stream_seed(seed, i)`), so the output depends only on
-    /// `(config, net, seed, range)` — never on which shard or thread runs
-    /// it. This is the worker body of a partitioned [`crate::SimSession`].
-    pub(crate) fn simulate_shard(
+    /// Synthesizes layer `i`'s input feature map from its own RNG substream
+    /// (`stream_seed(seed, i)`) and runs the sensitivity predictor at the
+    /// layer's effective region and threshold, returning the per-channel
+    /// masks and their mean sensitive fraction. The result depends only on
+    /// `(seed, i, synthesizer, effective LayerDrqConfig)` — never on which
+    /// shard or thread asks — and this is the one synthesis+predict path of
+    /// both [`crate::SimSession`] and [`crate::SharedSession`].
+    pub(crate) fn layer_masks(
         &self,
         net: &NetworkTopology,
         seed: u64,
-        range: std::ops::Range<usize>,
-    ) -> ShardOutput {
-        let n_layers = net.layers.len().max(1);
-        let mut reports = Vec::with_capacity(range.len());
-        let mut retire_cycles = Vec::with_capacity(range.len());
-        let mut clock: u64 = 0;
-        for i in range {
-            let spec = &net.layers[i];
-            let depth = i as f64 / n_layers as f64;
-            let synth = self.synth.for_depth(depth);
-            let mut rng = XorShiftRng::new(stream_seed(seed, i as u64));
-            let (masks, frac) = synth.masks_for_layer(spec, &self.config.drq, depth, &mut rng);
-            let report = self.simulate_layer_quiet(spec, &masks, frac);
-            clock += report.cycles.total_cycles();
-            retire_cycles.push(clock);
-            reports.push(report);
-        }
-        ShardOutput { reports, retire_cycles, total_cycles: clock }
+        i: usize,
+    ) -> (Vec<drq_core::MaskMap>, f64) {
+        let depth = layer_depth(net, i);
+        let mut rng = XorShiftRng::new(stream_seed(seed, i as u64));
+        let synth = self.synth.for_depth(depth);
+        synth.masks_for_layer(&net.layers[i], &self.config.drq, depth, &mut rng)
     }
 
     /// Memory-traffic accounting for one layer (weight-stationary
@@ -791,22 +757,6 @@ mod tests {
         let a = sim(&accel, &net, 9);
         let b = sim(&accel, &net, 9);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_builder() {
-        let drq = DrqConfig::new(RegionSize::new(8, 8), 30.0);
-        let shim = DrqAccelerator::new(
-            ArchConfig::paper_default().with_drq(drq).with_geometry(8, 18, 22),
-        )
-        .with_energy_model(EnergyModel::tsmc45());
-        let built = ArchConfig::builder()
-            .drq(drq)
-            .geometry(8, 18, 22)
-            .energy_model(EnergyModel::tsmc45())
-            .build();
-        assert_eq!(shim, built);
     }
 
     #[test]

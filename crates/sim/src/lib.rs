@@ -64,6 +64,7 @@ mod error;
 pub mod faults;
 mod im2col_engine;
 mod line_buffer;
+mod memo;
 mod output_buffer;
 mod page;
 pub mod partition;

@@ -32,10 +32,11 @@
 //! session's derived fault stream, while a non-zero plan seed pins the
 //! fault stream independently (so archived plan files replay bit-for-bit).
 
+use crate::memo::{MemoCounts, SessionMemo};
 use crate::partition::{stream_seed, PartitionPlan, Partitions, FAULT_STREAM};
 use crate::{
     BatchSimSummary, DramModel, DrqAccelerator, FaultCounters, FaultInjector, FaultPlan,
-    FaultSite, NetworkSimReport, ReliabilityReport, SimError,
+    FaultSite, LayerReport, NetworkSimReport, ReliabilityReport, SimError,
 };
 use drq_models::NetworkTopology;
 use drq_telemetry::{counter_add, Json, Tracer, NO_FIELDS};
@@ -182,7 +183,10 @@ impl<'a, 't> SimSession<'a, 't> {
                 ],
             );
         }
-        let merged = run_partitioned(accel, net, seed, &plan);
+        let merged = run_partitioned(accel, net, &plan, |i, _| {
+            let (masks, frac) = accel.layer_masks(net, seed, i);
+            accel.simulate_layer_quiet(&net.layers[i], &masks, frac)
+        });
         if let Some(t) = self.tracer.as_deref_mut() {
             for (report, retire) in merged.layers.iter().zip(&merged.retire_cycles) {
                 t.event(
@@ -233,44 +237,75 @@ fn balance_layers(net: &NetworkTopology, partitions: Partitions) -> PartitionPla
 }
 
 /// A merged partitioned run: per-layer reports in execution order, the
-/// global (offset-corrected) retire stamp of each layer, and the total
-/// cycle count.
+/// global (offset-corrected) retire stamp of each layer, the total cycle
+/// count, and the memo lookups the layers made.
 struct MergedRun {
-    layers: Vec<crate::LayerReport>,
+    layers: Vec<LayerReport>,
     retire_cycles: Vec<u64>,
     total_cycles: u64,
+    memo: MemoCounts,
+}
+
+/// Output of one shard: per-layer reports for its contiguous layer range,
+/// the shard-local virtual-clock stamp at which each layer retires, the
+/// shard's total cycles (the amount by which the merge advances the global
+/// clock) and its memo lookups.
+struct ShardOutput {
+    reports: Vec<LayerReport>,
+    retire_cycles: Vec<u64>,
+    total_cycles: u64,
+    memo: MemoCounts,
 }
 
 /// The shard fan-out + deterministic merge shared by [`SimSession`] and
 /// [`SharedSession`]: one worker per shard, each simulating its contiguous
 /// layer range against a virtual clock that starts at zero, then a
 /// sequential merge that offsets each shard's local stamps by the prefix
-/// sum of preceding shards' totals. Both are shard-count invariant, so the
-/// merged stream is too. Layer telemetry is recorded here, on the merging
-/// thread, in execution order — workers stay silent so enabling metrics
-/// can never perturb scheduling or produce racy snapshots.
+/// sum of preceding shards' totals. `layer(i, counts)` produces layer `i`'s
+/// report, which must depend only on `i` — never on which shard or thread
+/// asks — so the merged stream is shard-count invariant. Layer telemetry is
+/// recorded here, on the merging thread, in execution order — workers stay
+/// silent so enabling metrics can never perturb scheduling or produce racy
+/// snapshots.
 fn run_partitioned(
     accel: &DrqAccelerator,
     net: &NetworkTopology,
-    seed: u64,
     plan: &PartitionPlan,
+    layer: impl Fn(usize, &mut MemoCounts) -> LayerReport + Sync,
 ) -> MergedRun {
-    let shards: Vec<crate::accelerator::ShardOutput> = parallel::par_map(plan.shard_count(), |s| {
-        accel.simulate_shard(net, seed, plan.ranges()[s].clone())
+    let shards: Vec<ShardOutput> = parallel::par_map(plan.shard_count(), |s| {
+        let range = plan.ranges()[s].clone();
+        let mut shard = ShardOutput {
+            reports: Vec::with_capacity(range.len()),
+            retire_cycles: Vec::with_capacity(range.len()),
+            total_cycles: 0,
+            memo: MemoCounts::default(),
+        };
+        for i in range {
+            let report = layer(i, &mut shard.memo);
+            shard.total_cycles += report.cycles.total_cycles();
+            shard.retire_cycles.push(shard.total_cycles);
+            shard.reports.push(report);
+        }
+        shard
     });
     let n_layers = net.layers.len();
-    let mut layers = Vec::with_capacity(n_layers);
-    let mut retire_cycles = Vec::with_capacity(n_layers);
-    let mut offset: u64 = 0;
+    let mut merged = MergedRun {
+        layers: Vec::with_capacity(n_layers),
+        retire_cycles: Vec::with_capacity(n_layers),
+        total_cycles: 0,
+        memo: MemoCounts::default(),
+    };
     for shard in shards {
         for (report, local_retire) in shard.reports.into_iter().zip(shard.retire_cycles) {
-            accel.record_layer_metrics(&net.layers[layers.len()], &report);
-            retire_cycles.push(offset + local_retire);
-            layers.push(report);
+            accel.record_layer_metrics(&net.layers[merged.layers.len()], &report);
+            merged.retire_cycles.push(merged.total_cycles + local_retire);
+            merged.layers.push(report);
         }
-        offset += shard.total_cycles;
+        merged.total_cycles += shard.total_cycles;
+        merged.memo.add(&shard.memo);
     }
-    MergedRun { layers, retire_cycles, total_cycles: offset }
+    merged
 }
 
 /// A reusable, accelerator-agnostic simulation session for design-space
@@ -278,16 +313,38 @@ fn run_partitioned(
 /// fixed once, and [`SharedSession::simulate`] runs any number of candidate
 /// accelerators against them from `&self`.
 ///
-/// This is the PR 7 follow-on ("teach `drq sweep` to share one session
-/// across candidates"): a [`SimSession`] consumes itself per run and
-/// re-balances the layer graph every time, which is wasted work when a
-/// sweep evaluates hundreds of candidates over the *same* network. A
-/// `SharedSession` hoists everything candidate-invariant out of the loop
-/// and is `Sync`, so one instance can be shared across
+/// A design-space search evaluates hundreds of candidates over the *same*
+/// network and seed, and most of each candidate's per-layer work repeats
+/// an earlier one's. So besides the partition plan the session keeps a
+/// memo that lives exactly as long as the session:
+///
+/// * **masks**, keyed by (layer index, synthesizer parameters, effective
+///   [`drq_core::LayerDrqConfig`] from `DrqConfig::for_layer`). The seed is
+///   fixed per session, so nothing else reaches the synthesized map or the
+///   predictor. Deep layers fold every base region to the same 2×2 region,
+///   so region candidates share their entries there.
+/// * **cycles**, one [`crate::LayerCycles`] per array geometry
+///   `(rows, cols, pages)`, stored with the mask entry they were computed
+///   from.
+///
+/// Buffer size, frequency and the energy model are deliberately not in
+/// any key: they enter neither the masks nor the cycle model, only the
+/// per-layer energy and traffic pass, which each `simulate` call still
+/// runs for its own accelerator. Every entry is built exactly once, even
+/// when `par_map` workers ask for it concurrently. Masks are kept as
+/// packed bits (one per channel-region) under one region grid per entry,
+/// so the memo is bounded by the number of distinct keys the session meets
+/// times `in_c · regions / 8` bytes; it is freed with the session.
+///
+/// The session is `Sync`, so one instance can be shared across
 /// `drq_tensor::parallel::par_map` workers. Reports are byte-identical to
 /// per-candidate [`SimSession`] runs at the same seed (pinned by
-/// `tests/dse_session_reuse.rs`): both paths bottom out in the same
-/// partitioned fan-out + merge, which is shard-count invariant.
+/// `tests/dse_session_reuse.rs`): both paths call the same synthesis and
+/// predictor helper and the same partitioned fan-out + merge, which is
+/// shard-count invariant. With telemetry on, each call also records its
+/// memo lookups as the `sim/memo/{mask,cycle}_{builds,hits}` counters;
+/// summed over a session the build counts equal the number of distinct
+/// keys, whatever the thread count.
 ///
 /// ```
 /// use drq_sim::{ArchConfig, Partitions, SharedSession, SimSession};
@@ -304,19 +361,27 @@ pub struct SharedSession<'n> {
     net: &'n NetworkTopology,
     seed: u64,
     plan: PartitionPlan,
+    memo: SessionMemo,
 }
 
 impl<'n> SharedSession<'n> {
     /// Builds a session over `net`, resolving and cost-balancing the
     /// partition plan once. Seed defaults to 0.
     pub fn new(net: &'n NetworkTopology, partitions: impl Into<Partitions>) -> Self {
-        Self { net, seed: 0, plan: balance_layers(net, partitions.into()) }
+        Self {
+            net,
+            seed: 0,
+            plan: balance_layers(net, partitions.into()),
+            memo: SessionMemo::new(),
+        }
     }
 
     /// Sets the session seed (same stream derivation as
-    /// [`SimSession::seed`]).
+    /// [`SimSession::seed`]). Starts an empty memo: its entries belong to
+    /// one seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
+        self.memo = SessionMemo::new();
         self
     }
 
@@ -336,12 +401,16 @@ impl<'n> SharedSession<'n> {
     }
 
     /// Runs one clean partitioned simulation of a candidate accelerator,
-    /// reusing the precomputed partition plan. Callable from `&self` on
+    /// reusing the precomputed partition plan and every memoized mask set
+    /// and cycle count (see the [type docs](Self)). Callable from `&self` on
     /// any number of threads concurrently; nested parallel sections run
     /// inline, so calling this from inside a `par_map` never oversubscribes
     /// the pool.
     pub fn simulate(&self, accel: &DrqAccelerator) -> NetworkSimReport {
-        let merged = run_partitioned(accel, self.net, self.seed, &self.plan);
+        let merged = run_partitioned(accel, self.net, &self.plan, |i, counts| {
+            self.memo.layer_report(accel, self.net, self.seed, i, counts)
+        });
+        merged.memo.record();
         NetworkSimReport {
             network: self.net.name.clone(),
             seed: self.seed,

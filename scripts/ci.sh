@@ -59,6 +59,13 @@ done
 echo "== golden metrics schema (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test metrics_golden
 
+echo "== benchmark package unit + smoke tests (offline) =="
+# benchmark/ is a package of its own (empty [workspace] table), so the
+# workspace test run above never builds it; this catches an API change
+# that breaks the benchmark before a perf comparison does.
+RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --release --offline \
+    --manifest-path benchmark/Cargo.toml
+
 trap - EXIT
 
 ARTIFACTS=target/ci-artifacts
@@ -266,6 +273,17 @@ cmp "$ARTIFACTS/pareto_front.payload" "$ARTIFACTS/pareto_resume.payload" || {
     echo "replay: drq pareto --network lenet5 --seed $PARETO_SEED --budget 40, then --resume" >&2
     exit 1
 }
+# The shared session's memo is filled by whichever worker asks first; a
+# single-threaded search must still commit the same payload bytes.
+DRQ_THREADS=1 ./target/release/drq pareto --network lenet5 --seed "$PARETO_SEED" \
+    --out "$ARTIFACTS/pareto_front_1t.json"
+./target/release/drq store --cat "$ARTIFACTS/pareto_front_1t.json" \
+    > "$ARTIFACTS/pareto_front_1t.payload"
+cmp "$ARTIFACTS/pareto_front.payload" "$ARTIFACTS/pareto_front_1t.payload" || {
+    echo "DRQ_THREADS=1 pareto payload drifted from the default-thread bytes" >&2
+    echo "replay: DRQ_THREADS=1 drq pareto --network lenet5 --seed $PARETO_SEED" >&2
+    exit 1
+}
 PARETO_FRONT=$(sed -n 's/.*"front_size":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_front.json")
 PARETO_PRUNED=$(sed -n 's/.*"pruned":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_front.json")
 [ -n "$PARETO_FRONT" ] && [ "$PARETO_FRONT" -gt 1 ] || {
@@ -276,7 +294,7 @@ PARETO_PRUNED=$(sed -n 's/.*"pruned":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_front
     echo "pareto search pruned nothing (pruned=${PARETO_PRUNED:-?})" >&2
     exit 1
 }
-echo "pareto: front $PARETO_FRONT members, $PARETO_PRUNED pruned, resume bytes ok"
+echo "pareto: front $PARETO_FRONT members, $PARETO_PRUNED pruned, resume and 1-thread bytes ok"
 
 echo "== store chaos property suite (offline) =="
 # The N/N-1 recovery property under arbitrary seeded I/O fault schedules
@@ -289,8 +307,9 @@ echo "== store chaos gate (seeded SIGKILLs, resume-to-byte-identical) =="
 # SIGKILL `drq pareto` at seeded wall-clock points mid-search, resume each
 # time from whatever the crash left on disk, and require the final
 # committed payload to be byte-identical to an uninterrupted run. The
-# resnet18/cifar search runs ~5s with a checkpoint commit every 5
-# evaluations, so every kill lands between (or inside) commits.
+# resnet18/cifar search runs ~1.6s with a checkpoint commit every 5
+# evaluations (the first ~0.2s in), so every kill lands between (or
+# inside) commits.
 CHAOS_NET=resnet18
 CHAOS_RES=cifar
 CHAOS_SEED=20260810
@@ -304,9 +323,12 @@ rm -f "$CHAOS_CK" "$CHAOS_CK.prev" "$CHAOS_CK.tmp"
     > "$ARTIFACTS/store_chaos_ref.payload"
 CHAOS_KILLS=0
 CHAOS_RESUMES=0
-# Seeded kill schedule: fixed delays (seconds) spanning early, mid and
-# late points of the ~5s search window.
-for CHAOS_DELAY in 0.4 0.9 0.3 1.2 0.6 0.8; do
+# Seeded kill schedule: fixed delays (seconds). The first lands after the
+# fresh run's first commit; the rest land in resumed runs, each of which
+# re-warms its shared session's memo (masks and cycle counts are rebuilt
+# per process) before it commits again, so kills fall both before and
+# after a resumed run's first commit.
+for CHAOS_DELAY in 0.4 0.25 0.3 0.2 0.3 0.25; do
     if [ "$CHAOS_RESUMES" -eq 0 ]; then
         ./target/release/drq pareto --network "$CHAOS_NET" --res "$CHAOS_RES" \
             --seed "$CHAOS_SEED" --checkpoint-every "$CHAOS_EVERY" \

@@ -1,12 +1,16 @@
 //! Pins the DSE→simulator session-reuse contract: a single
 //! [`SharedSession`](drq::sim::SharedSession) evaluating many candidates
 //! must produce byte-identical reports to a dedicated per-candidate
-//! [`SimSession`](drq::sim::SimSession), and the removed per-scenario
-//! simulate-the-network shims must stay gone from the workspace.
+//! [`SimSession`](drq::sim::SimSession) — whatever the evaluation order,
+//! thread count, or mix of accelerators its memo has already seen — and the
+//! removed per-scenario simulate-the-network shims must stay gone from the
+//! workspace.
 
 use drq::core::{DrqConfig, RegionSize};
-use drq::sim::{ArchConfig, DrqAccelerator, Partitions, SimSession};
-use drq_dse::{CandidateSpace, SimSpaceEval};
+use drq::models::{ConvLayerSpec, FeatureMapSynthesizer, NetworkTopology};
+use drq::sim::{ArchConfig, DrqAccelerator, Partitions, SharedSession, SimSession};
+use drq::tensor::{parallel, XorShiftRng};
+use drq_dse::{CandidateSpace, Geometry, SimSpaceEval};
 use std::path::{Path, PathBuf};
 
 fn accel_for(c: &drq_dse::Candidate) -> DrqAccelerator {
@@ -42,6 +46,134 @@ fn shared_session_matches_per_candidate_sessions_byte_for_byte() {
             );
         }
     }
+}
+
+/// A small network whose last four layers hit the deep-layer rule (maps
+/// of at most 8x8 pixels, the last two also at depth >= 0.8), so every
+/// base region folds to the same 2x2 region there.
+fn deep_net() -> NetworkTopology {
+    NetworkTopology {
+        name: "deep-fold".into(),
+        input: (3, 32, 32),
+        classes: 10,
+        layers: vec![
+            ConvLayerSpec::conv("c1", "B1", 3, 32, 32, 8, 3, 3, 2, 1),
+            ConvLayerSpec::conv("c2", "B1", 8, 16, 16, 16, 3, 3, 2, 1),
+            ConvLayerSpec::conv("c3", "B2", 16, 8, 8, 16, 3, 3, 1, 1),
+            ConvLayerSpec::conv("c4", "B2", 16, 8, 8, 32, 3, 3, 2, 1),
+            ConvLayerSpec::conv("c5", "B3", 32, 4, 4, 32, 3, 3, 1, 1),
+            ConvLayerSpec::fc("fc", "FC", 32 * 4 * 4, 10),
+        ],
+    }
+}
+
+fn dedicated_json(accel: &DrqAccelerator, net: &NetworkTopology, seed: u64) -> String {
+    SimSession::new(accel, net)
+        .seed(seed)
+        .run()
+        .expect("dedicated session runs")
+        .to_report()
+        .to_json_string()
+}
+
+/// Restores automatic thread resolution even if an assertion fails.
+struct AutoThreads;
+
+impl Drop for AutoThreads {
+    fn drop(&mut self) {
+        parallel::set_max_threads(0);
+    }
+}
+
+#[test]
+fn memoized_session_matches_fresh_sessions_in_any_order_and_thread_count() {
+    let net = deep_net();
+    let seed = 11;
+    let space = CandidateSpace::try_new(
+        // Each of pages, rows and cols is the only difference between two
+        // of these, so a cycle key missing any one of them is caught.
+        vec![
+            Geometry::new(8, 18, 11),
+            Geometry::new(16, 18, 11),
+            Geometry::new(16, 9, 11),
+            Geometry::new(16, 18, 22),
+        ],
+        vec![RegionSize::new(4, 4), RegionSize::new(8, 16)],
+        vec![2.0, 21.0],
+        vec![64 * 1024, 5 * 1024 * 1024],
+    )
+    .expect("test space is valid");
+    let cfg = DrqConfig::new(RegionSize::new(8, 16), 21.0);
+    assert_eq!(
+        cfg.for_layer(4, 4, 0.9),
+        cfg.with_region(RegionSize::new(4, 4)).for_layer(4, 4, 0.9),
+        "both regions must fold to one deep-layer configuration"
+    );
+    let accels: Vec<DrqAccelerator> =
+        (0..space.len()).map(|i| accel_for(&space.candidate(i))).collect();
+    let expected: Vec<String> = accels.iter().map(|a| dedicated_json(a, &net, seed)).collect();
+
+    let _auto = AutoThreads;
+    for (threads, shuffle_seed) in [(1, 3u64), (2, 5), (0, 7)] {
+        parallel::set_max_threads(threads);
+        let mut order: Vec<usize> = (0..space.len()).collect();
+        let mut rng = XorShiftRng::new(shuffle_seed);
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i + 1));
+        }
+        let session = SharedSession::new(&net, Partitions::Auto).seed(seed);
+        let got: Vec<String> = parallel::par_map(order.len(), |k| {
+            session.simulate(&accels[order[k]]).to_report().to_json_string()
+        });
+        for (k, json) in got.iter().enumerate() {
+            assert_eq!(
+                *json, expected[order[k]],
+                "candidate {} drifted from its fresh session (threads {threads}, position {k})",
+                order[k]
+            );
+        }
+    }
+}
+
+#[test]
+fn memo_keys_on_synthesizer_and_deep_layer_rule() {
+    let net = deep_net();
+    let seed = 5;
+    let drq = DrqConfig::new(RegionSize::new(4, 4), 21.0);
+    let base = ArchConfig::builder().drq(drq).build();
+    let variants = [
+        ArchConfig::builder()
+            .drq(drq)
+            .synthesizer(FeatureMapSynthesizer {
+                base_level: 0.2,
+                ..FeatureMapSynthesizer::default()
+            })
+            .build(),
+        ArchConfig::builder()
+            .drq(drq)
+            .synthesizer(FeatureMapSynthesizer {
+                blob_radius_frac: 0.3,
+                ..FeatureMapSynthesizer::default()
+            })
+            .build(),
+        ArchConfig::builder().drq(drq.deep_layer_extent(2)).build(),
+        ArchConfig::builder().drq(drq.deep_layer_extent(16)).build(),
+    ];
+    let base_json = dedicated_json(&base, &net, seed);
+    let session = SharedSession::new(&net, Partitions::Auto).seed(seed);
+    // The base fills the memo first, so a key missing a field would hand
+    // its masks to the variant that differs only in that field.
+    assert_eq!(session.simulate(&base).to_report().to_json_string(), base_json);
+    for (v, accel) in variants.iter().enumerate() {
+        let dedicated = dedicated_json(accel, &net, seed);
+        assert_ne!(dedicated, base_json, "variant {v} does not change the report");
+        assert_eq!(
+            session.simulate(accel).to_report().to_json_string(),
+            dedicated,
+            "variant {v} was served another accelerator's memo entries"
+        );
+    }
+    assert_eq!(session.simulate(&base).to_report().to_json_string(), base_json);
 }
 
 /// Recursively collects every `.rs` file under `dir`.
