@@ -129,6 +129,36 @@ impl ParsedArgs {
         }
     }
 
+    /// Parsed DRQ threshold with a default: a finite, non-negative number.
+    pub fn get_threshold(&self, key: &str, default: f32) -> Result<f32, ArgsError> {
+        let v = self.get_f32(key, default)?;
+        self.require(key, v, v.is_finite() && v >= 0.0, "a finite, non-negative threshold")
+    }
+
+    /// Parsed fraction in `(0, 1]` with a default.
+    pub fn get_fraction(&self, key: &str, default: f64) -> Result<f64, ArgsError> {
+        let v = self.get_f64(key, default)?;
+        self.require(key, v, v > 0.0 && v <= 1.0, "a fraction in (0, 1]")
+    }
+
+    /// Parsed `usize` option with a default that must be at least 1.
+    pub fn get_positive(&self, key: &str, default: usize) -> Result<usize, ArgsError> {
+        let v = self.get_usize(key, default)?;
+        self.require(key, v, v > 0, "a positive integer")
+    }
+
+    /// Passes `v` through when `ok`, else reports the raw option value.
+    fn require<T>(&self, key: &str, v: T, ok: bool, expected: &'static str) -> Result<T, ArgsError> {
+        if ok {
+            return Ok(v);
+        }
+        Err(ArgsError::BadValue {
+            key: key.to_string(),
+            value: self.get_str(key, ""),
+            expected,
+        })
+    }
+
     /// Parsed boolean option (`true|false`) with a default.
     pub fn get_bool(&self, key: &str, default: bool) -> Result<bool, ArgsError> {
         match self.options.get(key) {

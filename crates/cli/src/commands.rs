@@ -2,7 +2,7 @@
 
 use crate::args::{ArgsError, ParsedArgs};
 use drq::baselines::{evaluate_scheme, paper_lineup, QuantScheme};
-use drq::core::{calibrate_thresholds, ComputeTier, DrqConfig, RegionSize};
+use drq::core::{calibrate_thresholds, DrqConfig, RegionSize};
 use drq::dse::{CandidateSpace, ParetoSearch, SearchStatus, SimSpaceEval};
 use drq::core::segments::{render_ascii, segment_map};
 use drq::models::zoo::{self, InputRes};
@@ -180,12 +180,10 @@ COMMANDS
                  router; replies are byte-identical at every worker count
                --capacity N (64, per worker)  --max-batch N (8)
                --coalesce N (4) — continuous batching: compatible queued
-                 requests run as one GEMM group between layer boundaries
+                 requests run as one mixed-conv call per layer
                  (1 disables; replies stay byte-identical at any width)
                --deadline-cycles N (default budget per request)
                --threshold T (20)  --region HxW (4x4)  --seed N (42)
-               --compute-tier f32|int (f32; int runs the packed integer
-                 SIMD GEMM kernels — bit-identical replies, lower latency)
                prints \"listening on HOST:PORT\" once ready; a client
                {\"kind\":\"shutdown\"} line drains in-flight work and exits
   client     seeded load driver for a running serve instance
@@ -198,7 +196,7 @@ COMMANDS
   soak       seeded crash-recovery soak of the multi-worker server
                --workers N (1)  --requests N (64)  --seed N (42)
                --kills N (0; workers killed and restarted mid-stream)
-               --coalesce N (1)  --max-batch N (4)  --compute-tier f32|int
+               --coalesce N (1)  --max-batch N (4)
                --model-seed N (42)  --drain-ms N (10000)
                --canonical F (write the sorted response transcript to F;
                  a pure function of --seed/--requests/--max-batch/
@@ -272,7 +270,7 @@ fn obtain_network(
     args: &ParsedArgs,
 ) -> Result<(Network, Dataset, Dataset, Option<TrainReport>), Box<dyn Error>> {
     let kind = dataset_kind(&args.get_str("dataset", "digits"))?;
-    let samples = args.get_usize("samples", 300)?;
+    let samples = args.get_positive("samples", 300)?;
     let epochs = args.get_usize("epochs", 6)?;
     let seed = args.get_usize("seed", 1)? as u64;
     let train_set = Dataset::generate(kind, samples, seed);
@@ -323,9 +321,10 @@ fn cmd_eval(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         "dataset", "samples", "epochs", "seed", "weights", "scheme", "threshold", "region",
         "target", "threads", "metrics", "trace",
     ])?;
-    let (mut net, train_set, eval_set, _) = obtain_network(args)?;
     let (rx, ry) = args.get_region("region", (4, 4))?;
-    let threshold = args.get_f32("threshold", 25.0)?;
+    let threshold = args.get_threshold("threshold", 25.0)?;
+    let target = args.get_fraction("target", 0.1)?;
+    let (mut net, train_set, eval_set, _) = obtain_network(args)?;
     let scheme = match args.get_str("scheme", "drq").as_str() {
         "fp32" => QuantScheme::Fp32,
         "eyeriss" => QuantScheme::Eyeriss,
@@ -333,7 +332,6 @@ fn cmd_eval(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         "olaccel" => QuantScheme::OlAccel,
         "drq" => QuantScheme::Drq(DrqConfig::new(RegionSize::new(rx, ry), threshold)),
         "drq-calibrated" => {
-            let target = args.get_f64("target", 0.1)?;
             let (x, _) = train_set.batch(0, train_set.len().min(32));
             let schedule = calibrate_thresholds(&mut net, &x, RegionSize::new(rx, ry), target);
             println!(
@@ -377,7 +375,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let net = topology(&args.get_str("network", "resnet18"), res)?;
     let seed = args.get_usize("seed", 42)? as u64;
     let (rx, ry) = args.get_region("region", (4, 16))?;
-    let threshold = args.get_f32("threshold", 21.0)?;
+    let threshold = args.get_threshold("threshold", 21.0)?;
     let partitions = Partitions::parse(&args.get_str("partitions", "auto"))?;
     let which = args.get_str("accel", "all");
     // Parse (and reject) the fault plan before simulating anything, so a
@@ -451,14 +449,10 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     args.restrict(&[
         "port", "stdin", "workers", "capacity", "max-batch", "coalesce", "deadline-cycles",
-        "threshold", "region", "seed", "compute-tier", "threads", "metrics", "trace",
+        "threshold", "region", "seed", "threads", "metrics", "trace",
     ])?;
     let (rh, rw) = args.get_region("region", (4, 4))?;
-    let threshold = args.get_f32("threshold", 20.0)?;
-    let compute_tier: ComputeTier = args
-        .get_str("compute-tier", "f32")
-        .parse()
-        .map_err(|e: String| Box::<dyn Error>::from(e))?;
+    let threshold = args.get_threshold("threshold", 20.0)?;
     let config = ServeConfig {
         workers: args.get_usize("workers", 2)?.max(1),
         capacity: args.get_usize("capacity", 64)?,
@@ -467,7 +461,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         default_deadline_cycles: args.get_usize("deadline-cycles", 1 << 40)? as u64,
         drq: DrqConfig::new(RegionSize::new(rh, rw), threshold),
         model_seed: args.get_usize("seed", 42)? as u64,
-        compute_tier,
         ..ServeConfig::default()
     };
     // --workers N scales out as N sharded engines behind a router (one
@@ -496,13 +489,9 @@ fn cmd_serve(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
 
 fn cmd_soak(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     args.restrict(&[
-        "workers", "requests", "seed", "kills", "coalesce", "max-batch", "compute-tier",
-        "model-seed", "drain-ms", "canonical", "threads", "metrics", "trace",
+        "workers", "requests", "seed", "kills", "coalesce", "max-batch", "model-seed",
+        "drain-ms", "canonical", "threads", "metrics", "trace",
     ])?;
-    let compute_tier: ComputeTier = args
-        .get_str("compute-tier", "f32")
-        .parse()
-        .map_err(|e: String| Box::<dyn Error>::from(e))?;
     let cfg = SoakConfig {
         workers: args.get_usize("workers", 1)?.max(1),
         requests: args.get_usize("requests", 64)?,
@@ -510,7 +499,6 @@ fn cmd_soak(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         kills: args.get_usize("kills", 0)?,
         coalesce: args.get_usize("coalesce", 1)?.max(1),
         max_batch: args.get_usize("max-batch", 4)?.max(1),
-        compute_tier,
         model_seed: args.get_usize("model-seed", 42)? as u64,
         drain_ms: args.get_usize("drain-ms", 10_000)? as u64,
     };
@@ -644,7 +632,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let net = topology(&args.get_str("network", "lenet5"), res)?;
     let seed = args.get_usize("seed", 42)? as u64;
     let (rx, ry) = args.get_region("region", (4, 16))?;
-    let threshold = args.get_f32("threshold", 21.0)?;
+    let threshold = args.get_threshold("threshold", 21.0)?;
     let plan = match args.get_opt("plan") {
         Some(path) => load_fault_plan(path)?,
         None => FaultPlan::smoke(),
@@ -915,9 +903,9 @@ fn cmd_calibrate(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
         "dataset", "samples", "epochs", "seed", "weights", "target", "region", "threads",
         "metrics", "trace",
     ])?;
-    let (mut net, train_set, _eval, _) = obtain_network(args)?;
-    let target = args.get_f64("target", 0.1)?;
+    let target = args.get_fraction("target", 0.1)?;
     let (rx, ry) = args.get_region("region", (4, 4))?;
+    let (mut net, train_set, _eval, _) = obtain_network(args)?;
     let (x, _) = train_set.batch(0, train_set.len().min(32));
     let schedule = calibrate_thresholds(&mut net, &x, RegionSize::new(rx, ry), target);
     println!("per-layer thresholds targeting {:.0}% sensitive regions:", target * 100.0);
@@ -944,7 +932,7 @@ fn cmd_export(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     args.restrict(&["dataset", "seed", "threshold", "region", "out", "threads", "metrics", "trace"])?;
     let kind = dataset_kind(&args.get_str("dataset", "digits"))?;
     let seed = args.get_usize("seed", 1)? as u64;
-    let threshold = args.get_f32("threshold", 20.0)?;
+    let threshold = args.get_threshold("threshold", 20.0)?;
     let (rx, ry) = args.get_region("region", (4, 4))?;
     let prefix = args.get_str("out", "drq_export");
     let data = Dataset::generate(kind, 4, seed);

@@ -1,6 +1,9 @@
 //! Running a whole network under dynamic region-based quantization.
 
-use crate::{ConvOpCounts, DrqConfig, LayerThresholds, MixedPrecisionConv, SensitivityPredictor};
+use crate::{
+    CoalesceInput, ConvOpCounts, DrqConfig, LayerThresholds, MixedPrecisionConv,
+    SensitivityPredictor,
+};
 use drq_nn::Network;
 use drq_tensor::Tensor;
 
@@ -196,7 +199,9 @@ impl DrqNetwork {
                 .first()
                 .map(|ms| ms.iter().map(|m| m.storage_bits()).sum())
                 .unwrap_or(0);
-            let (y, counts) = MixedPrecisionConv::forward(conv, input, &masks);
+            let (y, counts) =
+                MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x: input, masks: &masks }])
+                    .remove(0);
             stats.layers.push(DrqLayerStats {
                 conv_index: idx,
                 input_shape: input.shape().to_vec(),

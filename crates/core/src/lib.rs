@@ -52,8 +52,6 @@ pub use drq_net::{DrqLayerStats, DrqNetwork, DrqRunStats};
 pub use error::DrqError;
 pub use finetune::{finetune, finetune_step};
 pub use mask::MaskMap;
-pub use mixed_conv::{
-    uniform_masks, CoalesceInput, ComputeTier, ConvOpCounts, ConvPlan, MixedPrecisionConv,
-};
+pub use mixed_conv::{uniform_masks, CoalesceInput, ConvOpCounts, ConvPlan, MixedPrecisionConv};
 pub use predictor::SensitivityPredictor;
 pub use region::{RegionGrid, RegionSize};

@@ -8,57 +8,6 @@ use drq_tensor::{
     int4_matmul, int8_matmul, int8_matmul_wide, parallel, Int4Packed, Shape4, Tensor,
 };
 
-/// Which compute backend executes the quantized convolution arithmetic.
-///
-/// Both tiers implement the *same* quantization semantics — identical
-/// codes, identical exact integer accumulation, identical final
-/// `acc · scale + bias` conversion — so their outputs are bit-equal; the
-/// differential suite holds them to it. The difference is purely how the
-/// MACs run: [`ComputeTier::F32`] is the original tap loop over i64
-/// accumulators, [`ComputeTier::Int`] lowers each layer through im2col
-/// onto the packed integer GEMM tier in `drq-tensor` (i8×i8 and
-/// nibble-INT4 kernels with range-analysis-proven i32 accumulation).
-///
-/// # Examples
-///
-/// ```
-/// use drq_core::ComputeTier;
-///
-/// assert_eq!("int".parse::<ComputeTier>().unwrap(), ComputeTier::Int);
-/// assert_eq!(ComputeTier::default().as_str(), "f32");
-/// assert!("fp16".parse::<ComputeTier>().is_err());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ComputeTier {
-    /// Reference tap loop: quantized codes multiplied in scalar i64.
-    #[default]
-    F32,
-    /// Packed-panel integer GEMM tier (SIMD i8/i4 kernels).
-    Int,
-}
-
-impl ComputeTier {
-    /// The flag spelling (`"f32"` or `"int"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ComputeTier::F32 => "f32",
-            ComputeTier::Int => "int",
-        }
-    }
-}
-
-impl std::str::FromStr for ComputeTier {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "f32" => Ok(ComputeTier::F32),
-            "int" => Ok(ComputeTier::Int),
-            other => Err(format!("unknown compute tier {other:?} (want f32|int)")),
-        }
-    }
-}
-
 /// MAC-operation counts of one convolution execution, split by precision.
 ///
 /// # Examples
@@ -109,32 +58,31 @@ impl ConvOpCounts {
     }
 }
 
-/// Prepared, input-independent integer-tier state for one convolution:
-/// the INT8 weight calibration, the packed i8 panels and nibble-packed
-/// INT4 planes per channel group, and the accumulator-width proofs.
+/// Prepared, input-independent state for one convolution: the INT8
+/// weight calibration, the packed i8 panels and nibble-packed INT4 planes
+/// per channel group, and the accumulator-width proofs.
 ///
 /// Preparing a plan is the expensive, weight-only half of
-/// [`MixedPrecisionConv::forward_tiered`] on the integer tier; reusing one
-/// across requests (the serving plan cache) skips the re-quantization and
-/// re-packing without changing a single output bit, because the plan holds
-/// exactly the values the unplanned path would recompute.
+/// [`MixedPrecisionConv::forward`]; reusing one across requests (the
+/// serving plan cache) skips the re-quantization and re-packing without
+/// changing a single output bit, because the plan holds exactly the values
+/// an unplanned call recomputes.
 ///
 /// # Examples
 ///
 /// ```
-/// use drq_core::{ComputeTier, ConvPlan, MixedPrecisionConv, uniform_masks};
+/// use drq_core::{uniform_masks, CoalesceInput, ConvPlan, MixedPrecisionConv};
 /// use drq_nn::Conv2d;
 /// use drq_tensor::Tensor;
 ///
 /// let conv = Conv2d::new(2, 3, 3, 1, 1, 7);
 /// let x = Tensor::from_fn(&[1, 2, 8, 8], |i| (i % 5) as f32);
 /// let masks = uniform_masks(x.shape4().unwrap(), true);
+/// let inputs = [CoalesceInput { x: &x, masks: &masks }];
 /// let plan = ConvPlan::prepare(&conv);
-/// let (y_planned, c_planned) =
-///     MixedPrecisionConv::forward_planned(&conv, &plan, &x, &masks, ComputeTier::Int);
-/// let (y, c) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-/// assert_eq!(y_planned, y);
-/// assert_eq!(c_planned, c);
+/// let planned = MixedPrecisionConv::forward(&conv, Some(&plan), &inputs);
+/// let unplanned = MixedPrecisionConv::forward(&conv, None, &inputs);
+/// assert_eq!(planned, unplanned);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ConvPlan {
@@ -197,14 +145,14 @@ impl ConvPlan {
     }
 }
 
-/// One request's slice of a coalesced convolution call: its input feature
-/// map and its per-image, per-channel sensitivity masks.
+/// One request of a [`MixedPrecisionConv::forward`] call: its input
+/// feature map and its per-image, per-channel sensitivity masks.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalesceInput<'a> {
     /// Input feature map, `[n, c, h, w]`.
     pub x: &'a Tensor<f32>,
-    /// `masks[n][c]` — one mask per image per channel, as in
-    /// [`MixedPrecisionConv::forward`].
+    /// `masks[n][c]` — the mask of channel `c` of image `n`, as produced
+    /// by [`crate::SensitivityPredictor::predict_image`] on this input.
     pub masks: &'a [Vec<MaskMap>],
 }
 
@@ -224,428 +172,58 @@ pub struct CoalesceInput<'a> {
 pub struct MixedPrecisionConv;
 
 impl MixedPrecisionConv {
-    /// Runs the mixed-precision convolution.
+    /// Runs the mixed-precision convolution for a group of independent
+    /// requests; a single request is a group of one. `plan` is `conv`'s
+    /// prepared weights, or `None` to prepare them here.
     ///
-    /// `masks[n][c]` is the per-channel mask of image `n` (as produced by
-    /// [`crate::SensitivityPredictor::predict_image`] on this layer's input).
-    ///
-    /// Returns the output feature map and the INT4/INT8 MAC split.
-    /// Zero-padding taps are counted as INT4 (the line buffer packs padding
-    /// as insensitive zeros).
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape inconsistency between `conv`, `x` and `masks`.
-    pub fn forward(
-        conv: &Conv2d,
-        x: &Tensor<f32>,
-        masks: &[Vec<MaskMap>],
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        let s = Self::validate(conv, x, masks);
-        let aq8 = QuantParams::fit(x.as_slice(), Precision::Int8);
-        let wq8 = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
-        let out_shape = conv.output_shape(s);
-        let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
-
-        let k = conv.kernel();
-        let stride = conv.stride();
-        let pad = conv.pad_isize();
-        let groups = conv.groups();
-        let cpg_in = s.c / groups;
-        let cpg_out = conv.out_channels() / groups;
-        let bias = conv.bias().as_slice();
-        let dequant = aq8.scale() * wq8.scale();
-
-        // Pre-quantized activations at INT8 (INT4 codes derive by >> 4),
-        // through the shared Quantizer interface.
-        let x8_t = Quantizer::quantize(&aq8, x);
-        let w8_t = Quantizer::quantize(&wq8, conv.weight());
-        let (x8, w8) = (x8_t.as_slice(), w8_t.as_slice());
-        let wtaps = cpg_in * k * k;
-        let img_len = conv.out_channels() * out_shape.h * out_shape.w;
-
-        // Images are independent: each worker builds its own sensitivity
-        // bitmap and output slab, and the integer accumulation per output
-        // pixel is fully ordered by the tap loops — so the result is
-        // bit-identical for every thread count (integer MAC counts are
-        // exact regardless of merge order anyway).
-        let per_image = parallel::par_map(s.n, |n| {
-            // Per-channel sensitivity bitmap: one byte per pixel beats a
-            // region lookup (divisions) in the innermost loop.
-            let mut sens = vec![0u8; s.c * s.h * s.w];
-            let image_masks = &masks[n];
-            for (c, mask) in image_masks.iter().enumerate() {
-                let base = c * s.h * s.w;
-                for iy in 0..s.h {
-                    for ix in 0..s.w {
-                        sens[base + iy * s.w + ix] = u8::from(mask.pixel_sensitive(iy, ix));
-                    }
-                }
-            }
-            let mut oimg = vec![0.0f32; img_len];
-            let mut counts = ConvOpCounts::default();
-            for g in 0..groups {
-                for oc_local in 0..cpg_out {
-                    let oc = g * cpg_out + oc_local;
-                    for oy in 0..out_shape.h {
-                        for ox in 0..out_shape.w {
-                            let mut acc: i64 = 0;
-                            for ic_local in 0..cpg_in {
-                                let ic = g * cpg_in + ic_local;
-                                let sens_c = &sens[ic * s.h * s.w..(ic + 1) * s.h * s.w];
-                                for ky in 0..k {
-                                    let iy = (oy * stride + ky) as isize - pad;
-                                    for kx in 0..k {
-                                        let ix = (ox * stride + kx) as isize - pad;
-                                        let woff = oc * wtaps
-                                            + (ic_local * k + ky) * k
-                                            + kx;
-                                        let inside = iy >= 0
-                                            && (iy as usize) < s.h
-                                            && ix >= 0
-                                            && (ix as usize) < s.w;
-                                        if !inside {
-                                            // Padding: zero INT4 operand.
-                                            counts.int4_macs += 1;
-                                            continue;
-                                        }
-                                        let (iy, ix) = (iy as usize, ix as usize);
-                                        let q_x = x8[s.offset(n, ic, iy, ix)];
-                                        let q_w = w8[woff];
-                                        if sens_c[iy * s.w + ix] == 1 {
-                                            counts.int8_macs += 1;
-                                            acc += (q_w as i64) * (q_x as i64);
-                                        } else {
-                                            counts.int4_macs += 1;
-                                            // High 4 bits of each operand
-                                            // (arithmetic shift), product
-                                            // re-scaled by 16*16.
-                                            let w4 = q_w >> 4;
-                                            let x4 = q_x >> 4;
-                                            acc += (w4 as i64) * (x4 as i64) * 256;
-                                        }
-                                    }
-                                }
-                            }
-                            oimg[(oc * out_shape.h + oy) * out_shape.w + ox] =
-                                acc as f32 * dequant + bias[oc];
-                        }
-                    }
-                }
-            }
-            (oimg, counts)
-        });
-
-        let mut counts = ConvOpCounts::default();
-        let ov = out.as_mut_slice();
-        for (n, (oimg, c)) in per_image.into_iter().enumerate() {
-            ov[n * img_len..(n + 1) * img_len].copy_from_slice(&oimg);
-            counts.merge(c);
-        }
-        (out, counts)
-    }
-
-    /// Shape/mask validation shared by both tiers.
-    fn validate(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> Shape4 {
-        let s = x.shape4().expect("conv input must be rank 4");
-        assert_eq!(s.c, conv.in_channels(), "channel mismatch");
-        assert_eq!(masks.len(), s.n, "need one mask set per image");
-        for (n, per_channel) in masks.iter().enumerate() {
-            assert_eq!(per_channel.len(), s.c, "image {n}: need one mask per channel");
-            for m in per_channel {
-                assert_eq!(
-                    (m.grid().height(), m.grid().width()),
-                    (s.h, s.w),
-                    "mask grid does not cover the feature map"
-                );
-            }
-        }
-        s
-    }
-
-    /// Runs the mixed-precision convolution on the selected compute tier.
-    ///
-    /// Tier outputs are bit-equal (same quantization semantics, same
-    /// exact integer sums, same final float conversion) and the op-count
-    /// split is identical; [`ComputeTier::Int`] just executes the MACs on
-    /// the packed integer GEMM kernels instead of the scalar tap loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any shape inconsistency between `conv`, `x` and `masks`.
-    pub fn forward_tiered(
-        conv: &Conv2d,
-        x: &Tensor<f32>,
-        masks: &[Vec<MaskMap>],
-        tier: ComputeTier,
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        match tier {
-            ComputeTier::F32 => Self::forward(conv, x, masks),
-            ComputeTier::Int => Self::forward_int(conv, x, masks),
-        }
-    }
-
-    /// The integer-tier execution: lowers the masked convolution onto the
-    /// packed integer GEMM kernels.
-    ///
-    /// Per image and channel group, the input codes expand into two
-    /// im2col operand matrices over the same `(ic, ky, kx) × (oy, ox)`
-    /// index space:
+    /// Activation quantization is fit **per request**, so each request
+    /// gets exactly the codes (and the output bits) it would get alone.
+    /// The work list is flat over every (request, image) pair and runs in
+    /// parallel. Per item and channel group, the input codes expand into
+    /// two masked im2col operand matrices over the same
+    /// `(ic, ky, kx) × (oy, ox)` index space:
     ///
     /// * `X8` — INT8 codes where the source pixel is sensitive, else 0;
     /// * `X4` — INT4 codes (`q >> 4`) where it is insensitive (padding
     ///   included as zero), else 0.
     ///
-    /// Because each tap is sensitive XOR insensitive, the two masked
-    /// products partition the reference tap loop's sum exactly:
-    /// `acc = W8·X8 + 256 · (W4·X4)` with `W4 = W8 >> 4` nibble-packed.
-    /// The INT8 product runs i8×i8 and the INT4 product the nibble-INT4
-    /// kernel; both use wrapping-i32 accumulation when the range analysis
-    /// proves the depth safe (the overwhelmingly common case — see
-    /// `drq_quant::analyze_gemm`) and the scalar i64 path otherwise, so
-    /// the combined i64 sum always equals the reference accumulator and
-    /// the final `acc as f32 * dequant + bias` conversion is bit-exact
-    /// against [`ComputeTier::F32`].
-    fn forward_int(
-        conv: &Conv2d,
-        x: &Tensor<f32>,
-        masks: &[Vec<MaskMap>],
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        // Weight operand matrices are image-independent: pack them once.
-        let plan = ConvPlan::prepare(conv);
-        Self::forward_int_planned(conv, &plan, x, masks)
-    }
-
-    /// [`MixedPrecisionConv::forward_tiered`] with a prepared [`ConvPlan`]:
-    /// the integer tier skips weight re-quantization/re-packing, the f32
-    /// tier ignores the plan (it refits the same values inline). Outputs
-    /// are bit-identical to the unplanned call either way.
+    /// Each tap is sensitive XOR insensitive, so the two products
+    /// partition the tap-by-tap sum exactly: `acc = W8·X8 + 256·(W4·X4)`,
+    /// with `W4 = W8 >> 4` nibble-packed. The INT8 product runs on the
+    /// i8×i8 kernel and the INT4 product on the nibble-INT4 kernel; both
+    /// accumulate in wrapping i32 when the range analysis proves the depth
+    /// safe (see `drq_quant::analyze_gemm`) and in i64 otherwise, so the
+    /// sum is always exact. The output is `acc as f32 · dequant + bias`.
+    /// The scalar tap loop in `drq_testkit::reference` is the bit-exact
+    /// oracle for all of it.
+    ///
+    /// Returns one `(output, counts)` pair per input, in order. Zero-padding
+    /// taps are counted as INT4 (the line buffer packs padding as
+    /// insensitive zeros).
     ///
     /// # Panics
     ///
-    /// Panics on shape inconsistency, or if `plan` was prepared for a
-    /// different convolution geometry.
-    pub fn forward_planned(
-        conv: &Conv2d,
-        plan: &ConvPlan,
-        x: &Tensor<f32>,
-        masks: &[Vec<MaskMap>],
-        tier: ComputeTier,
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        match tier {
-            ComputeTier::F32 => Self::forward(conv, x, masks),
-            ComputeTier::Int => Self::forward_int_planned(conv, plan, x, masks),
-        }
-    }
-
-    fn forward_int_planned(
-        conv: &Conv2d,
-        plan: &ConvPlan,
-        x: &Tensor<f32>,
-        masks: &[Vec<MaskMap>],
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        let s = Self::validate(conv, x, masks);
-        let aq8 = QuantParams::fit(x.as_slice(), Precision::Int8);
-        let out_shape = conv.output_shape(s);
-        let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
-
-        let k = conv.kernel();
-        let stride = conv.stride();
-        let pad = conv.pad_isize();
-        let groups = conv.groups();
-        let cpg_in = s.c / groups;
-        let cpg_out = conv.out_channels() / groups;
-        let bias = conv.bias().as_slice();
-        let dequant = aq8.scale() * plan.wq8.scale();
-
-        let x8_t = Quantizer::quantize(&aq8, x);
-        let x8 = x8_t.as_slice();
-        let wtaps = cpg_in * k * k;
-        assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
-        let npix = out_shape.h * out_shape.w;
-        let img_len = conv.out_channels() * npix;
-        let (w8_groups, w4_groups) = (&plan.w8_groups, &plan.w4_groups);
-
-        let per_image = parallel::par_map(s.n, |n| {
-            let mut sens = vec![0u8; s.c * s.h * s.w];
-            let image_masks = &masks[n];
-            for (c, mask) in image_masks.iter().enumerate() {
-                let base = c * s.h * s.w;
-                for iy in 0..s.h {
-                    for ix in 0..s.w {
-                        sens[base + iy * s.w + ix] = u8::from(mask.pixel_sensitive(iy, ix));
-                    }
-                }
-            }
-            let mut oimg = vec![0.0f32; img_len];
-            let mut counts = ConvOpCounts::default();
-            let mut x8_mat = vec![0i8; wtaps * npix];
-            let mut x4_mat = vec![0i8; wtaps * npix];
-            for g in 0..groups {
-                x8_mat.fill(0);
-                x4_mat.fill(0);
-                // Masked im2col: one pass over the tap index space fills
-                // both operand matrices and tallies the per-tap precision
-                // split (identical for every output channel of the group,
-                // so the group's counts are the per-tap counts × cpg_out).
-                let (mut c8, mut c4) = (0u64, 0u64);
-                for ic_local in 0..cpg_in {
-                    let ic = g * cpg_in + ic_local;
-                    let sens_c = &sens[ic * s.h * s.w..(ic + 1) * s.h * s.w];
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let row = (ic_local * k + ky) * k + kx;
-                            let rbase = row * npix;
-                            for oy in 0..out_shape.h {
-                                let iy = (oy * stride + ky) as isize - pad;
-                                for ox in 0..out_shape.w {
-                                    let ix = (ox * stride + kx) as isize - pad;
-                                    let inside = iy >= 0
-                                        && (iy as usize) < s.h
-                                        && ix >= 0
-                                        && (ix as usize) < s.w;
-                                    if !inside {
-                                        // Padding: zero INT4 operand.
-                                        c4 += 1;
-                                        continue;
-                                    }
-                                    let (iy, ix) = (iy as usize, ix as usize);
-                                    let q_x = x8[s.offset(n, ic, iy, ix)] as i8;
-                                    let col = oy * out_shape.w + ox;
-                                    if sens_c[iy * s.w + ix] == 1 {
-                                        c8 += 1;
-                                        x8_mat[rbase + col] = q_x;
-                                    } else {
-                                        c4 += 1;
-                                        x4_mat[rbase + col] = q_x >> 4;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                counts.int8_macs += c8 * cpg_out as u64;
-                counts.int4_macs += c4 * cpg_out as u64;
-
-                let x8_g = Tensor::from_vec(std::mem::take(&mut x8_mat), &[wtaps, npix])
-                    .expect("im2col operand shape");
-                let x4_g = Tensor::from_vec(std::mem::take(&mut x4_mat), &[wtaps, npix])
-                    .expect("im2col operand shape");
-                counter_add!("kernel/int8_gemm_calls", 1);
-                counter_add!("kernel/int8_gemm_macs", (cpg_out * wtaps * npix) as u64);
-                let acc8: Vec<i64> = if plan.wide8 {
-                    counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
-                    int8_matmul_wide(&w8_groups[g], &x8_g).into_vec()
-                } else {
-                    int8_matmul(&w8_groups[g], &x8_g).as_slice().iter().map(|&v| v as i64).collect()
-                };
-                counter_add!("kernel/int4_gemm_calls", 1);
-                counter_add!("kernel/int4_gemm_macs", (cpg_out * wtaps * npix) as u64);
-                let acc4: Vec<i64> = if plan.wide4 {
-                    counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
-                    int8_matmul_wide(&w4_groups[g].unpack(), &x4_g).into_vec()
-                } else {
-                    int4_matmul(&w4_groups[g], &x4_g).as_slice().iter().map(|&v| v as i64).collect()
-                };
-                // Dequantize once per output with fused bias — the exact
-                // expression the reference tap loop applies to its i64
-                // accumulator.
-                let obase = g * cpg_out * npix;
-                for oc_local in 0..cpg_out {
-                    let oc = g * cpg_out + oc_local;
-                    let b = bias[oc];
-                    let accs = &acc8[oc_local * npix..][..npix];
-                    let acc4s = &acc4[oc_local * npix..][..npix];
-                    let orow = &mut oimg[obase + oc_local * npix..][..npix];
-                    for ((o, &a8), &a4) in orow.iter_mut().zip(accs).zip(acc4s) {
-                        let acc = a8 + 256 * a4;
-                        *o = acc as f32 * dequant + b;
-                    }
-                }
-                x8_mat = x8_g.into_vec();
-                x4_mat = x4_g.into_vec();
-            }
-            (oimg, counts)
-        });
-
-        let mut counts = ConvOpCounts::default();
-        let ov = out.as_mut_slice();
-        for (n, (oimg, c)) in per_image.into_iter().enumerate() {
-            ov[n * img_len..(n + 1) * img_len].copy_from_slice(&oimg);
-            counts.merge(c);
-        }
-        (out, counts)
-    }
-
-    /// Executes one convolution for several independent requests in a
-    /// single call — the serving batcher's "one GEMM invocation between
-    /// layer boundaries".
-    ///
-    /// Activation quantization is fit **per request**: each request keeps
-    /// exactly the codes it would have alone (coalescing at the tensor
-    /// level would re-fit the scale over the concatenation and change
-    /// every code). The masked im2col operand matrices are then
-    /// column-concatenated across all images of all requests and one INT8
-    /// + one INT4 GEMM per channel group covers the whole batch, with the
-    /// per-request dequant scale applied per column block. Integer
-    /// accumulation is exact and per-output-ordered, so each request's
-    /// output and op counts are bit-identical to a sequential
-    /// [`MixedPrecisionConv::forward_tiered`] call; the differential suite
-    /// holds it to that. The f32 tier has no cross-request kernel to
-    /// share and simply loops per request.
-    ///
-    /// Returns one `(output, counts)` pair per input, in order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs` is empty, on any per-input shape inconsistency,
-    /// or if the inputs disagree on `(c, h, w)` (the batcher's
-    /// compatibility rule guarantees they never do).
-    pub fn forward_coalesced(
+    /// Panics on any shape inconsistency between `conv`, an input and its
+    /// masks, or if `plan` was prepared for a different convolution
+    /// geometry.
+    pub fn forward(
         conv: &Conv2d,
         plan: Option<&ConvPlan>,
         inputs: &[CoalesceInput<'_>],
-        tier: ComputeTier,
     ) -> Vec<(Tensor<f32>, ConvOpCounts)> {
-        assert!(!inputs.is_empty(), "coalesced call needs at least one input");
-        match tier {
-            ComputeTier::F32 => inputs
-                .iter()
-                .map(|i| Self::forward(conv, i.x, i.masks))
-                .collect(),
-            ComputeTier::Int => {
-                let prepared;
-                let plan = match plan {
-                    Some(p) => p,
-                    None => {
-                        prepared = ConvPlan::prepare(conv);
-                        &prepared
-                    }
-                };
-                Self::forward_int_coalesced(conv, plan, inputs)
+        let prepared;
+        let plan = match plan {
+            Some(p) => p,
+            None => {
+                prepared = ConvPlan::prepare(conv);
+                &prepared
             }
-        }
-    }
-
-    fn forward_int_coalesced(
-        conv: &Conv2d,
-        plan: &ConvPlan,
-        inputs: &[CoalesceInput<'_>],
-    ) -> Vec<(Tensor<f32>, ConvOpCounts)> {
-        let shapes: Vec<Shape4> = inputs
-            .iter()
-            .map(|i| Self::validate(conv, i.x, i.masks))
-            .collect();
-        let s0 = shapes[0];
-        for s in &shapes {
-            assert_eq!(
-                (s.c, s.h, s.w),
-                (s0.c, s0.h, s0.w),
-                "coalesced inputs must share (c, h, w)"
-            );
-        }
-        // Per-request activation calibration + codes (the bit-identity
-        // anchor), then a flat (request, image) work list.
+        };
+        let shapes: Vec<Shape4> = inputs.iter().map(|i| validate(conv, i.x, i.masks)).collect();
+        let wtaps = conv.in_channels() / conv.groups() * conv.kernel() * conv.kernel();
+        assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
+        // Per-request activation calibration and codes (the bit-identity
+        // anchor), then the flat (request, image) work list.
         let aqs: Vec<QuantParams> = inputs
             .iter()
             .map(|i| QuantParams::fit(i.x.as_slice(), Precision::Int8))
@@ -655,206 +233,163 @@ impl MixedPrecisionConv {
             .zip(&aqs)
             .map(|(i, aq)| Quantizer::quantize(aq, i.x))
             .collect();
-        let imgs: Vec<(usize, usize)> = shapes
+        let items: Vec<(usize, usize)> = shapes
             .iter()
             .enumerate()
             .flat_map(|(r, s)| (0..s.n).map(move |n| (r, n)))
             .collect();
-        let m = imgs.len();
-
-        let k = conv.kernel();
-        let stride = conv.stride();
-        let pad = conv.pad_isize();
-        let groups = conv.groups();
-        let cpg_in = s0.c / groups;
-        let cpg_out = conv.out_channels() / groups;
-        let bias = conv.bias().as_slice();
-        let wtaps = cpg_in * k * k;
-        assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
-        let out_shape = conv.output_shape(Shape4::new(1, s0.c, s0.h, s0.w));
-        let npix = out_shape.h * out_shape.w;
-
-        // Per (request, image): masked im2col column blocks for every
-        // group, plus the per-tap precision split. Same fill loop as the
-        // single-request path, so the codes land identically.
-        let blocks = parallel::par_map(m, |j| {
-            let (r, n) = imgs[j];
-            let s = shapes[r];
-            let x8 = x8s[r].as_slice();
-            let mut sens = vec![0u8; s.c * s.h * s.w];
-            for (c, mask) in inputs[r].masks[n].iter().enumerate() {
-                let base = c * s.h * s.w;
-                for iy in 0..s.h {
-                    for ix in 0..s.w {
-                        sens[base + iy * s.w + ix] = u8::from(mask.pixel_sensitive(iy, ix));
-                    }
+        let mut per_item = parallel::par_map(items.len(), |j| {
+            let (r, n) = items[j];
+            let dequant = aqs[r].scale() * plan.wq8.scale();
+            image(conv, plan, shapes[r], x8s[r].as_slice(), n, &inputs[r].masks[n], dequant)
+        })
+        .into_iter();
+        shapes
+            .iter()
+            .map(|&s| {
+                let out_shape = conv.output_shape(s);
+                let img_len = out_shape.c * out_shape.h * out_shape.w;
+                let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
+                let mut counts = ConvOpCounts::default();
+                for oimg in out.as_mut_slice().chunks_exact_mut(img_len) {
+                    let (img, c) = per_item.next().expect("one result per work item");
+                    oimg.copy_from_slice(&img);
+                    counts.merge(c);
                 }
+                (out, counts)
+            })
+            .collect()
+    }
+}
+
+/// Shape/mask validation of one input.
+fn validate(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> Shape4 {
+    let s = x.shape4().expect("conv input must be rank 4");
+    assert_eq!(s.c, conv.in_channels(), "channel mismatch");
+    assert_eq!(masks.len(), s.n, "need one mask set per image");
+    for (n, per_channel) in masks.iter().enumerate() {
+        assert_eq!(per_channel.len(), s.c, "image {n}: need one mask per channel");
+        for m in per_channel {
+            assert_eq!(
+                (m.grid().height(), m.grid().width()),
+                (s.h, s.w),
+                "mask grid does not cover the feature map"
+            );
+        }
+    }
+    s
+}
+
+/// One work item: image `n` of an input of shape `s` with INT8 codes
+/// `x8`. Per channel group, fills the masked im2col operands once, runs
+/// the INT8 and INT4 GEMMs and dequantizes. Returns the image's output
+/// (`[c_out, oh, ow]`, flattened) and its MAC split.
+fn image(
+    conv: &Conv2d,
+    plan: &ConvPlan,
+    s: Shape4,
+    x8: &[i32],
+    n: usize,
+    masks: &[MaskMap],
+    dequant: f32,
+) -> (Vec<f32>, ConvOpCounts) {
+    let k = conv.kernel();
+    let stride = conv.stride();
+    let pad = conv.padding() as isize;
+    let groups = conv.groups();
+    let cpg_in = s.c / groups;
+    let cpg_out = conv.out_channels() / groups;
+    let bias = conv.bias().as_slice();
+    let wtaps = plan.wtaps;
+    let out_shape = conv.output_shape(s);
+    let npix = out_shape.h * out_shape.w;
+    let plane = s.h * s.w;
+
+    // Per-channel sensitivity bitmap: one byte per pixel beats a region
+    // lookup (divisions) in the innermost loop.
+    let mut sens = vec![0u8; s.c * plane];
+    for (c, mask) in masks.iter().enumerate() {
+        for iy in 0..s.h {
+            for ix in 0..s.w {
+                sens[c * plane + iy * s.w + ix] = u8::from(mask.pixel_sensitive(iy, ix));
             }
-            let mut per_group = Vec::with_capacity(groups);
-            for g in 0..groups {
-                let mut x8_mat = vec![0i8; wtaps * npix];
-                let mut x4_mat = vec![0i8; wtaps * npix];
-                let (mut c8, mut c4) = (0u64, 0u64);
-                for ic_local in 0..cpg_in {
-                    let ic = g * cpg_in + ic_local;
-                    let sens_c = &sens[ic * s.h * s.w..(ic + 1) * s.h * s.w];
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let row = (ic_local * k + ky) * k + kx;
-                            let rbase = row * npix;
-                            for oy in 0..out_shape.h {
-                                let iy = (oy * stride + ky) as isize - pad;
-                                for ox in 0..out_shape.w {
-                                    let ix = (ox * stride + kx) as isize - pad;
-                                    let inside = iy >= 0
-                                        && (iy as usize) < s.h
-                                        && ix >= 0
-                                        && (ix as usize) < s.w;
-                                    if !inside {
-                                        // Padding: zero INT4 operand.
-                                        c4 += 1;
-                                        continue;
-                                    }
-                                    let (iy, ix) = (iy as usize, ix as usize);
-                                    let q_x = x8[s.offset(n, ic, iy, ix)] as i8;
-                                    let col = oy * out_shape.w + ox;
-                                    if sens_c[iy * s.w + ix] == 1 {
-                                        c8 += 1;
-                                        x8_mat[rbase + col] = q_x;
-                                    } else {
-                                        c4 += 1;
-                                        x4_mat[rbase + col] = q_x >> 4;
-                                    }
-                                }
+        }
+    }
+    let mut oimg = vec![0.0f32; conv.out_channels() * npix];
+    let mut counts = ConvOpCounts::default();
+    for g in 0..groups {
+        let mut x8_mat = vec![0i8; wtaps * npix];
+        let mut x4_mat = vec![0i8; wtaps * npix];
+        // Masked im2col: one pass over the tap index space fills both
+        // operand matrices and tallies the per-tap precision split
+        // (identical for every output channel of the group, so the group's
+        // counts are the per-tap counts × cpg_out).
+        let (mut c8, mut c4) = (0u64, 0u64);
+        for ic_local in 0..cpg_in {
+            let ic = g * cpg_in + ic_local;
+            let sens_c = &sens[ic * plane..(ic + 1) * plane];
+            for ky in 0..k {
+                for kx in 0..k {
+                    let rbase = ((ic_local * k + ky) * k + kx) * npix;
+                    for oy in 0..out_shape.h {
+                        let iy = (oy * stride + ky) as isize - pad;
+                        for ox in 0..out_shape.w {
+                            let ix = (ox * stride + kx) as isize - pad;
+                            let inside =
+                                iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w;
+                            if !inside {
+                                // Padding: zero INT4 operand.
+                                c4 += 1;
+                                continue;
+                            }
+                            let (iy, ix) = (iy as usize, ix as usize);
+                            let q_x = x8[s.offset(n, ic, iy, ix)] as i8;
+                            let col = rbase + oy * out_shape.w + ox;
+                            if sens_c[iy * s.w + ix] == 1 {
+                                c8 += 1;
+                                x8_mat[col] = q_x;
+                            } else {
+                                c4 += 1;
+                                x4_mat[col] = q_x >> 4;
                             }
                         }
                     }
                 }
-                per_group.push((x8_mat, x4_mat, c8, c4));
-            }
-            per_group
-        });
-
-        // Per-request outputs and tap tallies.
-        let mut outs: Vec<Tensor<f32>> = shapes
-            .iter()
-            .map(|s| Tensor::<f32>::zeros(&conv.output_shape(*s).as_array()))
-            .collect();
-        let mut counts = vec![ConvOpCounts::default(); inputs.len()];
-        for (j, per_group) in blocks.iter().enumerate() {
-            let (r, _) = imgs[j];
-            for (_, _, c8, c4) in per_group {
-                counts[r].int8_macs += c8 * cpg_out as u64;
-                counts[r].int4_macs += c4 * cpg_out as u64;
             }
         }
+        counts.int8_macs += c8 * cpg_out as u64;
+        counts.int4_macs += c4 * cpg_out as u64;
 
-        // One GEMM pair per channel group over the column-concatenated
-        // operands: columns [j*npix, (j+1)*npix) belong to flat image j.
-        let wide = m * npix;
-        for g in 0..groups {
-            let mut x8_big = vec![0i8; wtaps * wide];
-            let mut x4_big = vec![0i8; wtaps * wide];
-            for (j, per_group) in blocks.iter().enumerate() {
-                let (x8_mat, x4_mat, _, _) = &per_group[g];
-                for row in 0..wtaps {
-                    let src = row * npix;
-                    let dst = row * wide + j * npix;
-                    x8_big[dst..dst + npix].copy_from_slice(&x8_mat[src..src + npix]);
-                    x4_big[dst..dst + npix].copy_from_slice(&x4_mat[src..src + npix]);
-                }
-            }
-            let x8_g = Tensor::from_vec(x8_big, &[wtaps, wide]).expect("im2col operand shape");
-            let x4_g = Tensor::from_vec(x4_big, &[wtaps, wide]).expect("im2col operand shape");
-            counter_add!("kernel/int8_gemm_calls", 1);
-            counter_add!("kernel/int8_gemm_macs", (cpg_out * wtaps * wide) as u64);
-            let acc8: Vec<i64> = if plan.wide8 {
-                counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
-                int8_matmul_wide(&plan.w8_groups[g], &x8_g).into_vec()
-            } else {
-                int8_matmul(&plan.w8_groups[g], &x8_g)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| v as i64)
-                    .collect()
-            };
-            counter_add!("kernel/int4_gemm_calls", 1);
-            counter_add!("kernel/int4_gemm_macs", (cpg_out * wtaps * wide) as u64);
-            let acc4: Vec<i64> = if plan.wide4 {
-                counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
-                int8_matmul_wide(&plan.w4_groups[g].unpack(), &x4_g).into_vec()
-            } else {
-                int4_matmul(&plan.w4_groups[g], &x4_g)
-                    .as_slice()
-                    .iter()
-                    .map(|&v| v as i64)
-                    .collect()
-            };
-            // Dequantize per column block with the owning request's scale
-            // — the exact expression the sequential path applies.
-            for (j, &(r, n)) in imgs.iter().enumerate() {
-                let dequant = aqs[r].scale() * plan.wq8.scale();
-                let ov = outs[r].as_mut_slice();
-                let img_base = n * conv.out_channels() * npix;
-                for oc_local in 0..cpg_out {
-                    let oc = g * cpg_out + oc_local;
-                    let b = bias[oc];
-                    let accs = &acc8[oc_local * wide + j * npix..][..npix];
-                    let acc4s = &acc4[oc_local * wide + j * npix..][..npix];
-                    let orow = &mut ov[img_base + oc * npix..][..npix];
-                    for ((o, &a8), &a4) in orow.iter_mut().zip(accs).zip(acc4s) {
-                        let acc = a8 + 256 * a4;
-                        *o = acc as f32 * dequant + b;
-                    }
-                }
-            }
-        }
-        outs.into_iter().zip(counts).collect()
-    }
-
-    /// [`MixedPrecisionConv::forward_uniform`] on the selected tier.
-    pub fn forward_uniform_tiered(
-        conv: &Conv2d,
-        x: &Tensor<f32>,
-        precision: Precision,
-        tier: ComputeTier,
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        let s = x.shape4().expect("conv input must be rank 4");
-        let masks = uniform_masks(s, !matches!(precision, Precision::Int4));
-        Self::forward_tiered(conv, x, &masks, tier)
-    }
-
-    /// Runs the same integer pipeline at one uniform precision everywhere
-    /// (used for the Eyeriss/BitFusion-style uniform baselines and for
-    /// validating the mixed path's two extremes).
-    pub fn forward_uniform(
-        conv: &Conv2d,
-        x: &Tensor<f32>,
-        precision: Precision,
-    ) -> (Tensor<f32>, ConvOpCounts) {
-        let s = x.shape4().expect("conv input must be rank 4");
-        let grid = crate::RegionGrid::new(s.h, s.w, crate::RegionSize::new(s.h, s.w));
-        let mask = match precision {
-            Precision::Int4 => MaskMap::all_insensitive(grid),
-            _ => MaskMap::all_sensitive(grid),
+        let x8_g = Tensor::from_vec(x8_mat, &[wtaps, npix]).expect("im2col operand shape");
+        let x4_g = Tensor::from_vec(x4_mat, &[wtaps, npix]).expect("im2col operand shape");
+        let macs = (cpg_out * wtaps * npix) as u64;
+        counter_add!("kernel/int8_gemm_calls", 1);
+        counter_add!("kernel/int8_gemm_macs", macs);
+        let acc8: Vec<i64> = if plan.wide8 {
+            counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
+            int8_matmul_wide(&plan.w8_groups[g], &x8_g).into_vec()
+        } else {
+            int8_matmul(&plan.w8_groups[g], &x8_g).as_slice().iter().map(|&v| v as i64).collect()
         };
-        let masks: Vec<Vec<MaskMap>> = (0..s.n)
-            .map(|_| (0..s.c).map(|_| mask.clone()).collect())
-            .collect();
-        Self::forward(conv, x, &masks)
+        counter_add!("kernel/int4_gemm_calls", 1);
+        counter_add!("kernel/int4_gemm_macs", macs);
+        let acc4: Vec<i64> = if plan.wide4 {
+            counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
+            int8_matmul_wide(&plan.w4_groups[g].unpack(), &x4_g).into_vec()
+        } else {
+            int4_matmul(&plan.w4_groups[g], &x4_g).as_slice().iter().map(|&v| v as i64).collect()
+        };
+        // Dequantize once per output with fused bias.
+        let group_out = &mut oimg[g * cpg_out * npix..(g + 1) * cpg_out * npix];
+        for (oc_local, orow) in group_out.chunks_exact_mut(npix).enumerate() {
+            let b = bias[g * cpg_out + oc_local];
+            let rows = acc8[oc_local * npix..].iter().zip(&acc4[oc_local * npix..]);
+            for (o, (&a8, &a4)) in orow.iter_mut().zip(rows) {
+                *o = (a8 + 256 * a4) as f32 * dequant + b;
+            }
+        }
     }
-}
-
-/// Extension used internally: `Conv2d` exposes `padding()` as usize; the
-/// tap loop needs it signed.
-trait PadIsize {
-    fn pad_isize(&self) -> isize;
-}
-
-impl PadIsize for Conv2d {
-    fn pad_isize(&self) -> isize {
-        self.padding() as isize
-    }
+    (oimg, counts)
 }
 
 /// Builds per-image, per-channel masks that are uniformly sensitive (all
@@ -890,6 +425,11 @@ mod tests {
     use super::*;
     use crate::{RegionGrid, RegionSize, SensitivityPredictor};
     use drq_tensor::XorShiftRng;
+
+    /// A group of one.
+    fn run(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> (Tensor<f32>, ConvOpCounts) {
+        MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+    }
 
     fn random_conv_and_input(seed: u64) -> (Conv2d, Tensor<f32>) {
         let conv = Conv2d::new(2, 3, 3, 1, 1, seed);
@@ -936,7 +476,7 @@ mod tests {
         // its output must track the float conv within quantization error.
         let (mut conv, x) = random_conv_and_input(1);
         let masks = uniform_masks(x.shape4().unwrap(), true);
-        let (y_mixed, counts) = MixedPrecisionConv::forward(&conv, &x, &masks);
+        let (y_mixed, counts) = run(&conv, &x, &masks);
         let y_ref = conv.forward(&x, false);
         // Only the zero-padding taps run INT4.
         assert_eq!(counts.int4_macs, padding_taps(&conv, x.shape4().unwrap()));
@@ -950,7 +490,7 @@ mod tests {
     fn all_insensitive_is_coarser_but_correlated() {
         let (mut conv, x) = random_conv_and_input(2);
         let masks4 = uniform_masks(x.shape4().unwrap(), false);
-        let (y4, c4) = MixedPrecisionConv::forward(&conv, &x, &masks4);
+        let (y4, c4) = run(&conv, &x, &masks4);
         let y_ref = conv.forward(&x, false);
         assert_eq!(c4.int8_macs, 0);
         // INT4 output correlates strongly with the float output.
@@ -981,9 +521,9 @@ mod tests {
         };
         let predictor = SensitivityPredictor::new(RegionSize::new(4, 4), 5.0);
         let dyn_masks = vec![predictor.predict_image(&x, 0)];
-        let (y8, _) = MixedPrecisionConv::forward(&conv, &x, &uniform_masks(x.shape4().unwrap(), true));
-        let (ym, cm) = MixedPrecisionConv::forward(&conv, &x, &dyn_masks);
-        let (y4, _) = MixedPrecisionConv::forward(&conv, &x, &uniform_masks(x.shape4().unwrap(), false));
+        let (y8, _) = run(&conv, &x, &uniform_masks(x.shape4().unwrap(), true));
+        let (ym, cm) = run(&conv, &x, &dyn_masks);
+        let (y4, _) = run(&conv, &x, &uniform_masks(x.shape4().unwrap(), false));
         assert!(cm.int4_macs > 0 && cm.int8_macs > 0, "mask is degenerate: {cm:?}");
         assert!(err(&y8) <= err(&ym) + 1e-3, "{} vs {}", err(&y8), err(&ym));
         assert!(err(&ym) <= err(&y4) + 1e-3, "{} vs {}", err(&ym), err(&y4));
@@ -993,7 +533,7 @@ mod tests {
     fn op_counts_cover_every_tap() {
         let (conv, x) = random_conv_and_input(4);
         let masks = uniform_masks(x.shape4().unwrap(), false);
-        let (_, counts) = MixedPrecisionConv::forward(&conv, &x, &masks);
+        let (_, counts) = run(&conv, &x, &masks);
         // Total taps = out_c * OH * OW * in_c * k * k (padding included).
         assert_eq!(counts.total(), 3 * 8 * 8 * 2 * 9);
         assert_eq!(counts.total(), conv.mac_count(x.shape4().unwrap()));
@@ -1012,22 +552,11 @@ mod tests {
         let grid = RegionGrid::new(8, 8, RegionSize::new(4, 4));
         let mut mask = MaskMap::all_insensitive(grid);
         mask.set(0, 0, true);
-        let (_, counts) = MixedPrecisionConv::forward(&conv, &x, &[vec![mask]]);
+        let (_, counts) = run(&conv, &x, &[vec![mask]]);
         assert!(counts.int8_macs > 0);
         assert!(counts.int4_macs > counts.int8_macs, "{counts:?}");
         // 16 sensitive pixels, each touched by up to 9 kernel positions.
         assert!(counts.int8_macs <= 16 * 9);
-    }
-
-    #[test]
-    fn forward_uniform_dispatches_by_precision() {
-        let (conv, x) = random_conv_and_input(6);
-        let (_, c8) = MixedPrecisionConv::forward_uniform(&conv, &x, Precision::Int8);
-        let (_, c4) = MixedPrecisionConv::forward_uniform(&conv, &x, Precision::Int4);
-        // INT8 mode: only the padding taps run INT4.
-        assert_eq!(c8.int4_macs, padding_taps(&conv, x.shape4().unwrap()));
-        assert_eq!(c4.int8_macs, 0);
-        assert_eq!(c8.total(), c4.total());
     }
 
     #[test]
@@ -1047,10 +576,10 @@ mod tests {
         let predictor = SensitivityPredictor::new(RegionSize::new(3, 3), 10.0);
         let masks: Vec<Vec<MaskMap>> = (0..3).map(|n| predictor.predict_image(&x, n)).collect();
         drq_tensor::parallel::set_max_threads(1);
-        let (y1, c1) = MixedPrecisionConv::forward(&conv, &x, &masks);
+        let (y1, c1) = run(&conv, &x, &masks);
         for t in [2, 8] {
             drq_tensor::parallel::set_max_threads(t);
-            let (yt, ct) = MixedPrecisionConv::forward(&conv, &x, &masks);
+            let (yt, ct) = run(&conv, &x, &masks);
             assert_eq!(yt, y1, "output changed at {t} threads");
             assert_eq!(ct, c1, "op counts changed at {t} threads");
         }
@@ -1058,163 +587,31 @@ mod tests {
     }
 
     #[test]
-    fn int_tier_bit_exact_vs_f32_tier() {
-        // The integer GEMM tier must reproduce the reference tap loop's
-        // output *bits* and op counts — same quantization semantics, only
-        // the MAC execution differs.
-        let (conv, x) = random_conv_and_input(8);
-        let predictor = SensitivityPredictor::new(RegionSize::new(4, 4), 5.0);
-        let masks = vec![predictor.predict_image(&x, 0)];
-        let (y_f32, c_f32) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::F32);
-        let (y_int, c_int) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-        assert!(c_int.int4_macs > 0 && c_int.int8_macs > 0, "degenerate mask: {c_int:?}");
-        assert_eq!(y_int, y_f32);
-        assert_eq!(c_int, c_f32);
-    }
-
-    #[test]
-    fn int_tier_matches_on_grouped_strided_conv() {
-        // Groups, stride 2 and odd spatial extents exercise the per-group
-        // GEMM lowering and the padding/tail bookkeeping.
-        let conv = Conv2d::with_groups(4, 6, 3, 2, 1, 2, 31);
-        let mut rng = XorShiftRng::new(37);
-        let x = Tensor::from_fn(&[2, 4, 9, 7], |_| rng.next_normal());
-        let predictor = SensitivityPredictor::new(RegionSize::new(3, 3), 8.0);
-        let masks: Vec<_> = (0..2).map(|n| predictor.predict_image(&x, n)).collect();
-        let (y_f32, c_f32) = MixedPrecisionConv::forward(&conv, &x, &masks);
-        let (y_int, c_int) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-        assert_eq!(y_int, y_f32);
-        assert_eq!(c_int, c_f32);
-    }
-
-    #[test]
-    fn int_tier_uniform_extremes_match() {
-        let (conv, x) = random_conv_and_input(9);
-        for precision in [Precision::Int8, Precision::Int4] {
-            let (y_f32, c_f32) = MixedPrecisionConv::forward_uniform(&conv, &x, precision);
-            let (y_int, c_int) =
-                MixedPrecisionConv::forward_uniform_tiered(&conv, &x, precision, ComputeTier::Int);
-            assert_eq!(y_int, y_f32, "{precision:?}");
-            assert_eq!(c_int, c_f32, "{precision:?}");
-        }
-    }
-
-    #[test]
-    fn int_tier_bits_stable_across_thread_counts() {
-        let conv = Conv2d::new(2, 3, 3, 2, 1, 13);
-        let mut rng = XorShiftRng::new(29);
-        let x = Tensor::from_fn(&[3, 2, 9, 7], |_| rng.next_normal().max(0.0));
-        let predictor = SensitivityPredictor::new(RegionSize::new(3, 3), 10.0);
-        let masks: Vec<Vec<MaskMap>> = (0..3).map(|n| predictor.predict_image(&x, n)).collect();
-        drq_tensor::parallel::set_max_threads(1);
-        let (y1, c1) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-        for t in [2, 8] {
-            drq_tensor::parallel::set_max_threads(t);
-            let (yt, ct) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-            assert_eq!(yt, y1, "output changed at {t} threads");
-            assert_eq!(ct, c1, "op counts changed at {t} threads");
-        }
-        drq_tensor::parallel::set_max_threads(0);
-    }
-
-    #[test]
-    fn planned_forward_is_bit_identical_to_unplanned() {
-        let (conv, x) = random_conv_and_input(11);
-        let predictor = SensitivityPredictor::new(RegionSize::new(4, 4), 5.0);
-        let masks = vec![predictor.predict_image(&x, 0)];
-        let plan = ConvPlan::prepare(&conv);
-        assert!(plan.packed_bytes() > 0);
-        for tier in [ComputeTier::F32, ComputeTier::Int] {
-            let (y, c) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, tier);
-            let (yp, cp) = MixedPrecisionConv::forward_planned(&conv, &plan, &x, &masks, tier);
-            assert_eq!(yp, y, "{tier:?}");
-            assert_eq!(cp, c, "{tier:?}");
-        }
-    }
-
-    /// Three requests with different batch sizes and different activation
-    /// scales: the coalesced call must reproduce each sequential result
-    /// bit-for-bit on both tiers (per-request aq fitting is what makes the
-    /// differing scales a real test).
-    #[test]
-    fn coalesced_matches_sequential_bitwise() {
-        let conv = Conv2d::new(2, 3, 3, 1, 1, 21);
-        let predictor = SensitivityPredictor::new(RegionSize::new(4, 4), 5.0);
-        let mut rng = XorShiftRng::new(77);
-        let xs: Vec<Tensor<f32>> = [1usize, 3, 2]
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                let scale = 1.0 + i as f32 * 7.5;
-                Tensor::from_fn(&[n, 2, 8, 8], |_| rng.next_normal().max(0.0) * scale)
-            })
-            .collect();
-        let masks: Vec<Vec<Vec<MaskMap>>> = xs
-            .iter()
-            .map(|x| {
-                let n = x.shape4().unwrap().n;
-                (0..n).map(|i| predictor.predict_image(x, i)).collect()
-            })
-            .collect();
-        let inputs: Vec<CoalesceInput<'_>> = xs
-            .iter()
-            .zip(&masks)
-            .map(|(x, m)| CoalesceInput { x, masks: m })
-            .collect();
-        let plan = ConvPlan::prepare(&conv);
-        for tier in [ComputeTier::F32, ComputeTier::Int] {
-            let coalesced = MixedPrecisionConv::forward_coalesced(&conv, Some(&plan), &inputs, tier);
-            assert_eq!(coalesced.len(), 3);
-            for (input, (yc, cc)) in inputs.iter().zip(&coalesced) {
-                let (ys, cs) = MixedPrecisionConv::forward_tiered(&conv, input.x, input.masks, tier);
-                assert_eq!(yc, &ys, "{tier:?}");
-                assert_eq!(cc, &cs, "{tier:?}");
-            }
-        }
-        // Without a plan the int tier prepares one internally — same bits.
-        let unplanned = MixedPrecisionConv::forward_coalesced(&conv, None, &inputs, ComputeTier::Int);
-        let planned = MixedPrecisionConv::forward_coalesced(&conv, Some(&plan), &inputs, ComputeTier::Int);
-        assert_eq!(unplanned, planned);
-    }
-
-    #[test]
-    fn coalesced_grouped_strided_conv_matches() {
+    fn group_members_equal_their_solo_runs() {
+        // Grouped, strided conv; two requests of different batch sizes and
+        // activation scales. Each member keeps its own bits, with or
+        // without a prepared plan.
         let conv = Conv2d::with_groups(4, 6, 3, 2, 1, 2, 31);
         let predictor = SensitivityPredictor::new(RegionSize::new(3, 3), 8.0);
         let mut rng = XorShiftRng::new(41);
-        let xs: Vec<Tensor<f32>> = (0..2)
-            .map(|_| Tensor::from_fn(&[2, 4, 9, 7], |_| rng.next_normal()))
+        let xs: Vec<Tensor<f32>> = [2usize, 1]
+            .iter()
+            .zip([1.0f32, 9.0])
+            .map(|(&n, scale)| Tensor::from_fn(&[n, 4, 9, 7], |_| rng.next_normal() * scale))
             .collect();
         let masks: Vec<Vec<Vec<MaskMap>>> = xs
             .iter()
-            .map(|x| (0..2).map(|i| predictor.predict_image(x, i)).collect())
+            .map(|x| (0..x.shape4().unwrap().n).map(|i| predictor.predict_image(x, i)).collect())
             .collect();
-        let inputs: Vec<CoalesceInput<'_>> = xs
-            .iter()
-            .zip(&masks)
-            .map(|(x, m)| CoalesceInput { x, masks: m })
-            .collect();
-        let coalesced = MixedPrecisionConv::forward_coalesced(&conv, None, &inputs, ComputeTier::Int);
-        for (input, (yc, cc)) in inputs.iter().zip(&coalesced) {
-            let (ys, cs) = MixedPrecisionConv::forward(&conv, input.x, input.masks);
-            assert_eq!(yc, &ys);
-            assert_eq!(cc, &cs);
+        let inputs: Vec<CoalesceInput<'_>> =
+            xs.iter().zip(&masks).map(|(x, m)| CoalesceInput { x, masks: m }).collect();
+        let plan = ConvPlan::prepare(&conv);
+        assert!(plan.packed_bytes() > 0);
+        let grouped = MixedPrecisionConv::forward(&conv, Some(&plan), &inputs);
+        assert_eq!(grouped, MixedPrecisionConv::forward(&conv, None, &inputs));
+        for (input, out) in inputs.iter().zip(&grouped) {
+            assert_eq!(out, &run(&conv, input.x, input.masks));
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "share (c, h, w)")]
-    fn coalesced_rejects_mismatched_spatial_shapes() {
-        let conv = Conv2d::new(1, 2, 3, 1, 1, 3);
-        let a = Tensor::<f32>::zeros(&[1, 1, 8, 8]);
-        let b = Tensor::<f32>::zeros(&[1, 1, 6, 6]);
-        let ma = uniform_masks(a.shape4().unwrap(), true);
-        let mb = uniform_masks(b.shape4().unwrap(), true);
-        let inputs = [
-            CoalesceInput { x: &a, masks: &ma },
-            CoalesceInput { x: &b, masks: &mb },
-        ];
-        let _ = MixedPrecisionConv::forward_coalesced(&conv, None, &inputs, ComputeTier::Int);
     }
 
     #[test]
@@ -1226,6 +623,6 @@ mod tests {
             MaskMap::all_sensitive(bad_grid),
             MaskMap::all_sensitive(bad_grid),
         ]];
-        let _ = MixedPrecisionConv::forward(&conv, &x, &masks);
+        let _ = run(&conv, &x, &masks);
     }
 }

@@ -3,11 +3,16 @@
 //! deterministic, so failures reproduce exactly.
 
 use drq_core::{
-    uniform_masks, DrqConfig, MaskMap, MixedPrecisionConv, RegionGrid, RegionSize,
-    SensitivityPredictor,
+    uniform_masks, CoalesceInput, ConvOpCounts, DrqConfig, MaskMap, MixedPrecisionConv,
+    RegionGrid, RegionSize, SensitivityPredictor,
 };
 use drq_nn::Conv2d;
 use drq_tensor::{Shape4, Tensor, XorShiftRng};
+
+/// The mixed-precision conv on a single input (a group of one).
+fn mixed(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> (Tensor<f32>, ConvOpCounts) {
+    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+}
 
 /// Draws a value in `[lo, hi)`.
 fn range(rng: &mut XorShiftRng, lo: usize, hi: usize) -> usize {
@@ -92,7 +97,7 @@ fn mixed_conv_mac_count_matches_geometry() {
         let x = Tensor::from_fn(&[1, in_c, hw, hw], |_| xrng.next_f32());
         let p = SensitivityPredictor::new(RegionSize::new(2, 2), 40.0);
         let masks = vec![p.predict(&x)];
-        let (_, counts) = MixedPrecisionConv::forward(&conv, &x, &masks);
+        let (_, counts) = mixed(&conv, &x, &masks);
         assert_eq!(counts.total(), conv.mac_count(Shape4::new(1, in_c, hw, hw)));
     }
 }
@@ -120,10 +125,10 @@ fn mixed_conv_error_ordering() {
             y.as_slice().iter().zip(y_ref.as_slice()).map(|(a, b)| (a - b).powi(2)).sum()
         };
         let shape = x.shape4().unwrap();
-        let (y8, _) = MixedPrecisionConv::forward(&conv, &x, &uniform_masks(shape, true));
+        let (y8, _) = mixed(&conv, &x, &uniform_masks(shape, true));
         let p = SensitivityPredictor::new(RegionSize::new(4, 4), 10.0);
-        let (ym, _) = MixedPrecisionConv::forward(&conv, &x, &[p.predict(&x)]);
-        let (y4, _) = MixedPrecisionConv::forward(&conv, &x, &uniform_masks(shape, false));
+        let (ym, _) = mixed(&conv, &x, &[p.predict(&x)]);
+        let (y4, _) = mixed(&conv, &x, &uniform_masks(shape, false));
         assert!(err(&y8) <= err(&ym) + 1e-3);
         assert!(err(&ym) <= err(&y4) + 1e-3);
     }

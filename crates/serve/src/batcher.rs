@@ -5,10 +5,10 @@
 //! coalesced by [`crate::queue::AdmissionQueue::pop_group`]. The group
 //! walks the network together, layer by layer:
 //!
-//! * Convolutions run as **one coalesced GEMM invocation** per layer via
-//!   [`MixedPrecisionConv::forward_coalesced`] — activation quantization
-//!   stays per-request, so every member's output is bit-identical to
-//!   running it alone (the differential suite pins this).
+//! * Convolutions run as **one [`MixedPrecisionConv::forward`] call** per
+//!   layer over every live member — activation quantization stays
+//!   per-request, so every member's output is bit-identical to running it
+//!   alone (the differential suite pins this).
 //! * Non-conv layers loop per member (they are memory-bound; there is no
 //!   shared kernel to win).
 //! * Every layer boundary is a cancellation point: the whole group checks
@@ -26,8 +26,8 @@ use crate::plan_cache::PlanCache;
 use crate::protocol::{ExecMode, InferRequest};
 use crate::ServeError;
 use drq_core::{
-    uniform_masks, CoalesceInput, ComputeTier, ConvOpCounts, ConvPlan, DrqConfig, MaskMap,
-    MixedPrecisionConv, SensitivityPredictor,
+    uniform_masks, CoalesceInput, ConvOpCounts, ConvPlan, DrqConfig, MaskMap, MixedPrecisionConv,
+    SensitivityPredictor,
 };
 use drq_nn::{Conv2d, Layer};
 use drq_tensor::Tensor;
@@ -64,7 +64,6 @@ pub(crate) struct GroupCtx<'a> {
     /// Fingerprint of `drq` for the input-mask cache key.
     pub config_fp: u64,
     pub mode: ExecMode,
-    pub tier: ComputeTier,
     /// Conv count of the model (depth-schedule denominator).
     pub total_convs: usize,
     /// Prepared per-conv plans, traversal order (from the plan cache).
@@ -193,7 +192,7 @@ fn finish_residual(
 }
 
 /// One convolution layer for the whole group: per-member masks, then a
-/// single coalesced GEMM invocation over every live member.
+/// single mixed-conv call over every live member.
 fn run_conv(conv: &Conv2d, members: &mut [Member], ctx: &mut GroupCtx<'_>) {
     let conv_idx = ctx.conv_index;
     ctx.conv_index += 1;
@@ -248,7 +247,7 @@ fn run_conv(conv: &Conv2d, members: &mut [Member], ctx: &mut GroupCtx<'_>) {
         .zip(&masks)
         .map(|(&i, m)| CoalesceInput { x: &members[i].y, masks: m })
         .collect();
-    let outputs = MixedPrecisionConv::forward_coalesced(conv, plan, &inputs, ctx.tier);
+    let outputs = MixedPrecisionConv::forward(conv, plan, &inputs);
     drop(inputs);
     let mut advance = 0u64;
     for (&i, (out, counts)) in alive.iter().zip(outputs) {

@@ -20,7 +20,7 @@ use crate::plan_cache::{config_fingerprint, PlanCache};
 use crate::protocol::{ExecMode, InferRequest, InferReply, Outcome, Response};
 use crate::queue::{AdmissionQueue, Job, Responder};
 use crate::{ServeError, ShedMachine, ShedPolicy, ShedState};
-use drq_core::{ComputeTier, ConvOpCounts, DrqConfig, RegionSize};
+use drq_core::{ConvOpCounts, DrqConfig, RegionSize};
 use drq_models::{Dataset, DatasetKind};
 use drq_nn::Network;
 use drq_tensor::Tensor;
@@ -51,10 +51,6 @@ pub struct ServeConfig {
     pub shed: ShedPolicy,
     /// Retry hint attached to backpressure rejections, in milliseconds.
     pub retry_after_ms: u64,
-    /// Which compute backend executes the quantized convolutions (the
-    /// CLI's `--compute-tier {f32,int}`). Tier outputs are bit-equal;
-    /// `Int` runs the packed integer GEMM kernels.
-    pub compute_tier: ComputeTier,
     /// Suppress panic backtraces from worker threads (the panics are
     /// caught and converted into typed responses; the default hook's
     /// stderr spew would drown soak-test output).
@@ -77,7 +73,6 @@ impl Default for ServeConfig {
             model_seed: 42,
             shed: ShedPolicy::default(),
             retry_after_ms: 2,
-            compute_tier: ComputeTier::default(),
             quiet_worker_panics: true,
             coalesce: 1,
         }
@@ -299,7 +294,8 @@ impl ServeEngine {
         }
     }
 
-    /// The per-request trace as JSON lines (span per executed request).
+    /// The per-request trace as JSON lines (span per executed request,
+    /// recorded while telemetry is enabled).
     pub fn trace_jsonl(&self) -> String {
         self.tracer.lock().unwrap().to_jsonl()
     }
@@ -525,7 +521,12 @@ impl ServeEngine {
                     .fetch_add(pending.len() as u64, Ordering::SeqCst);
                 counter_add!("serve/batch/coalesced_requests", pending.len() as u64);
             }
-            {
+            // Spans are kept in memory until the trace is exported, so they
+            // are recorded only while telemetry is on (the CLI turns it on
+            // for `--metrics`/`--trace`); otherwise a long-running server
+            // would grow by one span pair per request.
+            let traced = drq_telemetry::enabled();
+            if traced {
                 let mut tracer = self.tracer.lock().unwrap();
                 for (request, _) in &pending {
                     tracer.span_begin(
@@ -535,7 +536,6 @@ impl ServeEngine {
                             ("id", Json::from(request.id.as_str())),
                             ("mode", Json::from(mode.as_str())),
                             ("state", Json::from(state.as_str())),
-                            ("tier", Json::from(self.config.compute_tier.as_str())),
                             ("group", Json::from(pending.len() as u64)),
                         ],
                     );
@@ -544,7 +544,7 @@ impl ServeEngine {
             let result = panic::catch_unwind(AssertUnwindSafe(|| {
                 self.execute_group(&mut models, &pending, mode)
             }));
-            {
+            if traced {
                 let mut tracer = self.tracer.lock().unwrap();
                 for (i, (request, _)) in pending.iter().enumerate() {
                     let outcome_name = match &result {
@@ -690,7 +690,6 @@ impl ServeEngine {
             drq: self.config.drq,
             config_fp: self.config_fp,
             mode,
-            tier: self.config.compute_tier,
             total_convs: bundle.total_convs,
             plans: &bundle.plans,
             cache: &self.plans,
@@ -794,28 +793,6 @@ mod tests {
         assert_eq!(ra.predictions, rb.predictions);
         assert_eq!(ra.int4_fraction, rb.int4_fraction);
         assert!(ra.int4_fraction > 0.0, "mixed mode should use some INT4");
-    }
-
-    #[test]
-    fn int_tier_serves_identical_predictions() {
-        // The integer compute tier is bit-exact vs the f32 tier, so a
-        // served request must produce the same reply payload either way.
-        let f32_engine = ServeEngine::start(quick_config());
-        let a = submit_collect(&f32_engine, infer("a")).recv().unwrap();
-        f32_engine.shutdown(1_000);
-        let int_engine = ServeEngine::start(ServeConfig {
-            compute_tier: ComputeTier::Int,
-            ..quick_config()
-        });
-        let b = submit_collect(&int_engine, infer("a")).recv().unwrap();
-        int_engine.shutdown(1_000);
-        let (Outcome::Ok(ra), Outcome::Ok(rb)) = (&a.outcome, &b.outcome) else {
-            panic!("expected two ok responses, got {a:?} / {b:?}");
-        };
-        assert_eq!(ra.mode, ExecMode::Mixed);
-        assert_eq!(ra.predictions, rb.predictions);
-        assert_eq!(ra.int4_fraction, rb.int4_fraction);
-        assert_eq!(ra.cycles, rb.cycles);
     }
 
     #[test]

@@ -27,7 +27,6 @@ use crate::plan_cache::PlanCacheStats;
 use crate::protocol::{InferRequest, Outcome, Response};
 use crate::router::ShardRouter;
 use crate::ShedPolicy;
-use drq_core::ComputeTier;
 use drq_models::DatasetKind;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -49,8 +48,6 @@ pub struct SoakConfig {
     pub coalesce: usize,
     /// Largest request batch the stream draws.
     pub max_batch: usize,
-    /// Compute backend for the quantized convolutions.
-    pub compute_tier: ComputeTier,
     /// Stand-in model seed.
     pub model_seed: u64,
     /// Drain budget for the final shutdown, wall milliseconds.
@@ -66,7 +63,6 @@ impl Default for SoakConfig {
             kills: 0,
             coalesce: 1,
             max_batch: 4,
-            compute_tier: ComputeTier::default(),
             model_seed: 42,
             drain_ms: 10_000,
         }
@@ -166,7 +162,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         capacity: cfg.requests.max(8),
         max_batch: cfg.max_batch.max(1),
         coalesce: cfg.coalesce,
-        compute_tier: cfg.compute_tier,
         model_seed: cfg.model_seed,
         // Disable shedding/degradation (see module docs): enter depths
         // above any reachable fraction, miss-triggered entry off.

@@ -183,7 +183,9 @@ impl PageSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drq_core::{uniform_masks, MixedPrecisionConv, RegionSize, SensitivityPredictor};
+    use drq_core::{
+        uniform_masks, CoalesceInput, MixedPrecisionConv, RegionSize, SensitivityPredictor,
+    };
     use drq_nn::Conv2d;
     use drq_tensor::XorShiftRng;
 
@@ -215,7 +217,8 @@ mod tests {
 
         // Reference: integer accumulation inside MixedPrecisionConv equals
         // (output - bias) / (scale_w * scale_x).
-        let (y, _) = MixedPrecisionConv::forward(&conv, &x, std::slice::from_ref(&masks));
+        let input = CoalesceInput { x: &x, masks: std::slice::from_ref(&masks) };
+        let (y, _) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
         let aq = QuantParams::fit(x.as_slice(), Precision::Int8);
         let wq = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
         let dequant = aq.scale() * wq.scale();
@@ -243,7 +246,8 @@ mod tests {
         let trace = page.run_conv(&x, &masks, conv.weight(), k, k, 1, 2);
         assert!(trace.tiles >= 4, "5x5 must launch multiple tiles: {}", trace.tiles);
 
-        let (y, _) = MixedPrecisionConv::forward(&conv, &x, &[masks]);
+        let input = CoalesceInput { x: &x, masks: &[masks] };
+        let (y, _) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
         let aq = QuantParams::fit(x.as_slice(), Precision::Int8);
         let wq = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
         let dequant = aq.scale() * wq.scale();

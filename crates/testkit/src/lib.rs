@@ -23,9 +23,11 @@
 //! * **reference oracles** ([`reference`]): naive triple-loop GEMM and
 //!   convolution (bit-exact against the blocked/parallel kernels), an exact
 //!   `i64` integer-GEMM oracle with wrapping- and saturating-`i32` views
-//!   (the integer compute tier is judged against the wrapping view at every
-//!   depth), the mixed-precision quantization-error bound, and the
-//!   closed-form cycle/stall model of the variable-speed systolic array.
+//!   (the integer GEMM kernels are judged against the wrapping view at
+//!   every depth), the mixed-precision conv as a scalar tap loop (the
+//!   bit-exact oracle for `MixedPrecisionConv::forward`), its
+//!   quantization-error bound, and the closed-form cycle/stall model of
+//!   the variable-speed systolic array.
 //!
 //! The integration suite `tests/differential.rs` at the workspace root
 //! wires these into the standing correctness gate every perf PR must pass.

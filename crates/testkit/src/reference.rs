@@ -12,9 +12,9 @@
 //! association and only tolerance comparisons are valid. Case generators
 //! enforce the depth cap for the bit-exact tiers.
 
-use drq_core::MaskMap;
+use drq_core::{ConvOpCounts, MaskMap};
 use drq_nn::Conv2d;
-use drq_quant::{Precision, QuantParams};
+use drq_quant::{Precision, QuantParams, Quantizer};
 use drq_sim::StreamElement;
 use drq_tensor::Tensor;
 
@@ -179,6 +179,90 @@ pub fn int_matmul_wrapping(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
 /// the wrapping one coincide with the exact sum.
 pub fn int_matmul_saturating(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
     int_matmul_exact(a, b).map(|v| v.clamp(i32::MIN as i64, i32::MAX as i64) as i32)
+}
+
+/// The mixed-precision convolution as a scalar tap loop: the bit-exact
+/// oracle for `MixedPrecisionConv::forward` on one input.
+///
+/// Per output pixel, every tap of the `(in_channel, ky, kx)` window reads
+/// the INT8 activation and weight codes (max-abs calibrated over `x` and
+/// the weights). A tap whose source pixel is sensitive adds `q_w · q_x`;
+/// any other tap adds `(q_w >> 4) · (q_x >> 4) · 256`, the INT4 product
+/// shifted back to the INT8 scale. Padding taps add nothing and count as
+/// INT4. The exact `i64` sum is dequantized once, `acc as f32 · s_x · s_w
+/// + bias`. Images run one after another on the calling thread.
+///
+/// # Panics
+///
+/// Panics on shape inconsistencies between `conv`, `x` and `masks`.
+pub fn mixed_conv_naive(
+    conv: &Conv2d,
+    x: &Tensor<f32>,
+    masks: &[Vec<MaskMap>],
+) -> (Tensor<f32>, ConvOpCounts) {
+    let s = x.shape4().expect("conv input must be rank 4");
+    assert_eq!(s.c, conv.in_channels(), "channel mismatch");
+    assert_eq!(masks.len(), s.n, "need one mask set per image");
+    let aq8 = QuantParams::fit(x.as_slice(), Precision::Int8);
+    let wq8 = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
+    let x8_t = Quantizer::quantize(&aq8, x);
+    let w8_t = Quantizer::quantize(&wq8, conv.weight());
+    let (x8, w8) = (x8_t.as_slice(), w8_t.as_slice());
+    let dequant = aq8.scale() * wq8.scale();
+
+    let out_shape = conv.output_shape(s);
+    let k = conv.kernel();
+    let stride = conv.stride();
+    let pad = conv.padding() as isize;
+    let groups = conv.groups();
+    let cpg_in = s.c / groups;
+    let cpg_out = conv.out_channels() / groups;
+    let bias = conv.bias().as_slice();
+    let wtaps = cpg_in * k * k;
+
+    let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
+    let mut counts = ConvOpCounts::default();
+    for n in 0..s.n {
+        for g in 0..groups {
+            for oc_local in 0..cpg_out {
+                let oc = g * cpg_out + oc_local;
+                for oy in 0..out_shape.h {
+                    for ox in 0..out_shape.w {
+                        let mut acc: i64 = 0;
+                        for ic_local in 0..cpg_in {
+                            let ic = g * cpg_in + ic_local;
+                            for ky in 0..k {
+                                let iy = (oy * stride + ky) as isize - pad;
+                                for kx in 0..k {
+                                    let ix = (ox * stride + kx) as isize - pad;
+                                    let inside = iy >= 0
+                                        && (iy as usize) < s.h
+                                        && ix >= 0
+                                        && (ix as usize) < s.w;
+                                    if !inside {
+                                        counts.int4_macs += 1;
+                                        continue;
+                                    }
+                                    let (iy, ix) = (iy as usize, ix as usize);
+                                    let q_x = x8[s.offset(n, ic, iy, ix)] as i64;
+                                    let q_w = w8[oc * wtaps + (ic_local * k + ky) * k + kx] as i64;
+                                    if masks[n][ic].pixel_sensitive(iy, ix) {
+                                        counts.int8_macs += 1;
+                                        acc += q_w * q_x;
+                                    } else {
+                                        counts.int4_macs += 1;
+                                        acc += (q_w >> 4) * (q_x >> 4) * 256;
+                                    }
+                                }
+                            }
+                        }
+                        out[[n, oc, oy, ox]] = acc as f32 * dequant + bias[oc];
+                    }
+                }
+            }
+        }
+    }
+    (out, counts)
 }
 
 /// Per-output-element error bound for `MixedPrecisionConv::forward` against
@@ -497,14 +581,16 @@ mod tests {
 
     #[test]
     fn error_bound_holds_on_uniform_masks() {
-        use drq_core::{uniform_masks, MixedPrecisionConv};
+        use drq_core::{uniform_masks, CoalesceInput, MixedPrecisionConv};
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, 3);
         let mut rng = XorShiftRng::new(4);
         let x = Tensor::from_fn(&[1, 2, 8, 8], |_| rng.next_normal().max(0.0));
         let y_ref = conv.forward(&x, false);
         for sensitive in [true, false] {
             let masks = uniform_masks(x.shape4().unwrap(), sensitive);
-            let (y, _) = MixedPrecisionConv::forward(&conv, &x, &masks);
+            let (y, _) =
+                MixedPrecisionConv::forward(&conv, None, &[CoalesceInput { x: &x, masks: &masks }])
+                    .remove(0);
             let bounds = mixed_conv_error_bound(&conv, &x, &masks);
             for ((a, b), bound) in y.as_slice().iter().zip(y_ref.as_slice()).zip(&bounds) {
                 let err = (*a as f64 - *b as f64).abs();

@@ -41,20 +41,34 @@ RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --workspace
 echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential
 
-echo "== integer differential suite (DRQ_THREADS=1/2/auto) =="
-# The integer-tier families assert bit-exactness against the exact-i64
-# oracle; running the whole sweep under each DRQ_THREADS setting also pins
-# the tests that don't iterate thread counts internally.
+echo "== mixed-conv and integer differential suites (DRQ_THREADS=1/2/auto) =="
+# The mixed_conv families assert bit-exactness against the tap-loop oracle
+# and the int families against the exact-i64 GEMM oracle; running each
+# filter under every DRQ_THREADS setting also pins the tests that don't
+# iterate thread counts internally. A filter that matches no test fails
+# the step instead of passing vacuously.
+SWEEP_LOG=$(mktemp)
 for t in 1 2 auto; do
-    echo "-- DRQ_THREADS=$t --"
-    if [ "$t" = auto ]; then
-        RUSTFLAGS="$CI_RUSTFLAGS" \
-            cargo test -q --offline --test differential int
-    else
-        RUSTFLAGS="$CI_RUSTFLAGS" DRQ_THREADS="$t" \
-            cargo test -q --offline --test differential int
-    fi
+    for filter in mixed_conv int; do
+        echo "-- DRQ_THREADS=$t, filter $filter --"
+        if [ "$t" = auto ]; then
+            RUSTFLAGS="$CI_RUSTFLAGS" \
+                cargo test -q --offline --test differential "$filter" > "$SWEEP_LOG" 2>&1 \
+                || { cat "$SWEEP_LOG"; exit 1; }
+        else
+            RUSTFLAGS="$CI_RUSTFLAGS" DRQ_THREADS="$t" \
+                cargo test -q --offline --test differential "$filter" > "$SWEEP_LOG" 2>&1 \
+                || { cat "$SWEEP_LOG"; exit 1; }
+        fi
+        cat "$SWEEP_LOG"
+        SWEEP_PASSED=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$SWEEP_LOG")
+        [ "${SWEEP_PASSED:-0}" -gt 0 ] || {
+            echo "differential filter '$filter' ran 0 tests at DRQ_THREADS=$t" >&2
+            exit 1
+        }
+    done
 done
+rm -f "$SWEEP_LOG"
 
 echo "== golden metrics schema (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test metrics_golden
@@ -75,7 +89,7 @@ echo "== kernel microbench =="
 ./target/release/kernel_microbench --metrics "$ARTIFACTS/kernel_microbench.json" \
     | tee "$ARTIFACTS/tier_comparison.json"
 
-echo "== compute-tier perf gate (int8 vs f32, 1 thread) =="
+echo "== integer GEMM perf gate (int8 vs f32, 1 thread) =="
 # The archived one-line JSON doubles as the tier-comparison artifact; fail
 # the build if the int8 packed GEMM is not faster than the f32 blocked GEMM
 # on the standard (256,1152,196) shape, single-threaded.
@@ -304,12 +318,12 @@ echo "== store chaos property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test store_chaos
 
 echo "== store chaos gate (seeded SIGKILLs, resume-to-byte-identical) =="
-# SIGKILL `drq pareto` at seeded wall-clock points mid-search, resume each
-# time from whatever the crash left on disk, and require the final
-# committed payload to be byte-identical to an uninterrupted run. The
-# resnet18/cifar search runs ~1.6s with a checkpoint commit every 5
-# evaluations (the first ~0.2s in), so every kill lands between (or
-# inside) commits.
+# SIGKILL `drq pareto` at commit boundaries mid-search, resume each time
+# from whatever the crash left on disk, and require the final committed
+# payload to be byte-identical to an uninterrupted run. The resnet18/cifar
+# search commits a checkpoint every 5 evaluations; each kill waits for the
+# on-disk generation to advance, so the schedule does not depend on how
+# fast the host runs the search.
 CHAOS_NET=resnet18
 CHAOS_RES=cifar
 CHAOS_SEED=20260810
@@ -323,12 +337,12 @@ rm -f "$CHAOS_CK" "$CHAOS_CK.prev" "$CHAOS_CK.tmp"
     > "$ARTIFACTS/store_chaos_ref.payload"
 CHAOS_KILLS=0
 CHAOS_RESUMES=0
-# Seeded kill schedule: fixed delays (seconds). The first lands after the
-# fresh run's first commit; the rest land in resumed runs, each of which
-# re-warms its shared session's memo (masks and cycle counts are rebuilt
-# per process) before it commits again, so kills fall both before and
-# after a resumed run's first commit.
-for CHAOS_DELAY in 0.4 0.25 0.3 0.2 0.3 0.25; do
+# Kill schedule: poll `drq store --info` until the checkpoint generation
+# advances past the last one seen (or 30 s pass), then kill after a seeded
+# 0-49 ms offset, so kills land just after a commit or inside the next one.
+CHAOS_GEN_SEEN=0
+CHAOS_RNG=$CHAOS_SEED
+for CHAOS_ROUND in 1 2 3 4 5 6; do
     if [ "$CHAOS_RESUMES" -eq 0 ]; then
         ./target/release/drq pareto --network "$CHAOS_NET" --res "$CHAOS_RES" \
             --seed "$CHAOS_SEED" --checkpoint-every "$CHAOS_EVERY" \
@@ -338,7 +352,17 @@ for CHAOS_DELAY in 0.4 0.25 0.3 0.2 0.3 0.25; do
             --checkpoint-every "$CHAOS_EVERY" --out "$CHAOS_CK" > /dev/null 2>&1 &
     fi
     CHAOS_PID=$!
-    sleep "$CHAOS_DELAY"
+    CHAOS_POLLS=0
+    while [ "$CHAOS_POLLS" -lt 3000 ]; do
+        CHAOS_GEN=$(./target/release/drq store --info "$CHAOS_CK" 2>/dev/null \
+            | sed -n 's/.*"generation":\([0-9]*\).*/\1/p')
+        [ "${CHAOS_GEN:-0}" -gt "$CHAOS_GEN_SEEN" ] && break
+        CHAOS_POLLS=$((CHAOS_POLLS + 1))
+        sleep 0.01
+    done
+    CHAOS_GEN_SEEN=${CHAOS_GEN:-$CHAOS_GEN_SEEN}
+    CHAOS_RNG=$(( (CHAOS_RNG * 1103515245 + 12345) % 2147483648 ))
+    sleep "$(printf '0.%03d' $((CHAOS_RNG % 50)))"
     kill -9 "$CHAOS_PID" 2>/dev/null || true
     # Count a kill only when the process actually died to the signal
     # (exit 128+9); a search that finished before the kill point exits 0.
@@ -351,7 +375,7 @@ for CHAOS_DELAY in 0.4 0.25 0.3 0.2 0.3 0.25; do
 done
 [ "$CHAOS_KILLS" -ge 5 ] || {
     echo "chaos gate needs >= 5 mid-run kills, landed only $CHAOS_KILLS" >&2
-    echo "(search finished before the kill points; slow the schedule down)" >&2
+    echo "(search finished before the kill points)" >&2
     exit 1
 }
 # Final uninterrupted resume: must converge to the reference payload.

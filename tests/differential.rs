@@ -7,7 +7,7 @@
 //! prints a shrunk counterexample plus a `DRQ_TESTKIT_SEED=…` prefix that
 //! replays it exactly — see the report emitted by `TestKit::check`.
 
-use drq::core::{ComputeTier, MixedPrecisionConv, SensitivityPredictor};
+use drq::core::{CoalesceInput, ConvOpCounts, MaskMap, MixedPrecisionConv, SensitivityPredictor};
 use drq::quant::{MaxAbsQuantizer, PerChannelQuantizer, QuantParams, Quantizer};
 use drq::sim::SystolicArray;
 use drq::tensor::{
@@ -18,7 +18,7 @@ use drq_testkit::cases::{
 };
 use drq_testkit::reference::{
     conv2d_naive, int_matmul_exact, int_matmul_wrapping, matmul_naive, mixed_conv_error_bound,
-    systolic_analytic,
+    mixed_conv_naive, systolic_analytic,
 };
 use drq_testkit::{thread_count_lock, TestKit};
 
@@ -156,7 +156,7 @@ fn zero_sized_padded_inputs_are_shape_errors_not_panics() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 1b: integer compute tier vs the exact-i64 oracle
+// Family 1b: integer GEMM kernels vs the exact-i64 oracle
 // ---------------------------------------------------------------------------
 
 /// Bitwise `i32` tensor comparison.
@@ -255,8 +255,59 @@ fn int4_gemm_matches_oracle_through_nibble_packing() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 2: mixed-precision conv vs fp32 under the paper's error bound
+// Family 2: mixed-precision conv vs fp32 under the paper's error bound, and
+// vs the scalar tap-loop oracle bit for bit
 // ---------------------------------------------------------------------------
+
+/// The production mixed conv on a single input (a group of one).
+fn mixed_conv(
+    conv: &drq::nn::Conv2d,
+    x: &Tensor<f32>,
+    masks: &[Vec<MaskMap>],
+) -> (Tensor<f32>, ConvOpCounts) {
+    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+}
+
+/// A mixed-conv implementation on one input: production or oracle.
+type MixedConvFn = fn(&drq::nn::Conv2d, &Tensor<f32>, &[Vec<MaskMap>]) -> (Tensor<f32>, ConvOpCounts);
+
+/// The paper's INT4/INT8 error bound against the fp32 reference.
+fn check_error_bound(c: &MixedConvCase, run: MixedConvFn) -> Result<(), String> {
+    let (mut conv, x) = c.conv.build();
+    let masks = c.build_masks(c.conv.input_shape());
+    let y_ref = conv.forward(&x, false);
+    let (y, _) = run(&conv, &x, &masks);
+    let bounds = mixed_conv_error_bound(&conv, &x, &masks);
+    for (i, ((a, b), bound)) in y.as_slice().iter().zip(y_ref.as_slice()).zip(&bounds).enumerate() {
+        let err = (*a as f64 - *b as f64).abs();
+        if err > *bound {
+            return Err(format!("output {i}: |{a} - {b}| = {err:.3e} > bound {bound:.3e}"));
+        }
+    }
+    Ok(())
+}
+
+/// Every tap (padding included) counted in exactly one precision class,
+/// and no INT8 MAC under an all-insensitive mask.
+fn check_op_counts(c: &MixedConvCase, run: MixedConvFn) -> Result<(), String> {
+    let (conv, x) = c.conv.build();
+    let s = c.conv.input_shape();
+    let (_, counts) = run(&conv, &x, &c.build_masks(s));
+    let macs = conv.mac_count(s);
+    if counts.total() != macs {
+        return Err(format!(
+            "int4 {} + int8 {} = {} != mac_count {macs}",
+            counts.int4_macs,
+            counts.int8_macs,
+            counts.total()
+        ));
+    }
+    let (_, quiet) = run(&conv, &x, &drq::core::uniform_masks(s, false));
+    if quiet.int8_macs != 0 {
+        return Err(format!("all-insensitive masks ran {} INT8 MACs", quiet.int8_macs));
+    }
+    Ok(())
+}
 
 #[test]
 fn mixed_conv_error_within_paper_bound() {
@@ -264,139 +315,129 @@ fn mixed_conv_error_within_paper_bound() {
         "mixed conv error bound",
         MixedConvCase::arbitrary,
         MixedConvCase::shrink,
-        |c| {
-            let (mut conv, x) = c.conv.build();
-            let masks = c.build_masks(c.conv.input_shape());
-            let y_ref = conv.forward(&x, false);
-            let (y, _) = MixedPrecisionConv::forward(&conv, &x, &masks);
-            let bounds = mixed_conv_error_bound(&conv, &x, &masks);
-            for (i, ((a, b), bound)) in
-                y.as_slice().iter().zip(y_ref.as_slice()).zip(&bounds).enumerate()
-            {
-                let err = (*a as f64 - *b as f64).abs();
-                if err > *bound {
-                    return Err(format!(
-                        "output {i}: |{a} - {b}| = {err:.3e} > bound {bound:.3e}"
-                    ));
-                }
-            }
-            Ok(())
-        },
+        |c| check_error_bound(c, mixed_conv),
     );
 }
 
 #[test]
 fn mixed_conv_op_counts_are_exhaustive() {
-    // Every tap of the convolution (padding included) must be counted in
-    // exactly one precision class, and an all-insensitive mask must never
-    // produce an INT8 MAC.
     kit().check(
         "mixed conv op counts",
         MixedConvCase::arbitrary,
         MixedConvCase::shrink,
-        |c| {
-            let (conv, x) = c.conv.build();
-            let s = c.conv.input_shape();
-            let masks = c.build_masks(s);
-            let (_, counts) = MixedPrecisionConv::forward(&conv, &x, &masks);
-            let macs = conv.mac_count(s);
-            if counts.total() != macs {
-                return Err(format!(
-                    "int4 {} + int8 {} = {} != mac_count {macs}",
-                    counts.int4_macs,
-                    counts.int8_macs,
-                    counts.total()
-                ));
-            }
-            let all_insens = drq::core::uniform_masks(s, false);
-            let (_, quiet) = MixedPrecisionConv::forward(&conv, &x, &all_insens);
-            if quiet.int8_macs != 0 {
-                return Err(format!(
-                    "all-insensitive masks ran {} INT8 MACs",
-                    quiet.int8_macs
-                ));
-            }
-            Ok(())
-        },
+        |c| check_op_counts(c, mixed_conv),
     );
 }
 
 #[test]
-fn mixed_conv_int_tier_honors_paper_bound_and_op_count_claims() {
-    // The Section III claims audited on the integer tier directly (not via
-    // tier equality): the INT4/INT8 error bound against the fp32 reference
-    // holds on the tier's output, every tap lands in exactly one precision
-    // class, and an all-insensitive mask runs zero INT8 MACs — the tier's
-    // region-masked im2col must not reclassify padding or boundary taps.
+fn mixed_conv_oracle_honors_paper_bound_and_op_count_claims() {
+    // The tap-loop oracle is audited against the Section III claims on its
+    // own, so a bug it shared with the production path could not hide
+    // behind their bitwise agreement.
     kit().check(
-        "int tier paper bound and op counts",
+        "mixed conv oracle paper bound and op counts",
         MixedConvCase::arbitrary,
         MixedConvCase::shrink,
         |c| {
-            let (mut conv, x) = c.conv.build();
-            let s = c.conv.input_shape();
-            let masks = c.build_masks(s);
-            let y_ref = conv.forward(&x, false);
-            let (y, counts) =
-                MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-            let bounds = mixed_conv_error_bound(&conv, &x, &masks);
-            for (i, ((a, b), bound)) in
-                y.as_slice().iter().zip(y_ref.as_slice()).zip(&bounds).enumerate()
-            {
-                let err = (*a as f64 - *b as f64).abs();
-                if err > *bound {
-                    return Err(format!(
-                        "int tier output {i}: |{a} - {b}| = {err:.3e} > bound {bound:.3e}"
-                    ));
-                }
-            }
-            if counts.total() != conv.mac_count(s) {
-                return Err(format!(
-                    "int tier counts {} != mac_count {}",
-                    counts.total(),
-                    conv.mac_count(s)
-                ));
-            }
-            let all_insens = drq::core::uniform_masks(s, false);
-            let (_, quiet) =
-                MixedPrecisionConv::forward_tiered(&conv, &x, &all_insens, ComputeTier::Int);
-            if quiet.int8_macs != 0 {
-                return Err(format!("int tier ran {} INT8 MACs all-insensitive", quiet.int8_macs));
-            }
-            Ok(())
+            check_error_bound(c, mixed_conv_naive)?;
+            check_op_counts(c, mixed_conv_naive)
         },
     );
 }
 
+/// Runs `f` at 1, 2 and the default thread count.
+fn at_thread_counts(mut f: impl FnMut(usize) -> Result<(), String>) -> Result<(), String> {
+    for threads in [1usize, 2, 0] {
+        parallel::set_max_threads(threads);
+        f(threads)?;
+    }
+    Ok(())
+}
+
+/// Bitwise output and exact op-count agreement with the oracle.
+fn assert_matches_oracle(
+    got: &(Tensor<f32>, ConvOpCounts),
+    want: &(Tensor<f32>, ConvOpCounts),
+    what: &str,
+) -> Result<(), String> {
+    assert_bits_eq(&got.0, &want.0, what)?;
+    if got.1 != want.1 {
+        return Err(format!("{what}: op counts {:?} vs oracle {:?}", got.1, want.1));
+    }
+    Ok(())
+}
+
 #[test]
-fn mixed_conv_int_tier_bit_equals_f32_tier_across_thread_counts() {
-    // The integer tier's contract is *bit-exact* agreement with the f32
-    // tier's quantized arithmetic (both partition the same tap-loop sum and
-    // dequantize with the same scale product), which also pins it to the
-    // simulator's quantization semantics — the f32 tier is already diffed
-    // against the systolic model's INT8/INT4 dot products.
+fn mixed_conv_matches_oracle_bitwise_across_thread_counts() {
+    // The integer lowering partitions the oracle's tap-by-tap sum exactly
+    // and dequantizes with the same scale product, so output bits and the
+    // INT4/INT8 split must agree at every thread count.
     let _serial = thread_count_lock();
     kit().check(
-        "mixed conv int tier == f32 tier",
+        "mixed conv == tap-loop oracle",
         MixedConvCase::arbitrary,
         MixedConvCase::shrink,
         |c| {
             let (conv, x) = c.conv.build();
             let masks = c.build_masks(c.conv.input_shape());
-            let (want, want_counts) =
-                MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::F32);
-            for threads in [1usize, 2, 0] {
-                parallel::set_max_threads(threads);
-                let (got, counts) =
-                    MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
-                assert_bits_eq(&got, &want, &format!("int tier, {threads} threads"))?;
-                if counts != want_counts {
-                    return Err(format!(
-                        "op counts diverged at {threads} threads: {counts:?} vs {want_counts:?}"
-                    ));
+            let want = mixed_conv_naive(&conv, &x, &masks);
+            at_thread_counts(|threads| {
+                let got = mixed_conv(&conv, &x, &masks);
+                assert_matches_oracle(&got, &want, &format!("{threads} threads"))
+            })
+        },
+    );
+    parallel::set_max_threads(0);
+}
+
+#[test]
+fn mixed_conv_group_members_match_their_own_oracle() {
+    // A group of 3-4 requests sharing one layer, with different batch
+    // sizes and activation scales: activation quantization is fit per
+    // request, so each member must equal the oracle run on it alone. A
+    // prepared plan and an unplanned call give the same bits.
+    let _serial = thread_count_lock();
+    kit().check(
+        "mixed conv group members == per-member oracle",
+        MixedConvCase::arbitrary,
+        MixedConvCase::shrink,
+        |c| {
+            let (conv, _) = c.conv.build();
+            let k = 3 + (c.mask_seed % 2) as usize;
+            let members: Vec<MixedConvCase> = (0..k)
+                .map(|i| {
+                    let conv_case = ConvCase {
+                        batch: 1 + (c.conv.batch + i) % 3,
+                        data_seed: c.conv.data_seed.wrapping_add(i as u64),
+                        ..c.conv
+                    };
+                    MixedConvCase { conv: conv_case, mask_seed: c.mask_seed ^ i as u64, ..*c }
+                })
+                .collect();
+            let xs: Vec<Tensor<f32>> = members
+                .iter()
+                .enumerate()
+                .map(|(i, m)| m.conv.build().1.map(|v| v * (1.0 + 7.5 * i as f32)))
+                .collect();
+            let masks: Vec<Vec<Vec<MaskMap>>> =
+                members.iter().map(|m| m.build_masks(m.conv.input_shape())).collect();
+            let inputs: Vec<CoalesceInput<'_>> =
+                xs.iter().zip(&masks).map(|(x, masks)| CoalesceInput { x, masks }).collect();
+            let want: Vec<_> = inputs.iter().map(|i| mixed_conv_naive(&conv, i.x, i.masks)).collect();
+            let plan = drq::core::ConvPlan::prepare(&conv);
+            at_thread_counts(|threads| {
+                for (plan, label) in [(None, "unplanned"), (Some(&plan), "planned")] {
+                    let got = MixedPrecisionConv::forward(&conv, plan, &inputs);
+                    if got.len() != k {
+                        return Err(format!("{} outputs for {k} members", got.len()));
+                    }
+                    for (j, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let what = format!("member {j} of {k}, {label}, {threads} threads");
+                        assert_matches_oracle(g, w, &what)?;
+                    }
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         },
     );
     parallel::set_max_threads(0);

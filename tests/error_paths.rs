@@ -251,3 +251,33 @@ fn pareto_resume_recovers_a_truncated_checkpoint_from_prev() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+// ---------------------------------------------------------------------------
+// Out-of-domain flag values: exit 1 with a typed error, never a panic
+// ---------------------------------------------------------------------------
+
+/// Asserts that `parts` exits 1 and that the error names `--flag`.
+fn rejects_flag(parts: &[&str], flag: &str) {
+    assert_eq!(cli(parts), 1, "{parts:?} must exit 1");
+    let parsed = drq_cli::ParsedArgs::parse(parts.iter().map(|s| s.to_string())).unwrap();
+    let err = drq_cli::run(&parsed).expect_err("out-of-domain value");
+    assert!(err.to_string().contains(&format!("--{flag}")), "{parts:?}: {err}");
+}
+
+#[test]
+fn bad_threshold_exits_one() {
+    rejects_flag(&["simulate", "--threshold", "nan"], "threshold");
+    rejects_flag(&["serve", "--stdin", "true", "--threshold", "-1"], "threshold");
+}
+
+#[test]
+fn bad_target_exits_one() {
+    rejects_flag(&["calibrate", "--target", "0"], "target");
+    rejects_flag(&["eval", "--scheme", "drq-calibrated", "--target", "2"], "target");
+}
+
+#[test]
+fn zero_samples_exits_one() {
+    rejects_flag(&["train", "--samples", "0"], "samples");
+    rejects_flag(&["eval", "--samples", "0"], "samples");
+}

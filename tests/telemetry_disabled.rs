@@ -67,34 +67,37 @@ fn enable_disable_round_trip_restores_recording() {
 }
 
 #[test]
-fn int_tier_gemm_counters_record_only_on_the_int_tier() {
-    use drq::core::{uniform_masks, ComputeTier, MixedPrecisionConv};
+fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
+    use drq::core::{uniform_masks, CoalesceInput, MixedPrecisionConv};
     use drq::nn::Conv2d;
     use drq::tensor::{Tensor, XorShiftRng};
 
     let _own = telemetry_lock();
-    let conv = Conv2d::new(2, 3, 3, 1, 1, 5);
+    // Two channel groups; a group of two requests holding 3 images.
+    let conv = Conv2d::with_groups(4, 6, 3, 1, 1, 2, 5);
     let mut rng = XorShiftRng::new(17);
-    let x = Tensor::from_fn(&[1, 2, 8, 8], |_| rng.next_normal());
-    let masks = uniform_masks(x.shape4().unwrap(), true);
+    let a = Tensor::from_fn(&[2, 4, 8, 8], |_| rng.next_normal());
+    let b = Tensor::from_fn(&[1, 4, 8, 8], |_| rng.next_normal());
+    let masks_a = uniform_masks(a.shape4().unwrap(), true);
+    let masks_b = uniform_masks(b.shape4().unwrap(), true);
+    let inputs = [
+        CoalesceInput { x: &a, masks: &masks_a },
+        CoalesceInput { x: &b, masks: &masks_b },
+    ];
 
-    // The f32 tier never touches the integer kernels.
+    // One INT8 and one INT4 GEMM per (request, image) item per channel
+    // group, with MAC counts covering the whole im2col product.
     drq::telemetry::enable();
     drq::telemetry::reset();
-    MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::F32);
-    assert_eq!(drq::telemetry::snapshot().counter("kernel/int8_gemm_calls"), 0);
-
-    // The int tier reports one INT8 and one INT4 GEMM per image/group,
-    // with MAC counts covering the whole im2col product.
-    drq::telemetry::reset();
-    let (_, counts) = MixedPrecisionConv::forward_tiered(&conv, &x, &masks, ComputeTier::Int);
+    let outputs = MixedPrecisionConv::forward(&conv, None, &inputs);
     let snap = drq::telemetry::snapshot();
-    assert_eq!(snap.counter("kernel/int8_gemm_calls"), 1);
-    assert_eq!(snap.counter("kernel/int4_gemm_calls"), 1);
+    assert_eq!(snap.counter("kernel/int8_gemm_calls"), 3 * 2);
+    assert_eq!(snap.counter("kernel/int4_gemm_calls"), 3 * 2);
     // Both GEMMs run over the full im2col matrix (the mask only zeroes
     // operands), so each records total() MACs.
-    assert_eq!(snap.counter("kernel/int8_gemm_macs"), counts.total());
-    assert_eq!(snap.counter("kernel/int4_gemm_macs"), counts.total());
+    let total: u64 = outputs.iter().map(|(_, c)| c.total()).sum();
+    assert_eq!(snap.counter("kernel/int8_gemm_macs"), total);
+    assert_eq!(snap.counter("kernel/int4_gemm_macs"), total);
     // Realistic depths are proven i32-safe: no wide fallbacks.
     assert_eq!(snap.counter("kernel/int8_gemm_wide_fallbacks"), 0);
     drq::telemetry::reset();
