@@ -131,9 +131,10 @@ COMMANDS
                --res imagenet|cifar (imagenet)
                --accel all|drq|eyeriss|bitfusion|olaccel (all)
                --threshold T  --region HxW  --seed N (42)
-               --partitions auto|single|N (auto) — layer-graph shards run
-                 concurrently with per-shard virtual clocks; reports and
-                 traces are byte-identical at every value
+               --partitions auto|single|N (auto) — at most N workers
+                 pull layers from a per-layer queue (single = one worker,
+                 layers in order); reports and traces are byte-identical
+                 at every value
                --fault-plan F (JSON fault plan; a non-empty plan makes
                  --metrics emit a kind:\"reliability\" report, an empty
                  plan is byte-identical to omitting the flag)
@@ -153,7 +154,8 @@ COMMANDS
                --budget N (0 = run to convergence) — max evaluations
                  this invocation; a paused search checkpoints and
                  resumes to byte-identical convergence
-               --partitions auto|single|N (auto)
+               --partitions auto|single|N (auto) — worker cap of each
+                 candidate's per-layer simulation queue
                --out F (pareto_front.json) — kind:\"pareto\" artifact,
                  committed through the crash-safe store (atomic rename,
                  CRC-framed generations, last good copy kept at F.prev)
@@ -679,8 +681,8 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     println!("threshold sweep on {} (region {rx}x{ry})\n", net.name);
     println!("{:>9}  {:>8}  {:>11}  {:>12}", "threshold", "INT4 %", "stall %", "cycles");
     // The legacy grid is a degenerate candidate space routed through the
-    // same shared-session evaluator as `drq pareto`: the partition plan is
-    // balanced once and every threshold reuses it. Candidates are
+    // same shared-session evaluator as `drq pareto`: every threshold
+    // reuses its session and memo. Candidates are
     // independent simulations: evaluate them concurrently, print in order.
     let thresholds = [0.5f32, 1.0, 2.0, 5.0, 10.0, 21.0, 40.0, 80.0, 127.0];
     let space = CandidateSpace::sweep_grid(RegionSize::new(rx, ry), &thresholds)?;

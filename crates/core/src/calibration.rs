@@ -131,12 +131,8 @@ pub fn calibrate_thresholds(
             let frac_at = |t: f32| -> f64 {
                 let p = SensitivityPredictor::new(layer_region, t);
                 let mut acc = 0.0;
-                for n in 0..s.n {
-                    acc += p
-                        .predict_image(x, n)
-                        .iter()
-                        .map(MaskMap::sensitive_fraction)
-                        .sum::<f64>()
+                for masks in p.predict_batch(x) {
+                    acc += masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>()
                         / s.c as f64;
                 }
                 acc / s.n as f64
@@ -207,13 +203,8 @@ mod tests {
                 thresholds[layer],
             );
             let mut acc = 0.0;
-            for n in 0..s.n {
-                acc += p
-                    .predict_image(tap.input, n)
-                    .iter()
-                    .map(MaskMap::sensitive_fraction)
-                    .sum::<f64>()
-                    / s.c as f64;
+            for masks in p.predict_batch(tap.input) {
+                acc += masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>() / s.c as f64;
             }
             assert!(
                 acc / s.n as f64 <= target + 1e-9,

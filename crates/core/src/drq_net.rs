@@ -183,7 +183,7 @@ impl DrqNetwork {
                 layer_cfg.threshold = sched.threshold_for(idx);
             }
             let predictor = SensitivityPredictor::new(layer_cfg.region, layer_cfg.threshold);
-            let masks: Vec<_> = (0..s.n).map(|n| predictor.predict_image(input, n)).collect();
+            let masks = predictor.predict_batch(input);
             let sensitive_fraction = {
                 let mut acc = 0.0;
                 let mut cnt = 0usize;

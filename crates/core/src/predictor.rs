@@ -68,35 +68,64 @@ impl SensitivityPredictor {
     }
 
     /// Predicts masks for every channel of image `n` of an NCHW tensor.
+    /// The INT8 parameters are fitted over the whole batch `x`; to predict
+    /// every image of a batch, [`Self::predict_batch`] fits them once.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not rank 4 or `n` is out of range.
     pub fn predict_image(&self, x: &Tensor<f32>, n: usize) -> Vec<MaskMap> {
+        self.predict_with(x, n, &Self::activation_params(x))
+    }
+
+    /// Predicts masks for every image of an NCHW batch: `result[n]` equals
+    /// `predict_image(x, n)` bit for bit, with the batch-wide INT8
+    /// parameters fitted once instead of once per image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not rank 4.
+    pub fn predict_batch(&self, x: &Tensor<f32>) -> Vec<Vec<MaskMap>> {
+        let s = x.shape4().expect("predictor input must be rank 4");
+        let params = Self::activation_params(x);
+        (0..s.n).map(|n| self.predict_with(x, n, &params)).collect()
+    }
+
+    /// The mean filter + step activation of image `n` under `params`.
+    /// Region sums accumulate from contiguous row slices through a
+    /// column-to-region table; integer sums are order-independent, so the
+    /// masks equal a pixel-by-pixel region walk exactly.
+    fn predict_with(&self, x: &Tensor<f32>, n: usize, params: &QuantParams) -> Vec<MaskMap> {
         let s = x.shape4().expect("predictor input must be rank 4");
         assert!(n < s.n, "image index out of range");
-        let params = Self::activation_params(x);
         let grid = RegionGrid::new(s.h, s.w, self.region);
-        let xs = x.as_slice();
-        (0..s.c)
-            .map(|c| {
-                let mut bits = Vec::with_capacity(grid.region_count());
-                for r in 0..grid.rows() {
-                    for col in 0..grid.cols() {
-                        let (ys, xcols) = grid.region_bounds(r, col);
-                        let mut sum = 0i64;
-                        let mut count = 0usize;
-                        for y in ys {
-                            for xx in xcols.clone() {
-                                sum += params.quantize_value(xs[s.offset(n, c, y, xx)]) as i64;
-                                count += 1;
-                            }
-                        }
-                        // Mean filtering followed by the step activation.
-                        let mean = sum as f32 / count.max(1) as f32;
-                        bits.push(mean > self.threshold);
+        let (rows, cols) = (grid.rows(), grid.cols());
+        let col_region: Vec<usize> = (0..s.w).map(|xx| grid.region_of(0, xx).1).collect();
+        let counts: Vec<usize> = (0..rows * cols)
+            .map(|i| {
+                let (ys, xs) = grid.region_bounds(i / cols, i % cols);
+                ys.len() * xs.len()
+            })
+            .collect();
+        let plane = s.h * s.w;
+        let image = &x.as_slice()[n * s.c * plane..(n + 1) * s.c * plane];
+        let mut sums = vec![0i64; rows * cols];
+        image
+            .chunks_exact(plane)
+            .map(|channel| {
+                sums.fill(0);
+                for (y, row) in channel.chunks_exact(s.w).enumerate() {
+                    let region_row = &mut sums[grid.region_of(y, 0).0 * cols..][..cols];
+                    for (&v, &rc) in row.iter().zip(&col_region) {
+                        region_row[rc] += i64::from(params.quantize_value(v));
                     }
                 }
+                // Mean filtering followed by the step activation.
+                let bits = sums
+                    .iter()
+                    .zip(&counts)
+                    .map(|(&sum, &count)| sum as f32 / count.max(1) as f32 > self.threshold)
+                    .collect();
                 MaskMap::from_bits(grid, bits)
             })
             .collect()
@@ -205,5 +234,19 @@ mod tests {
         let p = SensitivityPredictor::new(RegionSize::new(4, 4), 50.0);
         assert_eq!(p.predict_image(&x, 0)[0].sensitive_count(), 0);
         assert_eq!(p.predict_image(&x, 1)[0].sensitive_count(), 1);
+    }
+
+    #[test]
+    fn predict_batch_equals_per_image_predictions() {
+        // Images with different peaks: the batch-wide fit must be the one
+        // every image shares, as `predict_image` uses.
+        let mut rng = XorShiftRng::new(8);
+        let x = Tensor::from_fn(&[3, 2, 7, 9], |i| rng.next_f32() * (1 + i / 126) as f32);
+        let p = SensitivityPredictor::new(RegionSize::new(3, 4), 20.0);
+        let batch = p.predict_batch(&x);
+        assert_eq!(batch.len(), 3);
+        for (n, masks) in batch.iter().enumerate() {
+            assert_eq!(masks, &p.predict_image(&x, n), "image {n}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The simulator-backed candidate evaluator.
 //!
 //! One [`SharedSession`] carries everything candidate-invariant — the
-//! network, the seed, the cost-balanced partition plan, and a memo of each
+//! network, the seed, the simulation worker cap, and a memo of each
 //! layer's masks (by layer, synthesizer and effective region/threshold)
 //! and cycle counts (by array geometry). A candidate synthesizes and
 //! predicts a layer only if no earlier candidate of the session met the
@@ -57,8 +57,8 @@ pub struct SimSpaceEval<'n> {
 }
 
 impl<'n> SimSpaceEval<'n> {
-    /// Builds the evaluator: the partition plan is computed once here, and
-    /// it and the session memo are reused by every candidate.
+    /// Builds the evaluator: the shared session and its memo are created
+    /// once here and reused by every candidate.
     pub fn new(net: &'n NetworkTopology, partitions: impl Into<Partitions>, seed: u64) -> Self {
         Self {
             session: SharedSession::new(net, partitions).seed(seed),

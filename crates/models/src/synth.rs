@@ -90,7 +90,6 @@ impl FeatureMapSynthesizer {
     pub fn synthesize(&self, c: usize, h: usize, w: usize, rng: &mut XorShiftRng) -> Tensor<f32> {
         assert!(c > 0 && h > 0 && w > 0, "dimensions must be positive");
         let mut x = Tensor::<f32>::zeros(&[1, c, h, w]);
-        let s = x.shape4().expect("rank 4 by construction");
         let radius = ((h * w) as f64).sqrt() * self.blob_radius_frac;
         let radius = radius.max(1.0);
         // Image-level candidate blob set (expected count = kpx * px / 1000,
@@ -106,42 +105,42 @@ impl FeatureMapSynthesizer {
             .map(|_| (rng.next_below(h), rng.next_below(w)))
             .collect();
         let jitter = (radius * 0.25).ceil() as usize + 1;
-        {
-            let xs = x.as_mut_slice();
-            for ch in 0..c {
-                // Background: half-normal small values (post-ReLU tail).
-                for y in 0..h {
-                    for xx in 0..w {
-                        let v = rng.next_normal().max(0.0) * self.base_level;
-                        xs[s.offset(0, ch, y, xx)] = v;
-                    }
+        // Every blob has the same Gaussian profile: tabulate
+        // `exp(-d²/2r²)` once over the `(2·reach+1)²` stamp, row-major in
+        // `(dy, dx)`.
+        let r2 = (radius * radius) as f32;
+        let reach = (radius * 2.5).ceil() as usize;
+        let span = 2 * reach + 1;
+        let stamp: Vec<f32> = (0..span * span)
+            .map(|i| {
+                let dy = (i / span) as isize - reach as isize;
+                let dx = (i % span) as isize - reach as isize;
+                let d2 = (dy * dy + dx * dx) as f32;
+                (-d2 / (2.0 * r2)).exp()
+            })
+            .collect();
+        for plane in x.as_mut_slice().chunks_exact_mut(h * w) {
+            // Background: half-normal small values (post-ReLU tail).
+            for v in plane.iter_mut() {
+                *v = rng.next_half_normal() * self.base_level;
+            }
+            for &(by, bx) in &centers {
+                if rng.next_f64() >= inclusion_prob {
+                    continue;
                 }
-                for &(by, bx) in &centers {
-                    if rng.next_f64() >= inclusion_prob {
-                        continue;
-                    }
-                    // Small per-channel positional jitter around the shared
-                    // centre.
-                    let cy = (by + rng.next_below(jitter)).min(h - 1) as f64;
-                    let cx = (bx + rng.next_below(jitter)).min(w - 1) as f64;
-                    let amp = self.blob_amplitude * (0.5 + rng.next_f32());
-                    let r2 = (radius * radius) as f32;
-                    let reach = (radius * 2.5).ceil() as isize;
-                    for dy in -reach..=reach {
-                        let y = cy as isize + dy;
-                        if y < 0 || y >= h as isize {
-                            continue;
-                        }
-                        for dx in -reach..=reach {
-                            let xx = cx as isize + dx;
-                            if xx < 0 || xx >= w as isize {
-                                continue;
-                            }
-                            let d2 = (dy * dy + dx * dx) as f32;
-                            let g = amp * (-d2 / (2.0 * r2)).exp();
-                            let off = s.offset(0, ch, y as usize, xx as usize);
-                            xs[off] += g;
-                        }
+                // Small per-channel positional jitter around the shared
+                // centre.
+                let cy = (by + rng.next_below(jitter)).min(h - 1);
+                let cx = (bx + rng.next_below(jitter)).min(w - 1);
+                let amp = self.blob_amplitude * (0.5 + rng.next_f32());
+                // The stamp clipped to the map, one row slice at a time.
+                let (y0, y1) = (cy.saturating_sub(reach), (cy + reach).min(h - 1));
+                let (x0, x1) = (cx.saturating_sub(reach), (cx + reach).min(w - 1));
+                for y in y0..=y1 {
+                    let row = &mut plane[y * w + x0..=y * w + x1];
+                    let s0 = (y + reach - cy) * span + (x0 + reach - cx);
+                    for (v, &e) in row.iter_mut().zip(&stamp[s0..]) {
+                        *v += amp * e;
                     }
                 }
             }

@@ -216,8 +216,7 @@ fn run_conv(conv: &Conv2d, members: &mut [Member], ctx: &mut GroupCtx<'_>) {
                 .iter()
                 .map(|&i| {
                     let m = &members[i];
-                    let n = m.y.shape4().expect("conv input must be rank 4").n;
-                    let build = || (0..n).map(|img| predictor.predict_image(&m.y, img)).collect();
+                    let build = || predictor.predict_batch(&m.y);
                     if ctx.at_input {
                         // Layer-0 masks are a pure function of the seeded
                         // input and the config — shared across workers.

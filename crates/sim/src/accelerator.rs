@@ -513,7 +513,7 @@ impl DrqAccelerator {
     /// layer's effective region and threshold, returning the per-channel
     /// masks and their mean sensitive fraction. The result depends only on
     /// `(seed, i, synthesizer, effective LayerDrqConfig)` — never on which
-    /// shard or thread asks — and this is the one synthesis+predict path of
+    /// worker or thread asks — and this is the one synthesis+predict path of
     /// both [`crate::SimSession`] and [`crate::SharedSession`].
     pub(crate) fn layer_masks(
         &self,

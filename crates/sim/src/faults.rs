@@ -18,7 +18,7 @@
 //! configures a run; a [`FaultInjector`] draws fault events from the plan's
 //! own `XorShiftRng` stream — the same generator the testkit uses — so a
 //! faulted run is a pure function of `(inputs, plan)` and replays exactly
-//! on any thread or shard count. An **empty plan is zero-cost**: the
+//! on any thread or worker count. An **empty plan is zero-cost**: the
 //! un-faulted code paths never consult the injector, and a
 //! [`crate::SimSession`] armed with one short-circuits to the ordinary
 //! simulation, byte-identical output included.

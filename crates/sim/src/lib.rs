@@ -26,11 +26,11 @@
 //! (dense 4/8-bit packing of Section IV-B).
 //!
 //! Network-level simulation goes through one entry point: the
-//! [`SimSession`] builder. Every session is **statically partitioned**
-//! ([`partition`]) into cost-balanced contiguous layer shards that run
-//! concurrently on the `drq_tensor::parallel` scoped-thread pool with
-//! per-shard virtual clocks; shard event streams merge deterministically,
-//! so reports and traces are byte-identical at any shard or thread count.
+//! [`SimSession`] builder. Every session runs its layers as a per-layer
+//! work queue on the `drq_tensor::parallel` scoped-thread pool (at most
+//! [`Partitions`] workers) and merges the per-layer results in layer order
+//! with a prefix sum of their cycles ([`partition`]), so reports and traces
+//! are byte-identical at any worker or thread count.
 //!
 //! For reliability studies, the [`faults`] module injects seeded,
 //! replayable faults (bit flips, stuck-at bits, dropped DRAM bursts,
@@ -79,7 +79,7 @@ pub use accelerator::{
     ReliabilityReport,
 };
 pub use error::SimError;
-pub use partition::{PartitionPlan, Partitions};
+pub use partition::Partitions;
 pub use session::{SharedSession, SimRun, SimSession};
 pub use faults::{FaultCounters, FaultInjector, FaultPlan, FaultRule, FaultSite};
 pub use area::AreaModel;

@@ -45,7 +45,7 @@ fn get_or_build<V>(cell: &OnceLock<V>, build: impl FnOnce() -> V) -> (&V, bool) 
     (value, built)
 }
 
-/// Build and hit counts of the memo, summed per shard and recorded on the
+/// Build and hit counts of the memo, summed over layers and recorded on the
 /// merging thread. Over a whole session the build counts equal the number
 /// of distinct keys, so the totals do not depend on scheduling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -16,15 +16,16 @@
 //! assert!(run.report().total_cycles() > 0);
 //! ```
 //!
-//! Every run is **partitioned**: the layer graph is split into
-//! cost-balanced contiguous shards ([`crate::PartitionPlan`]), shards
-//! execute concurrently on the `drq_tensor::parallel` scoped-thread pool
-//! with per-shard virtual clocks, and their event streams are merged by
-//! offsetting each shard's local stamps with the prefix sum of preceding
-//! shards' cycles. The report, the trace, and any fault-injection result
-//! are **byte-identical at every shard count** — `partitions(1)` is the
-//! reference and `partitions(Auto)` must (and does, see
-//! `tests/sim_partition.rs`) reproduce it exactly.
+//! Every run drains a **per-layer work queue**: each layer is one item of
+//! a `drq_tensor::parallel` dynamic queue, so a worker that finishes a
+//! small layer immediately pulls the next unclaimed one instead of idling
+//! behind a precomputed shard. A sequential merge then walks the per-layer
+//! results in layer order and stamps each layer's retire cycle with the
+//! running sum of per-layer totals. The report, the trace, and any
+//! fault-injection result are **byte-identical at every worker count** —
+//! `partitions(1)` (one worker, layers in order) is the reference and
+//! `partitions(Auto)` must (and does, see `tests/sim_partition.rs`)
+//! reproduce it exactly.
 //!
 //! One session seed derives every stream: layer `i`'s feature-map
 //! synthesis draws from `stream_seed(seed, i)` and the fault stream from a
@@ -33,7 +34,7 @@
 //! fault stream independently (so archived plan files replay bit-for-bit).
 
 use crate::memo::{MemoCounts, SessionMemo};
-use crate::partition::{stream_seed, PartitionPlan, Partitions, FAULT_STREAM};
+use crate::partition::{stream_seed, Partitions, FAULT_STREAM};
 use crate::{
     BatchSimSummary, DramModel, DrqAccelerator, FaultCounters, FaultInjector, FaultPlan,
     FaultSite, LayerReport, NetworkSimReport, ReliabilityReport, SimError,
@@ -56,8 +57,8 @@ pub struct SimSession<'a, 't> {
 }
 
 impl<'a, 't> SimSession<'a, 't> {
-    /// Starts a session on `accel` simulating `net`, with seed 0, automatic
-    /// partitioning, no tracing and no fault injection.
+    /// Starts a session on `accel` simulating `net`, with seed 0, an
+    /// automatic worker cap, no tracing and no fault injection.
     pub fn new(accel: &'a DrqAccelerator, net: &'a NetworkTopology) -> Self {
         Self {
             accel,
@@ -95,16 +96,17 @@ impl<'a, 't> SimSession<'a, 't> {
         self
     }
 
-    /// Sets the partition policy (accepts [`Partitions`] or a shard count;
-    /// `0` means auto). Any value produces byte-identical results — this
-    /// knob only trades wall-clock time.
+    /// Caps the workers draining the per-layer queue (accepts
+    /// [`Partitions`] or a worker count; `0` means auto). Any value
+    /// produces byte-identical results — this knob only trades wall-clock
+    /// time.
     pub fn partitions(mut self, p: impl Into<Partitions>) -> Self {
         self.partitions = p.into();
         self
     }
 
-    /// Runs the simulation: partitioned baseline, deterministic merge,
-    /// then (if a plan is armed) the sequential fault post-pass.
+    /// Runs the simulation: per-layer queue, deterministic merge, then (if
+    /// a plan is armed) the sequential fault post-pass.
     ///
     /// # Errors
     ///
@@ -122,7 +124,7 @@ impl<'a, 't> SimSession<'a, 't> {
         Ok(SimRun { report, reliability })
     }
 
-    /// Simulates `seeds.len()` independent images (each a clean partitioned
+    /// Simulates `seeds.len()` independent images (each a clean session
     /// run re-seeded per image) and summarizes the run-to-run spread. The
     /// tracer and fault plan of the builder are ignored — batch summaries
     /// aggregate across images, where a single trace or fault stream has no
@@ -139,8 +141,8 @@ impl<'a, 't> SimSession<'a, 't> {
             });
         }
         let (accel, net, partitions) = (self.accel, self.net, self.partitions);
-        // Image-level parallelism: each image is itself a partitioned
-        // session, but nested parallel sections run inline, so the pool is
+        // Image-level parallelism: each image is itself a queued session,
+        // but nested parallel sections run inline, so the pool is
         // never oversubscribed and results stay scheduling-independent.
         let runs: Vec<NetworkSimReport> = parallel::par_map(seeds.len(), |i| {
             SimSession::new(accel, net)
@@ -166,11 +168,10 @@ impl<'a, 't> SimSession<'a, 't> {
         })
     }
 
-    /// The partitioned baseline run: shard, simulate, merge.
+    /// The baseline run: per-layer queue, then the merge.
     fn run_baseline(&mut self) -> NetworkSimReport {
         let (accel, net, seed) = (self.accel, self.net, self.seed);
         let n_layers = net.layers.len();
-        let plan = balance_layers(net, self.partitions);
 
         if let Some(t) = self.tracer.as_deref_mut() {
             t.span_begin(
@@ -183,7 +184,7 @@ impl<'a, 't> SimSession<'a, 't> {
                 ],
             );
         }
-        let merged = run_partitioned(accel, net, &plan, |i, _| {
+        let merged = run_layers(accel, net, self.partitions, |i, _| {
             let (masks, frac) = accel.layer_masks(net, seed, i);
             accel.simulate_layer_quiet(&net.layers[i], &masks, frac)
         });
@@ -226,19 +227,9 @@ impl<'a, 't> SimSession<'a, 't> {
     }
 }
 
-/// Cost-balances `net`'s layer graph under a partition policy. The plan
-/// depends only on `(net, partitions)` — never on the accelerator — which
-/// is what lets [`SharedSession`] compute it once and amortize it across
-/// every candidate configuration of a design-space search.
-fn balance_layers(net: &NetworkTopology, partitions: Partitions) -> PartitionPlan {
-    let shard_count = partitions.resolve(net.layers.len());
-    let costs: Vec<u64> = net.layers.iter().map(|l| l.macs().max(1)).collect();
-    PartitionPlan::balance(&costs, shard_count)
-}
-
-/// A merged partitioned run: per-layer reports in execution order, the
-/// global (offset-corrected) retire stamp of each layer, the total cycle
-/// count, and the memo lookups the layers made.
+/// A merged run: per-layer reports in execution order, the retire stamp
+/// of each layer, the total cycle count, and the memo lookups the layers
+/// made.
 struct MergedRun {
     layers: Vec<LayerReport>,
     retire_cycles: Vec<u64>,
@@ -246,77 +237,51 @@ struct MergedRun {
     memo: MemoCounts,
 }
 
-/// Output of one shard: per-layer reports for its contiguous layer range,
-/// the shard-local virtual-clock stamp at which each layer retires, the
-/// shard's total cycles (the amount by which the merge advances the global
-/// clock) and its memo lookups.
-struct ShardOutput {
-    reports: Vec<LayerReport>,
-    retire_cycles: Vec<u64>,
-    total_cycles: u64,
-    memo: MemoCounts,
-}
-
-/// The shard fan-out + deterministic merge shared by [`SimSession`] and
-/// [`SharedSession`]: one worker per shard, each simulating its contiguous
-/// layer range against a virtual clock that starts at zero, then a
-/// sequential merge that offsets each shard's local stamps by the prefix
-/// sum of preceding shards' totals. `layer(i, counts)` produces layer `i`'s
-/// report, which must depend only on `i` — never on which shard or thread
-/// asks — so the merged stream is shard-count invariant. Layer telemetry is
-/// recorded here, on the merging thread, in execution order — workers stay
-/// silent so enabling metrics can never perturb scheduling or produce racy
-/// snapshots.
-fn run_partitioned(
+/// The per-layer queue + deterministic merge shared by [`SimSession`] and
+/// [`SharedSession`]: one `par_map` item per layer on at most
+/// `partitions` workers, then a sequential merge in layer order whose
+/// running sum of per-layer totals is each layer's retire stamp.
+/// `layer(i, counts)` produces layer `i`'s report, which must depend only
+/// on `i` — never on which worker asks — so the merged stream is
+/// worker-count invariant. Layer telemetry is recorded here, on the merging
+/// thread, in execution order — workers stay silent so enabling metrics
+/// can never perturb scheduling or produce racy snapshots.
+fn run_layers(
     accel: &DrqAccelerator,
     net: &NetworkTopology,
-    plan: &PartitionPlan,
+    partitions: Partitions,
     layer: impl Fn(usize, &mut MemoCounts) -> LayerReport + Sync,
 ) -> MergedRun {
-    let shards: Vec<ShardOutput> = parallel::par_map(plan.shard_count(), |s| {
-        let range = plan.ranges()[s].clone();
-        let mut shard = ShardOutput {
-            reports: Vec::with_capacity(range.len()),
-            retire_cycles: Vec::with_capacity(range.len()),
-            total_cycles: 0,
-            memo: MemoCounts::default(),
-        };
-        for i in range {
-            let report = layer(i, &mut shard.memo);
-            shard.total_cycles += report.cycles.total_cycles();
-            shard.retire_cycles.push(shard.total_cycles);
-            shard.reports.push(report);
-        }
-        shard
-    });
     let n_layers = net.layers.len();
+    let outputs = parallel::par_map_capped(n_layers, partitions.resolve(n_layers), |i| {
+        let mut memo = MemoCounts::default();
+        (layer(i, &mut memo), memo)
+    });
     let mut merged = MergedRun {
         layers: Vec::with_capacity(n_layers),
         retire_cycles: Vec::with_capacity(n_layers),
         total_cycles: 0,
         memo: MemoCounts::default(),
     };
-    for shard in shards {
-        for (report, local_retire) in shard.reports.into_iter().zip(shard.retire_cycles) {
-            accel.record_layer_metrics(&net.layers[merged.layers.len()], &report);
-            merged.retire_cycles.push(merged.total_cycles + local_retire);
-            merged.layers.push(report);
-        }
-        merged.total_cycles += shard.total_cycles;
-        merged.memo.add(&shard.memo);
+    for ((report, memo), spec) in outputs.into_iter().zip(&net.layers) {
+        accel.record_layer_metrics(spec, &report);
+        merged.total_cycles += report.cycles.total_cycles();
+        merged.retire_cycles.push(merged.total_cycles);
+        merged.layers.push(report);
+        merged.memo.add(&memo);
     }
     merged
 }
 
 /// A reusable, accelerator-agnostic simulation session for design-space
-/// exploration: the network, seed, and cost-balanced [`PartitionPlan`] are
-/// fixed once, and [`SharedSession::simulate`] runs any number of candidate
-/// accelerators against them from `&self`.
+/// exploration: the network, seed, and worker cap are fixed once, and
+/// [`SharedSession::simulate`] runs any number of candidate accelerators
+/// against them from `&self`.
 ///
 /// A design-space search evaluates hundreds of candidates over the *same*
 /// network and seed, and most of each candidate's per-layer work repeats
-/// an earlier one's. So besides the partition plan the session keeps a
-/// memo that lives exactly as long as the session:
+/// an earlier one's. So the session keeps a memo that lives exactly as
+/// long as the session:
 ///
 /// * **masks**, keyed by (layer index, synthesizer parameters, effective
 ///   [`drq_core::LayerDrqConfig`] from `DrqConfig::for_layer`). The seed is
@@ -340,8 +305,8 @@ fn run_partitioned(
 /// `drq_tensor::parallel::par_map` workers. Reports are byte-identical to
 /// per-candidate [`SimSession`] runs at the same seed (pinned by
 /// `tests/dse_session_reuse.rs`): both paths call the same synthesis and
-/// predictor helper and the same partitioned fan-out + merge, which is
-/// shard-count invariant. With telemetry on, each call also records its
+/// predictor helper and the same per-layer queue + merge, which is
+/// worker-count invariant. With telemetry on, each call also records its
 /// memo lookups as the `sim/memo/{mask,cycle}_{builds,hits}` counters;
 /// summed over a session the build counts equal the number of distinct
 /// keys, whatever the thread count.
@@ -360,18 +325,18 @@ fn run_partitioned(
 pub struct SharedSession<'n> {
     net: &'n NetworkTopology,
     seed: u64,
-    plan: PartitionPlan,
+    partitions: Partitions,
     memo: SessionMemo,
 }
 
 impl<'n> SharedSession<'n> {
-    /// Builds a session over `net`, resolving and cost-balancing the
-    /// partition plan once. Seed defaults to 0.
+    /// Builds a session over `net` whose runs use at most `partitions`
+    /// workers. Seed defaults to 0.
     pub fn new(net: &'n NetworkTopology, partitions: impl Into<Partitions>) -> Self {
         Self {
             net,
             seed: 0,
-            plan: balance_layers(net, partitions.into()),
+            partitions: partitions.into(),
             memo: SessionMemo::new(),
         }
     }
@@ -395,19 +360,13 @@ impl<'n> SharedSession<'n> {
         self.seed
     }
 
-    /// The number of shards the precomputed plan fans out to.
-    pub fn shard_count(&self) -> usize {
-        self.plan.shard_count()
-    }
-
-    /// Runs one clean partitioned simulation of a candidate accelerator,
-    /// reusing the precomputed partition plan and every memoized mask set
-    /// and cycle count (see the [type docs](Self)). Callable from `&self` on
+    /// Runs one clean simulation of a candidate accelerator, reusing every
+    /// memoized mask set and cycle count (see the [type docs](Self)). Callable from `&self` on
     /// any number of threads concurrently; nested parallel sections run
     /// inline, so calling this from inside a `par_map` never oversubscribes
     /// the pool.
     pub fn simulate(&self, accel: &DrqAccelerator) -> NetworkSimReport {
-        let merged = run_partitioned(accel, self.net, &self.plan, |i, counts| {
+        let merged = run_layers(accel, self.net, self.partitions, |i, counts| {
             self.memo.layer_report(accel, self.net, self.seed, i, counts)
         });
         merged.memo.record();
@@ -429,9 +388,9 @@ impl DrqAccelerator {
 
     /// The sequential fault post-pass: samples fault events per layer in
     /// execution order from the plan's seeded stream. Runs after the
-    /// (partitioned) baseline on the calling thread — the event stream
-    /// depends only on `(plan, per-layer reports)`, both shard-count
-    /// invariant, so faulted runs replay bit-for-bit at any partitioning.
+    /// baseline on the calling thread — the event stream depends only on
+    /// `(plan, per-layer reports)`, both worker-count invariant, so faulted
+    /// runs replay bit-for-bit at any worker cap.
     fn apply_faults(
         &self,
         net: &NetworkTopology,
@@ -577,8 +536,15 @@ mod tests {
         let b = SimSession::new(&accel, &net).seed(4).partitions(4).trace(&mut t4).run().unwrap();
         assert_eq!(a, b);
         assert_eq!(t1.to_jsonl(), t4.to_jsonl());
-        let layer_events = t1.events().iter().filter(|e| e.name.starts_with("layer/")).count();
-        assert_eq!(layer_events, net.layers.len());
+        let layer_events: Vec<_> =
+            t1.events().iter().filter(|e| e.name.starts_with("layer/")).collect();
+        assert_eq!(layer_events.len(), net.layers.len());
+        // Each layer retires at the running sum of the per-layer totals.
+        let mut retire = 0;
+        for (event, layer) in layer_events.iter().zip(&a.report().layers) {
+            retire += layer.cycles.total_cycles();
+            assert_eq!(event.cycle, retire, "{}", event.name);
+        }
         assert_eq!(t1.events().last().unwrap().cycle, a.report().total_cycles());
     }
 

@@ -9,7 +9,7 @@
 //! filters split across pages, kernel taps down the rows).
 
 use crate::SimError;
-use drq_core::MaskMap;
+use drq_core::{MaskMap, RegionGrid};
 use drq_models::ConvLayerSpec;
 
 /// Cycle/MAC breakdown of one layer on the DRQ array.
@@ -188,7 +188,6 @@ impl LayerCycleModel {
     ///
     /// Panics if `masks.len() != spec.in_c` or a mask grid does not cover
     /// the layer's input extent.
-    #[allow(clippy::needless_range_loop)] // 2-D window/usage indexing
     pub fn simulate_layer(&self, spec: &ConvLayerSpec, masks: &[MaskMap]) -> LayerCycles {
         assert_eq!(masks.len(), spec.in_c, "need one mask per input channel");
         for m in masks {
@@ -229,76 +228,70 @@ impl LayerCycleModel {
         let jobs = group_jobs * row_tiles * filter_tiles;
         let rounds = jobs.div_ceil(self.pages) as u64;
 
-        // Per-channel "window touches a sensitive region" bitmaps for the
-        // representative group (group geometries are identical; statistics
-        // are shared).
-        let win = |c: usize, oy: usize, ox: usize| -> bool {
-            let y0 = (oy * spec.stride).saturating_sub(spec.pad_h);
-            let x0 = (ox * spec.stride).saturating_sub(spec.pad_w);
-            let y_end = oy * spec.stride + spec.kh;
-            let x_end = ox * spec.stride + spec.kw;
-            let y1 = (y_end.saturating_sub(spec.pad_h + 1)).min(spec.in_h - 1);
-            let x1 = (x_end.saturating_sub(spec.pad_w + 1)).min(spec.in_w - 1);
-            if y0 > y1 || x0 > x1 {
-                return false;
-            }
-            let g = masks[c].grid();
-            let (r0, c0) = g.region_of(y0, x0);
-            let (r1, c1) = g.region_of(y1, x1);
-            for rr in r0..=r1 {
-                for cc in c0..=c1 {
-                    if masks[c].is_sensitive(rr, cc) {
-                        return true;
-                    }
+        // Region geometry of each distinct mask grid (all masks of a layer
+        // normally share one): per-output-row and per-output-column region
+        // spans, and per-region-row / per-region-column usage sums.
+        let mut geometry: Vec<GridGeometry> = Vec::with_capacity(1);
+        let geometry_of: Vec<usize> = masks
+            .iter()
+            .map(|m| match geometry.iter().position(|g| g.grid == m.grid()) {
+                Some(at) => at,
+                None => {
+                    geometry.push(GridGeometry::new(spec, m.grid()));
+                    geometry.len() - 1
                 }
-            }
-            false
-        };
-        let mut window_sensitive: Vec<Vec<bool>> = Vec::with_capacity(cpg);
-        for c_local in 0..cpg {
-            // Representative group 0 channels.
-            let c = c_local;
-            let mut bits = vec![false; steps_per_pass];
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    bits[oy * out_w + ox] = win(c, oy, ox);
-                }
-            }
-            window_sensitive.push(bits);
-        }
+            })
+            .collect();
 
-        // Per-pixel usage counts (how many (oy,ky)/(ox,kx) pairs touch each
-        // input coordinate) for exact MAC accounting.
-        let usage_1d = |len: usize, out_len: usize, k: usize, pad: usize| -> Vec<u64> {
-            let mut cnt = vec![0u64; len];
-            for o in 0..out_len {
-                for kk in 0..k {
-                    let i = o * spec.stride + kk;
-                    if i >= pad && i - pad < len {
-                        cnt[i - pad] += 1;
-                    }
-                }
-            }
-            cnt
-        };
-        let cnt_y = usage_1d(spec.in_h, out_h, spec.kh, spec.pad_h);
-        let cnt_x = usage_1d(spec.in_w, out_w, spec.kw, spec.pad_w);
-
-        // Sensitive taps per channel: Σ_{sensitive pixels} usage.
-        let mut sensitive_taps_per_channel = vec![0u64; spec.in_c];
-        for (c, taps_acc) in sensitive_taps_per_channel.iter_mut().enumerate() {
+        // Per-channel "window touches a sensitive region" bitsets (one bit
+        // per output position) for the representative group (group
+        // geometries are identical; statistics are shared).
+        let words = steps_per_pass.div_ceil(64);
+        let mut window_sensitive = vec![0u64; cpg * words];
+        let mut row_any: Vec<bool> = Vec::new();
+        for (c, bits) in window_sensitive.chunks_exact_mut(words.max(1)).enumerate() {
             let m = &masks[c];
-            for y in 0..spec.in_h {
-                if cnt_y[y] == 0 {
-                    continue;
-                }
-                for x in 0..spec.in_w {
-                    if cnt_x[x] != 0 && m.pixel_sensitive(y, x) {
-                        *taps_acc += cnt_y[y] * cnt_x[x];
+            if m.sensitive_count() == 0 {
+                continue;
+            }
+            let g = &geometry[geometry_of[c]];
+            let region_cols = g.grid.cols();
+            for (oy, span) in g.out_rows.iter().enumerate() {
+                let Some((r0, r1)) = *span else { continue };
+                // Which region columns hold a sensitive region within the
+                // window's region rows.
+                row_any.clear();
+                row_any.extend(
+                    (0..region_cols).map(|cc| (r0..=r1).any(|rr| m.is_sensitive(rr, cc))),
+                );
+                for (ox, span) in g.out_cols.iter().enumerate() {
+                    let Some((c0, c1)) = *span else { continue };
+                    if row_any[c0..=c1].iter().any(|&b| b) {
+                        let step = oy * out_w + ox;
+                        bits[step / 64] |= 1 << (step % 64);
                     }
                 }
             }
         }
+
+        // Sensitive taps per channel: Σ_{sensitive pixels} usage, where a
+        // pixel's usage is how many (oy,ky)·(ox,kx) pairs read it. Usage
+        // factors over rows and columns, so a region contributes the
+        // product of its row and column usage sums.
+        let sensitive_taps_per_channel: Vec<u64> = masks
+            .iter()
+            .zip(&geometry_of)
+            .map(|(m, &at)| {
+                let g = &geometry[at];
+                let cols = g.grid.cols();
+                m.bits()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &b)| b)
+                    .map(|(r, _)| g.row_usage[r / cols] * g.col_usage[r % cols])
+                    .sum()
+            })
+            .collect();
 
         // MAC totals: every sensitive tap is one INT8 MAC per filter of its
         // group; the remainder (padding included) runs INT4.
@@ -324,16 +317,16 @@ impl LayerCycleModel {
             let rows_used = (tap_hi - tap_lo) as u64;
             let c_lo = tap_lo / kk;
             let c_hi = (tap_hi - 1) / kk;
-            let mut tile_int8_steps = 0u64;
-            for step in 0..steps_per_pass {
-                let sensitive = (c_lo..=c_hi).any(|c| window_sensitive[c][step]);
-                if sensitive {
-                    tile_int8_steps += 1;
-                } else {
-                    int4_steps += 1;
-                }
-            }
+            // A step is INT8 when any covered channel's window bit is set.
+            let tile_int8_steps: u64 = (0..words)
+                .map(|wi| {
+                    (c_lo..=c_hi)
+                        .fold(0u64, |acc, c| acc | window_sensitive[c * words + wi])
+                        .count_ones() as u64
+                })
+                .sum();
             int8_steps += tile_int8_steps;
+            int4_steps += steps_per_pass as u64 - tile_int8_steps;
             let tile_cycles =
                 tile_int8_steps * 4 + (steps_per_pass as u64 - tile_int8_steps);
             compute_per_coltile += tile_cycles;
@@ -396,6 +389,78 @@ impl LayerCycleModel {
             pe_cycles: total * (self.rows * self.cols) as u64,
         }
     }
+}
+
+/// What the cycle model needs of one region grid under one layer's
+/// window geometry, computed once per layer and grid.
+struct GridGeometry {
+    grid: RegionGrid,
+    /// Per output row: the region rows its window covers (`None` when the
+    /// window lies past the bottom edge).
+    out_rows: Vec<Option<(usize, usize)>>,
+    /// Per output column: the region columns its window covers.
+    out_cols: Vec<Option<(usize, usize)>>,
+    /// Per region row: Σ over its pixel rows of the row usage count.
+    row_usage: Vec<u64>,
+    /// Per region column: Σ over its pixel columns of the column usage
+    /// count.
+    col_usage: Vec<u64>,
+}
+
+impl GridGeometry {
+    fn new(spec: &ConvLayerSpec, grid: RegionGrid) -> Self {
+        let region = grid.region();
+        Self {
+            grid,
+            out_rows: window_spans(spec.out_h(), spec.kh, spec.pad_h, spec.stride, spec.in_h, region.x),
+            out_cols: window_spans(spec.out_w(), spec.kw, spec.pad_w, spec.stride, spec.in_w, region.y),
+            row_usage: region_usage(spec.in_h, spec.out_h(), spec.kh, spec.pad_h, spec.stride, region.x),
+            col_usage: region_usage(spec.in_w, spec.out_w(), spec.kw, spec.pad_w, spec.stride, region.y),
+        }
+    }
+}
+
+/// Along one axis: for each output index, the first and last region
+/// (of `extent` pixels) its `k`-wide window touches. A window entirely in
+/// the leading padding is clamped onto pixel 0, and one past the trailing
+/// edge touches nothing.
+fn window_spans(
+    out_len: usize,
+    k: usize,
+    pad: usize,
+    stride: usize,
+    len: usize,
+    extent: usize,
+) -> Vec<Option<(usize, usize)>> {
+    (0..out_len)
+        .map(|o| {
+            let lo = (o * stride).saturating_sub(pad);
+            let hi = (o * stride + k).saturating_sub(pad + 1).min(len - 1);
+            (lo <= hi).then(|| (lo / extent, hi / extent))
+        })
+        .collect()
+}
+
+/// Along one axis: how many (output, kernel tap) pairs read each input
+/// pixel, summed per region of `extent` pixels.
+fn region_usage(
+    len: usize,
+    out_len: usize,
+    k: usize,
+    pad: usize,
+    stride: usize,
+    extent: usize,
+) -> Vec<u64> {
+    let mut usage = vec![0u64; len.div_ceil(extent)];
+    for o in 0..out_len {
+        for kk in 0..k {
+            let i = o * stride + kk;
+            if i >= pad && i - pad < len {
+                usage[(i - pad) / extent] += 1;
+            }
+        }
+    }
+    usage
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Deterministic data-parallel execution over `std::thread::scope`.
 //!
 //! Every hot path in the workspace (the blocked GEMM, `im2col`, the batch
-//! loops of the convolutions, DSE candidate sweeps, and the cycle-accurate
-//! simulator's partitioned layer shards) runs its work through this
+//! loops of the convolutions, DSE candidate sweeps, and the network
+//! simulator's per-layer work queue) runs its work through this
 //! module. The design rule is **scheduling-independence**: a work item
 //! always produces the same bits no matter which worker runs it, so results
 //! are identical for any thread count — `DRQ_THREADS=1` is the reference
@@ -119,12 +119,21 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
+    for_each_chunk_capped(data, chunk_len, usize::MAX, f);
+}
+
+/// [`for_each_chunk_mut`] on at most `max_workers` workers.
+fn for_each_chunk_capped<T, F>(data: &mut [T], chunk_len: usize, max_workers: usize, f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
+{
     if data.is_empty() {
         return;
     }
     assert!(chunk_len > 0, "chunk_len must be positive");
     let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = max_threads().min(n_chunks);
+    let threads = max_threads().min(max_workers).min(n_chunks);
     if threads <= 1 || in_parallel_section() {
         for (ci, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(ci, chunk);
@@ -177,8 +186,27 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    par_map_capped(n, usize::MAX, f)
+}
+
+/// [`par_map`] on at most `max_workers` workers (and never more than
+/// [`max_threads`]): a dynamic queue with one item per index. A cap of 1
+/// runs `f(0), f(1), …` inline on the calling thread.
+///
+/// # Examples
+///
+/// ```
+/// use drq_tensor::parallel;
+///
+/// assert_eq!(parallel::par_map_capped(4, 2, |i| i + 1), vec![1, 2, 3, 4]);
+/// ```
+pub fn par_map_capped<R, F>(n: usize, max_workers: usize, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for_each_chunk_mut(&mut slots, 1, |i, slot| {
+    for_each_chunk_capped(&mut slots, 1, max_workers, |i, slot| {
         slot[0] = Some(f(i));
     });
     slots.into_iter().map(|s| s.expect("par_map slot unfilled")).collect()

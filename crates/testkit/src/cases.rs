@@ -15,6 +15,7 @@
 use crate::gen::ValueDist;
 use crate::shrink::{shrink_f32, shrink_usize};
 use drq_core::{MaskMap, RegionGrid, RegionSize};
+use drq_models::{ConvLayerSpec, FeatureMapSynthesizer};
 use drq_nn::Conv2d;
 use drq_quant::Precision;
 use drq_sim::{FaultPlan, FaultRule, FaultSite, StreamElement};
@@ -1063,6 +1064,333 @@ impl PredictorCase {
         shrink_field(&mut out, shrink_usize(self.region_y, 1), |region_y| Self { region_y, ..*self }, ok);
         shrink_field(&mut out, shrink_f32(self.threshold), |threshold| Self { threshold, ..*self }, ok);
         shrink_field(&mut out, self.dist.shrink(), |dist| Self { dist, ..*self }, ok);
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Simulator host kernels: synthesis, batched prediction, layer cycle model
+// ---------------------------------------------------------------------------
+
+/// A feature-map synthesis case: map geometry, depth profile and seed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SynthCase {
+    /// Channels.
+    pub c: usize,
+    /// Map height.
+    pub h: usize,
+    /// Map width.
+    pub w: usize,
+    /// Depth through the network in `[0, 1]` (`for_depth` argument).
+    pub depth: f64,
+    /// RNG seed of the synthesis stream.
+    pub seed: u64,
+}
+
+impl SynthCase {
+    /// Generates a case. A third of the extents are 1–3 pixels (every
+    /// blob's reach overhangs such maps on all sides), the rest up to 48;
+    /// depths are 0, 1 or uniform in between.
+    pub fn arbitrary(rng: &mut XorShiftRng) -> Self {
+        let extent = |rng: &mut XorShiftRng| {
+            if rng.next_below(3) == 0 {
+                1 + rng.next_below(3)
+            } else {
+                1 + rng.next_below(48)
+            }
+        };
+        let (h, w) = (extent(rng), extent(rng));
+        let depth = match rng.next_below(4) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => rng.next_f64(),
+        };
+        Self { c: 1 + rng.next_below(4), h, w, depth, seed: rng.next_u64() }
+    }
+
+    /// The default synthesizer at this case's depth.
+    pub fn synthesizer(&self) -> FeatureMapSynthesizer {
+        FeatureMapSynthesizer::default().for_depth(self.depth)
+    }
+
+    /// Shrink candidates.
+    pub fn shrink(&self) -> Vec<Self> {
+        let ok = |c: &Self| c.c >= 1 && c.h >= 1 && c.w >= 1;
+        let mut out = Vec::new();
+        shrink_field(&mut out, shrink_usize(self.c, 1), |c| Self { c, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.h, 1), |h| Self { h, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.w, 1), |w| Self { w, ..*self }, ok);
+        if self.depth != 0.0 {
+            out.push(Self { depth: 0.0, ..*self });
+        }
+        out
+    }
+}
+
+/// A batched sensitivity-prediction case. Unlike [`PredictorCase`],
+/// regions may exceed the map (the grid clamps them) and need not divide
+/// it, and the batch holds several images.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PredictBatchCase {
+    /// Images.
+    pub n: usize,
+    /// Channels.
+    pub c: usize,
+    /// Map height.
+    pub h: usize,
+    /// Map width.
+    pub w: usize,
+    /// Region height (may exceed `h`).
+    pub region_x: usize,
+    /// Region width (may exceed `w`).
+    pub region_y: usize,
+    /// Integer-domain sensitivity threshold (≥ 0).
+    pub threshold: f32,
+    /// Input value distribution.
+    pub dist: ValueDist,
+    /// Seed for the batch.
+    pub data_seed: u64,
+}
+
+impl PredictBatchCase {
+    /// Generates a case.
+    pub fn arbitrary(rng: &mut XorShiftRng) -> Self {
+        let h = 1 + rng.next_below(20);
+        let w = 1 + rng.next_below(20);
+        Self {
+            n: 1 + rng.next_below(3),
+            c: 1 + rng.next_below(3),
+            h,
+            w,
+            region_x: 1 + rng.next_below(h + 3),
+            region_y: 1 + rng.next_below(w + 3),
+            // Integer thresholds (zero included) meet region means exactly,
+            // where the strict comparison matters.
+            threshold: match rng.next_below(3) {
+                0 => rng.next_below(33) as f32,
+                _ => rng.next_f32() * 32.0,
+            },
+            dist: ValueDist::pick(rng, &ValueDist::ALL),
+            data_seed: rng.next_u64(),
+        }
+    }
+
+    /// Materializes the `[n, c, h, w]` batch.
+    pub fn build(&self) -> Tensor<f32> {
+        let mut rng = XorShiftRng::new(self.data_seed);
+        self.dist.tensor(&[self.n, self.c, self.h, self.w], &mut rng)
+    }
+
+    /// The region size.
+    pub fn region(&self) -> RegionSize {
+        RegionSize::new(self.region_x, self.region_y)
+    }
+
+    /// Shrink candidates.
+    pub fn shrink(&self) -> Vec<Self> {
+        let ok = |c: &Self| {
+            c.n >= 1 && c.c >= 1 && c.h >= 1 && c.w >= 1 && c.region_x >= 1 && c.region_y >= 1
+        };
+        let mut out = Vec::new();
+        shrink_field(&mut out, shrink_usize(self.n, 1), |n| Self { n, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.c, 1), |c| Self { c, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.h, 1), |h| Self { h, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.w, 1), |w| Self { w, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.region_x, 1), |region_x| Self { region_x, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.region_y, 1), |region_y| Self { region_y, ..*self }, ok);
+        shrink_field(&mut out, shrink_f32(self.threshold), |threshold| Self { threshold, ..*self }, ok);
+        shrink_field(&mut out, self.dist.shrink(), |dist| Self { dist, ..*self }, ok);
+        out
+    }
+}
+
+/// Layer kinds a [`LayerCycleCase`] draws.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LayerKind {
+    /// Ungrouped convolution.
+    Conv,
+    /// Grouped convolution (2–3 groups).
+    Grouped,
+    /// Depthwise convolution (one channel per group).
+    Depthwise,
+    /// Fully connected layer (1×1 map per input feature).
+    Fc,
+}
+
+impl LayerKind {
+    const ORDER: [LayerKind; 4] =
+        [LayerKind::Conv, LayerKind::Grouped, LayerKind::Depthwise, LayerKind::Fc];
+}
+
+/// A layer cycle-model case: layer geometry, per-channel random masks and
+/// an array geometry.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LayerCycleCase {
+    /// Layer kind (FC cases ignore the spatial fields).
+    pub kind: LayerKind,
+    /// Input channels.
+    pub in_c: usize,
+    /// Output channels.
+    pub out_c: usize,
+    /// Channel groups.
+    pub groups: usize,
+    /// Input height.
+    pub h: usize,
+    /// Input width.
+    pub w: usize,
+    /// Kernel height.
+    pub kh: usize,
+    /// Kernel width.
+    pub kw: usize,
+    /// Stride.
+    pub stride: usize,
+    /// Vertical padding (may reach the kernel height, so some windows
+    /// lie entirely in padding).
+    pub pad_h: usize,
+    /// Horizontal padding.
+    pub pad_w: usize,
+    /// Region height (may exceed `h`).
+    pub region_x: usize,
+    /// Region width (may exceed `w`).
+    pub region_y: usize,
+    /// Odd channels use a region one row taller than even ones.
+    pub mixed_grids: bool,
+    /// Chance in percent that a region is sensitive.
+    pub density_pct: usize,
+    /// Seed for the mask bits.
+    pub mask_seed: u64,
+    /// PE rows per page.
+    pub rows: usize,
+    /// PE columns per page.
+    pub cols: usize,
+    /// PE pages.
+    pub pages: usize,
+}
+
+impl LayerCycleCase {
+    /// Generates a valid case: kernels fit the padded input, groups divide
+    /// both channel counts, and half the arrays are the paper's 16 pages of
+    /// 18×11 PEs.
+    pub fn arbitrary(rng: &mut XorShiftRng) -> Self {
+        let kind = LayerKind::ORDER[rng.next_below(4)];
+        let (in_c, out_c, groups) = match kind {
+            LayerKind::Conv | LayerKind::Fc => (1 + rng.next_below(24), 1 + rng.next_below(24), 1),
+            LayerKind::Grouped => {
+                let g = 2 + rng.next_below(2);
+                (g * (1 + rng.next_below(4)), g * (1 + rng.next_below(4)), g)
+            }
+            LayerKind::Depthwise => {
+                let c = 1 + rng.next_below(40);
+                (c, c, c)
+            }
+        };
+        let (h, w) = (1 + rng.next_below(24), 1 + rng.next_below(24));
+        let (pad_h, pad_w) = (rng.next_below(4), rng.next_below(4));
+        let kh = 1 + rng.next_below(5.min(h + 2 * pad_h));
+        let kw = 1 + rng.next_below(5.min(w + 2 * pad_w));
+        let density_pct = match rng.next_below(4) {
+            0 => 0,
+            1 => 100,
+            _ => 1 + rng.next_below(99),
+        };
+        let (rows, cols, pages) = if rng.next_below(2) == 0 {
+            (18, 11, 16)
+        } else {
+            (1 + rng.next_below(8), 1 + rng.next_below(6), 1 + rng.next_below(4))
+        };
+        Self {
+            kind,
+            in_c,
+            out_c,
+            groups,
+            h,
+            w,
+            kh,
+            kw,
+            stride: 1 + rng.next_below(3),
+            pad_h,
+            pad_w,
+            region_x: 1 + rng.next_below(h + 2),
+            region_y: 1 + rng.next_below(w + 2),
+            mixed_grids: rng.next_below(4) == 0,
+            density_pct,
+            mask_seed: rng.next_u64(),
+            rows,
+            cols,
+            pages,
+        }
+    }
+
+    /// The layer spec.
+    pub fn spec(&self) -> ConvLayerSpec {
+        match self.kind {
+            LayerKind::Fc => ConvLayerSpec::fc("case", "T", self.in_c, self.out_c),
+            _ => ConvLayerSpec::conv(
+                "case", "T", self.in_c, self.h, self.w, self.out_c, self.kh, self.kw, self.stride, 0,
+            )
+            .with_pads(self.pad_h, self.pad_w)
+            .with_groups(self.groups),
+        }
+    }
+
+    /// One mask per input channel over the spec's input extent.
+    pub fn build_masks(&self) -> Vec<MaskMap> {
+        let spec = self.spec();
+        let mut rng = XorShiftRng::new(self.mask_seed);
+        (0..spec.in_c)
+            .map(|c| {
+                let extra = usize::from(self.mixed_grids && c % 2 == 1);
+                let region = RegionSize::new(self.region_x + extra, self.region_y);
+                let grid = RegionGrid::new(spec.in_h, spec.in_w, region);
+                let bits = (0..grid.region_count())
+                    .map(|_| rng.next_below(100) < self.density_pct)
+                    .collect();
+                MaskMap::from_bits(grid, bits)
+            })
+            .collect()
+    }
+
+    /// Whether the geometry is simulable.
+    pub fn is_valid(&self) -> bool {
+        let positive = [
+            self.in_c, self.out_c, self.groups, self.h, self.w, self.kh, self.kw, self.stride,
+            self.region_x, self.region_y, self.rows, self.cols, self.pages,
+        ];
+        positive.iter().all(|&v| v >= 1)
+            && self.in_c.is_multiple_of(self.groups)
+            && self.out_c.is_multiple_of(self.groups)
+            && (self.kind != LayerKind::Depthwise
+                || (self.groups == self.in_c && self.groups == self.out_c))
+            && self.kh <= self.h + 2 * self.pad_h
+            && self.kw <= self.w + 2 * self.pad_w
+    }
+
+    /// Shrink candidates.
+    pub fn shrink(&self) -> Vec<Self> {
+        let ok = |c: &Self| c.is_valid();
+        let mut out = Vec::new();
+        if self.kind == LayerKind::Depthwise {
+            let channels = |c| Self { in_c: c, out_c: c, groups: c, ..*self };
+            shrink_field(&mut out, shrink_usize(self.in_c, 1), channels, ok);
+        } else {
+            shrink_field(&mut out, shrink_usize(self.in_c, 1), |in_c| Self { in_c, ..*self }, ok);
+            shrink_field(&mut out, shrink_usize(self.out_c, 1), |out_c| Self { out_c, ..*self }, ok);
+        }
+        shrink_field(&mut out, shrink_usize(self.h, 1), |h| Self { h, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.w, 1), |w| Self { w, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.kh, 1), |kh| Self { kh, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.kw, 1), |kw| Self { kw, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.stride, 1), |stride| Self { stride, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.pad_h, 0), |pad_h| Self { pad_h, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.pad_w, 0), |pad_w| Self { pad_w, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.region_x, 1), |region_x| Self { region_x, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.region_y, 1), |region_y| Self { region_y, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.rows, 1), |rows| Self { rows, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.cols, 1), |cols| Self { cols, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.pages, 1), |pages| Self { pages, ..*self }, ok);
+        if self.mixed_grids {
+            out.push(Self { mixed_grids: false, ..*self });
+        }
         out
     }
 }

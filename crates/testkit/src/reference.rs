@@ -12,11 +12,12 @@
 //! association and only tolerance comparisons are valid. Case generators
 //! enforce the depth cap for the bit-exact tiers.
 
-use drq_core::{ConvOpCounts, MaskMap};
+use drq_core::{ConvOpCounts, MaskMap, RegionGrid, SensitivityPredictor};
+use drq_models::{ConvLayerSpec, FeatureMapSynthesizer, LayerOp};
 use drq_nn::Conv2d;
 use drq_quant::{Precision, QuantParams, Quantizer};
-use drq_sim::StreamElement;
-use drq_tensor::Tensor;
+use drq_sim::{LayerCycleModel, LayerCycles, StreamElement};
+use drq_tensor::{Tensor, XorShiftRng};
 
 /// Naive triple-loop matrix multiply, accumulating over `k` in index order
 /// per output element — the i-k-j association of the in-tree simple kernel.
@@ -463,6 +464,284 @@ pub fn systolic_analytic(
         int4_steps: steps as u64 - int8_steps,
         stall_pe_cycles: stall_per_col * cols as u64,
         outputs,
+    }
+}
+
+/// Per-pixel feature-map synthesis: the oracle for
+/// [`FeatureMapSynthesizer::synthesize`]. Draws the same RNG stream in the
+/// same order — the blob count and centres, then per channel one
+/// `next_normal().max(0.0)` background value per pixel followed by each
+/// blob's inclusion draw, jitter and amplitude — and stamps every blob
+/// pixel by pixel with its own bounds check and `exp`, so the production
+/// path's tables and clipped row slices must reproduce it bit for bit.
+///
+/// # Panics
+///
+/// Panics if any dimension is zero.
+pub fn synthesize_naive(
+    synth: &FeatureMapSynthesizer,
+    c: usize,
+    h: usize,
+    w: usize,
+    rng: &mut XorShiftRng,
+) -> Tensor<f32> {
+    assert!(c > 0 && h > 0 && w > 0, "dimensions must be positive");
+    let mut x = Tensor::<f32>::zeros(&[1, c, h, w]);
+    let s = x.shape4().expect("rank 4 by construction");
+    let radius = (((h * w) as f64).sqrt() * synth.blob_radius_frac).max(1.0);
+    let inclusion_prob = synth.channel_inclusion.clamp(0.05, 1.0);
+    let expected_millis =
+        (synth.blobs_per_kilopixel * (h * w) as f64 / inclusion_prob).max(1.0) as usize;
+    let mut image_blobs = expected_millis / 1000;
+    if rng.next_below(1000) < expected_millis % 1000 {
+        image_blobs += 1;
+    }
+    let centers: Vec<(usize, usize)> = (0..image_blobs.max(1))
+        .map(|_| (rng.next_below(h), rng.next_below(w)))
+        .collect();
+    let jitter = (radius * 0.25).ceil() as usize + 1;
+    let xs = x.as_mut_slice();
+    for ch in 0..c {
+        for y in 0..h {
+            for xx in 0..w {
+                xs[s.offset(0, ch, y, xx)] = rng.next_normal().max(0.0) * synth.base_level;
+            }
+        }
+        for &(by, bx) in &centers {
+            if rng.next_f64() >= inclusion_prob {
+                continue;
+            }
+            let cy = (by + rng.next_below(jitter)).min(h - 1) as f64;
+            let cx = (bx + rng.next_below(jitter)).min(w - 1) as f64;
+            let amp = synth.blob_amplitude * (0.5 + rng.next_f32());
+            let r2 = (radius * radius) as f32;
+            let reach = (radius * 2.5).ceil() as isize;
+            for dy in -reach..=reach {
+                let y = cy as isize + dy;
+                if y < 0 || y >= h as isize {
+                    continue;
+                }
+                for dx in -reach..=reach {
+                    let xx = cx as isize + dx;
+                    if xx < 0 || xx >= w as isize {
+                        continue;
+                    }
+                    let d2 = (dy * dy + dx * dx) as f32;
+                    xs[s.offset(0, ch, y as usize, xx as usize)] +=
+                        amp * (-d2 / (2.0 * r2)).exp();
+                }
+            }
+        }
+    }
+    x
+}
+
+/// Per-pixel region mean filter: the oracle for
+/// [`SensitivityPredictor::predict_image`]. Fits the batch-wide INT8
+/// parameters, then for every channel and region sums the quantized codes
+/// pixel by pixel through `region_bounds` and compares the mean with the
+/// threshold.
+///
+/// # Panics
+///
+/// Panics if `x` is not rank 4 or `n` is out of range.
+pub fn predict_image_naive(
+    predictor: &SensitivityPredictor,
+    x: &Tensor<f32>,
+    n: usize,
+) -> Vec<MaskMap> {
+    let s = x.shape4().expect("predictor input must be rank 4");
+    assert!(n < s.n, "image index out of range");
+    let params = SensitivityPredictor::activation_params(x);
+    let grid = RegionGrid::new(s.h, s.w, predictor.region());
+    let xs = x.as_slice();
+    (0..s.c)
+        .map(|c| {
+            let mut bits = Vec::with_capacity(grid.region_count());
+            for r in 0..grid.rows() {
+                for col in 0..grid.cols() {
+                    let (ys, xcols) = grid.region_bounds(r, col);
+                    let mut sum = 0i64;
+                    let mut count = 0usize;
+                    for y in ys {
+                        for xx in xcols.clone() {
+                            sum += params.quantize_value(xs[s.offset(n, c, y, xx)]) as i64;
+                            count += 1;
+                        }
+                    }
+                    let mean = sum as f32 / count.max(1) as f32;
+                    bits.push(mean > predictor.threshold());
+                }
+            }
+            MaskMap::from_bits(grid, bits)
+        })
+        .collect()
+}
+
+/// Pixel-by-pixel layer cycle model: the oracle for
+/// [`LayerCycleModel::simulate_layer`]. Tests every output window's
+/// sensitivity region by region, sums sensitive taps pixel by pixel, and
+/// decides each row tile's step costs by scanning the covered channels'
+/// windows step by step — the production model's bitsets, region spans
+/// and region-level tap sums must agree on every [`LayerCycles`] field.
+///
+/// # Panics
+///
+/// Panics if `masks.len() != spec.in_c` or a mask grid does not cover the
+/// layer's input extent.
+pub fn layer_cycles_naive(
+    model: &LayerCycleModel,
+    spec: &ConvLayerSpec,
+    masks: &[MaskMap],
+) -> LayerCycles {
+    let (rows, cols, pages) = (model.rows(), model.cols(), model.pages());
+    assert_eq!(masks.len(), spec.in_c, "need one mask per input channel");
+    for m in masks {
+        assert_eq!(
+            (m.grid().height(), m.grid().width()),
+            (spec.in_h, spec.in_w),
+            "mask grid does not cover the feature map"
+        );
+    }
+    let total_pes = (rows * cols * pages) as u64;
+    if spec.op == LayerOp::Fc {
+        let macs = spec.macs();
+        let sensitive_inputs = masks.iter().filter(|m| m.pixel_sensitive(0, 0)).count() as u64;
+        let int8_macs = sensitive_inputs * spec.out_c as u64;
+        let int4_macs = macs - int8_macs.min(macs);
+        let compute = (int4_macs + 4 * int8_macs).div_ceil(total_pes);
+        let weight_stream = spec.weight_count().div_ceil((rows * pages) as u64);
+        let compute_cycles = compute.max(weight_stream);
+        let fill_cycles = (rows + cols - 1) as u64;
+        return LayerCycles {
+            int4_steps: int4_macs.div_ceil(total_pes),
+            int8_steps: int8_macs.div_ceil(total_pes),
+            compute_cycles,
+            fill_cycles,
+            weight_load_cycles: 0,
+            weight_load_raw_cycles: weight_stream,
+            stall_pe_cycles: 0,
+            int4_macs,
+            int8_macs,
+            pe_cycles: (compute_cycles + fill_cycles) * (rows * cols) as u64,
+        };
+    }
+    let (out_h, out_w) = (spec.out_h(), spec.out_w());
+    let steps_per_pass = out_h * out_w;
+    let cpg = spec.in_c / spec.groups;
+    let filters_per_group = spec.out_c / spec.groups;
+    let taps = cpg * spec.kh * spec.kw;
+    let filter_tiles = filters_per_group.div_ceil(cols);
+    let row_tiles = taps.div_ceil(rows);
+    let stack = if spec.groups > pages {
+        (rows / taps.max(1)).max(1).min((cols / filters_per_group.max(1)).max(1))
+    } else {
+        1
+    };
+    let group_jobs = spec.groups.div_ceil(stack);
+    let rounds = (group_jobs * row_tiles * filter_tiles).div_ceil(pages) as u64;
+
+    // Does output (oy, ox)'s window over channel c touch a sensitive region?
+    let win = |c: usize, oy: usize, ox: usize| -> bool {
+        let y0 = (oy * spec.stride).saturating_sub(spec.pad_h);
+        let x0 = (ox * spec.stride).saturating_sub(spec.pad_w);
+        let y1 = (oy * spec.stride + spec.kh).saturating_sub(spec.pad_h + 1).min(spec.in_h - 1);
+        let x1 = (ox * spec.stride + spec.kw).saturating_sub(spec.pad_w + 1).min(spec.in_w - 1);
+        if y0 > y1 || x0 > x1 {
+            return false;
+        }
+        let g = masks[c].grid();
+        let (r0, c0) = g.region_of(y0, x0);
+        let (r1, c1) = g.region_of(y1, x1);
+        (r0..=r1).any(|rr| (c0..=c1).any(|cc| masks[c].is_sensitive(rr, cc)))
+    };
+    let window_sensitive: Vec<Vec<bool>> = (0..cpg)
+        .map(|c| {
+            (0..steps_per_pass).map(|step| win(c, step / out_w, step % out_w)).collect()
+        })
+        .collect();
+
+    // How many (output, kernel tap) pairs read each input coordinate.
+    let usage_1d = |len: usize, out_len: usize, k: usize, pad: usize| -> Vec<u64> {
+        let mut cnt = vec![0u64; len];
+        for o in 0..out_len {
+            for kk in 0..k {
+                let i = o * spec.stride + kk;
+                if i >= pad && i - pad < len {
+                    cnt[i - pad] += 1;
+                }
+            }
+        }
+        cnt
+    };
+    let cnt_y = usage_1d(spec.in_h, out_h, spec.kh, spec.pad_h);
+    let cnt_x = usage_1d(spec.in_w, out_w, spec.kw, spec.pad_w);
+    let sensitive_taps_per_channel: Vec<u64> = masks
+        .iter()
+        .map(|m| {
+            let mut acc = 0u64;
+            for (y, &cy) in cnt_y.iter().enumerate() {
+                for (x, &cx) in cnt_x.iter().enumerate() {
+                    if m.pixel_sensitive(y, x) {
+                        acc += cy * cx;
+                    }
+                }
+            }
+            acc
+        })
+        .collect();
+
+    let total_macs = spec.macs();
+    let int8_macs: u64 =
+        sensitive_taps_per_channel.iter().map(|&t| t * filters_per_group as u64).sum();
+    let int4_macs = total_macs - int8_macs.min(total_macs);
+
+    let kk = spec.kh * spec.kw;
+    let (mut int4_steps, mut int8_steps, mut stall) = (0u64, 0u64, 0u64);
+    let (mut compute_per_coltile, mut max_job_cycles) = (0u64, 0u64);
+    for rt in 0..row_tiles {
+        let tap_lo = rt * rows;
+        let tap_hi = (tap_lo + rows).min(taps);
+        let (c_lo, c_hi) = (tap_lo / kk, (tap_hi - 1) / kk);
+        let tile_int8_steps = (0..steps_per_pass)
+            .filter(|&step| (c_lo..=c_hi).any(|c| window_sensitive[c][step]))
+            .count() as u64;
+        int8_steps += tile_int8_steps;
+        int4_steps += steps_per_pass as u64 - tile_int8_steps;
+        let tile_cycles = tile_int8_steps * 4 + (steps_per_pass as u64 - tile_int8_steps);
+        compute_per_coltile += tile_cycles;
+        max_job_cycles = max_job_cycles.max(tile_cycles);
+        let tile_sensitive_taps: u64 = (c_lo..=c_hi)
+            .map(|c| {
+                let overlap = tap_hi.min(c * kk + kk).saturating_sub(tap_lo.max(c * kk));
+                sensitive_taps_per_channel[c] * overlap as u64 / kk as u64
+            })
+            .sum();
+        let rows_used = (tap_hi - tap_lo) as u64;
+        stall += 3 * (rows_used * tile_int8_steps).saturating_sub(tile_sensitive_taps);
+    }
+
+    let per_tile_scale = (group_jobs * filter_tiles) as u64;
+    let compute_cycles =
+        (compute_per_coltile * per_tile_scale).div_ceil(pages as u64).max(max_job_cycles);
+    let raw_load = rows as u64;
+    let raw_fill = (rows + cols - 1) as u64;
+    let avg_compute = compute_cycles / rounds.max(1);
+    let residual = |raw: u64| raw + rounds.saturating_sub(1) * (raw - avg_compute.min(raw));
+    let fill_cycles = residual(raw_fill);
+    let weight_load_cycles = residual(raw_load);
+    let pages = pages as u64;
+    LayerCycles {
+        int4_steps: (int4_steps * per_tile_scale).div_ceil(pages),
+        int8_steps: (int8_steps * per_tile_scale).div_ceil(pages),
+        compute_cycles,
+        fill_cycles,
+        weight_load_cycles,
+        weight_load_raw_cycles: rounds * raw_load,
+        stall_pe_cycles: (stall * per_tile_scale * cols as u64).div_ceil(pages),
+        int4_macs,
+        int8_macs,
+        pe_cycles: (compute_cycles + fill_cycles + weight_load_cycles) * (rows * cols) as u64,
     }
 }
 

@@ -41,15 +41,17 @@ RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --workspace
 echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential
 
-echo "== mixed-conv and integer differential suites (DRQ_THREADS=1/2/auto) =="
-# The mixed_conv families assert bit-exactness against the tap-loop oracle
-# and the int families against the exact-i64 GEMM oracle; running each
-# filter under every DRQ_THREADS setting also pins the tests that don't
-# iterate thread counts internally. A filter that matches no test fails
-# the step instead of passing vacuously.
+echo "== mixed-conv, integer and sim-host differential suites (DRQ_THREADS=1/2/auto) =="
+# The mixed_conv families assert bit-exactness against the tap-loop oracle,
+# the int families against the exact-i64 GEMM oracle, and the sim_host
+# family the simulator's synthesis, predictor and cycle-model fast paths
+# against their pixel-by-pixel oracles; running each filter under every
+# DRQ_THREADS setting also pins the tests that don't iterate thread counts
+# internally. A filter that matches no test fails the step instead of
+# passing vacuously.
 SWEEP_LOG=$(mktemp)
 for t in 1 2 auto; do
-    for filter in mixed_conv int; do
+    for filter in mixed_conv int sim_host; do
         echo "-- DRQ_THREADS=$t, filter $filter --"
         if [ "$t" = auto ]; then
             RUSTFLAGS="$CI_RUSTFLAGS" \
@@ -122,12 +124,12 @@ cmp "$ARTIFACTS/sim_metrics.json" "$ARTIFACTS/sim_metrics_empty_plan.json" || {
 }
 
 echo "== partitioned simulator (byte-identity + wall-clock gate) =="
-# The partitioned SimSession must be a pure wall-clock optimization: the
-# full-network report at 1, 2 and auto shards must be byte-identical.
-# `--accel none` skips the paper lineup so the timing below measures only
-# the partitioned session itself.
+# The per-layer work queue must be a pure wall-clock optimization: the
+# full-network report at a worker cap of 1, 2, 7 (above the CPU count)
+# and auto must be byte-identical. `--accel none` skips the paper lineup
+# so the timing below measures only the session itself.
 PART_NET=resnet50
-for p in 1 2 auto; do
+for p in 1 2 7 auto; do
     START_NS=$(date +%s%N)
     ./target/release/drq sim --network "$PART_NET" --res imagenet --accel none \
         --partitions "$p" --seed 42 \
@@ -135,7 +137,7 @@ for p in 1 2 auto; do
     END_NS=$(date +%s%N)
     eval "PART_MS_$p=$(( (END_NS - START_NS) / 1000000 ))"
 done
-for p in 2 auto; do
+for p in 2 7 auto; do
     cmp "$ARTIFACTS/sim_partition_1.json" "$ARTIFACTS/sim_partition_$p.json" || {
         echo "partitions=$p report drifted from the single-shard bytes" >&2
         exit 1

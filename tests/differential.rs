@@ -1,24 +1,32 @@
 //! Property-based differential test suite: the production kernels, the
-//! mixed-precision datapath, the quantizers, the cycle-accurate simulator
-//! and the sensitivity predictor, each diffed against an independent
-//! reference oracle from `drq-testkit`.
+//! mixed-precision datapath, the quantizers, the cycle-accurate simulator,
+//! the sensitivity predictor and the simulator's host kernels (feature-map
+//! synthesis, batched prediction, the layer cycle model), each diffed
+//! against an independent reference oracle from `drq-testkit`.
 //!
 //! Case count is `DRQ_TESTKIT_CASES` (default 64; CI runs 256). Any failure
 //! prints a shrunk counterexample plus a `DRQ_TESTKIT_SEED=…` prefix that
 //! replays it exactly — see the report emitted by `TestKit::check`.
 
-use drq::core::{CoalesceInput, ConvOpCounts, MaskMap, MixedPrecisionConv, SensitivityPredictor};
+use drq::core::{
+    CoalesceInput, ConvOpCounts, DrqConfig, MaskMap, MixedPrecisionConv, RegionSize,
+    SensitivityPredictor,
+};
+use drq::models::zoo::{self, InputRes};
+use drq::models::FeatureMapSynthesizer;
 use drq::quant::{MaxAbsQuantizer, PerChannelQuantizer, QuantParams, Quantizer};
-use drq::sim::SystolicArray;
+use drq::sim::{LayerCycleModel, LayerCycles, SystolicArray};
 use drq::tensor::{
     int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Tensor, XorShiftRng,
 };
 use drq_testkit::cases::{
-    ConvCase, GemmCase, IntGemmCase, MixedConvCase, PredictorCase, QuantCase, StreamCase,
+    ConvCase, GemmCase, IntGemmCase, LayerCycleCase, MixedConvCase, PredictBatchCase,
+    PredictorCase, QuantCase, StreamCase, SynthCase,
 };
 use drq_testkit::reference::{
-    conv2d_naive, int_matmul_exact, int_matmul_wrapping, matmul_naive, mixed_conv_error_bound,
-    mixed_conv_naive, systolic_analytic,
+    conv2d_naive, int_matmul_exact, int_matmul_wrapping, layer_cycles_naive, matmul_naive,
+    mixed_conv_error_bound, mixed_conv_naive, predict_image_naive, synthesize_naive,
+    systolic_analytic,
 };
 use drq_testkit::{thread_count_lock, TestKit};
 
@@ -749,6 +757,175 @@ fn predictor_masks_monotone_in_threshold() {
             Ok(())
         },
     );
+}
+
+// ---------------------------------------------------------------------------
+// Family 6: simulator host kernels (feature-map synthesis, the batched
+// predictor, the layer cycle model) vs their pixel-by-pixel oracles
+// ---------------------------------------------------------------------------
+
+#[test]
+fn sim_host_synthesis_matches_oracle_bitwise() {
+    kit().check(
+        "synthesis bitwise vs per-pixel oracle",
+        SynthCase::arbitrary,
+        SynthCase::shrink,
+        |c| {
+            let synth = c.synthesizer();
+            let (mut fast_rng, mut slow_rng) = (XorShiftRng::new(c.seed), XorShiftRng::new(c.seed));
+            let fast = synth.synthesize(c.c, c.h, c.w, &mut fast_rng);
+            let slow = synthesize_naive(&synth, c.c, c.h, c.w, &mut slow_rng);
+            assert_bits_eq(&fast, &slow, "synthesize")?;
+            if fast_rng.next_u64() != slow_rng.next_u64() {
+                return Err("synthesis left the RNG stream at a different position".into());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// An RNG whose second `next_f64` draw is `u2` (its top 53 bits) and whose
+/// first draw is whatever the xorshift inverse implies; `salt` fills the
+/// 11 output bits `next_f64` discards, varying the first draw.
+fn rng_with_second_draw(u2: f64, salt: u64) -> XorShiftRng {
+    const MUL: u64 = 0x2545_F491_4F6C_DD1D;
+    // Inverse of MUL modulo 2^64 by Newton iteration.
+    let mut inv = MUL;
+    for _ in 0..6 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(MUL.wrapping_mul(inv)));
+    }
+    let unshift_left = |y: u64, k: u32| (0..64 / k).fold(y, |x, _| y ^ (x << k));
+    let unshift_right = |y: u64, k: u32| (0..64 / k).fold(y, |x, _| y ^ (x >> k));
+    // Undoes `x ^= x << 13; x ^= x >> 7; x ^= x << 17`.
+    let unstep = |x: u64| unshift_left(unshift_right(unshift_left(x, 17), 7), 13);
+    let out = ((u2 * (1u64 << 53) as f64) as u64) << 11 | (salt & 0x7ff);
+    let second_state = out.wrapping_mul(inv);
+    let seed = unstep(unstep(second_state));
+    assert_ne!(seed, 0, "the crafted seed hit the zero remap");
+    let mut rng = XorShiftRng::new(seed);
+    let _ = rng.next_f64();
+    assert_eq!(rng.next_f64(), u2, "crafted stream does not draw u2 second");
+    XorShiftRng::new(seed)
+}
+
+#[test]
+fn sim_host_half_normal_matches_next_normal_at_quarter_turns() {
+    // `next_half_normal` returns 0 without any transcendental call for
+    // u2 in (0.2501, 0.7499); pin it against `next_normal().max(0.0)` on a
+    // dense grid straddling both ends of that interval, including the
+    // exact boundaries and their neighbours.
+    let mut u2s: Vec<f64> = Vec::new();
+    for (lo, hi) in [(0.2499f64, 0.2501f64), (0.7499, 0.7501)] {
+        u2s.extend((0..=2000).map(|i| lo + (hi - lo) * i as f64 / 2000.0));
+    }
+    for edge in [0.25f64, 0.75, 0.2501, 0.7499] {
+        u2s.extend([f64::from_bits(edge.to_bits() - 1), edge, f64::from_bits(edge.to_bits() + 1)]);
+    }
+    for (i, &u2) in u2s.iter().enumerate() {
+        // Truncate to the 53-bit grid `next_f64` can produce.
+        let u2 = ((u2 * (1u64 << 53) as f64) as u64) as f64 / (1u64 << 53) as f64;
+        for salt in [i as u64, 0x7ff - i as u64 % 0x800] {
+            let mut fast = rng_with_second_draw(u2, salt);
+            let mut slow = rng_with_second_draw(u2, salt);
+            let (got, want) = (fast.next_half_normal(), slow.next_normal().max(0.0));
+            assert_eq!(got.to_bits(), want.to_bits(), "u2 = {u2:e}, salt {salt}: {got} vs {want}");
+            assert_eq!(fast.next_u64(), slow.next_u64(), "u2 = {u2:e}: draw counts differ");
+        }
+    }
+    // And on an unconstrained stream.
+    let (mut fast, mut slow) = (XorShiftRng::new(77), XorShiftRng::new(77));
+    for _ in 0..100_000 {
+        assert_eq!(fast.next_half_normal().to_bits(), slow.next_normal().max(0.0).to_bits());
+    }
+}
+
+#[test]
+fn sim_host_predictor_matches_oracle_bitwise() {
+    kit().check(
+        "predictor masks vs per-pixel oracle, batch vs per image",
+        PredictBatchCase::arbitrary,
+        PredictBatchCase::shrink,
+        |c| {
+            let x = c.build();
+            let p = SensitivityPredictor::new(c.region(), c.threshold);
+            let batch = p.predict_batch(&x);
+            if batch.len() != c.n {
+                return Err(format!("predict_batch returned {} images of {}", batch.len(), c.n));
+            }
+            for (n, masks) in batch.iter().enumerate() {
+                let want = predict_image_naive(&p, &x, n);
+                if mask_bits(&p.predict_image(&x, n)) != mask_bits(&want) {
+                    return Err(format!("image {n}: predict_image differs from the oracle"));
+                }
+                if masks != &want {
+                    return Err(format!("image {n}: predict_batch differs from the oracle"));
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+fn assert_cycles_eq(got: &LayerCycles, want: &LayerCycles) -> Result<(), String> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("cycle model {got:?}\n    oracle {want:?}"))
+    }
+}
+
+#[test]
+fn sim_host_layer_cycles_match_oracle_on_every_field() {
+    kit().check(
+        "layer cycles vs per-pixel oracle",
+        LayerCycleCase::arbitrary,
+        LayerCycleCase::shrink,
+        |c| {
+            let (spec, masks) = (c.spec(), c.build_masks());
+            let model = LayerCycleModel::new(c.rows, c.cols, c.pages);
+            assert_cycles_eq(
+                &model.simulate_layer(&spec, &masks),
+                &layer_cycles_naive(&model, &spec, &masks),
+            )
+        },
+    );
+}
+
+#[test]
+fn sim_host_zoo_layers_match_oracles() {
+    // Every layer of the CIFAR-sized zoo, on synthesized maps at the
+    // layer's depth: the production synthesis → predictor → cycle model
+    // chain against the oracle chain, on the paper's array.
+    let model = LayerCycleModel::new(18, 11, 16);
+    let config = DrqConfig::new(RegionSize::new(4, 8), 19.0);
+    let synth = FeatureMapSynthesizer::default();
+    for net in zoo::paper_six(InputRes::Cifar) {
+        let n_layers = net.layers.len();
+        for (i, spec) in net.layers.iter().enumerate() {
+            let depth = i as f64 / n_layers as f64;
+            let at_depth = synth.for_depth(depth);
+            let seed = 0x5EED ^ i as u64;
+            let x = at_depth.synthesize_layer_input(spec, &mut XorShiftRng::new(seed));
+            let x_naive = synthesize_naive(
+                &at_depth,
+                spec.in_c,
+                spec.in_h,
+                spec.in_w,
+                &mut XorShiftRng::new(seed),
+            );
+            let what = format!("{} layer {}", net.name, spec.name);
+            assert_bits_eq(&x, &x_naive, &what).unwrap();
+            let cfg = config.for_layer(spec.in_h, spec.in_w, depth);
+            let p = SensitivityPredictor::new(cfg.region, cfg.threshold);
+            let masks = p.predict(&x);
+            assert_eq!(masks, predict_image_naive(&p, &x, 0), "{what}: masks");
+            assert_cycles_eq(
+                &model.simulate_layer(spec, &masks),
+                &layer_cycles_naive(&model, spec, &masks),
+            )
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
