@@ -1,8 +1,8 @@
 //! Benchmark harness for the DRQ reproduction.
 //!
 //! Each table and figure of the paper's evaluation has a dedicated binary
-//! under `src/bin/` (see `DESIGN.md` for the experiment index), plus
-//! Criterion micro-benchmarks under `benches/`. This library hosts the
+//! under `src/bin/` (see `DESIGN.md` for the experiment index), plus the
+//! `kernel_microbench` timing binary. This library hosts the
 //! shared harness utilities: table rendering, run configuration and the
 //! Table III per-network DRQ operating points.
 

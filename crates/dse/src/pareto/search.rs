@@ -501,10 +501,8 @@ impl ParetoSearch {
         })
     }
 
-    /// Restores a search from the durable checkpoint at `path`, falling
-    /// back to the previous generation when the primary is corrupt or
-    /// truncated, and accepting legacy unframed `kind:"pareto"` JSON files
-    /// written before the store existed (reported as generation `0`).
+    /// Restores a search from the durable checkpoint at `path`, falling back
+    /// to `<path>.prev` when the primary is corrupt, truncated or unframed.
     ///
     /// # Errors
     ///
@@ -516,7 +514,7 @@ impl ParetoSearch {
         path: &str,
     ) -> Result<ResumedSearch, DrqError> {
         let invalid = |detail: String| DrqError::InvalidConfig { context: "pareto checkpoint", detail };
-        let outcome = store.load_or_legacy(path).map_err(|e| invalid(e.to_string()))?;
+        let outcome = store.load(path).map_err(|e| invalid(e.to_string()))?;
         let text = String::from_utf8(outcome.payload)
             .map_err(|_| invalid("checkpoint payload is not UTF-8".into()))?;
         let report = Report::from_json_str(&text).map_err(|e| invalid(e.to_string()))?;
@@ -536,8 +534,7 @@ impl ParetoSearch {
 pub struct ResumedSearch {
     /// The restored search, ready to [`ParetoSearch::run`].
     pub search: ParetoSearch,
-    /// Store generation the state came from (`0` for a legacy unframed
-    /// checkpoint).
+    /// Store generation the state came from.
     pub generation: u64,
     /// `Some(why)` when the primary was rejected and the state was
     /// salvaged from `<path>.prev`.
@@ -711,10 +708,13 @@ mod tests {
         assert!(resumed.salvaged.is_some());
         assert_eq!(resumed.search.to_report().to_json_string(), gen1);
 
-        // Legacy unframed checkpoint (pre-store file) still resumes.
-        mem.put("legacy.json", format!("{gen1}\n").into_bytes());
-        let resumed = ParetoSearch::resume_from(&store, "legacy.json").unwrap();
-        assert_eq!((resumed.generation, resumed.salvaged), (0, None));
+        // An unframed file is a typed error alone; a primary falls back.
+        mem.put("bare.json", format!("{}\n", search.to_report().to_json_string()).into_bytes());
+        let err = ParetoSearch::resume_from(&store, "bare.json").unwrap_err();
+        assert!(err.to_string().contains("unframed"), "{err}");
+        mem.rename("bare.json", "ck.json").unwrap();
+        let resumed = ParetoSearch::resume_from(&store, "ck.json").unwrap();
+        assert!(resumed.salvaged.is_some_and(|why| why.contains("unframed")));
         assert_eq!(resumed.search.to_report().to_json_string(), gen1);
 
         // Both generations bad: a typed error naming both reasons.

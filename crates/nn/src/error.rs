@@ -19,9 +19,11 @@ pub enum NnError {
     BadHeader(String),
     /// The stream's parameters do not match the network architecture.
     ArchitectureMismatch(String),
-    /// The weight stream is truncated or fails its checksum.
+    /// No copy of the checkpoint passes the `drq-store` frame check
+    /// (truncated, bit-rotted, or unframed), or its payload ends early or
+    /// carries trailing bytes.
     CorruptCheckpoint {
-        /// What was corrupt (truncation point, checksum mismatch, ...).
+        /// Which check failed (the store's rejection reasons, ...).
         detail: String,
     },
     /// A layer constructor was given invalid hyperparameters.

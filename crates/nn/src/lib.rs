@@ -59,8 +59,5 @@ pub use optimizer::Sgd;
 pub use pool::{Pool2d, PoolKind};
 pub use relu::ReLU;
 pub use schedule::LrSchedule;
-pub use serialize::{
-    load_weights, load_weights_durable, load_weights_verified, save_weights,
-    save_weights_durable, DurableWeights, LoadWeightsError,
-};
+pub use serialize::{load_weights_durable, save_weights_durable, DurableWeights};
 pub use residual::ResidualBlock;

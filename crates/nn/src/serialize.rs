@@ -1,212 +1,73 @@
 //! Saving and loading network weights.
 //!
-//! A deliberately simple, dependency-free binary format: the architecture
-//! is *not* serialized (it is code), only the parameter tensors, written in
-//! the stable `visit_params` order. Loading into a freshly constructed
-//! network of the same architecture restores the trained model — which is
-//! how the examples avoid retraining stand-ins on every run.
+//! Weights persist only through the crash-safe `drq-store`:
+//! [`save_weights_durable`] commits a generation-framed checkpoint and
+//! [`load_weights_durable`] reads it back, falling back to the previous
+//! generation when the primary is truncated or bit-rotted. The store frame
+//! is the one integrity layer; its CRC32 covers every payload byte.
 //!
-//! Format (little-endian):
+//! The payload is a deliberately simple, dependency-free binary codec: the
+//! architecture is *not* serialized (it is code), only the parameter
+//! tensors, written in the stable `visit_params` order. Loading into a
+//! freshly constructed network of the same architecture restores the
+//! trained model. Layout (little-endian):
 //!
 //! ```text
 //! magic  u32 = 0x4452_5157  ("DRQW")
-//! version u32 = 2
+//! version u32 = 3
 //! param_count u32
 //! per parameter:
 //!   rank u32, dims [u32; rank], data [f32; product(dims)]
-//! crc32 u32   (IEEE, over every preceding byte; absent in version 1)
 //! ```
 //!
-//! Version 1 files (no checksum footer) remain loadable; [`load_weights`]
-//! prints a "no checksum" warning to stderr for them, and
-//! [`load_weights_verified`] reports whether the stream was actually
-//! verified. Truncated or bit-flipped streams surface as the typed
-//! [`NnError::CorruptCheckpoint`] instead of panicking or silently loading
-//! garbage.
+//! Versions 1 and 2 (bare files with and without a CRC32 footer) predate
+//! the store and are rejected as [`NnError::BadHeader`]; save them again.
 
 use crate::{Network, NnError};
 use drq_store::{ArtifactStore, Storage, StoreError};
-use std::io::{self, Read, Write};
+use std::io::Read;
 
 const MAGIC: u32 = 0x4452_5157;
-const VERSION: u32 = 2;
-const LEGACY_VERSION: u32 = 1;
+const VERSION: u32 = 3;
 
-/// Error loading weights.
-///
-/// Historical alias kept for source compatibility: weight-loading errors
-/// are now the crate-wide [`NnError`].
-pub type LoadWeightsError = NnError;
-
-/// Running CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`).
-///
-/// Bitwise implementation — no table — because checkpoint streams are
-/// megabytes at most and this keeps the format dependency-free.
-#[derive(Debug, Clone, Copy)]
-struct Crc32 {
-    state: u32,
-}
-
-impl Crc32 {
-    fn new() -> Self {
-        Self { state: 0xFFFF_FFFF }
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (self.state & 1).wrapping_neg();
-                self.state = (self.state >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-    }
-
-    fn finish(self) -> u32 {
-        !self.state
-    }
-}
-
-/// Writer adapter that checksums every byte it forwards.
-struct CrcWriter<W: Write> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Reader adapter that checksums every byte it yields.
-struct CrcReader<R: Read> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-}
-
-fn write_u32(w: &mut dyn Write, v: u32) -> io::Result<()> {
-    w.write_all(&v.to_le_bytes())
-}
-
-fn read_u32(r: &mut dyn Read) -> io::Result<u32> {
+fn read_u32(r: &mut &[u8]) -> Result<u32, NnError> {
     let mut buf = [0u8; 4];
     r.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))
 }
 
-/// Writes all trainable parameters of `net` to `out`, followed by a CRC32
-/// footer over the whole stream.
-///
-/// A `&mut` reference can be passed for `out` (see `std::io::Write`).
-///
-/// # Errors
-///
-/// Returns any underlying I/O error.
-///
-/// # Examples
-///
-/// ```
-/// use drq_nn::{save_weights, load_weights, Layer, Linear, Network};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut a = Network::new(vec![Layer::from(Linear::new(2, 2, 1))]);
-/// let mut bytes = Vec::new();
-/// save_weights(&mut a, &mut bytes)?;
-/// let mut b = Network::new(vec![Layer::from(Linear::new(2, 2, 99))]);
-/// load_weights(&mut b, &mut bytes.as_slice())?;
-/// assert_eq!(a, b);
-/// # Ok(())
-/// # }
-/// ```
-pub fn save_weights<W: Write>(net: &mut Network, out: W) -> io::Result<()> {
-    let mut out = CrcWriter {
-        inner: out,
-        crc: Crc32::new(),
-    };
-    // First pass: count parameters.
+/// Encodes all trainable parameters of `net` as a `DRQW` payload.
+fn encode(net: &mut Network) -> Vec<u8> {
     let mut count = 0u32;
     net.visit_params(&mut |_, _| count += 1);
-    write_u32(&mut out, MAGIC)?;
-    write_u32(&mut out, VERSION)?;
-    write_u32(&mut out, count)?;
-    let mut result = Ok(());
-    net.visit_params(&mut |param, _| {
-        if result.is_err() {
-            return;
-        }
-        result = (|| -> io::Result<()> {
-            write_u32(&mut out, param.rank() as u32)?;
-            for &d in param.shape() {
-                write_u32(&mut out, d as u32)?;
-            }
-            for &v in param.as_slice() {
-                out.write_all(&v.to_le_bytes())?;
-            }
-            Ok(())
-        })();
-    });
-    result?;
-    // The footer itself is not part of the checksummed region.
-    let footer = out.crc.finish();
-    out.inner.write_all(&footer.to_le_bytes())
-}
-
-/// Loads parameters saved by [`save_weights`] into `net`, which must have
-/// the same architecture (parameter count and shapes).
-///
-/// Version-2 streams have their CRC32 footer verified; version-1 (legacy)
-/// streams load with a "no checksum" warning on stderr. Use
-/// [`load_weights_verified`] to observe which path was taken.
-///
-/// # Errors
-///
-/// Returns [`NnError`] on I/O failure, a malformed stream, a corrupt or
-/// truncated checkpoint, or a parameter-shape mismatch. On error the
-/// network may be partially updated.
-pub fn load_weights<R: Read>(net: &mut Network, input: R) -> Result<(), NnError> {
-    let verified = load_weights_verified(net, input)?;
-    if !verified {
-        eprintln!(
-            "warning: legacy v1 weight stream has no checksum; \
-             corruption cannot be detected (re-save to upgrade)"
-        );
+    let mut out = Vec::new();
+    for word in [MAGIC, VERSION, count] {
+        out.extend_from_slice(&word.to_le_bytes());
     }
-    Ok(())
+    net.visit_params(&mut |param, _| {
+        out.extend_from_slice(&(param.rank() as u32).to_le_bytes());
+        for &d in param.shape() {
+            out.extend_from_slice(&(d as u32).to_le_bytes());
+        }
+        for &v in param.as_slice() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    });
+    out
 }
 
-/// Like [`load_weights`], but returns whether the stream carried a CRC32
-/// footer that was verified (`true` for version 2, `false` for legacy
-/// version 1) and never prints a warning itself.
-///
-/// # Errors
-///
-/// Same as [`load_weights`].
-pub fn load_weights_verified<R: Read>(net: &mut Network, input: R) -> Result<bool, NnError> {
-    let mut input = CrcReader {
-        inner: input,
-        crc: Crc32::new(),
-    };
+/// Decodes a `DRQW` payload into `net`, which must have the same
+/// architecture (parameter count and shapes). On error the network may be
+/// partially updated.
+fn decode(net: &mut Network, mut input: &[u8]) -> Result<(), NnError> {
     if read_u32(&mut input)? != MAGIC {
         return Err(NnError::BadHeader("wrong magic".to_string()));
     }
     let version = read_u32(&mut input)?;
-    if version != VERSION && version != LEGACY_VERSION {
-        return Err(NnError::BadHeader(format!("unsupported version {version}")));
+    if version != VERSION {
+        return Err(NnError::BadHeader(format!(
+            "unsupported version {version} (want {VERSION}; re-save older weight files)"
+        )));
     }
     let stored = read_u32(&mut input)? as usize;
     let mut expected = 0usize;
@@ -248,39 +109,20 @@ pub fn load_weights_verified<R: Read>(net: &mut Network, input: R) -> Result<boo
         index += 1;
     });
     result?;
-    if version == LEGACY_VERSION {
-        return Ok(false);
-    }
-    // Snapshot the running checksum *before* consuming the footer bytes.
-    let computed = input.crc.finish();
-    let mut footer = [0u8; 4];
-    input.inner.read_exact(&mut footer).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            NnError::CorruptCheckpoint {
-                detail: "truncated stream: missing crc32 footer".to_string(),
-            }
-        } else {
-            NnError::from(e)
-        }
-    })?;
-    let stored_crc = u32::from_le_bytes(footer);
-    if stored_crc != computed {
+    if !input.is_empty() {
         return Err(NnError::CorruptCheckpoint {
-            detail: format!("crc32 mismatch: stored {stored_crc:#010x}, computed {computed:#010x}"),
+            detail: format!("{} trailing bytes after the last parameter", input.len()),
         });
     }
-    Ok(true)
+    Ok(())
 }
 
-/// Provenance of a [`load_weights_durable`] call: where the checkpoint
-/// came from and how strongly it was validated.
+/// Provenance of a [`load_weights_durable`] call: which generation the
+/// checkpoint came from and whether it had to be salvaged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurableWeights {
-    /// Store generation the weights came from (`0` for a legacy bare
-    /// `DRQW` file written before the artifact store existed).
+    /// Store generation the weights came from.
     pub generation: u64,
-    /// Whether the `DRQW` stream carried a verified CRC32 footer.
-    pub verified: bool,
     /// `Some(why)` when the primary checkpoint was rejected and the
     /// weights were salvaged from the previous generation.
     pub salvaged: Option<String>,
@@ -298,49 +140,58 @@ fn store_err(e: StoreError) -> NnError {
 /// Saves `net`'s weights as the next generation of the framed checkpoint
 /// at `path` in `store`, returning the committed generation.
 ///
-/// Unlike `save_weights(&mut net, &mut File::create(path)?)`, a failure
-/// anywhere — serialization, disk full, crash — leaves the previous
-/// checkpoint intact and loadable: the stream is fully serialized in
-/// memory first and then committed atomically with rotation to
-/// `<path>.prev`.
+/// A failure anywhere — disk full, crash — leaves the previous checkpoint
+/// intact and loadable: the payload is fully encoded in memory first and
+/// then committed atomically with rotation to `<path>.prev`.
 ///
 /// # Errors
 ///
-/// [`NnError::Io`] when serialization or the store commit fails; on error
-/// nothing at `path` has changed.
+/// [`NnError::Io`] when the store commit fails; on error nothing at `path`
+/// has changed.
+///
+/// # Examples
+///
+/// ```
+/// use drq_nn::{load_weights_durable, save_weights_durable, Layer, Linear, Network};
+/// use drq_store::{ArtifactStore, MemStorage};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let store = ArtifactStore::new(MemStorage::new());
+/// let mut a = Network::new(vec![Layer::from(Linear::new(2, 2, 1))]);
+/// save_weights_durable(&mut a, &store, "w.bin")?;
+/// let mut b = Network::new(vec![Layer::from(Linear::new(2, 2, 99))]);
+/// load_weights_durable(&mut b, &store, "w.bin")?;
+/// assert_eq!(a, b);
+/// # Ok(())
+/// # }
+/// ```
 pub fn save_weights_durable<S: Storage>(
     net: &mut Network,
     store: &ArtifactStore<S>,
     path: &str,
 ) -> Result<u64, NnError> {
-    let mut bytes = Vec::new();
-    save_weights(net, &mut bytes)?;
-    store.commit(path, &bytes).map_err(store_err)
+    store.commit(path, &encode(net)).map_err(store_err)
 }
 
 /// Loads weights from the framed checkpoint at `path` in `store` into
 /// `net`, falling back to the previous generation when the primary is
-/// corrupt and accepting legacy bare `DRQW` files written before the
-/// store existed (reported as `generation: 0`).
+/// missing, corrupt, or not a store frame at all.
 ///
 /// # Errors
 ///
 /// [`NnError::Io`] when nothing exists at `path`,
-/// [`NnError::CorruptCheckpoint`] when no copy validates, and the usual
-/// [`load_weights_verified`] errors when the recovered stream does not
-/// match `net`'s architecture.
+/// [`NnError::CorruptCheckpoint`] when no copy validates,
+/// [`NnError::BadHeader`] for a payload that is not a current `DRQW`
+/// stream, and [`NnError::ArchitectureMismatch`] when the recovered
+/// weights do not fit `net`.
 pub fn load_weights_durable<S: Storage>(
     net: &mut Network,
     store: &ArtifactStore<S>,
     path: &str,
 ) -> Result<DurableWeights, NnError> {
-    let outcome = store.load_or_legacy(path).map_err(store_err)?;
-    let verified = load_weights_verified(net, outcome.payload.as_slice())?;
-    Ok(DurableWeights {
-        generation: outcome.generation,
-        verified,
-        salvaged: outcome.salvaged,
-    })
+    let outcome = store.load(path).map_err(store_err)?;
+    decode(net, &outcome.payload)?;
+    Ok(DurableWeights { generation: outcome.generation, salvaged: outcome.salvaged })
 }
 
 #[cfg(test)]
@@ -361,13 +212,17 @@ mod tests {
         ])
     }
 
+    fn mem_store() -> (ArtifactStore<MemStorage>, MemStorage) {
+        let mem = MemStorage::new();
+        (ArtifactStore::new(mem.clone()), mem)
+    }
+
     #[test]
     fn round_trip_restores_exact_weights_and_outputs() {
         let mut a = sample_net(11);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
+        let bytes = encode(&mut a);
         let mut b = sample_net(999); // different init
-        load_weights(&mut b, &mut bytes.as_slice()).unwrap();
+        decode(&mut b, &bytes).unwrap();
         let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i as f32 * 0.11).sin());
         let ya = a.forward(&x, false);
         let yb = b.forward(&x, false);
@@ -375,127 +230,73 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_reports_verified_checksum() {
-        let mut a = sample_net(4);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        let mut b = sample_net(5);
-        assert!(load_weights_verified(&mut b, &mut bytes.as_slice()).unwrap());
+    fn rejects_wrong_magic() {
+        let mut net = sample_net(1);
+        let err = decode(&mut net, &[0u8; 64]).unwrap_err();
+        assert!(matches!(err, NnError::BadHeader(_)));
     }
 
     #[test]
-    fn rejects_wrong_magic() {
-        let mut net = sample_net(1);
-        let bytes = vec![0u8; 64];
-        let err = load_weights(&mut net, &mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, LoadWeightsError::BadHeader(_)));
+    fn rejects_pre_store_v1_and_v2_streams_as_bad_header() {
+        let mut a = sample_net(21);
+        let mut bytes = encode(&mut a);
+        for old in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&old.to_le_bytes());
+            let mut b = sample_net(22);
+            match decode(&mut b, &bytes).unwrap_err() {
+                NnError::BadHeader(m) => assert!(m.contains(&format!("version {old}")), "{m}"),
+                other => panic!("expected BadHeader for v{old}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn rejects_architecture_mismatch() {
         let mut a = sample_net(1);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
+        let bytes = encode(&mut a);
         // Different FC width.
         let mut b = Network::new(vec![Layer::from(Linear::new(4, 4, 1))]);
-        let err = load_weights(&mut b, &mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, LoadWeightsError::ArchitectureMismatch(_)));
+        let err = decode(&mut b, &bytes).unwrap_err();
+        assert!(matches!(err, NnError::ArchitectureMismatch(_)));
     }
 
     #[test]
-    fn rejects_truncated_stream_as_corrupt() {
+    fn rejects_truncated_and_overlong_streams_as_corrupt() {
         let mut a = sample_net(2);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        bytes.truncate(bytes.len() / 2);
+        let bytes = encode(&mut a);
         let mut b = sample_net(3);
-        let err = load_weights(&mut b, &mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, NnError::CorruptCheckpoint { .. }));
-    }
-
-    #[test]
-    fn rejects_missing_footer_as_corrupt() {
-        let mut a = sample_net(2);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        bytes.truncate(bytes.len() - 1); // clip into the crc32 footer
-        let mut b = sample_net(3);
-        let err = load_weights(&mut b, &mut bytes.as_slice()).unwrap_err();
-        match err {
-            NnError::CorruptCheckpoint { detail } => assert!(detail.contains("footer")),
-            other => panic!("expected CorruptCheckpoint, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn rejects_bit_flip_as_corrupt() {
-        let mut a = sample_net(7);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        // Flip one bit in the middle of the parameter data.
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
-        let mut b = sample_net(8);
-        let err = load_weights(&mut b, &mut bytes.as_slice()).unwrap_err();
-        match err {
-            NnError::CorruptCheckpoint { detail } => assert!(detail.contains("crc32 mismatch")),
-            other => panic!("expected CorruptCheckpoint, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn legacy_v1_stream_loads_without_checksum() {
-        let mut a = sample_net(21);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        // Rewrite as a v1 stream: patch the version field, drop the footer.
-        bytes[4..8].copy_from_slice(&LEGACY_VERSION.to_le_bytes());
-        bytes.truncate(bytes.len() - 4);
-        let mut b = sample_net(22);
-        let verified = load_weights_verified(&mut b, &mut bytes.as_slice()).unwrap();
-        assert!(!verified);
-        let x = Tensor::from_fn(&[1, 1, 8, 8], |i| (i as f32 * 0.07).cos());
-        assert_eq!(
-            a.forward(&x, false).as_slice(),
-            b.forward(&x, false).as_slice()
-        );
+        let err = decode(&mut b, &bytes[..bytes.len() / 2]).unwrap_err();
+        assert!(matches!(err, NnError::CorruptCheckpoint { .. }), "{err:?}");
+        let mut long = bytes.clone();
+        long.push(0);
+        let err = decode(&mut b, &long).unwrap_err();
+        assert!(matches!(err, NnError::CorruptCheckpoint { .. }), "{err:?}");
     }
 
     #[test]
     fn header_is_stable() {
         let mut a = Network::new(vec![Layer::from(Linear::new(1, 1, 1))]);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
+        let bytes = encode(&mut a);
         assert_eq!(&bytes[0..4], &MAGIC.to_le_bytes());
-        assert_eq!(&bytes[4..8], &VERSION.to_le_bytes());
+        assert_eq!(&bytes[4..8], &3u32.to_le_bytes());
         assert_eq!(&bytes[8..12], &2u32.to_le_bytes()); // weight + bias
     }
 
     #[test]
-    fn crc32_matches_ieee_check_value() {
-        // The canonical CRC-32/IEEE check: crc32(b"123456789") == 0xCBF43926.
-        let mut crc = Crc32::new();
-        crc.update(b"123456789");
-        assert_eq!(crc.finish(), 0xCBF4_3926);
-    }
-
-    #[test]
     fn durable_save_load_round_trips_with_generations() {
-        let mem = MemStorage::new();
-        let store = ArtifactStore::new(mem);
+        let (store, _mem) = mem_store();
         let mut a = sample_net(31);
         assert_eq!(save_weights_durable(&mut a, &store, "w.bin").unwrap(), 1);
         assert_eq!(save_weights_durable(&mut a, &store, "w.bin").unwrap(), 2);
         let mut b = sample_net(32);
         let info = load_weights_durable(&mut b, &store, "w.bin").unwrap();
-        assert_eq!(info, DurableWeights { generation: 2, verified: true, salvaged: None });
+        assert_eq!(info, DurableWeights { generation: 2, salvaged: None });
         assert_eq!(a, b);
     }
 
     #[test]
     fn durable_load_salvages_previous_generation_from_a_torn_primary() {
-        let mem = MemStorage::new();
-        let store = ArtifactStore::new(mem.clone());
+        let (store, mem) = mem_store();
         let mut a = sample_net(41);
         save_weights_durable(&mut a, &store, "w.bin").unwrap();
         save_weights_durable(&mut a, &store, "w.bin").unwrap();
@@ -504,29 +305,58 @@ mod tests {
         let mut b = sample_net(42);
         let info = load_weights_durable(&mut b, &store, "w.bin").unwrap();
         assert_eq!(info.generation, 1);
-        assert!(info.verified);
         assert!(info.salvaged.is_some());
         assert_eq!(a, b);
     }
 
     #[test]
-    fn durable_load_accepts_legacy_bare_drqw_files() {
-        let mem = MemStorage::new();
-        let mut a = sample_net(51);
-        let mut bytes = Vec::new();
-        save_weights(&mut a, &mut bytes).unwrap();
-        mem.put("w.bin", bytes); // written before the store existed
-        let store = ArtifactStore::new(mem);
-        let mut b = sample_net(52);
+    fn durable_load_rejects_a_payload_bit_flip_and_salvages_from_prev() {
+        let (store, mem) = mem_store();
+        let mut a = sample_net(7);
+        save_weights_durable(&mut a, &store, "w.bin").unwrap();
+        // Flip one bit in the middle of the parameter data.
+        let mut flipped = mem.read("w.bin").unwrap();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x10;
+        mem.put("w.bin", flipped.clone());
+        let mut b = sample_net(8);
+        match load_weights_durable(&mut b, &store, "w.bin").unwrap_err() {
+            NnError::CorruptCheckpoint { detail } => assert!(detail.contains("crc32"), "{detail}"),
+            other => panic!("expected CorruptCheckpoint, got {other:?}"),
+        }
+        // With a good previous generation, the same flip is salvaged.
+        save_weights_durable(&mut a, &store, "w.bin").unwrap();
+        save_weights_durable(&mut a, &store, "w.bin").unwrap();
+        let mut flipped = mem.read("w.bin").unwrap();
+        flipped[mid] ^= 0x10;
+        mem.put("w.bin", flipped);
         let info = load_weights_durable(&mut b, &store, "w.bin").unwrap();
-        assert_eq!(info, DurableWeights { generation: 0, verified: true, salvaged: None });
+        assert!(info.salvaged.is_some_and(|why| why.contains("crc32")));
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn durable_load_rejects_unframed_files_and_falls_back_to_prev() {
+        let (store, mem) = mem_store();
+        let mut a = sample_net(51);
+        mem.put("w.bin", encode(&mut a)); // a bare payload, never committed
+        let mut b = sample_net(52);
+        match load_weights_durable(&mut b, &store, "w.bin").unwrap_err() {
+            NnError::CorruptCheckpoint { detail } => assert!(detail.contains("unframed"), "{detail}"),
+            other => panic!("expected CorruptCheckpoint, got {other:?}"),
+        }
+        save_weights_durable(&mut a, &store, "w.bin").unwrap();
+        save_weights_durable(&mut a, &store, "w.bin").unwrap();
+        mem.put("w.bin", encode(&mut a));
+        let info = load_weights_durable(&mut b, &store, "w.bin").unwrap();
+        assert_eq!(info.generation, 1);
+        assert!(info.salvaged.is_some_and(|why| why.contains("unframed")));
         assert_eq!(a, b);
     }
 
     #[test]
     fn durable_load_maps_store_errors_onto_typed_nn_errors() {
-        let mem = MemStorage::new();
-        let store = ArtifactStore::new(mem.clone());
+        let (store, mem) = mem_store();
         let mut net = sample_net(61);
         let err = load_weights_durable(&mut net, &store, "none.bin").unwrap_err();
         assert!(matches!(err, NnError::Io(_)), "{err:?}");

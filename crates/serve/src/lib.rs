@@ -72,5 +72,4 @@ pub use protocol::{
 };
 pub use queue::Responder;
 pub use router::{RouterStats, ShardRouter};
-pub use server::InferenceBackend;
 pub use shed::{ShedMachine, ShedPolicy, ShedState};

@@ -1,12 +1,11 @@
-//! TCP and stdio front-ends over the [`ServeEngine`].
+//! TCP and stdio front-ends over the [`ShardRouter`].
 //!
 //! Both speak the line-delimited JSON protocol of [`crate::protocol`]:
 //! each request line — valid, malformed, or a shutdown command — produces
 //! exactly one response line on the connection (or stdout) it arrived on.
 
-use crate::engine::{DrainReport, ServeEngine};
-use crate::protocol::{parse_request, InferRequest, Outcome, RequestBody, Response};
-use crate::queue::Responder;
+use crate::engine::DrainReport;
+use crate::protocol::{parse_request, Outcome, RequestBody, Response};
 use crate::router::ShardRouter;
 use drq_telemetry::counter_add;
 use std::io::{self, BufRead, BufReader, Write};
@@ -24,36 +23,6 @@ fn write_response<W: Write>(writer: &Mutex<W>, response: &Response) {
     let _ = w.flush();
 }
 
-/// A request sink the line-protocol front-ends serve against — a single
-/// [`ServeEngine`], or a [`ShardRouter`] spreading the same protocol over
-/// many worker engines. Front-ends take `Arc<dyn InferenceBackend>`, so
-/// `drq serve --workers N` swaps the router in without touching them.
-pub trait InferenceBackend: Send + Sync {
-    /// Submits one request; the responder fires exactly once.
-    fn submit(&self, request: InferRequest, respond: Responder);
-    /// Stops admissions, drains within `drain_ms` wall milliseconds, and
-    /// returns the drain report.
-    fn shutdown(&self, drain_ms: u64) -> DrainReport;
-}
-
-impl InferenceBackend for ServeEngine {
-    fn submit(&self, request: InferRequest, respond: Responder) {
-        ServeEngine::submit(self, request, respond);
-    }
-    fn shutdown(&self, drain_ms: u64) -> DrainReport {
-        ServeEngine::shutdown(self, drain_ms)
-    }
-}
-
-impl InferenceBackend for ShardRouter {
-    fn submit(&self, request: InferRequest, respond: Responder) {
-        ShardRouter::submit(self, request, respond);
-    }
-    fn shutdown(&self, drain_ms: u64) -> DrainReport {
-        ShardRouter::shutdown(self, drain_ms)
-    }
-}
-
 /// Shutdown coordination shared between connection handlers and the
 /// accept loop.
 struct ShutdownCtl {
@@ -64,7 +33,7 @@ struct ShutdownCtl {
 /// A bound TCP server. Bind first (so the caller can learn the ephemeral
 /// port), then [`TcpServer::run`] until a shutdown request arrives.
 pub struct TcpServer {
-    engine: Arc<dyn InferenceBackend>,
+    router: Arc<ShardRouter>,
     listener: TcpListener,
     ctl: Arc<ShutdownCtl>,
 }
@@ -75,10 +44,10 @@ impl TcpServer {
     /// # Errors
     ///
     /// Returns the underlying I/O error if the address cannot be bound.
-    pub fn bind(engine: Arc<dyn InferenceBackend>, addr: &str) -> io::Result<Self> {
+    pub fn bind(router: Arc<ShardRouter>, addr: &str) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         Ok(Self {
-            engine,
+            router,
             listener,
             ctl: Arc::new(ShutdownCtl {
                 requested: AtomicBool::new(false),
@@ -97,7 +66,7 @@ impl TcpServer {
     }
 
     /// Accepts connections until a client sends `{"kind":"shutdown"}`,
-    /// then drains the engine and returns its report.
+    /// then drains every worker and returns the aggregate report.
     pub fn run(self) -> DrainReport {
         let addr = self.listener.local_addr().ok();
         for stream in self.listener.incoming() {
@@ -105,7 +74,7 @@ impl TcpServer {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            let engine = Arc::clone(&self.engine);
+            let router = Arc::clone(&self.router);
             let ctl = Arc::clone(&self.ctl);
             let listen_addr = addr;
             // Handlers are detached: one stalled client must not block the
@@ -113,16 +82,16 @@ impl TcpServer {
             // its own when the read returns EOF.
             let _ = thread::Builder::new()
                 .name("drq-serve-conn".to_string())
-                .spawn(move || handle_connection(engine, ctl, stream, listen_addr));
+                .spawn(move || handle_connection(router, ctl, stream, listen_addr));
         }
         let drain_ms = self.ctl.drain_ms.load(Ordering::SeqCst);
-        self.engine.shutdown(drain_ms)
+        self.router.shutdown(drain_ms)
     }
 }
 
 /// One connection: read request lines, answer each with one response line.
 fn handle_connection(
-    engine: Arc<dyn InferenceBackend>,
+    router: Arc<ShardRouter>,
     ctl: Arc<ShutdownCtl>,
     stream: TcpStream,
     listen_addr: Option<SocketAddr>,
@@ -134,7 +103,7 @@ fn handle_connection(
     let reader = BufReader::new(read_half);
     for line in reader.lines() {
         let Ok(line) = line else { break };
-        if dispatch_line(&engine, &line, &writer) == LineVerdict::Shutdown {
+        if dispatch_line(&router, &line, &writer) == LineVerdict::Shutdown {
             let drain_ms = match parse_request(&line) {
                 Ok(RequestBody::Shutdown { drain_ms }) => drain_ms,
                 _ => 1_000,
@@ -163,7 +132,7 @@ enum LineVerdict {
 /// line to `writer` (now, for malformed lines and shutdown acks; later,
 /// from a worker, for admitted inferences).
 fn dispatch_line<W: Write + Send + 'static>(
-    engine: &Arc<dyn InferenceBackend>,
+    router: &ShardRouter,
     line: &str,
     writer: &Arc<Mutex<W>>,
 ) -> LineVerdict {
@@ -188,7 +157,7 @@ fn dispatch_line<W: Write + Send + 'static>(
         }
         Ok(RequestBody::Infer(request)) => {
             let w = Arc::clone(writer);
-            engine.submit(
+            router.submit(
                 request,
                 Box::new(move |response| write_response(&w, &response)),
             );
@@ -198,14 +167,14 @@ fn dispatch_line<W: Write + Send + 'static>(
 }
 
 /// Serves the protocol over stdin/stdout: reads request lines until EOF
-/// or a shutdown command, then drains the engine.
-pub fn serve_stdio(engine: Arc<dyn InferenceBackend>) -> DrainReport {
-    serve_lines(engine, io::stdin().lock(), io::stdout())
+/// or a shutdown command, then drains every worker.
+pub fn serve_stdio(router: Arc<ShardRouter>) -> DrainReport {
+    serve_lines(router, io::stdin().lock(), io::stdout())
 }
 
 /// Generic line-stream front-end (the stdio path, and directly testable).
 pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
-    engine: Arc<dyn InferenceBackend>,
+    router: Arc<ShardRouter>,
     reader: R,
     writer: W,
 ) -> DrainReport {
@@ -213,14 +182,14 @@ pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
     let mut drain_ms = 1_000u64;
     for line in reader.lines() {
         let Ok(line) = line else { break };
-        if dispatch_line(&engine, &line, &writer) == LineVerdict::Shutdown {
+        if dispatch_line(&router, &line, &writer) == LineVerdict::Shutdown {
             if let Ok(RequestBody::Shutdown { drain_ms: ms }) = parse_request(&line) {
                 drain_ms = ms;
             }
             break;
         }
     }
-    engine.shutdown(drain_ms)
+    router.shutdown(drain_ms)
 }
 
 #[cfg(test)]
@@ -244,7 +213,7 @@ mod tests {
 
     #[test]
     fn every_line_gets_exactly_one_response() {
-        let engine = ServeEngine::start(ServeConfig {
+        let router = ShardRouter::start(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         });
@@ -256,7 +225,7 @@ mod tests {
             "{\"kind\":\"shutdown\",\"drain_ms\":2000}\n",
         );
         let buf = Arc::new(Mutex::new(Vec::new()));
-        let report = serve_lines(engine, Cursor::new(input), SharedBuf(Arc::clone(&buf)));
+        let report = serve_lines(router, Cursor::new(input), SharedBuf(Arc::clone(&buf)));
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4, "4 non-blank request lines -> 4 responses:\n{out}");

@@ -15,11 +15,10 @@
 //!   gates keep working unchanged.
 //! * **Generational framed commits.** [`ArtifactStore::commit`] wraps the
 //!   payload in a text-safe frame — a header line carrying a generation
-//!   number and the payload length, then the payload, then a CRC32 footer
-//!   (the same IEEE CRC32 the `drq-nn` checkpoint footer uses, text-encoded
-//!   here) — and rotates the previous good generation to `<path>.prev`
-//!   before renaming the new frame into place. A corrupt or truncated
-//!   primary is detected by frame/CRC validation and
+//!   number and the payload length, then the payload, then a text-encoded
+//!   IEEE CRC32 footer — and rotates the previous good generation to
+//!   `<path>.prev` before renaming the new frame into place. A corrupt or
+//!   truncated primary is detected by frame/CRC validation and
 //!   [`ArtifactStore::load`] falls back to the previous generation,
 //!   reporting exactly what was salvaged. Checkpoints that must survive
 //!   crashes *and* bit rot (Pareto search state, trained weights) use this
@@ -65,6 +64,4 @@ pub use faults::{
     FaultyStorage, IoFaultCounters, IoFaultPlan, IoFaultRule, IoFaultSite,
 };
 pub use storage::{FsStorage, MemStorage, Storage};
-pub use store::{
-    crc32, ArtifactStore, LoadOutcome, StoreError, FRAME_PREFIX, PREV_SUFFIX, TMP_SUFFIX,
-};
+pub use store::{ArtifactStore, LoadOutcome, StoreError, PREV_SUFFIX, TMP_SUFFIX};

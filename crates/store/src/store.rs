@@ -12,11 +12,11 @@
 //! {"crc32":C}\n
 //! ```
 //!
-//! `C` is the IEEE CRC32 (reflected, polynomial `0xEDB88320` — the same
-//! checksum the `drq-nn` weight footer uses) over **every byte preceding
-//! the footer line**, i.e. the header line, the payload, and the separator
-//! newline. A truncation at any byte offset, a flipped bit, or a wrong
-//! length all fail validation with a message saying which check tripped.
+//! `C` is the IEEE CRC32 (reflected, polynomial `0xEDB88320`) over
+//! **every byte preceding the footer line**, i.e. the header line, the
+//! payload, and the separator newline. A truncation at any byte offset, a
+//! flipped bit, a wrong length, or a file that is not a frame at all
+//! (unframed) fails validation with a message saying which check tripped.
 //!
 //! # Commit protocol
 //!
@@ -36,9 +36,8 @@
 use crate::storage::{FsStorage, Storage};
 use drq_telemetry::{counter_add, Json};
 
-/// First bytes of every framed artifact; anything else is a legacy
-/// (unframed) file.
-pub const FRAME_PREFIX: &[u8] = b"{\"store\":\"drq-store\"";
+/// First bytes of every framed artifact; anything else is unframed.
+const FRAME_PREFIX: &[u8] = b"{\"store\":\"drq-store\"";
 
 /// Suffix of the previous-generation rotation target.
 pub const PREV_SUFFIX: &str = ".prev";
@@ -50,9 +49,9 @@ pub const TMP_SUFFIX: &str = ".tmp";
 const STORE_VERSION: u64 = 1;
 
 /// IEEE CRC32 (reflected, polynomial `0xEDB88320`) over `bytes` — the
-/// checksum of the `drq-nn` weight footer, shared here so one algorithm
-/// covers every durable artifact.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// frame footer checksum, the one integrity check on every durable
+/// artifact.
+fn crc32(bytes: &[u8]) -> u32 {
     let mut state = 0xFFFF_FFFFu32;
     for &b in bytes {
         state ^= u32::from(b);
@@ -137,23 +136,17 @@ impl std::error::Error for StoreError {}
 pub struct LoadOutcome {
     /// The artifact payload, byte-exact as committed.
     pub payload: Vec<u8>,
-    /// The generation the payload came from (`0` for a legacy unframed
-    /// file accepted by [`ArtifactStore::load_or_legacy`]).
+    /// The generation the payload came from.
     pub generation: u64,
     /// `Some(why)` when the primary was rejected and the payload was
     /// salvaged from the previous generation; the string says exactly
     /// which validation check the primary failed.
     pub salvaged: Option<String>,
-    /// Whether the payload came from a CRC-validated frame (`false` only
-    /// for legacy unframed files).
-    pub framed: bool,
 }
 
 /// What probing one file found.
 enum Probe {
     Missing,
-    /// Exists but does not start with [`FRAME_PREFIX`].
-    Legacy(Vec<u8>),
     Valid {
         generation: u64,
         payload: Vec<u8>,
@@ -166,7 +159,6 @@ impl Probe {
     fn reject_reason(&self) -> String {
         match self {
             Probe::Missing => "missing".to_string(),
-            Probe::Legacy(_) => "unframed (legacy) file".to_string(),
             Probe::Corrupt(detail) => detail.clone(),
             Probe::Valid { .. } => unreachable!("valid probes are never rejected"),
         }
@@ -191,6 +183,9 @@ fn encode_frame(generation: u64, payload: &[u8]) -> Vec<u8> {
 
 /// Decodes and fully validates one frame.
 fn decode_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
+    if !bytes.starts_with(FRAME_PREFIX) {
+        return Err("unframed: does not start with a drq-store header".to_string());
+    }
     let header_end = bytes
         .iter()
         .position(|&b| b == b'\n')
@@ -204,22 +199,19 @@ fn decode_frame(bytes: &[u8]) -> Result<(u64, Vec<u8>), String> {
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("header missing integer {k:?}"))
     };
-    match header.get("store").and_then(Json::as_str) {
-        Some("drq-store") => {}
-        other => return Err(format!("header store tag is {other:?}, want \"drq-store\"")),
-    }
     let version = field("store_version")?;
     if version != STORE_VERSION {
         return Err(format!("unsupported store_version {version} (want {STORE_VERSION})"));
     }
     let generation = field("generation")?;
-    let payload_len = field("payload_len")? as usize;
+    let payload_len = field("payload_len")?;
     let payload_start = header_end + 1;
-    let body_end = payload_start + payload_len; // exclusive; separator follows
-    let have = bytes.len().saturating_sub(payload_start);
-    if have < payload_len {
+    // Compare before adding: a hostile length must not overflow.
+    let have = bytes.len() - payload_start;
+    if (have as u64) < payload_len {
         return Err(format!("truncated: {have} of {payload_len} payload bytes present"));
     }
+    let body_end = payload_start + payload_len as usize; // exclusive; separator follows
     if bytes.get(body_end) != Some(&b'\n') {
         return Err("payload not followed by the footer separator".to_string());
     }
@@ -342,7 +334,8 @@ impl<S: Storage> ArtifactStore<S> {
     }
 
     /// Loads the framed artifact at `path`, falling back to the previous
-    /// generation when the primary is missing or fails validation.
+    /// generation when the primary is missing or fails validation (an
+    /// unframed file fails it too).
     ///
     /// # Errors
     ///
@@ -352,41 +345,16 @@ impl<S: Storage> ArtifactStore<S> {
     /// * [`StoreError::Unrecoverable`] — both files exist, neither
     ///   validates; the message carries both rejection reasons.
     pub fn load(&self, path: &str) -> Result<LoadOutcome, StoreError> {
-        self.load_inner(path, false)
-    }
-
-    /// Like [`Self::load`], but an unframed file at `path` is accepted as
-    /// a legacy artifact: its raw bytes become the payload, with
-    /// `generation: 0` and `framed: false`. This keeps pre-store artifacts
-    /// (bare weight files, raw JSON checkpoints) loadable.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::load`].
-    pub fn load_or_legacy(&self, path: &str) -> Result<LoadOutcome, StoreError> {
-        self.load_inner(path, true)
-    }
-
-    fn load_inner(&self, path: &str, accept_legacy: bool) -> Result<LoadOutcome, StoreError> {
-        let primary = self.probe(path);
-        match primary {
+        match self.probe(path) {
             Probe::Valid { generation, payload } => {
-                Ok(LoadOutcome { payload, generation, salvaged: None, framed: true })
-            }
-            Probe::Legacy(bytes) if accept_legacy => {
-                Ok(LoadOutcome { payload: bytes, generation: 0, salvaged: None, framed: false })
+                Ok(LoadOutcome { payload, generation, salvaged: None })
             }
             rejected => {
                 let why = rejected.reject_reason();
                 match self.probe(&prev_path(path)) {
                     Probe::Valid { generation, payload } => {
                         counter_add!("store/fallbacks", 1);
-                        Ok(LoadOutcome {
-                            payload,
-                            generation,
-                            salvaged: Some(why),
-                            framed: true,
-                        })
+                        Ok(LoadOutcome { payload, generation, salvaged: Some(why) })
                     }
                     Probe::Missing => match rejected {
                         Probe::Missing => Err(StoreError::Missing { path: path.to_string() }),
@@ -411,9 +379,6 @@ impl<S: Storage> ArtifactStore<S> {
             Ok(b) => b,
             Err(e) => return Probe::Corrupt(format!("read failed: {e}")),
         };
-        if !bytes.starts_with(FRAME_PREFIX) {
-            return Probe::Legacy(bytes);
-        }
         match decode_frame(&bytes) {
             Ok((generation, payload)) => Probe::Valid { generation, payload },
             Err(detail) => Probe::Corrupt(detail),
@@ -548,16 +513,33 @@ mod tests {
     }
 
     #[test]
-    fn legacy_unframed_files_load_only_through_the_legacy_path() {
+    fn unframed_primary_is_rejected_and_falls_back_to_previous_generation() {
         let (store, mem) = mem_store();
-        mem.put("w.bin", b"\x57\x51\x52\x44raw legacy bytes".to_vec());
+        mem.put("w.bin", b"\x57\x51\x52\x44raw unframed bytes".to_vec());
         let err = store.load("w.bin").unwrap_err();
         assert!(matches!(err, StoreError::Corrupt { .. }), "{err:?}");
-        assert!(err.to_string().contains("legacy"), "{err}");
-        let got = store.load_or_legacy("w.bin").unwrap();
-        assert!(!got.framed);
-        assert_eq!(got.generation, 0);
-        assert_eq!(got.payload, b"\x57\x51\x52\x44raw legacy bytes");
+        assert!(err.to_string().contains("unframed"), "{err}");
+        store.commit("w.bin", b"one").unwrap();
+        store.commit("w.bin", b"two").unwrap();
+        mem.put("w.bin", b"{\"kind\":\"report\"}\n".to_vec());
+        let got = store.load("w.bin").unwrap();
+        assert_eq!((got.payload.as_slice(), got.generation), (b"one".as_slice(), 1));
+        assert!(got.salvaged.expect("fallback must report why").contains("unframed"));
+    }
+
+    #[test]
+    fn hostile_payload_len_is_a_typed_rejection_not_an_overflow() {
+        let (store, mem) = mem_store();
+        mem.put(
+            "h.json",
+            b"{\"store\":\"drq-store\",\"store_version\":1,\"generation\":1,\
+              \"payload_len\":18446744073709551615}\nx\n{\"crc32\":0}\n"
+                .to_vec(),
+        );
+        match store.load("h.json").unwrap_err() {
+            StoreError::Corrupt { detail, .. } => assert!(detail.contains("truncated"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -6,7 +6,8 @@
 
 use drq::core::{finetune_step, DrqConfig, DrqNetwork, RegionSize};
 use drq::models::{lenet5, train, Dataset, DatasetKind, TrainConfig};
-use drq::nn::{load_weights, save_weights, Sgd};
+use drq::nn::{load_weights_durable, save_weights_durable, Sgd};
+use drq::store::{ArtifactStore, MemStorage};
 
 fn drq_accuracy(net: &drq::nn::Network, cfg: DrqConfig, data: &Dataset) -> f64 {
     let mut drq = DrqNetwork::new(net.clone(), cfg);
@@ -45,12 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("DRQ accuracy after fine-tuning:                  {:.1}%", after * 100.0);
     assert!(after >= before, "fine-tuning should not hurt ({after} vs {before})");
 
-    // Persist and reload the adapted weights (the production workflow).
-    let mut bytes = Vec::new();
-    save_weights(&mut net, &mut bytes)?;
-    println!("saved {} bytes of weights", bytes.len());
+    // Persist and reload the adapted weights through the crash-safe store
+    // (`ArtifactStore::fs()` in production; in memory here).
+    let store = ArtifactStore::new(MemStorage::new());
+    let generation = save_weights_durable(&mut net, &store, "finetuned.bin")?;
+    println!("saved weights as generation {generation}");
     let mut restored = lenet5(99);
-    load_weights(&mut restored, &mut bytes.as_slice())?;
+    load_weights_durable(&mut restored, &store, "finetuned.bin")?;
     let reloaded = drq_accuracy(&restored, cfg, &eval_set);
     println!("DRQ accuracy after reload:                      {:.1}%", reloaded * 100.0);
     assert!((reloaded - after).abs() < 1e-9, "reload changed behaviour");

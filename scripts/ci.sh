@@ -423,5 +423,41 @@ printf '{"kind":"store_chaos","network":"%s","seed":%s,"checkpoint_every":%s,"ki
     > "$ARTIFACTS/store_chaos.json"
 cat "$ARTIFACTS/store_chaos.json"
 
+echo "== weight checkpoint round-trip (framed store, truncation fallback) =="
+# Trained weights persist only through the store frame. Two saves leave a
+# previous generation; a half-truncated primary must load from it with a
+# warning, and an unframed file must be a typed error (exit 1), not a
+# panic (exit 101).
+WEIGHTS="$ARTIFACTS/weights.bin"
+rm -f "$WEIGHTS" "$WEIGHTS.prev" "$WEIGHTS.tmp"
+for WEIGHTS_ROUND in 1 2; do
+    ./target/release/drq train --dataset digits --samples 40 --epochs 1 \
+        --out "$WEIGHTS" > /dev/null
+done
+./target/release/drq store --verify "$WEIGHTS"
+WEIGHTS_BYTES=$(wc -c < "$WEIGHTS")
+head -c "$((WEIGHTS_BYTES / 2))" "$WEIGHTS" > "$WEIGHTS.trunc"
+mv "$WEIGHTS.trunc" "$WEIGHTS"
+./target/release/drq eval --weights "$WEIGHTS" --dataset digits --samples 40 \
+    > /dev/null 2> "$ARTIFACTS/weights_eval.txt" || {
+    echo "drq eval could not salvage a truncated weight checkpoint:" >&2
+    cat "$ARTIFACTS/weights_eval.txt" >&2
+    exit 1
+}
+grep -q "was corrupt .* loaded previous generation" "$ARTIFACTS/weights_eval.txt" || {
+    echo "drq eval salvage warning missing:" >&2
+    cat "$ARTIFACTS/weights_eval.txt" >&2
+    exit 1
+}
+WEIGHTS_STATUS=0
+./target/release/drq eval --weights "$ARTIFACTS/sim_metrics.json" --dataset digits \
+    --samples 40 > /dev/null 2> "$ARTIFACTS/weights_unframed.txt" || WEIGHTS_STATUS=$?
+[ "$WEIGHTS_STATUS" -eq 1 ] || {
+    echo "drq eval on an unframed weight file exited $WEIGHTS_STATUS, want 1:" >&2
+    cat "$ARTIFACTS/weights_unframed.txt" >&2
+    exit 1
+}
+echo "weights: truncated primary salvaged from the previous generation, unframed file rejected"
+
 echo "== artifacts =="
 ls -l "$ARTIFACTS"

@@ -9,11 +9,10 @@
 use drq::serve::client::{run_load, ClientConfig};
 use drq::serve::server::TcpServer;
 use drq::serve::{
-    ExecMode, InferRequest, Outcome, Response, ServeConfig, ServeEngine, ServeError, ShedMachine,
-    ShedPolicy, ShedState,
+    ExecMode, InferRequest, Outcome, Response, ServeConfig, ServeEngine, ServeError, ShardRouter,
+    ShedMachine, ShedPolicy, ShedState,
 };
 use std::sync::mpsc;
-use std::sync::Arc;
 use std::thread;
 
 fn infer(id: &str, sample_seed: u64) -> InferRequest {
@@ -288,12 +287,12 @@ fn shutdown_hard_deadline_cancels_with_exactly_one_response() {
 /// the right buckets.
 #[test]
 fn tcp_soak_with_adversarial_mix_loses_nothing() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 2,
         capacity: 64,
         ..ServeConfig::default()
     });
-    let server = TcpServer::bind(Arc::clone(&engine) as Arc<_>, "127.0.0.1:0").expect("bind");
+    let server = TcpServer::bind(router, "127.0.0.1:0").expect("bind");
     let addr = server.local_addr().expect("local addr");
     let server_thread = thread::spawn(move || server.run());
 
@@ -337,11 +336,11 @@ fn tcp_soak_with_adversarial_mix_loses_nothing() {
 fn seeded_soak_is_deterministic() {
     let mut summaries = Vec::new();
     for _ in 0..2 {
-        let engine = ServeEngine::start(ServeConfig {
+        let router = ShardRouter::start(ServeConfig {
             workers: 1,
             ..ServeConfig::default()
         });
-        let server = TcpServer::bind(Arc::clone(&engine) as Arc<_>, "127.0.0.1:0").expect("bind");
+        let server = TcpServer::bind(router, "127.0.0.1:0").expect("bind");
         let addr = server.local_addr().expect("local addr");
         let server_thread = thread::spawn(move || server.run());
         let config = ClientConfig {
