@@ -4,20 +4,19 @@
 //! off: 4-bit computation percentage (higher is better), stall ratio in the
 //! systolic array (lower is better), and NN accuracy (higher is better).
 //! The paper finds an optimal point at a mid-range threshold; ours is
-//! selected the same way ([`drq::core::dse::best_point`]).
+//! selected the same way ([`drq_bench::best_point`]).
 //!
 //! 4-bit % and stall ratio come from simulating the full ResNet-18 topology;
 //! accuracy comes from the trained ResNet-8 stand-in at the same
 //! region/threshold configuration.
 
-use drq::core::dse::{best_point, SweepPoint};
 use drq::core::{DrqConfig, RegionSize};
 use drq::baselines::{evaluate_scheme, QuantScheme};
 use drq::models::zoo::{self, InputRes};
 use drq::models::{resnet8, train, Dataset, DatasetKind, TrainConfig};
 use drq::sim::ArchConfig;
 use drq::tensor::parallel;
-use drq_bench::{render_table, ObservabilityArgs, RunScale};
+use drq_bench::{best_point, render_table, sweep_report, ObservabilityArgs, RunScale, SweepPoint};
 
 fn main() {
     let scale = RunScale::from_env();
@@ -98,7 +97,7 @@ fn main() {
          codes on ours)."
     );
 
-    let mut report = drq::core::dse::sweep_report("threshold", &points);
+    let mut report = sweep_report("threshold", &points);
     report.push("network", topology.name.as_str()).push(
         "stall_ratios",
         drq::telemetry::Json::Array(

@@ -7,12 +7,12 @@
 //! 32×32 both hurt (noise-sensitive vs over-marking).
 
 use drq::baselines::{evaluate_scheme, QuantScheme};
-use drq::core::dse::sweep_regions_parallel;
 use drq::core::{DrqConfig, RegionSize};
 use drq::models::zoo::{self, InputRes};
 use drq::models::{resnet8, train, Dataset, DatasetKind, TrainConfig};
 use drq::sim::{ArchConfig, PredictorUnit};
-use drq_bench::{render_table, ObservabilityArgs, RunScale};
+use drq::tensor::parallel;
+use drq_bench::{render_table, sweep_report, ObservabilityArgs, RunScale, SweepPoint};
 
 fn main() {
     let scale = RunScale::from_env();
@@ -45,10 +45,11 @@ fn main() {
     let acc_threshold = 2.0;
     let base_storage = PredictorUnit::new(RegionSize::new(32, 32), 2).storage_bytes(fm_w) as f64;
 
-    // Region candidates are independent: the parallel sweep requires a
-    // side-effect-free evaluator, so each worker clones the trained
-    // stand-in. Results come back in input order.
-    let points = sweep_regions_parallel(sim_threshold, &regions, |r, _t| {
+    // Region candidates are independent, so they evaluate concurrently;
+    // each worker clones the trained stand-in (the evaluator must be
+    // side-effect free) and results come back in region order.
+    let points = parallel::par_map(regions.len(), |i| {
+        let r = regions[i];
         let accel = ArchConfig::builder().drq(DrqConfig::new(r, sim_threshold)).build();
         let sim = accel
             .session(&topology)
@@ -64,7 +65,12 @@ fn main() {
             20,
         )
         .accuracy;
-        (acc, sim.int4_fraction())
+        SweepPoint {
+            threshold: sim_threshold,
+            region: r,
+            accuracy: acc,
+            int4_fraction: sim.int4_fraction(),
+        }
     });
 
     let mut rows = Vec::new();
@@ -95,7 +101,7 @@ fn main() {
          4x4 needs more INT8 to absorb single-pixel noise."
     );
 
-    let mut report = drq::core::dse::sweep_report("region", &points);
+    let mut report = sweep_report("region", &points);
     report.push("network", topology.name.as_str());
     obs.write_report(report).expect("writing --metrics output");
 }

@@ -7,8 +7,8 @@
 //! percentage, then prints the chosen operating point next to the paper's.
 
 use drq::baselines::{evaluate_scheme, QuantScheme};
-use drq::core::dse::explore;
 use drq::core::{DrqConfig, RegionSize};
+use drq::dse::explore;
 use drq::models::zoo::InputRes;
 use drq::models::{resnet8, train, Dataset, DatasetKind, TrainConfig};
 use drq::sim::ArchConfig;

@@ -16,14 +16,12 @@ pub enum DrqError {
         /// What was wrong.
         detail: String,
     },
-    /// A retried operation kept failing until its attempt budget ran out.
-    RetriesExhausted {
-        /// What was being retried.
-        context: &'static str,
-        /// How many attempts were made.
-        attempts: u32,
-        /// Display text of the final failure.
-        last_error: String,
+    /// An evaluator could not score one design-space candidate.
+    EvaluationFailed {
+        /// The candidate's index in its space.
+        candidate: usize,
+        /// Display text of the evaluator's failure.
+        detail: String,
     },
 }
 
@@ -33,8 +31,8 @@ impl fmt::Display for DrqError {
             DrqError::InvalidConfig { context, detail } => {
                 write!(f, "{context}: {detail}")
             }
-            DrqError::RetriesExhausted { context, attempts, last_error } => {
-                write!(f, "{context}: gave up after {attempts} attempts: {last_error}")
+            DrqError::EvaluationFailed { candidate, detail } => {
+                write!(f, "candidate {candidate}: evaluation failed: {detail}")
             }
         }
     }
@@ -53,12 +51,7 @@ mod tests {
             detail: "region extents must be positive".into(),
         };
         assert_eq!(e.to_string(), "region size: region extents must be positive");
-        let e = DrqError::RetriesExhausted {
-            context: "dse sweep shard",
-            attempts: 3,
-            last_error: "evaluator diverged".into(),
-        };
-        assert!(e.to_string().contains("after 3 attempts"));
-        assert!(e.to_string().contains("evaluator diverged"));
+        let e = DrqError::EvaluationFailed { candidate: 7, detail: "evaluator diverged".into() };
+        assert_eq!(e.to_string(), "candidate 7: evaluation failed: evaluator diverged");
     }
 }

@@ -11,11 +11,12 @@
 //!   over insensitive ones (Section III-C), with exact INT4/INT8 MAC
 //!   accounting;
 //! * [`DrqNetwork`] — a wrapper that runs a `drq-nn` network with dynamic
-//!   per-image region quantization at every convolution;
-//! * [`dse`] — the design-space exploration of Section III-D (threshold and
-//!   region-size selection, including the deep-layer scaling rules of
-//!   Section VI-B2);
+//!   per-image region quantization at every convolution, including the
+//!   deep-layer scaling rules of Section VI-B2 ([`DrqConfig::for_layer`]);
 //! * [`segments`] — visualization of sensitive regions (Fig. 3).
+//!
+//! The Section III-D search for each network's region size and threshold
+//! lives in `drq-dse` (`drq_dse::explore`), beside the Pareto search.
 //!
 //! # Examples
 //!
@@ -39,7 +40,6 @@ mod config;
 mod drq_net;
 mod error;
 mod finetune;
-pub mod dse;
 mod mask;
 mod mixed_conv;
 mod predictor;

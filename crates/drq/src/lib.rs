@@ -6,13 +6,13 @@
 //!
 //! | Module | Contents |
 //! |---|---|
-//! | [`tensor`] | dense NCHW tensors, im2col, statistics |
+//! | [`tensor`] | dense NCHW tensors, im2col, percentiles |
 //! | [`nn`] | CNN layers, training, inference, conv taps |
 //! | [`quant`] | INT4/8/16 quantizers, segment noise, outlier-aware quant |
-//! | [`core`] | the DRQ algorithm: predictor, masks, mixed-precision conv, DSE |
+//! | [`core`] | the DRQ algorithm: predictor, masks, mixed-precision conv, fine-tuning |
 //! | [`models`] | the six paper topologies, synthetic datasets, stand-ins |
 //! | [`sim`] | cycle-accurate DRQ accelerator simulator + energy/area models |
-//! | [`dse`] | resumable Pareto-frontier design-space search over candidates |
+//! | [`dse`] | design-space exploration: the Section III-D loop and the resumable Pareto search |
 //! | [`baselines`] | Eyeriss, BitFusion, OLAccel models and quant schemes |
 //! | [`telemetry`] | metrics registry, span/event tracer, versioned report schema |
 //! | [`serve`] | batch-inference serving: admission control, deadlines, degradation |

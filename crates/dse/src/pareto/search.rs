@@ -8,8 +8,7 @@
 //!    strictly dominated by an existing front member, so no point inside
 //!    can reach the front (all `box.len()` candidates skipped unevaluated);
 //! 2. **evaluates** it — the box fits the batch size, so its candidates
-//!    are scored concurrently on the `drq_tensor::parallel` pool (each
-//!    under [`retry_with_backoff`] with a per-candidate jitter stream) and
+//!    are scored concurrently on the `drq_tensor::parallel` pool and
 //!    offered to the front in index order; or
 //! 3. **splits** it along its widest axis, the seed deciding which half is
 //!    explored first.
@@ -26,7 +25,6 @@
 
 use super::front::{FrontMember, Objectives, ParetoFront};
 use super::space::{Candidate, CandidateSpace};
-use drq_core::dse::{retry_with_backoff, RetryPolicy};
 use drq_core::DrqError;
 use drq_telemetry::{counter_add, Json, Report};
 use drq_tensor::parallel;
@@ -143,9 +141,8 @@ impl CandidateBox {
 /// Implementations must be [`Sync`]: one evaluator instance is shared by
 /// every pool worker of a leaf batch.
 pub trait CandidateEval: Sync {
-    /// Scores one candidate. Failures are retried under the search's
-    /// [`RetryPolicy`] before aborting the run with
-    /// [`DrqError::RetriesExhausted`].
+    /// Scores one candidate. A failure stops [`ParetoSearch::run`] with
+    /// [`DrqError::EvaluationFailed`].
     fn evaluate(&self, candidate: &Candidate) -> Result<Objectives, String>;
 
     /// An **optimistic** bound for `bx`: objectives at least as good, on
@@ -177,7 +174,6 @@ pub struct ParetoSearch {
     space: CandidateSpace,
     seed: u64,
     batch: usize,
-    retry: RetryPolicy,
     meta: Json,
     front: ParetoFront,
     /// Pending boxes, bottom → top (top is explored next).
@@ -196,21 +192,12 @@ impl ParetoSearch {
             space,
             seed,
             batch: batch.max(1),
-            retry: RetryPolicy::default_sweep(),
             meta: Json::Null,
             front: ParetoFront::new(),
             stack,
             evaluated: 0,
             region_pruned: 0,
         }
-    }
-
-    /// Sets the per-candidate retry policy (default:
-    /// [`RetryPolicy::default_sweep`]). Not serialized — retries change
-    /// wall-clock behaviour, never results.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
     }
 
     /// Attaches evaluator metadata (e.g. which network/partitioning the
@@ -276,8 +263,10 @@ impl ParetoSearch {
     ///
     /// # Errors
     ///
-    /// Propagates [`DrqError::RetriesExhausted`] once a candidate fails
-    /// all retry attempts; the already-merged state stays checkpointable.
+    /// [`DrqError::EvaluationFailed`] for the lowest-index candidate that
+    /// failed in the first failing leaf. None of that leaf is merged and its
+    /// box goes back on the stack, so a checkpoint taken after the error
+    /// resumes to the same front as a run that never failed.
     pub fn run(
         &mut self,
         eval: &(impl CandidateEval + ?Sized),
@@ -315,36 +304,35 @@ impl ParetoSearch {
                 }
                 continue;
             }
-            spent += self.evaluate_leaf(eval, &bx)?;
+            match self.evaluate_leaf(eval, &bx) {
+                Ok(n) => spent += n,
+                Err(e) => {
+                    self.stack.push(bx);
+                    return Err(e);
+                }
+            }
         }
     }
 
     /// Evaluates every candidate of a leaf box concurrently and merges the
-    /// scores into the front sequentially, in index order.
+    /// scores into the front sequentially, in index order. On failure
+    /// nothing is merged.
     fn evaluate_leaf(
         &mut self,
         eval: &(impl CandidateEval + ?Sized),
         bx: &CandidateBox,
     ) -> Result<u64, DrqError> {
         let indices = bx.candidate_indices(&self.space);
-        let (space, retry, seed) = (&self.space, self.retry, self.seed);
-        let scores: Vec<Result<Objectives, DrqError>> = parallel::par_map(indices.len(), |i| {
-            let candidate = space.candidate(indices[i]);
-            // Decorrelate retry schedules: each candidate retries on its
-            // own jitter stream (the `sweep_thresholds_retrying` idiom),
-            // so simultaneous failures do not re-fire in lockstep.
-            let policy = match retry.jitter_seed {
-                Some(js) => retry.with_jitter_seed(js ^ splitmix64(seed ^ indices[i] as u64)),
-                None => retry,
-            };
-            retry_with_backoff(policy, "pareto candidate", |_| eval.evaluate(&candidate))
-        });
-        // Propagate the first failure (in index order) without merging any
-        // of the leaf — the checkpoint then re-evaluates the whole box.
-        let mut merged = Vec::with_capacity(indices.len());
-        for score in scores {
-            merged.push(score?);
-        }
+        let space = &self.space;
+        let scores =
+            parallel::par_map(indices.len(), |i| eval.evaluate(&space.candidate(indices[i])));
+        let merged = indices
+            .iter()
+            .zip(scores)
+            .map(|(&candidate, score)| {
+                score.map_err(|detail| DrqError::EvaluationFailed { candidate, detail })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         for (&index, objectives) in indices.iter().zip(merged) {
             self.front.insert(FrontMember { candidate_index: index as u64, objectives });
             self.evaluated += 1;
@@ -400,7 +388,8 @@ impl ParetoSearch {
     ///
     /// [`DrqError::InvalidConfig`] if the artifact has the wrong kind, a
     /// space that fails validation or does not match its recorded
-    /// fingerprint, an inconsistent front, or out-of-range pending boxes.
+    /// fingerprint, an inconsistent front, out-of-range pending boxes, or
+    /// counters that with the pending boxes do not add up to the space.
     pub fn from_report(report: &Report) -> Result<Self, DrqError> {
         let invalid = |detail: String| DrqError::InvalidConfig { context: "pareto checkpoint", detail };
         if report.kind() != PARETO_KIND {
@@ -465,16 +454,29 @@ impl ParetoSearch {
                 "evaluated count {evaluated} below front size {front_len}"
             )));
         }
+        // Every candidate is evaluated, cut or still pending, so the counts
+        // must add up to the space.
+        let region_pruned = u64_key("region_pruned")?;
+        let accounted = stack
+            .iter()
+            .try_fold(evaluated, |n, b| n.checked_add(b.len() as u64))
+            .and_then(|n| n.checked_add(region_pruned));
+        if accounted != Some(space.len() as u64) {
+            return Err(invalid(format!(
+                "evaluated {evaluated} + region_pruned {region_pruned} + pending boxes do not \
+                 add up to the {}-candidate space",
+                space.len()
+            )));
+        }
         Ok(Self {
             space,
             seed: u64_key("seed")?,
             batch: u64_key("batch")?.max(1) as usize,
-            retry: RetryPolicy::default_sweep(),
             meta: report.get("evaluator").cloned().unwrap_or(Json::Null),
             front,
             stack,
             evaluated,
-            region_pruned: u64_key("region_pruned")?,
+            region_pruned,
         })
     }
 
@@ -792,19 +794,58 @@ mod tests {
         let wrong_space = text.replace("\"regions\":[\"2x2\",\"4x4\"]", "\"regions\":[\"2x2\"]");
         let report = Report::from_json_str(&wrong_space).unwrap();
         assert!(ParetoSearch::from_report(&report).is_err(), "fingerprint must catch edits");
+        // Counters no real search can produce are typed errors, not a
+        // later overflow in `to_report`.
+        let region_pruned = format!("\"region_pruned\":{}", search.region_pruned());
+        for bad in [u64::MAX, 1] {
+            let forged = text.replace(&region_pruned, &format!("\"region_pruned\":{bad}"));
+            assert_ne!(forged, text);
+            let report = Report::from_json_str(&forged).unwrap();
+            let err = ParetoSearch::from_report(&report).unwrap_err();
+            assert!(matches!(err, DrqError::InvalidConfig { .. }), "{err}");
+            assert!(err.to_string().contains("add up to"), "{err}");
+        }
+    }
+
+    /// [`TableEval`] with the listed candidates broken.
+    struct Cursed(&'static [usize]);
+
+    impl CandidateEval for Cursed {
+        fn evaluate(&self, c: &Candidate) -> Result<Objectives, String> {
+            if self.0.contains(&c.index) {
+                return Err(format!("candidate {} is cursed", c.index));
+            }
+            TableEval.evaluate(c)
+        }
     }
 
     #[test]
-    fn failing_evaluator_propagates_typed_error() {
-        struct Flaky;
-        impl CandidateEval for Flaky {
-            fn evaluate(&self, c: &Candidate) -> Result<Objectives, String> {
-                Err(format!("candidate {} is cursed", c.index))
-            }
-        }
-        let mut search = ParetoSearch::new(space(), 7, 4)
-            .retry_policy(RetryPolicy::fast_test());
-        let err = search.run(&Flaky, None).unwrap_err();
-        assert!(matches!(err, DrqError::RetriesExhausted { attempts: 3, .. }), "{err}");
+    fn failing_evaluator_names_the_first_failing_candidate() {
+        // One leaf holds the whole space, so several candidates fail in
+        // the same parallel batch; the lowest index is reported.
+        let s = space();
+        let mut search = ParetoSearch::new(s.clone(), 7, s.len());
+        let err = search.run(&Cursed(&[40, 5, 17]), None).unwrap_err();
+        assert_eq!(
+            err,
+            DrqError::EvaluationFailed { candidate: 5, detail: "candidate 5 is cursed".into() }
+        );
+        assert_eq!(search.evaluated(), 0, "a failing leaf merges nothing");
+    }
+
+    #[test]
+    fn a_failed_leaf_is_evaluated_after_resume() {
+        let s = space();
+        let mut clean = ParetoSearch::new(s.clone(), 7, 4);
+        clean.run(&TableEval, None).unwrap();
+
+        let mut search = ParetoSearch::new(s.clone(), 7, 4);
+        let err = search.run(&Cursed(&[0]), None).unwrap_err();
+        assert!(matches!(err, DrqError::EvaluationFailed { candidate: 0, .. }), "{err}");
+        assert!(search.evaluated() > 0, "leaves before the failure stay merged");
+        let mut resumed = ParetoSearch::from_report(&search.to_report()).unwrap();
+        assert_eq!(resumed.run(&TableEval, None).unwrap(), SearchStatus::Complete);
+        assert_eq!(resumed.evaluated() + resumed.region_pruned(), s.len() as u64);
+        assert_eq!(resumed.to_report().to_json_string(), clean.to_report().to_json_string());
     }
 }

@@ -35,7 +35,6 @@
 pub mod dataset;
 pub mod export;
 pub mod standins;
-pub mod stats;
 pub mod synth;
 pub mod topology;
 

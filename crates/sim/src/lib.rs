@@ -75,8 +75,7 @@ mod systolic;
 mod timing;
 
 pub use accelerator::{
-    ArchBuilder, ArchConfig, BatchSimSummary, DrqAccelerator, LayerReport, NetworkSimReport,
-    ReliabilityReport,
+    ArchBuilder, ArchConfig, DrqAccelerator, LayerReport, NetworkSimReport, ReliabilityReport,
 };
 pub use error::SimError;
 pub use partition::Partitions;

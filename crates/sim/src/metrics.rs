@@ -21,10 +21,7 @@
 //!                  "weight_load_cycles":..,"fill_cycles":..}, ...}}
 //! ```
 
-use crate::{
-    BatchSimSummary, EnergyBreakdown, LayerCycles, LayerReport, NetworkSimReport,
-    ReliabilityReport,
-};
+use crate::{EnergyBreakdown, LayerCycles, LayerReport, NetworkSimReport, ReliabilityReport};
 use drq_telemetry::{Json, Report};
 use std::collections::BTreeMap;
 
@@ -153,20 +150,6 @@ pub fn reliability_report(r: &ReliabilityReport) -> Report {
     rep
 }
 
-/// Builds the `kind: "batch_sim"` report for a multi-image batch summary.
-pub fn batch_report(b: &BatchSimSummary) -> Report {
-    let mut rep = Report::new("batch_sim");
-    rep.push("network", Json::str(&b.network))
-        .push("images", Json::U64(b.images as u64))
-        .push("mean_cycles", Json::F64(b.mean_cycles))
-        .push("stddev_cycles", Json::F64(b.stddev_cycles))
-        .push("cycle_cv", Json::F64(b.cycle_cv()))
-        .push("min_cycles", Json::U64(b.min_cycles))
-        .push("max_cycles", Json::U64(b.max_cycles))
-        .push("mean_int4_fraction", Json::F64(b.mean_int4_fraction));
-    rep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,15 +200,5 @@ mod tests {
             assert_eq!(b.get("weight_load_cycles").and_then(Json::as_u64), Some(load));
             assert_eq!(b.get("fill_cycles").and_then(Json::as_u64), Some(fill));
         }
-    }
-
-    #[test]
-    fn batch_report_carries_spread_metrics() {
-        let accel = DrqAccelerator::new(ArchConfig::paper_default());
-        let b = accel.session(&zoo::lenet5()).run_batch(&[1, 2, 3]).unwrap();
-        let rep = b.to_report();
-        assert_eq!(rep.kind(), "batch_sim");
-        assert_eq!(rep.get("images").and_then(Json::as_u64), Some(3));
-        assert_eq!(rep.get("cycle_cv").and_then(Json::as_f64), Some(b.cycle_cv()));
     }
 }

@@ -3,8 +3,9 @@
 //! Historically the simulator grew one accelerator method per scenario
 //! (plain, traced, batched, faulted), each with its own seed plumbing
 //! (the faulted variant took a second seed inside the [`FaultPlan`]) and
-//! none of them parallel. A [`SimSession`] subsumes all four behind one
-//! builder — the per-scenario methods are gone:
+//! none of them parallel. A [`SimSession`] subsumes them behind one
+//! builder (a batch of images is one run per seed) — the per-scenario
+//! methods are gone:
 //!
 //! ```
 //! use drq_sim::{ArchConfig, SimSession};
@@ -36,8 +37,8 @@
 use crate::memo::{MemoCounts, SessionMemo};
 use crate::partition::{stream_seed, Partitions, FAULT_STREAM};
 use crate::{
-    BatchSimSummary, DramModel, DrqAccelerator, FaultCounters, FaultInjector, FaultPlan,
-    FaultSite, LayerReport, NetworkSimReport, ReliabilityReport, SimError,
+    DramModel, DrqAccelerator, FaultCounters, FaultInjector, FaultPlan, FaultSite, LayerReport,
+    NetworkSimReport, ReliabilityReport, SimError,
 };
 use drq_models::NetworkTopology;
 use drq_telemetry::{counter_add, Json, Tracer, NO_FIELDS};
@@ -122,50 +123,6 @@ impl<'a, 't> SimSession<'a, 't> {
             None => None,
         };
         Ok(SimRun { report, reliability })
-    }
-
-    /// Simulates `seeds.len()` independent images (each a clean session
-    /// run re-seeded per image) and summarizes the run-to-run spread. The
-    /// tracer and fault plan of the builder are ignored — batch summaries
-    /// aggregate across images, where a single trace or fault stream has no
-    /// meaning.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidParameter`] if `seeds` is empty.
-    pub fn run_batch(self, seeds: &[u64]) -> Result<BatchSimSummary, SimError> {
-        if seeds.is_empty() {
-            return Err(SimError::InvalidParameter {
-                context: "sim session batch",
-                detail: "need at least one seed".into(),
-            });
-        }
-        let (accel, net, partitions) = (self.accel, self.net, self.partitions);
-        // Image-level parallelism: each image is itself a queued session,
-        // but nested parallel sections run inline, so the pool is
-        // never oversubscribed and results stay scheduling-independent.
-        let runs: Vec<NetworkSimReport> = parallel::par_map(seeds.len(), |i| {
-            SimSession::new(accel, net)
-                .seed(seeds[i])
-                .partitions(partitions)
-                .run()
-                .expect("clean simulation cannot fail")
-                .into_report()
-        });
-        let cycles: Vec<u64> = runs.iter().map(NetworkSimReport::total_cycles).collect();
-        let n = cycles.len() as f64;
-        let mean = cycles.iter().sum::<u64>() as f64 / n;
-        let var = cycles.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>() / n;
-        let int4 = runs.iter().map(NetworkSimReport::int4_fraction).sum::<f64>() / n;
-        Ok(BatchSimSummary {
-            network: net.name.clone(),
-            images: runs.len(),
-            mean_cycles: mean,
-            stddev_cycles: var.sqrt(),
-            min_cycles: *cycles.iter().min().expect("non-empty"),
-            max_cycles: *cycles.iter().max().expect("non-empty"),
-            mean_int4_fraction: int4,
-        })
     }
 
     /// The baseline run: per-layer queue, then the merge.
@@ -628,35 +585,6 @@ mod tests {
         assert_eq!(one.to_report().to_json_string(), four.to_report().to_json_string());
         assert!(one.reliability().unwrap().counters.total() > 0);
         assert_eq!(one.to_report().kind(), "reliability");
-    }
-
-    #[test]
-    fn batch_rejects_empty_seed_lists() {
-        let err = SimSession::new(&accel(), &zoo::lenet5()).run_batch(&[]).unwrap_err();
-        assert!(matches!(err, SimError::InvalidParameter { .. }));
-    }
-
-    #[test]
-    fn batch_matches_individual_runs() {
-        let accel = accel();
-        let net = zoo::lenet5();
-        let batch = SimSession::new(&accel, &net).run_batch(&[1, 2, 3]).unwrap();
-        assert_eq!(batch.images, 3);
-        let individual: Vec<u64> = [1u64, 2, 3]
-            .iter()
-            .map(|&s| {
-                SimSession::new(&accel, &net)
-                    .seed(s)
-                    .run()
-                    .unwrap()
-                    .report()
-                    .total_cycles()
-            })
-            .collect();
-        assert_eq!(batch.min_cycles, *individual.iter().min().unwrap());
-        assert_eq!(batch.max_cycles, *individual.iter().max().unwrap());
-        let mean = individual.iter().sum::<u64>() as f64 / 3.0;
-        assert!((batch.mean_cycles - mean).abs() < 1e-9);
     }
 
     #[test]

@@ -48,5 +48,5 @@ pub use int_ops::{
 };
 pub use ops::{matmul, matmul_reference};
 pub use shape::{conv_out_dim, try_conv_out_dim, Shape4};
-pub use stats::{percentile, Histogram, Summary};
+pub use stats::percentile;
 pub use tensor::Tensor;

@@ -2,9 +2,7 @@
 //!
 //! The segment analysis of Section II classifies feature-map values by
 //! magnitude percentile (the paper's thresholds at 20 % and 80 % of the value
-//! distribution), and the DSE of Section III-D starts from the per-layer value
-//! distribution. These helpers provide percentiles, a fixed-bin histogram and
-//! a five-number summary.
+//! distribution).
 
 /// Returns the `q`-quantile (`0.0..=1.0`) of `values` using linear
 /// interpolation between order statistics.
@@ -41,123 +39,6 @@ pub fn percentile(values: &[f32], q: f64) -> f32 {
     }
 }
 
-/// A fixed-bin histogram over a closed value range.
-///
-/// # Examples
-///
-/// ```
-/// use drq_tensor::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 1.0, 4);
-/// h.add(0.1);
-/// h.add(0.9);
-/// assert_eq!(h.counts()[0], 1);
-/// assert_eq!(h.counts()[3], 1);
-/// assert_eq!(h.total(), 2);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f32,
-    hi: f32,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram with `bins` equal-width bins over `[lo, hi]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f32, hi: f32, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Self { lo, hi, counts: vec![0; bins], total: 0 }
-    }
-
-    /// Adds one observation; values outside the range clamp to the end bins.
-    pub fn add(&mut self, v: f32) {
-        let bins = self.counts.len();
-        let t = ((v - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
-        let idx = ((t * bins as f32) as usize).min(bins - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Adds every value of a slice.
-    pub fn extend_from_slice(&mut self, values: &[f32]) {
-        for &v in values {
-            self.add(v);
-        }
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Fraction of observations in bin `i` (0 when empty).
-    pub fn fraction(&self, i: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i] as f64 / self.total as f64
-        }
-    }
-}
-
-/// Five-number summary plus mean of a value set.
-///
-/// # Examples
-///
-/// ```
-/// use drq_tensor::Summary;
-///
-/// let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(s.min, 1.0);
-/// assert_eq!(s.max, 4.0);
-/// assert_eq!(s.mean, 2.5);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Minimum value.
-    pub min: f32,
-    /// First quartile.
-    pub q1: f32,
-    /// Median.
-    pub median: f32,
-    /// Third quartile.
-    pub q3: f32,
-    /// Maximum value.
-    pub max: f32,
-    /// Arithmetic mean.
-    pub mean: f32,
-}
-
-impl Summary {
-    /// Computes the summary of a non-empty slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn of(values: &[f32]) -> Self {
-        assert!(!values.is_empty(), "summary of empty slice");
-        Self {
-            min: percentile(values, 0.0),
-            q1: percentile(values, 0.25),
-            median: percentile(values, 0.5),
-            q3: percentile(values, 0.75),
-            max: percentile(values, 1.0),
-            mean: values.iter().sum::<f32>() / values.len() as f32,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,38 +71,5 @@ mod tests {
         let t80 = percentile(&values, 0.8);
         let above = values.iter().filter(|&&v| v > t80).count();
         assert!((above as f64 / 1000.0 - 0.2).abs() < 0.01);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.add(-5.0);
-        h.add(5.0);
-        assert_eq!(h.counts(), &[1, 1]);
-    }
-
-    #[test]
-    fn histogram_fractions_sum_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 8);
-        let mut rng = crate::XorShiftRng::new(2);
-        for _ in 0..100 {
-            h.add(rng.next_f32());
-        }
-        let sum: f64 = (0..8).map(|i| h.fraction(i)).sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_empty_fraction_is_zero() {
-        let h = Histogram::new(0.0, 1.0, 4);
-        assert_eq!(h.fraction(0), 0.0);
-    }
-
-    #[test]
-    fn summary_is_ordered() {
-        let mut rng = crate::XorShiftRng::new(8);
-        let v: Vec<f32> = (0..500).map(|_| rng.next_normal()).collect();
-        let s = Summary::of(&v);
-        assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);
     }
 }

@@ -4,8 +4,8 @@
 //! Run with `cargo run --release --example design_space_exploration`.
 
 use drq::baselines::{evaluate_scheme, QuantScheme};
-use drq::core::dse::explore;
 use drq::core::{DrqConfig, RegionSize};
+use drq::dse::explore;
 use drq::models::{resnet8, train, Dataset, DatasetKind, TrainConfig};
 
 fn main() {

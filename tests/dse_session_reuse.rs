@@ -193,29 +193,40 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
 
 #[test]
 fn removed_network_sim_shims_stay_gone() {
-    // The deprecated per-scenario simulation shims were deleted
-    // outright; every caller goes through `SimSession`. No allowlist:
-    // the old method name must not appear anywhere in the workspace,
-    // definitions included.
+    // Deleted duplicates stay deleted. No allowlist: none of these names
+    // may appear anywhere in the workspace, definitions included:
+    // - the per-scenario simulation shims (every caller goes through
+    //   `SimSession`; a batch is one run per seed);
+    // - the second DSE module in the core crate and its retry layer
+    //   (`drq-dse` is the only explorer);
+    // - the activation-statistics synthesizer fit, which nothing called.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
-    rust_sources(&root.join("crates"), &mut sources);
-    rust_sources(&root.join("tests"), &mut sources);
+    for dir in ["crates", "tests", "examples"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
     assert!(sources.len() > 20, "source walk looks broken: {} files", sources.len());
 
-    // Built in two pieces so this test file does not match itself.
-    let needle = format!("{}{}", "simulate_", "network");
+    // Built in pieces so this test file does not match itself.
+    let needles = [
+        format!("{}{}", "simulate_", "network"),
+        format!("{}{}", "run_", "batch"),
+        format!("{}{}", "BatchSim", "Summary"),
+        format!("{}{}", "core::", "dse"),
+        format!("{}{}", "Retry", "Policy"),
+        format!("{}{}", "retry_with_", "backoff"),
+        format!("{}{}", "fit_", "synthesizer"),
+    ];
     let mut offenders = Vec::new();
     for path in sources {
         let text = std::fs::read_to_string(&path).expect("readable source file");
-        if text.contains(&needle) {
-            offenders.push(path);
+        for needle in &needles {
+            if text.contains(needle.as_str()) {
+                offenders.push((needle.clone(), path.clone()));
+            }
         }
     }
-    assert!(
-        offenders.is_empty(),
-        "removed {needle}* shims have resurfaced in: {offenders:?}"
-    );
+    assert!(offenders.is_empty(), "removed names have resurfaced: {offenders:?}");
 }
 
 #[test]

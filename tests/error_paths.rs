@@ -6,8 +6,8 @@
 //! *variant*, so `match`-based handling stays possible, and (2) a substring
 //! of the display text, so CLI error output stays informative.
 
-use drq::core::dse::{retry_with_backoff, RetryPolicy};
 use drq::core::DrqError;
+use drq::dse::{Candidate, CandidateEval, CandidateSpace, Objectives, ParetoSearch};
 use drq::sim::{
     ArchConfig, DramModel, FaultPlan, LayerCycleModel, LineBuffer, OutputBuffer, SimError,
     SubKernelPlan, SystolicArray,
@@ -184,22 +184,25 @@ fn valid_configs_pass_the_same_gates() {
 }
 
 #[test]
-fn algorithm_layer_reports_typed_retry_exhaustion() {
-    // The dse retry wrapper surfaces a DrqError with attempt accounting
-    // rather than panicking or swallowing the last failure.
-    let err = retry_with_backoff(RetryPolicy::fast_test(), "error-path probe", |attempt| {
-        Err::<(), String>(format!("transient #{attempt}"))
-    })
-    .expect_err("never succeeds");
+fn algorithm_layer_reports_typed_evaluation_failure() {
+    // A failing candidate evaluator stops the Pareto search with a
+    // DrqError that names the candidate, rather than panicking or
+    // swallowing the failure.
+    struct Broken;
+    impl CandidateEval for Broken {
+        fn evaluate(&self, c: &Candidate) -> Result<Objectives, String> {
+            Err(format!("probe #{}", c.index))
+        }
+    }
+    let mut search = ParetoSearch::new(CandidateSpace::paper_grid(), 1, 4);
+    let err = search.run(&Broken, None).expect_err("never succeeds");
     match &err {
-        DrqError::RetriesExhausted { context, attempts, last_error } => {
-            assert_eq!(*context, "error-path probe");
-            assert_eq!(*attempts, RetryPolicy::fast_test().max_attempts);
-            assert!(last_error.contains("transient"));
+        DrqError::EvaluationFailed { candidate, detail } => {
+            assert_eq!(detail, &format!("probe #{candidate}"));
         }
         other => panic!("wrong variant: {other:?}"),
     }
-    assert!(err.to_string().contains("gave up after"));
+    assert!(err.to_string().contains("evaluation failed"));
 }
 
 // ---------------------------------------------------------------------------
