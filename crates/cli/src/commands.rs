@@ -16,7 +16,7 @@ use drq::serve::client::{run_load, ClientConfig};
 use drq::serve::server::{serve_stdio, TcpServer};
 use drq::serve::soak::{replay_hint, run_soak, SoakConfig};
 use drq::serve::{ServeConfig, ShardRouter};
-use drq::sim::{ArchConfig, DrqAccelerator, FaultPlan, FaultSite, Partitions, SimSession};
+use drq::sim::{ArchConfig, DrqAccelerator, smoke_fault_plan, FaultPlan, FaultSite, Partitions, SimSession};
 use drq::store::ArtifactStore;
 use drq::telemetry::{Json, Report, Tracer};
 use std::error::Error;
@@ -637,7 +637,7 @@ fn cmd_faults(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     let threshold = args.get_threshold("threshold", 21.0)?;
     let plan = match args.get_opt("plan") {
         Some(path) => load_fault_plan(path)?,
-        None => FaultPlan::smoke(),
+        None => smoke_fault_plan(),
     };
     let accel = ArchConfig::builder()
         .drq(DrqConfig::new(RegionSize::new(rx, ry), threshold))

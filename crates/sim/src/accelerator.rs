@@ -590,6 +590,7 @@ impl DrqAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::smoke_fault_plan;
     use drq_models::zoo::{self, InputRes};
 
     fn sim(accel: &DrqAccelerator, net: &NetworkTopology, seed: u64) -> NetworkSimReport {
@@ -788,7 +789,7 @@ mod tests {
     fn reliability_report_schema_carries_fault_fields() {
         let accel = ArchConfig::builder().build();
         let net = zoo::lenet5();
-        let r = sim_faulted(&accel, &net, 42, &FaultPlan::smoke()).unwrap();
+        let r = sim_faulted(&accel, &net, 42, &smoke_fault_plan()).unwrap();
         let rep = r.to_report();
         assert_eq!(rep.kind(), "reliability");
         assert_eq!(rep.get("baseline_cycles").and_then(Json::as_u64), Some(r.baseline_cycles));

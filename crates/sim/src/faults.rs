@@ -243,23 +243,6 @@ impl FaultPlan {
         Self { seed: 0, rules: Vec::new() }
     }
 
-    /// A small fixed plan for smoke testing (used by `drq faults` and CI):
-    /// sparse stall noise plus exactly one accumulator bit flip. Rates are
-    /// chosen so each rule fires a handful of times even on a network as
-    /// small as LeNet-5 — a smoke run that injects nothing proves nothing.
-    pub fn smoke() -> Self {
-        Self {
-            seed: 0xFA17,
-            rules: vec![
-                FaultRule::new(FaultSite::StallCycle, 5e-3),
-                FaultRule::new(FaultSite::PeAccumulator, 1e-4)
-                    .with_bit(17)
-                    .with_max_events(1),
-                FaultRule::new(FaultSite::DramBurstDrop, 5e-3),
-            ],
-        }
-    }
-
     /// Whether the plan has no rules (every rule list is consulted lazily,
     /// so an empty plan injects nothing and costs nothing).
     pub fn is_empty(&self) -> bool {
@@ -337,6 +320,23 @@ impl FaultPlan {
     pub fn parse(text: &str) -> Result<FaultPlan, SimError> {
         let v = Json::parse(text).map_err(|e| SimError::FaultPlan { detail: e.to_string() })?;
         FaultPlan::from_json(&v)
+    }
+}
+
+/// A small fixed plan for smoke testing (used by `drq faults` and CI):
+/// sparse stall noise plus exactly one accumulator bit flip. Rates are
+/// chosen so each rule fires a handful of times even on a network as
+/// small as LeNet-5 — a smoke run that injects nothing proves nothing.
+pub fn smoke_fault_plan() -> FaultPlan {
+    FaultPlan {
+        seed: 0xFA17,
+        rules: vec![
+            FaultRule::new(FaultSite::StallCycle, 5e-3),
+            FaultRule::new(FaultSite::PeAccumulator, 1e-4)
+                .with_bit(17)
+                .with_max_events(1),
+            FaultRule::new(FaultSite::DramBurstDrop, 5e-3),
+        ],
     }
 }
 
@@ -665,7 +665,7 @@ mod tests {
 
     #[test]
     fn smoke_plan_is_valid_and_nonempty() {
-        let plan = FaultPlan::smoke();
+        let plan = smoke_fault_plan();
         assert!(plan.validate().is_ok());
         assert!(!plan.is_empty());
     }

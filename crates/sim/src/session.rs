@@ -456,7 +456,7 @@ impl SimRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArchConfig, FaultRule};
+    use crate::{smoke_fault_plan, ArchConfig, FaultRule};
     use drq_models::zoo;
 
     fn accel() -> DrqAccelerator {
@@ -575,7 +575,7 @@ mod tests {
             SimSession::new(&accel, &net)
                 .seed(42)
                 .partitions(p)
-                .faults(FaultPlan::smoke())
+                .faults(smoke_fault_plan())
                 .run()
                 .unwrap()
         };

@@ -9,7 +9,7 @@
 use drq::core::DrqError;
 use drq::dse::{Candidate, CandidateEval, CandidateSpace, Objectives, ParetoSearch};
 use drq::sim::{
-    ArchConfig, DramModel, FaultPlan, LayerCycleModel, LineBuffer, OutputBuffer, SimError,
+    smoke_fault_plan, ArchConfig, DramModel, FaultPlan, LayerCycleModel, LineBuffer, OutputBuffer, SimError,
     SubKernelPlan, SystolicArray,
 };
 
@@ -180,7 +180,7 @@ fn valid_configs_pass_the_same_gates() {
     assert!(SubKernelPlan::try_for_kernel(3, 3).is_ok());
     assert!(DramModel::try_new(1e9, 0.7).is_ok());
     assert!(LayerCycleModel::try_new(11, 16, 4).is_ok());
-    assert!(FaultPlan::parse(&FaultPlan::smoke().to_json().to_string()).is_ok());
+    assert!(FaultPlan::parse(&smoke_fault_plan().to_json().to_string()).is_ok());
 }
 
 #[test]

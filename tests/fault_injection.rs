@@ -18,7 +18,7 @@
 
 use drq::models::zoo;
 use drq::sim::{
-    ArchConfig, FaultInjector, FaultPlan, FaultRule, FaultSite, SystolicArray,
+    smoke_fault_plan, ArchConfig, FaultInjector, FaultPlan, FaultRule, FaultSite, SystolicArray,
 };
 use drq::tensor::parallel;
 use drq_testkit::cases::FaultPlanCase;
@@ -91,10 +91,10 @@ fn single_accumulator_flip_blast_radius_is_one_cell() {
             };
             let mut inj = FaultInjector::new(&plan).map_err(|e| e.to_string())?;
             let faulted = array.simulate_faulted(&streams, &mut inj).map_err(|e| e.to_string())?;
-            if inj.counters().pe_accumulator != 1 {
+            if inj.counters().count(FaultSite::PeAccumulator) != 1 {
                 return Err(format!(
                     "rate-1.0 max-1 rule fired {} times",
-                    inj.counters().pe_accumulator
+                    inj.counters().count(FaultSite::PeAccumulator)
                 ));
             }
             if faulted.cycles != clean.cycles {
@@ -145,7 +145,7 @@ fn stall_faulted_cycles_meet_analytic_lower_bound_exactly() {
             };
             let mut inj = FaultInjector::new(&plan).map_err(|e| e.to_string())?;
             let faulted = array.simulate_faulted(&streams, &mut inj).map_err(|e| e.to_string())?;
-            let injected = inj.counters().stall_cycle;
+            let injected = inj.counters().count(FaultSite::StallCycle);
             if faulted.cycles < oracle.cycles {
                 return Err(format!(
                     "faulted run finished in {} cycles, below the analytic floor {}",
@@ -175,7 +175,7 @@ fn stall_faulted_cycles_meet_analytic_lower_bound_exactly() {
 fn network_reliability_reports_are_thread_count_invariant() {
     let _serial = thread_count_lock();
     let net = zoo::lenet5();
-    let plan = FaultPlan::smoke();
+    let plan = smoke_fault_plan();
     let run = || {
         ArchConfig::builder()
             .build()
