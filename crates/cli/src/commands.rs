@@ -438,7 +438,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
                 "\nfault injection (seed {}): {} events, {} stall cycles, slowdown {:.6}x, extra DRAM {:.1} pJ",
                 rel.plan.seed,
                 rel.counters.total(),
-                rel.counters.stall_cycle,
+                rel.counters.count(FaultSite::StallCycle),
                 rel.slowdown(),
                 rel.extra_dram_pj
             );

@@ -245,4 +245,32 @@ mod tests {
             .count();
         assert_eq!(acks, 1);
     }
+
+    #[test]
+    fn deeply_nested_line_is_one_error_and_serving_continues() {
+        let router = ShardRouter::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        // 50,000 bytes of nesting would overflow the parser's stack if
+        // depth were unbounded, killing every connected client.
+        let hostile = format!("{{\"id\":{}", "[".repeat(50_000 - 6));
+        let input = format!(
+            "{hostile}\n{{\"id\":\"after\"}}\n{{\"kind\":\"shutdown\",\"drain_ms\":2000}}\n"
+        );
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let report = serve_lines(router, Cursor::new(input), SharedBuf(Arc::clone(&buf)));
+        let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "one response per line:\n{out}");
+        assert_eq!(report.served, 1, "the line after the hostile one is served");
+        let errors: Vec<&str> = lines
+            .iter()
+            .copied()
+            .filter(|l| Response::parse(l).unwrap().status == "error")
+            .collect();
+        assert_eq!(errors.len(), 1, "{out}");
+        assert!(errors[0].contains("invalid json"), "{}", errors[0]);
+        assert!(lines.iter().any(|l| Response::parse(l).unwrap().id.as_deref() == Some("after")));
+    }
 }

@@ -81,6 +81,12 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+impl From<drq_store::FaultPlanError> for SimError {
+    fn from(e: drq_store::FaultPlanError) -> Self {
+        SimError::FaultPlan { detail: e.detail }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,7 +34,8 @@
 //!
 //! For reliability studies, the [`faults`] module injects seeded,
 //! replayable faults (bit flips, stuck-at bits, dropped DRAM bursts,
-//! spurious stalls) under a [`FaultPlan`]; arming one on a session
+//! spurious stalls) under a [`FaultPlan`] — `drq-store`'s fault-plan
+//! engine over the hardware [`FaultSite`]s; arming one on a session
 //! (`.faults(plan)`) yields a structured [`ReliabilityReport`].
 //! User-reachable construction paths report typed [`SimError`]s via
 //! `try_*` counterparts of every panicking constructor.

@@ -556,7 +556,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(&plan).unwrap();
         let faulted = array.simulate_faulted(&streams, &mut inj).unwrap();
-        assert_eq!(inj.counters().pe_accumulator, 1);
+        assert_eq!(inj.counters().count(FaultSite::PeAccumulator), 1);
         // Timing is untouched; exactly one (col, step) cell differs, by the
         // flipped bit.
         assert_eq!(clean.cycles, faulted.cycles);
@@ -581,7 +581,7 @@ mod tests {
         };
         let mut inj = FaultInjector::new(&plan).unwrap();
         let faulted = array.simulate_faulted(&streams, &mut inj).unwrap();
-        let injected = inj.counters().stall_cycle;
+        let injected = inj.counters().count(FaultSite::StallCycle);
         assert!(injected > 0);
         assert_eq!(faulted.cycles, clean.cycles + injected);
         // Numerics are untouched by timing faults.

@@ -3,19 +3,16 @@
 //! [`FaultyStorage`] wraps any [`Storage`] and injects the failure modes
 //! that matter for crash safety — torn writes at seeded byte offsets,
 //! silently short reads, single-bit rot, `ENOSPC`, rename and fsync
-//! failures — each governed by per-site rate rules in the same style as
-//! `drq_sim::FaultPlan`: an [`IoFaultPlan`] is `(seed, rules)`,
-//! JSON-serializable, and every injected event is a pure function of the
-//! plan and the (deterministic, sequential) order of storage operations,
-//! so a faulted schedule replays bit-for-bit from its seed.
+//! failures. An [`IoFaultPlan`] is the shared [`FaultPlan`] engine over
+//! [`IoFaultSite`]s, with rules filtered by `path_substr`; every storage
+//! operation is one injection opportunity on its path, so a faulted
+//! schedule is a pure function of the plan and the (sequential) order of
+//! storage operations and replays bit-for-bit from its seed.
 //!
-//! The draw discipline mirrors the simulator injector: at each injection
-//! opportunity every matching, non-exhausted rule burns exactly one RNG
-//! draw (whether or not it fires), which keeps the stream aligned across
-//! schedules that differ only in which rules fire. Where a fired event
-//! needs extra randomness (the tear offset of a torn write, the byte and
-//! bit of a rot event, the kept length of a short read) those draws happen
-//! only when the event fires.
+//! Where a fired event needs extra randomness (the tear offset of a torn
+//! write, the byte and bit of a rot event, the kept length of a short
+//! read) those draws come from the same plan stream, only when the event
+//! fires.
 //!
 //! # Injected effects
 //!
@@ -28,10 +25,9 @@
 //! | `fsync_fail` | `fsync` | the flush errors |
 //! | `rename_fail` | `rename` | the rename errors, neither path changes |
 
+use crate::fault_plan::{FaultCounters, FaultInjector, FaultPlan, FaultRule, FaultSiteKind};
 use crate::storage::Storage;
 use crate::store::StoreError;
-use drq_telemetry::Json;
-use drq_tensor::XorShiftRng;
 use std::io;
 use std::sync::Mutex;
 
@@ -74,332 +70,47 @@ impl IoFaultSite {
             IoFaultSite::FsyncFail => "fsync_fail",
         }
     }
+}
 
-    /// Parses a schema name back into a site.
-    pub fn from_name(name: &str) -> Option<IoFaultSite> {
-        IoFaultSite::ALL.into_iter().find(|s| s.name() == name)
+// Delegates to the inherent items, which callers use without importing
+// the trait.
+impl FaultSiteKind for IoFaultSite {
+    type Error = StoreError;
+    const ALL: &'static [Self] = &IoFaultSite::ALL;
+    const TARGET_KEY: &'static str = "path_substr";
+
+    fn name(self) -> &'static str {
+        IoFaultSite::name(self)
+    }
+
+    /// Storage faults corrupt no word, so rules take no `bit`.
+    fn bit_width(self) -> u32 {
+        0
+    }
+
+    /// A rule matches every path containing its substring — including
+    /// temp files, so a rule on `"front.json"` also hits `front.json.tmp`
+    /// and `front.json.prev`.
+    fn target_matches(substr: &str, path: &str) -> bool {
+        path.contains(substr)
     }
 }
 
-/// One rule of an I/O fault plan: a site, a per-operation rate, and
-/// optional targeting (path substring filter, event cap).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IoFaultRule {
-    /// The storage primitive this rule attacks.
-    pub site: IoFaultSite,
-    /// Probability that one matching operation faults, in `[0, 1]`.
-    pub rate: f64,
-    /// Restrict the rule to paths containing this substring (`None`
-    /// matches every path — including temp files, so a rule on
-    /// `"front.json"` also hits `front.json.tmp` and `front.json.prev`).
-    pub path_substr: Option<String>,
-    /// Stop firing after this many events (`None` = unbounded).
-    pub max_events: Option<u64>,
-}
+/// A fault plan over storage primitives; rules filter on `path_substr`.
+pub type IoFaultPlan = FaultPlan<IoFaultSite>;
+/// One rule of an [`IoFaultPlan`].
+pub type IoFaultRule = FaultRule<IoFaultSite>;
+/// Per-site event counts of a [`FaultyStorage`].
+pub type IoFaultCounters = FaultCounters<IoFaultSite>;
 
-impl IoFaultRule {
-    /// A rule attacking `site` at `rate` with no further targeting.
-    pub fn new(site: IoFaultSite, rate: f64) -> Self {
-        Self { site, rate, path_substr: None, max_events: None }
+/// A strict-prefix length of a buffer of `len` bytes (`0..len`), drawn
+/// from the plan stream.
+fn prefix_len(inj: &mut FaultInjector<IoFaultSite>, len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        inj.next_below(len)
     }
-
-    /// Restricts the rule to paths containing `substr`.
-    pub fn with_path_substr(mut self, substr: impl Into<String>) -> Self {
-        self.path_substr = Some(substr.into());
-        self
-    }
-
-    /// Caps the number of events the rule may fire.
-    pub fn with_max_events(mut self, n: u64) -> Self {
-        self.max_events = Some(n);
-        self
-    }
-
-    fn to_json(&self) -> Json {
-        let mut entries = vec![
-            ("site".to_string(), Json::str(self.site.name())),
-            ("rate".to_string(), Json::F64(self.rate)),
-        ];
-        if let Some(p) = &self.path_substr {
-            entries.push(("path_substr".to_string(), Json::str(p)));
-        }
-        if let Some(n) = self.max_events {
-            entries.push(("max_events".to_string(), Json::U64(n)));
-        }
-        Json::Object(entries)
-    }
-
-    fn from_json(v: &Json) -> Result<IoFaultRule, StoreError> {
-        let bad = |detail: String| StoreError::FaultPlan { detail };
-        let entries = match v {
-            Json::Object(entries) => entries,
-            _ => return Err(bad("each rule must be an object".into())),
-        };
-        for (key, _) in entries {
-            if !matches!(key.as_str(), "site" | "rate" | "path_substr" | "max_events") {
-                return Err(bad(format!("unknown rule key '{key}'")));
-            }
-        }
-        let site_name = v
-            .get("site")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("rule is missing a 'site' string".into()))?;
-        let site = IoFaultSite::from_name(site_name)
-            .ok_or_else(|| bad(format!("unknown I/O fault site '{site_name}'")))?;
-        let rate = v
-            .get("rate")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("rule is missing a numeric 'rate'".into()))?;
-        let path_substr = match v.get("path_substr") {
-            None | Some(Json::Null) => None,
-            Some(p) => Some(
-                p.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| bad("'path_substr' must be a string".into()))?,
-            ),
-        };
-        let max_events = match v.get("max_events") {
-            None | Some(Json::Null) => None,
-            Some(n) => Some(
-                n.as_u64()
-                    .ok_or_else(|| bad("'max_events' must be a non-negative integer".into()))?,
-            ),
-        };
-        Ok(IoFaultRule { site, rate, path_substr, max_events })
-    }
-}
-
-/// A complete I/O fault configuration: an RNG seed plus rules.
-///
-/// Serialized as `{"seed": <u64>, "rules": [<rule>, ...]}` where each rule
-/// is `{"site": <name>, "rate": <0..1>, "path_substr"?: <string>,
-/// "max_events"?: <u64>}`.
-///
-/// # Examples
-///
-/// ```
-/// use drq_store::{IoFaultPlan, IoFaultRule, IoFaultSite};
-///
-/// let plan = IoFaultPlan::parse(
-///     r#"{"seed": 7, "rules": [{"site": "torn_write", "rate": 1.0,
-///         "path_substr": "front.json", "max_events": 1}]}"#,
-/// )
-/// .unwrap();
-/// assert_eq!(plan.seed, 7);
-/// assert_eq!(plan.rules[0].site, IoFaultSite::TornWrite);
-/// assert!(IoFaultPlan::empty().is_empty());
-/// # let _ = IoFaultRule::new(IoFaultSite::FsyncFail, 0.5);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct IoFaultPlan {
-    /// Seed of the fault-event RNG stream.
-    pub seed: u64,
-    /// The rules, evaluated in order at each injection opportunity.
-    pub rules: Vec<IoFaultRule>,
-}
-
-impl IoFaultPlan {
-    /// The no-fault plan: a [`FaultyStorage`] armed with it behaves
-    /// exactly like its inner storage.
-    pub fn empty() -> Self {
-        Self { seed: 0, rules: Vec::new() }
-    }
-
-    /// Whether the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// Checks every rule: rates must be finite and in `[0, 1]`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::FaultPlan`] naming the offending rule.
-    pub fn validate(&self) -> Result<(), StoreError> {
-        for (i, r) in self.rules.iter().enumerate() {
-            if !r.rate.is_finite() || !(0.0..=1.0).contains(&r.rate) {
-                return Err(StoreError::FaultPlan {
-                    detail: format!(
-                        "rule {i} ({}): rate {} outside [0, 1]",
-                        r.site.name(),
-                        r.rate
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes the plan to its JSON value.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::U64(self.seed)),
-            ("rules", Json::arr(self.rules.iter().map(IoFaultRule::to_json))),
-        ])
-    }
-
-    /// Builds a validated plan from a parsed JSON value.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::FaultPlan`] on unknown keys, bad types, unknown
-    /// sites, or out-of-range rates.
-    pub fn from_json(v: &Json) -> Result<IoFaultPlan, StoreError> {
-        let bad = |detail: String| StoreError::FaultPlan { detail };
-        let entries = match v {
-            Json::Object(entries) => entries,
-            _ => return Err(bad("fault plan must be a JSON object".into())),
-        };
-        for (key, _) in entries {
-            if !matches!(key.as_str(), "seed" | "rules") {
-                return Err(bad(format!("unknown fault-plan key '{key}'")));
-            }
-        }
-        let seed = match v.get("seed") {
-            None => 0,
-            Some(s) => s
-                .as_u64()
-                .ok_or_else(|| bad("'seed' must be a non-negative integer".into()))?,
-        };
-        let rules = match v.get("rules") {
-            None => Vec::new(),
-            Some(Json::Array(items)) => items
-                .iter()
-                .map(IoFaultRule::from_json)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err(bad("'rules' must be an array".into())),
-        };
-        let plan = IoFaultPlan { seed, rules };
-        plan.validate()?;
-        Ok(plan)
-    }
-
-    /// Parses and validates a plan from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::from_json`], plus [`StoreError::FaultPlan`] on JSON
-    /// syntax errors.
-    pub fn parse(text: &str) -> Result<IoFaultPlan, StoreError> {
-        let v = Json::parse(text)
-            .map_err(|e| StoreError::FaultPlan { detail: e.to_string() })?;
-        IoFaultPlan::from_json(&v)
-    }
-}
-
-/// Per-site event counts accumulated by a [`FaultyStorage`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoFaultCounters {
-    /// Torn writes injected.
-    pub torn_write: u64,
-    /// Silent short reads injected.
-    pub short_read: u64,
-    /// Bit-rot events injected.
-    pub bit_rot: u64,
-    /// `ENOSPC` write failures injected.
-    pub enospc: u64,
-    /// Rename failures injected.
-    pub rename_fail: u64,
-    /// Fsync failures injected.
-    pub fsync_fail: u64,
-}
-
-impl IoFaultCounters {
-    fn slot(&mut self, site: IoFaultSite) -> &mut u64 {
-        match site {
-            IoFaultSite::TornWrite => &mut self.torn_write,
-            IoFaultSite::ShortRead => &mut self.short_read,
-            IoFaultSite::BitRot => &mut self.bit_rot,
-            IoFaultSite::Enospc => &mut self.enospc,
-            IoFaultSite::RenameFail => &mut self.rename_fail,
-            IoFaultSite::FsyncFail => &mut self.fsync_fail,
-        }
-    }
-
-    /// This site's event count.
-    pub fn count(&self, site: IoFaultSite) -> u64 {
-        match site {
-            IoFaultSite::TornWrite => self.torn_write,
-            IoFaultSite::ShortRead => self.short_read,
-            IoFaultSite::BitRot => self.bit_rot,
-            IoFaultSite::Enospc => self.enospc,
-            IoFaultSite::RenameFail => self.rename_fail,
-            IoFaultSite::FsyncFail => self.fsync_fail,
-        }
-    }
-
-    /// Total events across all sites.
-    pub fn total(&self) -> u64 {
-        IoFaultSite::ALL.into_iter().map(|s| self.count(s)).sum()
-    }
-
-    /// Serializes the counters as a schema object (site name → count).
-    pub fn to_json(&self) -> Json {
-        let mut entries: Vec<(String, Json)> = IoFaultSite::ALL
-            .into_iter()
-            .map(|s| (s.name().to_string(), Json::U64(self.count(s))))
-            .collect();
-        entries.push(("total".to_string(), Json::U64(self.total())));
-        Json::Object(entries)
-    }
-}
-
-struct RuleState {
-    rule: IoFaultRule,
-    fired: u64,
-}
-
-impl RuleState {
-    fn exhausted(&self) -> bool {
-        matches!(self.rule.max_events, Some(cap) if self.fired >= cap)
-    }
-}
-
-struct InjectorState {
-    rng: XorShiftRng,
-    rules: Vec<RuleState>,
-    counters: IoFaultCounters,
-}
-
-impl InjectorState {
-    /// One injection opportunity at `site` on `path`. Every matching,
-    /// non-exhausted rule burns exactly one draw; the first whose roll
-    /// clears its rate fires (counted once per opportunity).
-    fn fires(&mut self, site: IoFaultSite, path: &str) -> bool {
-        let mut fired = false;
-        for rs in &mut self.rules {
-            if rs.rule.site != site || rs.exhausted() {
-                continue;
-            }
-            if let Some(substr) = &rs.rule.path_substr {
-                if !path.contains(substr.as_str()) {
-                    continue;
-                }
-            }
-            let roll = self.rng.next_f64();
-            if roll < rs.rule.rate && !fired {
-                rs.fired += 1;
-                fired = true;
-            }
-        }
-        if fired {
-            *self.counters.slot(site) += 1;
-        }
-        fired
-    }
-
-    /// A strict-prefix length of a buffer of `len` bytes (0..len).
-    fn prefix_len(&mut self, len: usize) -> usize {
-        if len == 0 {
-            0
-        } else {
-            self.rng.next_below(len)
-        }
-    }
-}
-
-fn injected(kind: io::ErrorKind, what: String) -> io::Error {
-    io::Error::new(kind, what)
 }
 
 /// A [`Storage`] wrapper that injects deterministic I/O faults from an
@@ -413,7 +124,7 @@ fn injected(kind: io::ErrorKind, what: String) -> io::Error {
 /// a torn frame.
 pub struct FaultyStorage<S: Storage> {
     inner: S,
-    state: Mutex<InjectorState>,
+    injector: Mutex<FaultInjector<IoFaultSite>>,
 }
 
 impl<S: Storage> FaultyStorage<S> {
@@ -423,24 +134,12 @@ impl<S: Storage> FaultyStorage<S> {
     ///
     /// [`StoreError::FaultPlan`] when the plan fails validation.
     pub fn new(inner: S, plan: &IoFaultPlan) -> Result<Self, StoreError> {
-        plan.validate()?;
-        Ok(Self {
-            inner,
-            state: Mutex::new(InjectorState {
-                rng: XorShiftRng::new(plan.seed),
-                rules: plan
-                    .rules
-                    .iter()
-                    .map(|r| RuleState { rule: r.clone(), fired: 0 })
-                    .collect(),
-                counters: IoFaultCounters::default(),
-            }),
-        })
+        Ok(Self { inner, injector: Mutex::new(FaultInjector::new(plan)?) })
     }
 
     /// Event counts so far.
     pub fn counters(&self) -> IoFaultCounters {
-        self.lock().counters
+        self.lock().counters()
     }
 
     /// The wrapped storage (e.g. to inspect the "disk" with clean reads).
@@ -448,64 +147,58 @@ impl<S: Storage> FaultyStorage<S> {
         &self.inner
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, InjectorState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> std::sync::MutexGuard<'_, FaultInjector<IoFaultSite>> {
+        self.injector.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 impl<S: Storage> Storage for FaultyStorage<S> {
     fn read(&self, path: &str) -> io::Result<Vec<u8>> {
         let mut bytes = self.inner.read(path)?;
-        let mut state = self.lock();
-        if state.fires(IoFaultSite::ShortRead, path) {
-            let keep = state.prefix_len(bytes.len());
+        let mut inj = self.lock();
+        if inj.fires(IoFaultSite::ShortRead, Some(path)) {
+            let keep = prefix_len(&mut inj, bytes.len());
             bytes.truncate(keep);
-        } else if state.fires(IoFaultSite::BitRot, path) && !bytes.is_empty() {
-            let byte = state.prefix_len(bytes.len());
-            let bit = state.rng.next_below(8) as u8;
+        } else if inj.fires(IoFaultSite::BitRot, Some(path)) && !bytes.is_empty() {
+            let byte = prefix_len(&mut inj, bytes.len());
+            let bit = inj.next_below(8) as u8;
             bytes[byte] ^= 1 << bit;
         }
         Ok(bytes)
     }
 
     fn write(&self, path: &str, bytes: &[u8]) -> io::Result<()> {
-        let mut state = self.lock();
-        if state.fires(IoFaultSite::TornWrite, path) {
-            let keep = state.prefix_len(bytes.len());
-            drop(state);
+        let mut inj = self.lock();
+        if inj.fires(IoFaultSite::TornWrite, Some(path)) {
+            let keep = prefix_len(&mut inj, bytes.len());
+            drop(inj);
             // The tear persists a strict prefix, then the write "crashes".
             self.inner.write(path, &bytes[..keep])?;
-            return Err(injected(
+            return Err(io::Error::new(
                 io::ErrorKind::WriteZero,
                 format!("injected torn write: {keep} of {} bytes reached {path}", bytes.len()),
             ));
         }
-        if state.fires(IoFaultSite::Enospc, path) {
-            return Err(injected(
+        if inj.fires(IoFaultSite::Enospc, Some(path)) {
+            return Err(io::Error::new(
                 io::ErrorKind::StorageFull,
                 format!("injected ENOSPC writing {path}"),
             ));
         }
-        drop(state);
+        drop(inj);
         self.inner.write(path, bytes)
     }
 
     fn fsync(&self, path: &str) -> io::Result<()> {
-        if self.lock().fires(IoFaultSite::FsyncFail, path) {
-            return Err(injected(
-                io::ErrorKind::Other,
-                format!("injected fsync failure on {path}"),
-            ));
+        if self.lock().fires(IoFaultSite::FsyncFail, Some(path)) {
+            return Err(io::Error::other(format!("injected fsync failure on {path}")));
         }
         self.inner.fsync(path)
     }
 
     fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        if self.lock().fires(IoFaultSite::RenameFail, to) {
-            return Err(injected(
-                io::ErrorKind::Other,
-                format!("injected rename failure: {from} -> {to}"),
-            ));
+        if self.lock().fires(IoFaultSite::RenameFail, Some(to)) {
+            return Err(io::Error::other(format!("injected rename failure: {from} -> {to}")));
         }
         self.inner.rename(from, to)
     }
@@ -526,37 +219,6 @@ mod tests {
 
     fn plan(rules: Vec<IoFaultRule>) -> IoFaultPlan {
         IoFaultPlan { seed: 11, rules }
-    }
-
-    #[test]
-    fn plan_json_round_trips() {
-        let p = IoFaultPlan {
-            seed: 99,
-            rules: vec![
-                IoFaultRule::new(IoFaultSite::TornWrite, 0.25)
-                    .with_path_substr("front.json")
-                    .with_max_events(3),
-                IoFaultRule::new(IoFaultSite::FsyncFail, 0.001),
-            ],
-        };
-        let text = p.to_json().to_string();
-        assert_eq!(IoFaultPlan::parse(&text).unwrap(), p);
-    }
-
-    #[test]
-    fn plan_validation_rejects_bad_input() {
-        for bad in [
-            r#"{"rules": [{"site": "torn_write", "rate": 1.5}]}"#,
-            r#"{"rules": [{"site": "torn_write", "rate": -0.1}]}"#,
-            r#"{"rules": [{"site": "warp_core_breach", "rate": 0.1}]}"#,
-            r#"{"rules": [{"site": "torn_write"}]}"#,
-            r#"{"rules": [{"site": "torn_write", "rate": 0.1, "typo": 1}]}"#,
-            r#"{"bogus_key": 1}"#,
-            r#"not json"#,
-        ] {
-            let err = IoFaultPlan::parse(bad).expect_err(bad);
-            assert!(matches!(err, StoreError::FaultPlan { .. }), "{bad}");
-        }
     }
 
     #[test]
@@ -586,7 +248,7 @@ mod tests {
         let torn = mem.read("a").unwrap();
         assert!(torn.len() < payload.len(), "torn file must be a strict prefix");
         assert_eq!(torn, payload[..torn.len()]);
-        assert_eq!(faulty.counters().torn_write, 1);
+        assert_eq!(faulty.counters().count(IoFaultSite::TornWrite), 1);
     }
 
     #[test]
@@ -652,39 +314,6 @@ mod tests {
         assert!(faulty.rename("a", "b").is_err());
         assert!(mem.exists("a") && !mem.exists("b"), "failed rename must not move");
         let c = faulty.counters();
-        assert_eq!((c.rename_fail, c.fsync_fail), (1, 1));
-    }
-
-    #[test]
-    fn path_substr_targets_only_matching_paths() {
-        let mem = MemStorage::new();
-        let faulty = FaultyStorage::new(
-            mem,
-            &plan(vec![IoFaultRule::new(IoFaultSite::Enospc, 1.0)
-                .with_path_substr("front.json")]),
-        )
-        .unwrap();
-        faulty.write("other.bin", b"ok").unwrap();
-        assert!(faulty.write("runs/front.json.tmp", b"no").is_err());
-    }
-
-    #[test]
-    fn max_events_caps_firing_and_schedules_replay() {
-        let p = plan(vec![
-            IoFaultRule::new(IoFaultSite::FsyncFail, 0.5).with_max_events(3),
-        ]);
-        let run = || {
-            let faulty = FaultyStorage::new(MemStorage::new(), &p).unwrap();
-            (0..40)
-                .map(|i| {
-                    let path = format!("f{i}");
-                    faulty.write(&path, b"x").unwrap();
-                    faulty.fsync(&path).is_err()
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = run();
-        assert_eq!(a.iter().filter(|&&e| e).count(), 3, "cap must hold");
-        assert_eq!(a, run(), "same plan must replay the same schedule");
+        assert_eq!((c.count(IoFaultSite::RenameFail), c.count(IoFaultSite::FsyncFail)), (1, 1));
     }
 }

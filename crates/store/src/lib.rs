@@ -27,9 +27,9 @@
 //!   real implementation is [`FsStorage`]; tests drive the same store
 //!   through a seeded [`FaultyStorage`] — torn writes at byte offsets,
 //!   silent short reads, bit rot, ENOSPC, rename and fsync failures, each
-//!   governed by per-site rate rules in the established `drq-sim`
-//!   `FaultPlan` style (see [`IoFaultPlan`]) — so every failure mode
-//!   replays bit-for-bit from a seed.
+//!   governed by per-site rate rules of the seeded [`FaultPlan`] engine
+//!   that the simulator's hardware faults also use (see [`IoFaultPlan`])
+//!   — so every failure mode replays bit-for-bit from a seed.
 //!
 //! ## The recovery invariant
 //!
@@ -56,10 +56,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fault_plan;
 mod faults;
 mod storage;
 mod store;
 
+pub use fault_plan::{
+    FaultCounters, FaultInjector, FaultPlan, FaultPlanError, FaultRule, FaultSiteKind,
+};
 pub use faults::{
     FaultyStorage, IoFaultCounters, IoFaultPlan, IoFaultRule, IoFaultSite,
 };

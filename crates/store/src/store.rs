@@ -131,6 +131,12 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+impl From<crate::FaultPlanError> for StoreError {
+    fn from(e: crate::FaultPlanError) -> Self {
+        StoreError::FaultPlan { detail: e.detail }
+    }
+}
+
 /// A successful [`ArtifactStore::load`]: the payload plus provenance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoadOutcome {

@@ -3,7 +3,8 @@
 //! The telemetry layer's contract is that a fixed-seed run reproduces its
 //! metrics file byte-for-byte, so serialization must be fully
 //! deterministic: objects keep insertion order (producers write keys in a
-//! fixed code order), floats use Rust's shortest-round-trip formatting, and
+//! fixed code order), floats use Rust's shortest-round-trip formatting
+//! (negative zero as `-0.0`, so it parses back with its sign), and
 //! non-finite floats serialize as `null` (JSON has no NaN/Inf).
 
 use std::fmt;
@@ -103,14 +104,21 @@ impl Json {
         }
     }
 
+    /// Deepest array/object nesting [`Json::parse`] accepts. The parser
+    /// recurses once per level, so the bound keeps hostile input (a line
+    /// of a million `[`) from overflowing the stack; every document the
+    /// repo writes nests a handful of levels.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses a JSON document (the inverse of [`Display`](fmt::Display)).
     ///
     /// This is a strict, minimal recursive-descent parser for the subset the
     /// telemetry layer emits plus hand-written config files: all standard
     /// JSON values, `\uXXXX` escapes (surrogate pairs included), and
     /// arbitrary whitespace. Trailing garbage after the document is an
-    /// error. Integers that fit `u64`/`i64` parse as integers; everything
-    /// else numeric parses as `F64`.
+    /// error, and so is nesting deeper than [`Json::MAX_DEPTH`]. Integers
+    /// that fit `u64`/`i64` parse as integers; everything else numeric
+    /// parses as `F64`.
     ///
     /// # Examples
     ///
@@ -122,7 +130,7 @@ impl Json {
     /// assert!(Json::parse("{oops}").is_err());
     /// ```
     pub fn parse(text: &str) -> Result<Json, JsonParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -153,6 +161,8 @@ impl std::error::Error for JsonParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -194,8 +204,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == Json::MAX_DEPTH {
+                    return Err(self.err(&format!(
+                        "nesting deeper than {} levels",
+                        Json::MAX_DEPTH
+                    )));
+                }
+                self.depth += 1;
+                let nested = if self.peek() == Some(b'[') { self.array() } else { self.object() };
+                self.depth -= 1;
+                nested
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -432,10 +452,14 @@ impl fmt::Display for Json {
             Json::I64(v) => write!(f, "{v}"),
             Json::U64(v) => write!(f, "{v}"),
             Json::F64(v) => {
-                if v.is_finite() {
-                    write!(f, "{v}")
-                } else {
+                if !v.is_finite() {
                     f.write_str("null")
+                } else if *v == 0.0 && v.is_sign_negative() {
+                    // `{v}` would print `-0`, which parses back as the
+                    // integer 0 and loses the sign.
+                    f.write_str("-0.0")
+                } else {
+                    write!(f, "{v}")
                 }
             }
             Json::Str(s) => write_escaped(f, s),
@@ -551,6 +575,25 @@ mod tests {
     }
 
     #[test]
+    fn parse_bounds_nesting_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}0{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(Json::MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(Json::MAX_DEPTH)).is_ok());
+        // The error points at the first bracket past the limit.
+        for (deep, offset) in [
+            (arrays(Json::MAX_DEPTH + 1), Json::MAX_DEPTH),
+            (objects(Json::MAX_DEPTH + 1), 5 * Json::MAX_DEPTH),
+            ("[".repeat(1_000_000), Json::MAX_DEPTH),
+        ] {
+            let err = Json::parse(&deep).expect_err("too deep");
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            assert_eq!(err.offset, offset);
+        }
+    }
+
+    #[test]
     fn parse_number_variants() {
         assert_eq!(Json::parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
         assert_eq!(Json::parse("-9").unwrap(), Json::I64(-9));
@@ -564,5 +607,16 @@ mod tests {
         assert_eq!(Json::F64(0.1).to_string(), "0.1");
         assert_eq!(Json::F64(0.30000000000000004).to_string(), "0.30000000000000004");
         assert_eq!(Json::F64(2.5e-8).to_string(), "0.000000025");
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign_through_a_round_trip() {
+        let text = Json::F64(-0.0).to_string();
+        assert_eq!(text, "-0.0");
+        match Json::parse(&text).unwrap() {
+            Json::F64(v) => assert!(v == 0.0 && v.is_sign_negative()),
+            other => panic!("parsed as {other:?}"),
+        }
+        assert_eq!(Json::F64(0.0).to_string(), "0");
     }
 }

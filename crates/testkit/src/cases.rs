@@ -868,6 +868,172 @@ impl IoFaultCase {
 }
 
 // ---------------------------------------------------------------------------
+// Hostile fault-plan and request text
+// ---------------------------------------------------------------------------
+
+/// Well-formed documents [`HostileTextCase`] starts from: a hardware fault
+/// plan, a storage fault plan, an inference request and a shutdown request.
+pub const HOSTILE_TEMPLATES: [&str; 4] = [
+    r#"{"seed":7,"rules":[{"site":"pe_accumulator","rate":0.5,"bit":3,"layer":"conv1","max_events":2}]}"#,
+    r#"{"seed":7,"rules":[{"site":"torn_write","rate":0.5,"path_substr":"front.json","max_events":2}]}"#,
+    r#"{"id":"r1","dataset":"digits","sample_seed":3,"batch":2,"deadline_cycles":1000}"#,
+    r#"{"kind":"shutdown","drain_ms":10}"#,
+];
+
+/// Replacement values: wrong types for every key, integers at and past the
+/// `u32`/`u64`/`i64` edges, out-of-range floats (`1e999` parses to
+/// infinity), negative zero and bare non-JSON.
+pub const HOSTILE_VALUES: [&str; 24] = [
+    "0", "1", "0.5", "-0.0", "-1", "1e999", "-1e999", "1e-400", "4294967295", "4294967296",
+    "18446744073709551615", "18446744073709551616", "-9223372036854775809", "null", "true",
+    "\"\"", "\"conv1\"", "\"stall_cycle\"", "\"torn_write\"", "\"\\ud800\"", "[]", "{}",
+    "[0.5]", "NaN",
+];
+
+/// Replacement keys: typos and the keys of the other site set.
+pub const HOSTILE_KEYS: [&str; 7] =
+    ["typo", "layer", "path_substr", "bit", "seed", "site", "kind"];
+
+/// Nesting depths around the JSON parser's 128-level limit, plus far past
+/// it (deep enough to overflow an unbounded recursive parser).
+pub const HOSTILE_DEPTHS: [usize; 7] = [1, 126, 127, 128, 129, 1_000, 100_000];
+
+/// How [`HostileTextCase`] mangles its template.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostileEdit {
+    /// The template unchanged (so the accept path is exercised too).
+    Keep,
+    /// Cut the text at a seeded byte.
+    Truncate,
+    /// Replace one entry's value with a [`HOSTILE_VALUES`] entry.
+    ReplaceValue,
+    /// Rename one entry's key to a [`HOSTILE_KEYS`] entry.
+    RenameKey,
+    /// Replace one entry's value with arrays nested [`HOSTILE_DEPTHS`] deep.
+    NestValue,
+    /// Open [`HOSTILE_DEPTHS`] arrays in front of the template and never
+    /// close them.
+    OpenPrefix,
+}
+
+impl HostileEdit {
+    /// All edits, shrink-ordered simplest first.
+    pub const ALL: [HostileEdit; 6] = [
+        HostileEdit::Keep,
+        HostileEdit::Truncate,
+        HostileEdit::ReplaceValue,
+        HostileEdit::RenameKey,
+        HostileEdit::NestValue,
+        HostileEdit::OpenPrefix,
+    ];
+}
+
+/// A hostile-input case for the fault-plan and request parsers: one edit
+/// applied to one of the [`HOSTILE_TEMPLATES`]. Entries are the
+/// `"key":value` pairs of the template in text order (the `rules` array
+/// counts as one value).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostileTextCase {
+    /// Index into [`HOSTILE_TEMPLATES`].
+    pub template: usize,
+    /// Index into [`HostileEdit::ALL`].
+    pub edit: usize,
+    /// Which entry the edit touches (taken modulo the entry count).
+    pub entry: usize,
+    /// Index into the edit's table (values, keys or depths; taken modulo
+    /// its length).
+    pub choice: usize,
+    /// Truncation point (taken modulo the text length).
+    pub cut: usize,
+}
+
+impl HostileTextCase {
+    /// Generates a case.
+    pub fn arbitrary(rng: &mut XorShiftRng) -> Self {
+        Self {
+            template: rng.next_below(HOSTILE_TEMPLATES.len()),
+            edit: rng.next_below(HostileEdit::ALL.len()),
+            entry: rng.next_below(8),
+            choice: rng.next_below(HOSTILE_VALUES.len()),
+            cut: rng.next_below(128),
+        }
+    }
+
+    /// The edit kind.
+    pub fn edit(&self) -> HostileEdit {
+        HostileEdit::ALL[self.edit]
+    }
+
+    /// The byte ranges of the template's keys (quotes included) and
+    /// values, in text order.
+    fn entries(text: &str) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)> {
+        let bytes = text.as_bytes();
+        let mut out = Vec::new();
+        let mut at = 0;
+        while let Some(found) = text[at..].find("\":") {
+            let colon = at + found + 1;
+            let key_start = text[..colon - 1].rfind('"').expect("opening quote of a key");
+            // A value ends at the first `,` `}` or `]` outside brackets.
+            let mut depth = 0usize;
+            let mut end = colon + 1;
+            while end < bytes.len() {
+                match (bytes[end], depth) {
+                    (b',' | b']' | b'}', 0) => break,
+                    (b'[' | b'{', _) => depth += 1,
+                    (b']' | b'}', _) => depth -= 1,
+                    _ => {}
+                }
+                end += 1;
+            }
+            out.push((key_start..colon, colon + 1..end));
+            at = colon + 1;
+        }
+        out
+    }
+
+    /// Materializes the hostile text.
+    pub fn text(&self) -> String {
+        let template = HOSTILE_TEMPLATES[self.template];
+        let entries = Self::entries(template);
+        let (key, value) = entries[self.entry % entries.len()].clone();
+        let splice = |range: std::ops::Range<usize>, with: &str| {
+            format!("{}{with}{}", &template[..range.start], &template[range.end..])
+        };
+        let depth = HOSTILE_DEPTHS[self.choice % HOSTILE_DEPTHS.len()];
+        match self.edit() {
+            HostileEdit::Keep => template.to_string(),
+            HostileEdit::Truncate => template[..self.cut % template.len()].to_string(),
+            HostileEdit::ReplaceValue => {
+                splice(value, HOSTILE_VALUES[self.choice % HOSTILE_VALUES.len()])
+            }
+            HostileEdit::RenameKey => {
+                let name = HOSTILE_KEYS[self.choice % HOSTILE_KEYS.len()];
+                splice(key, &format!("\"{name}\""))
+            }
+            HostileEdit::NestValue => splice(value, &("[".repeat(depth) + &"]".repeat(depth))),
+            HostileEdit::OpenPrefix => "[".repeat(depth) + template,
+        }
+    }
+
+    /// Whether the case indexes real tables.
+    pub fn is_valid(&self) -> bool {
+        self.template < HOSTILE_TEMPLATES.len() && self.edit < HostileEdit::ALL.len()
+    }
+
+    /// Shrink candidates: earlier template and edit, lower indices.
+    pub fn shrink(&self) -> Vec<Self> {
+        let ok = Self::is_valid;
+        let mut out = Vec::new();
+        shrink_field(&mut out, shrink_usize(self.template, 0), |template| Self { template, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.edit, 0), |edit| Self { edit, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.entry, 0), |entry| Self { entry, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.choice, 0), |choice| Self { choice, ..*self }, ok);
+        shrink_field(&mut out, shrink_usize(self.cut, 0), |cut| Self { cut, ..*self }, ok);
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Report-document corruption
 // ---------------------------------------------------------------------------
 
@@ -1701,5 +1867,33 @@ mod tests {
             }
         }
         assert!(saw_never && saw_always && saw_capped, "rate/cap regimes missing");
+    }
+
+    #[test]
+    fn hostile_text_cases_cover_every_edit_and_entry() {
+        for template in HOSTILE_TEMPLATES {
+            let entries = HostileTextCase::entries(template);
+            assert!(entries.len() >= 2, "{template}");
+            for (key, value) in entries {
+                assert!(template[key].starts_with('"'), "{template}");
+                assert!(!template[value].is_empty(), "{template}");
+            }
+        }
+        let kept = HostileTextCase { template: 0, edit: 0, entry: 0, choice: 0, cut: 0 };
+        assert_eq!(kept.text(), HOSTILE_TEMPLATES[0]);
+        let rules = HostileTextCase { edit: 2, entry: 1, choice: 13, ..kept };
+        assert_eq!(rules.text(), r#"{"seed":7,"rules":null}"#);
+        let typo = HostileTextCase { template: 3, edit: 3, entry: 1, ..kept };
+        assert_eq!(typo.text(), r#"{"kind":"shutdown","typo":10}"#);
+        let mut r = rng();
+        let mut seen = [false; HostileEdit::ALL.len()];
+        for _ in 0..200 {
+            let c = HostileTextCase::arbitrary(&mut r);
+            assert!(c.is_valid(), "{c:?}");
+            seen[c.edit] = true;
+            let _ = c.text();
+            assert!(c.shrink().iter().all(HostileTextCase::is_valid), "{c:?}");
+        }
+        assert!(seen.iter().all(|&s| s), "every edit kind is generated");
     }
 }

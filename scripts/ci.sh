@@ -164,6 +164,19 @@ fi
 echo "== fault injection (fixed-seed smoke plan) =="
 ./target/release/drq faults --network lenet5 \
     --metrics "$ARTIFACTS/reliability.json"
+DRQ_THREADS=1 ./target/release/drq faults --network lenet5 \
+    --metrics "$ARTIFACTS/reliability_1t.json"
+cmp "$ARTIFACTS/reliability.json" "$ARTIFACTS/reliability_1t.json" || {
+    echo "DRQ_THREADS=1 reliability report drifted from the default-thread bytes" >&2
+    echo "replay: DRQ_THREADS=1 drq faults --network lenet5" >&2
+    exit 1
+}
+FAULTS_TOTAL=$(sed -n 's/.*"faults":{[^}]*"total":\([0-9]*\)}.*/\1/p' "$ARTIFACTS/reliability.json")
+[ -n "$FAULTS_TOTAL" ] && [ "$FAULTS_TOTAL" -gt 0 ] || {
+    echo "smoke plan injected no faults (faults.total='$FAULTS_TOTAL'); the step proves nothing" >&2
+    exit 1
+}
+echo "smoke plan injected $FAULTS_TOTAL faults, byte-identical at 1 thread: ok"
 
 echo "== serve soak (loopback, fixed seed) =="
 # Ephemeral port: the server prints "listening on 127.0.0.1:PORT" once
