@@ -7,6 +7,7 @@ use drq_telemetry::counter_add;
 use drq_tensor::{
     int4_matmul, int8_matmul, int8_matmul_wide, parallel, Int4Packed, Shape4, Tensor,
 };
+use std::ops::Range;
 
 /// MAC-operation counts of one convolution execution, split by precision.
 ///
@@ -179,13 +180,21 @@ impl MixedPrecisionConv {
     /// Activation quantization is fit **per request**, so each request
     /// gets exactly the codes (and the output bits) it would get alone.
     /// The work list is flat over every (request, image) pair and runs in
-    /// parallel. Per item and channel group, the input codes expand into
-    /// two masked im2col operand matrices over the same
-    /// `(ic, ky, kx) × (oy, ox)` index space:
+    /// parallel; each item quantizes its image straight to `i8` codes. Per
+    /// item and channel group, the codes expand into two masked im2col
+    /// operand matrices over the same `(ic, ky, kx) × (oy, ox)` index
+    /// space:
     ///
     /// * `X8` — INT8 codes where the source pixel is sensitive, else 0;
     /// * `X4` — INT4 codes (`q >> 4`) where it is insensitive (padding
     ///   included as zero), else 0.
+    ///
+    /// The fill copies row slices: each channel is split once into a
+    /// sensitive and an insensitive plane (regions found through a
+    /// column-to-region table), and each tap row copies the in-bounds
+    /// output-column interval of every in-bounds output row from them.
+    /// Padding taps are never visited, and the INT8 tap count comes from
+    /// per-region usage sums.
     ///
     /// Each tap is sensitive XOR insensitive, so the two products
     /// partition the tap-by-tap sum exactly: `acc = W8·X8 + 256·(W4·X4)`,
@@ -193,9 +202,12 @@ impl MixedPrecisionConv {
     /// i8×i8 kernel and the INT4 product on the nibble-INT4 kernel; both
     /// accumulate in wrapping i32 when the range analysis proves the depth
     /// safe (see `drq_quant::analyze_gemm`) and in i64 otherwise, so the
-    /// sum is always exact. The output is `acc as f32 · dequant + bias`.
-    /// The scalar tap loop in `drq_testkit::reference` is the bit-exact
-    /// oracle for all of it.
+    /// sum is always exact. A group with no sensitive tap has `X8 = 0`, so
+    /// its INT8 GEMM is skipped: `kernel/int8_gemm_calls` and
+    /// `kernel/int8_gemm_macs` count only the INT8 GEMMs that ran, while
+    /// the INT4 counters record one call per item and group. The output is
+    /// `acc as f32 · dequant + bias`. The scalar tap loop in
+    /// `drq_testkit::reference` is the bit-exact oracle for all of it.
     ///
     /// Returns one `(output, counts)` pair per input, in order. Zero-padding
     /// taps are counted as INT4 (the line buffer packs padding as
@@ -222,16 +234,11 @@ impl MixedPrecisionConv {
         let shapes: Vec<Shape4> = inputs.iter().map(|i| validate(conv, i.x, i.masks)).collect();
         let wtaps = conv.in_channels() / conv.groups() * conv.kernel() * conv.kernel();
         assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
-        // Per-request activation calibration and codes (the bit-identity
-        // anchor), then the flat (request, image) work list.
+        // Per-request activation calibration (the bit-identity anchor),
+        // then the flat (request, image) work list.
         let aqs: Vec<QuantParams> = inputs
             .iter()
             .map(|i| QuantParams::fit(i.x.as_slice(), Precision::Int8))
-            .collect();
-        let x8s: Vec<Tensor<i32>> = inputs
-            .iter()
-            .zip(&aqs)
-            .map(|(i, aq)| Quantizer::quantize(aq, i.x))
             .collect();
         let items: Vec<(usize, usize)> = shapes
             .iter()
@@ -240,8 +247,10 @@ impl MixedPrecisionConv {
             .collect();
         let mut per_item = parallel::par_map(items.len(), |j| {
             let (r, n) = items[j];
-            let dequant = aqs[r].scale() * plan.wq8.scale();
-            image(conv, plan, shapes[r], x8s[r].as_slice(), n, &inputs[r].masks[n], dequant)
+            let s = shapes[r];
+            let img_len = s.c * s.h * s.w;
+            let img = &inputs[r].x.as_slice()[n * img_len..(n + 1) * img_len];
+            image(conv, plan, s, img, &aqs[r], &inputs[r].masks[n])
         })
         .into_iter();
         shapes
@@ -280,113 +289,243 @@ fn validate(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> Shape4 {
     s
 }
 
-/// One work item: image `n` of an input of shape `s` with INT8 codes
-/// `x8`. Per channel group, fills the masked im2col operands once, runs
-/// the INT8 and INT4 GEMMs and dequantizes. Returns the image's output
+/// Valid output positions along one axis, per kernel offset: output `o`
+/// in `spans[kk]` reads input `o·stride + kk − pad`, which lies inside
+/// `[0, len)`. Every other output position reads zero padding.
+fn valid_spans(len: usize, out: usize, k: usize, stride: usize, pad: usize) -> Vec<Range<usize>> {
+    (0..k)
+        .map(|kk| {
+            let hi = (len + pad).saturating_sub(kk).div_ceil(stride).min(out);
+            pad.saturating_sub(kk).div_ceil(stride).min(hi)..hi
+        })
+        .collect()
+}
+
+/// How many in-bounds taps read each input position along one axis.
+fn axis_uses(len: usize, spans: &[Range<usize>], stride: usize, pad: usize) -> Vec<u64> {
+    let mut uses = vec![0u64; len];
+    for (kk, span) in spans.iter().enumerate() {
+        for o in span.clone() {
+            uses[o * stride + kk - pad] += 1;
+        }
+    }
+    uses
+}
+
+/// One input channel's INT8 codes split by its mask, refilled per channel.
+struct SplitPlanes {
+    /// Code of each sensitive pixel, zero elsewhere (`[h, w]`).
+    p8: Vec<i8>,
+    /// INT4 code (`q >> 4`) of each insensitive pixel, zero elsewhere.
+    p4: Vec<i8>,
+    /// Per input row: does it hold a sensitive pixel?
+    any8: Vec<bool>,
+    /// Per input row: does it hold an insensitive pixel?
+    any4: Vec<bool>,
+}
+
+impl SplitPlanes {
+    fn new(h: usize, w: usize) -> Self {
+        Self {
+            p8: vec![0; h * w],
+            p4: vec![0; h * w],
+            any8: vec![false; h],
+            any4: vec![false; h],
+        }
+    }
+
+    /// Quantizes channel `x` under `aq` and splits it by `mask`. Pixels
+    /// map to regions through a column-to-region table and one region-row
+    /// slice per input row.
+    ///
+    /// Returns the channel's INT8 tap count. The taps reading pixel
+    /// `(iy, ix)` number `yuses[iy] · xuses[ix]`, so each sensitive region
+    /// adds the product of its row and column usage sums.
+    fn split(
+        &mut self,
+        x: &[f32],
+        aq: &QuantParams,
+        mask: &MaskMap,
+        (xuses, yuses): (&[u64], &[u64]),
+    ) -> u64 {
+        let grid = mask.grid();
+        let (w, cols) = (grid.width(), grid.cols());
+        let col_region: Vec<usize> = (0..w).map(|xx| grid.region_of(0, xx).1).collect();
+        let mut col_uses = vec![0u64; cols];
+        for (&rc, &u) in col_region.iter().zip(xuses) {
+            col_uses[rc] += u;
+        }
+        let mut row_uses = vec![0u64; grid.rows()];
+        for (y, &u) in yuses.iter().enumerate() {
+            row_uses[grid.region_of(y, 0).0] += u;
+        }
+        let bits = mask.bits();
+        let planes = self.p8.chunks_exact_mut(w).zip(self.p4.chunks_exact_mut(w));
+        for (y, (row, (row8, row4))) in x.chunks_exact(w).zip(planes).enumerate() {
+            let region_row = &bits[grid.region_of(y, 0).0 * cols..][..cols];
+            self.any8[y] = region_row.contains(&true);
+            self.any4[y] = region_row.contains(&false);
+            for (((&v, d8), d4), &rc) in row.iter().zip(row8).zip(row4).zip(&col_region) {
+                let q = aq.quantize_value(v) as i8;
+                let sensitive = region_row[rc];
+                *d8 = if sensitive { q } else { 0 };
+                *d4 = if sensitive { 0 } else { q >> 4 };
+            }
+        }
+        bits.iter()
+            .enumerate()
+            .filter(|&(_, &b)| b)
+            .map(|(i, _)| row_uses[i / cols] * col_uses[i % cols])
+            .sum()
+    }
+}
+
+/// `dst[j] = src[j · stride]`: a plain slice copy at stride 1.
+fn gather(dst: &mut [i8], src: &[i8], stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&src[..dst.len()]);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = v;
+        }
+    }
+}
+
+/// The i64 copy of an i32 GEMM result, for the past-the-proof combine.
+fn widen(acc: &Tensor<i32>) -> Vec<i64> {
+    acc.as_slice().iter().map(|&v| v.into()).collect()
+}
+
+/// Dequantizes one group's accumulators with fused bias:
+/// `(a8 + 256·a4) as f32 · dequant + b`, with `a8 = 0` when the INT8
+/// GEMM was skipped.
+fn dequantize<A: Copy + Into<i64>>(
+    out: &mut [f32],
+    acc8: Option<&[A]>,
+    acc4: &[A],
+    bias: &[f32],
+    dequant: f32,
+) {
+    let npix = out.len() / bias.len();
+    let rows = out.chunks_exact_mut(npix).zip(acc4.chunks_exact(npix)).zip(bias);
+    for (oc, ((orow, a4row), &b)) in rows.enumerate() {
+        let a8row = acc8.map(|acc8| &acc8[oc * npix..(oc + 1) * npix]);
+        for (j, (o, &a4)) in orow.iter_mut().zip(a4row).enumerate() {
+            let a8 = a8row.map_or(0, |a8row| a8row[j].into());
+            *o = (a8 + 256 * a4.into()) as f32 * dequant + b;
+        }
+    }
+}
+
+/// One work item: one image `x` (`[c, h, w]`) of an input of shape `s`,
+/// its request's activation parameters `aq` and its per-channel masks.
+/// Per channel group, quantizes and splits each channel, fills the masked
+/// im2col operands by row slices, runs the INT4 GEMM and (if any tap is
+/// sensitive) the INT8 GEMM, and dequantizes. Returns the image's output
 /// (`[c_out, oh, ow]`, flattened) and its MAC split.
 fn image(
     conv: &Conv2d,
     plan: &ConvPlan,
     s: Shape4,
-    x8: &[i32],
-    n: usize,
+    x: &[f32],
+    aq: &QuantParams,
     masks: &[MaskMap],
-    dequant: f32,
 ) -> (Vec<f32>, ConvOpCounts) {
     let k = conv.kernel();
     let stride = conv.stride();
-    let pad = conv.padding() as isize;
+    let pad = conv.padding();
     let groups = conv.groups();
     let cpg_in = s.c / groups;
     let cpg_out = conv.out_channels() / groups;
     let bias = conv.bias().as_slice();
+    let dequant = aq.scale() * plan.wq8.scale();
     let wtaps = plan.wtaps;
     let out_shape = conv.output_shape(s);
-    let npix = out_shape.h * out_shape.w;
+    let (oh, ow) = (out_shape.h, out_shape.w);
+    let npix = oh * ow;
     let plane = s.h * s.w;
+    let xspans = valid_spans(s.w, ow, k, stride, pad);
+    let yspans = valid_spans(s.h, oh, k, stride, pad);
+    let xuses = axis_uses(s.w, &xspans, stride, pad);
+    let yuses = axis_uses(s.h, &yspans, stride, pad);
 
-    // Per-channel sensitivity bitmap: one byte per pixel beats a region
-    // lookup (divisions) in the innermost loop.
-    let mut sens = vec![0u8; s.c * plane];
-    for (c, mask) in masks.iter().enumerate() {
-        for iy in 0..s.h {
-            for ix in 0..s.w {
-                sens[c * plane + iy * s.w + ix] = u8::from(mask.pixel_sensitive(iy, ix));
-            }
-        }
-    }
+    let mut x8_g = Tensor::<i8>::zeros(&[wtaps, npix]);
+    let mut x4_g = Tensor::<i8>::zeros(&[wtaps, npix]);
+    let mut planes = SplitPlanes::new(s.h, s.w);
     let mut oimg = vec![0.0f32; conv.out_channels() * npix];
     let mut counts = ConvOpCounts::default();
+    let macs = (cpg_out * wtaps * npix) as u64;
     for g in 0..groups {
-        let mut x8_mat = vec![0i8; wtaps * npix];
-        let mut x4_mat = vec![0i8; wtaps * npix];
-        // Masked im2col: one pass over the tap index space fills both
-        // operand matrices and tallies the per-tap precision split
-        // (identical for every output channel of the group, so the group's
-        // counts are the per-tap counts × cpg_out).
-        let (mut c8, mut c4) = (0u64, 0u64);
+        if g > 0 {
+            x8_g.as_mut_slice().fill(0);
+            x4_g.as_mut_slice().fill(0);
+        }
+        // Masked im2col: per (ic, ky, kx) tap row, copy the in-bounds
+        // output-column interval of each in-bounds output row from the
+        // channel's split planes. Padding taps stay zero in both operands
+        // and count as INT4; a source row with no pixel of a class adds
+        // nothing to that class's operand, so its copy is skipped.
+        let mut c8 = 0u64;
+        let (x8s, x4s) = (x8_g.as_mut_slice(), x4_g.as_mut_slice());
         for ic_local in 0..cpg_in {
             let ic = g * cpg_in + ic_local;
-            let sens_c = &sens[ic * plane..(ic + 1) * plane];
-            for ky in 0..k {
-                for kx in 0..k {
-                    let rbase = ((ic_local * k + ky) * k + kx) * npix;
-                    for oy in 0..out_shape.h {
-                        let iy = (oy * stride + ky) as isize - pad;
-                        for ox in 0..out_shape.w {
-                            let ix = (ox * stride + kx) as isize - pad;
-                            let inside =
-                                iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w;
-                            if !inside {
-                                // Padding: zero INT4 operand.
-                                c4 += 1;
-                                continue;
-                            }
-                            let (iy, ix) = (iy as usize, ix as usize);
-                            let q_x = x8[s.offset(n, ic, iy, ix)] as i8;
-                            let col = rbase + oy * out_shape.w + ox;
-                            if sens_c[iy * s.w + ix] == 1 {
-                                c8 += 1;
-                                x8_mat[col] = q_x;
-                            } else {
-                                c4 += 1;
-                                x4_mat[col] = q_x >> 4;
-                            }
+            let xc = &x[ic * plane..(ic + 1) * plane];
+            c8 += planes.split(xc, aq, &masks[ic], (&xuses, &yuses));
+            for (ky, ys) in yspans.iter().enumerate() {
+                for (kx, xs) in xspans.iter().enumerate().filter(|(_, xs)| !xs.is_empty()) {
+                    let row = ((ic_local * k + ky) * k + kx) * npix;
+                    let ix0 = xs.start * stride + kx - pad;
+                    for oy in ys.clone() {
+                        let iy = oy * stride + ky - pad;
+                        let src = iy * s.w + ix0;
+                        let dst = row + oy * ow + xs.start..row + oy * ow + xs.end;
+                        if planes.any8[iy] {
+                            gather(&mut x8s[dst.clone()], &planes.p8[src..], stride);
+                        }
+                        if planes.any4[iy] {
+                            gather(&mut x4s[dst], &planes.p4[src..], stride);
                         }
                     }
                 }
             }
         }
         counts.int8_macs += c8 * cpg_out as u64;
-        counts.int4_macs += c4 * cpg_out as u64;
+        counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
 
-        let x8_g = Tensor::from_vec(x8_mat, &[wtaps, npix]).expect("im2col operand shape");
-        let x4_g = Tensor::from_vec(x4_mat, &[wtaps, npix]).expect("im2col operand shape");
-        let macs = (cpg_out * wtaps * npix) as u64;
-        counter_add!("kernel/int8_gemm_calls", 1);
-        counter_add!("kernel/int8_gemm_macs", macs);
-        let acc8: Vec<i64> = if plan.wide8 {
-            counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
-            int8_matmul_wide(&plan.w8_groups[g], &x8_g).into_vec()
-        } else {
-            int8_matmul(&plan.w8_groups[g], &x8_g).as_slice().iter().map(|&v| v as i64).collect()
-        };
+        // An all-zero X8 has an exactly-zero product: skip its GEMM. The
+        // GEMM counters record only the calls that run.
+        let run8 = c8 > 0;
+        if run8 {
+            counter_add!("kernel/int8_gemm_calls", 1);
+            counter_add!("kernel/int8_gemm_macs", macs);
+        }
         counter_add!("kernel/int4_gemm_calls", 1);
         counter_add!("kernel/int4_gemm_macs", macs);
-        let acc4: Vec<i64> = if plan.wide4 {
-            counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
-            int8_matmul_wide(&plan.w4_groups[g].unpack(), &x4_g).into_vec()
-        } else {
-            int4_matmul(&plan.w4_groups[g], &x4_g).as_slice().iter().map(|&v| v as i64).collect()
-        };
-        // Dequantize once per output with fused bias.
         let group_out = &mut oimg[g * cpg_out * npix..(g + 1) * cpg_out * npix];
-        for (oc_local, orow) in group_out.chunks_exact_mut(npix).enumerate() {
-            let b = bias[g * cpg_out + oc_local];
-            let rows = acc8[oc_local * npix..].iter().zip(&acc4[oc_local * npix..]);
-            for (o, (&a8, &a4)) in orow.iter_mut().zip(rows) {
-                *o = (a8 + 256 * a4) as f32 * dequant + b;
-            }
+        let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
+        if plan.wide8 || plan.wide4 {
+            // Depth past the range proof: exact i64 accumulation.
+            let acc8 = run8.then(|| {
+                if plan.wide8 {
+                    counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
+                    int8_matmul_wide(&plan.w8_groups[g], &x8_g).into_vec()
+                } else {
+                    widen(&int8_matmul(&plan.w8_groups[g], &x8_g))
+                }
+            });
+            let acc4: Vec<i64> = if plan.wide4 {
+                counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
+                int8_matmul_wide(&plan.w4_groups[g].unpack(), &x4_g).into_vec()
+            } else {
+                widen(&int4_matmul(&plan.w4_groups[g], &x4_g))
+            };
+            dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant);
+        } else {
+            // Proven i32-safe: dequantize straight from the i32 results.
+            let acc8 = run8.then(|| int8_matmul(&plan.w8_groups[g], &x8_g));
+            let acc4 = int4_matmul(&plan.w4_groups[g], &x4_g);
+            let acc8 = acc8.as_ref().map(Tensor::as_slice);
+            dequantize(group_out, acc8, acc4.as_slice(), group_bias, dequant);
         }
     }
     (oimg, counts)

@@ -1,18 +1,64 @@
 //! TCP and stdio front-ends over the [`ShardRouter`].
 //!
 //! Both speak the line-delimited JSON protocol of [`crate::protocol`]:
-//! each request line — valid, malformed, or a shutdown command — produces
-//! exactly one response line on the connection (or stdout) it arrived on.
+//! each request line — valid, malformed, not UTF-8, longer than
+//! [`MAX_LINE_BYTES`], or a shutdown command — produces exactly one
+//! response line on the connection (or stdout) it arrived on. Only EOF or
+//! a read error ends a connection.
 
 use crate::engine::DrainReport;
+use crate::error::ServeError;
 use crate::protocol::{parse_request, Outcome, RequestBody, Response};
 use crate::router::ShardRouter;
 use drq_telemetry::counter_add;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
+
+/// Longest request line the front-ends accept, in bytes, newline
+/// excluded. A longer line is discarded up to its newline and answered
+/// with one `bad_request`, so a client that never sends `\n` cannot grow
+/// the server's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Reads the next request line, stripping its `\n` or `\r\n` terminator.
+/// Returns `None` at EOF or on a read error, `Some(Err)` for a line that
+/// is over-long or not UTF-8, which the caller answers and then keeps
+/// reading.
+fn next_line<R: BufRead>(reader: &mut R) -> Option<Result<String, ServeError>> {
+    let mut buf = Vec::new();
+    // Room for the longest line plus its `\r\n`.
+    let n = reader.by_ref().take(MAX_LINE_BYTES as u64 + 2).read_until(b'\n', &mut buf).ok()?;
+    if n == 0 {
+        return None;
+    }
+    let ended = buf.last() == Some(&b'\n');
+    if ended {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    }
+    if buf.len() > MAX_LINE_BYTES {
+        if !ended {
+            // Drop the rest of the line without buffering it.
+            reader.skip_until(b'\n').ok()?;
+        }
+        let detail = format!("request line longer than {MAX_LINE_BYTES} bytes");
+        return Some(Err(ServeError::BadRequest { detail }));
+    }
+    Some(String::from_utf8(buf).map_err(|_| ServeError::BadRequest {
+        detail: "request line is not valid UTF-8".into(),
+    }))
+}
+
+/// Answers a line that could not become a request with one error response.
+fn reject<W: Write>(writer: &Mutex<W>, error: ServeError) {
+    counter_add!("serve/rejected_invalid", 1);
+    write_response(writer, &Response { id: None, outcome: Outcome::Error { error } });
+}
 
 /// Writes one response line to a shared writer, flushing immediately so
 /// the client never waits on a buffer. Write errors mean the client went
@@ -100,9 +146,9 @@ fn handle_connection(
         return;
     };
     let writer = Arc::new(Mutex::new(stream));
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    while let Some(line) = next_line(&mut reader) {
+        let Ok(line) = line.map_err(|error| reject(&writer, error)) else { continue };
         if dispatch_line(&router, &line, &writer) == LineVerdict::Shutdown {
             let drain_ms = match parse_request(&line) {
                 Ok(RequestBody::Shutdown { drain_ms }) => drain_ms,
@@ -141,11 +187,7 @@ fn dispatch_line<W: Write + Send + 'static>(
     }
     match parse_request(line) {
         Err(error) => {
-            counter_add!("serve/rejected_invalid", 1);
-            write_response(
-                writer,
-                &Response { id: None, outcome: Outcome::Error { error } },
-            );
+            reject(writer, error);
             LineVerdict::Continue
         }
         Ok(RequestBody::Shutdown { .. }) => {
@@ -175,13 +217,13 @@ pub fn serve_stdio(router: Arc<ShardRouter>) -> DrainReport {
 /// Generic line-stream front-end (the stdio path, and directly testable).
 pub fn serve_lines<R: BufRead, W: Write + Send + 'static>(
     router: Arc<ShardRouter>,
-    reader: R,
+    mut reader: R,
     writer: W,
 ) -> DrainReport {
     let writer = Arc::new(Mutex::new(writer));
     let mut drain_ms = 1_000u64;
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    while let Some(line) = next_line(&mut reader) {
+        let Ok(line) = line.map_err(|error| reject(&writer, error)) else { continue };
         if dispatch_line(&router, &line, &writer) == LineVerdict::Shutdown {
             if let Ok(RequestBody::Shutdown { drain_ms: ms }) = parse_request(&line) {
                 drain_ms = ms;
@@ -244,6 +286,45 @@ mod tests {
             .filter(|l| Response::parse(l).unwrap().draining)
             .count();
         assert_eq!(acks, 1);
+    }
+
+    #[test]
+    fn bad_utf8_and_overlong_lines_are_one_error_each_and_serving_continues() {
+        let router = ShardRouter::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let mut input = b"{\"id\":\"a\"}\n\xff\xfe\n{\"id\":\"b\"}\n".to_vec();
+        input.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        input.extend_from_slice(b"\n{\"id\":\"c\"}\n");
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        let report = serve_lines(router, Cursor::new(input), SharedBuf(Arc::clone(&buf)));
+        let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 5, "one response per line:\n{out}");
+        let ok = lines.iter().filter(|l| Response::parse(l).unwrap().status == "ok").count();
+        assert_eq!(ok, 3, "{out}");
+        assert!(out.contains("not valid UTF-8"), "{out}");
+        assert!(out.contains(&format!("longer than {MAX_LINE_BYTES} bytes")), "{out}");
+        assert_eq!(report.served, 3);
+        assert_eq!(report.worker_restarts, 0);
+    }
+
+    #[test]
+    fn line_cap_is_exact_and_long_lines_are_skipped_to_their_newline() {
+        // MAX_LINE_BYTES of content plus `\r\n` is accepted; a line three
+        // times the cap is one error, and the next line reads intact.
+        let mut input = b"{\"id\":\"edge\"}".to_vec();
+        input.resize(MAX_LINE_BYTES, b' ');
+        input.extend_from_slice(b"\r\n");
+        input.extend(std::iter::repeat_n(b'x', 3 * MAX_LINE_BYTES));
+        input.extend_from_slice(b"\n{\"id\":\"next\"}");
+        let mut reader = Cursor::new(input);
+        let edge = next_line(&mut reader).unwrap().unwrap();
+        assert_eq!(edge.len(), MAX_LINE_BYTES, "terminator stripped, content kept");
+        assert!(next_line(&mut reader).unwrap().is_err());
+        assert_eq!(next_line(&mut reader).unwrap().unwrap(), "{\"id\":\"next\"}");
+        assert!(next_line(&mut reader).is_none(), "EOF");
     }
 
     #[test]

@@ -217,6 +217,25 @@ grep -q '"kind":"serve"' "$ARTIFACTS/serve_metrics.json" || {
     exit 1
 }
 
+echo "== serve hostile lines (bad UTF-8, over-long) =="
+# valid / bad UTF-8 / valid / one byte past the 64 KiB line cap / valid:
+# each bad line must get one error response and serving must go on to the
+# end of the input without restarting a worker.
+{
+    printf '{"id":"h1"}\n\377\376\n{"id":"h2"}\n'
+    head -c 65537 /dev/zero | tr '\000' x
+    printf '\n{"id":"h3"}\n'
+} | ./target/release/drq serve --stdin true > "$ARTIFACTS/serve_hostile.txt"
+HOSTILE_OK=$(grep -c '"status":"ok"' "$ARTIFACTS/serve_hostile.txt" || true)
+HOSTILE_ERR=$(grep -c '"status":"error"' "$ARTIFACTS/serve_hostile.txt" || true)
+[ "$HOSTILE_OK" -eq 3 ] && [ "$HOSTILE_ERR" -eq 2 ] \
+    && grep -q 'worker_restarts 0' "$ARTIFACTS/serve_hostile.txt" || {
+    echo "hostile serve lines: want 3 ok, 2 error, 0 restarts; got $HOSTILE_OK ok, $HOSTILE_ERR error:" >&2
+    cat "$ARTIFACTS/serve_hostile.txt" >&2
+    exit 1
+}
+echo "hostile serve lines: 3 ok, 2 error, 0 worker restarts: ok"
+
 echo "== serve scale-out soak (seeded kills, cross-config byte-gate) =="
 # The same seeded request stream at 1 worker / no kills / no coalescing
 # and at 4 workers with 2 mid-stream worker kills and aggressive

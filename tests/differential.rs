@@ -451,6 +451,62 @@ fn mixed_conv_group_members_match_their_own_oracle() {
     parallel::set_max_threads(0);
 }
 
+/// A post-ReLU-like activation with brighter blobs, so that 4×4 region
+/// means land on both sides of the predictor threshold.
+fn blobby_activation(shape: [usize; 4], seed: u64) -> Tensor<f32> {
+    let mut rng = XorShiftRng::new(seed);
+    let [_, _, h, w] = shape;
+    Tensor::from_fn(&shape, |i| {
+        let (y, x) = ((i / w) % h, i % w);
+        let gain = if (y / 6 + x / 5) % 3 == 0 { 4.0 } else { 1.0 };
+        (rng.next_normal() * gain).max(0.0)
+    })
+}
+
+#[test]
+fn mixed_conv_matches_oracle_at_stand_in_layer_shapes() {
+    // `ConvCase` draws maps of at most about 12×12, so the wide stride-1
+    // slice copies meet the oracle at real widths only here: the
+    // stand-ins' own conv geometries, with predictor masks over 4×4
+    // regions. The last case is a batch of 3 whose middle image is
+    // all-insensitive, which skips that item's INT8 GEMM.
+    let _serial = thread_count_lock();
+    let predictor = SensitivityPredictor::new(RegionSize::new(4, 4), 8.0);
+    // (name, in_c, out_c, k, stride, pad, input side)
+    let layers = [
+        ("ResNet-8 stem 3->16 3x3 s1 p1", 3, 16, 3, 1, 1, 32),
+        ("ResNet-8 block 16->16 3x3 s1 p1", 16, 16, 3, 1, 1, 32),
+        ("ResNet-8 down 16->32 3x3 s2 p1", 16, 32, 3, 2, 1, 32),
+        ("ResNet-8 shortcut 16->32 1x1 s2 p0", 16, 32, 1, 2, 0, 32),
+        ("LeNet-5 conv1 1->6 5x5 p2 at 16x16", 1, 6, 5, 1, 2, 16),
+        ("LeNet-5 conv1 1->6 5x5 p2 at 28x28", 1, 6, 5, 1, 2, 28),
+    ];
+    let check = |name: &str, conv: &drq::nn::Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]| {
+        let want = mixed_conv_naive(conv, x, masks);
+        assert!(
+            want.1.int8_macs > 0 && want.1.int4_macs > 0,
+            "{name}: masks are degenerate ({:?})",
+            want.1
+        );
+        at_thread_counts(|threads| {
+            let got = mixed_conv(conv, x, masks);
+            assert_matches_oracle(&got, &want, &format!("{name}, {threads} threads"))
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
+    };
+    for (&(name, ic, oc, k, stride, pad, hw), i) in layers.iter().zip(0u64..) {
+        let conv = drq::nn::Conv2d::new(ic, oc, k, stride, pad, 100 + i);
+        let x = blobby_activation([1, ic, hw, hw], 7 + i);
+        check(name, &conv, &x, &predictor.predict_batch(&x));
+    }
+    let conv = drq::nn::Conv2d::new(16, 16, 3, 1, 1, 200);
+    let x = blobby_activation([3, 16, 32, 32], 201);
+    let mut masks = predictor.predict_batch(&x);
+    masks[1] = drq::core::uniform_masks(drq::tensor::Shape4::new(1, 16, 32, 32), false).remove(0);
+    check("batch 3, image 1 all-insensitive", &conv, &x, &masks);
+    parallel::set_max_threads(0);
+}
+
 // ---------------------------------------------------------------------------
 // Family 3: quantize→dequantize round trips and Quantizer-trait invariants
 // ---------------------------------------------------------------------------

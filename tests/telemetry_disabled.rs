@@ -100,6 +100,21 @@ fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
     assert_eq!(snap.counter("kernel/int4_gemm_macs"), total);
     // Realistic depths are proven i32-safe: no wide fallbacks.
     assert_eq!(snap.counter("kernel/int8_gemm_wide_fallbacks"), 0);
+
+    // A third request, all-insensitive over 2 images: its X8 operands are
+    // all zero, so its INT8 GEMMs are skipped and left out of the INT8
+    // counters, while every item still runs its INT4 GEMMs.
+    let c = Tensor::from_fn(&[2, 4, 8, 8], |_| rng.next_normal());
+    let masks_c = uniform_masks(c.shape4().unwrap(), false);
+    let inputs = [inputs[0], inputs[1], CoalesceInput { x: &c, masks: &masks_c }];
+    drq::telemetry::reset();
+    let outputs = MixedPrecisionConv::forward(&conv, None, &inputs);
+    let snap = drq::telemetry::snapshot();
+    assert_eq!(snap.counter("kernel/int4_gemm_calls"), (3 + 2) * 2);
+    assert_eq!(snap.counter("kernel/int8_gemm_calls"), 3 * 2);
+    let ran: u64 = outputs[..2].iter().map(|(_, c)| c.total()).sum();
+    assert_eq!(snap.counter("kernel/int8_gemm_macs"), ran);
+    assert_eq!(outputs[2].1.int8_macs, 0);
     drq::telemetry::reset();
     drq::telemetry::disable();
 }
