@@ -551,7 +551,7 @@ fn cmd_soak(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     report.push("plan_mask_hits", outcome.plan.mask_hits);
     report.push("plan_mask_misses", outcome.plan.mask_misses);
     report.push("plan_hit_rate", outcome.plan.hit_rate());
-    write_observability(args, Some(report), None)?;
+    write_observability(args, Some(report), Some(outcome.trace.clone()))?;
     if !outcome.clean() {
         return Err(format!(
             "soak contract violated: {} responses for {} requests ({} ok, {} duplicates, {} missing)\n{}",

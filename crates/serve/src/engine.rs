@@ -1,4 +1,10 @@
-//! The batch-inference engine: admission, scheduling, execution, drain.
+//! One serve shard: admission, scheduling, execution, drain.
+//!
+//! A [`ServeEngine`] is the crash-able unit behind a [`crate::ShardRouter`]:
+//! its own bounded queue, virtual clock and shed machine, and one worker
+//! thread. The router owns everything that outlives a shard — the shared
+//! [`PlanCache`], the one counter set, and each slot's trace — and hands
+//! them to every engine it starts or restarts.
 //!
 //! Invariant the whole module is built around: **every submitted request
 //! gets exactly one response** — whether it executes, expires, is bounced
@@ -6,10 +12,8 @@
 //! shutdown hard deadline. Tests count responses against submissions to
 //! hold the engine to it.
 //!
-//! Scale-out additions: workers pop *groups* of compatible requests and
-//! run them as one coalesced execution (see [`crate::batcher`]); prepared
-//! model plans come from a [`PlanCache`] that can be shared across many
-//! engines behind a [`crate::ShardRouter`]; and [`ServeEngine::crash`]
+//! The worker pops *groups* of compatible requests and runs them as one
+//! coalesced execution (see [`crate::batcher`]); [`ServeEngine::crash`]
 //! simulates a worker-process death, returning every unanswered admitted
 //! request so the router can reroute it (the exactly-one-response
 //! invariant spans the death).
@@ -24,7 +28,7 @@ use drq_core::{ConvOpCounts, DrqConfig, RegionSize};
 use drq_models::{Dataset, DatasetKind};
 use drq_nn::Network;
 use drq_tensor::Tensor;
-use drq_telemetry::{counter_add, gauge_set, Json, Report, Tracer};
+use drq_telemetry::{counter_add, gauge_set, Json, Tracer};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -32,12 +36,12 @@ use std::sync::{Arc, Mutex, Once};
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Configuration for a [`ServeEngine`].
+/// Configuration for a [`crate::ShardRouter`] and each of its shards.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker thread count.
+    /// Shard count; each shard runs one worker thread.
     pub workers: usize,
-    /// Admission queue capacity (hard bound).
+    /// Admission queue capacity per shard (hard bound).
     pub capacity: usize,
     /// Maximum batch size a request may ask for.
     pub max_batch: usize,
@@ -49,12 +53,6 @@ pub struct ServeConfig {
     pub model_seed: u64,
     /// Load-shed thresholds.
     pub shed: ShedPolicy,
-    /// Retry hint attached to backpressure rejections, in milliseconds.
-    pub retry_after_ms: u64,
-    /// Suppress panic backtraces from worker threads (the panics are
-    /// caught and converted into typed responses; the default hook's
-    /// stderr spew would drown soak-test output).
-    pub quiet_worker_panics: bool,
     /// Continuous-batching width: the maximum total *images* a worker may
     /// coalesce into one group (same dataset, never poison). `1` disables
     /// coalescing; groups never change response bytes either way.
@@ -72,16 +70,19 @@ impl Default for ServeConfig {
             drq: DrqConfig::new(RegionSize::new(4, 4), 20.0),
             model_seed: 42,
             shed: ShedPolicy::default(),
-            retry_after_ms: 2,
-            quiet_worker_panics: true,
             coalesce: 1,
         }
     }
 }
 
-/// Monotonic counters describing engine activity.
+/// Retry hint attached to backpressure rejections, in milliseconds.
+const RETRY_AFTER_MS: u64 = 2;
+
+/// Monotonic counters describing serve activity. A router creates one set
+/// and every shard it starts or restarts counts into it, so a kill never
+/// makes completed work disappear from reports.
 #[derive(Debug, Default)]
-struct EngineCounters {
+pub(crate) struct EngineCounters {
     admitted: AtomicU64,
     completed: AtomicU64,
     cancelled: AtomicU64,
@@ -95,7 +96,27 @@ struct EngineCounters {
     batch_coalesced: AtomicU64,
 }
 
-/// A point-in-time snapshot of the engine's counters.
+impl EngineCounters {
+    /// Point-in-time snapshot of every counter.
+    pub(crate) fn snapshot(&self) -> ServeStats {
+        ServeStats {
+            admitted: self.admitted.load(Ordering::SeqCst),
+            completed: self.completed.load(Ordering::SeqCst),
+            cancelled: self.cancelled.load(Ordering::SeqCst),
+            rejected_full: self.rejected_full.load(Ordering::SeqCst),
+            rejected_shed: self.rejected_shed.load(Ordering::SeqCst),
+            rejected_oversized: self.rejected_oversized.load(Ordering::SeqCst),
+            deadline_miss: self.deadline_miss.load(Ordering::SeqCst),
+            worker_restarts: self.worker_restarts.load(Ordering::SeqCst),
+            degraded_responses: self.degraded_responses.load(Ordering::SeqCst),
+            batch_groups: self.batch_groups.load(Ordering::SeqCst),
+            batch_coalesced: self.batch_coalesced.load(Ordering::SeqCst),
+        }
+    }
+}
+
+/// A point-in-time snapshot of a router's counters, summed over every
+/// shard it ever ran.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Requests accepted into the queue.
@@ -125,29 +146,27 @@ pub struct ServeStats {
 /// Result of a graceful shutdown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrainReport {
-    /// Requests completed over the engine's lifetime.
+    /// Requests completed over the router's lifetime.
     pub served: u64,
     /// Requests cancelled because the drain hit its hard deadline.
     pub cancelled: u64,
-    /// Worker restarts over the engine's lifetime.
+    /// Worker restarts over the router's lifetime.
     pub worker_restarts: u64,
 }
 
-/// Worker-thread name prefix (the quiet panic hook keys on it).
-const WORKER_PREFIX: &str = "drq-serve-worker";
+/// Worker-thread name (the quiet panic hook keys on it).
+const WORKER_NAME: &str = "drq-serve-worker";
 
 /// Installs a process-wide panic hook, once, that silences panics from
-/// engine worker threads (they are caught and surfaced as typed responses)
-/// while delegating everything else to the previous hook.
+/// engine worker threads (they are caught and surfaced as typed responses,
+/// and the default hook's stderr spew would drown soak output) while
+/// delegating everything else to the previous hook.
 fn install_quiet_panic_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let from_worker = thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_PREFIX));
-            if !from_worker {
+            if thread::current().name() != Some(WORKER_NAME) {
                 previous(info);
             }
         }));
@@ -165,179 +184,87 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The long-running inference engine. Create with [`ServeEngine::start`],
-/// feed with [`ServeEngine::submit`], stop with [`ServeEngine::shutdown`].
-pub struct ServeEngine {
+/// One single-thread shard. The router creates it with
+/// [`ServeEngine::start`], feeds it with [`ServeEngine::submit`], and
+/// stops it with [`ServeEngine::shutdown`] or [`ServeEngine::crash`].
+pub(crate) struct ServeEngine {
     config: ServeConfig,
-    clock: Arc<CycleClock>,
-    queue: Arc<AdmissionQueue>,
-    shed: Arc<Mutex<ShedMachine>>,
+    clock: CycleClock,
+    queue: AdmissionQueue,
+    shed: Mutex<ShedMachine>,
     counters: Arc<EngineCounters>,
     seq: AtomicU64,
-    hard_stop: Arc<AtomicBool>,
+    hard_stop: AtomicBool,
     /// Set by [`ServeEngine::crash`]: in-flight groups abort at their next
     /// layer boundary and park their jobs in `salvage` instead of replying.
-    crashed: Arc<AtomicBool>,
+    crashed: AtomicBool,
     salvage: Mutex<Vec<(InferRequest, Responder)>>,
     plans: Arc<PlanCache>,
     config_fp: u64,
-    workers: Mutex<Vec<thread::JoinHandle<()>>>,
-    tracer: Mutex<Tracer>,
+    worker: Mutex<Option<thread::JoinHandle<()>>>,
+    /// The owning slot's trace: it outlives this engine, so a kill keeps
+    /// the spans recorded here.
+    tracer: Arc<Mutex<Tracer>>,
 }
 
 impl ServeEngine {
-    /// Starts the engine's worker threads and returns a handle, with a
-    /// private plan cache.
-    pub fn start(config: ServeConfig) -> Arc<Self> {
-        Self::start_with_cache(config, Arc::new(PlanCache::new()))
-    }
-
-    /// Starts the engine sharing `plans` — the router hands every shard
-    /// the same cache so one model preparation serves all workers.
-    pub fn start_with_cache(config: ServeConfig, plans: Arc<PlanCache>) -> Arc<Self> {
-        if config.quiet_worker_panics {
-            install_quiet_panic_hook();
-        }
+    /// Starts the engine's worker thread. `plans`, `counters` and `tracer`
+    /// belong to the router and outlive the engine.
+    pub(crate) fn start(
+        config: ServeConfig,
+        plans: Arc<PlanCache>,
+        counters: Arc<EngineCounters>,
+        tracer: Arc<Mutex<Tracer>>,
+    ) -> Arc<Self> {
+        install_quiet_panic_hook();
         let engine = Arc::new(Self {
-            clock: Arc::new(CycleClock::new()),
-            queue: Arc::new(AdmissionQueue::new(config.capacity)),
-            shed: Arc::new(Mutex::new(ShedMachine::new(config.shed))),
-            counters: Arc::new(EngineCounters::default()),
+            clock: CycleClock::new(),
+            queue: AdmissionQueue::new(config.capacity),
+            shed: Mutex::new(ShedMachine::new(config.shed)),
+            counters,
             seq: AtomicU64::new(0),
-            hard_stop: Arc::new(AtomicBool::new(false)),
-            crashed: Arc::new(AtomicBool::new(false)),
+            hard_stop: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
             salvage: Mutex::new(Vec::new()),
             config_fp: config_fingerprint(&config.drq),
             plans,
-            workers: Mutex::new(Vec::new()),
-            tracer: Mutex::new(Tracer::new()),
+            worker: Mutex::new(None),
+            tracer,
             config,
         });
-        // Pre-touch every serve/* counter so the metric keys appear in
-        // reports even when an event never fires (CI greps for zeros).
-        counter_add!("serve/admitted", 0);
-        counter_add!("serve/completed", 0);
-        counter_add!("serve/cancelled", 0);
-        counter_add!("serve/rejected_full", 0);
-        counter_add!("serve/rejected_shed", 0);
-        counter_add!("serve/rejected_oversized", 0);
-        counter_add!("serve/rejected_invalid", 0);
-        counter_add!("serve/deadline_miss", 0);
-        counter_add!("serve/worker_restarts", 0);
-        counter_add!("serve/degraded_responses", 0);
-        counter_add!("serve/batch/groups", 0);
-        counter_add!("serve/batch/coalesced_requests", 0);
-        counter_add!("serve/plan/model_hits", 0);
-        counter_add!("serve/plan/model_misses", 0);
-        counter_add!("serve/plan/mask_hits", 0);
-        counter_add!("serve/plan/mask_misses", 0);
-        gauge_set!("serve/queue_depth", 0.0);
-        let mut handles = engine.workers.lock().unwrap();
-        for worker_id in 0..engine.config.workers.max(1) {
-            let e = Arc::clone(&engine);
-            let handle = thread::Builder::new()
-                .name(format!("{WORKER_PREFIX}-{worker_id}"))
-                .spawn(move || e.worker_loop(worker_id))
-                .expect("spawn serve worker");
-            handles.push(handle);
-        }
-        drop(handles);
+        let e = Arc::clone(&engine);
+        let handle = thread::Builder::new()
+            .name(WORKER_NAME.to_string())
+            .spawn(move || e.worker_loop())
+            .expect("spawn serve worker");
+        *engine.worker.lock().unwrap() = Some(handle);
         engine
     }
 
-    /// The engine's virtual clock.
-    pub fn clock(&self) -> &CycleClock {
-        &self.clock
+    /// The engine's virtual clock reading.
+    pub(crate) fn now(&self) -> u64 {
+        self.clock.now()
     }
 
     /// Current load-shed state.
-    pub fn state(&self) -> ShedState {
+    pub(crate) fn state(&self) -> ShedState {
         self.shed.lock().unwrap().state()
     }
 
-    /// Current queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The shared plan cache this engine prepares models through.
-    pub fn plan_cache(&self) -> Arc<PlanCache> {
-        Arc::clone(&self.plans)
-    }
-
-    /// Holds all workers at the queue (deterministic tests fill the queue
+    /// Holds the worker at the queue (deterministic tests fill the queue
     /// to an exact depth this way). Pair with [`ServeEngine::resume_workers`].
-    pub fn pause_workers(&self) {
+    pub(crate) fn pause_workers(&self) {
         self.queue.set_held(true);
     }
 
-    /// Releases workers held by [`ServeEngine::pause_workers`].
-    pub fn resume_workers(&self) {
+    /// Releases a worker held by [`ServeEngine::pause_workers`].
+    pub(crate) fn resume_workers(&self) {
         self.queue.set_held(false);
     }
 
-    /// Snapshot of the engine counters.
-    pub fn stats(&self) -> ServeStats {
-        let c = &self.counters;
-        ServeStats {
-            admitted: c.admitted.load(Ordering::SeqCst),
-            completed: c.completed.load(Ordering::SeqCst),
-            cancelled: c.cancelled.load(Ordering::SeqCst),
-            rejected_full: c.rejected_full.load(Ordering::SeqCst),
-            rejected_shed: c.rejected_shed.load(Ordering::SeqCst),
-            rejected_oversized: c.rejected_oversized.load(Ordering::SeqCst),
-            deadline_miss: c.deadline_miss.load(Ordering::SeqCst),
-            worker_restarts: c.worker_restarts.load(Ordering::SeqCst),
-            degraded_responses: c.degraded_responses.load(Ordering::SeqCst),
-            batch_groups: c.batch_groups.load(Ordering::SeqCst),
-            batch_coalesced: c.batch_coalesced.load(Ordering::SeqCst),
-        }
-    }
-
-    /// The per-request trace as JSON lines (span per executed request,
-    /// recorded while telemetry is enabled).
-    pub fn trace_jsonl(&self) -> String {
-        self.tracer.lock().unwrap().to_jsonl()
-    }
-
-    /// A snapshot of the per-request tracer (for `--trace` artifacts).
-    pub fn tracer_snapshot(&self) -> Tracer {
-        self.tracer.lock().unwrap().clone()
-    }
-
-    /// Structured report (`kind: "serve"`) for `--metrics` artifacts.
-    pub fn report(&self) -> Report {
-        let s = self.stats();
-        let p = self.plans.stats();
-        let mut r = Report::new("serve");
-        r.push("workers", self.config.workers);
-        r.push("capacity", self.config.capacity);
-        r.push("max_batch", self.config.max_batch);
-        r.push("coalesce", self.config.coalesce.max(1));
-        r.push("admitted", s.admitted);
-        r.push("completed", s.completed);
-        r.push("cancelled", s.cancelled);
-        r.push("rejected_full", s.rejected_full);
-        r.push("rejected_shed", s.rejected_shed);
-        r.push("rejected_oversized", s.rejected_oversized);
-        r.push("deadline_miss", s.deadline_miss);
-        r.push("worker_restarts", s.worker_restarts);
-        r.push("degraded_responses", s.degraded_responses);
-        r.push("batch_groups", s.batch_groups);
-        r.push("batch_coalesced", s.batch_coalesced);
-        r.push("plan_model_hits", p.model_hits);
-        r.push("plan_model_misses", p.model_misses);
-        r.push("plan_mask_hits", p.mask_hits);
-        r.push("plan_mask_misses", p.mask_misses);
-        r.push("plan_hit_rate", p.hit_rate());
-        r.push("final_state", self.state().as_str());
-        r.push("final_cycle", self.clock.now());
-        r
-    }
-
     /// Submits one request. The responder fires exactly once — possibly
-    /// synchronously (rejections) or later from a worker thread.
-    pub fn submit(&self, request: InferRequest, respond: Responder) {
+    /// synchronously (rejections) or later from the worker thread.
+    pub(crate) fn submit(&self, request: InferRequest, respond: Responder) {
         // Validation gate: oversized batches never reach the queue.
         if request.batch > self.config.max_batch {
             self.counters.rejected_oversized.fetch_add(1, Ordering::SeqCst);
@@ -363,7 +290,7 @@ impl ServeEngine {
                 id: Some(request.id),
                 outcome: Outcome::Rejected {
                     error: ServeError::Shedding {
-                        retry_after_ms: self.config.retry_after_ms,
+                        retry_after_ms: RETRY_AFTER_MS,
                     },
                     state,
                 },
@@ -392,7 +319,7 @@ impl ServeEngine {
                     self.counters.rejected_full.fetch_add(1, Ordering::SeqCst);
                     counter_add!("serve/rejected_full", 1);
                     ServeError::QueueFull {
-                        retry_after_ms: self.config.retry_after_ms,
+                        retry_after_ms: RETRY_AFTER_MS,
                     }
                 };
                 (job.respond)(Response {
@@ -406,8 +333,8 @@ impl ServeEngine {
     /// Gracefully shuts down: stops admissions, waits up to `drain_ms`
     /// wall milliseconds for queued work to drain, cancels whatever is
     /// left (each cancelled request still gets its one response), and
-    /// joins the workers.
-    pub fn shutdown(&self, drain_ms: u64) -> DrainReport {
+    /// joins the worker.
+    pub(crate) fn shutdown(&self, drain_ms: u64) {
         self.queue.close();
         let deadline = Instant::now() + Duration::from_millis(drain_ms);
         if drain_ms > 0 {
@@ -433,20 +360,11 @@ impl ServeEngine {
                 });
             }
         }
-        // Release any still-held workers so they observe closed+empty
-        // and exit; only then join.
+        // Release a still-held worker so it observes closed+empty and
+        // exits; only then join.
         self.resume_workers();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.join_worker();
         gauge_set!("serve/queue_depth", 0.0);
-        let s = self.stats();
-        DrainReport {
-            served: s.completed,
-            cancelled: s.cancelled,
-            worker_restarts: s.worker_restarts,
-        }
     }
 
     /// Kills this engine as if its process died mid-flight: stops
@@ -455,14 +373,11 @@ impl ServeEngine {
     /// request. Salvaged requests have **not** been responded to — the
     /// caller (the router) resubmits them to a surviving engine, so the
     /// exactly-one-response invariant holds across the death.
-    pub fn crash(&self) -> Vec<(InferRequest, Responder)> {
+    pub(crate) fn crash(&self) -> Vec<(InferRequest, Responder)> {
         self.crashed.store(true, Ordering::SeqCst);
         self.queue.close();
         self.resume_workers();
-        let handles: Vec<_> = self.workers.lock().unwrap().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.join_worker();
         let mut salvaged: Vec<_> = self.salvage.lock().unwrap().drain(..).collect();
         for job in self.queue.drain_remaining() {
             salvaged.push((job.request, job.respond));
@@ -470,14 +385,20 @@ impl ServeEngine {
         salvaged
     }
 
-    /// One worker: pop a compatible group → drop queue-expired members →
+    fn join_worker(&self) {
+        if let Some(handle) = self.worker.lock().unwrap().take() {
+            let _ = handle.join();
+        }
+    }
+
+    /// The worker: pop a compatible group → drop queue-expired members →
     /// execute the rest as one coalesced run under `catch_unwind` →
     /// respond per member. A caught panic discards the worker's model
     /// state (the "restart"), counts `serve/worker_restarts`, and the loop
     /// continues with a clean slate — one poisoned request cannot take the
     /// engine down or corrupt its neighbors (poison requests are never
     /// coalesced, so a poison panic's blast radius is itself).
-    fn worker_loop(&self, _worker_id: usize) {
+    fn worker_loop(&self) {
         let mut models: HashMap<DatasetKind, Network> = HashMap::new();
         let coalesce = self.config.coalesce.max(1);
         let compatible = |a: &InferRequest, b: &InferRequest| {
@@ -498,7 +419,7 @@ impl ServeEngine {
                 ShedState::Healthy => ExecMode::Mixed,
                 ShedState::Degraded | ShedState::Shedding => ExecMode::Uniform8,
             };
-            // Expired while queued: cancel before burning a worker.
+            // Expired while queued: cancel before burning the worker.
             let now = self.clock.now();
             let mut pending: Vec<(InferRequest, u64)> = Vec::new();
             let mut responders: Vec<Responder> = Vec::new();
@@ -748,11 +669,20 @@ mod tests {
 
     fn quick_config() -> ServeConfig {
         ServeConfig {
-            workers: 1,
             capacity: 8,
             max_batch: 4,
             ..ServeConfig::default()
         }
+    }
+
+    /// A standalone shard with its own cache, counters and trace.
+    fn start(config: ServeConfig) -> Arc<ServeEngine> {
+        ServeEngine::start(
+            config,
+            Arc::new(PlanCache::new()),
+            Arc::default(),
+            Arc::default(),
+        )
     }
 
     fn infer(id: &str) -> InferRequest {
@@ -779,7 +709,7 @@ mod tests {
 
     #[test]
     fn healthy_request_runs_mixed_and_deterministically() {
-        let engine = ServeEngine::start(quick_config());
+        let engine = start(quick_config());
         let rx_a = submit_collect(&engine, infer("a"));
         let a = rx_a.recv().unwrap();
         let rx_b = submit_collect(&engine, infer("b"));
@@ -798,7 +728,7 @@ mod tests {
     #[test]
     fn coalesced_group_is_byte_identical_to_singletons() {
         // Reference: no coalescing, one request at a time.
-        let solo = ServeEngine::start(quick_config());
+        let solo = start(quick_config());
         let mut reference = Vec::new();
         for (i, seed) in [7u64, 11, 13].iter().enumerate() {
             let mut req = infer(&format!("r{i}"));
@@ -808,7 +738,7 @@ mod tests {
         }
         solo.shutdown(1_000);
         // Same requests coalesced into one group on a paused engine.
-        let grouped = ServeEngine::start(ServeConfig {
+        let grouped = start(ServeConfig {
             coalesce: 8,
             ..quick_config()
         });
@@ -825,7 +755,7 @@ mod tests {
             .collect();
         grouped.resume_workers();
         let got: Vec<Response> = rxs.iter().map(|rx| rx.recv().unwrap()).collect();
-        let stats = grouped.stats();
+        let stats = grouped.counters.snapshot();
         grouped.shutdown(1_000);
         assert_eq!(stats.batch_groups, 1, "expected one coalesced group");
         assert_eq!(stats.batch_coalesced, 3);
@@ -841,7 +771,7 @@ mod tests {
 
     #[test]
     fn crash_salvages_unanswered_requests() {
-        let engine = ServeEngine::start(quick_config());
+        let engine = start(quick_config());
         engine.pause_workers();
         let rx_a = submit_collect(&engine, infer("a"));
         let rx_b = submit_collect(&engine, infer("b"));
@@ -863,7 +793,7 @@ mod tests {
 
     #[test]
     fn oversized_batch_is_rejected_before_admission() {
-        let engine = ServeEngine::start(quick_config());
+        let engine = start(quick_config());
         let mut req = infer("big");
         req.batch = 99;
         let rx = submit_collect(&engine, req);
@@ -872,7 +802,7 @@ mod tests {
             resp.outcome,
             Outcome::Error { error: ServeError::Oversized { batch: 99, max_batch: 4 } }
         ));
-        let s = engine.stats();
+        let s = engine.counters.snapshot();
         assert_eq!(s.rejected_oversized, 1);
         assert_eq!(s.admitted, 0);
         engine.shutdown(100);
@@ -880,7 +810,7 @@ mod tests {
 
     #[test]
     fn zero_budget_requests_expire_not_crash() {
-        let engine = ServeEngine::start(quick_config());
+        let engine = start(quick_config());
         let mut req = infer("rushed");
         req.deadline_cycles = Some(0);
         let rx = submit_collect(&engine, req);
@@ -892,7 +822,7 @@ mod tests {
             ),
             "got {resp:?}"
         );
-        assert_eq!(engine.stats().deadline_miss, 1);
+        assert_eq!(engine.counters.snapshot().deadline_miss, 1);
         engine.shutdown(100);
     }
 }

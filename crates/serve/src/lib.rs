@@ -1,14 +1,15 @@
 //! `drq-serve` — robust batch-inference serving over the DRQ stack.
 //!
-//! A long-running engine that accepts line-delimited JSON inference
-//! requests (over TCP or stdin), executes them on the DRQ mixed
-//! INT4/INT8 datapath, and keeps five robustness promises:
+//! One long-running engine, [`ShardRouter`], accepts line-delimited JSON
+//! inference requests (over TCP or stdin), routes each to one of its
+//! single-thread shards, executes it on the DRQ mixed INT4/INT8 datapath,
+//! and keeps five robustness promises:
 //!
-//! 1. **Bounded admission.** The queue has a hard capacity; a full queue
-//!    answers `queue_full` with a `retry_after_ms` hint instead of
+//! 1. **Bounded admission.** Each shard's queue has a hard capacity; a full
+//!    queue answers `queue_full` with a `retry_after_ms` hint instead of
 //!    growing without bound ([`queue::AdmissionQueue`]).
-//! 2. **Deadlines.** Each request carries a cycle budget measured on the
-//!    engine's virtual clock ([`CycleClock`]). Expired work is cancelled
+//! 2. **Deadlines.** Each request carries a cycle budget measured on its
+//!    shard's virtual clock ([`CycleClock`]). Expired work is cancelled
 //!    between layer boundaries, never mid-layer.
 //! 3. **Panic isolation.** Workers execute under `catch_unwind`; a panic
 //!    becomes a typed [`ServeError::WorkerPanic`] response, the worker
@@ -20,16 +21,20 @@
 //!    state it ran under.
 //! 5. **Exactly-one-response.** Every submitted request produces exactly
 //!    one response — success, typed error, rejection, or shutdown
-//!    cancellation.
+//!    cancellation — even when a shard is killed mid-flight.
+//!
+//! A one-worker router is the single-engine configuration; a one-worker,
+//! coalesce-1 router is the sequential reference the differential suites
+//! compare against.
 //!
 //! ```
-//! use drq_serve::{ServeConfig, ServeEngine, InferRequest, Response};
+//! use drq_serve::{ServeConfig, ShardRouter, InferRequest, Response};
 //! use drq_models::DatasetKind;
 //! use std::sync::mpsc;
 //!
-//! let engine = ServeEngine::start(ServeConfig { workers: 1, ..Default::default() });
+//! let router = ShardRouter::start(ServeConfig { workers: 1, ..Default::default() });
 //! let (tx, rx) = mpsc::channel::<Response>();
-//! engine.submit(
+//! router.submit(
 //!     InferRequest {
 //!         id: "r1".into(),
 //!         dataset: DatasetKind::Digits,
@@ -42,7 +47,7 @@
 //! );
 //! let response = rx.recv().unwrap();
 //! assert_eq!(response.id.as_deref(), Some("r1"));
-//! engine.shutdown(1_000);
+//! router.shutdown(1_000);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,7 +68,7 @@ pub mod server;
 pub mod soak;
 
 pub use clock::CycleClock;
-pub use engine::{DrainReport, ServeConfig, ServeEngine, ServeStats};
+pub use engine::{DrainReport, ServeConfig, ServeStats};
 pub use error::ServeError;
 pub use plan_cache::{config_fingerprint, PlanBundle, PlanCache, PlanCacheStats};
 pub use protocol::{

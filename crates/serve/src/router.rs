@@ -1,81 +1,82 @@
-//! Horizontal scale-out: a shard router over N worker engines.
+//! Horizontal scale-out: the one serve engine, a shard router over N
+//! single-thread shards.
 //!
-//! Each *worker* is a whole [`ServeEngine`] (its own queue, clock, shed
-//! machine, and worker thread) — the crash-able unit. The router:
+//! Each *shard* is a crate-private [`ServeEngine`] (its own queue, clock,
+//! shed machine, and one worker thread) — the crash-able unit. The router
+//! owns everything that outlives a shard: one [`PlanCache`], one counter
+//! set, and each slot's trace. It:
 //!
-//! * **Routes** each request to a worker by rendezvous (highest-random-
-//!   weight) hashing of the request id against the worker *slot* index.
+//! * **Routes** each request to a shard by rendezvous (highest-random-
+//!   weight) hashing of the request id against the shard *slot* index.
 //!   Routing is consistent: the same id lands on the same slot at any
 //!   point in time, and because the hash is salted by slot index — not by
-//!   engine identity — a restarted worker reclaims exactly the keys its
-//!   predecessor owned. No key ever moves because an unrelated worker
+//!   engine identity — a restarted shard reclaims exactly the keys its
+//!   predecessor owned. No key ever moves because an unrelated shard
 //!   died.
 //! * **Rebalances on death.** [`ShardRouter::kill_worker`] crashes a
-//!   worker as a process death would: admissions stop, in-flight groups
+//!   shard as a process death would: admissions stop, in-flight groups
 //!   abort at their next layer boundary, and every admitted-but-unanswered
-//!   request is salvaged and resubmitted to a live worker. Salvaged
+//!   request is salvaged and resubmitted to a live shard. Salvaged
 //!   requests have never been responded to, so the exactly-one-response
 //!   invariant holds across the death; and because response payloads are
 //!   deterministic (predictions, int4 fraction, and per-request cost are
 //!   pure functions of the request), a rerouted request's response is
-//!   byte-identical to the one the dead worker would have sent.
-//! * **Shares one [`PlanCache`]** across all workers, so a model prepared
-//!   anywhere is a hit everywhere — including on workers restarted after
-//!   a kill (the cache is not worker state and cannot be poisoned by one).
+//!   byte-identical to the one the dead shard would have sent.
+//! * **Shares one [`PlanCache`]** across all shards, so a model prepared
+//!   anywhere is a hit everywhere — including on shards restarted after
+//!   a kill (the cache is not shard state and cannot be poisoned by one).
+//! * **Keeps what a kill must not lose.** Every shard counts into the
+//!   router's one counter set, and each slot owns the trace its successive
+//!   shards write to, so stats and spans survive kills.
 //!
 //! All submissions and kills serialize on the slot table, which closes the
-//! route-to-dead-worker race: a kill cannot begin while a submission holds
+//! route-to-dead-shard race: a kill cannot begin while a submission holds
 //! the table, and by the time the kill releases it the slot already holds
 //! the restarted engine.
 
-use crate::engine::{DrainReport, ServeConfig, ServeEngine, ServeStats};
+use crate::engine::{DrainReport, EngineCounters, ServeConfig, ServeEngine, ServeStats};
 use crate::plan_cache::{fnv1a, PlanCache, PlanCacheStats};
 use crate::protocol::InferRequest;
 use crate::queue::Responder;
 use crate::ShedState;
-use drq_telemetry::{counter_add, Report};
+use drq_telemetry::{counter_add, gauge_set, Report, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-/// One worker slot: the live engine and how many engines have occupied
-/// the slot (generation 0 is the original, each kill+restart bumps it).
+/// One shard slot: the live engine, how many engines have occupied the
+/// slot (generation 0 is the original, each kill+restart bumps it), and
+/// the trace every engine in the slot records into.
 struct Slot {
     engine: Arc<ServeEngine>,
     generation: u64,
+    tracer: Arc<Mutex<Tracer>>,
 }
 
-/// Counters of retired (killed) engines, folded into aggregate stats so
-/// a kill never makes completed work disappear from reports.
-#[derive(Default)]
-struct Retired {
-    stats: ServeStats,
-}
-
-/// Aggregate statistics for a router and its workers (live + retired).
+/// Aggregate statistics for a router and its shards (live and killed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterStats {
-    /// Worker slot count.
+    /// Shard slot count.
     pub workers: usize,
-    /// Requests routed to a worker (first submission only).
+    /// Requests routed to a shard (first submission only).
     pub routed: u64,
-    /// Salvaged requests resubmitted after a worker kill.
+    /// Salvaged requests resubmitted after a shard kill.
     pub rerouted: u64,
-    /// Worker kills injected.
+    /// Shard kills injected.
     pub kills: u64,
-    /// Workers restarted into a killed slot.
+    /// Shards restarted into a killed slot.
     pub restarts: u64,
-    /// Engine counters summed over live and retired workers.
+    /// The router's counter set, shared by every shard it ever ran.
     pub serve: ServeStats,
 }
 
-/// A shard router spreading requests over `workers` single-threaded
-/// [`ServeEngine`]s that share one [`PlanCache`].
+/// The serve engine: a shard router spreading requests over `workers`
+/// single-thread shards that share one [`PlanCache`] and one counter set.
 pub struct ShardRouter {
     config: ServeConfig,
     plans: Arc<PlanCache>,
+    counters: Arc<EngineCounters>,
     slots: Mutex<Vec<Slot>>,
-    retired: Mutex<Retired>,
     routed: AtomicU64,
     rerouted: AtomicU64,
     kills: AtomicU64,
@@ -98,69 +99,67 @@ fn pick_slot(slots: usize, key: &str) -> usize {
         .unwrap_or(0)
 }
 
-/// Sums engine counters (used to fold retired workers into aggregates).
-fn accumulate(into: &mut ServeStats, s: ServeStats) {
-    into.admitted += s.admitted;
-    into.completed += s.completed;
-    into.cancelled += s.cancelled;
-    into.rejected_full += s.rejected_full;
-    into.rejected_shed += s.rejected_shed;
-    into.rejected_oversized += s.rejected_oversized;
-    into.deadline_miss += s.deadline_miss;
-    into.worker_restarts += s.worker_restarts;
-    into.degraded_responses += s.degraded_responses;
-    into.batch_groups += s.batch_groups;
-    into.batch_coalesced += s.batch_coalesced;
-}
-
 impl ShardRouter {
-    /// Starts `config.workers` worker engines (each running one worker
-    /// thread, with `config.capacity` queue slots of its own) behind a
-    /// router, all sharing one plan cache.
+    /// Starts `config.workers` shards (each running one worker thread,
+    /// with `config.capacity` queue slots of its own) behind a router.
     pub fn start(config: ServeConfig) -> Arc<Self> {
-        let plans = Arc::new(PlanCache::new());
-        let workers = config.workers.max(1);
-        let shard = ServeConfig { workers: 1, ..config.clone() };
-        let slots = (0..workers)
-            .map(|_| Slot {
-                engine: ServeEngine::start_with_cache(shard.clone(), Arc::clone(&plans)),
-                generation: 0,
-            })
-            .collect();
+        // Pre-touch every serve/* metric so the keys appear in reports
+        // even when an event never fires (CI greps for zeros).
+        counter_add!("serve/admitted", 0);
+        counter_add!("serve/completed", 0);
+        counter_add!("serve/cancelled", 0);
+        counter_add!("serve/rejected_full", 0);
+        counter_add!("serve/rejected_shed", 0);
+        counter_add!("serve/rejected_oversized", 0);
+        counter_add!("serve/rejected_invalid", 0);
+        counter_add!("serve/deadline_miss", 0);
+        counter_add!("serve/worker_restarts", 0);
+        counter_add!("serve/degraded_responses", 0);
+        counter_add!("serve/batch/groups", 0);
+        counter_add!("serve/batch/coalesced_requests", 0);
+        counter_add!("serve/plan/model_hits", 0);
+        counter_add!("serve/plan/model_misses", 0);
+        counter_add!("serve/plan/mask_hits", 0);
+        counter_add!("serve/plan/mask_misses", 0);
+        gauge_set!("serve/queue_depth", 0.0);
         counter_add!("serve/router/routed", 0);
         counter_add!("serve/router/rerouted", 0);
         counter_add!("serve/router/kills", 0);
         counter_add!("serve/router/restarts", 0);
-        Arc::new(Self {
+        let mut router = Self {
             config,
-            plans,
-            slots: Mutex::new(slots),
-            retired: Mutex::new(Retired::default()),
+            plans: Arc::new(PlanCache::new()),
+            counters: Arc::default(),
+            slots: Mutex::new(Vec::new()),
             routed: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
             kills: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
-        })
+        };
+        let slots = (0..router.config.workers.max(1))
+            .map(|_| {
+                let tracer = Arc::default();
+                Slot { engine: router.start_shard(&tracer), generation: 0, tracer }
+            })
+            .collect();
+        *router.slots.get_mut().unwrap() = slots;
+        Arc::new(router)
     }
 
-    /// Worker slot count.
-    pub fn worker_count(&self) -> usize {
-        self.slots.lock().unwrap().len()
+    /// Starts one shard on the router's shared cache and counters,
+    /// recording into `tracer`.
+    fn start_shard(&self, tracer: &Arc<Mutex<Tracer>>) -> Arc<ServeEngine> {
+        ServeEngine::start(
+            self.config.clone(),
+            Arc::clone(&self.plans),
+            Arc::clone(&self.counters),
+            Arc::clone(tracer),
+        )
     }
 
-    /// The plan cache shared by every worker (live and future).
+    /// The plan cache shared by every shard (live and future).
     pub fn plan_cache(&self) -> Arc<PlanCache> {
         Arc::clone(&self.plans)
-    }
-
-    /// Handles to the currently-live worker engines, slot order.
-    pub fn engines(&self) -> Vec<Arc<ServeEngine>> {
-        self.slots
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|s| Arc::clone(&s.engine))
-            .collect()
     }
 
     /// The generation of each slot (how many times it was restarted).
@@ -168,8 +167,25 @@ impl ShardRouter {
         self.slots.lock().unwrap().iter().map(|s| s.generation).collect()
     }
 
-    /// Routes one request to its rendezvous worker. The responder fires
-    /// exactly once, even if the chosen worker is later killed (the
+    /// Holds every live shard's worker at its queue, so tests can queue
+    /// work to an exact depth. A shard restarted by
+    /// [`ShardRouter::kill_worker`] starts unheld. Pair with
+    /// [`ShardRouter::resume_workers`].
+    pub fn pause_workers(&self) {
+        for slot in self.slots.lock().unwrap().iter() {
+            slot.engine.pause_workers();
+        }
+    }
+
+    /// Releases the workers held by [`ShardRouter::pause_workers`].
+    pub fn resume_workers(&self) {
+        for slot in self.slots.lock().unwrap().iter() {
+            slot.engine.resume_workers();
+        }
+    }
+
+    /// Routes one request to its rendezvous shard. The responder fires
+    /// exactly once, even if the chosen shard is later killed (the
     /// request is then salvaged and rerouted, never double-answered).
     pub fn submit(&self, request: InferRequest, respond: Responder) {
         let slots = self.slots.lock().unwrap();
@@ -179,23 +195,20 @@ impl ShardRouter {
         slots[target].engine.submit(request, respond);
     }
 
-    /// Kills the worker in `slot` (mod the slot count) as a process death
+    /// Kills the shard in `slot` (mod the slot count) as a process death
     /// would, restarts a fresh engine into the slot, and resubmits every
     /// salvaged request to the current slot table. Returns the number of
     /// requests that were salvaged and rerouted.
     pub fn kill_worker(&self, slot: usize) -> usize {
         let mut slots = self.slots.lock().unwrap();
         let index = slot % slots.len();
-        let dead = Arc::clone(&slots[index].engine);
         self.kills.fetch_add(1, Ordering::SeqCst);
         counter_add!("serve/router/kills", 1);
-        let salvaged = dead.crash();
-        self.retired.lock().unwrap().stats_add(dead.stats());
+        let salvaged = slots[index].engine.crash();
         // Restart in place before rerouting: the slot count never changes,
-        // so every key keeps its rendezvous owner and the restarted worker
+        // so every key keeps its rendezvous owner and the restarted shard
         // reclaims the dead one's share immediately.
-        let shard = ServeConfig { workers: 1, ..self.config.clone() };
-        slots[index].engine = ServeEngine::start_with_cache(shard, Arc::clone(&self.plans));
+        slots[index].engine = self.start_shard(&slots[index].tracer);
         slots[index].generation += 1;
         self.restarts.fetch_add(1, Ordering::SeqCst);
         counter_add!("serve/router/restarts", 1);
@@ -209,29 +222,26 @@ impl ShardRouter {
         rerouted
     }
 
-    /// Aggregate stats over live workers plus everything retired by kills.
+    /// Router counters plus the shared shard counter set.
     pub fn stats(&self) -> RouterStats {
-        let mut serve = self.retired.lock().unwrap().stats;
-        let engines = self.engines();
-        for engine in &engines {
-            accumulate(&mut serve, engine.stats());
-        }
         RouterStats {
-            workers: engines.len(),
+            workers: self.slots.lock().unwrap().len(),
             routed: self.routed.load(Ordering::SeqCst),
             rerouted: self.rerouted.load(Ordering::SeqCst),
             kills: self.kills.load(Ordering::SeqCst),
             restarts: self.restarts.load(Ordering::SeqCst),
-            serve,
+            serve: self.counters.snapshot(),
         }
     }
 
-    /// Worst shed state across live workers (shedding > degraded >
+    /// Worst shed state across live shards (shedding > degraded >
     /// healthy) — the fleet is only as healthy as its hottest shard.
     pub fn state(&self) -> ShedState {
-        self.engines()
+        self.slots
+            .lock()
+            .unwrap()
             .iter()
-            .map(|e| e.state())
+            .map(|s| s.engine.state())
             .max_by_key(|s| match s {
                 ShedState::Healthy => 0,
                 ShedState::Degraded => 1,
@@ -240,12 +250,19 @@ impl ShardRouter {
             .unwrap_or(ShedState::Healthy)
     }
 
-    /// Concatenated per-request trace lines from every live worker.
+    /// Per-request trace lines of every shard the router ever ran, slot
+    /// order (within a slot, a killed shard's spans precede its
+    /// successor's).
     pub fn trace_jsonl(&self) -> String {
-        self.engines().iter().map(|e| e.trace_jsonl()).collect()
+        self.slots
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|s| s.tracer.lock().unwrap().to_jsonl())
+            .collect()
     }
 
-    /// Structured report (`kind: "serve"`) aggregating workers, router
+    /// Structured report (`kind: "serve"`) aggregating shards, router
     /// counters, and plan-cache effectiveness.
     pub fn report(&self) -> Report {
         let s = self.stats();
@@ -276,7 +293,8 @@ impl ShardRouter {
         r.push("plan_mask_misses", p.mask_misses);
         r.push("plan_hit_rate", p.hit_rate());
         r.push("final_state", self.state().as_str());
-        r.push("final_cycle", self.engines().iter().map(|e| e.clock().now()).sum::<u64>());
+        let final_cycle: u64 = self.slots.lock().unwrap().iter().map(|s| s.engine.now()).sum();
+        r.push("final_cycle", final_cycle);
         r
     }
 
@@ -285,42 +303,23 @@ impl ShardRouter {
         self.plans.stats()
     }
 
-    /// Gracefully shuts down every worker in parallel (each drains with
-    /// the same wall budget) and returns the aggregate report, including
-    /// work completed by workers retired before the shutdown.
+    /// Gracefully shuts down every shard in parallel (each drains with
+    /// the same wall budget) and reports the router's lifetime totals,
+    /// including work completed by shards killed before the shutdown.
     pub fn shutdown(&self, drain_ms: u64) -> DrainReport {
-        let engines = self.engines();
-        let handles: Vec<_> = engines
-            .into_iter()
-            .map(|engine| {
-                thread::Builder::new()
-                    .name("drq-router-drain".to_string())
-                    .spawn(move || engine.shutdown(drain_ms))
-                    .expect("spawn drain thread")
-            })
-            .collect();
-        let mut served = 0u64;
-        let mut cancelled = 0u64;
-        let mut worker_restarts = 0u64;
-        for h in handles {
-            if let Ok(report) = h.join() {
-                served += report.served;
-                cancelled += report.cancelled;
-                worker_restarts += report.worker_restarts;
+        let engines: Vec<Arc<ServeEngine>> =
+            self.slots.lock().unwrap().iter().map(|s| Arc::clone(&s.engine)).collect();
+        thread::scope(|scope| {
+            for engine in &engines {
+                scope.spawn(move || engine.shutdown(drain_ms));
             }
-        }
-        let retired = self.retired.lock().unwrap().stats;
+        });
+        let s = self.counters.snapshot();
         DrainReport {
-            served: served + retired.completed,
-            cancelled: cancelled + retired.cancelled,
-            worker_restarts: worker_restarts + retired.worker_restarts,
+            served: s.completed,
+            cancelled: s.cancelled,
+            worker_restarts: s.worker_restarts,
         }
-    }
-}
-
-impl Retired {
-    fn stats_add(&mut self, s: ServeStats) {
-        accumulate(&mut self.stats, s);
     }
 }
 
@@ -365,10 +364,8 @@ mod tests {
     #[test]
     fn kill_reroutes_salvaged_requests_exactly_once() {
         let router = ShardRouter::start(config(2));
-        // Hold every worker so submissions stay queued, then kill one.
-        for engine in router.engines() {
-            engine.pause_workers();
-        }
+        // Hold every shard so submissions stay queued, then kill one.
+        router.pause_workers();
         let (tx, rx) = mpsc::channel::<Response>();
         let total = 8;
         for i in 0..total {
@@ -383,9 +380,7 @@ mod tests {
         let rerouted = router.kill_worker(0);
         assert!(rerouted > 0, "paused worker 0 must have had queued work");
         assert_eq!(router.generations()[0], 1);
-        for engine in router.engines() {
-            engine.resume_workers();
-        }
+        router.resume_workers();
         let mut seen = std::collections::HashMap::<String, usize>::new();
         for _ in 0..total {
             let resp = rx.recv_timeout(std::time::Duration::from_secs(30)).unwrap();

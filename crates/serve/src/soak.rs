@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 /// `kills`, or `coalesce` (that invariance is the point).
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
-    /// Worker engines behind the router.
+    /// Single-thread shards behind the router.
     pub workers: usize,
     /// Requests in the stream.
     pub requests: usize,
@@ -100,6 +100,9 @@ pub struct SoakOutcome {
     pub throughput_rps: f64,
     /// Sorted response lines — the cross-configuration byte-gate artifact.
     pub canonical: String,
+    /// The router's per-request trace (JSON lines; empty unless telemetry
+    /// was enabled), taken after the last response and before shutdown.
+    pub trace: String,
 }
 
 impl SoakOutcome {
@@ -230,6 +233,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     let responses = lines.len() as u64;
     let stats = router.stats();
     let plan = router.plan_stats();
+    let trace = router.trace_jsonl();
     router.shutdown(cfg.drain_ms);
     lines.sort();
     let mut canonical = lines.join("\n");
@@ -250,6 +254,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         elapsed_ms: elapsed.as_millis() as u64,
         throughput_rps: responses as f64 / elapsed.as_secs_f64().max(1e-9),
         canonical,
+        trace,
     }
 }
 

@@ -315,6 +315,13 @@ pub fn observe_cycles(name: &str, cycles: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::PoisonError;
+
+    /// Serializes the tests that flip the process-global telemetry switch.
+    fn telemetry_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn counters_accumulate_and_default_to_zero() {
@@ -374,6 +381,7 @@ mod tests {
 
     #[test]
     fn disabled_macros_do_not_record_or_evaluate() {
+        let _own = telemetry_lock();
         disable();
         reset();
         let mut evaluated = false;
@@ -387,6 +395,7 @@ mod tests {
 
     #[test]
     fn enabled_macros_record_globally() {
+        let _own = telemetry_lock();
         enable();
         reset();
         counter_add!("test/c", 2);

@@ -255,7 +255,8 @@ START_NS=$(date +%s%N)
 ./target/release/drq soak --workers 4 --kills 2 --coalesce 8 \
     --requests "$SOAK_REQS" --seed "$SOAK_SEED" \
     --canonical "$ARTIFACTS/soak_canonical_4w.jsonl" \
-    --metrics "$ARTIFACTS/soak_4w.json"
+    --metrics "$ARTIFACTS/soak_4w.json" \
+    --trace "$ARTIFACTS/soak_4w_trace.jsonl"
 END_NS=$(date +%s%N)
 SOAK_MS_4=$(( (END_NS - START_NS) / 1000000 ))
 cmp "$ARTIFACTS/soak_canonical_1w.jsonl" "$ARTIFACTS/soak_canonical_4w.jsonl" || {
@@ -263,6 +264,15 @@ cmp "$ARTIFACTS/soak_canonical_1w.jsonl" "$ARTIFACTS/soak_canonical_4w.jsonl" ||
     echo "replay: drq soak --workers 4 --requests $SOAK_REQS --seed $SOAK_SEED --kills 2 --coalesce 8" >&2
     exit 1
 }
+# Kills must not lose trace spans: every request ends exactly one
+# serve/request span with outcome ok (a salvaged run ends "salvaged").
+SOAK_TRACE_OK=$(grep '"kind":"span_end"' "$ARTIFACTS/soak_4w_trace.jsonl" \
+    | grep -c '"outcome":"ok"' || true)
+[ "$SOAK_TRACE_OK" -eq "$SOAK_REQS" ] || {
+    echo "killing soak trace holds $SOAK_TRACE_OK ok span ends, want $SOAK_REQS" >&2
+    exit 1
+}
+echo "killing soak trace: $SOAK_TRACE_OK ok span ends for $SOAK_REQS requests: ok"
 # Continuous batching must actually engage at 4 workers / coalesce 8.
 SOAK_COALESCED=$(sed -n 's/.*"batch_coalesced":\([0-9]*\).*/\1/p' "$ARTIFACTS/soak_4w.json")
 SOAK_RATE=$(sed -n 's/.*"coalesce_rate":\([0-9.]*\).*/\1/p' "$ARTIFACTS/soak_4w.json")

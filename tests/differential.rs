@@ -1144,34 +1144,30 @@ fn coalesced_serving_bit_equals_sequential_across_worker_counts() {
     let property = |case: &ServeMixCase| -> Result<(), String> {
         let requests = case.build();
 
-        // Sequential reference: one worker, coalescing disabled, and each
+        // Sequential reference: a one-worker router, coalescing disabled, and each
         // request fully answered before the next is submitted.
-        let engine = drq::serve::ServeEngine::start(steady_serve_config(1, 1));
+        let sequential = drq::serve::ShardRouter::start(steady_serve_config(1, 1));
         let mut reference: Vec<(String, String)> = Vec::new();
         for req in &requests {
             let (tx, rx) = mpsc::channel();
-            engine.submit(req.clone(), Box::new(move |r| { let _ = tx.send(r); }));
+            sequential.submit(req.clone(), Box::new(move |r| { let _ = tx.send(r); }));
             let resp = rx.recv().map_err(|e| format!("reference lost a response: {e}"))?;
             reference.push((req.id.clone(), resp.to_json_line()));
         }
-        engine.shutdown(5_000);
+        sequential.shutdown(5_000);
 
         let workers = case.workers();
         let router = drq::serve::ShardRouter::start(steady_serve_config(workers, 8));
         // Pause every worker so the whole mix queues up, then release:
         // maximal coalescing pressure, deterministically.
-        for e in router.engines() {
-            e.pause_workers();
-        }
+        router.pause_workers();
         let (tx, rx) = mpsc::channel();
         for req in &requests {
             let tx = tx.clone();
             router.submit(req.clone(), Box::new(move |r| { let _ = tx.send(r); }));
         }
         drop(tx);
-        for e in router.engines() {
-            e.resume_workers();
-        }
+        router.resume_workers();
         let mut got: Vec<(String, String)> = rx
             .iter()
             .take(requests.len())

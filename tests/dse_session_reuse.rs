@@ -199,7 +199,9 @@ fn removed_network_sim_shims_stay_gone() {
     //   `SimSession`; a batch is one run per seed);
     // - the second DSE module in the core crate and its retry layer
     //   (`drq-dse` is the only explorer);
-    // - the activation-statistics synthesizer fit, which nothing called.
+    // - the activation-statistics synthesizer fit, which nothing called;
+    // - the second serve engine and its dead knobs (`ShardRouter` is the
+    //   only engine; its shards are crate-private).
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for dir in ["crates", "tests", "examples"] {
@@ -216,6 +218,9 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "Retry", "Policy"),
         format!("{}{}", "retry_with_", "backoff"),
         format!("{}{}", "fit_", "synthesizer"),
+        format!("{}{}", "quiet_worker_", "panics"),
+        format!("{}{}", "tracer_", "snapshot"),
+        format!("{}{}", "serve::", "ServeEngine"),
     ];
     let mut offenders = Vec::new();
     for path in sources {

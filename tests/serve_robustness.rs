@@ -7,12 +7,13 @@
 //! invariant, with seeded determinism throughout.
 
 use drq::serve::client::{run_load, ClientConfig};
-use drq::serve::server::TcpServer;
+use drq::serve::server::{serve_lines, TcpServer};
 use drq::serve::{
-    ExecMode, InferRequest, Outcome, Response, ServeConfig, ServeEngine, ServeError, ShardRouter,
-    ShedMachine, ShedPolicy, ShedState,
+    ExecMode, InferRequest, Outcome, Response, ServeConfig, ServeError, ShardRouter, ShedMachine,
+    ShedPolicy, ShedState,
 };
-use std::sync::mpsc;
+use std::io::{self, Cursor, Write};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 fn infer(id: &str, sample_seed: u64) -> InferRequest {
@@ -26,9 +27,9 @@ fn infer(id: &str, sample_seed: u64) -> InferRequest {
     }
 }
 
-fn submit_channel(engine: &ServeEngine, req: InferRequest) -> mpsc::Receiver<Response> {
+fn submit_channel(router: &ShardRouter, req: InferRequest) -> mpsc::Receiver<Response> {
     let (tx, rx) = mpsc::channel();
-    engine.submit(
+    router.submit(
         req,
         Box::new(move |resp| {
             let _ = tx.send(resp);
@@ -79,7 +80,7 @@ fn load_shed_hysteresis_at_documented_thresholds() {
 /// still gets its response.
 #[test]
 fn poison_requests_are_isolated_and_workers_restart() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     });
@@ -88,7 +89,7 @@ fn poison_requests_are_isolated_and_workers_restart() {
         let mut req = infer(&format!("r{i}"), i as u64);
         // Two poison pills scattered among normal work.
         req.poison = i == 5 || i == 13;
-        receivers.push((i, submit_channel(&engine, req)));
+        receivers.push((i, submit_channel(&router, req)));
     }
     let mut ok = 0;
     let mut panics = 0;
@@ -110,9 +111,9 @@ fn poison_requests_are_isolated_and_workers_restart() {
     }
     assert_eq!(ok, 18, "all non-poisoned requests succeed");
     assert_eq!(panics, 2, "both poison pills answered with worker_panic");
-    let stats = engine.stats();
+    let stats = router.stats().serve;
     assert_eq!(stats.worker_restarts, 2);
-    let report = engine.shutdown(1_000);
+    let report = router.shutdown(1_000);
     assert_eq!(report.worker_restarts, 2);
     assert_eq!(report.served, 20, "no response lost to the panics");
 }
@@ -121,15 +122,15 @@ fn poison_requests_are_isolated_and_workers_restart() {
 /// and shedding rejections with retry hints — never unbounded growth.
 #[test]
 fn backpressure_rejects_when_the_queue_is_full() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 1,
         capacity: 4,
         ..ServeConfig::default()
     });
-    engine.pause_workers();
+    router.pause_workers();
     let mut receivers = Vec::new();
     for i in 0..12 {
-        receivers.push(submit_channel(&engine, infer(&format!("q{i}"), 1)));
+        receivers.push(submit_channel(&router, infer(&format!("q{i}"), 1)));
     }
     // With workers held, exactly `capacity` requests can be queued; the
     // rest are rejected synchronously (shedding kicks in at 0.90 depth).
@@ -155,9 +156,9 @@ fn backpressure_rejects_when_the_queue_is_full() {
     }
     assert_eq!(rejected, 8, "12 submitted, 4 queued, 8 bounced");
     assert_eq!(retry_hints, rejected, "every rejection carries a retry hint");
-    assert_eq!(engine.queue_depth(), 4);
-    engine.resume_workers();
-    let report = engine.shutdown(10_000);
+    assert_eq!(router.stats().serve.admitted, 4);
+    router.resume_workers();
+    let report = router.shutdown(10_000);
     assert_eq!(report.served + report.cancelled, 4);
 }
 
@@ -165,34 +166,34 @@ fn backpressure_rejects_when_the_queue_is_full() {
 /// (reported in each response), recovery restores mixed precision.
 #[test]
 fn degradation_switches_to_uniform_int8_and_recovers() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 1,
         capacity: 8,
         ..ServeConfig::default()
     });
-    engine.pause_workers();
+    router.pause_workers();
     // Fill the queue to its brim: depth fraction 8/8 = 1.0 → Shedding.
     let mut receivers = Vec::new();
     for i in 0..8 {
-        receivers.push(submit_channel(&engine, infer(&format!("d{i}"), i as u64)));
+        receivers.push(submit_channel(&router, infer(&format!("d{i}"), i as u64)));
     }
-    assert_eq!(engine.queue_depth(), 8);
+    assert_eq!(router.stats().serve.admitted, 8);
     // Fill-time observations top out at 7/8 = 0.875, so the machine sits
     // in Degraded; the 9th submission observes 8/8 = 1.0, crosses the
     // 0.90 shed edge, and is rejected.
-    assert_eq!(engine.state(), ShedState::Degraded);
-    let shed_rx = submit_channel(&engine, infer("extra", 0));
+    assert_eq!(router.state(), ShedState::Degraded);
+    let shed_rx = submit_channel(&router, infer("extra", 0));
     let shed_resp = shed_rx.try_recv().expect("shed rejection is synchronous");
     assert!(matches!(
         shed_resp.outcome,
         Outcome::Rejected { error: ServeError::Shedding { .. }, state: ShedState::Shedding }
     ));
-    assert_eq!(engine.state(), ShedState::Shedding);
+    assert_eq!(router.state(), ShedState::Shedding);
     // Release the worker. Pop-time depth observations walk 7/8 → 0/8:
     // 7/8, 6/8, 5/8 ≥ 0.50 keep Shedding; 4/8 = 0.50 exits to Degraded;
     // 3/8 holds Degraded; 2/8 = 0.25 exits to Healthy — so the first five
     // run uniform-INT8 and the last three run mixed.
-    engine.resume_workers();
+    router.resume_workers();
     let mut modes = Vec::new();
     for rx in &receivers {
         match rx.recv().expect("queued request must be answered").outcome {
@@ -222,23 +223,23 @@ fn degradation_switches_to_uniform_int8_and_recovers() {
             ExecMode::Mixed,
         ]
     );
-    assert_eq!(engine.state(), ShedState::Healthy, "recovered after the drain");
-    assert_eq!(engine.stats().degraded_responses, 5);
-    engine.shutdown(1_000);
+    assert_eq!(router.state(), ShedState::Healthy, "recovered after the drain");
+    assert_eq!(router.stats().serve.degraded_responses, 5);
+    router.shutdown(1_000);
 }
 
 /// Graceful shutdown, soft path: everything queued before close drains to
 /// a normal response.
 #[test]
 fn shutdown_drains_in_flight_requests() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 2,
         ..ServeConfig::default()
     });
     let receivers: Vec<_> = (0..6)
-        .map(|i| submit_channel(&engine, infer(&format!("s{i}"), i as u64)))
+        .map(|i| submit_channel(&router, infer(&format!("s{i}"), i as u64)))
         .collect();
-    let report = engine.shutdown(10_000);
+    let report = router.shutdown(10_000);
     assert_eq!(report.served, 6);
     assert_eq!(report.cancelled, 0);
     for rx in receivers {
@@ -251,7 +252,7 @@ fn shutdown_drains_in_flight_requests() {
 /// and each cancelled request still gets exactly one (typed) response.
 #[test]
 fn shutdown_hard_deadline_cancels_with_exactly_one_response() {
-    let engine = ServeEngine::start(ServeConfig {
+    let router = ShardRouter::start(ServeConfig {
         workers: 1,
         capacity: 8,
         shed: ShedPolicy {
@@ -262,11 +263,11 @@ fn shutdown_hard_deadline_cancels_with_exactly_one_response() {
         },
         ..ServeConfig::default()
     });
-    engine.pause_workers();
+    router.pause_workers();
     let receivers: Vec<_> = (0..5)
-        .map(|i| submit_channel(&engine, infer(&format!("h{i}"), i as u64)))
+        .map(|i| submit_channel(&router, infer(&format!("h{i}"), i as u64)))
         .collect();
-    let report = engine.shutdown(0);
+    let report = router.shutdown(0);
     assert_eq!(report.cancelled, 5, "zero budget cancels everything queued");
     for rx in receivers {
         let resp = rx.recv().expect("cancelled request must still be answered");
@@ -359,4 +360,55 @@ fn seeded_soak_is_deterministic() {
         summaries.push(summary);
     }
     assert_eq!(summaries[0], summaries[1]);
+}
+
+/// Duplicate request ids are answered independently: every line gets its
+/// own response under the shared id, and identical lines get identical
+/// bytes even when they land in one coalesced group on one shard.
+#[test]
+fn duplicate_request_ids_each_get_one_response() {
+    /// A `Write` that appends into a buffer the test reads afterwards.
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let router = ShardRouter::start(ServeConfig {
+        workers: 2,
+        coalesce: 4,
+        ..ServeConfig::default()
+    });
+    let input = concat!(
+        "{\"id\":\"dup\"}\n",
+        "{\"id\":\"dup\"}\n",
+        "{\"id\":\"dup\"}\n",
+        "{\"id\":\"dup\",\"sample_seed\":3}\n",
+    );
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let report = serve_lines(router, Cursor::new(input), SharedBuf(Arc::clone(&buf)));
+    let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 4, "one response per line:\n{out}");
+    for line in &lines {
+        let parsed = Response::parse(line).unwrap();
+        assert_eq!(parsed.id.as_deref(), Some("dup"), "{line}");
+        assert_eq!(parsed.status, "ok", "{line}");
+    }
+    // The seed-3 line may differ; the three default-seed lines may not.
+    let mut counts = std::collections::HashMap::<&str, usize>::new();
+    for line in &lines {
+        *counts.entry(line).or_default() += 1;
+    }
+    assert!(
+        counts.values().any(|&c| c >= 3),
+        "the three identical requests must give byte-identical lines:\n{out}"
+    );
+    assert_eq!(report.served, 4);
+    assert_eq!(report.cancelled, 0);
 }

@@ -1,7 +1,7 @@
 //! Chaos suite for multi-worker serving scale-out.
 //!
 //! The scale-out contract under test: a shard router spreading requests
-//! over N worker engines must (a) answer every submitted request exactly
+//! over N single-thread shards must (a) answer every submitted request exactly
 //! once even when workers are killed and restarted mid-stream, (b) produce
 //! responses byte-identical to a single sequential worker at every worker
 //! count, kill schedule, and coalesce width, and (c) share one execution
@@ -110,9 +110,7 @@ fn soak_stream_is_independent_of_scaleout_configuration() {
 #[test]
 fn drain_under_rebalance_answers_every_request_exactly_once() {
     let router = ShardRouter::start(steady_config(2, 4, 64));
-    for e in router.engines() {
-        e.pause_workers();
-    }
+    router.pause_workers();
     let counters: Vec<Arc<AtomicUsize>> = (0..12).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let (tx, rx) = mpsc::channel::<Response>();
     for (i, counter) in counters.iter().enumerate() {
@@ -131,9 +129,7 @@ fn drain_under_rebalance_answers_every_request_exactly_once() {
     // and rerouted (some back to the restarted slot 0, paused no longer).
     let rerouted = router.kill_worker(0);
     assert!(rerouted > 0, "the paused worker's queue must have held jobs to salvage");
-    for e in router.engines() {
-        e.resume_workers();
-    }
+    router.resume_workers();
     let responses: Vec<Response> = rx.iter().take(12).collect();
     assert_eq!(responses.len(), 12, "every request answered");
     router.shutdown(10_000);
@@ -227,4 +223,53 @@ fn kill_storm_produces_no_duplicate_and_no_missing_responses() {
     assert_eq!(outcome.missing, 0, "dropped responses detected\n{}", replay_hint(&cfg));
     assert!(outcome.clean(), "soak not clean: {outcome:?}\n{}", replay_hint(&cfg));
     assert_eq!(outcome.kills, 4);
+}
+
+/// Each slot owns its trace, so killing a shard keeps every span it
+/// recorded: after the kill the router's trace still holds one `ok`
+/// span end per executed request.
+#[test]
+fn killed_shard_keeps_its_trace_spans() {
+    // Spans are recorded only while telemetry is on. No other test in
+    // this binary reads the switch, so it is left on.
+    drq::telemetry::enable();
+    let router = ShardRouter::start(steady_config(2, 4, 64));
+    // Rendezvous spreads these ids over both slots (3 on slot 0, 5 on
+    // slot 1), so each kill below discards a shard that did some work.
+    let total = 8;
+    router.pause_workers();
+    let (tx, rx) = mpsc::channel::<Response>();
+    for i in 0..total {
+        let tx = tx.clone();
+        router.submit(
+            infer(&format!("span{i}"), i as u64),
+            Box::new(move |resp| {
+                let _ = tx.send(resp);
+            }),
+        );
+    }
+    drop(tx);
+    router.resume_workers();
+    let responses: Vec<Response> = rx.iter().take(total).collect();
+    assert_eq!(responses.len(), total, "every request answered");
+    let ok_span_ends = |trace: &str| {
+        trace
+            .lines()
+            .filter(|l| {
+                l.contains(r#""kind":"span_end","name":"serve/request""#)
+                    && l.contains(r#""outcome":"ok""#)
+            })
+            .count()
+    };
+    for slot in 0..2 {
+        assert_eq!(router.kill_worker(slot), 0, "nothing was left to salvage");
+        let trace = router.trace_jsonl();
+        assert_eq!(
+            ok_span_ends(&trace),
+            total,
+            "spans lost after killing slot {slot}:\n{trace}"
+        );
+    }
+    assert_eq!(router.generations(), vec![1, 1]);
+    router.shutdown(10_000);
 }
