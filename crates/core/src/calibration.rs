@@ -9,7 +9,7 @@
 //! the threshold) constant across layers is what keeps the INT4 percentage
 //! stable as activation statistics drift with depth.
 
-use crate::{DrqConfig, MaskMap, RegionSize, SensitivityPredictor};
+use crate::{DrqConfig, RegionSize, RegionSums};
 use drq_nn::Network;
 use drq_tensor::Tensor;
 
@@ -127,13 +127,13 @@ pub fn calibrate_thresholds(
         .iter()
         .map(|x| {
             let s = x.shape4().expect("conv input rank");
-            let layer_region = region.clamped_to(s.h, s.w);
+            // The region sums do not depend on the threshold: build them
+            // once per image, and each search probe is a compare pass.
+            let sums = RegionSums::batch(x, region.clamped_to(s.h, s.w));
             let frac_at = |t: f32| -> f64 {
-                let p = SensitivityPredictor::new(layer_region, t);
                 let mut acc = 0.0;
-                for masks in p.predict_batch(x) {
-                    acc += masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>()
-                        / s.c as f64;
+                for image in &sums {
+                    acc += image.sensitive_fraction(t);
                 }
                 acc / s.n as f64
             };
@@ -160,6 +160,8 @@ pub fn calibrate_thresholds(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predictor::single_pass_masks;
+    use crate::{MaskMap, SensitivityPredictor};
     use drq_nn::{Conv2d, Layer, Pool2d, PoolKind, ReLU};
     use drq_tensor::XorShiftRng;
 
@@ -248,5 +250,62 @@ mod tests {
         let mut net = two_conv_net(9);
         let x = blobby_batch(10);
         let _ = calibrate_thresholds(&mut net, &x, RegionSize::new(4, 4), 0.0);
+    }
+
+    /// The schedule as calibration computed it before the predictor was
+    /// split: at every probe, full masks per image from the single-pass
+    /// predictor, averaged per image over channels and then over images.
+    fn single_pass_schedule(
+        net: &mut Network,
+        x: &Tensor<f32>,
+        region: RegionSize,
+        target: f64,
+    ) -> Vec<f32> {
+        let mut inputs = Vec::new();
+        let _ = net.forward_tapped(x, &mut |tap| inputs.push(tap.input.clone()));
+        inputs
+            .iter()
+            .map(|x| {
+                let s = x.shape4().unwrap();
+                let layer_region = region.clamped_to(s.h, s.w);
+                let frac_at = |t: f32| -> f64 {
+                    let mut acc = 0.0;
+                    for n in 0..s.n {
+                        let masks = single_pass_masks(x, n, layer_region, t);
+                        acc += masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>()
+                            / s.c as f64;
+                    }
+                    acc / s.n as f64
+                };
+                let (mut lo, mut hi) = (0u32, 127u32);
+                if frac_at(0.0) <= target {
+                    return 0.0;
+                }
+                while lo + 1 < hi {
+                    let mid = (lo + hi) / 2;
+                    if frac_at(mid as f32) <= target {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                hi as f32
+            })
+            .collect()
+    }
+
+    #[test]
+    fn schedules_equal_the_single_pass_formula() {
+        for seed in [11, 12] {
+            let mut net = two_conv_net(seed);
+            let x = blobby_batch(seed + 100);
+            for (region, target) in [(RegionSize::new(4, 4), 0.15), (RegionSize::new(3, 5), 0.4)] {
+                let got = calibrate_thresholds(&mut net, &x, region, target);
+                let want = single_pass_schedule(&mut net, &x, region, target);
+                assert!(want.iter().any(|&t| t > 0.0 && t < 127.0), "{want:?} is degenerate");
+                let bits = |t: &[f32]| t.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got.thresholds()), bits(&want), "seed {seed}, {region}, {target}");
+            }
+        }
     }
 }

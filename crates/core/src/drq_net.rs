@@ -151,19 +151,9 @@ impl DrqNetwork {
         &self.network
     }
 
-    /// Mutable access to the wrapped network (e.g. for fine-tuning).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.network
-    }
-
     /// The DRQ configuration.
     pub fn config(&self) -> DrqConfig {
         self.config
-    }
-
-    /// Replaces the configuration (used by the DSE sweeps).
-    pub fn set_config(&mut self, config: DrqConfig) {
-        self.config = config;
     }
 
     /// Runs DRQ inference, returning the output and per-layer statistics.

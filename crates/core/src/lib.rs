@@ -5,7 +5,10 @@
 //! * [`RegionSize`]/[`RegionGrid`] — the x×y rectangles that partition each
 //!   feature map into regions (Section II-B);
 //! * [`SensitivityPredictor`] — mean filtering over each region plus a step
-//!   threshold, producing a binary [`MaskMap`] per channel (Section III-B);
+//!   threshold, producing a binary [`MaskMap`] per channel (Section III-B).
+//!   Its two stages are public: [`RegionSums`] holds the
+//!   threshold-independent region sums, and [`RegionSums::step`] applies a
+//!   threshold to them;
 //! * [`MixedPrecisionConv`] — the sensitivity-aware convolution that runs
 //!   INT8 over sensitive regions and INT4 (with weights clipped from INT8)
 //!   over insensitive ones (Section III-C), with exact INT4/INT8 MAC
@@ -53,5 +56,5 @@ pub use error::DrqError;
 pub use finetune::{finetune, finetune_step};
 pub use mask::MaskMap;
 pub use mixed_conv::{uniform_masks, CoalesceInput, ConvOpCounts, ConvPlan, MixedPrecisionConv};
-pub use predictor::SensitivityPredictor;
+pub use predictor::{RegionSums, SensitivityPredictor};
 pub use region::{RegionGrid, RegionSize};

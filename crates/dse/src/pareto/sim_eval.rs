@@ -1,14 +1,17 @@
 //! The simulator-backed candidate evaluator.
 //!
 //! One [`SharedSession`] carries everything candidate-invariant — the
-//! network, the seed, the simulation worker cap, and a memo of each
-//! layer's masks (by layer, synthesizer and effective region/threshold)
-//! and cycle counts (by array geometry). A candidate synthesizes and
-//! predicts a layer only if no earlier candidate of the session met the
-//! same mask key, and runs the cycle model only for a new (mask key,
-//! geometry) pair; on the paper grid that leaves most candidates paying
-//! for just their per-layer energy and traffic, the one pass the buffer
-//! size and energy model enter. The memo lives as long as the evaluator.
+//! network, the seed, the simulation worker cap, and a three-level memo of
+//! each layer's region sums (by layer, synthesizer and effective region),
+//! masks (by those sums and the effective threshold) and cycle counts (by
+//! array geometry). A candidate synthesizes a layer only if no earlier
+//! candidate of the session met the same (layer, region), steps the
+//! cached sums only for a new threshold, and runs the cycle model only for
+//! a new (mask key, geometry) pair. On the paper grid with ResNet-18 that
+//! is 45 syntheses, 315 mask builds and 945 cycle builds for 189
+//! candidates, which leaves most candidates paying for just their
+//! per-layer energy and traffic, the one pass the buffer size and energy
+//! model enter. The memo lives as long as the evaluator.
 //! The session is `Sync`, so the same instance serves every `par_map`
 //! worker of a leaf batch; reports are byte-identical to per-candidate
 //! [`drq_sim::SimSession`] runs (pinned by `tests/dse_session_reuse.rs`).
@@ -198,7 +201,9 @@ mod tests {
         // LeNet-5 has 5 layers. The two convs see all 3 regions x 7
         // thresholds; the three 1x1 FC inputs fold every region to 1x1, so
         // only the 7 thresholds tell them apart: 2*21 + 3*7 = 63 mask sets,
-        // each met at all 3 geometries.
+        // each met at all 3 geometries. Their region sums ignore the
+        // threshold: 2*3 + 3*1 = 9 syntheses, each looked up by the 7
+        // mask builds of its thresholds (9 builds, 63 - 9 = 54 hits).
         let _own = session_lock();
         let net = zoo::lenet5();
         let space = CandidateSpace::paper_grid();
@@ -212,12 +217,12 @@ mod tests {
             drq_telemetry::disable();
             drq_telemetry::reset();
             drq_tensor::parallel::set_max_threads(0);
-            ["mask_builds", "mask_hits", "cycle_builds", "cycle_hits"]
+            ["sum_builds", "sum_hits", "mask_builds", "mask_hits", "cycle_builds", "cycle_hits"]
                 .map(|k| snap.counter(&format!("sim/memo/{k}")))
         };
         let one = count(1);
         let lookups = (space.len() * net.layers.len()) as u64;
-        assert_eq!(one, [63, lookups - 63, 189, lookups - 189]);
+        assert_eq!(one, [9, 54, 63, lookups - 63, 189, lookups - 189]);
         assert_eq!(count(2), one, "memo counts depend on the thread count");
     }
 }

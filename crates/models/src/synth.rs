@@ -10,7 +10,7 @@
 //! structure so the simulators can be driven at full network scale.
 
 use crate::topology::ConvLayerSpec;
-use drq_core::{DrqConfig, MaskMap, SensitivityPredictor};
+use drq_core::{DrqConfig, MaskMap, RegionSize, RegionSums, SensitivityPredictor};
 use drq_tensor::{Tensor, XorShiftRng};
 
 /// Generates sparse, blob-structured activation maps.
@@ -157,6 +157,20 @@ impl FeatureMapSynthesizer {
         self.synthesize(spec.in_c, spec.in_h, spec.in_w, rng)
     }
 
+    /// Synthesizes a layer input and reduces it to region sums: the
+    /// threshold-independent stage of the sensitivity predictor, under the
+    /// map's own max-abs INT8 parameters. Every threshold at `region` can
+    /// then be applied with [`RegionSums::step`] without synthesizing again.
+    pub fn region_sums_for_layer(
+        &self,
+        spec: &ConvLayerSpec,
+        region: RegionSize,
+        rng: &mut XorShiftRng,
+    ) -> RegionSums {
+        let x = self.synthesize_layer_input(spec, rng);
+        RegionSums::new(&x, 0, region, &SensitivityPredictor::activation_params(&x))
+    }
+
     /// Synthesizes a layer input and runs the sensitivity predictor on it,
     /// returning the per-channel masks and the mean sensitive fraction.
     /// `depth` is the layer's position through the network in `[0, 1]`
@@ -169,16 +183,9 @@ impl FeatureMapSynthesizer {
         depth: f64,
         rng: &mut XorShiftRng,
     ) -> (Vec<MaskMap>, f64) {
-        let x = self.synthesize_layer_input(spec, rng);
         let layer_cfg = config.for_layer(spec.in_h, spec.in_w, depth);
-        let predictor = SensitivityPredictor::new(layer_cfg.region, layer_cfg.threshold);
-        let masks = predictor.predict(&x);
-        let frac = if masks.is_empty() {
-            0.0
-        } else {
-            masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>() / masks.len() as f64
-        };
-        (masks, frac)
+        let sums = self.region_sums_for_layer(spec, layer_cfg.region, rng);
+        (sums.step(layer_cfg.threshold), sums.sensitive_fraction(layer_cfg.threshold))
     }
 }
 
@@ -186,7 +193,6 @@ impl FeatureMapSynthesizer {
 mod tests {
     use super::*;
     use drq_core::segments::{aggregation_score, segment_map};
-    use drq_core::RegionSize;
     use drq_quant::SegmentSplit;
 
     #[test]

@@ -132,12 +132,6 @@ impl ConvLayerSpec {
         self
     }
 
-    /// Builder-style: marks the layer as followed by an n×n pooling.
-    pub fn with_pool(mut self, n: usize) -> Self {
-        self.followed_by_pool = Some(n);
-        self
-    }
-
     /// Output height.
     pub fn out_h(&self) -> usize {
         (self.in_h + 2 * self.pad_h - self.kh) / self.stride + 1

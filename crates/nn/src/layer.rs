@@ -75,14 +75,6 @@ impl Layer {
         }
     }
 
-    /// Mutable variant of [`Self::as_conv`].
-    pub fn as_conv_mut(&mut self) -> Option<&mut Conv2d> {
-        match self {
-            Layer::Conv2d(c) => Some(c),
-            _ => None,
-        }
-    }
-
     /// Forward pass through whichever layer this is.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         match self {

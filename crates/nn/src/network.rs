@@ -1,6 +1,6 @@
 //! Sequential network container with convolution taps.
 
-use crate::{Conv2d, Layer, LayerKind, NnError};
+use crate::{Conv2d, Layer, NnError};
 use drq_tensor::Tensor;
 
 /// Sums a residual block's two paths, surfacing shape mismatches as the
@@ -246,11 +246,6 @@ impl Network {
         for l in &mut self.layers {
             l.visit_params(f);
         }
-    }
-
-    /// Layer kinds in order (for reports and debugging).
-    pub fn layer_kinds(&self) -> Vec<LayerKind> {
-        self.layers.iter().map(Layer::kind).collect()
     }
 }
 

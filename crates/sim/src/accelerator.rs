@@ -6,7 +6,7 @@ use crate::partition::stream_seed;
 use crate::{
     metrics, EnergyBreakdown, EnergyModel, LayerCycleModel, LayerCycles, SimError,
 };
-use drq_core::{DrqConfig, RegionSize};
+use drq_core::{DrqConfig, LayerDrqConfig, MaskMap, RegionSize, RegionSums};
 use drq_models::{ConvLayerSpec, FeatureMapSynthesizer, NetworkTopology};
 use drq_quant::Precision;
 use drq_telemetry::{counter_add, observe, Json, Report};
@@ -473,23 +473,43 @@ impl DrqAccelerator {
         observe!("sim/buffer/occupancy", traffic.occupancy);
     }
 
+    /// Layer `i`'s effective region and threshold: the configuration's
+    /// deep-layer rules applied at the layer's map size and depth.
+    pub(crate) fn layer_config(&self, net: &NetworkTopology, i: usize) -> LayerDrqConfig {
+        let spec = &net.layers[i];
+        self.config.drq.for_layer(spec.in_h, spec.in_w, layer_depth(net, i))
+    }
+
     /// Synthesizes layer `i`'s input feature map from its own RNG substream
-    /// (`stream_seed(seed, i)`) and runs the sensitivity predictor at the
-    /// layer's effective region and threshold, returning the per-channel
-    /// masks and their mean sensitive fraction. The result depends only on
-    /// `(seed, i, synthesizer, effective LayerDrqConfig)` — never on which
-    /// worker or thread asks — and this is the one synthesis+predict path of
-    /// both [`crate::SimSession`] and [`crate::SharedSession`].
+    /// (`stream_seed(seed, i)`) and reduces it to region sums at `region`,
+    /// the threshold-independent stage of the predictor. The sums depend
+    /// only on `(seed, i, synthesizer, region)` — never on which worker or
+    /// thread asks — and this is the one synthesis path of both
+    /// [`crate::SimSession`] and [`crate::SharedSession`].
+    pub(crate) fn layer_region_sums(
+        &self,
+        net: &NetworkTopology,
+        seed: u64,
+        i: usize,
+        region: RegionSize,
+    ) -> RegionSums {
+        let depth = layer_depth(net, i);
+        let mut rng = XorShiftRng::new(stream_seed(seed, i as u64));
+        self.synth.for_depth(depth).region_sums_for_layer(&net.layers[i], region, &mut rng)
+    }
+
+    /// Layer `i`'s per-channel masks and their mean sensitive fraction at
+    /// its effective configuration: [`Self::layer_region_sums`] stepped at
+    /// the layer's threshold.
     pub(crate) fn layer_masks(
         &self,
         net: &NetworkTopology,
         seed: u64,
         i: usize,
-    ) -> (Vec<drq_core::MaskMap>, f64) {
-        let depth = layer_depth(net, i);
-        let mut rng = XorShiftRng::new(stream_seed(seed, i as u64));
-        let synth = self.synth.for_depth(depth);
-        synth.masks_for_layer(&net.layers[i], &self.config.drq, depth, &mut rng)
+    ) -> (Vec<MaskMap>, f64) {
+        let cfg = self.layer_config(net, i);
+        let sums = self.layer_region_sums(net, seed, i, cfg.region);
+        (sums.step(cfg.threshold), sums.sensitive_fraction(cfg.threshold))
     }
 
     /// Memory-traffic accounting for one layer (weight-stationary

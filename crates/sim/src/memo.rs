@@ -1,15 +1,27 @@
 //! The session-lifetime memo behind [`crate::SharedSession`] (see its docs
 //! for what the memo keys on and why buffer size is not part of any key).
 //!
+//! Three levels:
+//!
+//! * **region sums** by [`SumKey`] (layer, synthesizer, effective region):
+//!   the layer's synthesized map reduced to per-channel `i32` code sums —
+//!   the predictor's threshold-independent stage. The only level that
+//!   synthesizes a feature map.
+//! * **masks** by [`MaskKey`] (a sum key plus the effective threshold):
+//!   one compare pass over the cached sums for the layer's sensitive
+//!   fraction. The entry shares its sums instead of storing mask bits. A
+//!   mask build looks up its sums, so sum lookups happen only on mask
+//!   builds.
+//! * **cycles**, one [`LayerCycles`] per array geometry, stored in the
+//!   mask entry; a cycle build steps the sums into per-channel masks for
+//!   the cycle model and drops them.
+//!
 //! Every entry sits in a [`OnceLock`] cell, so when several `par_map`
 //! workers ask for the same key at once exactly one builds it and the rest
-//! wait for that result. A mask entry keeps the layer's masks as packed
-//! bits under one [`RegionGrid`] — no feature maps and no per-channel
-//! [`MaskMap`]s — plus one [`LayerCycles`] per array geometry seen.
+//! wait for that result.
 
-use crate::accelerator::layer_depth;
 use crate::{DrqAccelerator, LayerCycles, LayerReport};
-use drq_core::{LayerDrqConfig, MaskMap, RegionGrid, RegionSize};
+use drq_core::{RegionSize, RegionSums};
 use drq_models::{FeatureMapSynthesizer, NetworkTopology};
 use drq_telemetry::counter_add;
 use std::collections::HashMap;
@@ -50,6 +62,8 @@ fn get_or_build<V>(cell: &OnceLock<V>, build: impl FnOnce() -> V) -> (&V, bool) 
 /// of distinct keys, so the totals do not depend on scheduling.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct MemoCounts {
+    sum_builds: u64,
+    sum_hits: u64,
     mask_builds: u64,
     mask_hits: u64,
     cycle_builds: u64,
@@ -57,6 +71,10 @@ pub(crate) struct MemoCounts {
 }
 
 impl MemoCounts {
+    fn sum_lookup(&mut self, built: bool) {
+        *if built { &mut self.sum_builds } else { &mut self.sum_hits } += 1;
+    }
+
     fn mask_lookup(&mut self, built: bool) {
         *if built { &mut self.mask_builds } else { &mut self.mask_hits } += 1;
     }
@@ -66,6 +84,8 @@ impl MemoCounts {
     }
 
     pub(crate) fn add(&mut self, o: &MemoCounts) {
+        self.sum_builds += o.sum_builds;
+        self.sum_hits += o.sum_hits;
         self.mask_builds += o.mask_builds;
         self.mask_hits += o.mask_hits;
         self.cycle_builds += o.cycle_builds;
@@ -74,6 +94,8 @@ impl MemoCounts {
 
     /// Records the `sim/memo/*` counters (a no-op with telemetry off).
     pub(crate) fn record(&self) {
+        counter_add!("sim/memo/sum_builds", self.sum_builds);
+        counter_add!("sim/memo/sum_hits", self.sum_hits);
         counter_add!("sim/memo/mask_builds", self.mask_builds);
         counter_add!("sim/memo/mask_hits", self.mask_hits);
         counter_add!("sim/memo/cycle_builds", self.cycle_builds);
@@ -81,19 +103,18 @@ impl MemoCounts {
     }
 }
 
-/// What a layer's masks depend on besides the session seed: the layer, the
-/// synthesizer's parameters and the effective layer configuration. Floats
-/// are keyed by bit pattern.
+/// What a layer's region sums depend on besides the session seed: the
+/// layer, the synthesizer's parameters (floats by bit pattern) and the
+/// effective region. The threshold is not in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct MaskKey {
+struct SumKey {
     layer: usize,
     synth: [u64; 5],
     region: RegionSize,
-    threshold: u32,
 }
 
-impl MaskKey {
-    fn new(layer: usize, synth: &FeatureMapSynthesizer, cfg: LayerDrqConfig) -> Self {
+impl SumKey {
+    fn new(layer: usize, synth: &FeatureMapSynthesizer, region: RegionSize) -> Self {
         // Destructured so that a new synthesizer field fails to compile
         // here instead of silently missing from the key.
         let FeatureMapSynthesizer {
@@ -112,74 +133,62 @@ impl MaskKey {
                 blob_radius_frac.to_bits(),
                 channel_inclusion.to_bits(),
             ],
-            region: cfg.region,
-            threshold: cfg.threshold.to_bits(),
+            region,
         }
     }
+}
+
+/// What a layer's masks depend on: its region sums and the effective
+/// threshold (by bit pattern).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct MaskKey {
+    sums: SumKey,
+    threshold: u32,
 }
 
 /// Array geometry `(rows, cols, pages)`: all the cycle model reads of an
 /// accelerator.
 type GeometryKey = (usize, usize, usize);
 
-/// One layer's masks, packed, with the cycle counts computed from them.
+/// One threshold's step over a layer's cached region sums: the sensitive
+/// fraction, and the cycle counts per geometry. The masks themselves are
+/// not kept; a cycle build steps the shared sums again, which costs no
+/// more than unpacking stored bits would.
 struct MaskEntry {
-    grid: RegionGrid,
-    channels: usize,
-    /// Channel `c`'s region `r` is bit `c * grid.region_count() + r`.
-    bits: Box<[u64]>,
+    sums: Arc<RegionSums>,
+    threshold: f32,
     sensitive_fraction: f64,
     cycles: OnceMap<GeometryKey, LayerCycles>,
 }
 
 impl MaskEntry {
-    fn pack(grid: RegionGrid, masks: &[MaskMap], sensitive_fraction: f64) -> Self {
-        let regions = grid.region_count();
-        let mut bits = vec![0u64; (masks.len() * regions).div_ceil(64)];
-        for (c, mask) in masks.iter().enumerate() {
-            debug_assert_eq!(mask.grid(), grid, "masks of one layer share a grid");
-            for (r, _) in mask.bits().iter().enumerate().filter(|(_, &b)| b) {
-                let at = c * regions + r;
-                bits[at / 64] |= 1 << (at % 64);
-            }
-        }
+    fn new(sums: Arc<RegionSums>, threshold: f32) -> Self {
         Self {
-            grid,
-            channels: masks.len(),
-            bits: bits.into_boxed_slice(),
-            sensitive_fraction,
+            sensitive_fraction: sums.sensitive_fraction(threshold),
+            sums,
+            threshold,
             cycles: OnceMap::new(),
         }
     }
-
-    /// The per-channel masks again, for one cycle-model run.
-    fn unpack(&self) -> Vec<MaskMap> {
-        let regions = self.grid.region_count();
-        (0..self.channels)
-            .map(|c| {
-                let bits = (c * regions..(c + 1) * regions)
-                    .map(|at| self.bits[at / 64] >> (at % 64) & 1 == 1)
-                    .collect();
-                MaskMap::from_bits(self.grid, bits)
-            })
-            .collect()
-    }
 }
 
-/// The memo of one [`crate::SharedSession`]: mask entries by [`MaskKey`],
-/// each carrying its cycle counts by geometry. Lives and dies with the
-/// session, whose network and seed are fixed.
+/// The memo of one [`crate::SharedSession`]: region sums by [`SumKey`] and
+/// mask entries by [`MaskKey`], each mask entry carrying its cycle counts
+/// by geometry. Lives and dies with the session, whose network and seed
+/// are fixed.
 pub(crate) struct SessionMemo {
+    sums: OnceMap<SumKey, Arc<RegionSums>>,
     masks: OnceMap<MaskKey, MaskEntry>,
 }
 
 impl SessionMemo {
     pub(crate) fn new() -> Self {
-        Self { masks: OnceMap::new() }
+        Self { sums: OnceMap::new(), masks: OnceMap::new() }
     }
 
-    /// Layer `i`'s report for `accel`, building its masks and cycle count
-    /// only if no earlier candidate of the session already did.
+    /// Layer `i`'s report for `accel`, synthesizing the layer, stepping its
+    /// sums and running the cycle model only where no earlier candidate of
+    /// the session already did.
     pub(crate) fn layer_report(
         &self,
         accel: &DrqAccelerator,
@@ -190,16 +199,22 @@ impl SessionMemo {
     ) -> LayerReport {
         let spec = &net.layers[i];
         let config = accel.config();
-        let cfg = config.drq.for_layer(spec.in_h, spec.in_w, layer_depth(net, i));
-        let cell = self.masks.cell(MaskKey::new(i, accel.synthesizer(), cfg));
+        let cfg = accel.layer_config(net, i);
+        let sum_key = SumKey::new(i, accel.synthesizer(), cfg.region);
+        let cell = self.masks.cell(MaskKey { sums: sum_key, threshold: cfg.threshold.to_bits() });
         let (entry, built) = get_or_build(&cell, || {
-            let (masks, frac) = accel.layer_masks(net, seed, i);
-            MaskEntry::pack(RegionGrid::new(spec.in_h, spec.in_w, cfg.region), &masks, frac)
+            let cell = self.sums.cell(sum_key);
+            let (sums, built) = get_or_build(&cell, || {
+                Arc::new(accel.layer_region_sums(net, seed, i, cfg.region))
+            });
+            counts.sum_lookup(built);
+            MaskEntry::new(Arc::clone(sums), cfg.threshold)
         });
         counts.mask_lookup(built);
         let cell = entry.cycles.cell((config.rows, config.cols, config.pages));
-        let (&cycles, built) =
-            get_or_build(&cell, || accel.cycle_model().simulate_layer(spec, &entry.unpack()));
+        let (&cycles, built) = get_or_build(&cell, || {
+            accel.cycle_model().simulate_layer(spec, &entry.sums.step(entry.threshold))
+        });
         counts.cycle_lookup(built);
         accel.layer_report(spec, cycles, entry.sensitive_fraction)
     }
@@ -208,22 +223,6 @@ impl SessionMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn packing_round_trips_odd_sized_masks() {
-        // 3 channels x 9 regions = 27 bits: not a multiple of 64, and
-        // channel boundaries fall mid-word.
-        let grid = RegionGrid::new(5, 7, RegionSize::new(2, 3));
-        assert_eq!(grid.region_count(), 9);
-        let masks: Vec<MaskMap> = (0..3)
-            .map(|c| {
-                let bits = (0..grid.region_count()).map(|r| (r * 7 + c) % 3 == 0).collect();
-                MaskMap::from_bits(grid, bits)
-            })
-            .collect();
-        let entry = MaskEntry::pack(grid, &masks, 0.25);
-        assert_eq!(entry.unpack(), masks);
-    }
 
     #[test]
     fn each_cell_is_built_once_under_contention() {

@@ -238,35 +238,43 @@ fn run_layers(
 /// A design-space search evaluates hundreds of candidates over the *same*
 /// network and seed, and most of each candidate's per-layer work repeats
 /// an earlier one's. So the session keeps a memo that lives exactly as
-/// long as the session:
+/// long as the session, in three levels:
 ///
-/// * **masks**, keyed by (layer index, synthesizer parameters, effective
-///   [`drq_core::LayerDrqConfig`] from `DrqConfig::for_layer`). The seed is
-///   fixed per session, so nothing else reaches the synthesized map or the
-///   predictor. Deep layers fold every base region to the same 2×2 region,
-///   so region candidates share their entries there.
+/// * **region sums**, keyed by (layer index, synthesizer parameters,
+///   effective region from `DrqConfig::for_layer`): the synthesized map
+///   reduced to per-channel `i32` sums of INT8 codes, the predictor's
+///   threshold-independent stage ([`drq_core::RegionSums`]). The seed is
+///   fixed per session, so nothing else reaches the synthesized map. Deep
+///   layers fold every base region to the same 2×2 region, so region
+///   candidates share their sums there.
+/// * **masks**, keyed by (sum key, effective threshold): one compare pass
+///   over the cached sums for the layer's sensitive fraction. The entry
+///   shares its sums rather than storing mask bits. Only a mask build
+///   looks up sums.
 /// * **cycles**, one [`crate::LayerCycles`] per array geometry
-///   `(rows, cols, pages)`, stored with the mask entry they were computed
-///   from.
+///   `(rows, cols, pages)`, stored with the mask entry. A cycle build
+///   steps the sums into masks ([`drq_core::RegionSums::step`]) for the
+///   cycle model.
 ///
 /// Buffer size, frequency and the energy model are deliberately not in
 /// any key: they enter neither the masks nor the cycle model, only the
 /// per-layer energy and traffic pass, which each `simulate` call still
 /// runs for its own accelerator. Every entry is built exactly once, even
-/// when `par_map` workers ask for it concurrently. Masks are kept as
-/// packed bits (one per channel-region) under one region grid per entry,
-/// so the memo is bounded by the number of distinct keys the session meets
-/// times `in_c · regions / 8` bytes; it is freed with the session.
+/// when `par_map` workers ask for it concurrently. The memo holds
+/// `4 · in_c · regions` bytes per distinct sum key, a few words per
+/// distinct mask key and one `LayerCycles` per (mask key, geometry); it is
+/// freed with the session.
 ///
 /// The session is `Sync`, so one instance can be shared across
 /// `drq_tensor::parallel::par_map` workers. Reports are byte-identical to
 /// per-candidate [`SimSession`] runs at the same seed (pinned by
-/// `tests/dse_session_reuse.rs`): both paths call the same synthesis and
-/// predictor helper and the same per-layer queue + merge, which is
-/// worker-count invariant. With telemetry on, each call also records its
-/// memo lookups as the `sim/memo/{mask,cycle}_{builds,hits}` counters;
-/// summed over a session the build counts equal the number of distinct
-/// keys, whatever the thread count.
+/// `tests/dse_session_reuse.rs`): both paths call the same synthesis helper
+/// and the same two predictor stages, and the same per-layer queue +
+/// merge, which is worker-count invariant. With telemetry on, each call
+/// also records its memo lookups as the
+/// `sim/memo/{sum,mask,cycle}_{builds,hits}` counters; summed over a
+/// session the build counts equal the number of distinct keys, whatever
+/// the thread count.
 ///
 /// ```
 /// use drq_sim::{ArchConfig, Partitions, SharedSession, SimSession};
@@ -312,16 +320,11 @@ impl<'n> SharedSession<'n> {
         self.net
     }
 
-    /// The session seed.
-    pub fn seed_value(&self) -> u64 {
-        self.seed
-    }
-
     /// Runs one clean simulation of a candidate accelerator, reusing every
-    /// memoized mask set and cycle count (see the [type docs](Self)). Callable from `&self` on
-    /// any number of threads concurrently; nested parallel sections run
-    /// inline, so calling this from inside a `par_map` never oversubscribes
-    /// the pool.
+    /// memoized region sum, mask set and cycle count (see the
+    /// [type docs](Self)). Callable from `&self` on any number of threads
+    /// concurrently; nested parallel sections run inline, so calling this
+    /// from inside a `par_map` never oversubscribes the pool.
     pub fn simulate(&self, accel: &DrqAccelerator) -> NetworkSimReport {
         let merged = run_layers(accel, self.net, self.partitions, |i, counts| {
             self.memo.layer_report(accel, self.net, self.seed, i, counts)

@@ -312,7 +312,16 @@ echo "== pareto search (budget-interrupt-and-resume byte-gate) =="
 # must be byte-identical even though the files' generation numbers differ.
 PARETO_SEED=20260810
 ./target/release/drq pareto --network lenet5 --seed "$PARETO_SEED" \
-    --out "$ARTIFACTS/pareto_front.json"
+    --out "$ARTIFACTS/pareto_front.json" --metrics "$ARTIFACTS/pareto_metrics.json"
+# The session memo synthesizes each (layer, effective region) once and
+# steps its region sums per threshold: on LeNet-5's paper grid that is
+# 2*3 + 3*1 = 9 syntheses and 2*21 + 3*7 = 63 mask sets.
+PARETO_SUMS=$(sed -n 's/.*"sim\/memo\/sum_builds":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_metrics.json")
+PARETO_MASKS=$(sed -n 's/.*"sim\/memo\/mask_builds":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_metrics.json")
+[ "$PARETO_SUMS" = 9 ] && [ "$PARETO_MASKS" = 63 ] || {
+    echo "pareto memo built ${PARETO_SUMS:-?} region-sum sets and ${PARETO_MASKS:-?} mask sets (want 9 and 63)" >&2
+    exit 1
+}
 ./target/release/drq pareto --network lenet5 --seed "$PARETO_SEED" \
     --budget 40 --out "$ARTIFACTS/pareto_resume.json"
 grep -q '"status":"paused"' "$ARTIFACTS/pareto_resume.json" || {
@@ -352,7 +361,7 @@ PARETO_PRUNED=$(sed -n 's/.*"pruned":\([0-9]*\).*/\1/p' "$ARTIFACTS/pareto_front
     echo "pareto search pruned nothing (pruned=${PARETO_PRUNED:-?})" >&2
     exit 1
 }
-echo "pareto: front $PARETO_FRONT members, $PARETO_PRUNED pruned, resume and 1-thread bytes ok"
+echo "pareto: front $PARETO_FRONT members, $PARETO_PRUNED pruned, $PARETO_SUMS syntheses, resume and 1-thread bytes ok"
 
 echo "== store chaos property suite (offline) =="
 # The N/N-1 recovery property under arbitrary seeded I/O fault schedules
