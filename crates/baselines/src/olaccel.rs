@@ -44,17 +44,6 @@ impl OlAccel {
         }
     }
 
-    /// Overrides the outlier ratio (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the ratio is outside `[0, 0.5]`.
-    pub fn with_outlier_ratio(mut self, ratio: f64) -> Self {
-        assert!((0.0..=0.5).contains(&ratio), "outlier ratio out of range");
-        self.outlier_ratio = ratio;
-        self
-    }
-
     /// The configured outlier MAC fraction.
     pub fn outlier_ratio(&self) -> f64 {
         self.outlier_ratio
@@ -188,7 +177,7 @@ mod tests {
     #[test]
     fn zero_outlier_ratio_is_pure_int4() {
         let net = zoo::lenet5();
-        let ol = OlAccel::new().with_outlier_ratio(0.0).simulate(&net, 0);
+        let ol = OlAccel { outlier_ratio: 0.0, ..OlAccel::new() }.simulate(&net, 0);
         let with = OlAccel::new().simulate(&net, 0);
         assert!(ol.total_cycles <= with.total_cycles);
     }

@@ -184,16 +184,6 @@ pub fn evaluate_scheme(
     }
 }
 
-/// The paper's scheme lineup (Fig. 11 order), using `config` for DRQ.
-pub fn paper_schemes(config: DrqConfig) -> Vec<QuantScheme> {
-    vec![
-        QuantScheme::Eyeriss,
-        QuantScheme::BitFusion,
-        QuantScheme::OlAccel,
-        QuantScheme::Drq(config),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,10 +242,15 @@ mod tests {
 
     #[test]
     fn scheme_names_are_stable() {
-        let names: Vec<&str> = paper_schemes(DrqConfig::new(RegionSize::new(4, 16), 20.0))
-            .iter()
-            .map(QuantScheme::name)
-            .collect();
+        let names: Vec<&str> = [
+            QuantScheme::Eyeriss,
+            QuantScheme::BitFusion,
+            QuantScheme::OlAccel,
+            QuantScheme::Drq(DrqConfig::new(RegionSize::new(4, 16), 20.0)),
+        ]
+        .iter()
+        .map(QuantScheme::name)
+        .collect();
         assert_eq!(names, ["Eyeriss", "BitFusion", "OLAccel", "DRQ"]);
     }
 }

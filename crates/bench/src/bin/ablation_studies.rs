@@ -9,9 +9,8 @@
 use drq::core::{DrqConfig, RegionSize};
 use drq::models::zoo::{self, InputRes};
 use drq::quant::Precision;
-use drq::sim::{
-    compare_dataflows, ArchConfig, AreaModel, Dataflow, PredictorUnit,
-};
+use drq::sim::{ArchConfig, AreaModel, PredictorUnit};
+use drq_bench::dataflow::{compare_dataflows, Dataflow};
 use drq_bench::render_table;
 
 fn main() {

@@ -36,14 +36,15 @@ fn main() {
 
     // Tap every convolution input during inference of this image.
     let mut maps: Vec<(usize, Vec<Vec<Vec<usize>>>)> = Vec::new();
-    let _ = net.forward_tapped(&image, &mut |tap| {
-        let split = SegmentSplit::paper_default(tap.input.as_slice());
-        let channels = tap.input.shape()[1].min(3);
+    let _ = net.forward_conv_override(&image, &mut |conv_index, conv, input| {
+        let split = SegmentSplit::paper_default(input.as_slice());
+        let channels = input.shape()[1].min(3);
         let mut per_channel = Vec::new();
         for c in 0..channels {
-            per_channel.push(segment_map(tap.input, 0, c, &split));
+            per_channel.push(segment_map(input, 0, c, &split));
         }
-        maps.push((tap.conv_index, per_channel));
+        maps.push((conv_index, per_channel));
+        conv.forward_with_weights(input, conv.weight())
     });
 
     for (layer, per_channel) in &maps {

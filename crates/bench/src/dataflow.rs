@@ -9,7 +9,7 @@
 //! spills partial sums, input-stationary reads every input once — and the
 //! ablation harness uses these numbers to justify the paper's WS pick.
 
-use drq_models::ConvLayerSpec;
+use drq::models::ConvLayerSpec;
 
 /// Which operand a PE array keeps resident.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,7 +75,7 @@ pub const OUTPUT_BUFFER_POSITIONS: usize = 4096;
 
 /// Estimates buffer traffic for `spec` on a `rows × cols × pages` array.
 ///
-/// Tiling model (matching [`crate::LayerCycleModel`]'s geometry): taps tile
+/// Tiling model (matching [`drq::sim::LayerCycleModel`]'s geometry): taps tile
 /// by `rows`, filters by `cols × pages`, output positions stream.
 ///
 /// * **WS**: each weight enters the array once; inputs re-stream once per

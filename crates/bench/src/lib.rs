@@ -4,12 +4,13 @@
 //! under `src/bin/` (see `DESIGN.md` for the experiment index), plus the
 //! `kernel_microbench` timing binary. This library hosts the
 //! shared harness utilities: table rendering, run configuration, the
-//! Table III per-network DRQ operating points and the Fig. 14/15 sweep
-//! points.
+//! Table III per-network DRQ operating points, the Fig. 14/15 sweep
+//! points and the dataflow traffic model of the ablation study.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod dataflow;
 pub mod harness;
 pub mod sweep;
 

@@ -119,8 +119,9 @@ pub fn calibrate_thresholds(
 
     // Collect every conv input once.
     let mut inputs: Vec<Tensor<f32>> = Vec::with_capacity(conv_count);
-    let _ = net.forward_tapped(samples, &mut |tap| {
-        inputs.push(tap.input.clone());
+    let _ = net.forward_conv_override(samples, &mut |_, conv, input| {
+        inputs.push(input.clone());
+        conv.forward_with_weights(input, conv.weight())
     });
 
     let thresholds = inputs
@@ -198,14 +199,14 @@ mod tests {
         // under target for every layer.
         let mut layer = 0;
         let thresholds = schedule.thresholds().to_vec();
-        let _ = net.forward_tapped(&x, &mut |tap| {
-            let s = tap.input.shape4().unwrap();
+        let _ = net.forward_conv_override(&x, &mut |_, conv, input| {
+            let s = input.shape4().unwrap();
             let p = SensitivityPredictor::new(
                 RegionSize::new(4, 4).clamped_to(s.h, s.w),
                 thresholds[layer],
             );
             let mut acc = 0.0;
-            for masks in p.predict_batch(tap.input) {
+            for masks in p.predict_batch(input) {
                 acc += masks.iter().map(MaskMap::sensitive_fraction).sum::<f64>() / s.c as f64;
             }
             assert!(
@@ -213,6 +214,7 @@ mod tests {
                 "layer {layer} exceeds target"
             );
             layer += 1;
+            conv.forward_with_weights(input, conv.weight())
         });
     }
 
@@ -262,7 +264,10 @@ mod tests {
         target: f64,
     ) -> Vec<f32> {
         let mut inputs = Vec::new();
-        let _ = net.forward_tapped(x, &mut |tap| inputs.push(tap.input.clone()));
+        let _ = net.forward_conv_override(x, &mut |_, conv, input| {
+            inputs.push(input.clone());
+            conv.forward_with_weights(input, conv.weight())
+        });
         inputs
             .iter()
             .map(|x| {

@@ -3,7 +3,7 @@
 //! The paper visualizes LeNet-5 feature maps with values colour-coded into
 //! three magnitude segments, showing that large (sensitive) values aggregate
 //! spatially. These helpers compute the per-pixel segment map of a feature
-//! map channel and render it as ASCII art or a PGM image for inspection.
+//! map channel and render it as ASCII art for inspection.
 
 use drq_quant::SegmentSplit;
 use drq_tensor::Tensor;
@@ -69,30 +69,6 @@ pub fn render_ascii(map: &[Vec<usize>]) -> String {
         for &seg in row {
             out.push(glyph(seg));
         }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders a segment map as a binary-ish PGM (P2) image string, segment 0
-/// brightest — convenient for dumping Fig. 3-style visuals to files.
-pub fn render_pgm(map: &[Vec<usize>], segments: usize) -> String {
-    let h = map.len();
-    let w = map.first().map(Vec::len).unwrap_or(0);
-    let mut out = format!("P2\n{w} {h}\n255\n");
-    for row in map {
-        let line: Vec<String> = row
-            .iter()
-            .map(|&seg| {
-                let level = if segments <= 1 {
-                    255
-                } else {
-                    255 - (seg.min(segments - 1) * 255 / (segments - 1))
-                };
-                level.to_string()
-            })
-            .collect();
-        out.push_str(&line.join(" "));
         out.push('\n');
     }
     out
@@ -174,18 +150,6 @@ mod tests {
         let art = render_ascii(&map);
         assert_eq!(art.lines().count(), 2);
         assert_eq!(art, "#+.\n.+#\n");
-    }
-
-    #[test]
-    fn pgm_has_valid_header_and_levels() {
-        let map = vec![vec![0, 1], vec![2, 1]];
-        let pgm = render_pgm(&map, 3);
-        let mut lines = pgm.lines();
-        assert_eq!(lines.next(), Some("P2"));
-        assert_eq!(lines.next(), Some("2 2"));
-        assert_eq!(lines.next(), Some("255"));
-        assert_eq!(lines.next(), Some("255 128"));
-        assert_eq!(lines.next(), Some("0 128"));
     }
 
     #[test]

@@ -210,11 +210,6 @@ impl NetworkTopology {
         self.layers.iter().map(ConvLayerSpec::weight_count).sum()
     }
 
-    /// Number of convolution (non-FC) layers.
-    pub fn conv_layer_count(&self) -> usize {
-        self.layers.iter().filter(|l| l.op == LayerOp::Conv).count()
-    }
-
     /// Distinct block labels in order of first appearance.
     pub fn blocks(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -883,7 +878,7 @@ mod tests {
         ]));
         // 17 convs (1 stem + 16 in blocks) + 3 projections + 1 fc = 21.
         assert_eq!(net.layers.len(), 21);
-        assert_eq!(net.conv_layer_count(), 20);
+        assert_eq!(net.layers.iter().filter(|l| l.op == LayerOp::Conv).count(), 20);
     }
 
     #[test]

@@ -177,11 +177,6 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable bias tensor.
-    pub fn bias_mut(&mut self) -> &mut Tensor<f32> {
-        &mut self.bias
-    }
-
     /// Multiply-accumulate count for one forward pass over `input` shape.
     pub fn mac_count(&self, input: Shape4) -> u64 {
         let layout = self.layout(input);
@@ -478,7 +473,7 @@ mod tests {
     fn bias_is_added_per_channel() {
         let mut conv = Conv2d::new(1, 2, 1, 1, 0, 1);
         conv.weight_mut().map_inplace(|_| 0.0);
-        conv.bias_mut().as_mut_slice().copy_from_slice(&[1.5, -2.5]);
+        conv.bias.as_mut_slice().copy_from_slice(&[1.5, -2.5]);
         let y = conv.forward(&Tensor::zeros(&[1, 1, 2, 2]), false);
         assert_eq!(&y.as_slice()[..4], &[1.5; 4]);
         assert_eq!(&y.as_slice()[4..], &[-2.5; 4]);

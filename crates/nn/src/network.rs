@@ -102,64 +102,25 @@ impl Network {
         y
     }
 
-    /// Forward pass invoking `tap` with every convolution's input.
+    /// Forward pass invoking `tap` with every convolution's input: an
+    /// observer over [`Network::forward_conv_override`] whose executor runs
+    /// each convolution unchanged.
     ///
     /// Residual blocks are traversed (main path first, then shortcut), so
     /// `conv_index` enumerates every convolution in the network.
     ///
     /// # Panics
     ///
-    /// Panics on a residual shape mismatch (delegates to
-    /// [`Network::try_forward_tapped`], preserving the message text).
+    /// Panics on a residual shape mismatch.
     pub fn forward_tapped(
         &mut self,
         x: &Tensor<f32>,
         tap: &mut dyn FnMut(ConvTap<'_>),
     ) -> Tensor<f32> {
-        self.try_forward_tapped(x, tap)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Network::forward_tapped`] returning a typed
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if a residual block's main and
-    /// shortcut paths produce different shapes.
-    pub fn try_forward_tapped(
-        &mut self,
-        x: &Tensor<f32>,
-        tap: &mut dyn FnMut(ConvTap<'_>),
-    ) -> Result<Tensor<f32>, NnError> {
-        let mut idx = 0usize;
-        fn run(
-            layers: &mut [Layer],
-            x: &Tensor<f32>,
-            idx: &mut usize,
-            tap: &mut dyn FnMut(ConvTap<'_>),
-        ) -> Result<Tensor<f32>, NnError> {
-            let mut y = x.clone();
-            for l in layers.iter_mut() {
-                match l {
-                    Layer::Conv2d(c) => {
-                        tap(ConvTap { conv_index: *idx, input: &y, conv: c });
-                        *idx += 1;
-                        y = c.forward(&y, false);
-                    }
-                    Layer::Residual(r) => {
-                        let main = run(r.main_mut(), &y, idx, tap)?;
-                        let short = run(r.shortcut_mut(), &y, idx, tap)?;
-                        y = merge_residual(&main, &short)?;
-                    }
-                    other => {
-                        y = other.forward(&y, false);
-                    }
-                }
-            }
-            Ok(y)
-        }
-        run(&mut self.layers, x, &mut idx, tap)
+        self.forward_conv_override(x, &mut |conv_index, conv, input| {
+            tap(ConvTap { conv_index, input, conv });
+            conv.forward_with_weights(input, conv.weight())
+        })
     }
 
     /// Forward pass in which every convolution is *executed by* `exec`

@@ -52,4 +52,4 @@ pub use precision::Precision;
 pub use qparams::QuantParams;
 pub use quantize::{dequantize, fake_quantize, fake_quantize_per_channel, quantize};
 pub use quantizer::{MaxAbsQuantizer, PerChannelQuantizer, Quantizer};
-pub use range::{analyze_gemm, analyze_qparams, AccumWidth, RangeAnalysis};
+pub use range::{analyze_gemm, AccumWidth, RangeAnalysis};

@@ -78,16 +78,6 @@ impl OutlierQuantizer {
         self.outlier_ratio
     }
 
-    /// Dense (low) precision.
-    pub fn low_precision(&self) -> Precision {
-        self.low
-    }
-
-    /// Outlier (high) precision.
-    pub fn high_precision(&self) -> Precision {
-        self.high
-    }
-
     /// Calibrates the scheme for one tensor, returning the magnitude
     /// threshold plus the dense (low-precision) and outlier
     /// (high-precision) parameters. The dense scale fits the sub-threshold

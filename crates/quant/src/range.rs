@@ -17,7 +17,7 @@
 //! `vpdpwssd` pair sums to be exact, which holds for every precision
 //! pair with 8-bit-or-narrower operands.
 
-use crate::{Precision, QuantParams};
+use crate::Precision;
 
 /// Accumulator width selected for a reduction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,13 +110,6 @@ pub fn analyze_gemm(a: Precision, b: Precision, k: usize) -> RangeAnalysis {
     }
 }
 
-/// Convenience wrapper keyed by the quantizers actually in use: proves
-/// the width for codes produced by `a` and `b` over a `K`-deep
-/// reduction.
-pub fn analyze_qparams(a: &QuantParams, b: &QuantParams, k: usize) -> RangeAnalysis {
-    analyze_gemm(a.precision(), b.precision(), k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,15 +152,6 @@ mod tests {
         let r = analyze_gemm(Precision::Int8, Precision::Int8, 0);
         assert_eq!(r.worst_abs_sum, 0);
         assert_eq!(r.width, AccumWidth::I32);
-    }
-
-    #[test]
-    fn qparams_wrapper_uses_the_params_precisions() {
-        let a = QuantParams::new(0.1, Precision::Int8);
-        let b = QuantParams::new(0.2, Precision::Int4);
-        let r = analyze_qparams(&a, &b, 100);
-        assert_eq!(r.max_abs_a, 128);
-        assert_eq!(r.max_abs_b, 8);
     }
 
     #[test]

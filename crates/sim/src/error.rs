@@ -1,11 +1,11 @@
 //! Typed errors for the simulator's user-reachable construction and
 //! configuration paths.
 //!
-//! Every fallible `try_*` constructor in this crate returns a [`SimError`];
-//! the historical panicking APIs now delegate to the `try_*` form and panic
-//! with the error's `Display` text, so existing `#[should_panic]` callers
-//! and error-message greps keep working while library users get a `Result`
-//! they can handle.
+//! Every fallible `try_*` constructor in this crate (the architecture
+//! builder, [`crate::DramModel`] and [`crate::LayerCycleModel`]) returns a
+//! [`SimError`], as does fault-plan parsing; the panicking forms delegate
+//! to the `try_*` form and panic with the error's `Display` text, while
+//! library users get a `Result` they can handle.
 
 use std::fmt;
 
@@ -22,31 +22,13 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A structural dimension (array geometry, buffer capacity, kernel
-    /// extent, matrix shape) is zero, ragged or otherwise unusable.
+    /// A structural dimension (array geometry, buffer capacity) is zero or
+    /// otherwise unusable.
     InvalidGeometry {
         /// Which component rejected its geometry.
         context: &'static str,
         /// What exactly was wrong.
         detail: String,
-    },
-    /// An operand value is outside the datapath's representable range
-    /// (the DRQ PE is an 8-bit-signed datapath).
-    OperandRange {
-        /// Which component rejected the operand.
-        context: &'static str,
-        /// What exactly was wrong.
-        detail: String,
-    },
-    /// Two connected components disagree about a width or count.
-    WidthMismatch {
-        /// Which interface mismatched (includes the phrase callers grep
-        /// for, e.g. "partial-sum").
-        context: &'static str,
-        /// The width the component expected.
-        expected: usize,
-        /// The width it was given.
-        actual: usize,
     },
     /// A scalar parameter (bandwidth, efficiency, frequency) is out of its
     /// valid domain.
@@ -67,12 +49,8 @@ impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::InvalidGeometry { context, detail }
-            | SimError::OperandRange { context, detail }
             | SimError::InvalidParameter { context, detail } => {
                 write!(f, "{context}: {detail}")
-            }
-            SimError::WidthMismatch { context, expected, actual } => {
-                write!(f, "{context} width mismatch: expected {expected}, got {actual}")
             }
             SimError::FaultPlan { detail } => write!(f, "invalid fault plan: {detail}"),
         }
@@ -94,16 +72,11 @@ mod tests {
     #[test]
     fn display_carries_context_and_detail() {
         let e = SimError::InvalidGeometry {
-            context: "systolic array",
-            detail: "empty weight matrix".into(),
+            context: "layer cycle model",
+            detail: "zero pages".into(),
         };
-        assert_eq!(e.to_string(), "systolic array: empty weight matrix");
-        let w = SimError::WidthMismatch {
-            context: "output buffer partial-sum",
-            expected: 2,
-            actual: 3,
-        };
-        assert!(w.to_string().contains("width mismatch"));
-        assert!(w.to_string().contains("expected 2, got 3"));
+        assert_eq!(e.to_string(), "layer cycle model: zero pages");
+        let p = SimError::FaultPlan { detail: "unknown site".into() };
+        assert_eq!(p.to_string(), "invalid fault plan: unknown site");
     }
 }

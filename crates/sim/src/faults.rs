@@ -133,8 +133,8 @@ impl FaultSiteKind for FaultSite {
 /// ```
 pub type FaultPlan = drq_store::FaultPlan<FaultSite>;
 /// One rule of a [`FaultPlan`]; its `target` is a layer name (network-level
-/// simulation only — the exact array simulator has no layer identity, so a
-/// layer-scoped rule never fires there).
+/// simulation only — the exact array simulator in `drq_testkit::exact` has
+/// no layer identity, so a layer-scoped rule never fires there).
 pub type FaultRule = drq_store::FaultRule<FaultSite>;
 /// Per-site event counts of a [`FaultInjector`].
 pub type FaultCounters = drq_store::FaultCounters<FaultSite>;
@@ -156,13 +156,6 @@ pub fn smoke_fault_plan() -> FaultPlan {
             FaultRule::new(FaultSite::DramBurstDrop, 5e-3),
         ],
     }
-}
-
-/// Flips `bit` (0..8) of an 8-bit signed value held in an `i32`, staying in
-/// the signed 8-bit domain.
-pub(crate) fn flip_bit8(v: i32, bit: u32) -> i32 {
-    debug_assert!(bit < 8, "bit {bit} outside the 8-bit word");
-    ((v as i8) ^ (1i8 << bit)) as i32
 }
 
 #[cfg(test)]
@@ -227,17 +220,6 @@ mod tests {
         for _ in 0..50 {
             let bit = inj.draw_bit(FaultSite::LineBufferStuckAt, None).unwrap();
             assert!(bit < 4, "{bit}");
-        }
-    }
-
-    #[test]
-    fn flip_bit8_stays_in_domain() {
-        for v in -128..=127 {
-            for bit in 0..8 {
-                let flipped = flip_bit8(v, bit);
-                assert!((-128..=127).contains(&flipped), "v={v} bit={bit}");
-                assert_eq!(flip_bit8(flipped, bit), v);
-            }
         }
     }
 

@@ -8,22 +8,18 @@
 //! closing the loop through an activation/pooling unit fused with the
 //! sensitivity predictor.
 //!
-//! Two models are provided and differentially tested against each other:
-//!
-//! * [`SystolicArray`] — an **exact** PE-level simulator that executes every
-//!   register transfer of the variable-speed array of Fig. 7(b), including
-//!   the 4-cycle time-multiplexed INT8 MAC of Fig. 8 and the stall
-//!   propagation between columns;
-//! * [`LayerCycleModel`] — a **fast** per-layer analytic model (steps ×
-//!   per-step cost + pipeline fill + weight loads) used to simulate the full
-//!   six-network evaluation in seconds. Its equivalence with the exact
-//!   simulator on small layers is asserted by tests.
+//! One cycle model simulates the array: [`LayerCycleModel`], a per-layer
+//! analytic model (steps × per-step cost + pipeline fill + weight loads)
+//! that runs the full six-network evaluation in seconds. The PE-level
+//! exact tier it is checked against — a register-transfer simulator of the
+//! variable-speed array of Fig. 7(b), including the 4-cycle
+//! time-multiplexed INT8 MAC of Fig. 8 and the stall propagation between
+//! columns — lives in `drq_testkit::exact` as a test oracle.
 //!
 //! Supporting models: [`AreaModel`] (Table II MAC areas and iso-area PE
 //! budgets), [`EnergyModel`] (per-MAC, buffer and DRAM energies with the
-//! weight-stationary accounting of Section VI-A), [`PredictorUnit`]
-//! (pooling-reuse predictor storage of Section IV-E), and [`LineBuffer`]
-//! (dense 4/8-bit packing of Section IV-B).
+//! weight-stationary accounting of Section VI-A) and [`PredictorUnit`]
+//! (pooling-reuse predictor storage of Section IV-E).
 //!
 //! Network-level simulation goes through one entry point: the
 //! [`SimSession`] builder. Every session runs its layers as a per-layer
@@ -38,7 +34,7 @@
 //! engine over the hardware [`FaultSite`]s; arming one on a session
 //! (`.faults(plan)`) yields a structured [`ReliabilityReport`].
 //! User-reachable construction paths report typed [`SimError`]s via
-//! `try_*` counterparts of every panicking constructor.
+//! `try_*` counterparts of their panicking constructors.
 //!
 //! # Examples
 //!
@@ -58,21 +54,14 @@
 mod accelerator;
 mod area;
 pub mod metrics;
-mod dataflow;
 mod dram;
 mod energy;
 mod error;
 pub mod faults;
-mod im2col_engine;
-mod line_buffer;
 mod memo;
-mod output_buffer;
-mod page;
 pub mod partition;
-mod pe;
 mod predictor_unit;
 mod session;
-mod systolic;
 mod timing;
 
 pub use accelerator::{
@@ -83,14 +72,7 @@ pub use partition::Partitions;
 pub use session::{SharedSession, SimRun, SimSession};
 pub use faults::{smoke_fault_plan, FaultCounters, FaultInjector, FaultPlan, FaultRule, FaultSite};
 pub use area::AreaModel;
-pub use dataflow::{compare_dataflows, estimate_traffic, Dataflow, TrafficReport, OUTPUT_BUFFER_POSITIONS};
 pub use dram::{bandwidth_report, BandwidthReport, DramModel};
-pub use im2col_engine::Im2ColEngine;
-pub use output_buffer::{OutputBuffer, SubKernelPlan};
-pub use page::{PageSimulator, PageTrace};
 pub use energy::{dram_activation_bytes, EnergyBreakdown, EnergyModel};
-pub use line_buffer::{LineBuffer, PackedStream};
-pub use pe::MultiPrecisionPe;
 pub use predictor_unit::PredictorUnit;
-pub use systolic::{SimTrace, StreamElement, SystolicArray};
 pub use timing::{LayerCycleModel, LayerCycles};

@@ -1,12 +1,13 @@
-//! Fast analytic layer-level cycle model.
+//! The simulator's one cycle model: a fast analytic per-layer model.
 //!
-//! The exact PE-level simulator ([`crate::SystolicArray`]) proves that the
-//! variable-speed array's runtime reduces to a closed form: pipeline fill
-//! plus the sum of per-step costs, where a step (one output position) costs
-//! 4 cycles if any streamed value in it is sensitive and 1 cycle otherwise.
-//! This module applies that closed form per layer with the weight-stationary
-//! tiling of the DRQ architecture (Section IV-A: 16 pages of 18×11 PEs,
-//! filters split across pages, kernel taps down the rows).
+//! The exact PE-level simulator (the `drq_testkit::exact` test oracle)
+//! shows that the variable-speed array's runtime reduces to a closed form:
+//! pipeline fill plus the sum of per-step costs, where a step (one output
+//! position) costs 4 cycles if any streamed value in it is sensitive and 1
+//! cycle otherwise. This module applies that closed form per layer with
+//! the weight-stationary tiling of the DRQ architecture (Section IV-A: 16
+//! pages of 18×11 PEs, filters split across pages, kernel taps down the
+//! rows).
 
 use crate::SimError;
 use drq_core::{MaskMap, RegionGrid};
@@ -466,9 +467,7 @@ fn region_usage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{StreamElement, SystolicArray};
-    use drq_core::{RegionGrid, RegionSize, SensitivityPredictor};
-    use drq_tensor::{Tensor, XorShiftRng};
+    use drq_core::{RegionGrid, RegionSize};
 
     fn uniform_masks(spec: &ConvLayerSpec, sensitive: bool) -> Vec<MaskMap> {
         let grid = RegionGrid::new(spec.in_h, spec.in_w, RegionSize::new(4, 4));
@@ -509,59 +508,6 @@ mod tests {
         let r = model.simulate_layer(&spec, &uniform_masks(&spec, false));
         assert_eq!(r.int4_macs + r.int8_macs, spec.macs());
         assert!(r.total_cycles() > 0);
-    }
-
-    #[test]
-    fn matches_exact_systolic_simulator_on_small_tile() {
-        // A 1x1-conv layer whose taps fit one row tile and whose filters fit
-        // one page: the fast model's compute cycles must equal the exact
-        // array's step schedule.
-        let rows = 4;
-        let cols = 3;
-        let model = LayerCycleModel::new(rows, cols, 1);
-        let spec = ConvLayerSpec::conv("c", "B1", 4, 6, 6, 3, 1, 1, 1, 0);
-
-        // Random sensitive pattern via a predictor over random activations.
-        let mut rng = XorShiftRng::new(5);
-        let x = Tensor::from_fn(&[1, 4, 6, 6], |_| rng.next_f32());
-        let predictor = SensitivityPredictor::new(RegionSize::new(2, 2), 60.0);
-        let masks = predictor.predict(&x);
-
-        let fast = model.simulate_layer(&spec, &masks);
-
-        // Build the equivalent exact-array run: rows = 4 channels (1x1
-        // kernel), steps = 36 output positions.
-        let weights: Vec<Vec<i32>> =
-            (0..rows).map(|r| (0..cols).map(|c| (r * cols + c) as i32).collect()).collect();
-        let array = SystolicArray::new(weights);
-        let s = x.shape4().unwrap();
-        let streams: Vec<Vec<StreamElement>> = (0..4)
-            .map(|c| {
-                let mut v = Vec::new();
-                for y in 0..6 {
-                    for xx in 0..6 {
-                        v.push(StreamElement::new(
-                            (x[[0, c, y, xx]] * 100.0) as i32,
-                            masks[c].pixel_sensitive(y, xx),
-                        ));
-                    }
-                }
-                assert_eq!(s.h * s.w, v.len());
-                v
-            })
-            .collect();
-        let trace = array.simulate(&streams);
-        // Exact cycles = Σ costs + (cols-1) + rows = the fast model's
-        // compute + fill for a single-pass layer.
-        assert_eq!(
-            fast.compute_cycles + fast.fill_cycles,
-            trace.cycles,
-            "fast model diverges from exact simulator"
-        );
-        assert_eq!(fast.int8_steps, trace.int8_steps);
-        assert_eq!(fast.int4_steps, trace.int4_steps);
-        // Stall accounting matches the exact simulator too.
-        assert_eq!(fast.stall_pe_cycles, trace.stall_pe_cycles);
     }
 
     #[test]

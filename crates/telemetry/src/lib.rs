@@ -26,7 +26,7 @@ mod trace;
 
 pub use json::{Json, JsonParseError};
 pub use registry::{
-    disable, enable, enabled, global, observe_cycles, reset, snapshot, Histogram,
+    disable, enable, enabled, global, reset, snapshot, Histogram,
     MetricsRegistry, WallClockScope,
 };
 pub use report::{Report, ReportParseError, SCHEMA_NAME, SCHEMA_VERSION};

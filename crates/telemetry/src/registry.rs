@@ -298,20 +298,6 @@ impl Drop for WallClockScope {
     }
 }
 
-/// A cycle-accurate scope over a simulated clock: accumulates a span of
-/// `cycles` into both a counter (total cycles) and a histogram (per-scope
-/// spans) under `name`.
-pub fn observe_cycles(name: &str, cycles: u64) {
-    if enabled() {
-        let mut g = global();
-        g.counter_add(name, cycles);
-        let mut hist_key = String::with_capacity(name.len() + 5);
-        hist_key.push_str(name);
-        hist_key.push_str("/span");
-        g.observe(&hist_key, cycles as f64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,14 +387,11 @@ mod tests {
         counter_add!("test/c", 2);
         gauge_set!("test/g", 1.5);
         observe!("test/h", 3.0);
-        observe_cycles("test/cycles", 10);
         let snap = snapshot();
         disable();
         reset();
         assert_eq!(snap.counter("test/c"), 2);
         assert_eq!(snap.gauge("test/g"), Some(1.5));
         assert_eq!(snap.histogram("test/h").unwrap().count, 1);
-        assert_eq!(snap.counter("test/cycles"), 10);
-        assert_eq!(snap.histogram("test/cycles/span").unwrap().sum, 10.0);
     }
 }

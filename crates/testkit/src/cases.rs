@@ -12,13 +12,14 @@
 //! escape the generator's invariants (e.g. "kernel fits the padded input"
 //! or "GEMM depth within one cache panel").
 
+use crate::exact::StreamElement;
 use crate::gen::ValueDist;
 use crate::shrink::{shrink_f32, shrink_usize};
 use drq_core::{MaskMap, RegionGrid, RegionSize};
 use drq_models::{ConvLayerSpec, FeatureMapSynthesizer};
 use drq_nn::Conv2d;
 use drq_quant::Precision;
-use drq_sim::{FaultPlan, FaultRule, FaultSite, StreamElement};
+use drq_sim::{FaultPlan, FaultRule, FaultSite};
 use drq_store::{IoFaultPlan, IoFaultRule, IoFaultSite};
 use drq_tensor::{Shape4, Tensor, XorShiftRng};
 

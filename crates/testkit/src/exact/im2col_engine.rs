@@ -3,49 +3,20 @@
 //! Each PE page has an engine that pulls feature maps from the global
 //! buffer, transforms them into the staggered im2col arrangement of
 //! Fig. 7(a), packs insensitive values into 4-bit slots alongside the
-//! region masks, and fills the line buffer. This module models the engine's
-//! throughput and produces the actual row streams the exact systolic
-//! simulator consumes — tying the algorithm-side masks to the
-//! architecture-side streams.
+//! region masks, and fills the line buffer. This module produces the actual
+//! row streams the exact systolic simulator consumes — tying the
+//! algorithm-side masks to the architecture-side streams.
 
-use crate::{PackedStream, StreamElement};
+use super::{PackedStream, StreamElement};
 use drq_core::MaskMap;
 use drq_quant::{Precision, QuantParams};
 use drq_tensor::Tensor;
 
-/// Geometry and throughput model of one page's im2col/pack engine.
-///
-/// # Examples
-///
-/// ```
-/// use drq_sim::Im2ColEngine;
-///
-/// let engine = Im2ColEngine::new(8);
-/// // Transforming n values at 8 values/cycle:
-/// assert_eq!(engine.transform_cycles(64), 8);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Im2ColEngine {
-    values_per_cycle: usize,
-}
+/// One page's im2col/pack engine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Im2ColEngine;
 
 impl Im2ColEngine {
-    /// Creates an engine that reformats `values_per_cycle` activation
-    /// values per cycle (the global-buffer port width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values_per_cycle == 0`.
-    pub fn new(values_per_cycle: usize) -> Self {
-        assert!(values_per_cycle > 0, "engine throughput must be positive");
-        Self { values_per_cycle }
-    }
-
-    /// Cycles to transform-and-pack `values` activation values.
-    pub fn transform_cycles(&self, values: usize) -> u64 {
-        (values as u64).div_ceil(self.values_per_cycle as u64)
-    }
-
     /// Builds the per-row streams for a tap tile of a convolution: rows are
     /// `(channel, ky, kx)` taps in channel-major order, steps are output
     /// positions in raster order. Values are quantized to INT8 codes with
@@ -105,17 +76,10 @@ impl Im2ColEngine {
     }
 }
 
-impl Default for Im2ColEngine {
-    fn default() -> Self {
-        // One 64-bit global-buffer word of INT8 activations per cycle.
-        Self::new(8)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SystolicArray;
+    use crate::exact::SystolicArray;
     use drq_core::{RegionGrid, RegionSize, SensitivityPredictor};
     use drq_tensor::XorShiftRng;
 
@@ -136,7 +100,7 @@ mod tests {
         let x = blobby(1);
         let predictor = SensitivityPredictor::new(RegionSize::new(2, 2), 20.0);
         let masks = predictor.predict(&x);
-        let engine = Im2ColEngine::default();
+        let engine = Im2ColEngine;
         let taps = vec![(0, 0, 0), (0, 0, 1), (1, 1, 1)];
         let (streams, packed) =
             engine.build_streams(&x, 0, &masks, &taps, 6, 6, 1, 1);
@@ -150,7 +114,7 @@ mod tests {
         let x = Tensor::<f32>::full(&[1, 1, 3, 3], 1.0);
         let grid = RegionGrid::new(3, 3, RegionSize::new(3, 3));
         let masks = vec![drq_core::MaskMap::all_sensitive(grid)];
-        let engine = Im2ColEngine::default();
+        let engine = Im2ColEngine;
         // Tap (0,0,0) with pad 1: output (0,0) reads input (-1,-1) = padding.
         let (streams, _) = engine.build_streams(&x, 0, &masks, &[(0, 0, 0)], 3, 3, 1, 1);
         assert_eq!(streams[0][0], StreamElement::new(0, false));
@@ -166,7 +130,7 @@ mod tests {
         let x = blobby(3);
         let predictor = SensitivityPredictor::new(RegionSize::new(2, 2), 15.0);
         let masks = predictor.predict(&x);
-        let engine = Im2ColEngine::default();
+        let engine = Im2ColEngine;
         let taps = vec![(0usize, 0usize, 0usize), (0, 1, 1), (1, 0, 1), (1, 1, 0)];
         let (streams, _) = engine.build_streams(&x, 0, &masks, &taps, 4, 4, 1, 0);
         let weights = vec![vec![64, -32], vec![16, 8], vec![-128, 127], vec![5, -5]];
@@ -190,19 +154,11 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_ceil_division() {
-        let e = Im2ColEngine::new(8);
-        assert_eq!(e.transform_cycles(0), 0);
-        assert_eq!(e.transform_cycles(1), 1);
-        assert_eq!(e.transform_cycles(9), 2);
-    }
-
-    #[test]
     fn packing_reflects_sensitivity_density() {
         let x = blobby(5);
         let dense = SensitivityPredictor::new(RegionSize::new(2, 2), 0.0); // all sensitive
         let sparse = SensitivityPredictor::new(RegionSize::new(2, 2), 127.0); // none
-        let engine = Im2ColEngine::default();
+        let engine = Im2ColEngine;
         let taps = vec![(0, 0, 0)];
         let (_, p_dense) =
             engine.build_streams(&x, 0, &dense.predict(&x), &taps, 6, 6, 1, 0);

@@ -6,14 +6,14 @@
 //! bit per region, expanded here to one bit per value for the stream)
 //! deciding how each slot is decoded.
 
-use crate::{SimError, StreamElement};
+use super::StreamElement;
 
 /// A densely packed stream of mixed 4/8-bit activation codes.
 ///
 /// # Examples
 ///
 /// ```
-/// use drq_sim::{PackedStream, StreamElement};
+/// use drq_testkit::exact::{PackedStream, StreamElement};
 ///
 /// let elems = vec![
 ///     StreamElement::new(48, false),  // 4-bit slot (INT4 code 3)
@@ -78,11 +78,6 @@ impl PackedStream {
         self.mask.len()
     }
 
-    /// Total storage in bits (payload + expanded mask).
-    pub fn total_bits(&self) -> usize {
-        self.payload_bits() + self.mask_bits()
-    }
-
     /// Unpacks back into stream elements. Insensitive values come back with
     /// their low nibble zeroed — exactly the information the INT4 datapath
     /// consumes.
@@ -132,57 +127,6 @@ impl PackedStream {
         }
         let int8_bits = self.mask.len() * 8;
         1.0 - self.payload_bits() as f64 / int8_bits as f64
-    }
-}
-
-/// Capacity model of one PE page's line buffer.
-///
-/// # Examples
-///
-/// ```
-/// use drq_sim::LineBuffer;
-///
-/// let lb = LineBuffer::new(32 * 1024);
-/// // All-INT4 packing doubles effective capacity vs INT8.
-/// assert_eq!(lb.capacity_values(0.0), 2 * lb.capacity_values(1.0));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineBuffer {
-    bytes: usize,
-}
-
-impl LineBuffer {
-    /// Creates a line buffer of the given byte capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes == 0`.
-    pub fn new(bytes: usize) -> Self {
-        Self::try_new(bytes).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`LineBuffer::new`].
-    pub fn try_new(bytes: usize) -> Result<Self, SimError> {
-        if bytes == 0 {
-            return Err(SimError::InvalidGeometry {
-                context: "line buffer",
-                detail: "line buffer must have capacity".into(),
-            });
-        }
-        Ok(Self { bytes })
-    }
-
-    /// Raw capacity in bytes.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Number of activation values that fit given a sensitive fraction
-    /// (sensitive = 8 bits, insensitive = 4 bits).
-    pub fn capacity_values(&self, sensitive_fraction: f64) -> usize {
-        let f = sensitive_fraction.clamp(0.0, 1.0);
-        let bits_per_value = 4.0 + 4.0 * f;
-        ((self.bytes * 8) as f64 / bits_per_value) as usize
     }
 }
 
@@ -246,7 +190,7 @@ mod tests {
     fn empty_stream_is_fine() {
         let packed = PackedStream::pack(&[]);
         assert!(packed.is_empty());
-        assert_eq!(packed.total_bits(), 0);
+        assert_eq!(packed.payload_bits() + packed.mask_bits(), 0);
         assert_eq!(packed.saving_vs_int8(), 0.0);
     }
 
@@ -261,25 +205,5 @@ mod tests {
         assert_eq!(back[0].value, 0x29);
         // The insensitive element's nibble (index 2) is untouched.
         assert_eq!(back[1].value, 0x20);
-    }
-
-    #[test]
-    fn try_new_rejects_zero_capacity() {
-        assert!(matches!(
-            LineBuffer::try_new(0),
-            Err(crate::SimError::InvalidGeometry { .. })
-        ));
-        assert_eq!(LineBuffer::try_new(64).unwrap().bytes(), 64);
-    }
-
-    #[test]
-    fn capacity_interpolates_between_extremes() {
-        let lb = LineBuffer::new(1024);
-        let c0 = lb.capacity_values(0.0);
-        let c50 = lb.capacity_values(0.5);
-        let c100 = lb.capacity_values(1.0);
-        assert_eq!(c0, 2048);
-        assert_eq!(c100, 1024);
-        assert!(c50 < c0 && c50 > c100);
     }
 }

@@ -8,8 +8,6 @@
 //! array and accumulating their partial results — "a common practice widely
 //! used in systolic array based NN accelerators".
 
-use crate::SimError;
-
 /// How a `k×k` kernel splits into array-sized sub-kernels.
 ///
 /// The DRQ array prioritizes 3×3 kernels; a larger kernel of extent `k`
@@ -19,10 +17,10 @@ use crate::SimError;
 /// # Examples
 ///
 /// ```
-/// use drq_sim::SubKernelPlan;
+/// use drq_testkit::exact::SubKernelPlan;
 ///
 /// let plan = SubKernelPlan::for_kernel(7, 7);
-/// assert_eq!(plan.sub_kernel_count(), 9); // 3x3 grid of (3,3,1)-wide tiles
+/// assert_eq!(plan.row_splits(), &[3, 3, 1]); // 3x3 grid of (3,3,1)-wide tiles
 /// assert_eq!(plan.total_taps(), 49);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,28 +54,16 @@ impl SubKernelPlan {
     ///
     /// Panics if either extent is zero.
     pub fn for_kernel(kh: usize, kw: usize) -> Self {
-        Self::try_for_kernel(kh, kw).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`SubKernelPlan::for_kernel`].
-    pub fn try_for_kernel(kh: usize, kw: usize) -> Result<Self, SimError> {
-        if kh == 0 || kw == 0 {
-            return Err(SimError::InvalidGeometry {
-                context: "sub-kernel plan",
-                detail: format!("kernel extents must be positive (got {kh}x{kw})"),
-            });
-        }
-        Ok(Self {
+        assert!(
+            kh > 0 && kw > 0,
+            "sub-kernel plan: kernel extents must be positive (got {kh}x{kw})"
+        );
+        Self {
             kh,
             kw,
             row_splits: split_extent(kh, Self::NATIVE_EXTENT),
             col_splits: split_extent(kw, Self::NATIVE_EXTENT),
-        })
-    }
-
-    /// Number of sub-kernel launches.
-    pub fn sub_kernel_count(&self) -> usize {
-        self.row_splits.len() * self.col_splits.len()
+        }
     }
 
     /// Row-axis split extents (e.g. 7 → `[3, 3, 1]`).
@@ -90,26 +76,9 @@ impl SubKernelPlan {
         &self.col_splits
     }
 
-    /// Sub-kernel extents in launch order `(rows, cols)`.
-    pub fn sub_kernels(&self) -> Vec<(usize, usize)> {
-        let mut out = Vec::with_capacity(self.sub_kernel_count());
-        for &r in &self.row_splits {
-            for &c in &self.col_splits {
-                out.push((r, c));
-            }
-        }
-        out
-    }
-
     /// Total taps across the split (must equal `kh*kw`).
     pub fn total_taps(&self) -> usize {
-        self.sub_kernels().iter().map(|&(r, c)| r * c).sum()
-    }
-
-    /// Extra accumulation operations per output element: one add per
-    /// sub-kernel beyond the first.
-    pub fn extra_accumulations(&self) -> usize {
-        self.sub_kernel_count().saturating_sub(1)
+        self.row_splits.iter().sum::<usize>() * self.col_splits.iter().sum::<usize>()
     }
 }
 
@@ -122,7 +91,7 @@ impl SubKernelPlan {
 /// # Examples
 ///
 /// ```
-/// use drq_sim::OutputBuffer;
+/// use drq_testkit::exact::OutputBuffer;
 ///
 /// let mut ob = OutputBuffer::new(4);
 /// ob.accumulate(&[1, 2, 3, 4]);
@@ -148,18 +117,8 @@ impl OutputBuffer {
     ///
     /// Panics if `size == 0`.
     pub fn new(size: usize) -> Self {
-        Self::try_new(size).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`OutputBuffer::new`].
-    pub fn try_new(size: usize) -> Result<Self, SimError> {
-        if size == 0 {
-            return Err(SimError::InvalidGeometry {
-                context: "output buffer",
-                detail: "output buffer must have capacity".into(),
-            });
-        }
-        Ok(Self { banks: [vec![0; size], vec![0; size]], active: 0, accumulate_ops: 0 })
+        assert!(size > 0, "output buffer must have capacity");
+        Self { banks: [vec![0; size], vec![0; size]], active: 0, accumulate_ops: 0 }
     }
 
     /// Bank capacity in partial sums.
@@ -173,36 +132,11 @@ impl OutputBuffer {
     ///
     /// Panics if `partial.len()` differs from the bank size.
     pub fn accumulate(&mut self, partial: &[i64]) {
-        self.try_accumulate(partial).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`OutputBuffer::accumulate`].
-    pub fn try_accumulate(&mut self, partial: &[i64]) -> Result<(), SimError> {
-        if partial.len() != self.size() {
-            return Err(SimError::WidthMismatch {
-                context: "output buffer partial-sum",
-                expected: self.size(),
-                actual: partial.len(),
-            });
-        }
+        assert_eq!(partial.len(), self.size(), "output buffer partial-sum width mismatch");
         for (acc, &p) in self.banks[self.active].iter_mut().zip(partial) {
             *acc += p;
         }
         self.accumulate_ops += partial.len() as u64;
-        Ok(())
-    }
-
-    /// Fault injection: flips `bit` of the partial sum at `index` in the
-    /// active accumulation bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` or `bit` is out of range.
-    pub fn flip_bit(&mut self, index: usize, bit: u32) {
-        assert!(bit < 64, "bit {bit} outside the 64-bit partial sum");
-        let bank = &mut self.banks[self.active];
-        assert!(index < bank.len(), "partial sum {index} out of range");
-        bank[index] ^= 1i64 << bit;
     }
 
     /// Swaps the accumulation and drain banks, clearing the new
@@ -231,26 +165,27 @@ mod tests {
 
     #[test]
     fn kernel_splits_match_paper_sizes() {
+        let launches = |p: &SubKernelPlan| p.row_splits().len() * p.col_splits().len();
         // 3x3 native: single launch.
-        assert_eq!(SubKernelPlan::for_kernel(3, 3).sub_kernel_count(), 1);
+        assert_eq!(launches(&SubKernelPlan::for_kernel(3, 3)), 1);
         // 5x5: (3+2)x(3+2) = 4 launches.
         let p5 = SubKernelPlan::for_kernel(5, 5);
-        assert_eq!(p5.sub_kernel_count(), 4);
+        assert_eq!(launches(&p5), 4);
         assert_eq!(p5.total_taps(), 25);
         // 7x7: 9 launches.
         let p7 = SubKernelPlan::for_kernel(7, 7);
-        assert_eq!(p7.sub_kernel_count(), 9);
+        assert_eq!(launches(&p7), 9);
         assert_eq!(p7.total_taps(), 49);
-        assert_eq!(p7.extra_accumulations(), 8);
         // 11x11 (AlexNet conv1): 4x4 = 16 launches.
-        assert_eq!(SubKernelPlan::for_kernel(11, 11).sub_kernel_count(), 16);
+        assert_eq!(launches(&SubKernelPlan::for_kernel(11, 11)), 16);
     }
 
     #[test]
     fn rectangular_kernels_split_each_axis() {
         // Inception's 1x7: one row split, three column splits.
         let p = SubKernelPlan::for_kernel(1, 7);
-        assert_eq!(p.sub_kernels(), vec![(1, 3), (1, 3), (1, 1)]);
+        assert_eq!(p.row_splits(), &[1]);
+        assert_eq!(p.col_splits(), &[3, 3, 1]);
         assert_eq!(p.total_taps(), 7);
     }
 
@@ -261,9 +196,10 @@ mod tests {
                 let p = SubKernelPlan::for_kernel(kh, kw);
                 assert_eq!(p.total_taps(), kh * kw, "{kh}x{kw}");
                 assert!(p
-                    .sub_kernels()
+                    .row_splits()
                     .iter()
-                    .all(|&(r, c)| r <= 3 && c <= 3 && r > 0 && c > 0));
+                    .chain(p.col_splits())
+                    .all(|&e| e <= 3 && e > 0));
             }
         }
     }
@@ -286,39 +222,6 @@ mod tests {
     fn rejects_mismatched_partials() {
         let mut ob = OutputBuffer::new(2);
         ob.accumulate(&[1, 2, 3]);
-    }
-
-    #[test]
-    fn typed_errors_on_bad_construction_and_width() {
-        assert!(matches!(
-            OutputBuffer::try_new(0),
-            Err(SimError::InvalidGeometry { .. })
-        ));
-        assert!(matches!(
-            SubKernelPlan::try_for_kernel(0, 3),
-            Err(SimError::InvalidGeometry { .. })
-        ));
-        let mut ob = OutputBuffer::try_new(2).unwrap();
-        let err = ob.try_accumulate(&[1, 2, 3]).unwrap_err();
-        assert!(matches!(
-            err,
-            SimError::WidthMismatch { expected: 2, actual: 3, .. }
-        ));
-        // A rejected accumulate leaves the bank untouched.
-        ob.swap();
-        assert_eq!(ob.drain(), &[0, 0]);
-    }
-
-    #[test]
-    fn fault_bit_flip_hits_the_active_bank_only() {
-        let mut ob = OutputBuffer::new(2);
-        ob.accumulate(&[1, 1]);
-        ob.swap();
-        ob.accumulate(&[2, 2]);
-        ob.flip_bit(0, 4);
-        assert_eq!(ob.drain(), &[1, 1]);
-        ob.swap();
-        assert_eq!(ob.drain(), &[2 ^ 16, 2]);
     }
 
     #[test]

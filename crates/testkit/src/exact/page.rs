@@ -1,24 +1,24 @@
 //! Detailed PE-page simulation: a whole (small) convolution layer executed
 //! tile by tile through the real component models.
 //!
-//! This is the middle tier between the register-exact [`crate::SystolicArray`]
-//! (one tile) and the analytic [`crate::LayerCycleModel`] (whole networks).
+//! This is the middle tier between the register-exact [`super::SystolicArray`]
+//! (one tile) and the analytic [`drq_sim::LayerCycleModel`] (whole networks).
 //! It drives a layer end to end the way one PE page does:
 //!
 //! 1. the kernel is split into array-sized sub-kernels
-//!    ([`crate::SubKernelPlan`], Section IV-D);
+//!    ([`super::SubKernelPlan`], Section IV-D);
 //! 2. for each (sub-kernel, tap tile, filter tile), the
-//!    [`crate::Im2ColEngine`] builds the staggered row streams with packed
+//!    [`super::Im2ColEngine`] builds the staggered row streams with packed
 //!    sensitivity bits (Section IV-B);
 //! 3. the exact variable-speed array executes the tile (Section IV-C);
-//! 4. partial sums accumulate in the dual-buffered [`crate::OutputBuffer`]
+//! 4. partial sums accumulate in the dual-buffered [`super::OutputBuffer`]
 //!    (Section IV-D).
 //!
 //! The result carries both exact cycles and numerically exact outputs, so
 //! tests can differentially validate the fast model *and* the
 //! mixed-precision convolution against this composition.
 
-use crate::{Im2ColEngine, OutputBuffer, SubKernelPlan, SystolicArray};
+use super::{Im2ColEngine, OutputBuffer, SubKernelPlan, SystolicArray};
 use drq_core::MaskMap;
 use drq_quant::{Precision, QuantParams};
 use drq_tensor::Tensor;
@@ -46,7 +46,7 @@ pub struct PageTrace {
 /// # Examples
 ///
 /// ```
-/// use drq_sim::PageSimulator;
+/// use drq_testkit::exact::PageSimulator;
 ///
 /// let page = PageSimulator::new(6, 4);
 /// assert_eq!(page.rows(), 6);
@@ -56,7 +56,6 @@ pub struct PageTrace {
 pub struct PageSimulator {
     rows: usize,
     cols: usize,
-    engine: Im2ColEngine,
 }
 
 impl PageSimulator {
@@ -67,7 +66,7 @@ impl PageSimulator {
     /// Panics if either dimension is zero.
     pub fn new(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "page dimensions must be positive");
-        Self { rows, cols, engine: Im2ColEngine::default() }
+        Self { rows, cols }
     }
 
     /// PE rows.
@@ -141,7 +140,7 @@ impl PageSimulator {
                 }
                 // Tap tiles of `rows`, filter tiles of `cols`.
                 for tap_tile in taps.chunks(self.rows) {
-                    let (streams, _packed) = self.engine.build_streams(
+                    let (streams, _packed) = Im2ColEngine.build_streams(
                         x, 0, masks, tap_tile, out_h, out_w, stride, pad,
                     );
                     for filter_tile in (0..out_c).collect::<Vec<_>>().chunks(self.cols) {
@@ -279,7 +278,7 @@ mod tests {
         let page = PageSimulator::new(rows, cols);
         let trace = page.run_conv(&x, &masks, conv.weight(), k, k, 1, 1);
 
-        let model = crate::LayerCycleModel::new(rows, cols, 1);
+        let model = drq_sim::LayerCycleModel::new(rows, cols, 1);
         let spec = ConvLayerSpec::conv("t", "b", in_c, hw, hw, out_c, k, k, 1, 1);
         let fast = model.simulate_layer(&spec, &masks);
         assert_eq!(trace.int8_steps, fast.int8_steps);

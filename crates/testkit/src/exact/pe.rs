@@ -21,7 +21,7 @@ use drq_quant::Precision;
 /// # Examples
 ///
 /// ```
-/// use drq_sim::MultiPrecisionPe;
+/// use drq_testkit::exact::MultiPrecisionPe;
 /// use drq_quant::Precision;
 ///
 /// let mut pe = MultiPrecisionPe::new();
@@ -56,6 +56,13 @@ fn high_nibble(v: i32) -> i32 {
 
 fn low_nibble(v: i32) -> i32 {
     (v & 0xF) as u8 as i32
+}
+
+/// Flips `bit` (0..8) of an 8-bit signed value held in an `i32`, staying in
+/// the signed 8-bit domain.
+fn flip_bit8(v: i32, bit: u32) -> i32 {
+    debug_assert!(bit < 8, "bit {bit} outside the 8-bit word");
+    ((v as i8) ^ (1i8 << bit)) as i32
 }
 
 impl MultiPrecisionPe {
@@ -144,7 +151,7 @@ impl MultiPrecisionPe {
     /// Panics if `bit >= 8`.
     pub fn flip_weight_bit(&mut self, bit: u32) {
         assert!(bit < 8, "bit {bit} outside the 8-bit weight register");
-        self.w = crate::faults::flip_bit8(self.w, bit);
+        self.w = flip_bit8(self.w, bit);
     }
 
     /// Fault injection: flips one bit (0..8) of the feature register,
@@ -158,7 +165,7 @@ impl MultiPrecisionPe {
     /// Panics if `bit >= 8`.
     pub fn flip_feature_bit(&mut self, bit: u32) {
         assert!(bit < 8, "bit {bit} outside the 8-bit feature register");
-        self.f = crate::faults::flip_bit8(self.f, bit);
+        self.f = flip_bit8(self.f, bit);
     }
 }
 
@@ -248,6 +255,17 @@ mod tests {
             pe.tick();
         }
         assert_eq!(pe.product(), -77 * 52);
+    }
+
+    #[test]
+    fn flip_bit8_stays_in_domain() {
+        for v in -128..=127 {
+            for bit in 0..8 {
+                let flipped = flip_bit8(v, bit);
+                assert!((-128..=127).contains(&flipped), "v={v} bit={bit}");
+                assert_eq!(flip_bit8(flipped, bit), v);
+            }
+        }
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! column with one cycle of lag — so the array remains systolic at variable
 //! speed.
 
-use crate::faults::{FaultInjector, FaultSite};
-use crate::{MultiPrecisionPe, PackedStream, SimError};
+use super::{MultiPrecisionPe, PackedStream};
 use drq_quant::Precision;
+use drq_sim::{FaultInjector, FaultSite, SimError};
 
 /// One feature value entering a row of the array: an INT8 code plus its
 /// sensitivity bit from the binary mask map.
@@ -64,7 +64,7 @@ impl SimTrace {
 /// # Examples
 ///
 /// ```
-/// use drq_sim::{StreamElement, SystolicArray};
+/// use drq_testkit::exact::{StreamElement, SystolicArray};
 ///
 /// // 2x1 array computing a running dot product of two-element vectors.
 /// let array = SystolicArray::new(vec![vec![2], vec![3]]);
@@ -95,35 +95,18 @@ impl SystolicArray {
     /// Panics if the matrix is empty or ragged, or any weight exceeds 8
     /// signed bits.
     pub fn new(weights: Vec<Vec<i32>>) -> Self {
-        Self::try_new(weights).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`SystolicArray::new`].
-    pub fn try_new(weights: Vec<Vec<i32>>) -> Result<Self, SimError> {
-        if weights.is_empty() || weights[0].is_empty() {
-            return Err(SimError::InvalidGeometry {
-                context: "systolic array",
-                detail: "empty weight matrix".into(),
-            });
-        }
+        assert!(
+            !weights.is_empty() && !weights[0].is_empty(),
+            "systolic array: empty weight matrix"
+        );
         let cols = weights[0].len();
         for row in &weights {
-            if row.len() != cols {
-                return Err(SimError::InvalidGeometry {
-                    context: "systolic array",
-                    detail: "ragged weight matrix".into(),
-                });
-            }
+            assert_eq!(row.len(), cols, "systolic array: ragged weight matrix");
             for &w in row {
-                if !(-128..=127).contains(&w) {
-                    return Err(SimError::OperandRange {
-                        context: "systolic array",
-                        detail: format!("weight {w} exceeds 8 bits"),
-                    });
-                }
+                assert!((-128..=127).contains(&w), "systolic array: weight {w} exceeds 8 bits");
             }
         }
-        Ok(Self { rows: weights.len(), cols, weights })
+        Self { rows: weights.len(), cols, weights }
     }
 
     /// Number of PE rows.
@@ -148,12 +131,7 @@ impl SystolicArray {
     ///
     /// Panics if the stream count differs from `rows` or lengths are ragged.
     pub fn simulate(&self, streams: &[Vec<StreamElement>]) -> SimTrace {
-        self.try_simulate(streams).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible counterpart of [`SystolicArray::simulate`].
-    pub fn try_simulate(&self, streams: &[Vec<StreamElement>]) -> Result<SimTrace, SimError> {
-        self.simulate_impl(streams, None)
+        self.simulate_impl(streams, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Runs the array with fault injection: the injector's plan decides
@@ -354,7 +332,10 @@ impl SystolicArray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drq_tensor::XorShiftRng;
+    use drq_core::{RegionSize, SensitivityPredictor};
+    use drq_models::ConvLayerSpec;
+    use drq_sim::LayerCycleModel;
+    use drq_tensor::{Tensor, XorShiftRng};
 
     fn random_streams(
         rows: usize,
@@ -508,25 +489,8 @@ mod tests {
     }
 
     #[test]
-    fn try_new_returns_typed_errors() {
-        use crate::SimError;
-        assert!(matches!(
-            SystolicArray::try_new(Vec::new()),
-            Err(SimError::InvalidGeometry { .. })
-        ));
-        assert!(matches!(
-            SystolicArray::try_new(vec![vec![1, 2], vec![3]]),
-            Err(SimError::InvalidGeometry { .. })
-        ));
-        assert!(matches!(
-            SystolicArray::try_new(vec![vec![500]]),
-            Err(SimError::OperandRange { .. })
-        ));
-    }
-
-    #[test]
     fn never_firing_plan_matches_clean_simulation() {
-        use crate::faults::{FaultInjector, FaultPlan, FaultRule, FaultSite};
+        use drq_sim::{FaultInjector, FaultPlan, FaultRule, FaultSite};
         let array = SystolicArray::new(random_weights(4, 3, 21));
         let streams = random_streams(4, 16, 0.3, 22);
         let clean = array.simulate(&streams);
@@ -544,7 +508,7 @@ mod tests {
 
     #[test]
     fn single_accumulator_flip_perturbs_exactly_one_output_cell() {
-        use crate::faults::{FaultInjector, FaultPlan, FaultRule, FaultSite};
+        use drq_sim::{FaultInjector, FaultPlan, FaultRule, FaultSite};
         let array = SystolicArray::new(random_weights(5, 4, 31));
         let streams = random_streams(5, 12, 0.4, 32);
         let clean = array.simulate(&streams);
@@ -571,7 +535,7 @@ mod tests {
 
     #[test]
     fn stall_faults_only_add_cycles() {
-        use crate::faults::{FaultInjector, FaultPlan, FaultRule, FaultSite};
+        use drq_sim::{FaultInjector, FaultPlan, FaultRule, FaultSite};
         let array = SystolicArray::new(random_weights(4, 3, 41));
         let streams = random_streams(4, 30, 0.2, 42);
         let clean = array.simulate(&streams);
@@ -590,7 +554,7 @@ mod tests {
 
     #[test]
     fn faulted_runs_replay_across_invocations() {
-        use crate::faults::{FaultInjector, FaultPlan, FaultRule, FaultSite};
+        use drq_sim::{FaultInjector, FaultPlan, FaultRule, FaultSite};
         let array = SystolicArray::new(random_weights(6, 5, 51));
         let streams = random_streams(6, 20, 0.3, 52);
         let plan = FaultPlan {
@@ -607,5 +571,58 @@ mod tests {
             (trace, inj.counters())
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn matches_exact_systolic_simulator_on_small_tile() {
+        // A 1x1-conv layer whose taps fit one row tile and whose filters fit
+        // one page: the fast model's compute cycles must equal the exact
+        // array's step schedule.
+        let rows = 4;
+        let cols = 3;
+        let model = LayerCycleModel::new(rows, cols, 1);
+        let spec = ConvLayerSpec::conv("c", "B1", 4, 6, 6, 3, 1, 1, 1, 0);
+
+        // Random sensitive pattern via a predictor over random activations.
+        let mut rng = XorShiftRng::new(5);
+        let x = Tensor::from_fn(&[1, 4, 6, 6], |_| rng.next_f32());
+        let predictor = SensitivityPredictor::new(RegionSize::new(2, 2), 60.0);
+        let masks = predictor.predict(&x);
+
+        let fast = model.simulate_layer(&spec, &masks);
+
+        // Build the equivalent exact-array run: rows = 4 channels (1x1
+        // kernel), steps = 36 output positions.
+        let weights: Vec<Vec<i32>> =
+            (0..rows).map(|r| (0..cols).map(|c| (r * cols + c) as i32).collect()).collect();
+        let array = SystolicArray::new(weights);
+        let s = x.shape4().unwrap();
+        let streams: Vec<Vec<StreamElement>> = (0..4)
+            .map(|c| {
+                let mut v = Vec::new();
+                for y in 0..6 {
+                    for xx in 0..6 {
+                        v.push(StreamElement::new(
+                            (x[[0, c, y, xx]] * 100.0) as i32,
+                            masks[c].pixel_sensitive(y, xx),
+                        ));
+                    }
+                }
+                assert_eq!(s.h * s.w, v.len());
+                v
+            })
+            .collect();
+        let trace = array.simulate(&streams);
+        // Exact cycles = Σ costs + (cols-1) + rows = the fast model's
+        // compute + fill for a single-pass layer.
+        assert_eq!(
+            fast.compute_cycles + fast.fill_cycles,
+            trace.cycles,
+            "fast model diverges from exact simulator"
+        );
+        assert_eq!(fast.int8_steps, trace.int8_steps);
+        assert_eq!(fast.int4_steps, trace.int4_steps);
+        // Stall accounting matches the exact simulator too.
+        assert_eq!(fast.stall_pe_cycles, trace.stall_pe_cycles);
     }
 }

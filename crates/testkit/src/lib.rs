@@ -27,7 +27,12 @@
 //!   every depth), the mixed-precision conv as a scalar tap loop (the
 //!   bit-exact oracle for `MixedPrecisionConv::forward`), its
 //!   quantization-error bound, and the closed-form cycle/stall model of
-//!   the variable-speed systolic array.
+//!   the variable-speed systolic array;
+//! * **the PE-level exact tier** ([`exact`]): the register-transfer model
+//!   of the DRQ accelerator (multi-precision PE, variable-speed systolic
+//!   array with fault injection, PE page, line-buffer packing and the
+//!   pooling-fused predictor), the reference `drq-sim`'s one cycle model
+//!   is checked against.
 //!
 //! The integration suite `tests/differential.rs` at the workspace root
 //! wires these into the standing correctness gate every perf PR must pass.
@@ -56,6 +61,7 @@
 #![warn(missing_docs)]
 
 pub mod cases;
+pub mod exact;
 pub mod gen;
 pub mod reference;
 pub mod runner;

@@ -12,11 +12,12 @@
 //! association and only tolerance comparisons are valid. Case generators
 //! enforce the depth cap for the bit-exact tiers.
 
+use crate::exact::StreamElement;
 use drq_core::{ConvOpCounts, MaskMap, RegionGrid, SensitivityPredictor};
 use drq_models::{ConvLayerSpec, FeatureMapSynthesizer, LayerOp};
 use drq_nn::Conv2d;
 use drq_quant::{Precision, QuantParams, Quantizer};
-use drq_sim::{LayerCycleModel, LayerCycles, StreamElement};
+use drq_sim::{LayerCycleModel, LayerCycles};
 use drq_tensor::{Tensor, XorShiftRng};
 
 /// Naive triple-loop matrix multiply, accumulating over `k` in index order
@@ -880,7 +881,7 @@ mod tests {
 
     #[test]
     fn analytic_trace_matches_exact_simulator() {
-        use drq_sim::SystolicArray;
+        use crate::exact::SystolicArray;
         let mut rng = XorShiftRng::new(21);
         let weights: Vec<Vec<i32>> = (0..4)
             .map(|_| (0..3).map(|_| rng.next_below(255) as i32 - 127).collect())

@@ -1,12 +1,13 @@
-//! Property-style tests for the accelerator simulator: the exact systolic
-//! array, the fast layer model, and the PE datapath. Driven by the
+//! Property-style tests for the accelerator models: the exact systolic
+//! array, the simulator's fast layer model, and the PE datapath. Driven by the
 //! in-tree seeded generator so the suite builds offline; sweeps are
 //! deterministic, so failures reproduce exactly.
 
 use drq_core::{MaskMap, RegionGrid, RegionSize, SensitivityPredictor};
 use drq_models::ConvLayerSpec;
 use drq_quant::Precision;
-use drq_sim::{LayerCycleModel, MultiPrecisionPe, StreamElement, SystolicArray};
+use drq_sim::LayerCycleModel;
+use drq_testkit::exact::{MultiPrecisionPe, StreamElement, SystolicArray};
 use drq_tensor::{Tensor, XorShiftRng};
 
 /// Draws a value in `[lo, hi)`.

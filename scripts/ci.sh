@@ -390,12 +390,19 @@ rm -f "$CHAOS_CK" "$CHAOS_CK.prev" "$CHAOS_CK.tmp"
     > "$ARTIFACTS/store_chaos_ref.payload"
 CHAOS_KILLS=0
 CHAOS_RESUMES=0
-# Kill schedule: poll `drq store --info` until the checkpoint generation
-# advances past the last one seen (or 30 s pass), then kill after a seeded
-# 0-49 ms offset, so kills land just after a commit or inside the next one.
-CHAOS_GEN_SEEN=0
+# Kill schedule, counted in commits rather than milliseconds so it does
+# not move with how fast the host runs the search: each round draws a
+# seeded target of 1 or 2 checkpoint generations past the one on disk when
+# the round starts, polls `drq store --info` (no sleep) until the primary
+# reaches it, then kills at once. The next commit begins while the poll
+# observes this one, so kills land just after a commit or inside the next.
+# A round gives up after 15000 polls (about 30 s) or when the search exits.
 CHAOS_RNG=$CHAOS_SEED
 for CHAOS_ROUND in 1 2 3 4 5 6; do
+    CHAOS_BASE=$(./target/release/drq store --info "$CHAOS_CK" 2>/dev/null \
+        | sed -n 's/.*"generation":\([0-9]*\).*/\1/p')
+    CHAOS_RNG=$(( (CHAOS_RNG * 1103515245 + 12345) % 2147483648 ))
+    CHAOS_TARGET=$(( ${CHAOS_BASE:-0} + 1 + CHAOS_RNG / 65536 % 2 ))
     if [ "$CHAOS_RESUMES" -eq 0 ]; then
         ./target/release/drq pareto --network "$CHAOS_NET" --res "$CHAOS_RES" \
             --seed "$CHAOS_SEED" --checkpoint-every "$CHAOS_EVERY" \
@@ -406,16 +413,12 @@ for CHAOS_ROUND in 1 2 3 4 5 6; do
     fi
     CHAOS_PID=$!
     CHAOS_POLLS=0
-    while [ "$CHAOS_POLLS" -lt 3000 ]; do
+    while [ "$CHAOS_POLLS" -lt 15000 ] && kill -0 "$CHAOS_PID" 2>/dev/null; do
         CHAOS_GEN=$(./target/release/drq store --info "$CHAOS_CK" 2>/dev/null \
             | sed -n 's/.*"generation":\([0-9]*\).*/\1/p')
-        [ "${CHAOS_GEN:-0}" -gt "$CHAOS_GEN_SEEN" ] && break
+        [ "${CHAOS_GEN:-0}" -ge "$CHAOS_TARGET" ] && break
         CHAOS_POLLS=$((CHAOS_POLLS + 1))
-        sleep 0.01
     done
-    CHAOS_GEN_SEEN=${CHAOS_GEN:-$CHAOS_GEN_SEEN}
-    CHAOS_RNG=$(( (CHAOS_RNG * 1103515245 + 12345) % 2147483648 ))
-    sleep "$(printf '0.%03d' $((CHAOS_RNG % 50)))"
     kill -9 "$CHAOS_PID" 2>/dev/null || true
     # Count a kill only when the process actually died to the signal
     # (exit 128+9); a search that finished before the kill point exits 0.

@@ -15,7 +15,7 @@ use drq::core::{
 use drq::models::zoo::{self, InputRes};
 use drq::models::FeatureMapSynthesizer;
 use drq::quant::{MaxAbsQuantizer, PerChannelQuantizer, QuantParams, Quantizer};
-use drq::sim::{LayerCycleModel, LayerCycles, SystolicArray};
+use drq::sim::{LayerCycleModel, LayerCycles};
 use drq::tensor::{
     int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Tensor, XorShiftRng,
 };
@@ -23,6 +23,7 @@ use drq_testkit::cases::{
     ConvCase, GemmCase, IntGemmCase, LayerCycleCase, MixedConvCase, PredictBatchCase,
     PredictorCase, QuantCase, StreamCase, SynthCase,
 };
+use drq_testkit::exact::SystolicArray;
 use drq_testkit::reference::{
     conv2d_naive, int_matmul_exact, int_matmul_wrapping, layer_cycles_naive, matmul_naive,
     mixed_conv_error_bound, mixed_conv_naive, predict_image_naive, synthesize_naive,

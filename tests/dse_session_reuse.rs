@@ -201,7 +201,14 @@ fn removed_network_sim_shims_stay_gone() {
     //   (`drq-dse` is the only explorer);
     // - the activation-statistics synthesizer fit, which nothing called;
     // - the second serve engine and its dead knobs (`ShardRouter` is the
-    //   only engine; its shards are crate-private).
+    //   only engine; its shards are crate-private);
+    // - the PE-level exact tier's deleted parts: the line-buffer capacity
+    //   model, the `try_*` forms no user input reached and their error
+    //   variants, and the duplicate tapped inference walk.
+    // The exact tier itself lives in `drq_testkit::exact`; drq-sim keeps
+    // one cycle model, so none of the tier's names may appear under
+    // `crates/sim/src`. Outside `crates/nn/src/network.rs` convolution
+    // inputs are observed through `forward_conv_override`, the one walk.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for dir in ["crates", "tests", "examples"] {
@@ -221,7 +228,34 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "quiet_worker_", "panics"),
         format!("{}{}", "tracer_", "snapshot"),
         format!("{}{}", "serve::", "ServeEngine"),
+        format!("{}{}", "struct Line", "Buffer"),
+        format!("{}{}", "capacity_", "values"),
+        format!("{}{}", "Operand", "Range"),
+        format!("{}{}", "Width", "Mismatch"),
+        format!("{}{}", "try_for_", "kernel"),
+        format!("{}{}", "try_accu", "mulate"),
+        format!("{}{}", "try_simu", "late"),
+        format!("{}{}", "try_forward_", "tapped"),
     ];
+    let exact_tier = [
+        format!("{}{}", "Systolic", "Array"),
+        format!("{}{}", "Stream", "Element"),
+        format!("{}{}", "Sim", "Trace"),
+        format!("{}{}", "simulate_", "faulted"),
+        format!("{}{}", "Page", "Simulator"),
+        format!("{}{}", "Page", "Trace"),
+        format!("{}{}", "Im2Col", "Engine"),
+        format!("{}{}", "Output", "Buffer"),
+        format!("{}{}", "SubKernel", "Plan"),
+        format!("{}{}", "Packed", "Stream"),
+        format!("{}{}", "MultiPrecision", "Pe"),
+        format!("{}{}", "predict_via_", "pooling"),
+        format!("{}{}", "flip_", "bit8"),
+        format!("{}{}", "compare_", "dataflows"),
+    ];
+    let sim_src = root.join("crates/sim/src");
+    let tap_walk = root.join("crates/nn/src/network.rs");
+    let tapped = format!("{}{}", "forward_", "tapped");
     let mut offenders = Vec::new();
     for path in sources {
         let text = std::fs::read_to_string(&path).expect("readable source file");
@@ -229,6 +263,16 @@ fn removed_network_sim_shims_stay_gone() {
             if text.contains(needle.as_str()) {
                 offenders.push((needle.clone(), path.clone()));
             }
+        }
+        if path.starts_with(&sim_src) {
+            for needle in &exact_tier {
+                if text.contains(needle.as_str()) {
+                    offenders.push((needle.clone(), path.clone()));
+                }
+            }
+        }
+        if path != tap_walk && text.contains(tapped.as_str()) {
+            offenders.push((tapped.clone(), path.clone()));
         }
     }
     assert!(offenders.is_empty(), "removed names have resurfaced: {offenders:?}");

@@ -9,20 +9,19 @@
 //!   `kind:"reliability"` report of LeNet-5 at session seed 42 under the
 //!   built-in smoke plan (network tier, bulk draws);
 //! * `tests/goldens/fault_schedules.txt` — FNV-1a digests of a multi-rule
-//!   exact-tier `SystolicArray::simulate_faulted` trace plus its counters,
-//!   and of a fixed `FaultyStorage` schedule over `MemStorage` that fires
-//!   every I/O fault site (per-operation results, counters, final bytes).
+//!   exact-tier `drq_testkit::exact::SystolicArray::simulate_faulted` trace
+//!   plus its counters, and of a fixed `FaultyStorage` schedule over
+//!   `MemStorage` that fires every I/O fault site (per-operation results,
+//!   counters, final bytes).
 //!
 //! Regenerate intentionally with
 //! `DRQ_UPDATE_GOLDENS=1 cargo test --test fault_goldens`.
 
 use drq::models::zoo;
-use drq::sim::{
-    smoke_fault_plan, ArchConfig, FaultInjector, FaultPlan, FaultSite, StreamElement,
-    SystolicArray,
-};
+use drq::sim::{smoke_fault_plan, ArchConfig, FaultInjector, FaultPlan, FaultSite};
 use drq::store::{FaultyStorage, IoFaultPlan, IoFaultSite, MemStorage, Storage};
 use drq::tensor::XorShiftRng;
+use drq_testkit::exact::{StreamElement, SystolicArray};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 

@@ -17,11 +17,10 @@
 //! Case count is `DRQ_TESTKIT_CASES` (default 64; CI runs 256).
 
 use drq::models::zoo;
-use drq::sim::{
-    smoke_fault_plan, ArchConfig, FaultInjector, FaultPlan, FaultRule, FaultSite, SystolicArray,
-};
+use drq::sim::{smoke_fault_plan, ArchConfig, FaultInjector, FaultPlan, FaultRule, FaultSite};
 use drq::tensor::parallel;
 use drq_testkit::cases::FaultPlanCase;
+use drq_testkit::exact::SystolicArray;
 use drq_testkit::reference::systolic_analytic;
 use drq_testkit::{thread_count_lock, TestKit};
 

@@ -7,8 +7,9 @@ use drq::core::{CoalesceInput, DrqConfig, MixedPrecisionConv, RegionSize, Sensit
 use drq::models::{ConvLayerSpec, FeatureMapSynthesizer};
 use drq::nn::Conv2d;
 use drq::quant::{Precision, QuantParams};
-use drq::sim::{LayerCycleModel, PageSimulator, SubKernelPlan};
+use drq::sim::LayerCycleModel;
 use drq::tensor::{Tensor, XorShiftRng};
+use drq_testkit::exact::{PageSimulator, SubKernelPlan};
 
 fn synthetic_input(c: usize, hw: usize, seed: u64) -> Tensor<f32> {
     let synth = FeatureMapSynthesizer::default();

@@ -10,8 +10,10 @@
 //! Every test is seeded. A failing soak prints the exact `drq soak`
 //! invocation that replays it (the drq-testkit seed-hint convention).
 
+use drq::core::DrqNetwork;
+use drq::models::{default_standin, Dataset, DatasetKind};
 use drq::serve::soak::{replay_hint, run_soak, stream_request, SoakConfig};
-use drq::serve::{InferRequest, Response, ServeConfig, ShardRouter, ShedPolicy};
+use drq::serve::{InferRequest, Outcome, Response, ServeConfig, ShardRouter, ShedPolicy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -271,5 +273,62 @@ fn killed_shard_keeps_its_trace_spans() {
         );
     }
     assert_eq!(router.generations(), vec![1, 1]);
+    router.shutdown(10_000);
+}
+
+/// The two DRQ network executors agree: serve's coalescing group walk and
+/// `DrqNetwork::forward` each run the stand-in under the serve config's
+/// DRQ parameters, so a 1-worker router must reply with the predictions
+/// and INT4 share the direct forward pass computes on the same batch.
+#[test]
+fn router_replies_match_drq_network_forward() {
+    let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+    let router = ShardRouter::start(config.clone());
+    for dataset in [DatasetKind::Digits, DatasetKind::Shapes] {
+        let mut direct = DrqNetwork::new(default_standin(dataset, config.model_seed), config.drq);
+        for sample_seed in 0..=5u64 {
+            for batch in 1..=4usize {
+                let id = format!("{dataset:?}-{sample_seed}-{batch}");
+                // Closed loop: one request in flight, so load shedding
+                // never degrades the router to uniform INT8.
+                let (tx, rx) = mpsc::channel::<Response>();
+                router.submit(
+                    InferRequest {
+                        id: id.clone(),
+                        dataset,
+                        sample_seed,
+                        batch,
+                        deadline_cycles: None,
+                        poison: false,
+                    },
+                    Box::new(move |resp| {
+                        let _ = tx.send(resp);
+                    }),
+                );
+                let reply = match rx.recv().expect("one response").outcome {
+                    Outcome::Ok(reply) => reply,
+                    other => panic!("{id}: {other:?}"),
+                };
+                let (x, _labels) = Dataset::generate(dataset, batch, sample_seed).batch(0, batch);
+                let (logits, stats) = direct.forward(&x);
+                let classes = dataset.classes();
+                let predictions: Vec<usize> = logits
+                    .as_slice()
+                    .chunks(classes)
+                    .map(|row| {
+                        let mut best = 0;
+                        for c in 1..row.len() {
+                            if row[c] > row[best] {
+                                best = c;
+                            }
+                        }
+                        best
+                    })
+                    .collect();
+                assert_eq!(reply.predictions, predictions, "{id}: predictions");
+                assert_eq!(reply.int4_fraction, stats.int4_fraction(), "{id}: int4 share");
+            }
+        }
+    }
     router.shutdown(10_000);
 }
