@@ -43,11 +43,6 @@ impl OlAccel {
             energy: EnergyModel::tsmc45(),
         }
     }
-
-    /// The configured outlier MAC fraction.
-    pub fn outlier_ratio(&self) -> f64 {
-        self.outlier_ratio
-    }
 }
 
 impl Default for OlAccel {

@@ -13,9 +13,10 @@ use drq_tensor::Tensor;
 ///
 /// Dividing a sum by its region's pixel count is the paper's mean filter;
 /// [`Self::step`] does that division and the step activation, so one set of
-/// sums serves every threshold. Sums accumulate from contiguous row slices
-/// through a column-to-region table; integer sums are order-independent, so
-/// they equal a pixel-by-pixel region walk exactly.
+/// sums serves every threshold. Each channel is quantized in one pass, then
+/// each row of codes adds one contiguous region-width chunk to each region
+/// of its region row; integer sums are order-independent, so they equal a
+/// pixel-by-pixel region walk exactly.
 ///
 /// # Examples
 ///
@@ -57,16 +58,19 @@ impl RegionSums {
             grid.region().area() <= (i32::MAX / 128) as usize,
             "region too large for i32 code sums"
         );
-        let (regions, cols) = (grid.region_count(), grid.cols());
-        let col_region: Vec<usize> = (0..s.w).map(|xx| grid.region_of(0, xx).1).collect();
+        let (regions, cols, region_w) = (grid.region_count(), grid.cols(), grid.region().y);
         let plane = s.h * s.w;
         let image = &x.as_slice()[n * s.c * plane..(n + 1) * s.c * plane];
         let mut sums = vec![0i32; s.c * regions];
+        let mut codes = vec![0i32; plane];
         for (channel, out) in image.chunks_exact(plane).zip(sums.chunks_exact_mut(regions)) {
-            for (y, row) in channel.chunks_exact(s.w).enumerate() {
+            for (q, &v) in codes.iter_mut().zip(channel) {
+                *q = params.quantize_value(v);
+            }
+            for (y, row) in codes.chunks_exact(s.w).enumerate() {
                 let region_row = &mut out[grid.region_of(y, 0).0 * cols..][..cols];
-                for (&v, &rc) in row.iter().zip(&col_region) {
-                    region_row[rc] += params.quantize_value(v);
+                for (sum, chunk) in region_row.iter_mut().zip(row.chunks(region_w)) {
+                    *sum += chunk.iter().sum::<i32>();
                 }
             }
         }

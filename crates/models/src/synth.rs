@@ -121,8 +121,9 @@ impl FeatureMapSynthesizer {
             .collect();
         for plane in x.as_mut_slice().chunks_exact_mut(h * w) {
             // Background: half-normal small values (post-ReLU tail).
+            rng.fill_half_normal(plane);
             for v in plane.iter_mut() {
-                *v = rng.next_half_normal() * self.base_level;
+                *v *= self.base_level;
             }
             for &(by, bx) in &centers {
                 if rng.next_f64() >= inclusion_prob {

@@ -208,7 +208,7 @@ impl Conv2d {
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
         let s = x.shape4().expect("conv input must be rank 4");
         assert_eq!(s.c, self.in_c, "conv expects {} input channels, got {}", self.in_c, s.c);
-        let out = self.forward_with_weights(x, &self.weight.clone());
+        let out = self.forward_with_weights(x, &self.weight);
         if train {
             self.cached_input = Some(x.clone());
         }

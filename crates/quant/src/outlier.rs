@@ -73,11 +73,6 @@ impl OutlierQuantizer {
         Self::new(0.03, Precision::Int4, Precision::Int16)
     }
 
-    /// The configured outlier fraction.
-    pub fn outlier_ratio(&self) -> f64 {
-        self.outlier_ratio
-    }
-
     /// Calibrates the scheme for one tensor, returning the magnitude
     /// threshold plus the dense (low-precision) and outlier
     /// (high-precision) parameters. The dense scale fits the sub-threshold

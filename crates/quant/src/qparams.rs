@@ -2,6 +2,10 @@
 
 use crate::Precision;
 
+/// `1.5·2^23`: adding it to an integer `q` with `|q| < 2^22` is exact and
+/// leaves the sum in `[2^23, 2^24)`, where the unit in the last place is 1.
+const INT_BIAS: f32 = 12_582_912.0;
+
 /// Parameters of a symmetric linear quantizer: `q = round(x / scale)`,
 /// clamped to the precision's range, and `x ≈ q * scale`.
 ///
@@ -59,10 +63,19 @@ impl QuantParams {
         self.precision
     }
 
-    /// Quantizes one value (round to nearest, clamp to range).
+    /// Quantizes one value: round to nearest (ties away from zero), clamp
+    /// to the precision's range; NaN maps to 0.
+    #[inline]
     pub fn quantize_value(&self, x: f32) -> i32 {
-        let q = (x / self.scale).round() as i64;
-        q.clamp(self.precision.q_min() as i64, self.precision.q_max() as i64) as i32
+        let (lo, hi) = (self.precision.q_min() as f32, self.precision.q_max() as f32);
+        let y = x / self.scale;
+        // Clamping before rounding gives the same code as rounding first,
+        // since the bounds are integers and rounding is monotone.
+        let q = if y.is_nan() { 0.0 } else { y }.max(lo).min(hi).round();
+        // `q` is an integer below 2^22 in magnitude, so its code is the
+        // difference of the biased sum's bits and the bias's: a conversion
+        // that, unlike a saturating `as i32`, vectorizes.
+        (q + INT_BIAS).to_bits() as i32 - INT_BIAS.to_bits() as i32
     }
 
     /// Dequantizes one value.
@@ -139,6 +152,71 @@ mod tests {
         let p8 = QuantParams::new(0.01, Precision::Int8);
         let p4 = p8.clip_to(Precision::Int4);
         assert!((p4.scale() / p8.scale() - 16.0).abs() < 1e-5);
+    }
+
+    /// `quantize_value` as round-then-clamp in `i64` with a saturating
+    /// cast: the oracle its vectorizable body must equal on every `f32`.
+    fn quantize_reference(p: &QuantParams, x: f32) -> i32 {
+        let q = (x / p.scale()).round() as i64;
+        q.clamp(p.precision().q_min() as i64, p.precision().q_max() as i64) as i32
+    }
+
+    fn assert_matches_reference(p: &QuantParams, x: f32) {
+        let (got, want) = (p.quantize_value(x), quantize_reference(p, x));
+        assert_eq!(got, want, "{p:?}, x = {x:e} ({:#010x})", x.to_bits());
+    }
+
+    #[test]
+    fn quantize_value_edge_cases() {
+        // Dyadic scales keep `half * scale / scale` an exact half-step.
+        for scale in [1.0f32, 0.125, 0.0078125] {
+            let p = QuantParams::new(scale, Precision::Int8);
+            for (y, want) in [
+                (0.0f32, 0),
+                (-0.0, 0),
+                (0.5, 1),
+                (-0.5, -1),
+                (126.5, 127),
+                (127.5, 127),
+                (-127.5, -128),
+                (-128.5, -128),
+                (1e6, 127),
+                (-1e6, -128),
+            ] {
+                assert_eq!(p.quantize_value(y * scale), want, "{y} steps at scale {scale}");
+                assert_matches_reference(&p, y * scale);
+            }
+            for x in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN] {
+                assert_matches_reference(&p, x);
+            }
+            assert_eq!(p.quantize_value(f32::NAN), 0);
+            assert_eq!(p.quantize_value(f32::INFINITY), 127);
+            assert_eq!(p.quantize_value(f32::NEG_INFINITY), -128);
+        }
+    }
+
+    #[test]
+    fn quantize_value_matches_reference_on_a_bit_pattern_sweep() {
+        // Every 4099th bit pattern (about a million values, NaNs, infinities
+        // and subnormals included) under every precision.
+        for precision in Precision::ALL {
+            for scale in [1.0f32, 0.01, 0.37, 3.0e-5] {
+                let p = QuantParams::new(scale, precision);
+                for bits in (0..=u32::MAX).step_by(4099) {
+                    assert_matches_reference(&p, f32::from_bits(bits));
+                }
+            }
+        }
+    }
+
+    /// Every `f32` bit pattern under INT8 (`scripts/ci.sh` runs it).
+    #[test]
+    #[ignore = "2^32 values; run in release mode"]
+    fn quantize_value_matches_reference_on_every_f32() {
+        let p = QuantParams::new(0.01, Precision::Int8);
+        for bits in 0..=u32::MAX {
+            assert_matches_reference(&p, f32::from_bits(bits));
+        }
     }
 
     #[test]

@@ -72,6 +72,23 @@ for t in 1 2 auto; do
 done
 rm -f "$SWEEP_LOG"
 
+echo "== batched kernels vs their scalar forms (release, ignored tests) =="
+# `fill_half_normal` over 2^26 draws against `next_normal().max(0.0)`
+# (bits and generator state), and `quantize_value` over every f32 bit
+# pattern against round-then-clamp: too slow for the default test run.
+IGNORED_LOG=$(mktemp)
+RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --release --offline \
+    -p drq-tensor -p drq-quant --lib -- --ignored > "$IGNORED_LOG" 2>&1 \
+    || { cat "$IGNORED_LOG"; exit 1; }
+cat "$IGNORED_LOG"
+IGNORED_PASSED=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$IGNORED_LOG" \
+    | awk '{ s += $1 } END { print s + 0 }')
+rm -f "$IGNORED_LOG"
+[ "$IGNORED_PASSED" -ge 2 ] || {
+    echo "expected the 2 ignored kernel tests, ran $IGNORED_PASSED" >&2
+    exit 1
+}
+
 echo "== golden metrics schema (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test metrics_golden
 

@@ -867,10 +867,11 @@ fn rng_with_second_draw(u2: f64, salt: u64) -> XorShiftRng {
 
 #[test]
 fn sim_host_half_normal_matches_next_normal_at_quarter_turns() {
-    // `next_half_normal` returns 0 without any transcendental call for
-    // u2 in (0.2501, 0.7499); pin it against `next_normal().max(0.0)` on a
-    // dense grid straddling both ends of that interval, including the
-    // exact boundaries and their neighbours.
+    // `fill_half_normal` returns 0 without any transcendental call for
+    // u2 in (0.2501, 0.7499) and recomputes cosines near zero with the
+    // scalar formula; pin it against `next_normal().max(0.0)` on a dense
+    // grid straddling both ends of that interval, including the exact
+    // boundaries and their neighbours.
     let mut u2s: Vec<f64> = Vec::new();
     for (lo, hi) in [(0.2499f64, 0.2501f64), (0.7499, 0.7501)] {
         u2s.extend((0..=2000).map(|i| lo + (hi - lo) * i as f64 / 2000.0));
@@ -884,16 +885,21 @@ fn sim_host_half_normal_matches_next_normal_at_quarter_turns() {
         for salt in [i as u64, 0x7ff - i as u64 % 0x800] {
             let mut fast = rng_with_second_draw(u2, salt);
             let mut slow = rng_with_second_draw(u2, salt);
-            let (got, want) = (fast.next_half_normal(), slow.next_normal().max(0.0));
+            let mut got = [0.0f32];
+            fast.fill_half_normal(&mut got);
+            let (got, want) = (got[0], slow.next_normal().max(0.0));
             assert_eq!(got.to_bits(), want.to_bits(), "u2 = {u2:e}, salt {salt}: {got} vs {want}");
             assert_eq!(fast.next_u64(), slow.next_u64(), "u2 = {u2:e}: draw counts differ");
         }
     }
     // And on an unconstrained stream.
     let (mut fast, mut slow) = (XorShiftRng::new(77), XorShiftRng::new(77));
-    for _ in 0..100_000 {
-        assert_eq!(fast.next_half_normal().to_bits(), slow.next_normal().max(0.0).to_bits());
+    let mut got = vec![0.0f32; 100_000];
+    fast.fill_half_normal(&mut got);
+    for v in got {
+        assert_eq!(v.to_bits(), slow.next_normal().max(0.0).to_bits());
     }
+    assert_eq!(fast, slow);
 }
 
 #[test]

@@ -204,7 +204,9 @@ fn removed_network_sim_shims_stay_gone() {
     //   only engine; its shards are crate-private);
     // - the PE-level exact tier's deleted parts: the line-buffer capacity
     //   model, the `try_*` forms no user input reached and their error
-    //   variants, and the duplicate tapped inference walk.
+    //   variants, and the duplicate tapped inference walk;
+    // - the per-draw half-normal sampler (synthesis fills whole planes with
+    //   `fill_half_normal`) and the outlier-ratio getters nothing read.
     // The exact tier itself lives in `drq_testkit::exact`; drq-sim keeps
     // one cycle model, so none of the tier's names may appear under
     // `crates/sim/src`. Outside `crates/nn/src/network.rs` convolution
@@ -236,6 +238,8 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "try_accu", "mulate"),
         format!("{}{}", "try_simu", "late"),
         format!("{}{}", "try_forward_", "tapped"),
+        format!("{}{}", "next_half_", "normal"),
+        format!("{}{}", "fn outlier_", "ratio("),
     ];
     let exact_tier = [
         format!("{}{}", "Systolic", "Array"),
