@@ -419,6 +419,8 @@ mod tests {
                 RegionSize::new(64, 64),
             ),
         ];
+        // The row chunks of `RegionSums::new` end in a partial chunk.
+        assert!(cases.iter().any(|(_, x, r)| x.shape4().unwrap().w % r.y != 0));
         for (name, x, region) in &cases {
             let s = x.shape4().unwrap();
             let batch = RegionSums::batch(x, *region);
