@@ -15,6 +15,14 @@
 //!   (isolates the blocking/packing win);
 //! - `gemm_blocked_ms`  — the same kernel at full `DRQ_THREADS`.
 //!
+//! Two fp32 conv rows time `Conv2d::forward` (training mode) and
+//! `Conv2d::backward` separately, each backward after its own untimed
+//! forward (backward consumes the input the forward caches):
+//! `conv_forward_ms`/`conv_backward_ms` for 32->64 3x3 on a batch of 8
+//! 28x28 maps, and `conv16_forward_ms`/`conv16_backward_ms` for 16->16
+//! 3x3 on a batch of 16 32x32 maps, the shape that dominates the Shapes
+//! ResNet-8's fine-tuning steps.
+//!
 //! Run with `--release`; debug timings are meaningless.
 
 use std::time::Instant;
@@ -31,15 +39,40 @@ use drq_bench::ObservabilityArgs;
 fn time_ms<F: FnMut()>(reps: usize, mut f: F) -> f64 {
     // One untimed warm-up to populate caches and spawn nothing lazily.
     f();
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
+    median(
+        (0..reps)
+            .map(|_| {
+                let t0 = Instant::now();
+                f();
+                t0.elapsed().as_secs_f64() * 1e3
+            })
+            .collect(),
+    )
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
     samples[samples.len() / 2]
+}
+
+/// Median-of-`reps` forward and backward wall times in milliseconds of
+/// `conv` on `x` with output gradient `gy`. Each backward is timed on its
+/// own, after an untimed training-mode forward that caches its input.
+fn conv_ms(reps: usize, conv: &mut Conv2d, x: &Tensor<f32>, gy: &Tensor<f32>) -> (f64, f64) {
+    let forward_ms = time_ms(reps, || {
+        std::hint::black_box(conv.forward(x, true));
+    });
+    // Pass 0 is the untimed warm-up.
+    let mut samples = Vec::with_capacity(reps);
+    for pass in 0..=reps {
+        conv.forward(x, true);
+        let t0 = Instant::now();
+        std::hint::black_box(conv.backward(gy));
+        if pass > 0 {
+            samples.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    (forward_ms, median(samples))
 }
 
 fn main() {
@@ -114,20 +147,16 @@ fn main() {
         }
     });
 
-    // Conv forward/backward: 32->64 3x3 on a batch of 8 28x28 images.
+    // Conv forward/backward: 32->64 3x3 on a batch of 8 28x28 images, then
+    // 16->16 3x3 on a batch of 16 32x32 images.
     let mut conv = Conv2d::new(32, 64, 3, 1, 1, 7);
     let cx = Tensor::from_fn(&[8, 32, 28, 28], |_| rng.next_f32() - 0.5);
-    let conv_forward_ms = time_ms(reps, || {
-        std::hint::black_box(conv.forward(&cx, true));
-    });
-    // `backward` consumes the cached forward activation, so time the
-    // forward+backward pair and report the difference.
     let gy = Tensor::from_fn(&[8, 64, 28, 28], |_| rng.next_f32() - 0.5);
-    let pair_ms = time_ms(reps, || {
-        conv.forward(&cx, true);
-        std::hint::black_box(conv.backward(&gy));
-    });
-    let conv_backward_ms = (pair_ms - conv_forward_ms).max(0.0);
+    let (conv_forward_ms, conv_backward_ms) = conv_ms(reps, &mut conv, &cx, &gy);
+    let mut conv16 = Conv2d::new(16, 16, 3, 1, 1, 8);
+    let cx16 = Tensor::from_fn(&[16, 16, 32, 32], |_| rng.next_f32() - 0.5);
+    let gy16 = Tensor::from_fn(&[16, 16, 32, 32], |_| rng.next_f32() - 0.5);
+    let (conv16_forward_ms, conv16_backward_ms) = conv_ms(reps, &mut conv16, &cx16, &gy16);
 
     let speedup_1t = gemm_naive_ms / gemm_blocked_1t_ms;
     let speedup = gemm_naive_ms / gemm_blocked_ms;
@@ -156,7 +185,9 @@ fn main() {
          \"int8_speedup_vs_f32\":{int8_speedup_vs_f32:.2},\
          \"im2col_ms\":{im2col_ms:.3},\
          \"conv_forward_ms\":{conv_forward_ms:.3},\
-         \"conv_backward_ms\":{conv_backward_ms:.3}}}"
+         \"conv_backward_ms\":{conv_backward_ms:.3},\
+         \"conv16_forward_ms\":{conv16_forward_ms:.3},\
+         \"conv16_backward_ms\":{conv16_backward_ms:.3}}}"
     );
 
     let mut report = Report::new("kernel_microbench");
@@ -180,6 +211,8 @@ fn main() {
         .push("int8_speedup_vs_f32", int8_speedup_vs_f32)
         .push("im2col_ms", im2col_ms)
         .push("conv_forward_ms", conv_forward_ms)
-        .push("conv_backward_ms", conv_backward_ms);
+        .push("conv_backward_ms", conv_backward_ms)
+        .push("conv16_forward_ms", conv16_forward_ms)
+        .push("conv16_backward_ms", conv16_backward_ms);
     obs.write_report(report).expect("writing --metrics output");
 }

@@ -2,8 +2,8 @@
 
 use crate::NnError;
 use drq_tensor::{
-    col2im_accumulate, he_normal, im2col, matmul, parallel, Im2ColLayout, Shape4, Tensor,
-    XorShiftRng,
+    col2im_accumulate_into, gemm, he_normal, im2col_into, parallel, Im2ColLayout, Rhs, Shape4,
+    Tensor, XorShiftRng,
 };
 
 /// A 2-D convolution layer (NCHW, square kernels, symmetric stride/padding,
@@ -220,9 +220,12 @@ impl Conv2d {
     /// This is the hook the quantization crates use: they pass fake-quantized
     /// or mixed-precision weight tensors through the identical compute path.
     ///
-    /// Batches shard across threads (one worker per image); a single image
-    /// instead parallelizes inside the im2col/GEMM kernels. Outputs are
-    /// bit-identical for every thread count and batch split.
+    /// Per image and channel group, the GEMM of the group's weight rows and
+    /// column-matrix rows writes straight into the output rows, and the bias
+    /// is added in place. Batches shard across threads (one worker per
+    /// image); a single image instead parallelizes inside the im2col/GEMM
+    /// kernels. Outputs are bit-identical for every thread count and batch
+    /// split.
     ///
     /// # Panics
     ///
@@ -231,50 +234,24 @@ impl Conv2d {
         assert_eq!(weight.shape(), self.weight.shape(), "weight shape mismatch");
         let s = x.shape4().expect("conv input must be rank 4");
         let layout = self.layout(s);
-        let out_shape = self.output_shape(s);
-        let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
-        let cpg_in = self.in_c / self.groups;
-        let cpg_out = self.out_c / self.groups;
-        let cols_per_group = cpg_in * self.k * self.k;
-        let ncols = layout.cols();
+        let mut out = Tensor::<f32>::zeros(&self.output_shape(s).as_array());
+        let (cpg_out, taps, ncols) = self.group_dims(&layout);
         let img_len = self.out_c * ncols;
         if img_len == 0 || s.n == 0 {
             return out;
         }
-
-        // Flattened weight matrix per group, shared by every image:
-        // [cpg_out, cpg_in*k*k] (the weight tensor is already contiguous in
-        // exactly this order, group-major).
-        let wv = weight.as_slice();
-        let wmats: Vec<Tensor<f32>> = (0..self.groups)
-            .map(|g| {
-                let base = g * cpg_out * cols_per_group;
-                Tensor::from_vec(
-                    wv[base..base + cpg_out * cols_per_group].to_vec(),
-                    &[cpg_out, cols_per_group],
-                )
-                .expect("weight slab shape")
-            })
-            .collect();
-
-        let bv = self.bias.as_slice();
+        let in_len = s.c * s.h * s.w;
+        let (xv, wv, bv) = (x.as_slice(), weight.as_slice(), self.bias.as_slice());
         parallel::for_each_chunk_mut(out.as_mut_slice(), img_len, |n, oimg| {
-            let cols = im2col(x, &layout, n);
-            for (g, wmat) in wmats.iter().enumerate() {
-                // Rows of the column matrix belonging to group g.
-                let row_base = g * cols_per_group;
-                let src = &cols.as_slice()[row_base * ncols..(row_base + cols_per_group) * ncols];
-                let gcols = Tensor::from_vec(src.to_vec(), &[cols_per_group, ncols])
-                    .expect("column slab shape");
-                let y = matmul(wmat, &gcols);
-                let yv = y.as_slice();
-                for oc in 0..cpg_out {
-                    let channel = g * cpg_out + oc;
-                    let b = bv[channel];
-                    let orow = &mut oimg[channel * ncols..(channel + 1) * ncols];
-                    for (o, &v) in orow.iter_mut().zip(&yv[oc * ncols..(oc + 1) * ncols]) {
-                        *o = v + b;
-                    }
+            let mut cols = vec![0.0f32; layout.rows() * ncols];
+            im2col_into(&xv[n * in_len..][..in_len], &layout, &mut cols);
+            for g in 0..self.groups {
+                let y = &mut oimg[g * cpg_out * ncols..][..cpg_out * ncols];
+                let w = &wv[g * cpg_out * taps..][..cpg_out * taps];
+                let gcols = &cols[g * taps * ncols..][..taps * ncols];
+                gemm(cpg_out, taps, ncols, w, gcols, Rhs::Plain, y);
+                for (yrow, &b) in y.chunks_exact_mut(ncols).zip(&bv[g * cpg_out..]) {
+                    yrow.iter_mut().for_each(|v| *v += b);
                 }
             }
         });
@@ -284,11 +261,11 @@ impl Conv2d {
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// input gradient.
     ///
-    /// Images are independent work items, so the batch shards across threads;
-    /// each worker produces its image's `(input gradient, weight gradient,
-    /// bias gradient)` privately, and the calling thread reduces them in
-    /// batch order. Gradients are therefore bit-identical for every thread
-    /// count.
+    /// Images are independent work items, so the batch shards across threads.
+    /// Each worker writes its image's input gradient into that image's slab
+    /// of the result and produces its weight and bias gradients privately;
+    /// the calling thread reduces those in batch order. Gradients are
+    /// therefore bit-identical for every thread count.
     ///
     /// # Panics
     ///
@@ -302,115 +279,73 @@ impl Conv2d {
         let layout = self.layout(s);
         let out_shape = self.output_shape(s);
         assert_eq!(grad_out.shape(), &out_shape.as_array(), "grad_out shape mismatch");
-
-        let cpg_in = self.in_c / self.groups;
-        let cpg_out = self.out_c / self.groups;
-        let cols_per_group = cpg_in * self.k * self.k;
-        let ncols = layout.cols();
+        let (cpg_out, taps, ncols) = self.group_dims(&layout);
         let mut grad_in = Tensor::<f32>::zeros(x.shape());
+        let (in_len, out_len) = (s.c * s.h * s.w, self.out_c * ncols);
+        let (wv, xv, gv) = (self.weight.as_slice(), x.as_slice(), grad_out.as_slice());
 
-        // Transposed weight matrix per group, shared by every image:
-        // W^T [cols_per_group, cpg_out].
-        let wt_mats: Vec<Tensor<f32>> = (0..self.groups)
-            .map(|g| {
-                let wv = self.weight.as_slice();
-                let mut wt = Tensor::<f32>::zeros(&[cols_per_group, cpg_out]);
-                let wtv = wt.as_mut_slice();
-                for oc in 0..cpg_out {
-                    let woff = (g * cpg_out + oc) * cols_per_group;
-                    for r in 0..cols_per_group {
-                        wtv[r * cpg_out + oc] = wv[woff + r];
-                    }
-                }
-                wt
-            })
-            .collect();
-
-        // Batch-1 view of the same geometry for the per-image scatter.
-        let img_layout =
-            Im2ColLayout::new(Shape4::new(1, s.c, s.h, s.w), self.k, self.k, self.stride, self.pad);
-        let wlen = self.grad_weight.len();
-
-        let per_image = parallel::par_map(s.n, |n| {
-            let cols = im2col(&x, &layout, n);
-            let mut grad_cols = Tensor::<f32>::zeros(&[layout.rows(), ncols]);
-            let mut gw_img = vec![0.0f32; wlen];
-            let mut gb_img = vec![0.0f32; self.out_c];
-            for g in 0..self.groups {
-                // grad wrt output for this group: [cpg_out, ncols]
-                let mut gy = Tensor::<f32>::zeros(&[cpg_out, ncols]);
-                {
-                    let gv = grad_out.as_slice();
-                    let gyv = gy.as_mut_slice();
-                    for oc in 0..cpg_out {
-                        let channel = g * cpg_out + oc;
-                        let base = out_shape.offset(n, channel, 0, 0);
-                        gyv[oc * ncols..(oc + 1) * ncols]
-                            .copy_from_slice(&gv[base..base + ncols]);
-                    }
-                }
-                // Bias gradient: row sums of gy.
-                {
-                    let gyv = gy.as_slice();
-                    for oc in 0..cpg_out {
-                        let channel = g * cpg_out + oc;
-                        gb_img[channel] +=
-                            gyv[oc * ncols..(oc + 1) * ncols].iter().sum::<f32>();
-                    }
-                }
-                // Weight gradient: gy [cpg_out, ncols] * cols_g^T [ncols, cols_per_group].
-                let row_base = g * cols_per_group;
-                let mut cols_t = Tensor::<f32>::zeros(&[ncols, cols_per_group]);
-                {
-                    let cv = cols.as_slice();
-                    let ct = cols_t.as_mut_slice();
-                    for r in 0..cols_per_group {
-                        for p in 0..ncols {
-                            ct[p * cols_per_group + r] = cv[(row_base + r) * ncols + p];
-                        }
-                    }
-                }
-                let gw = matmul(&gy, &cols_t); // [cpg_out, cols_per_group]
-                {
-                    let gwv = gw.as_slice();
-                    for oc in 0..cpg_out {
-                        let woff = (g * cpg_out + oc) * cols_per_group;
-                        gw_img[woff..woff + cols_per_group].copy_from_slice(
-                            &gwv[oc * cols_per_group..(oc + 1) * cols_per_group],
-                        );
-                    }
-                }
-                // Input gradient: W^T [cols_per_group, cpg_out] * gy.
-                let gc = matmul(&wt_mats[g], &gy); // [cols_per_group, ncols]
-                {
-                    let gcv = gc.as_slice();
-                    let gcol = grad_cols.as_mut_slice();
-                    for r in 0..cols_per_group {
-                        let dst = (row_base + r) * ncols;
-                        gcol[dst..dst + ncols]
-                            .copy_from_slice(&gcv[r * ncols..(r + 1) * ncols]);
-                    }
+        // Transposed weight matrix per group, built once and shared by every
+        // image: W_gᵀ [taps, cpg_out], group-major.
+        let mut wt = vec![0.0f32; wv.len()];
+        for g in 0..self.groups {
+            let base = g * cpg_out * taps;
+            for oc in 0..cpg_out {
+                for r in 0..taps {
+                    wt[base + r * cpg_out + oc] = wv[base + oc * taps + r];
                 }
             }
-            let mut grad_img = Tensor::<f32>::zeros(&[1, s.c, s.h, s.w]);
-            col2im_accumulate(&grad_cols, &img_layout, &mut grad_img, 0);
-            (grad_img, gw_img, gb_img)
+        }
+
+        // One work item per image: its slab of the input gradient plus its
+        // private weight and bias gradients.
+        let mut items = Vec::with_capacity(s.n);
+        let mut slabs = grad_in.as_mut_slice();
+        for _ in 0..s.n {
+            let (slab, rest) = std::mem::take(&mut slabs).split_at_mut(in_len);
+            slabs = rest;
+            items.push((slab, vec![0.0f32; wv.len()], vec![0.0f32; self.out_c]));
+        }
+        parallel::for_each_chunk_mut(&mut items, 1, |n, item| {
+            let (grad_img, gw_img, gb_img) = &mut item[0];
+            let mut cols = vec![0.0f32; layout.rows() * ncols];
+            im2col_into(&xv[n * in_len..][..in_len], &layout, &mut cols);
+            for g in 0..self.groups {
+                let gy = &gv[n * out_len + g * cpg_out * ncols..][..cpg_out * ncols];
+                let gcols = &mut cols[g * taps * ncols..][..taps * ncols];
+                // Bias gradient: row sums of the group's output gradient.
+                for (b, gyrow) in gb_img[g * cpg_out..].iter_mut().zip(gy.chunks_exact(ncols)) {
+                    *b += gyrow.iter().sum::<f32>();
+                }
+                // Weight gradient: gy [cpg_out, ncols] · colsᵀ, with the
+                // group's column rows as the transposed operand.
+                let gw = &mut gw_img[g * cpg_out * taps..][..cpg_out * taps];
+                gemm(cpg_out, ncols, taps, gy, gcols, Rhs::Transposed, gw);
+                // Column gradient: W_gᵀ [taps, cpg_out] · gy. It overwrites
+                // the group's column rows, which nothing reads any more.
+                let wtg = &wt[g * taps * cpg_out..][..taps * cpg_out];
+                gemm(taps, cpg_out, ncols, wtg, gy, Rhs::Plain, gcols);
+            }
+            col2im_accumulate_into(&cols, &layout, grad_img);
         });
 
         // Fixed-order reduction on the calling thread: image contributions
         // land in batch order, matching the sequential execution exactly.
-        let plane = s.c * s.h * s.w;
-        for (n, (grad_img, gw_img, gb_img)) in per_image.into_iter().enumerate() {
-            let base = n * plane;
-            grad_in.as_mut_slice()[base..base + plane].copy_from_slice(grad_img.as_slice());
-            for (a, g) in self.grad_weight.as_mut_slice().iter_mut().zip(&gw_img) {
+        for (_, gw_img, gb_img) in &items {
+            for (a, g) in self.grad_weight.as_mut_slice().iter_mut().zip(gw_img) {
                 *a += g;
             }
-            for (a, g) in self.grad_bias.as_mut_slice().iter_mut().zip(&gb_img) {
+            for (a, g) in self.grad_bias.as_mut_slice().iter_mut().zip(gb_img) {
                 *a += g;
             }
         }
         grad_in
+    }
+
+    /// Per channel group: output channels, column-matrix rows (the GEMM
+    /// depth of the forward pass) and output positions.
+    fn group_dims(&self, layout: &Im2ColLayout) -> (usize, usize, usize) {
+        let taps = self.in_c / self.groups * self.k * self.k;
+        (self.out_c / self.groups, taps, layout.cols())
     }
 
     /// Zeroes accumulated gradients.

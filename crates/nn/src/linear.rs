@@ -1,7 +1,7 @@
 //! Fully connected layer.
 
 use crate::NnError;
-use drq_tensor::{he_normal, matmul, Tensor, XorShiftRng};
+use drq_tensor::{gemm, he_normal, matmul, Rhs, Tensor, XorShiftRng};
 
 /// A fully connected (dense) layer: `y = x W^T + b`.
 ///
@@ -99,25 +99,13 @@ impl Linear {
         assert_eq!(x.rank(), 2, "linear input must be rank 2");
         assert_eq!(x.shape()[1], self.in_features, "feature count mismatch");
         let n = x.shape()[0];
-        // x [n, in] * W^T [in, out]
-        let mut wt = Tensor::<f32>::zeros(&[self.in_features, self.out_features]);
-        {
-            let wv = self.weight.as_slice();
-            let wtv = wt.as_mut_slice();
-            for o in 0..self.out_features {
-                for i in 0..self.in_features {
-                    wtv[i * self.out_features + o] = wv[o * self.in_features + i];
-                }
-            }
-        }
-        let mut y = matmul(x, &wt);
-        {
-            let bv = self.bias.as_slice();
-            let yv = y.as_mut_slice();
-            for r in 0..n {
-                for o in 0..self.out_features {
-                    yv[r * self.out_features + o] += bv[o];
-                }
+        // x [n, in] · Wᵀ, with the [out, in] weight as the transposed operand.
+        let mut y = Tensor::<f32>::zeros(&[n, self.out_features]);
+        let (wv, yv) = (self.weight.as_slice(), y.as_mut_slice());
+        gemm(n, self.in_features, self.out_features, x.as_slice(), wv, Rhs::Transposed, yv);
+        for yrow in yv.chunks_exact_mut(self.out_features.max(1)) {
+            for (v, &b) in yrow.iter_mut().zip(self.bias.as_slice()) {
+                *v += b;
             }
         }
         if train {
@@ -226,6 +214,32 @@ mod tests {
         assert!(fc.grad_weight.as_slice().iter().all(|&v| (v - 2.0).abs() < 1e-6));
         fc.zero_grad();
         assert!(fc.grad_weight.as_slice().iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn forward_equals_matmul_on_the_materialized_transpose_bitwise() {
+        // Batches 1..=9 walk the GEMM's row tail, 4-row and 8-row tiles;
+        // 84 -> 10 stays under the small-product cutoff, 400 -> 120 does not.
+        let mut rng = XorShiftRng::new(9);
+        for (inf, outf) in [(84, 10), (400, 120)] {
+            let mut fc = Linear::new(inf, outf, 4);
+            fc.bias.map_inplace(|_| rng.next_f32() - 0.5);
+            let wv = fc.weight.as_slice();
+            let wt = Tensor::from_fn(&[inf, outf], |i| wv[(i % outf) * inf + i / outf]);
+            for n in 1..=9 {
+                let x = Tensor::from_fn(&[n, inf], |_| rng.next_f32() - 0.5);
+                let mut want = matmul(&x, &wt);
+                for row in want.as_mut_slice().chunks_exact_mut(outf) {
+                    for (v, &b) in row.iter_mut().zip(fc.bias.as_slice()) {
+                        *v += b;
+                    }
+                }
+                let got = fc.forward(&x, false);
+                for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{inf} -> {outf}, batch {n}");
+                }
+            }
+        }
     }
 
     #[test]

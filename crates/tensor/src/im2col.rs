@@ -5,6 +5,8 @@
 //! also backs the software convolution: conv = im2col followed by a matrix
 //! multiply against the flattened kernels.
 
+use std::ops::Range;
+
 use crate::{parallel, try_conv_out_dim, Element, Shape4, ShapeError, Tensor};
 
 /// Transforms smaller than this many elements run single-chunk (inline).
@@ -93,11 +95,8 @@ impl Im2ColLayout {
 /// The result has shape `[rows, cols]` where `rows = C*KH*KW` and
 /// `cols = OH*OW`; positions that fall into the zero padding produce
 /// `T::ZERO`. Layout matches what the systolic array consumes: each column is
-/// one kernel window, flattened channel-major.
-///
-/// Large expansions shard the `C*KH*KW` row dimension across threads; each
-/// output row is produced by exactly one worker, so results are identical
-/// for every thread count.
+/// one kernel window, flattened channel-major. A wrapper over
+/// [`im2col_into`].
 ///
 /// # Panics
 ///
@@ -106,51 +105,66 @@ pub fn im2col<T: Element>(x: &Tensor<T>, layout: &Im2ColLayout, image: usize) ->
     let s = layout.input;
     assert_eq!(x.shape(), &s.as_array(), "input shape mismatch with layout");
     assert!(image < s.n, "image index {image} out of range (batch {})", s.n);
-    let rows = layout.rows();
-    let cols = layout.cols();
-    let mut out = Tensor::<T>::zeros(&[rows, cols]);
+    let mut out = Tensor::<T>::zeros(&[layout.rows(), layout.cols()]);
+    let img_len = s.c * s.h * s.w;
+    im2col_into(&x.as_slice()[image * img_len..][..img_len], layout, out.as_mut_slice());
+    out
+}
+
+/// Expands one image `x` (`[C, H, W]`, the geometry of `layout.input`;
+/// its batch size is not read) into the caller's `[rows, cols]` column
+/// matrix `out`, writing every element (padding taps get `T::ZERO`).
+///
+/// Each row (one `(channel, ky, kx)` kernel tap) is filled by row slices:
+/// per output row inside the input, the zero margins and one copy (a
+/// strided gather when `stride > 1`) of the in-bounds output-column
+/// interval. Large expansions shard rows across threads; each row is
+/// produced by exactly one worker, so results are identical for every
+/// thread count.
+///
+/// # Panics
+///
+/// Panics if `x` or `out` has the wrong length.
+pub fn im2col_into<T: Element>(x: &[T], layout: &Im2ColLayout, out: &mut [T]) {
+    let s = layout.input;
+    let (rows, cols) = (layout.rows(), layout.cols());
+    assert_eq!(x.len(), s.c * s.h * s.w, "image length mismatch with layout");
+    assert_eq!(out.len(), rows * cols, "column matrix length mismatch with layout");
     if rows == 0 || cols == 0 {
-        return out;
+        return;
     }
-    let xs = x.as_slice();
-    // One worker owns `rows_per_task` whole rows (each row is one
-    // (channel, ky, kx) kernel tap over every output position).
+    let (ow, stride, pad) = (layout.out_w, layout.stride, layout.pad);
+    let yspans = valid_spans(s.h, layout.out_h, layout.kh, stride, pad);
+    let xspans = valid_spans(s.w, ow, layout.kw, stride, pad);
     let rows_per_task = if rows * cols < PAR_MIN_ELEMS {
         rows
     } else {
         rows.div_ceil(4 * parallel::max_threads()).max(1)
     };
-    parallel::for_each_chunk_mut(out.as_mut_slice(), rows_per_task * cols, |ci, chunk| {
-        let row0 = ci * rows_per_task;
+    parallel::for_each_chunk_mut(out, rows_per_task * cols, |ci, chunk| {
         for (local, orow) in chunk.chunks_exact_mut(cols).enumerate() {
-            let row = row0 + local;
-            let c = row / (layout.kh * layout.kw);
-            let rem = row % (layout.kh * layout.kw);
-            let ky = rem / layout.kw;
-            let kx = rem % layout.kw;
-            for oy in 0..layout.out_h {
-                let iy = (oy * layout.stride + ky) as isize - layout.pad as isize;
-                if iy < 0 || iy as usize >= s.h {
+            let row = ci * rows_per_task + local;
+            let (c, tap) = (row / (layout.kh * layout.kw), row % (layout.kh * layout.kw));
+            let (ky, kx) = (tap / layout.kw, tap % layout.kw);
+            let (ys, xs) = (&yspans[ky], &xspans[kx]);
+            let xc = &x[c * s.h * s.w..][..s.h * s.w];
+            for (oy, seg) in orow.chunks_exact_mut(ow).enumerate() {
+                if xs.is_empty() || !ys.contains(&oy) {
+                    seg.fill(T::ZERO);
                     continue;
                 }
-                for ox in 0..layout.out_w {
-                    let ix = (ox * layout.stride + kx) as isize - layout.pad as isize;
-                    if ix < 0 || ix as usize >= s.w {
-                        continue;
-                    }
-                    orow[oy * layout.out_w + ox] =
-                        xs[s.offset(image, c, iy as usize, ix as usize)];
-                }
+                let src = &xc[(oy * stride + ky - pad) * s.w + xs.start * stride + kx - pad..];
+                seg[..xs.start].fill(T::ZERO);
+                gather(&mut seg[xs.clone()], src, stride);
+                seg[xs.end..].fill(T::ZERO);
             }
         }
     });
-    out
 }
 
 /// Scatters a column-matrix gradient back onto an image (the adjoint of
-/// [`im2col`]), accumulating into `grad` at batch index `image`.
-///
-/// Used by the convolution backward pass during training.
+/// [`im2col`]), accumulating into `grad` at batch index `image`. A wrapper
+/// over [`col2im_accumulate_into`].
 ///
 /// # Panics
 ///
@@ -165,23 +179,35 @@ pub fn col2im_accumulate(
     assert_eq!(grad.shape(), &s.as_array(), "gradient shape mismatch with layout");
     assert_eq!(cols.shape(), &[layout.rows(), layout.cols()], "column shape mismatch");
     assert!(image < s.n, "image index out of range");
-    let plane = s.h * s.w;
-    let base = s.offset(image, 0, 0, 0);
-    let slab = &mut grad.as_mut_slice()[base..base + s.c * plane];
-    col2im_accumulate_slab(cols.as_slice(), layout, slab);
+    let img_len = s.c * s.h * s.w;
+    let slab = &mut grad.as_mut_slice()[image * img_len..][..img_len];
+    col2im_accumulate_into(cols.as_slice(), layout, slab);
 }
 
-/// The worker behind [`col2im_accumulate`]: scatters into one image's
-/// `[C, H, W]` gradient slab. Parallel over whole channels only — the
-/// kernel taps of one channel overlap on the same pixels, so they stay on
-/// one worker and accumulate in a fixed `(ky, kx, oy, ox)` order.
-pub(crate) fn col2im_accumulate_slab(cv: &[f32], layout: &Im2ColLayout, slab: &mut [f32]) {
+/// Adds the column matrix `cv` (`[rows, cols]`) onto one image's
+/// `[C, H, W]` gradient slab (the geometry of `layout.input`; its batch
+/// size is not read).
+///
+/// Each pixel receives its taps in a fixed `(ky, kx, oy, ox)` order, added
+/// onto what the slab holds; padding taps are skipped. Parallel over whole
+/// channels only — the kernel taps of one channel overlap on the same
+/// pixels, so they stay on one worker.
+///
+/// # Panics
+///
+/// Panics if `cv` or `slab` has the wrong length.
+pub fn col2im_accumulate_into(cv: &[f32], layout: &Im2ColLayout, slab: &mut [f32]) {
     let s = layout.input;
     let plane = s.h * s.w;
     let ncols = layout.cols();
+    assert_eq!(slab.len(), s.c * plane, "gradient length mismatch with layout");
+    assert_eq!(cv.len(), layout.rows() * ncols, "column matrix length mismatch with layout");
     if plane == 0 || ncols == 0 {
         return;
     }
+    let (ow, stride, pad) = (layout.out_w, layout.stride, layout.pad);
+    let yspans = valid_spans(s.h, layout.out_h, layout.kh, stride, pad);
+    let xspans = valid_spans(s.w, ow, layout.kw, stride, pad);
     let taps = layout.kh * layout.kw;
     let chans_per_task = if s.c * taps * ncols < PAR_MIN_ELEMS {
         s.c
@@ -189,30 +215,53 @@ pub(crate) fn col2im_accumulate_slab(cv: &[f32], layout: &Im2ColLayout, slab: &m
         s.c.div_ceil(4 * parallel::max_threads()).max(1)
     };
     parallel::for_each_chunk_mut(slab, chans_per_task * plane, |ci, chunk| {
-        let c0 = ci * chans_per_task;
         for (local, gplane) in chunk.chunks_exact_mut(plane).enumerate() {
-            let c = c0 + local;
-            for ky in 0..layout.kh {
-                for kx in 0..layout.kw {
-                    let row = (c * layout.kh + ky) * layout.kw + kx;
-                    for oy in 0..layout.out_h {
-                        let iy = (oy * layout.stride + ky) as isize - layout.pad as isize;
-                        if iy < 0 || iy as usize >= s.h {
-                            continue;
-                        }
-                        for ox in 0..layout.out_w {
-                            let ix = (ox * layout.stride + kx) as isize - layout.pad as isize;
-                            if ix < 0 || ix as usize >= s.w {
-                                continue;
+            let c = ci * chans_per_task + local;
+            for (ky, ys) in yspans.iter().enumerate() {
+                for (kx, xs) in xspans.iter().enumerate().filter(|(_, xs)| !xs.is_empty()) {
+                    let crow = &cv[(c * taps + ky * layout.kw + kx) * ncols..][..ncols];
+                    for oy in ys.clone() {
+                        let src = &crow[oy * ow + xs.start..oy * ow + xs.end];
+                        let ix0 = xs.start * stride + kx - pad;
+                        let dst = &mut gplane[(oy * stride + ky - pad) * s.w + ix0..];
+                        // `step_by(1)` does not vectorize; stride 1 is the common case.
+                        if stride == 1 {
+                            for (g, &v) in dst.iter_mut().zip(src) {
+                                *g += v;
                             }
-                            gplane[iy as usize * s.w + ix as usize] +=
-                                cv[row * ncols + oy * layout.out_w + ox];
+                        } else {
+                            for (g, &v) in dst.iter_mut().step_by(stride).zip(src) {
+                                *g += v;
+                            }
                         }
                     }
                 }
             }
         }
     });
+}
+
+/// Per kernel offset `kk`, the output positions whose tap lands inside an
+/// axis of `len` inputs: `o·stride + kk − pad ∈ [0, len)` exactly for `o`
+/// in the returned range (possibly empty).
+fn valid_spans(len: usize, out: usize, k: usize, stride: usize, pad: usize) -> Vec<Range<usize>> {
+    (0..k)
+        .map(|kk| {
+            let hi = (len + pad).saturating_sub(kk).div_ceil(stride).min(out);
+            pad.saturating_sub(kk).div_ceil(stride).min(hi)..hi
+        })
+        .collect()
+}
+
+/// `dst[i] = src[i·stride]`: a plain copy at stride 1.
+fn gather<T: Copy>(dst: &mut [T], src: &[T], stride: usize) {
+    if stride == 1 {
+        dst.copy_from_slice(&src[..dst.len()]);
+    } else {
+        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+            *d = v;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -283,6 +332,29 @@ mod tests {
             .map(|(a, b)| a * b)
             .sum();
         assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
+    }
+
+    #[test]
+    fn into_variants_write_every_column_and_add_onto_the_slab() {
+        // A dirty column buffer is overwritten in full (padding included),
+        // and col2im adds onto the slab's contents rather than replacing
+        // them, for strided, padded and 1x1 geometries.
+        let mut rng = crate::XorShiftRng::new(4);
+        for (k, stride, pad) in [(3, 1, 1), (3, 2, 2), (1, 1, 0), (2, 3, 1)] {
+            let x = Tensor::from_fn(&[2, 3, 5, 6], |_| rng.next_f32() - 0.5);
+            let l = Im2ColLayout::new(x.shape4().unwrap(), k, k, stride, pad);
+            let mut cols = vec![f32::NAN; l.rows() * l.cols()];
+            im2col_into(&x.as_slice()[90..], &l, &mut cols);
+            assert_eq!(cols, im2col(&x, &l, 1).as_slice());
+
+            let y = Tensor::from_fn(&[l.rows(), l.cols()], |_| rng.next_f32() - 0.5);
+            let mut slab = vec![1.0f32; 90];
+            col2im_accumulate_into(y.as_slice(), &l, &mut slab);
+            let mut ones = Tensor::<f32>::full(x.shape(), 1.0);
+            col2im_accumulate(&y, &l, &mut ones, 0);
+            assert_eq!(slab, &ones.as_slice()[..90]);
+            assert!(slab.iter().any(|&v| v != 1.0));
+        }
     }
 
     #[test]

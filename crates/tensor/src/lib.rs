@@ -41,12 +41,12 @@ mod tensor;
 
 pub use element::Element;
 pub use error::ShapeError;
-pub use im2col::{col2im_accumulate, im2col, Im2ColLayout};
+pub use im2col::{col2im_accumulate, col2im_accumulate_into, im2col, im2col_into, Im2ColLayout};
 pub use init::{he_normal, uniform, XorShiftRng};
 pub use int_ops::{
     int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_kernel_name, Int4Packed,
 };
-pub use ops::{matmul, matmul_reference};
+pub use ops::{gemm, matmul, matmul_reference, Rhs};
 pub use shape::{conv_out_dim, try_conv_out_dim, Shape4};
 pub use stats::percentile;
 pub use tensor::Tensor;

@@ -1,36 +1,96 @@
 //! Dense linear-algebra kernels: matrix multiply.
 //!
-//! [`matmul`] is the compute kernel behind the software convolution (via
-//! im2col) used for training and reference inference. Large products run a
+//! [`gemm`] is the compute kernel behind the software convolution (via
+//! im2col) and the fully connected layers used for training and reference
+//! inference; [`matmul`] is its tensor-level wrapper. Large products run a
 //! cache-blocked kernel — MC row blocks sharded across threads, KC-deep
-//! panels of `b` packed into NR-wide strips, and an MR×NR register tile —
-//! while small products use a plain triple loop whose overhead is lower.
-//! Both paths are bit-deterministic in the thread count (see the
-//! `parallel` module): every output element is produced by exactly one
-//! worker and its accumulation order depends only on the shapes.
+//! panels of `b` packed into NR-wide strips (straight from either layout of
+//! `b`), and an MR×NR register tile — while small products use a plain
+//! loop whose overhead is lower. Both paths are bit-deterministic in the
+//! thread count (see the `parallel` module): every output element is
+//! produced by exactly one worker and its accumulation order depends only
+//! on the shapes.
 
 use crate::{parallel, Tensor};
 
 /// Row blocks: the unit of parallel work (one worker owns MC output rows).
 const MC: usize = 64;
 /// Depth of a packed `b` panel; MC×KC of `a` and KC×NR strips stay cached.
+/// Together with [`SMALL_MACS`] this is the only constant that shapes an
+/// output element's f32 accumulation order.
 const KC: usize = 256;
-/// Width of a packed `b` strip and of the register tile. Together with MR
-/// this is sized so the MR×NR f32 accumulator fits the vector register
-/// file (8 ymm under AVX2) with room left for the strip row — larger
-/// tiles spill to the stack and run scalar-speed.
+/// Width of a packed `b` strip and of the register tile.
 const NR: usize = 16;
-/// Rows of the register tile (each reuses a loaded `b` strip row).
-const MR: usize = 4;
+/// Rows of the full register tile (each reuses a loaded `b` strip row).
+/// MR×NR accumulators take 16 of the 32 vector registers AVX-512VL gives
+/// 256-bit code; leftover rows run a half-height tile, then single rows.
+const MR: usize = 8;
+/// Rows of the tile that takes 4..MR leftover rows.
+const HR: usize = MR / 2;
 
 /// Products smaller than this many MACs skip blocking and packing.
 const SMALL_MACS: usize = 16 * 1024;
 
+/// How [`gemm`]'s right operand `b` is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rhs {
+    /// `b` is `[k, n]`, row-major: the product is `a · b`.
+    Plain,
+    /// `b` is `[n, k]`, row-major (a weight matrix, or the rows of an
+    /// im2col column matrix): the product is `a · bᵀ`, packed straight from
+    /// this layout without materializing the transpose.
+    Transposed,
+}
+
+/// Slice-level f32 matrix multiply into a caller's buffer:
+/// `c (m×n) = a (m×k) · op(b)`, with `op(b)` as [`Rhs`] says.
+///
+/// `c` is overwritten: it is zeroed first and every element's sum is added
+/// onto that zero, so the result does not depend on what `c` held. Each
+/// element accumulates over `k` in ascending order — in KC-deep panels
+/// added in order once the product reaches `SMALL_MACS` — whatever the
+/// layout of `b`, the tile that computes it or the thread count, so
+/// `Rhs::Transposed` gives the same bits as `Rhs::Plain` on the
+/// materialized transpose, and [`matmul`] the same bits as this.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k` and `n`.
+///
+/// # Examples
+///
+/// ```
+/// use drq_tensor::{gemm, Rhs};
+///
+/// let a = [1.0, 2.0, 3.0, 4.0]; // [2, 2]
+/// let bt = [1.0, 1.0, 0.0, 1.0]; // [n = 2, k = 2]: b = [[1, 0], [1, 1]]
+/// let mut c = [f32::NAN; 4];
+/// gemm(2, 2, 2, &a, &bt, Rhs::Transposed, &mut c);
+/// assert_eq!(c, [3.0, 2.0, 7.0, 4.0]);
+/// ```
+pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], rhs: Rhs, c: &mut [f32]) {
+    assert_eq!(a.len(), m * k, "gemm lhs must hold m*k = {m}*{k} values");
+    assert_eq!(b.len(), k * n, "gemm rhs must hold k*n = {k}*{n} values");
+    assert_eq!(c.len(), m * n, "gemm output must hold m*n = {m}*{n} values");
+    c.fill(0.0);
+    // Degenerate extents (any dimension zero) have an all-zero product; the
+    // kernels below would choke on zero-length chunk iteration.
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    match (m * k * n < SMALL_MACS, rhs) {
+        (true, Rhs::Plain) => matmul_simple(a, b, c, k, n),
+        (true, Rhs::Transposed) => matmul_simple_t(a, b, c, k, n),
+        (false, _) => matmul_blocked(a, b, rhs, c, k, n),
+    }
+}
+
 /// Row-major matrix multiply: `a (m x k) * b (k x n) -> (m x n)`.
 ///
-/// Runs the cache-blocked, multi-threaded kernel for large shapes (thread
-/// count from `DRQ_THREADS` / [`parallel::set_max_threads`]); results are
-/// bit-identical for every thread count.
+/// A thin wrapper over [`gemm`]: runs the cache-blocked, multi-threaded
+/// kernel for large shapes (thread count from `DRQ_THREADS` /
+/// [`parallel::set_max_threads`]); results are bit-identical for every
+/// thread count.
 ///
 /// # Panics
 ///
@@ -51,18 +111,8 @@ pub fn matmul(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
     let (m, k) = (a.shape()[0], a.shape()[1]);
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul inner dimension mismatch: {k} vs {k2}");
-
     let mut out = Tensor::<f32>::zeros(&[m, n]);
-    // Degenerate extents (any dimension zero) have an all-zero product; the
-    // kernels below would choke on zero-length chunk iteration.
-    if m == 0 || k == 0 || n == 0 {
-        return out;
-    }
-    if m * k * n < SMALL_MACS {
-        matmul_simple(a.as_slice(), b.as_slice(), out.as_mut_slice(), k, n);
-    } else {
-        matmul_blocked(a.as_slice(), b.as_slice(), out.as_mut_slice(), m, k, n);
-    }
+    gemm(m, k, n, a.as_slice(), b.as_slice(), Rhs::Plain, out.as_mut_slice());
     out
 }
 
@@ -98,101 +148,151 @@ fn matmul_simple(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
     }
 }
 
-/// Cache-blocked parallel kernel. Each worker owns MC full output rows, so
-/// writes are disjoint and no reduction crosses threads.
-fn matmul_blocked(av: &[f32], bv: &[f32], ov: &mut [f32], _m: usize, k: usize, n: usize) {
-    let n_strips = n.div_ceil(NR);
-    parallel::for_each_chunk_mut(ov, MC * n, |bi, cchunk| {
-        let i0 = bi * MC;
-        let rows = cchunk.len() / n;
-        let full_tiles = rows / MR;
-        // Packed b panel: strip-major, fixed KC×NR row stride, zero padding
-        // in the tail lanes (written once here, never by `pack_panel`).
-        let mut pb = vec![0.0f32; n_strips * KC * NR];
-        // Packed a block: tile-major, MR rows interleaved per k step, so the
-        // micro-kernel's four `a` values are one contiguous load.
-        let mut pa = vec![0.0f32; full_tiles * KC * MR];
-        for k0 in (0..k).step_by(KC) {
-            let kc = KC.min(k - k0);
-            pack_panel(bv, &mut pb, k0, kc, n);
-            pack_a(av, &mut pa, i0, full_tiles, k0, kc, k);
-            for sb in 0..n_strips {
-                let jb = sb * NR;
-                let w = NR.min(n - jb);
-                let strip = &pb[sb * KC * NR..][..kc * NR];
-                for t in 0..full_tiles {
-                    let i_local = t * MR;
-                    // MR×NR register tile accumulated over this k panel.
-                    let mut acc = [[0.0f32; NR]; MR];
-                    tile_full(&pa[t * KC * MR..][..kc * MR], strip, &mut acc);
-                    for (r, arow) in acc.iter().enumerate() {
-                        let crow = &mut cchunk[(i_local + r) * n + jb..][..w];
-                        for (c, &x) in crow.iter_mut().zip(arow.iter()) {
-                            *c += x;
-                        }
-                    }
-                }
-                // Row tail (<MR rows): unpacked, dynamic trip count.
-                for i_local in full_tiles * MR..rows {
-                    let mut arow = [0.0f32; NR];
-                    let a_row = &av[(i0 + i_local) * k + k0..][..kc];
-                    for (&aik, prow) in a_row.iter().zip(strip.chunks_exact(NR)) {
-                        for (x, &p) in arow.iter_mut().zip(prow.iter()) {
-                            *x += aik * p;
-                        }
-                    }
-                    let crow = &mut cchunk[i_local * n + jb..][..w];
-                    for (c, &x) in crow.iter_mut().zip(arow.iter()) {
-                        *c += x;
-                    }
+/// [`matmul_simple`] with `b` stored `[n, k]`: NR output columns at a
+/// time, each an independent sum over `k` in ascending order.
+fn matmul_simple_t(av: &[f32], bt: &[f32], ov: &mut [f32], k: usize, n: usize) {
+    for (arow, orow) in av.chunks_exact(k).zip(ov.chunks_exact_mut(n)) {
+        for (ocols, brows) in orow.chunks_mut(NR).zip(bt.chunks(NR * k)) {
+            let mut acc = [0.0f32; NR];
+            for (kk, &aik) in arow.iter().enumerate() {
+                for (x, brow) in acc.iter_mut().zip(brows.chunks_exact(k)) {
+                    *x += aik * brow[kk];
                 }
             }
+            for (o, &x) in ocols.iter_mut().zip(&acc) {
+                *o += x;
+            }
         }
+    }
+}
+
+/// Cache-blocked parallel kernel. Each worker owns MC full output rows, so
+/// writes are disjoint and no reduction crosses threads.
+fn matmul_blocked(av: &[f32], bv: &[f32], rhs: Rhs, ov: &mut [f32], k: usize, n: usize) {
+    parallel::for_each_chunk_mut(ov, MC * n, |bi, cchunk| {
+        blocked_rows(av, bv, rhs, cchunk, bi * MC, k, n);
     });
 }
 
-/// Full MR×NR register tile over one packed k panel. Fixed trip counts and
-/// `[f32; NR]` rows let the compiler keep `acc` in vector registers; the
-/// dynamic-width tail path spills and only runs for <MR leftover rows.
-#[inline(always)]
-fn tile_full(apanel: &[f32], strip: &[f32], acc: &mut [[f32; NR]; MR]) {
-    let [ref mut c0, ref mut c1, ref mut c2, ref mut c3] = *acc;
-    for (aq, prow) in apanel.chunks_exact(MR).zip(strip.chunks_exact(NR)) {
-        let aq: &[f32; MR] = aq.try_into().unwrap();
-        let prow: &[f32; NR] = prow.try_into().unwrap();
-        for x in 0..NR {
-            c0[x] += aq[0] * prow[x];
-            c1[x] += aq[1] * prow[x];
-            c2[x] += aq[2] * prow[x];
-            c3[x] += aq[3] * prow[x];
+/// One worker's share of [`matmul_blocked`]: output rows `i0..` (as many
+/// as `cchunk` holds). Kept out of line so that the calling thread and the
+/// spawned workers run one compiled copy: inlined into the parallel
+/// machinery, the copy in the spawned workers' entry point ran about half
+/// as fast as the calling thread's.
+#[inline(never)]
+fn blocked_rows(
+    av: &[f32],
+    bv: &[f32],
+    rhs: Rhs,
+    cchunk: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+) {
+    let n_strips = n.div_ceil(NR);
+    // Packed buffers hold one panel, so a shallow product packs only `k`.
+    let kc_max = KC.min(k);
+    let rows = cchunk.len() / n;
+    let tiles = rows / MR;
+    let half = rows % MR >= HR;
+    let tail0 = tiles * MR + if half { HR } else { 0 };
+    // Packed b panel: strip-major, fixed kc_max×NR row stride, zero
+    // padding in the tail lanes (written once here, never by packing).
+    let mut pb = vec![0.0f32; n_strips * kc_max * NR];
+    // Packed a block: tile-major, each tile's rows interleaved per k step,
+    // so a tile's `a` values for one step are one contiguous load.
+    let mut pa = vec![0.0f32; tail0 * kc_max];
+    for k0 in (0..k).step_by(KC) {
+        let kc = KC.min(k - k0);
+        match rhs {
+            Rhs::Plain => pack_b(bv, &mut pb, k0, kc, kc_max, n),
+            Rhs::Transposed => pack_bt(bv, &mut pb, k0, kc, kc_max, k),
         }
-    }
-}
-
-/// Packs MR-row tiles of `a` (rows `i0..i0+full_tiles*MR`, depth
-/// `k0..k0+kc`) with the MR rows interleaved per k step.
-fn pack_a(av: &[f32], pa: &mut [f32], i0: usize, full_tiles: usize, k0: usize, kc: usize, k: usize) {
-    for t in 0..full_tiles {
-        let dst = &mut pa[t * KC * MR..][..kc * MR];
-        for r in 0..MR {
-            let src = &av[(i0 + t * MR + r) * k + k0..][..kc];
-            for (kl, &v) in src.iter().enumerate() {
-                dst[kl * MR + r] = v;
+        let (pa_full, pa_half) = pa[..tail0 * kc].split_at_mut(tiles * MR * kc);
+        pack_a::<MR>(av, pa_full, i0, k0, kc, k);
+        pack_a::<HR>(av, pa_half, i0 + tiles * MR, k0, kc, k);
+        for sb in 0..n_strips {
+            let jb = sb * NR;
+            let w = NR.min(n - jb);
+            let strip = &pb[sb * kc_max * NR..][..kc * NR];
+            for (t, apanel) in pa_full.chunks_exact(MR * kc).enumerate() {
+                tile::<MR>(apanel, strip, &mut cchunk[t * MR * n + jb..], n, w);
+            }
+            if half {
+                tile::<HR>(pa_half, strip, &mut cchunk[tiles * MR * n + jb..], n, w);
+            }
+            // Row tail (< HR rows): one row is its own packed panel.
+            for i_local in tail0..rows {
+                let a_row = &av[(i0 + i_local) * k + k0..][..kc];
+                tile::<1>(a_row, strip, &mut cchunk[i_local * n + jb..], n, w);
             }
         }
     }
 }
 
-/// Packs rows `k0..k0+kc` of `b` into NR-wide contiguous strips.
-fn pack_panel(bv: &[f32], pb: &mut [f32], k0: usize, kc: usize, n: usize) {
-    let n_strips = n.div_ceil(NR);
-    for sb in 0..n_strips {
+/// One R×NR register tile over one packed k panel, added onto the first
+/// `w` columns of `R` rows of `c` (row stride `n`). Fixed trip counts and
+/// `[f32; NR]` rows let the compiler keep the accumulators in vector
+/// registers; the per-row [`axpy`] keeps every tile height vectorized
+/// along NR (a loop nest over both axes spilled the 4-row tile).
+#[inline(always)]
+fn tile<const R: usize>(apanel: &[f32], strip: &[f32], c: &mut [f32], n: usize, w: usize) {
+    let mut acc = [[0.0f32; NR]; R];
+    for (aq, prow) in apanel.chunks_exact(R).zip(strip.chunks_exact(NR)) {
+        let aq: &[f32; R] = aq.try_into().unwrap();
+        let prow: &[f32; NR] = prow.try_into().unwrap();
+        for (crow, &ar) in acc.iter_mut().zip(aq) {
+            axpy(crow, ar, prow);
+        }
+    }
+    for (r, arow) in acc.iter().enumerate() {
+        for (cv, &x) in c[r * n..][..w].iter_mut().zip(arow) {
+            *cv += x;
+        }
+    }
+}
+
+/// `c += a·p` over one NR-wide accumulator row.
+#[inline(always)]
+fn axpy(c: &mut [f32; NR], a: f32, p: &[f32; NR]) {
+    for x in 0..NR {
+        c[x] += a * p[x];
+    }
+}
+
+/// Packs R-row tiles of `a` (rows from `row0`, as many whole tiles as `pa`
+/// holds at depth `kc`, columns `k0..k0+kc`) with the R rows interleaved
+/// per k step.
+fn pack_a<const R: usize>(av: &[f32], pa: &mut [f32], row0: usize, k0: usize, kc: usize, k: usize) {
+    for (t, dst) in pa.chunks_exact_mut(R * kc).enumerate() {
+        for r in 0..R {
+            let src = &av[(row0 + t * R + r) * k + k0..][..kc];
+            for (kl, &v) in src.iter().enumerate() {
+                dst[kl * R + r] = v;
+            }
+        }
+    }
+}
+
+/// Packs rows `k0..k0+kc` of a `[k, n]` operand into NR-wide strips.
+fn pack_b(bv: &[f32], pb: &mut [f32], k0: usize, kc: usize, kc_max: usize, n: usize) {
+    for (sb, strip) in pb.chunks_exact_mut(kc_max * NR).enumerate() {
         let jb = sb * NR;
         let w = NR.min(n - jb);
-        let base = sb * KC * NR;
-        for kl in 0..kc {
-            let src = &bv[(k0 + kl) * n + jb..][..w];
-            pb[base + kl * NR..][..w].copy_from_slice(src);
+        for (kl, dst) in strip.chunks_exact_mut(NR).take(kc).enumerate() {
+            dst[..w].copy_from_slice(&bv[(k0 + kl) * n + jb..][..w]);
+        }
+    }
+}
+
+/// Packs columns `k0..k0+kc` of an `[n, k]` operand into the same strips
+/// [`pack_b`] builds from its transpose: row `j` lands in lane `j % NR` of
+/// strip `j / NR`.
+fn pack_bt(bt: &[f32], pb: &mut [f32], k0: usize, kc: usize, kc_max: usize, k: usize) {
+    for (j, brow) in bt.chunks_exact(k).enumerate() {
+        let strip = &mut pb[(j / NR) * kc_max * NR..][..kc * NR];
+        for (dst, &v) in strip[j % NR..].iter_mut().step_by(NR).zip(&brow[k0..k0 + kc]) {
+            *dst = v;
         }
     }
 }
@@ -306,6 +406,52 @@ mod tests {
         let b = Tensor::from_vec(vec![3.0, 4.0, 5.0, 6.0], &[2, 2]).unwrap();
         let out = matmul(&a, &b);
         assert_eq!(out.as_slice(), &[5.0, 6.0, 6.0, 8.0]);
+    }
+
+    fn transpose(b: &Tensor<f32>) -> Tensor<f32> {
+        let (k, n) = (b.shape()[0], b.shape()[1]);
+        Tensor::from_fn(&[n, k], |i| b.as_slice()[(i % k) * n + i / k])
+    }
+
+    #[test]
+    fn transposed_rhs_is_bit_identical_to_plain_at_every_tile_height() {
+        // m = 1..=17 walks the 8-row tile, the 4-row tile and the single-row
+        // tail; k crosses KC, n crosses NR, and the small shapes stay under
+        // SMALL_MACS. The destination starts dirty: gemm must overwrite it.
+        let mut rng = XorShiftRng::new(5);
+        for m in 1..=17 {
+            for &(k, n) in &[(3, 5), (40, 17), (300, 33), (513, 16)] {
+                let a = Tensor::from_fn(&[m, k], |_| rng.next_f32() - 0.5);
+                let b = Tensor::from_fn(&[k, n], |_| rng.next_f32() - 0.5);
+                let want = matmul(&a, &b);
+                for (rhs, bop) in [(Rhs::Plain, b.clone()), (Rhs::Transposed, transpose(&b))] {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm(m, k, n, a.as_slice(), bop.as_slice(), rhs, &mut c);
+                    for (x, y) in c.iter().zip(want.as_slice()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{rhs:?} m={m} k={k} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zeroed_destination_keeps_the_sign_of_zero() {
+        // (-1)·0 = -0 in every term: a sum started on +0.0 is +0.0, in both
+        // kernels, whatever the destination held.
+        for (m, k, n) in [(1, 2, 3), (8, 300, 20)] {
+            let a = vec![-1.0f32; m * k];
+            let b = vec![0.0f32; k * n];
+            let mut c = vec![-0.0f32; m * n];
+            gemm(m, k, n, &a, &b, Rhs::Transposed, &mut c);
+            assert!(c.iter().all(|v| v.to_bits() == 0), "m={m} k={k} n={n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm output must hold")]
+    fn gemm_rejects_a_short_destination() {
+        gemm(2, 2, 2, &[0.0; 4], &[0.0; 4], Rhs::Plain, &mut [0.0; 3]);
     }
 
     #[test]

@@ -98,6 +98,21 @@ impl GemmCase {
         }
     }
 
+    /// Generates a case with `m ≤ 9` at any depth up to 600: shapes that
+    /// cross the blocked kernel's small-product cutoff (16 K MACs), its KC
+    /// panel depth (256), its 8- and 4-row tiles and its 16-wide strips.
+    /// Only for oracles that compare two production paths, since past one
+    /// panel no naive reference is bit-exact.
+    pub fn arbitrary_short(rng: &mut XorShiftRng) -> Self {
+        Self {
+            m: 1 + rng.next_below(9),
+            k: 1 + rng.next_below(600),
+            n: 1 + rng.next_below(40),
+            dist: ValueDist::pick(rng, &ValueDist::ALL),
+            data_seed: rng.next_u64(),
+        }
+    }
+
     /// Materializes the operands.
     pub fn operands(&self) -> (Tensor<f32>, Tensor<f32>) {
         let mut rng = XorShiftRng::new(self.data_seed);
@@ -321,6 +336,58 @@ impl ConvCase {
     /// oracles).
     pub fn arbitrary(rng: &mut XorShiftRng) -> Self {
         Self::arbitrary_from(rng, &ValueDist::ALL)
+    }
+
+    /// Generates a geometry for the backward-pass oracle: half the cases
+    /// from [`ConvCase::arbitrary`], half with up to 12 input and 20 output
+    /// channels per group, so the weight- and column-gradient GEMMs reach
+    /// the blocked kernel with full and partial tiles. Every case keeps all
+    /// three GEMM depths within the bit-exact bound
+    /// ([`ConvCase::is_valid_backward`]).
+    pub fn arbitrary_backward(rng: &mut XorShiftRng) -> Self {
+        loop {
+            let mut case = Self::arbitrary(rng);
+            if rng.next_below(2) == 0 {
+                case.cpg_in = 1 + rng.next_below(12);
+                case.cpg_out = 1 + rng.next_below(20);
+                case.k = [1, 3, 3, 5][rng.next_below(4)];
+                case.stride = 1 + rng.next_below(2);
+                let min_hw = 1.max(case.k.saturating_sub(2 * case.pad));
+                case.h = min_hw + rng.next_below(15);
+                case.w = min_hw + rng.next_below(15);
+            }
+            if case.is_valid_backward() {
+                return case;
+            }
+        }
+    }
+
+    /// [`ConvCase::is_valid`], plus the backward pass's own GEMM depths
+    /// within the bit-exact bound: output positions per image (the
+    /// weight-gradient depth) and output channels per group (the
+    /// column-gradient depth).
+    pub fn is_valid_backward(&self) -> bool {
+        let out = |len: usize| (len + 2 * self.pad - self.k) / self.stride + 1;
+        self.is_valid()
+            && out(self.h) * out(self.w) <= BIT_EXACT_MAX_K
+            && self.cpg_out <= BIT_EXACT_MAX_K
+    }
+
+    /// Materializes the layer and its input, as [`ConvCase::build`] does,
+    /// plus an output gradient drawn from `dist` with the stream that
+    /// follows the input's.
+    pub fn build_backward(&self) -> (Conv2d, Tensor<f32>, Tensor<f32>) {
+        let (conv, _) = self.build();
+        let mut rng = XorShiftRng::new(self.data_seed);
+        let x = self.dist.tensor(&self.input_shape().as_array(), &mut rng);
+        let gy = self.dist.tensor(&conv.output_shape(self.input_shape()).as_array(), &mut rng);
+        (conv, x, gy)
+    }
+
+    /// [`ConvCase::shrink`] filtered by [`ConvCase::is_valid_backward`]
+    /// (a smaller stride can grow the output past the bound).
+    pub fn shrink_backward(&self) -> Vec<Self> {
+        self.shrink().into_iter().filter(Self::is_valid_backward).collect()
     }
 
     /// Total input channels.

@@ -3,14 +3,15 @@
 //!
 //! # Bit-exactness contract
 //!
-//! [`matmul_naive`] and [`conv2d_naive`] accumulate in *exactly* the order
-//! the production kernels do — per output element, over the inner dimension
-//! (or the `(in_channel, ky, kx)` tap order, padding zeros included) — so
-//! comparisons can demand `f32::to_bits` equality rather than a tolerance,
-//! **provided the GEMM depth fits one cache panel** (`k ≤ 256`): beyond one
-//! panel the blocked kernel accumulates panel-partial sums in a different
-//! association and only tolerance comparisons are valid. Case generators
-//! enforce the depth cap for the bit-exact tiers.
+//! [`matmul_naive`], [`conv2d_naive`] and [`conv2d_backward_naive`]
+//! accumulate in *exactly* the order the production kernels do — per output
+//! element, over the inner dimension (or the `(in_channel, ky, kx)` tap
+//! order, padding zeros included) — so comparisons can demand
+//! `f32::to_bits` equality rather than a tolerance, **provided every GEMM
+//! depth fits one cache panel** (`k ≤ 256`): beyond one panel the blocked
+//! kernel accumulates panel-partial sums in a different association and
+//! only tolerance comparisons are valid. Case generators enforce the depth
+//! cap for the bit-exact tiers.
 
 use crate::exact::StreamElement;
 use drq_core::{ConvOpCounts, MaskMap, RegionGrid, SensitivityPredictor};
@@ -117,6 +118,101 @@ pub fn conv2d_naive(conv: &Conv2d, x: &Tensor<f32>) -> Tensor<f32> {
         }
     }
     out
+}
+
+/// Naive convolution backward matching `Conv2d::backward` exactly on a
+/// layer whose gradient accumulators are zero: returns
+/// `(grad_input, grad_weight, grad_bias)` for input `x` and output
+/// gradient `grad_out`, in the production association:
+///
+/// - *grad input*: each pixel adds its in-bounds taps onto `0.0` in
+///   `(ky, kx, oy, ox)` order; a tap's column gradient is
+///   `Σ w[oc, tap]·gy[oc, oy, ox]` over the group's output channels in
+///   order, from `0.0`;
+/// - *grad weight*: per image, `Σ gy[oc, oy, ox]·col[tap, oy, ox]` over
+///   output positions in order from `0.0`, padding taps contributing
+///   their zero products; images add onto `0.0` in batch order;
+/// - *grad bias*: per image, the `Iterator::sum` of the channel's
+///   output-gradient row added to `0.0`; images add onto `0.0` in batch
+///   order.
+///
+/// Bit-identical to the im2col/GEMM backward whenever its two GEMM depths
+/// — output positions per image (`oh·ow`) and output channels per group —
+/// are at most 256.
+///
+/// # Panics
+///
+/// Panics if `x` is not rank 4, its channel count mismatches, or
+/// `grad_out` does not have the layer's output shape for `x`.
+pub fn conv2d_backward_naive(
+    conv: &Conv2d,
+    x: &Tensor<f32>,
+    grad_out: &Tensor<f32>,
+) -> (Tensor<f32>, Tensor<f32>, Tensor<f32>) {
+    let s = x.shape4().expect("conv input must be rank 4");
+    assert_eq!(s.c, conv.in_channels(), "channel mismatch");
+    let os = conv.output_shape(s);
+    assert_eq!(grad_out.shape(), &os.as_array(), "grad_out shape mismatch");
+    let k = conv.kernel();
+    let stride = conv.stride();
+    let pad = conv.padding() as isize;
+    let cpg_in = s.c / conv.groups();
+    let cpg_out = conv.out_channels() / conv.groups();
+    let wtaps = cpg_in * k * k;
+    let (wv, xv, gv) = (conv.weight().as_slice(), x.as_slice(), grad_out.as_slice());
+    // The input pixel a tap reads at an output position; None in padding.
+    let pixel = |ky: usize, kx: usize, oy: usize, ox: usize| {
+        let iy = (oy * stride + ky) as isize - pad;
+        let ix = (ox * stride + kx) as isize - pad;
+        let inside = iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w;
+        inside.then_some((iy as usize, ix as usize))
+    };
+
+    let mut gx = Tensor::<f32>::zeros(x.shape());
+    let mut gw = Tensor::<f32>::zeros(conv.weight().shape());
+    let mut gb = Tensor::<f32>::zeros(&[conv.out_channels()]);
+    for n in 0..s.n {
+        for oc in 0..conv.out_channels() {
+            let g = oc / cpg_out;
+            let row = &gv[os.offset(n, oc, 0, 0)..][..os.h * os.w];
+            gb.as_mut_slice()[oc] += 0.0 + row.iter().sum::<f32>();
+            for ic_local in 0..cpg_in {
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let mut acc = 0.0f32;
+                        for oy in 0..os.h {
+                            for ox in 0..os.w {
+                                let xval = pixel(ky, kx, oy, ox).map_or(0.0, |(iy, ix)| {
+                                    xv[s.offset(n, g * cpg_in + ic_local, iy, ix)]
+                                });
+                                acc += gv[os.offset(n, oc, oy, ox)] * xval;
+                            }
+                        }
+                        gw.as_mut_slice()[oc * wtaps + (ic_local * k + ky) * k + kx] += acc;
+                    }
+                }
+            }
+        }
+        for c in 0..s.c {
+            let (g, ic_local) = (c / cpg_in, c % cpg_in);
+            for ky in 0..k {
+                for kx in 0..k {
+                    let tap = (ic_local * k + ky) * k + kx;
+                    for oy in 0..os.h {
+                        for ox in 0..os.w {
+                            let Some((iy, ix)) = pixel(ky, kx, oy, ox) else { continue };
+                            let mut col = 0.0f32;
+                            for oc in g * cpg_out..(g + 1) * cpg_out {
+                                col += wv[oc * wtaps + tap] * gv[os.offset(n, oc, oy, ox)];
+                            }
+                            gx.as_mut_slice()[s.offset(n, c, iy, ix)] += col;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (gx, gw, gb)
 }
 
 /// Exact integer matrix multiply: `i8 × i8` operands accumulated in `i64`,

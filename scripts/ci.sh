@@ -41,17 +41,19 @@ RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --workspace
 echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential
 
-echo "== mixed-conv, integer and sim-host differential suites (DRQ_THREADS=1/2/auto) =="
+echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
 # The mixed_conv families assert bit-exactness against the tap-loop oracle,
-# the int families against the exact-i64 GEMM oracle, and the sim_host
-# family the simulator's synthesis, predictor and cycle-model fast paths
-# against their pixel-by-pixel oracles; running each filter under every
-# DRQ_THREADS setting also pins the tests that don't iterate thread counts
-# internally. A filter that matches no test fails the step instead of
-# passing vacuously.
+# the int families against the exact-i64 GEMM oracle, the sim_host family
+# the simulator's synthesis, predictor and cycle-model fast paths against
+# their pixel-by-pixel oracles, conv_backward the fp32 conv's gradients
+# against the naive backward, and f32_gemm the transposed-operand GEMM
+# against matmul on the materialized transpose. Running each filter under
+# every DRQ_THREADS setting also pins the tests that don't iterate thread
+# counts internally. A filter that matches no test fails the step instead
+# of passing vacuously.
 SWEEP_LOG=$(mktemp)
 for t in 1 2 auto; do
-    for filter in mixed_conv int sim_host; do
+    for filter in mixed_conv int sim_host conv_backward f32_gemm; do
         echo "-- DRQ_THREADS=$t, filter $filter --"
         if [ "$t" = auto ]; then
             RUSTFLAGS="$CI_RUSTFLAGS" \

@@ -17,7 +17,8 @@ use drq::models::FeatureMapSynthesizer;
 use drq::quant::{MaxAbsQuantizer, PerChannelQuantizer, QuantParams, Quantizer};
 use drq::sim::{LayerCycleModel, LayerCycles};
 use drq::tensor::{
-    int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Tensor, XorShiftRng,
+    gemm, int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Rhs, Tensor,
+    XorShiftRng,
 };
 use drq_testkit::cases::{
     ConvCase, GemmCase, IntGemmCase, LayerCycleCase, MixedConvCase, PredictBatchCase,
@@ -25,8 +26,8 @@ use drq_testkit::cases::{
 };
 use drq_testkit::exact::SystolicArray;
 use drq_testkit::reference::{
-    conv2d_naive, int_matmul_exact, int_matmul_wrapping, layer_cycles_naive, matmul_naive,
-    mixed_conv_error_bound, mixed_conv_naive, predict_image_naive, synthesize_naive,
+    conv2d_backward_naive, conv2d_naive, int_matmul_exact, int_matmul_wrapping, layer_cycles_naive,
+    matmul_naive, mixed_conv_error_bound, mixed_conv_naive, predict_image_naive, synthesize_naive,
     systolic_analytic,
 };
 use drq_testkit::{thread_count_lock, TestKit};
@@ -132,6 +133,65 @@ fn conv_forward_matches_naive_bitwise_across_thread_counts() {
                 parallel::set_max_threads(threads);
                 let got = conv.forward(&x, false);
                 assert_bits_eq(&got, &want, &format!("conv forward, {threads} threads"))?;
+            }
+            Ok(())
+        },
+    );
+    parallel::set_max_threads(0);
+}
+
+#[test]
+fn conv_backward_matches_naive_bitwise_across_thread_counts() {
+    // Input, weight and bias gradients of a fresh layer, bit for bit, at
+    // 1, 2 and all threads: batches of 1 to 3 images (2 threads do not
+    // divide 3), groups, strides up to 3, padding and 1x1 kernels, with
+    // both GEMMs of the backward pass in their small and blocked kernels.
+    let _serial = thread_count_lock();
+    kit().check(
+        "conv backward bitwise vs naive",
+        ConvCase::arbitrary_backward,
+        ConvCase::shrink_backward,
+        |c| {
+            let (mut conv, x, gy) = c.build_backward();
+            let (want_gx, want_gw, want_gb) = conv2d_backward_naive(&conv, &x, &gy);
+            for threads in [1usize, 2, 0] {
+                parallel::set_max_threads(threads);
+                conv.zero_grad();
+                conv.forward(&x, true);
+                let gx = conv.backward(&gy);
+                let mut grads = Vec::new();
+                conv.visit_params(&mut |_, g| grads.push(g.clone()));
+                assert_bits_eq(&gx, &want_gx, &format!("grad input, {threads} threads"))?;
+                assert_bits_eq(&grads[0], &want_gw, &format!("grad weight, {threads} threads"))?;
+                assert_bits_eq(&grads[1], &want_gb, &format!("grad bias, {threads} threads"))?;
+            }
+            Ok(())
+        },
+    );
+    parallel::set_max_threads(0);
+}
+
+#[test]
+fn f32_gemm_transposed_rhs_matches_matmul_bitwise_at_every_depth() {
+    // The transposed-operand GEMM against `matmul` on the materialized
+    // transpose, into a destination that starts as NaN: shapes cross the
+    // small-product cutoff, the KC panel depth, the 8- and 4-row tiles and
+    // the 16-wide strips, where no naive oracle is bit-exact.
+    let _serial = thread_count_lock();
+    kit().check(
+        "f32 gemm transposed rhs vs matmul",
+        GemmCase::arbitrary_short,
+        GemmCase::shrink,
+        |c| {
+            let (a, b) = c.operands();
+            let bt = Tensor::from_fn(&[c.n, c.k], |i| b.as_slice()[(i % c.k) * c.n + i / c.k]);
+            for threads in [1usize, 2, 0] {
+                parallel::set_max_threads(threads);
+                let want = matmul(&a, &b);
+                let mut got = Tensor::<f32>::full(&[c.m, c.n], f32::NAN);
+                let (av, btv) = (a.as_slice(), bt.as_slice());
+                gemm(c.m, c.k, c.n, av, btv, Rhs::Transposed, got.as_mut_slice());
+                assert_bits_eq(&got, &want, &format!("transposed gemm, {threads} threads"))?;
             }
             Ok(())
         },
