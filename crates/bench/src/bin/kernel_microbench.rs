@@ -23,10 +23,19 @@
 //! 3x3 on a batch of 16 32x32 maps, the shape that dominates the Shapes
 //! ResNet-8's fine-tuning steps.
 //!
+//! Three mixed-precision conv rows time `MixedPrecisionConv::forward`
+//! with a prepared `ConvPlan` and predictor masks (4×4 regions, threshold
+//! 8) over post-ReLU inputs with bright blobs, so both precisions run:
+//! `mixed_conv16_b1_ms` and `mixed_conv16_b16_ms` for 16->16 3x3 s1 p1 on
+//! 32x32 maps at batch 1 and 16, and `mixed_conv32to64_s2_ms` for 32->64
+//! 3x3 s2 p1 on a batch of 8 16x16 maps. `mixed_conv16_int4_frac` is the
+//! 16->16 batch-16 row's share of INT4 MACs.
+//!
 //! Run with `--release`; debug timings are meaningless.
 
 use std::time::Instant;
 
+use drq::core::{CoalesceInput, ConvPlan, MixedPrecisionConv, RegionSize, SensitivityPredictor};
 use drq::nn::Conv2d;
 use drq::telemetry::Report;
 use drq::tensor::{
@@ -73,6 +82,32 @@ fn conv_ms(reps: usize, conv: &mut Conv2d, x: &Tensor<f32>, gy: &Tensor<f32>) ->
         }
     }
     (forward_ms, median(samples))
+}
+
+/// A post-ReLU activation whose every third 6×5 block is four times
+/// brighter, so 4×4 region means land on both sides of the predictor
+/// threshold.
+fn blobby(shape: [usize; 4], rng: &mut XorShiftRng) -> Tensor<f32> {
+    let [_, _, h, w] = shape;
+    Tensor::from_fn(&shape, |i| {
+        let (y, x) = ((i / w) % h, i % w);
+        let gain = if (y / 6 + x / 5) % 3 == 0 { 4.0 } else { 1.0 };
+        (rng.next_normal() * gain).max(0.0)
+    })
+}
+
+/// Median-of-`reps` wall time in milliseconds of the mixed-precision conv
+/// `conv` on `x` with a prepared plan and predictor masks, and the INT4
+/// share of its MACs.
+fn mixed_conv_ms(reps: usize, conv: &Conv2d, x: &Tensor<f32>) -> (f64, f64) {
+    let masks = SensitivityPredictor::new(RegionSize::new(4, 4), 8.0).predict_batch(x);
+    let plan = ConvPlan::prepare(conv);
+    let inputs = [CoalesceInput { x, masks: &masks }];
+    let ms = time_ms(reps, || {
+        std::hint::black_box(MixedPrecisionConv::forward(conv, Some(&plan), &inputs));
+    });
+    let (_, counts) = MixedPrecisionConv::forward(conv, Some(&plan), &inputs).remove(0);
+    (ms, counts.int4_fraction())
 }
 
 fn main() {
@@ -158,6 +193,15 @@ fn main() {
     let gy16 = Tensor::from_fn(&[16, 16, 32, 32], |_| rng.next_f32() - 0.5);
     let (conv16_forward_ms, conv16_backward_ms) = conv_ms(reps, &mut conv16, &cx16, &gy16);
 
+    // Mixed-precision conv: the integer path every DRQ forward and every
+    // served `shapes` request runs.
+    let conv16 = Conv2d::new(16, 16, 3, 1, 1, 9);
+    let (mixed_conv16_b1_ms, _) = mixed_conv_ms(reps, &conv16, &blobby([1, 16, 32, 32], &mut rng));
+    let (mixed_conv16_b16_ms, mixed_conv16_int4_frac) =
+        mixed_conv_ms(reps, &conv16, &blobby([16, 16, 32, 32], &mut rng));
+    let conv_s2 = Conv2d::new(32, 64, 3, 2, 1, 10);
+    let (mixed_conv32to64_s2_ms, _) = mixed_conv_ms(reps, &conv_s2, &blobby([8, 32, 16, 16], &mut rng));
+
     let speedup_1t = gemm_naive_ms / gemm_blocked_1t_ms;
     let speedup = gemm_naive_ms / gemm_blocked_ms;
     // Tier comparison: int8 packed GEMM vs the f32 blocked GEMM, both
@@ -187,7 +231,11 @@ fn main() {
          \"conv_forward_ms\":{conv_forward_ms:.3},\
          \"conv_backward_ms\":{conv_backward_ms:.3},\
          \"conv16_forward_ms\":{conv16_forward_ms:.3},\
-         \"conv16_backward_ms\":{conv16_backward_ms:.3}}}"
+         \"conv16_backward_ms\":{conv16_backward_ms:.3},\
+         \"mixed_conv16_b1_ms\":{mixed_conv16_b1_ms:.3},\
+         \"mixed_conv16_b16_ms\":{mixed_conv16_b16_ms:.3},\
+         \"mixed_conv32to64_s2_ms\":{mixed_conv32to64_s2_ms:.3},\
+         \"mixed_conv16_int4_frac\":{mixed_conv16_int4_frac:.3}}}"
     );
 
     let mut report = Report::new("kernel_microbench");
@@ -213,6 +261,10 @@ fn main() {
         .push("conv_forward_ms", conv_forward_ms)
         .push("conv_backward_ms", conv_backward_ms)
         .push("conv16_forward_ms", conv16_forward_ms)
-        .push("conv16_backward_ms", conv16_backward_ms);
+        .push("conv16_backward_ms", conv16_backward_ms)
+        .push("mixed_conv16_b1_ms", mixed_conv16_b1_ms)
+        .push("mixed_conv16_b16_ms", mixed_conv16_b16_ms)
+        .push("mixed_conv32to64_s2_ms", mixed_conv32to64_s2_ms)
+        .push("mixed_conv16_int4_frac", mixed_conv16_int4_frac);
     obs.write_report(report).expect("writing --metrics output");
 }

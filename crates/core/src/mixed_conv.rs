@@ -1,11 +1,12 @@
 //! Mixed-precision convolution (Section III-C).
 
-use crate::MaskMap;
+use crate::{MaskMap, RegionGrid};
+use std::cell::RefCell;
 use drq_nn::Conv2d;
-use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams, Quantizer};
+use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams};
 use drq_telemetry::counter_add;
 use drq_tensor::{
-    int4_matmul, int8_matmul, int8_matmul_wide, parallel, Int4Packed, Shape4, Tensor,
+    int_gemm_indirect, int_gemm_indirect_wide, parallel, PackedLhs, Shape4, Tensor,
 };
 use std::ops::Range;
 
@@ -60,8 +61,9 @@ impl ConvOpCounts {
 }
 
 /// Prepared, input-independent state for one convolution: the INT8
-/// weight calibration, the packed i8 panels and nibble-packed INT4 planes
-/// per channel group, and the accumulator-width proofs.
+/// weight calibration, the INT8 and INT4 weights of each channel group
+/// packed into the integer kernel's tiles, and the accumulator-width
+/// proofs.
 ///
 /// Preparing a plan is the expensive, weight-only half of
 /// [`MixedPrecisionConv::forward`]; reusing one across requests (the
@@ -88,8 +90,13 @@ impl ConvOpCounts {
 #[derive(Debug, Clone)]
 pub struct ConvPlan {
     wq8: QuantParams,
-    w8_groups: Vec<Tensor<i8>>,
-    w4_groups: Vec<Int4Packed>,
+    /// Per group, `W8` as kernel tiles over the reduction index (tap,
+    /// channel): k-pair `tap · ⌈cpg_in / 2⌉ + c / 2` holds channels `c`
+    /// and `c + 1` at one tap, and an odd `cpg_in` pairs its last channel
+    /// with a zero one.
+    w8_groups: Vec<PackedLhs>,
+    /// `W4 = W8 >> 4`, in the same order.
+    w4_groups: Vec<PackedLhs>,
     wide8: bool,
     wide4: bool,
     wtaps: usize,
@@ -103,25 +110,34 @@ impl ConvPlan {
     /// Panics if `conv`'s channel counts are not divisible by its groups
     /// (impossible for a well-formed `Conv2d`).
     pub fn prepare(conv: &Conv2d) -> Self {
-        let wq8 = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
-        let w8_t = Quantizer::quantize(&wq8, conv.weight());
-        let w8 = w8_t.as_slice();
-        let k = conv.kernel();
+        let weight = conv.weight().as_slice();
+        let wq8 = QuantParams::fit(weight, Precision::Int8);
+        let w8: Vec<i8> = weight.iter().map(|&v| wq8.quantize_value(v) as i8).collect();
+        let taps = conv.kernel() * conv.kernel();
         let groups = conv.groups();
         let cpg_in = conv.in_channels() / groups;
         let cpg_out = conv.out_channels() / groups;
-        let wtaps = cpg_in * k * k;
-        // INT8 codes are i8-range by construction; the INT4 plane is the
-        // arithmetic high nibble, stored nibble-packed (the at-rest INT4
-        // form the paper's PE consumes).
+        let wtaps = cpg_in * taps;
+        // Reorder each filter's codes from (channel, tap) to (tap, channel
+        // pair); the zero channel of an odd `cpg_in` is never written. INT8
+        // codes are i8-range by construction; the INT4 weight is the
+        // arithmetic high nibble.
+        let ncp = cpg_in.div_ceil(2);
+        let depth = taps * ncp * 2;
+        let mut codes = vec![0i8; cpg_out * depth];
         let mut w8_groups = Vec::with_capacity(groups);
         let mut w4_groups = Vec::with_capacity(groups);
-        for g in 0..groups {
-            let codes = &w8[g * cpg_out * wtaps..(g + 1) * cpg_out * wtaps];
-            let w8_g: Tensor<i8> = Tensor::from_fn(&[cpg_out, wtaps], |i| codes[i] as i8);
-            let w4_g = Int4Packed::pack(&w8_g.map(|v| v >> 4));
-            w8_groups.push(w8_g);
-            w4_groups.push(w4_g);
+        for filters in w8.chunks_exact(cpg_out * wtaps) {
+            for (filter, row) in filters.chunks_exact(wtaps).zip(codes.chunks_exact_mut(depth)) {
+                for (c, per_tap) in filter.chunks_exact(taps).enumerate() {
+                    for (tap, &v) in per_tap.iter().enumerate() {
+                        row[(tap * ncp + c / 2) * 2 + c % 2] = v;
+                    }
+                }
+            }
+            let w8 = PackedLhs::pack(&codes, cpg_out, depth);
+            w4_groups.push(w8.shr(4));
+            w8_groups.push(w8);
         }
         // Static range analysis (SIRA-style): prove once per layer that
         // wrapping-i32 accumulation over `wtaps` MACs cannot lose bits; no
@@ -138,11 +154,9 @@ impl ConvPlan {
         }
     }
 
-    /// Bytes held by the packed weight panels (plan-cache accounting).
+    /// Bytes held by the packed weight tiles (plan-cache accounting).
     pub fn packed_bytes(&self) -> usize {
-        let b8: usize = self.w8_groups.iter().map(|t| t.len()).sum();
-        let b4: usize = self.w4_groups.iter().map(Int4Packed::packed_bytes).sum();
-        b8 + b4
+        self.w8_groups.iter().chain(&self.w4_groups).map(PackedLhs::packed_bytes).sum()
     }
 }
 
@@ -180,30 +194,33 @@ impl MixedPrecisionConv {
     /// Activation quantization is fit **per request**, so each request
     /// gets exactly the codes (and the output bits) it would get alone.
     /// The work list is flat over every (request, image) pair and runs in
-    /// parallel; each item quantizes its image straight to `i8` codes. Per
-    /// item and channel group, the codes expand into two masked im2col
-    /// operand matrices over the same `(ic, ky, kx) × (oy, ox)` index
-    /// space:
+    /// parallel. Per item and channel group, each input channel is
+    /// quantized and split straight into two zero-padded planes of i16
+    /// codes, with channels interleaved in pairs:
     ///
-    /// * `X8` — INT8 codes where the source pixel is sensitive, else 0;
-    /// * `X4` — INT4 codes (`q >> 4`) where it is insensitive (padding
-    ///   included as zero), else 0.
+    /// * `P8` — INT8 codes where the pixel is sensitive, else 0;
+    /// * `P4` — INT4 codes (`q >> 4`) where it is insensitive, else 0
+    ///   (padding is 0 in both and counts as INT4).
     ///
-    /// The fill copies row slices: each channel is split once into a
-    /// sensitive and an insensitive plane (regions found through a
-    /// column-to-region table), and each tap row copies the in-bounds
-    /// output-column interval of every in-bounds output row from them.
-    /// Padding taps are never visited, and the INT8 tap count comes from
-    /// per-region usage sums.
+    /// A pixel finds its class through one column mask per region row, with
+    /// no per-pixel region lookup and no branch. Each plane is stored as
+    /// `s²` stride-phase sub-planes (`s` the stride; only the phases some
+    /// tap reads are filled), so kernel tap `(ky, kx)` reads phase
+    /// `(ky mod s, kx mod s)` at the fixed offset `(ky div s)·Wq + kx div s`
+    /// from output lane `j = oy·Wq + ox`, `Wq` being the phase width. There
+    /// is no im2col: the integer GEMM ([`drq_tensor::int_gemm_indirect`])
+    /// reads the planes through one offset per (tap, channel pair). Lanes
+    /// with `ox ≥ ow` are computed and never read back.
     ///
     /// Each tap is sensitive XOR insensitive, so the two products
-    /// partition the tap-by-tap sum exactly: `acc = W8·X8 + 256·(W4·X4)`,
-    /// with `W4 = W8 >> 4` nibble-packed. The INT8 product runs on the
-    /// i8×i8 kernel and the INT4 product on the nibble-INT4 kernel; both
-    /// accumulate in wrapping i32 when the range analysis proves the depth
-    /// safe (see `drq_quant::analyze_gemm`) and in i64 otherwise, so the
-    /// sum is always exact. A group with no sensitive tap has `X8 = 0`, so
-    /// its INT8 GEMM is skipped: `kernel/int8_gemm_calls` and
+    /// partition the tap-by-tap sum exactly: `acc = W8·P8 + 256·(W4·P4)`,
+    /// with `W4 = W8 >> 4`, both packed once in the [`ConvPlan`] over the
+    /// same (tap, channel) order. Both accumulate in wrapping i32 when the
+    /// range analysis proves the depth safe (see `drq_quant::analyze_gemm`)
+    /// and in i64 otherwise, so the sum is always exact and the reduction
+    /// order does not matter. The INT8 tap count comes from per-region
+    /// usage sums. A group with no sensitive tap has `P8 = 0` under every
+    /// tap, so its INT8 GEMM is skipped: `kernel/int8_gemm_calls` and
     /// `kernel/int8_gemm_macs` count only the INT8 GEMMs that ran, while
     /// the INT4 counters record one call per item and group. The output is
     /// `acc as f32 · dequant + bias`. The scalar tap loop in
@@ -234,35 +251,48 @@ impl MixedPrecisionConv {
         let shapes: Vec<Shape4> = inputs.iter().map(|i| validate(conv, i.x, i.masks)).collect();
         let wtaps = conv.in_channels() / conv.groups() * conv.kernel() * conv.kernel();
         assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
-        // Per-request activation calibration (the bit-identity anchor),
-        // then the flat (request, image) work list.
+        // Per-request activation calibration (the bit-identity anchor) and
+        // plane geometry, then the flat (request, image) work list.
         let aqs: Vec<QuantParams> = inputs
             .iter()
             .map(|i| QuantParams::fit(i.x.as_slice(), Precision::Int8))
             .collect();
+        let geos: Vec<PlaneGeometry> = shapes.iter().map(|&s| PlaneGeometry::new(conv, s)).collect();
         let items: Vec<(usize, usize)> = shapes
             .iter()
             .enumerate()
             .flat_map(|(r, s)| (0..s.n).map(move |n| (r, n)))
             .collect();
-        let mut per_item = parallel::par_map(items.len(), |j| {
+        // One slot per item: its image's slice of the request's output and
+        // its MAC split.
+        let mut outs: Vec<Tensor<f32>> = shapes
+            .iter()
+            .map(|&s| Tensor::zeros(&conv.output_shape(s).as_array()))
+            .collect();
+        let mut slots: Vec<(&mut [f32], ConvOpCounts)> = outs
+            .iter_mut()
+            .zip(&shapes)
+            .flat_map(|(out, &s)| {
+                let o = conv.output_shape(s);
+                out.as_mut_slice().chunks_exact_mut(o.c * o.h * o.w)
+            })
+            .map(|o| (o, ConvOpCounts::default()))
+            .collect();
+        parallel::for_each_chunk_mut(&mut slots, 1, |j, slot| {
             let (r, n) = items[j];
             let s = shapes[r];
             let img_len = s.c * s.h * s.w;
             let img = &inputs[r].x.as_slice()[n * img_len..(n + 1) * img_len];
-            image(conv, plan, s, img, &aqs[r], &inputs[r].masks[n])
-        })
-        .into_iter();
-        shapes
-            .iter()
-            .map(|&s| {
-                let out_shape = conv.output_shape(s);
-                let img_len = out_shape.c * out_shape.h * out_shape.w;
-                let mut out = Tensor::<f32>::zeros(&out_shape.as_array());
+            let (out, counts) = &mut slot[0];
+            *counts = image(conv, plan, &geos[r], img, &aqs[r], &inputs[r].masks[n], out);
+        });
+        let per_item: Vec<ConvOpCounts> = slots.into_iter().map(|(_, c)| c).collect();
+        let mut per_item = per_item.into_iter();
+        outs.into_iter()
+            .zip(&shapes)
+            .map(|(out, s)| {
                 let mut counts = ConvOpCounts::default();
-                for oimg in out.as_mut_slice().chunks_exact_mut(img_len) {
-                    let (img, c) = per_item.next().expect("one result per work item");
-                    oimg.copy_from_slice(&img);
+                for c in per_item.by_ref().take(s.n) {
                     counts.merge(c);
                 }
                 (out, counts)
@@ -312,223 +342,388 @@ fn axis_uses(len: usize, spans: &[Range<usize>], stride: usize, pad: usize) -> V
     uses
 }
 
-/// One input channel's INT8 codes split by its mask, refilled per channel.
-struct SplitPlanes {
-    /// Code of each sensitive pixel, zero elsewhere (`[h, w]`).
-    p8: Vec<i8>,
-    /// INT4 code (`q >> 4`) of each insensitive pixel, zero elsewhere.
-    p4: Vec<i8>,
-    /// Per input row: does it hold a sensitive pixel?
-    any8: Vec<bool>,
-    /// Per input row: does it hold an insensitive pixel?
-    any4: Vec<bool>,
+/// Where one input shape's split planes keep each pixel, and the k-pair
+/// offsets through which the GEMM reads them.
+///
+/// A plane holds channel pairs; each pair holds `phases²` stride-phase
+/// sub-planes of `plen` lanes (two i16 codes, one per channel, per lane).
+/// Phase `(ry, rx)` keeps padded pixel `(py·s + ry, px·s + rx)` at lane
+/// `py·wq + px`, so output `(oy, ox)` at tap `(ky, kx)` reads lane
+/// `(oy·wq + ox) + (ky div s)·wq + kx div s` of phase `(ky mod s, kx mod s)`.
+/// `wq = ow + (k − 1) div s` covers every valid read of a phase row, and
+/// `plen` adds the rows and lanes that the skipped lanes `ox ≥ ow` run
+/// into. Lanes no pixel lands on stay zero: the padding.
+struct PlaneGeometry {
+    /// Input height and width.
+    h: usize,
+    w: usize,
+    stride: usize,
+    pad: usize,
+    /// Phases per axis that some tap reads: `min(k, s)`.
+    phases: usize,
+    /// Lanes per phase row.
+    wq: usize,
+    /// Phase rows that some valid output reads.
+    hq: usize,
+    /// Lanes per (channel pair, phase) sub-plane.
+    plen: usize,
+    /// Output lanes: `oh · wq`.
+    lanes: usize,
+    ow: usize,
+    /// i16 elements of one plane.
+    plane_len: usize,
+    /// Per k-pair `tap · ⌈cpg_in / 2⌉ + channel pair`, the i16 index of its
+    /// lane 0 (the [`ConvPlan`] reduction order).
+    offsets: Vec<usize>,
+    /// Taps reading each input column / row (for the INT8 tap count).
+    xuses: Vec<u64>,
+    yuses: Vec<u64>,
 }
 
-impl SplitPlanes {
-    fn new(h: usize, w: usize) -> Self {
+impl PlaneGeometry {
+    fn new(conv: &Conv2d, s: Shape4) -> Self {
+        let (k, stride, pad) = (conv.kernel(), conv.stride(), conv.padding());
+        let out = conv.output_shape(s);
+        let (oh, ow) = (out.h, out.w);
+        let kd = (k - 1) / stride;
+        let phases = k.min(stride);
+        let (wq, hq) = (ow + kd, oh + kd);
+        let plen = hq * wq + kd;
+        let ncp = (s.c / conv.groups()).div_ceil(2);
+        let sub_planes = phases * phases;
+        let offsets = (0..k * k)
+            .flat_map(|tap| {
+                let (ky, kx) = (tap / k, tap % k);
+                let phase = (ky % stride) * phases + kx % stride;
+                let shift = (ky / stride) * wq + kx / stride;
+                (0..ncp).map(move |cp| ((cp * sub_planes + phase) * plen + shift) * 2)
+            })
+            .collect();
+        let xspans = valid_spans(s.w, ow, k, stride, pad);
+        let yspans = valid_spans(s.h, oh, k, stride, pad);
         Self {
-            p8: vec![0; h * w],
-            p4: vec![0; h * w],
-            any8: vec![false; h],
-            any4: vec![false; h],
+            h: s.h,
+            w: s.w,
+            stride,
+            pad,
+            phases,
+            wq,
+            hq,
+            plen,
+            lanes: oh * wq,
+            ow,
+            plane_len: ncp * sub_planes * plen * 2,
+            offsets,
+            xuses: axis_uses(s.w, &xspans, stride, pad),
+            yuses: axis_uses(s.h, &yspans, stride, pad),
         }
     }
+}
 
-    /// Quantizes channel `x` under `aq` and splits it by `mask`. Pixels
-    /// map to regions through a column-to-region table and one region-row
-    /// slice per input row.
-    ///
-    /// Returns the channel's INT8 tap count. The taps reading pixel
-    /// `(iy, ix)` number `yuses[iy] · xuses[ix]`, so each sensitive region
-    /// adds the product of its row and column usage sums.
-    fn split(
-        &mut self,
-        x: &[f32],
-        aq: &QuantParams,
-        mask: &MaskMap,
-        (xuses, yuses): (&[u64], &[u64]),
-    ) -> u64 {
-        let grid = mask.grid();
-        let (w, cols) = (grid.width(), grid.cols());
-        let col_region: Vec<usize> = (0..w).map(|xx| grid.region_of(0, xx).1).collect();
-        let mut col_uses = vec![0u64; cols];
-        for (&rc, &u) in col_region.iter().zip(xuses) {
+/// A mask grid's tables for one plane geometry: the region row of each
+/// input row and the region column of each input column, and the usage
+/// sums of each region row and column (taps reading its pixels).
+struct GridTables {
+    grid: RegionGrid,
+    row_region: Vec<usize>,
+    col_region: Vec<usize>,
+    row_uses: Vec<u64>,
+    col_uses: Vec<u64>,
+}
+
+impl GridTables {
+    fn new(grid: RegionGrid, geo: &PlaneGeometry) -> Self {
+        let row_region: Vec<usize> = (0..grid.height()).map(|y| grid.region_of(y, 0).0).collect();
+        let col_region: Vec<usize> = (0..grid.width()).map(|x| grid.region_of(0, x).1).collect();
+        let mut row_uses = vec![0u64; grid.rows()];
+        for (&rr, &u) in row_region.iter().zip(&geo.yuses) {
+            row_uses[rr] += u;
+        }
+        let mut col_uses = vec![0u64; grid.cols()];
+        for (&rc, &u) in col_region.iter().zip(&geo.xuses) {
             col_uses[rc] += u;
         }
-        let mut row_uses = vec![0u64; grid.rows()];
-        for (y, &u) in yuses.iter().enumerate() {
-            row_uses[grid.region_of(y, 0).0] += u;
-        }
-        let bits = mask.bits();
-        let planes = self.p8.chunks_exact_mut(w).zip(self.p4.chunks_exact_mut(w));
-        for (y, (row, (row8, row4))) in x.chunks_exact(w).zip(planes).enumerate() {
-            let region_row = &bits[grid.region_of(y, 0).0 * cols..][..cols];
-            self.any8[y] = region_row.contains(&true);
-            self.any4[y] = region_row.contains(&false);
-            for (((&v, d8), d4), &rc) in row.iter().zip(row8).zip(row4).zip(&col_region) {
-                let q = aq.quantize_value(v) as i8;
-                let sensitive = region_row[rc];
-                *d8 = if sensitive { q } else { 0 };
-                *d4 = if sensitive { 0 } else { q >> 4 };
-            }
-        }
-        bits.iter()
+        Self { grid, row_region, col_region, row_uses, col_uses }
+    }
+
+    /// The INT8 tap count of a channel under `mask`. The taps reading pixel
+    /// `(iy, ix)` number `yuses[iy] · xuses[ix]`, so each sensitive region
+    /// adds the product of its row and column usage sums.
+    fn int8_taps(&self, mask: &MaskMap) -> u64 {
+        let cols = self.grid.cols();
+        mask.bits()
+            .iter()
             .enumerate()
             .filter(|&(_, &b)| b)
-            .map(|(i, _)| row_uses[i / cols] * col_uses[i % cols])
+            .map(|(i, _)| self.row_uses[i / cols] * self.col_uses[i % cols])
             .sum()
     }
 }
 
-/// `dst[j] = src[j · stride]`: a plain slice copy at stride 1.
-fn gather(dst: &mut [i8], src: &[i8], stride: usize) {
-    if stride == 1 {
-        dst.copy_from_slice(&src[..dst.len()]);
+/// One thread's work-item buffers, kept across items and calls so that a
+/// worker does not fault in fresh pages for every image.
+#[derive(Default)]
+struct Scratch {
+    /// `P8`: INT8 code of each sensitive pixel, zero elsewhere.
+    p8: Vec<i16>,
+    /// `P4`: INT4 code (`q >> 4`) of each insensitive pixel, zero elsewhere.
+    p4: Vec<i16>,
+    acc8: Vec<i32>,
+    acc4: Vec<i32>,
+    /// The codes of each channel of a pair (`[h, w]`).
+    codes: [Vec<i16>; 2],
+    /// Per channel of a pair, the current region row's column mask: −1
+    /// (all ones) where sensitive, 0 elsewhere.
+    sensitive: [Vec<i16>; 2],
+    /// Tables of the mask grids seen in the current item.
+    tables: Vec<GridTables>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+impl Scratch {
+    /// Sizes the buffers for one item of geometry `geo` and `cpg_out`
+    /// output channels per group, and zeroes the planes (a lane no pixel
+    /// lands on is padding and must read zero).
+    fn reset(&mut self, geo: &PlaneGeometry, cpg_out: usize) {
+        let (h, w) = (geo.h, geo.w);
+        for plane in [&mut self.p8, &mut self.p4] {
+            plane.clear();
+            plane.resize(geo.plane_len, 0);
+        }
+        for acc in [&mut self.acc8, &mut self.acc4] {
+            acc.resize(cpg_out * geo.lanes, 0);
+        }
+        for codes in &mut self.codes {
+            codes.clear();
+            codes.resize(h * w, 0);
+        }
+        for row in &mut self.sensitive {
+            row.clear();
+            row.resize(w, 0);
+        }
+        self.tables.clear();
+    }
+
+    /// Index into `tables` of `grid`'s tables, built on first use.
+    fn tables_for(&mut self, grid: RegionGrid, geo: &PlaneGeometry) -> usize {
+        match self.tables.iter().position(|t| t.grid == grid) {
+            Some(i) => i,
+            None => {
+                self.tables.push(GridTables::new(grid, geo));
+                self.tables.len() - 1
+            }
+        }
+    }
+
+    /// Quantizes the channels of pair `cp` (`chans[1]` is `None` for the
+    /// zero channel of an odd group) under `aq`, splits each by its mask
+    /// and writes both into the pair's lanes of `P8` and `P4`. Every lane a
+    /// pixel lands on is rewritten, so the planes need no clearing between
+    /// groups. Returns the pair's INT8 tap count.
+    fn split_pair(
+        &mut self,
+        geo: &PlaneGeometry,
+        aq: &QuantParams,
+        cp: usize,
+        chans: [Option<(&[f32], &MaskMap)>; 2],
+    ) -> u64 {
+        let (s, pad, phases, w) = (geo.stride, geo.pad, geo.phases, geo.w);
+        let mut tables = [0usize; 2];
+        // The region row each `sensitive` mask was built for.
+        let mut mask_row = [usize::MAX; 2];
+        let mut c8 = 0;
+        for (e, chan) in chans.iter().enumerate() {
+            match chan {
+                Some((x, mask)) => {
+                    tables[e] = self.tables_for(mask.grid(), geo);
+                    c8 += self.tables[tables[e]].int8_taps(mask);
+                    for (q, &v) in self.codes[e].iter_mut().zip(*x) {
+                        *q = aq.quantize_value(v) as i16;
+                    }
+                }
+                None => {
+                    self.codes[e].fill(0);
+                    self.sensitive[e].fill(0);
+                }
+            }
+        }
+        let pair_base = cp * phases * phases * geo.plen;
+        for iy in 0..geo.h {
+            let (py, ry) = ((iy + pad) / s, (iy + pad) % s);
+            if ry >= phases || py >= geo.hq {
+                continue; // no tap reads this row
+            }
+            for (e, chan) in chans.iter().enumerate() {
+                let Some((_, mask)) = chan else { continue };
+                let t = &self.tables[tables[e]];
+                let rr = t.row_region[iy];
+                if rr != mask_row[e] {
+                    mask_row[e] = rr;
+                    let row_bits = &mask.bits()[rr * t.grid.cols()..][..t.grid.cols()];
+                    for (m, &rc) in self.sensitive[e].iter_mut().zip(&t.col_region) {
+                        *m = -i16::from(row_bits[rc]);
+                    }
+                }
+            }
+            let row = |e: usize| (&self.codes[e][iy * w..(iy + 1) * w], &self.sensitive[e][..]);
+            let src = [row(0), row(1)];
+            for rx in 0..phases {
+                // Columns `ix = px·s + rx − pad` for `px` in `px0..px1`.
+                let px0 = pad.saturating_sub(rx).div_ceil(s);
+                let px1 = (w + pad).saturating_sub(rx).div_ceil(s).min(geo.wq);
+                if px0 >= px1 {
+                    continue;
+                }
+                let ix0 = px0 * s + rx - pad;
+                let lane0 = pair_base + (ry * phases + rx) * geo.plen + py * geo.wq + px0;
+                let lanes = 2 * lane0..2 * (lane0 + px1 - px0);
+                let src = src.map(|(q, m)| (&q[ix0..], &m[ix0..]));
+                scatter(&mut self.p8[lanes.clone()], &mut self.p4[lanes], src, s);
+            }
+        }
+        c8
+    }
+}
+
+/// Writes the codes `q` of a channel pair, one column every `step`, into
+/// the pair's `P8` lanes where the mask `m` is −1 (sensitive) and their
+/// `>> 4` into its `P4` lanes where it is 0, and zero into the other.
+fn scatter(p8: &mut [i16], p4: &mut [i16], [(q0, m0), (q1, m1)]: [(&[i16], &[i16]); 2], step: usize) {
+    let lanes = p8.chunks_exact_mut(2).zip(p4.chunks_exact_mut(2));
+    let split = |(d8, d4): (&mut [i16], &mut [i16]), [q0, m0, q1, m1]: [i16; 4]| {
+        d8[0] = q0 & m0;
+        d8[1] = q1 & m1;
+        d4[0] = (q0 >> 4) & !m0;
+        d4[1] = (q1 >> 4) & !m1;
+    };
+    if step == 1 {
+        let src = q0.iter().zip(m0).zip(q1.iter().zip(m1));
+        for (lane, ((&q0, &m0), (&q1, &m1))) in lanes.zip(src) {
+            split(lane, [q0, m0, q1, m1]);
+        }
     } else {
-        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-            *d = v;
+        for (i, lane) in lanes.enumerate() {
+            let j = i * step;
+            split(lane, [q0[j], m0[j], q1[j], m1[j]]);
         }
     }
 }
 
-/// The i64 copy of an i32 GEMM result, for the past-the-proof combine.
-fn widen(acc: &Tensor<i32>) -> Vec<i64> {
-    acc.as_slice().iter().map(|&v| v.into()).collect()
-}
-
 /// Dequantizes one group's accumulators with fused bias:
 /// `(a8 + 256·a4) as f32 · dequant + b`, with `a8 = 0` when the INT8
-/// GEMM was skipped.
+/// GEMM was skipped. Accumulator rows are `oh · wq` lanes, of which each
+/// output row keeps its first `ow`.
 fn dequantize<A: Copy + Into<i64>>(
     out: &mut [f32],
     acc8: Option<&[A]>,
     acc4: &[A],
     bias: &[f32],
     dequant: f32,
+    geo: &PlaneGeometry,
 ) {
+    let (ow, wq) = (geo.ow, geo.wq);
     let npix = out.len() / bias.len();
-    let rows = out.chunks_exact_mut(npix).zip(acc4.chunks_exact(npix)).zip(bias);
+    let rows = out.chunks_exact_mut(npix).zip(acc4.chunks_exact(geo.lanes)).zip(bias);
     for (oc, ((orow, a4row), &b)) in rows.enumerate() {
-        let a8row = acc8.map(|acc8| &acc8[oc * npix..(oc + 1) * npix]);
-        for (j, (o, &a4)) in orow.iter_mut().zip(a4row).enumerate() {
-            let a8 = a8row.map_or(0, |a8row| a8row[j].into());
-            *o = (a8 + 256 * a4.into()) as f32 * dequant + b;
-        }
-    }
-}
-
-/// One work item: one image `x` (`[c, h, w]`) of an input of shape `s`,
-/// its request's activation parameters `aq` and its per-channel masks.
-/// Per channel group, quantizes and splits each channel, fills the masked
-/// im2col operands by row slices, runs the INT4 GEMM and (if any tap is
-/// sensitive) the INT8 GEMM, and dequantizes. Returns the image's output
-/// (`[c_out, oh, ow]`, flattened) and its MAC split.
-fn image(
-    conv: &Conv2d,
-    plan: &ConvPlan,
-    s: Shape4,
-    x: &[f32],
-    aq: &QuantParams,
-    masks: &[MaskMap],
-) -> (Vec<f32>, ConvOpCounts) {
-    let k = conv.kernel();
-    let stride = conv.stride();
-    let pad = conv.padding();
-    let groups = conv.groups();
-    let cpg_in = s.c / groups;
-    let cpg_out = conv.out_channels() / groups;
-    let bias = conv.bias().as_slice();
-    let dequant = aq.scale() * plan.wq8.scale();
-    let wtaps = plan.wtaps;
-    let out_shape = conv.output_shape(s);
-    let (oh, ow) = (out_shape.h, out_shape.w);
-    let npix = oh * ow;
-    let plane = s.h * s.w;
-    let xspans = valid_spans(s.w, ow, k, stride, pad);
-    let yspans = valid_spans(s.h, oh, k, stride, pad);
-    let xuses = axis_uses(s.w, &xspans, stride, pad);
-    let yuses = axis_uses(s.h, &yspans, stride, pad);
-
-    let mut x8_g = Tensor::<i8>::zeros(&[wtaps, npix]);
-    let mut x4_g = Tensor::<i8>::zeros(&[wtaps, npix]);
-    let mut planes = SplitPlanes::new(s.h, s.w);
-    let mut oimg = vec![0.0f32; conv.out_channels() * npix];
-    let mut counts = ConvOpCounts::default();
-    let macs = (cpg_out * wtaps * npix) as u64;
-    for g in 0..groups {
-        if g > 0 {
-            x8_g.as_mut_slice().fill(0);
-            x4_g.as_mut_slice().fill(0);
-        }
-        // Masked im2col: per (ic, ky, kx) tap row, copy the in-bounds
-        // output-column interval of each in-bounds output row from the
-        // channel's split planes. Padding taps stay zero in both operands
-        // and count as INT4; a source row with no pixel of a class adds
-        // nothing to that class's operand, so its copy is skipped.
-        let mut c8 = 0u64;
-        let (x8s, x4s) = (x8_g.as_mut_slice(), x4_g.as_mut_slice());
-        for ic_local in 0..cpg_in {
-            let ic = g * cpg_in + ic_local;
-            let xc = &x[ic * plane..(ic + 1) * plane];
-            c8 += planes.split(xc, aq, &masks[ic], (&xuses, &yuses));
-            for (ky, ys) in yspans.iter().enumerate() {
-                for (kx, xs) in xspans.iter().enumerate().filter(|(_, xs)| !xs.is_empty()) {
-                    let row = ((ic_local * k + ky) * k + kx) * npix;
-                    let ix0 = xs.start * stride + kx - pad;
-                    for oy in ys.clone() {
-                        let iy = oy * stride + ky - pad;
-                        let src = iy * s.w + ix0;
-                        let dst = row + oy * ow + xs.start..row + oy * ow + xs.end;
-                        if planes.any8[iy] {
-                            gather(&mut x8s[dst.clone()], &planes.p8[src..], stride);
-                        }
-                        if planes.any4[iy] {
-                            gather(&mut x4s[dst], &planes.p4[src..], stride);
-                        }
+        let a8row = acc8.map(|acc8| &acc8[oc * geo.lanes..][..geo.lanes]);
+        for (oy, o) in orow.chunks_exact_mut(ow).enumerate() {
+            let a4 = &a4row[oy * wq..][..ow];
+            match a8row {
+                Some(a8row) => {
+                    let a8 = &a8row[oy * wq..][..ow];
+                    for ((o, &x8), &x4) in o.iter_mut().zip(a8).zip(a4) {
+                        *o = (x8.into() + 256 * x4.into()) as f32 * dequant + b;
+                    }
+                }
+                None => {
+                    for (o, &x4) in o.iter_mut().zip(a4) {
+                        *o = (256 * x4.into()) as f32 * dequant + b;
                     }
                 }
             }
         }
-        counts.int8_macs += c8 * cpg_out as u64;
-        counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
-
-        // An all-zero X8 has an exactly-zero product: skip its GEMM. The
-        // GEMM counters record only the calls that run.
-        let run8 = c8 > 0;
-        if run8 {
-            counter_add!("kernel/int8_gemm_calls", 1);
-            counter_add!("kernel/int8_gemm_macs", macs);
-        }
-        counter_add!("kernel/int4_gemm_calls", 1);
-        counter_add!("kernel/int4_gemm_macs", macs);
-        let group_out = &mut oimg[g * cpg_out * npix..(g + 1) * cpg_out * npix];
-        let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
-        if plan.wide8 || plan.wide4 {
-            // Depth past the range proof: exact i64 accumulation.
-            let acc8 = run8.then(|| {
-                if plan.wide8 {
-                    counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
-                    int8_matmul_wide(&plan.w8_groups[g], &x8_g).into_vec()
-                } else {
-                    widen(&int8_matmul(&plan.w8_groups[g], &x8_g))
-                }
-            });
-            let acc4: Vec<i64> = if plan.wide4 {
-                counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
-                int8_matmul_wide(&plan.w4_groups[g].unpack(), &x4_g).into_vec()
-            } else {
-                widen(&int4_matmul(&plan.w4_groups[g], &x4_g))
-            };
-            dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant);
-        } else {
-            // Proven i32-safe: dequantize straight from the i32 results.
-            let acc8 = run8.then(|| int8_matmul(&plan.w8_groups[g], &x8_g));
-            let acc4 = int4_matmul(&plan.w4_groups[g], &x4_g);
-            let acc8 = acc8.as_ref().map(Tensor::as_slice);
-            dequantize(group_out, acc8, acc4.as_slice(), group_bias, dequant);
-        }
     }
-    (oimg, counts)
+}
+
+/// One work item: one image `x` (`[c, h, w]`), its request's plane
+/// geometry `geo` and activation parameters `aq`, and its per-channel
+/// masks. Per channel group, quantizes and splits each channel pair into
+/// the planes, runs the INT4 GEMM and (if any tap is sensitive) the INT8
+/// GEMM through the plane offsets, and dequantizes into `out`
+/// (`[c_out, oh, ow]`, flattened). Returns the image's MAC split.
+fn image(
+    conv: &Conv2d,
+    plan: &ConvPlan,
+    geo: &PlaneGeometry,
+    x: &[f32],
+    aq: &QuantParams,
+    masks: &[MaskMap],
+    out: &mut [f32],
+) -> ConvOpCounts {
+    let groups = conv.groups();
+    let cpg_in = conv.in_channels() / groups;
+    let cpg_out = conv.out_channels() / groups;
+    let bias = conv.bias().as_slice();
+    let dequant = aq.scale() * plan.wq8.scale();
+    let wtaps = plan.wtaps;
+    let npix = out.len() / conv.out_channels();
+    let plane = x.len() / conv.in_channels();
+    let n = geo.lanes;
+    let macs = (cpg_out * wtaps * npix) as u64;
+    let mut counts = ConvOpCounts::default();
+    SCRATCH.with(|scratch| {
+        let sc = &mut *scratch.borrow_mut();
+        sc.reset(geo, cpg_out);
+        for g in 0..groups {
+            let chan = |c: usize| {
+                let ic = g * cpg_in + c;
+                (c < cpg_in).then(|| (&x[ic * plane..(ic + 1) * plane], &masks[ic]))
+            };
+            let c8: u64 = (0..cpg_in.div_ceil(2))
+                .map(|cp| sc.split_pair(geo, aq, cp, [chan(2 * cp), chan(2 * cp + 1)]))
+                .sum();
+            counts.int8_macs += c8 * cpg_out as u64;
+            counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
+
+            // No sensitive tap means `P8` is zero under every tap: skip its
+            // GEMM. The GEMM counters record only the calls that run.
+            let run8 = c8 > 0;
+            if run8 {
+                counter_add!("kernel/int8_gemm_calls", 1);
+                counter_add!("kernel/int8_gemm_macs", macs);
+            }
+            counter_add!("kernel/int4_gemm_calls", 1);
+            counter_add!("kernel/int4_gemm_macs", macs);
+            let group_out = &mut out[g * cpg_out * npix..(g + 1) * cpg_out * npix];
+            let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
+            let (w8, w4) = (&plan.w8_groups[g], &plan.w4_groups[g]);
+            if plan.wide8 || plan.wide4 {
+                // Depth past the range proof: exact i64 accumulation.
+                let acc8 = run8.then(|| {
+                    counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
+                    let mut acc = vec![0i64; cpg_out * n];
+                    int_gemm_indirect_wide(w8, &sc.p8, &geo.offsets, n, &mut acc);
+                    acc
+                });
+                counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
+                let mut acc4 = vec![0i64; cpg_out * n];
+                int_gemm_indirect_wide(w4, &sc.p4, &geo.offsets, n, &mut acc4);
+                dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant, geo);
+            } else {
+                // Proven i32-safe: dequantize straight from the i32 results.
+                int_gemm_indirect(w4, &sc.p4, &geo.offsets, n, &mut sc.acc4);
+                if run8 {
+                    int_gemm_indirect(w8, &sc.p8, &geo.offsets, n, &mut sc.acc8);
+                }
+                let acc8 = run8.then_some(&sc.acc8[..]);
+                dequantize(group_out, acc8, &sc.acc4, group_bias, dequant, geo);
+            }
+        }
+    });
+    counts
 }
 
 /// Builds per-image, per-channel masks that are uniformly sensitive (all

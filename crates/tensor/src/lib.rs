@@ -44,7 +44,8 @@ pub use error::ShapeError;
 pub use im2col::{col2im_accumulate, col2im_accumulate_into, im2col, im2col_into, Im2ColLayout};
 pub use init::{he_normal, uniform, XorShiftRng};
 pub use int_ops::{
-    int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_kernel_name, Int4Packed,
+    int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_gemm_indirect,
+    int_gemm_indirect_wide, int_kernel_name, Int4Packed, PackedLhs,
 };
 pub use ops::{gemm, matmul, matmul_reference, Rhs};
 pub use shape::{conv_out_dim, try_conv_out_dim, Shape4};

@@ -408,6 +408,12 @@ impl ConvCase {
     /// Whether the geometry is accepted by `Conv2d` and stays within the
     /// bit-exact GEMM-depth bound.
     pub fn is_valid(&self) -> bool {
+        self.is_valid_geometry() && self.cpg_in * self.k * self.k <= BIT_EXACT_MAX_K
+    }
+
+    /// Whether `Conv2d` accepts the geometry, at any GEMM depth (the
+    /// integer lowering is exact at every depth).
+    pub fn is_valid_geometry(&self) -> bool {
         self.batch >= 1
             && self.cpg_in >= 1
             && self.cpg_out >= 1
@@ -418,7 +424,6 @@ impl ConvCase {
             && self.w >= 1
             && self.h + 2 * self.pad >= self.k
             && self.w + 2 * self.pad >= self.k
-            && self.cpg_in * self.k * self.k <= BIT_EXACT_MAX_K
     }
 
     /// Materializes the layer and its input.
@@ -439,7 +444,11 @@ impl ConvCase {
 
     /// Shrink candidates, all validity-filtered.
     pub fn shrink(&self) -> Vec<Self> {
-        let ok = Self::is_valid;
+        self.shrink_where(Self::is_valid)
+    }
+
+    /// Shrink candidates accepted by `ok`.
+    fn shrink_where(&self, ok: fn(&Self) -> bool) -> Vec<Self> {
         let min_hw = 1.max(self.k.saturating_sub(2 * self.pad));
         let mut out = Vec::new();
         shrink_field(&mut out, shrink_usize(self.batch, 1), |batch| Self { batch, ..*self }, ok);
@@ -513,6 +522,29 @@ impl MixedConvCase {
         }
     }
 
+    /// Generates a case with wide channel groups for the integer lowering:
+    /// up to 20 output and 40 input channels per group (odd counts
+    /// included), kernels 1–5, strides 1–3, groups 1–3 and widths up to
+    /// 40. Reduction depths (`cpg_in·k²`, up to 1000) cross the kernel's
+    /// 256-deep panels, full 4-row tiles meet grouped and stride-3 layers,
+    /// and output rows cross a 32-lane strip. One image, at most 10 rows,
+    /// keeps the tap-loop oracle cheap.
+    pub fn arbitrary_wide(rng: &mut XorShiftRng) -> Self {
+        let mut case = Self::arbitrary(rng);
+        let c = &mut case.conv;
+        c.batch = 1;
+        c.cpg_in = 1 + rng.next_below(40);
+        c.cpg_out = 1 + rng.next_below(20);
+        c.groups = 1 + rng.next_below(3);
+        c.k = 1 + rng.next_below(5);
+        c.stride = 1 + rng.next_below(3);
+        let min_hw = 1.max(c.k.saturating_sub(2 * c.pad));
+        c.h = min_hw + rng.next_below(11 - min_hw);
+        c.w = min_hw + rng.next_below(41 - min_hw);
+        debug_assert!(c.is_valid_geometry());
+        case
+    }
+
     /// Materializes the per-image, per-channel masks for input shape `s`.
     pub fn build_masks(&self, s: Shape4) -> Vec<Vec<MaskMap>> {
         let grid = RegionGrid::new(s.h, s.w, RegionSize::new(self.region_x, self.region_y));
@@ -537,9 +569,20 @@ impl MixedConvCase {
     /// Shrink candidates: the inner conv case, the region extents, and the
     /// mask kind.
     pub fn shrink(&self) -> Vec<Self> {
-        let ok = |c: &Self| c.conv.is_valid() && c.region_x >= 1 && c.region_y >= 1;
+        self.shrink_where(ConvCase::is_valid)
+    }
+
+    /// Shrink candidates of an [`MixedConvCase::arbitrary_wide`] case: as
+    /// [`MixedConvCase::shrink`], at any reduction depth.
+    pub fn shrink_wide(&self) -> Vec<Self> {
+        self.shrink_where(ConvCase::is_valid_geometry)
+    }
+
+    /// Shrink candidates whose conv case `valid` accepts.
+    fn shrink_where(&self, valid: fn(&ConvCase) -> bool) -> Vec<Self> {
+        let ok = |c: &Self| valid(&c.conv) && c.region_x >= 1 && c.region_y >= 1;
         let mut out = Vec::new();
-        shrink_field(&mut out, self.conv.shrink(), |conv| Self { conv, ..*self }, ok);
+        shrink_field(&mut out, self.conv.shrink_where(valid), |conv| Self { conv, ..*self }, ok);
         shrink_field(&mut out, shrink_usize(self.region_x, 1), |region_x| Self { region_x, ..*self }, ok);
         shrink_field(&mut out, shrink_usize(self.region_y, 1), |region_y| Self { region_y, ..*self }, ok);
         shrink_field(&mut out, self.mask_kind.shrink(), |mask_kind| Self { mask_kind, ..*self }, ok);
@@ -1864,6 +1907,25 @@ mod tests {
                 assert!(cand.conv.is_valid());
             }
         }
+    }
+
+    #[test]
+    fn wide_mixed_conv_cases_reach_deep_grouped_and_strided_layers() {
+        let mut r = rng();
+        let (mut deep, mut grouped_s3_full_tile, mut wide_rows) = (0, 0, 0);
+        for _ in 0..200 {
+            let c = MixedConvCase::arbitrary_wide(&mut r);
+            let conv = c.conv;
+            assert!(conv.is_valid_geometry(), "{c:?}");
+            assert!(conv.cpg_in <= 40 && conv.cpg_out <= 20 && conv.w <= 40, "{c:?}");
+            deep += usize::from(conv.cpg_in * conv.k * conv.k > BIT_EXACT_MAX_K);
+            grouped_s3_full_tile += usize::from(conv.groups > 1 && conv.stride == 3 && conv.cpg_out >= 4);
+            wide_rows += usize::from(conv.w > 32);
+            for cand in c.shrink_wide() {
+                assert!(cand.conv.is_valid_geometry(), "{c:?} shrank to invalid {cand:?}");
+            }
+        }
+        assert!(deep > 0 && grouped_s3_full_tile > 0 && wide_rows > 0);
     }
 
     #[test]

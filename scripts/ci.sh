@@ -42,8 +42,10 @@ echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential
 
 echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
-# The mixed_conv families assert bit-exactness against the tap-loop oracle,
-# the int families against the exact-i64 GEMM oracle, the sim_host family
+# The mixed_conv families assert bit-exactness against the tap-loop oracle
+# (wide_channel_conv on groups of up to 40 input channels, whose reductions
+# cross the integer kernel's panels), the int families against the
+# exact-i64 GEMM oracle, the sim_host family
 # the simulator's synthesis, predictor and cycle-model fast paths against
 # their pixel-by-pixel oracles, conv_backward the fp32 conv's gradients
 # against the naive backward, and f32_gemm the transposed-operand GEMM
@@ -53,7 +55,7 @@ echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
 # of passing vacuously.
 SWEEP_LOG=$(mktemp)
 for t in 1 2 auto; do
-    for filter in mixed_conv int sim_host conv_backward f32_gemm; do
+    for filter in mixed_conv wide_channel_conv int sim_host conv_backward f32_gemm; do
         echo "-- DRQ_THREADS=$t, filter $filter --"
         if [ "$t" = auto ]; then
             RUSTFLAGS="$CI_RUSTFLAGS" \

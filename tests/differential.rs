@@ -512,6 +512,66 @@ fn mixed_conv_group_members_match_their_own_oracle() {
     parallel::set_max_threads(0);
 }
 
+#[test]
+fn wide_channel_conv_matches_oracle_bitwise_across_thread_counts() {
+    // `MixedConvCase::arbitrary` draws 1-3 channels per group; these cases
+    // draw up to 40 in and 20 out (odd counts included), so reduction
+    // depths cross the kernel's 256-deep panels, full 4-row tiles meet
+    // grouped and stride-3 layers, and rows cross a 32-lane strip.
+    let _serial = thread_count_lock();
+    kit().check(
+        "wide channel groups == tap-loop oracle",
+        MixedConvCase::arbitrary_wide,
+        MixedConvCase::shrink_wide,
+        |c| {
+            let (conv, x) = c.conv.build();
+            let masks = c.build_masks(c.conv.input_shape());
+            let want = mixed_conv_naive(&conv, &x, &masks);
+            at_thread_counts(|threads| {
+                let got = mixed_conv(&conv, &x, &masks);
+                assert_matches_oracle(&got, &want, &format!("{threads} threads"))
+            })
+        },
+    );
+    parallel::set_max_threads(0);
+}
+
+#[test]
+fn mixed_conv_i64_path_matches_oracle_past_the_i32_proof() {
+    // A 1x1 conv over 196,608 input channels on a 2x3 map: past the INT8
+    // proof's 131,071-deep bound, so both products accumulate in i64.
+    // Image 0 is constant and output channel 0's weights are all equal, so
+    // every code there is 127 and an all-sensitive sum (196,608·127²)
+    // overflows i32: a wrapping path could not match the oracle.
+    let depth = 3 << 16;
+    assert_eq!(
+        drq::quant::analyze_gemm(drq::quant::Precision::Int8, drq::quant::Precision::Int8, depth).width,
+        drq::quant::AccumWidth::I64
+    );
+    let mut conv = drq::nn::Conv2d::new(depth, 2, 1, 1, 0, 61);
+    conv.weight_mut().as_mut_slice()[..depth].fill(0.5);
+    let mut rng = XorShiftRng::new(62);
+    let x = Tensor::from_fn(&[2, depth, 2, 3], |i| if i < depth * 6 { 1.0 } else { rng.next_f32() });
+    let s = x.shape4().unwrap();
+    let grid = drq::core::RegionGrid::new(2, 3, RegionSize::new(1, 1));
+    let alternating: Vec<Vec<MaskMap>> = (0..2)
+        .map(|n| {
+            (0..depth)
+                .map(|c| MaskMap::from_bits(grid, (0..6).map(|p| (p + c + n) % 3 == 0).collect()))
+                .collect()
+        })
+        .collect();
+    for (label, masks) in [
+        ("all sensitive", drq::core::uniform_masks(s, true)),
+        ("all insensitive", drq::core::uniform_masks(s, false)),
+        ("mixed", alternating),
+    ] {
+        let want = mixed_conv_naive(&conv, &x, &masks);
+        let got = mixed_conv(&conv, &x, &masks);
+        assert_matches_oracle(&got, &want, label).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 /// A post-ReLU-like activation with brighter blobs, so that 4×4 region
 /// means land on both sides of the predictor threshold.
 fn blobby_activation(shape: [usize; 4], seed: u64) -> Tensor<f32> {
