@@ -1,7 +1,6 @@
 //! Mixed-precision convolution (Section III-C).
 
 use crate::{MaskMap, RegionGrid};
-use std::cell::RefCell;
 use drq_nn::Conv2d;
 use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams};
 use drq_telemetry::counter_add;
@@ -460,10 +459,8 @@ impl GridTables {
     }
 }
 
-/// One thread's work-item buffers, kept across items and calls so that a
-/// worker does not fault in fresh pages for every image.
-#[derive(Default)]
-struct Scratch {
+/// One work item's buffers, reused across its channel groups.
+struct ItemBuffers {
     /// `P8`: INT8 code of each sensitive pixel, zero elsewhere.
     p8: Vec<i16>,
     /// `P4`: INT4 code (`q >> 4`) of each insensitive pixel, zero elsewhere.
@@ -479,32 +476,21 @@ struct Scratch {
     tables: Vec<GridTables>,
 }
 
-thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-}
-
-impl Scratch {
-    /// Sizes the buffers for one item of geometry `geo` and `cpg_out`
-    /// output channels per group, and zeroes the planes (a lane no pixel
-    /// lands on is padding and must read zero).
-    fn reset(&mut self, geo: &PlaneGeometry, cpg_out: usize) {
+impl ItemBuffers {
+    /// Buffers for one item of geometry `geo` and `cpg_out` output channels
+    /// per group. The planes start zeroed: a lane no pixel lands on is
+    /// padding and must read zero.
+    fn new(geo: &PlaneGeometry, cpg_out: usize) -> Self {
         let (h, w) = (geo.h, geo.w);
-        for plane in [&mut self.p8, &mut self.p4] {
-            plane.clear();
-            plane.resize(geo.plane_len, 0);
+        Self {
+            p8: vec![0; geo.plane_len],
+            p4: vec![0; geo.plane_len],
+            acc8: vec![0; cpg_out * geo.lanes],
+            acc4: vec![0; cpg_out * geo.lanes],
+            codes: [vec![0; h * w], vec![0; h * w]],
+            sensitive: [vec![0; w], vec![0; w]],
+            tables: Vec::new(),
         }
-        for acc in [&mut self.acc8, &mut self.acc4] {
-            acc.resize(cpg_out * geo.lanes, 0);
-        }
-        for codes in &mut self.codes {
-            codes.clear();
-            codes.resize(h * w, 0);
-        }
-        for row in &mut self.sensitive {
-            row.clear();
-            row.resize(w, 0);
-        }
-        self.tables.clear();
     }
 
     /// Index into `tables` of `grid`'s tables, built on first use.
@@ -674,55 +660,52 @@ fn image(
     let n = geo.lanes;
     let macs = (cpg_out * wtaps * npix) as u64;
     let mut counts = ConvOpCounts::default();
-    SCRATCH.with(|scratch| {
-        let sc = &mut *scratch.borrow_mut();
-        sc.reset(geo, cpg_out);
-        for g in 0..groups {
-            let chan = |c: usize| {
-                let ic = g * cpg_in + c;
-                (c < cpg_in).then(|| (&x[ic * plane..(ic + 1) * plane], &masks[ic]))
-            };
-            let c8: u64 = (0..cpg_in.div_ceil(2))
-                .map(|cp| sc.split_pair(geo, aq, cp, [chan(2 * cp), chan(2 * cp + 1)]))
-                .sum();
-            counts.int8_macs += c8 * cpg_out as u64;
-            counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
+    let mut bufs = ItemBuffers::new(geo, cpg_out);
+    for g in 0..groups {
+        let chan = |c: usize| {
+            let ic = g * cpg_in + c;
+            (c < cpg_in).then(|| (&x[ic * plane..(ic + 1) * plane], &masks[ic]))
+        };
+        let c8: u64 = (0..cpg_in.div_ceil(2))
+            .map(|cp| bufs.split_pair(geo, aq, cp, [chan(2 * cp), chan(2 * cp + 1)]))
+            .sum();
+        counts.int8_macs += c8 * cpg_out as u64;
+        counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
 
-            // No sensitive tap means `P8` is zero under every tap: skip its
-            // GEMM. The GEMM counters record only the calls that run.
-            let run8 = c8 > 0;
-            if run8 {
-                counter_add!("kernel/int8_gemm_calls", 1);
-                counter_add!("kernel/int8_gemm_macs", macs);
-            }
-            counter_add!("kernel/int4_gemm_calls", 1);
-            counter_add!("kernel/int4_gemm_macs", macs);
-            let group_out = &mut out[g * cpg_out * npix..(g + 1) * cpg_out * npix];
-            let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
-            let (w8, w4) = (&plan.w8_groups[g], &plan.w4_groups[g]);
-            if plan.wide8 || plan.wide4 {
-                // Depth past the range proof: exact i64 accumulation.
-                let acc8 = run8.then(|| {
-                    counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
-                    let mut acc = vec![0i64; cpg_out * n];
-                    int_gemm_indirect_wide(w8, &sc.p8, &geo.offsets, n, &mut acc);
-                    acc
-                });
-                counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
-                let mut acc4 = vec![0i64; cpg_out * n];
-                int_gemm_indirect_wide(w4, &sc.p4, &geo.offsets, n, &mut acc4);
-                dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant, geo);
-            } else {
-                // Proven i32-safe: dequantize straight from the i32 results.
-                int_gemm_indirect(w4, &sc.p4, &geo.offsets, n, &mut sc.acc4);
-                if run8 {
-                    int_gemm_indirect(w8, &sc.p8, &geo.offsets, n, &mut sc.acc8);
-                }
-                let acc8 = run8.then_some(&sc.acc8[..]);
-                dequantize(group_out, acc8, &sc.acc4, group_bias, dequant, geo);
-            }
+        // No sensitive tap means `P8` is zero under every tap: skip its
+        // GEMM. The GEMM counters record only the calls that run.
+        let run8 = c8 > 0;
+        if run8 {
+            counter_add!("kernel/int8_gemm_calls", 1);
+            counter_add!("kernel/int8_gemm_macs", macs);
         }
-    });
+        counter_add!("kernel/int4_gemm_calls", 1);
+        counter_add!("kernel/int4_gemm_macs", macs);
+        let group_out = &mut out[g * cpg_out * npix..(g + 1) * cpg_out * npix];
+        let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
+        let (w8, w4) = (&plan.w8_groups[g], &plan.w4_groups[g]);
+        if plan.wide8 || plan.wide4 {
+            // Depth past the range proof: exact i64 accumulation.
+            let acc8 = run8.then(|| {
+                counter_add!("kernel/int8_gemm_wide_fallbacks", 1);
+                let mut acc = vec![0i64; cpg_out * n];
+                int_gemm_indirect_wide(w8, &bufs.p8, &geo.offsets, n, &mut acc);
+                acc
+            });
+            counter_add!("kernel/int4_gemm_wide_fallbacks", 1);
+            let mut acc4 = vec![0i64; cpg_out * n];
+            int_gemm_indirect_wide(w4, &bufs.p4, &geo.offsets, n, &mut acc4);
+            dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant, geo);
+        } else {
+            // Proven i32-safe: dequantize straight from the i32 results.
+            int_gemm_indirect(w4, &bufs.p4, &geo.offsets, n, &mut bufs.acc4);
+            if run8 {
+                int_gemm_indirect(w8, &bufs.p8, &geo.offsets, n, &mut bufs.acc8);
+            }
+            let acc8 = run8.then_some(&bufs.acc8[..]);
+            dequantize(group_out, acc8, &bufs.acc4, group_bias, dequant, geo);
+        }
+    }
     counts
 }
 
