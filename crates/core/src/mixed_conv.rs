@@ -4,9 +4,7 @@ use crate::{MaskMap, RegionGrid};
 use drq_nn::Conv2d;
 use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams};
 use drq_telemetry::counter_add;
-use drq_tensor::{
-    int_gemm_indirect, int_gemm_indirect_wide, parallel, PackedLhs, Shape4, Tensor,
-};
+use drq_tensor::{int_gemm_indirect, int_gemm_indirect_wide, parallel, PackedLhs, Shape4, Tensor};
 use std::ops::Range;
 
 /// MAC-operation counts of one convolution execution, split by precision.

@@ -101,7 +101,7 @@ fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
     // Realistic depths are proven i32-safe: no wide fallbacks.
     assert_eq!(snap.counter("kernel/int8_gemm_wide_fallbacks"), 0);
 
-    // A third request, all-insensitive over 2 images: its X8 operands are
+    // A third request, all-insensitive over 2 images: its P8 planes are
     // all zero, so its INT8 GEMMs are skipped and left out of the INT8
     // counters, while every item still runs its INT4 GEMMs.
     let c = Tensor::from_fn(&[2, 4, 8, 8], |_| rng.next_normal());
