@@ -94,8 +94,9 @@ pub struct ConvPlan {
     w8_groups: Vec<PackedLhs>,
     /// `W4 = W8 >> 4`, in the same order.
     w4_groups: Vec<PackedLhs>,
+    /// The INT8 product's depth is past the i32 range proof. The INT4
+    /// bound (about 33.5M taps) is the looser one, so this decides both.
     wide8: bool,
-    wide4: bool,
     wtaps: usize,
 }
 
@@ -140,13 +141,11 @@ impl ConvPlan {
         // wrapping-i32 accumulation over `wtaps` MACs cannot lose bits; no
         // per-MAC saturation checks run on the proven path.
         let proof8 = analyze_gemm(Precision::Int8, Precision::Int8, wtaps);
-        let proof4 = analyze_gemm(Precision::Int4, Precision::Int4, wtaps);
         Self {
             wq8,
             w8_groups,
             w4_groups,
             wide8: proof8.width == AccumWidth::I64,
-            wide4: proof4.width == AccumWidth::I64,
             wtaps,
         }
     }
@@ -682,7 +681,7 @@ fn image(
         let group_out = &mut out[g * cpg_out * npix..(g + 1) * cpg_out * npix];
         let group_bias = &bias[g * cpg_out..(g + 1) * cpg_out];
         let (w8, w4) = (&plan.w8_groups[g], &plan.w4_groups[g]);
-        if plan.wide8 || plan.wide4 {
+        if plan.wide8 {
             // Depth past the range proof: exact i64 accumulation.
             let acc8 = run8.then(|| {
                 counter_add!("kernel/int8_gemm_wide_fallbacks", 1);

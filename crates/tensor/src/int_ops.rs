@@ -699,8 +699,8 @@ pub fn int8_matmul(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
 
 /// The wide-accumulator fallback: same operand contract as
 /// [`int8_matmul`] but exact i64 accumulation, for reductions the range
-/// analysis cannot prove safe at i32. Scalar only — correctness over
-/// speed.
+/// analysis cannot prove safe at i32. Runs [`int_gemm_indirect_wide`] on
+/// `b`'s row pairs.
 ///
 /// # Panics
 ///
@@ -708,22 +708,11 @@ pub fn int8_matmul(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i32> {
 pub fn int8_matmul_wide(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i64> {
     let (m, k, n) = check_gemm_shapes(a, b);
     let mut out = Tensor::<i64>::zeros(&[m, n]);
-    if m == 0 || k == 0 || n == 0 {
-        return out;
+    if m > 0 && n > 0 {
+        let lhs = PackedLhs::pack(a.as_slice(), m, k);
+        let (pairs, offsets) = pack_row_pairs(b.as_slice(), n);
+        int_gemm_indirect_wide(&lhs, &pairs, &offsets, n, out.as_mut_slice());
     }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    parallel::for_each_chunk_mut(out.as_mut_slice(), MC * n, |bi, chunk| {
-        let i0 = bi * MC;
-        for (i_local, orow) in chunk.chunks_exact_mut(n).enumerate() {
-            let arow = &av[(i0 + i_local) * k..][..k];
-            for (&aik, brow) in arow.iter().zip(bv.chunks_exact(n)) {
-                let aik = aik as i64;
-                for (o, &bb) in orow.iter_mut().zip(brow.iter()) {
-                    *o += aik * bb as i64;
-                }
-            }
-        }
-    });
     out
 }
 
