@@ -15,6 +15,10 @@
 //!   (isolates the blocking/packing win);
 //! - `gemm_blocked_ms`  — the same kernel at full `DRQ_THREADS`.
 //!
+//! `im2col_ms` and `col2im_ms` time the column-matrix transform and its
+//! adjoint for 8 images of 32×56×56 (3×3, stride 1, pad 1), each image
+//! into one reused buffer, as the convolutions run them.
+//!
 //! Two fp32 conv rows time `Conv2d::forward` (training mode) and
 //! `Conv2d::backward` separately, each backward after its own untimed
 //! forward (backward consumes the input the forward caches):
@@ -31,16 +35,24 @@
 //! 3x3 s2 p1 on a batch of 8 16x16 maps. `mixed_conv16_int4_frac` is the
 //! 16->16 batch-16 row's share of INT4 MACs.
 //!
+//! `train_step_b16_ms` times one fp32 training step of the Shapes ResNet-8
+//! stand-in at batch 16 (`Network::forward_train`, the loss,
+//! `Network::backward_train` and an SGD step), and `train_step_minflt` is
+//! the median count of minor page faults per step, from
+//! `/proc/self/stat` (0 where that cannot be read).
+//!
 //! Run with `--release`; debug timings are meaningless.
 
 use std::time::Instant;
 
 use drq::core::{CoalesceInput, ConvPlan, MixedPrecisionConv, RegionSize, SensitivityPredictor};
-use drq::nn::Conv2d;
+use drq::models::{default_standin, Dataset, DatasetKind};
+use drq::nn::{Conv2d, CrossEntropyLoss, Sgd};
 use drq::telemetry::Report;
 use drq::tensor::{
-    im2col, int4_matmul, int8_matmul, int8_matmul_reference, int_kernel_name, matmul,
-    matmul_reference, parallel, Im2ColLayout, Int4Packed, Shape4, Tensor, XorShiftRng,
+    col2im_accumulate_into, im2col_into, int4_matmul, int8_matmul, int8_matmul_reference,
+    int_kernel_name, matmul, matmul_reference, parallel, Im2ColLayout, Int4Packed, Shape4, Tensor,
+    XorShiftRng,
 };
 use drq_bench::ObservabilityArgs;
 
@@ -110,6 +122,38 @@ fn mixed_conv_ms(reps: usize, conv: &Conv2d, x: &Tensor<f32>) -> (f64, f64) {
     (ms, counts.int4_fraction())
 }
 
+/// This process's minor page faults so far (field 10 of
+/// `/proc/self/stat`), or `None` where that cannot be read.
+fn minor_faults() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesized command name, which may hold spaces.
+    let rest = &stat[stat.rfind(')')? + 1..];
+    rest.split_whitespace().nth(7)?.parse().ok()
+}
+
+/// Median wall milliseconds and minor faults of one fp32 training step of
+/// the Shapes ResNet-8 at batch 16, after one untimed warm-up step.
+fn train_step(reps: usize) -> (f64, u64) {
+    let data = Dataset::generate(DatasetKind::Shapes, 16, 5);
+    let (x, targets) = data.batch(0, 16);
+    let mut net = default_standin(DatasetKind::Shapes, 5);
+    let mut opt = Sgd::new(0.005).momentum(0.9);
+    let (mut ms, mut faults) = (Vec::new(), Vec::new());
+    for pass in 0..=reps {
+        let f0 = minor_faults();
+        let t0 = Instant::now();
+        let (_, grad) = CrossEntropyLoss::evaluate(net.forward_train(&x), &targets);
+        net.backward_train(&grad);
+        opt.step(&mut net);
+        if pass > 0 {
+            ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            faults.push(f0.zip(minor_faults()).map_or(0, |(a, b)| b - a));
+        }
+    }
+    faults.sort_unstable();
+    (median(ms), faults[faults.len() / 2])
+}
+
 fn main() {
     let obs = ObservabilityArgs::from_env_args();
     let reps: usize = std::env::var("DRQ_BENCH_REPS")
@@ -176,9 +220,19 @@ fn main() {
     let shape = Shape4::new(8, 32, 56, 56);
     let layout = Im2ColLayout::new(shape, 3, 3, 1, 1);
     let x = Tensor::from_fn(&[8, 32, 56, 56], |_| rng.next_f32() - 0.5);
+    let img_len = 32 * 56 * 56;
+    let mut cols = vec![0.0f32; layout.rows() * layout.cols()];
     let im2col_ms = time_ms(reps, || {
-        for img in 0..8 {
-            std::hint::black_box(im2col(&x, &layout, img));
+        for img in x.as_slice().chunks_exact(img_len) {
+            im2col_into(img, &layout, &mut cols);
+            std::hint::black_box(&cols);
+        }
+    });
+    let mut grad = vec![0.0f32; img_len];
+    let col2im_ms = time_ms(reps, || {
+        for _ in 0..8 {
+            col2im_accumulate_into(&cols, &layout, &mut grad);
+            std::hint::black_box(&grad);
         }
     });
 
@@ -201,6 +255,8 @@ fn main() {
         mixed_conv_ms(reps, &conv16, &blobby([16, 16, 32, 32], &mut rng));
     let conv_s2 = Conv2d::new(32, 64, 3, 2, 1, 10);
     let (mixed_conv32to64_s2_ms, _) = mixed_conv_ms(reps, &conv_s2, &blobby([8, 32, 16, 16], &mut rng));
+
+    let (train_step_b16_ms, train_step_minflt) = train_step(reps);
 
     let speedup_1t = gemm_naive_ms / gemm_blocked_1t_ms;
     let speedup = gemm_naive_ms / gemm_blocked_ms;
@@ -228,6 +284,7 @@ fn main() {
          \"int8_speedup_vs_f32_1t\":{int8_speedup_vs_f32_1t:.2},\
          \"int8_speedup_vs_f32\":{int8_speedup_vs_f32:.2},\
          \"im2col_ms\":{im2col_ms:.3},\
+         \"col2im_ms\":{col2im_ms:.3},\
          \"conv_forward_ms\":{conv_forward_ms:.3},\
          \"conv_backward_ms\":{conv_backward_ms:.3},\
          \"conv16_forward_ms\":{conv16_forward_ms:.3},\
@@ -235,7 +292,9 @@ fn main() {
          \"mixed_conv16_b1_ms\":{mixed_conv16_b1_ms:.3},\
          \"mixed_conv16_b16_ms\":{mixed_conv16_b16_ms:.3},\
          \"mixed_conv32to64_s2_ms\":{mixed_conv32to64_s2_ms:.3},\
-         \"mixed_conv16_int4_frac\":{mixed_conv16_int4_frac:.3}}}"
+         \"mixed_conv16_int4_frac\":{mixed_conv16_int4_frac:.3},\
+         \"train_step_b16_ms\":{train_step_b16_ms:.3},\
+         \"train_step_minflt\":{train_step_minflt}}}"
     );
 
     let mut report = Report::new("kernel_microbench");
@@ -258,6 +317,7 @@ fn main() {
         .push("int8_speedup_vs_f32_1t", int8_speedup_vs_f32_1t)
         .push("int8_speedup_vs_f32", int8_speedup_vs_f32)
         .push("im2col_ms", im2col_ms)
+        .push("col2im_ms", col2im_ms)
         .push("conv_forward_ms", conv_forward_ms)
         .push("conv_backward_ms", conv_backward_ms)
         .push("conv16_forward_ms", conv16_forward_ms)
@@ -265,6 +325,8 @@ fn main() {
         .push("mixed_conv16_b1_ms", mixed_conv16_b1_ms)
         .push("mixed_conv16_b16_ms", mixed_conv16_b16_ms)
         .push("mixed_conv32to64_s2_ms", mixed_conv32to64_s2_ms)
-        .push("mixed_conv16_int4_frac", mixed_conv16_int4_frac);
+        .push("mixed_conv16_int4_frac", mixed_conv16_int4_frac)
+        .push("train_step_b16_ms", train_step_b16_ms)
+        .push("train_step_minflt", train_step_minflt);
     obs.write_report(report).expect("writing --metrics output");
 }

@@ -158,52 +158,7 @@ impl DrqNetwork {
 
     /// Runs DRQ inference, returning the output and per-layer statistics.
     pub fn forward(&mut self, x: &Tensor<f32>) -> (Tensor<f32>, DrqRunStats) {
-        let config = self.config;
-        let total_convs = self.network.conv_count().max(1);
-        let mut stats = DrqRunStats::default();
-        let schedule = self.schedule.clone();
-        let out = self.network.forward_conv_override(x, &mut |idx, conv, input| {
-            let s = input.shape4().expect("conv input rank");
-            let depth = idx as f64 / total_convs as f64;
-            let mut layer_cfg = config.for_layer(s.h, s.w, depth);
-            if let Some(sched) = &schedule {
-                // Calibrated per-layer thresholds replace both the uniform
-                // base and the deep-layer divisor (calibration already saw
-                // the deep layers' statistics directly).
-                layer_cfg.threshold = sched.threshold_for(idx);
-            }
-            let predictor = SensitivityPredictor::new(layer_cfg.region, layer_cfg.threshold);
-            let masks = predictor.predict_batch(input);
-            let sensitive_fraction = {
-                let mut acc = 0.0;
-                let mut cnt = 0usize;
-                for per_image in &masks {
-                    for m in per_image {
-                        acc += m.sensitive_fraction();
-                        cnt += 1;
-                    }
-                }
-                if cnt == 0 { 0.0 } else { acc / cnt as f64 }
-            };
-            let mask_storage_bits = masks
-                .first()
-                .map(|ms| ms.iter().map(|m| m.storage_bits()).sum())
-                .unwrap_or(0);
-            let (y, counts) =
-                MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x: input, masks: &masks }])
-                    .remove(0);
-            stats.layers.push(DrqLayerStats {
-                conv_index: idx,
-                input_shape: input.shape().to_vec(),
-                counts,
-                sensitive_fraction,
-                threshold: layer_cfg.threshold,
-                region: (layer_cfg.region.x, layer_cfg.region.y),
-                mask_storage_bits,
-            });
-            y
-        });
-        (out, stats)
+        drq_forward(&mut self.network, &self.config, self.schedule.as_ref(), x)
     }
 
     /// Classifies a batch and reports top-1 accuracy plus merged statistics.
@@ -215,6 +170,63 @@ impl DrqNetwork {
         let (logits, stats) = self.forward(x);
         (drq_nn::accuracy(&logits, targets), stats)
     }
+}
+
+/// The DRQ forward pass of `network` under `config` (and `schedule`'s
+/// per-layer thresholds, if given): [`DrqNetwork::forward`] on a borrowed
+/// network, which fine-tuning runs without wrapping a copy. The non-conv
+/// layers run in evaluation mode, so the network's training workspaces
+/// are left as they are.
+pub(crate) fn drq_forward(
+    network: &mut Network,
+    config: &DrqConfig,
+    schedule: Option<&LayerThresholds>,
+    x: &Tensor<f32>,
+) -> (Tensor<f32>, DrqRunStats) {
+    let total_convs = network.conv_count().max(1);
+    let mut stats = DrqRunStats::default();
+    let out = network.forward_conv_override(x, &mut |idx, conv, input| {
+        let s = input.shape4().expect("conv input rank");
+        let depth = idx as f64 / total_convs as f64;
+        let mut layer_cfg = config.for_layer(s.h, s.w, depth);
+        if let Some(sched) = schedule {
+            // Calibrated per-layer thresholds replace both the uniform
+            // base and the deep-layer divisor (calibration already saw
+            // the deep layers' statistics directly).
+            layer_cfg.threshold = sched.threshold_for(idx);
+        }
+        let predictor = SensitivityPredictor::new(layer_cfg.region, layer_cfg.threshold);
+        let masks = predictor.predict_batch(input);
+        let sensitive_fraction = {
+            let mut acc = 0.0;
+            let mut cnt = 0usize;
+            for per_image in &masks {
+                for m in per_image {
+                    acc += m.sensitive_fraction();
+                    cnt += 1;
+                }
+            }
+            if cnt == 0 { 0.0 } else { acc / cnt as f64 }
+        };
+        let mask_storage_bits = masks
+            .first()
+            .map(|ms| ms.iter().map(|m| m.storage_bits()).sum())
+            .unwrap_or(0);
+        let (y, counts) =
+            MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x: input, masks: &masks }])
+                .remove(0);
+        stats.layers.push(DrqLayerStats {
+            conv_index: idx,
+            input_shape: input.shape().to_vec(),
+            counts,
+            sensitive_fraction,
+            threshold: layer_cfg.threshold,
+            region: (layer_cfg.region.x, layer_cfg.region.y),
+            mask_storage_bits,
+        });
+        y
+    });
+    (out, stats)
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //!    (whose layer caches come from an FP32 forward pass on the same
 //!    batch), and update the weights.
 
-use crate::{DrqConfig, DrqNetwork, DrqRunStats};
+use crate::drq_net::drq_forward;
+use crate::{DrqConfig, DrqRunStats};
 use drq_nn::{CrossEntropyLoss, Network, Sgd};
 use drq_tensor::Tensor;
 
@@ -50,15 +51,13 @@ pub fn finetune_step(
     opt: &mut Sgd,
 ) -> (f32, DrqRunStats) {
     // Mixed-precision forward: the logits the quantized hardware produces.
-    let (q_logits, stats) = {
-        let mut drq = DrqNetwork::new(net.clone(), *config);
-        drq.forward(x)
-    };
+    let (q_logits, stats) = drq_forward(net, config, None, x);
     let (loss, grad) = CrossEntropyLoss::evaluate(&q_logits, targets);
     // Full-precision forward (to populate layer caches) + backward with the
-    // quantized-loss gradient: the straight-through estimator.
-    let _ = net.forward(x, true);
-    let _ = net.backward(&grad);
+    // quantized-loss gradient: the straight-through estimator. Both walk the
+    // network's training workspaces, so a step allocates no layer buffers.
+    net.forward_train(x);
+    net.backward_train(&grad);
     opt.step(net);
     (loss, stats)
 }
@@ -92,7 +91,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RegionSize;
+    use crate::{DrqNetwork, RegionSize};
     use drq_nn::{accuracy, BatchNorm2d, Conv2d, Flatten, Layer, Linear, Pool2d, PoolKind, ReLU};
     use drq_tensor::XorShiftRng;
 

@@ -13,8 +13,8 @@
 //! Axes are sorted and deduplicated at construction so that every
 //! contiguous index hypercube ([`crate::pareto::CandidateBox`]) has its
 //! extreme corners at the range endpoints — that is what makes the
-//! per-box optimistic bounds in
-//! [`crate::pareto::SimSpaceEval::optimistic_bound`] exact range bounds
+//! per-box optimistic bounds that [`crate::pareto::SimSpaceEval`] gives
+//! [`crate::pareto::CandidateEval::optimistic_bound`] exact range bounds
 //! rather than heuristics. A candidate's identity is its [`Candidate::index`]
 //! (mixed-radix over the axes, buffer fastest), which is what checkpoints
 //! persist: an artifact plus the space reconstructs every candidate.

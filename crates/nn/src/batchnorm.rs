@@ -1,5 +1,6 @@
 //! 2-D batch normalization.
 
+use crate::workspace::{give_tensor, hold, lend_tensor, Workspace};
 use crate::NnError;
 use drq_tensor::Tensor;
 
@@ -31,12 +32,15 @@ pub struct BatchNorm2d {
     grad_beta: Tensor<f32>,
     running_mean: Tensor<f32>,
     running_var: Tensor<f32>,
-    cache: Option<BnCache>,
+    ws: Workspace<BnWs>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct BnCache {
-    x_hat: Tensor<f32>,
+/// The batch norm's training workspace: what the backward pass reads.
+#[derive(Default)]
+struct BnWs {
+    /// The normalized input, until the backward pass reads it.
+    x_hat: Option<Tensor<f32>>,
+    /// Per channel, `1 / sqrt(var + eps)`.
     inv_std: Vec<f32>,
 }
 
@@ -75,7 +79,7 @@ impl BatchNorm2d {
             grad_beta: Tensor::zeros(&[channels]),
             running_mean: Tensor::zeros(&[channels]),
             running_var: Tensor::full(&[channels], 1.0),
-            cache: None,
+            ws: Workspace::default(),
         })
     }
 
@@ -100,11 +104,18 @@ impl BatchNorm2d {
     ///
     /// Panics if `x` is not rank 4 or its channel count mismatches.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to the input shape.
+    /// Training mode keeps the normalized input for the backward pass.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         let s = x.shape4().expect("batchnorm input must be rank 4");
         assert_eq!(s.c, self.channels, "channel count mismatch");
         let per_channel = s.n * s.h * s.w;
-        let mut out = Tensor::<f32>::zeros(x.shape());
-
+        out.resize(x.shape());
         let (means, vars) = if train {
             let mut means = vec![0.0f32; s.c];
             let mut vars = vec![0.0f32; s.c];
@@ -139,31 +150,33 @@ impl BatchNorm2d {
                 self.running_var.as_slice().to_vec(),
             )
         };
-
-        let mut x_hat = Tensor::<f32>::zeros(x.shape());
-        let mut inv_std = vec![0.0f32; s.c];
-        {
-            let xs = x.as_slice();
-            let xh = x_hat.as_mut_slice();
-            let ov = out.as_mut_slice();
-            let g = self.gamma.as_slice();
-            let b = self.beta.as_slice();
-            for c in 0..s.c {
-                inv_std[c] = 1.0 / (vars[c] + self.eps).sqrt();
-                for n in 0..s.n {
-                    let base = s.offset(n, c, 0, 0);
-                    for p in 0..s.h * s.w {
-                        let xn = (xs[base + p] - means[c]) * inv_std[c];
+        // Training keeps the normalized input, in lent storage the layer
+        // holds for its backward pass; evaluation keeps nothing.
+        let mut x_hat = if train { lend_tensor(x.shape()) } else { Tensor::default() };
+        let mut eval_inv_std = Vec::new();
+        let inv_std = if train { &mut self.ws.inv_std } else { &mut eval_inv_std };
+        inv_std.resize(s.c, 0.0);
+        let xs = x.as_slice();
+        let xh = x_hat.as_mut_slice();
+        let ov = out.as_mut_slice();
+        let g = self.gamma.as_slice();
+        let b = self.beta.as_slice();
+        for c in 0..s.c {
+            inv_std[c] = 1.0 / (vars[c] + self.eps).sqrt();
+            for n in 0..s.n {
+                let base = s.offset(n, c, 0, 0);
+                for p in 0..s.h * s.w {
+                    let xn = (xs[base + p] - means[c]) * inv_std[c];
+                    if train {
                         xh[base + p] = xn;
-                        ov[base + p] = g[c] * xn + b[c];
                     }
+                    ov[base + p] = g[c] * xn + b[c];
                 }
             }
         }
         if train {
-            self.cache = Some(BnCache { x_hat, inv_std });
+            hold(&mut self.ws.x_hat, x_hat);
         }
-        out
     }
 
     /// Backward pass; returns the input gradient.
@@ -171,17 +184,23 @@ impl BatchNorm2d {
     /// # Panics
     ///
     /// Panics if called before a training-mode forward pass.
-    #[allow(clippy::needless_range_loop)] // per-channel strided access
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self
-            .cache
-            .take()
-            .expect("batchnorm backward without cached forward");
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to the gradient
+    /// shape.
+    #[allow(clippy::needless_range_loop)] // per-channel strided access
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let x_hat = self.ws.x_hat.take().expect("batchnorm backward without cached forward");
         let s = grad_out.shape4().expect("grad rank");
+        assert_eq!(grad_out.shape(), x_hat.shape(), "grad shape mismatch");
         let m = (s.n * s.h * s.w) as f32;
-        let mut grad_in = Tensor::<f32>::zeros(grad_out.shape());
+        grad_in.resize(grad_out.shape());
         let go = grad_out.as_slice();
-        let xh = cache.x_hat.as_slice();
+        let xh = x_hat.as_slice();
         let gi = grad_in.as_mut_slice();
         let g = self.gamma.as_slice();
         for c in 0..s.c {
@@ -196,16 +215,15 @@ impl BatchNorm2d {
             }
             self.grad_beta.as_mut_slice()[c] += sum_gy;
             self.grad_gamma.as_mut_slice()[c] += sum_gy_xh;
-            let k = g[c] * cache.inv_std[c] / m;
+            let k = g[c] * self.ws.inv_std[c] / m;
             for n in 0..s.n {
                 let base = s.offset(n, c, 0, 0);
                 for p in 0..s.h * s.w {
-                    gi[base + p] =
-                        k * (m * go[base + p] - sum_gy - xh[base + p] * sum_gy_xh);
+                    gi[base + p] = k * (m * go[base + p] - sum_gy - xh[base + p] * sum_gy_xh);
                 }
             }
         }
-        grad_in
+        give_tensor(x_hat);
     }
 
     /// Zeroes accumulated gradients.
@@ -274,7 +292,7 @@ mod tests {
         let wvec: Vec<f32> = (0..x.len()).map(|i| (i as f32 * 0.37).sin()).collect();
         let loss = |bn: &mut BatchNorm2d, x: &Tensor<f32>| {
             let y = bn.forward(x, true);
-            bn.cache = None; // discard cache from probe passes
+            bn.ws.x_hat = None; // discard cache from probe passes
             y.as_slice().iter().zip(&wvec).map(|(a, b)| a * b).sum::<f32>()
         };
         let _ = bn.forward(&x, true);

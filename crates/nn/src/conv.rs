@@ -1,9 +1,12 @@
 //! 2-D convolution with full backward pass.
 
+use std::sync::Mutex;
+
+use crate::workspace::{give, give_tensor, hold, lend, lend_tensor, Workspace};
 use crate::NnError;
 use drq_tensor::{
-    col2im_accumulate_into, gemm, he_normal, im2col_into, parallel, Im2ColLayout, Rhs, Shape4,
-    Tensor, XorShiftRng,
+    col2im_accumulate_into, gemm, gemm_at, he_normal, im2col_into, parallel, Im2ColLayout, Rhs,
+    Shape4, Tensor, XorShiftRng,
 };
 
 /// A 2-D convolution layer (NCHW, square kernels, symmetric stride/padding,
@@ -35,7 +38,40 @@ pub struct Conv2d {
     bias: Tensor<f32>,
     grad_weight: Tensor<f32>,
     grad_bias: Tensor<f32>,
-    cached_input: Option<Tensor<f32>>,
+    /// The training forward's input, until the backward pass reads it.
+    ws: Workspace<Option<Tensor<f32>>>,
+}
+
+/// The column matrices of one conv call, one per worker: each image's work
+/// item takes one and puts it back when done. Images stay the work items,
+/// claimed one at a time, while the buffers stay as few as the workers.
+struct ColumnPool {
+    free: Mutex<Vec<Vec<f32>>>,
+    len: usize,
+}
+
+impl ColumnPool {
+    /// Buffers of `len` elements for a batch of `images`, lent from the
+    /// thread's scratch when `train`.
+    fn new(images: usize, len: usize, train: bool) -> Self {
+        let workers = parallel::max_threads().clamp(1, images.max(1));
+        let buf = || if train { lend(len) } else { vec![0.0; len] };
+        Self { free: Mutex::new((0..workers).map(|_| buf()).collect()), len }
+    }
+
+    /// Runs `f` on a free column matrix (a new one if the thread count grew
+    /// since [`Self::new`]).
+    fn with(&self, f: impl FnOnce(&mut [f32])) {
+        let take = || self.free.lock().expect("column pool poisoned").pop();
+        let mut cols = take().unwrap_or_else(|| vec![0.0; self.len]);
+        f(&mut cols);
+        self.free.lock().expect("column pool poisoned").push(cols);
+    }
+
+    /// Gives lent buffers back to the thread's scratch.
+    fn give(self) {
+        self.free.into_inner().expect("column pool poisoned").into_iter().for_each(give);
+    }
 }
 
 impl Conv2d {
@@ -128,7 +164,7 @@ impl Conv2d {
             weight,
             bias: Tensor::zeros(&[out_c]),
             grad_bias: Tensor::zeros(&[out_c]),
-            cached_input: None,
+            ws: Workspace::default(),
         })
     }
 
@@ -206,13 +242,23 @@ impl Conv2d {
     ///
     /// Panics if `x` is not rank 4 or its channel count mismatches.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to the output shape.
+    /// Training mode copies the input into lent scratch the layer holds
+    /// for its backward pass.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         let s = x.shape4().expect("conv input must be rank 4");
         assert_eq!(s.c, self.in_c, "conv expects {} input channels, got {}", self.in_c, s.c);
-        let out = self.forward_with_weights(x, &self.weight);
+        self.conv_into(x, &self.weight, out, train);
         if train {
-            self.cached_input = Some(x.clone());
+            let mut input = lend_tensor(x.shape());
+            input.copy_from(x);
+            hold(&mut self.ws, input);
         }
-        out
     }
 
     /// Forward pass using externally supplied weights of the same shape.
@@ -222,115 +268,129 @@ impl Conv2d {
     ///
     /// Per image and channel group, the GEMM of the group's weight rows and
     /// column-matrix rows writes straight into the output rows, and the bias
-    /// is added in place. Batches shard across threads (one worker per
-    /// image); a single image instead parallelizes inside the im2col/GEMM
-    /// kernels. Outputs are bit-identical for every thread count and batch
-    /// split.
+    /// is added in place. Batches shard across threads (one run of
+    /// consecutive images per worker); a single image instead parallelizes
+    /// inside the GEMM kernel. Outputs are bit-identical for every thread
+    /// count and batch split.
     ///
     /// # Panics
     ///
     /// Panics on any shape mismatch.
     pub fn forward_with_weights(&self, x: &Tensor<f32>, weight: &Tensor<f32>) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.conv_into(x, weight, &mut out, false);
+        out
+    }
+
+    /// The convolution of `x` with `weight` into `out`, with one column
+    /// matrix per work item, lent from the thread's scratch when `train`.
+    fn conv_into(&self, x: &Tensor<f32>, weight: &Tensor<f32>, out: &mut Tensor<f32>, train: bool) {
         assert_eq!(weight.shape(), self.weight.shape(), "weight shape mismatch");
         let s = x.shape4().expect("conv input must be rank 4");
         let layout = self.layout(s);
-        let mut out = Tensor::<f32>::zeros(&self.output_shape(s).as_array());
+        out.resize(&self.output_shape(s).as_array());
         let (cpg_out, taps, ncols) = self.group_dims(&layout);
         let img_len = self.out_c * ncols;
         if img_len == 0 || s.n == 0 {
-            return out;
+            return;
         }
         let in_len = s.c * s.h * s.w;
         let (xv, wv, bv) = (x.as_slice(), weight.as_slice(), self.bias.as_slice());
+        let pool = ColumnPool::new(s.n, layout.rows() * ncols, train);
         parallel::for_each_chunk_mut(out.as_mut_slice(), img_len, |n, oimg| {
-            let mut cols = vec![0.0f32; layout.rows() * ncols];
-            im2col_into(&xv[n * in_len..][..in_len], &layout, &mut cols);
-            for g in 0..self.groups {
-                let y = &mut oimg[g * cpg_out * ncols..][..cpg_out * ncols];
-                let w = &wv[g * cpg_out * taps..][..cpg_out * taps];
-                let gcols = &cols[g * taps * ncols..][..taps * ncols];
-                gemm(cpg_out, taps, ncols, w, gcols, Rhs::Plain, y);
-                for (yrow, &b) in y.chunks_exact_mut(ncols).zip(&bv[g * cpg_out..]) {
-                    yrow.iter_mut().for_each(|v| *v += b);
+            pool.with(|cols| {
+                im2col_into(&xv[n * in_len..][..in_len], &layout, cols);
+                for g in 0..self.groups {
+                    let y = &mut oimg[g * cpg_out * ncols..][..cpg_out * ncols];
+                    let w = &wv[g * cpg_out * taps..][..cpg_out * taps];
+                    let gcols = &cols[g * taps * ncols..][..taps * ncols];
+                    gemm(cpg_out, taps, ncols, w, gcols, Rhs::Plain, y);
+                    for (yrow, &b) in y.chunks_exact_mut(ncols).zip(&bv[g * cpg_out..]) {
+                        yrow.iter_mut().for_each(|v| *v += b);
+                    }
                 }
-            }
+            });
         });
-        out
+        if train {
+            pool.give();
+        }
     }
 
     /// Backward pass: accumulates weight/bias gradients and returns the
     /// input gradient.
     ///
-    /// Images are independent work items, so the batch shards across threads.
-    /// Each worker writes its image's input gradient into that image's slab
-    /// of the result and produces its weight and bias gradients privately;
-    /// the calling thread reduces those in batch order. Gradients are
-    /// therefore bit-identical for every thread count.
-    ///
     /// # Panics
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let x = self
-            .cached_input
-            .take()
-            .expect("conv backward without cached forward input");
-        let s = x.shape4().expect("cached input rank");
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to the input
+    /// shape.
+    ///
+    /// Images are the work items, so the batch shards across threads. Each
+    /// writes its slab of the input gradient and its weight and bias
+    /// gradients into scratch lent by the calling thread, which reduces
+    /// those in batch order. Gradients are therefore bit-identical for
+    /// every thread count.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let input = self.ws.take().expect("conv backward without cached forward input");
+        let s = input.shape4().expect("cached input rank");
         let layout = self.layout(s);
         let out_shape = self.output_shape(s);
         assert_eq!(grad_out.shape(), &out_shape.as_array(), "grad_out shape mismatch");
         let (cpg_out, taps, ncols) = self.group_dims(&layout);
-        let mut grad_in = Tensor::<f32>::zeros(x.shape());
         let (in_len, out_len) = (s.c * s.h * s.w, self.out_c * ncols);
-        let (wv, xv, gv) = (self.weight.as_slice(), x.as_slice(), grad_out.as_slice());
-
-        // Transposed weight matrix per group, built once and shared by every
-        // image: W_gᵀ [taps, cpg_out], group-major.
-        let mut wt = vec![0.0f32; wv.len()];
-        for g in 0..self.groups {
-            let base = g * cpg_out * taps;
-            for oc in 0..cpg_out {
-                for r in 0..taps {
-                    wt[base + r * cpg_out + oc] = wv[base + oc * taps + r];
-                }
-            }
+        let (wv, xv, gv) = (self.weight.as_slice(), input.as_slice(), grad_out.as_slice());
+        let part_len = wv.len() + self.out_c;
+        grad_in.resize(&s.as_array());
+        grad_in.as_mut_slice().fill(0.0);
+        if in_len == 0 || part_len == 0 || s.n == 0 {
+            give_tensor(input);
+            return;
         }
-
-        // One work item per image: its slab of the input gradient plus its
-        // private weight and bias gradients.
-        let mut items = Vec::with_capacity(s.n);
-        let mut slabs = grad_in.as_mut_slice();
-        for _ in 0..s.n {
-            let (slab, rest) = std::mem::take(&mut slabs).split_at_mut(in_len);
-            slabs = rest;
-            items.push((slab, vec![0.0f32; wv.len()], vec![0.0f32; self.out_c]));
-        }
+        let mut partials = lend(s.n * part_len);
+        let pool = ColumnPool::new(s.n, layout.rows() * ncols, true);
+        let mut items: Vec<_> = grad_in
+            .as_mut_slice()
+            .chunks_mut(in_len)
+            .zip(partials.chunks_mut(part_len))
+            .collect();
         parallel::for_each_chunk_mut(&mut items, 1, |n, item| {
-            let (grad_img, gw_img, gb_img) = &mut item[0];
-            let mut cols = vec![0.0f32; layout.rows() * ncols];
-            im2col_into(&xv[n * in_len..][..in_len], &layout, &mut cols);
-            for g in 0..self.groups {
-                let gy = &gv[n * out_len + g * cpg_out * ncols..][..cpg_out * ncols];
-                let gcols = &mut cols[g * taps * ncols..][..taps * ncols];
-                // Bias gradient: row sums of the group's output gradient.
-                for (b, gyrow) in gb_img[g * cpg_out..].iter_mut().zip(gy.chunks_exact(ncols)) {
-                    *b += gyrow.iter().sum::<f32>();
+            let (grad_img, part) = &mut item[0];
+            pool.with(|cols| {
+                let (gw_img, gb_img) = part.split_at_mut(wv.len());
+                gb_img.fill(0.0);
+                im2col_into(&xv[n * in_len..][..in_len], &layout, cols);
+                for g in 0..self.groups {
+                    let gy = &gv[n * out_len + g * cpg_out * ncols..][..cpg_out * ncols];
+                    let gcols = &mut cols[g * taps * ncols..][..taps * ncols];
+                    // Bias gradient: row sums of the group's output gradient.
+                    for (b, gyrow) in gb_img[g * cpg_out..].iter_mut().zip(gy.chunks_exact(ncols)) {
+                        *b += gyrow.iter().sum::<f32>();
+                    }
+                    // Weight gradient: gy [cpg_out, ncols] · colsᵀ, with the
+                    // group's column rows as the transposed operand.
+                    let gw = &mut gw_img[g * cpg_out * taps..][..cpg_out * taps];
+                    gemm(cpg_out, ncols, taps, gy, gcols, Rhs::Transposed, gw);
+                    // Column gradient: W_gᵀ [taps, cpg_out] · gy, with the
+                    // group's weight rows as the transposed left operand. It
+                    // overwrites the group's column rows, which nothing reads
+                    // any more.
+                    let wg = &wv[g * cpg_out * taps..][..cpg_out * taps];
+                    gemm_at(taps, cpg_out, ncols, wg, gy, Rhs::Plain, gcols);
                 }
-                // Weight gradient: gy [cpg_out, ncols] · colsᵀ, with the
-                // group's column rows as the transposed operand.
-                let gw = &mut gw_img[g * cpg_out * taps..][..cpg_out * taps];
-                gemm(cpg_out, ncols, taps, gy, gcols, Rhs::Transposed, gw);
-                // Column gradient: W_gᵀ [taps, cpg_out] · gy. It overwrites
-                // the group's column rows, which nothing reads any more.
-                let wtg = &wt[g * taps * cpg_out..][..taps * cpg_out];
-                gemm(taps, cpg_out, ncols, wtg, gy, Rhs::Plain, gcols);
-            }
-            col2im_accumulate_into(&cols, &layout, grad_img);
+                col2im_accumulate_into(cols, &layout, grad_img);
+            });
         });
 
         // Fixed-order reduction on the calling thread: image contributions
         // land in batch order, matching the sequential execution exactly.
-        for (_, gw_img, gb_img) in &items {
+        for part in partials.chunks_exact(part_len) {
+            let (gw_img, gb_img) = part.split_at(wv.len());
             for (a, g) in self.grad_weight.as_mut_slice().iter_mut().zip(gw_img) {
                 *a += g;
             }
@@ -338,7 +398,9 @@ impl Conv2d {
                 *a += g;
             }
         }
-        grad_in
+        give(partials);
+        pool.give();
+        give_tensor(input);
     }
 
     /// Per channel group: output channels, column-matrix rows (the GEMM

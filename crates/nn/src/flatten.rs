@@ -1,5 +1,6 @@
 //! Flatten layer (NCHW → matrix).
 
+use crate::workspace::Workspace;
 use drq_tensor::Tensor;
 
 /// Flattens a rank-4 tensor to `[n, c*h*w]` for fully connected heads.
@@ -16,7 +17,16 @@ use drq_tensor::Tensor;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
+    ws: Workspace<FlattenWs>,
+}
+
+/// The flatten layer's training workspace.
+#[derive(Default)]
+struct FlattenWs {
+    /// The training forward's input shape.
+    shape: Vec<usize>,
+    /// Whether `shape` belongs to a forward no backward has consumed yet.
+    cached: bool,
 }
 
 impl Flatten {
@@ -31,13 +41,23 @@ impl Flatten {
     ///
     /// Panics if the input has rank < 2.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to `[n, c*h*w]`.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         assert!(x.rank() >= 2, "flatten needs at least rank 2");
         if train {
-            self.cached_shape = Some(x.shape().to_vec());
+            self.ws.shape.clear();
+            self.ws.shape.extend_from_slice(x.shape());
+            self.ws.cached = true;
         }
         let n = x.shape()[0];
         let rest = x.len() / n.max(1);
-        x.clone().reshape(&[n, rest]).expect("flatten reshape")
+        out.resize(&[n, rest]);
+        out.as_mut_slice().copy_from_slice(x.as_slice());
     }
 
     /// Backward pass: restores the original shape.
@@ -46,11 +66,19 @@ impl Flatten {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let shape = self
-            .cached_shape
-            .take()
-            .expect("flatten backward without cached forward");
-        grad_out.clone().reshape(&shape).expect("unflatten reshape")
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to the input
+    /// shape.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let ws = &mut *self.ws;
+        assert!(std::mem::take(&mut ws.cached), "flatten backward without cached forward");
+        assert_eq!(ws.shape.iter().product::<usize>(), grad_out.len(), "unflatten reshape");
+        grad_in.resize(&ws.shape);
+        grad_in.as_mut_slice().copy_from_slice(grad_out.as_slice());
     }
 }
 

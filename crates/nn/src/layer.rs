@@ -77,27 +77,41 @@ impl Layer {
 
     /// Forward pass through whichever layer this is.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which the layer resizes and fills.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         match self {
-            Layer::Conv2d(l) => l.forward(x, train),
-            Layer::Linear(l) => l.forward(x, train),
-            Layer::ReLU(l) => l.forward(x, train),
-            Layer::BatchNorm(l) => l.forward(x, train),
-            Layer::Pool(l) => l.forward(x, train),
-            Layer::Flatten(l) => l.forward(x, train),
-            Layer::Residual(l) => l.forward(x, train),
+            Layer::Conv2d(l) => l.forward_into(x, train, out),
+            Layer::Linear(l) => l.forward_into(x, train, out),
+            Layer::ReLU(l) => l.forward_into(x, train, out),
+            Layer::BatchNorm(l) => l.forward_into(x, train, out),
+            Layer::Pool(l) => l.forward_into(x, train, out),
+            Layer::Flatten(l) => l.forward_into(x, train, out),
+            Layer::Residual(l) => l.forward_into(x, train, out),
         }
     }
 
     /// Backward pass; returns the input gradient.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which the layer resizes and fills.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
         match self {
-            Layer::Conv2d(l) => l.backward(grad_out),
-            Layer::Linear(l) => l.backward(grad_out),
-            Layer::ReLU(l) => l.backward(grad_out),
-            Layer::BatchNorm(l) => l.backward(grad_out),
-            Layer::Pool(l) => l.backward(grad_out),
-            Layer::Flatten(l) => l.backward(grad_out),
-            Layer::Residual(l) => l.backward(grad_out),
+            Layer::Conv2d(l) => l.backward_into(grad_out, grad_in),
+            Layer::Linear(l) => l.backward_into(grad_out, grad_in),
+            Layer::ReLU(l) => l.backward_into(grad_out, grad_in),
+            Layer::BatchNorm(l) => l.backward_into(grad_out, grad_in),
+            Layer::Pool(l) => l.backward_into(grad_out, grad_in),
+            Layer::Flatten(l) => l.backward_into(grad_out, grad_in),
+            Layer::Residual(l) => l.backward_into(grad_out, grad_in),
         }
     }
 
@@ -121,6 +135,35 @@ impl Layer {
             Layer::Residual(l) => l.visit_params(f),
             Layer::ReLU(_) | Layer::Pool(_) | Layer::Flatten(_) => {}
         }
+    }
+}
+
+/// Runs `step` over `layers` as a chain: the first layer reads `x`, each
+/// later one the result of the one before, and the last writes `out`.
+/// Intermediate results alternate between the two `bufs`, so a chain of
+/// any length holds two buffers besides `out`. An empty chain copies `x`
+/// into `out`.
+///
+/// The forward and backward walks of [`crate::Network`] and
+/// [`crate::ResidualBlock`] are this chain, forwards over `forward_into`
+/// and in reverse over `backward_into`.
+pub(crate) fn chain<'l>(
+    layers: impl ExactSizeIterator<Item = &'l mut Layer>,
+    x: &Tensor<f32>,
+    bufs: &mut [Tensor<f32>; 2],
+    out: &mut Tensor<f32>,
+    mut step: impl FnMut(&mut Layer, &Tensor<f32>, &mut Tensor<f32>),
+) {
+    let Some(last) = layers.len().checked_sub(1) else {
+        out.copy_from(x);
+        return;
+    };
+    let [even, odd] = bufs;
+    for (i, layer) in layers.enumerate() {
+        let (src, dst) = if i % 2 == 0 { (&*odd, &mut *even) } else { (&*even, &mut *odd) };
+        let src = if i == 0 { x } else { src };
+        let dst = if i == last { &mut *out } else { dst };
+        step(layer, src, dst);
     }
 }
 

@@ -45,6 +45,7 @@ mod relu;
 mod residual;
 mod schedule;
 mod serialize;
+mod workspace;
 
 pub use batchnorm::BatchNorm2d;
 pub use conv::Conv2d;

@@ -1,7 +1,8 @@
 //! Fully connected layer.
 
+use crate::workspace::{give, give_tensor, hold, lend, lend_tensor, Workspace};
 use crate::NnError;
-use drq_tensor::{gemm, he_normal, matmul, Rhs, Tensor, XorShiftRng};
+use drq_tensor::{gemm, gemm_at, he_normal, Rhs, Tensor, XorShiftRng};
 
 /// A fully connected (dense) layer: `y = x W^T + b`.
 ///
@@ -25,7 +26,8 @@ pub struct Linear {
     bias: Tensor<f32>,
     grad_weight: Tensor<f32>,
     grad_bias: Tensor<f32>,
-    cached_input: Option<Tensor<f32>>,
+    /// The training forward's input, until the backward pass reads it.
+    ws: Workspace<Option<Tensor<f32>>>,
 }
 
 impl Linear {
@@ -61,7 +63,7 @@ impl Linear {
             weight,
             bias: Tensor::zeros(&[out_features]),
             grad_bias: Tensor::zeros(&[out_features]),
-            cached_input: None,
+            ws: Workspace::default(),
         })
     }
 
@@ -96,12 +98,19 @@ impl Linear {
     ///
     /// Panics if `x` is not `[n, in_features]`.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to `[n, out]`.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         assert_eq!(x.rank(), 2, "linear input must be rank 2");
         assert_eq!(x.shape()[1], self.in_features, "feature count mismatch");
         let n = x.shape()[0];
         // x [n, in] · Wᵀ, with the [out, in] weight as the transposed operand.
-        let mut y = Tensor::<f32>::zeros(&[n, self.out_features]);
-        let (wv, yv) = (self.weight.as_slice(), y.as_mut_slice());
+        out.resize(&[n, self.out_features]);
+        let (wv, yv) = (self.weight.as_slice(), out.as_mut_slice());
         gemm(n, self.in_features, self.out_features, x.as_slice(), wv, Rhs::Transposed, yv);
         for yrow in yv.chunks_exact_mut(self.out_features.max(1)) {
             for (v, &b) in yrow.iter_mut().zip(self.bias.as_slice()) {
@@ -109,9 +118,10 @@ impl Linear {
             }
         }
         if train {
-            self.cached_input = Some(x.clone());
+            let mut input = lend_tensor(x.shape());
+            input.copy_from(x);
+            hold(&mut self.ws, input);
         }
-        y
     }
 
     /// Backward pass; returns the input gradient.
@@ -120,35 +130,34 @@ impl Linear {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let x = self
-            .cached_input
-            .take()
-            .expect("linear backward without cached forward input");
-        let n = x.shape()[0];
-        assert_eq!(grad_out.shape(), &[n, self.out_features]);
-        // dW = gy^T x ; db = column sums of gy ; dx = gy W.
-        let mut gyt = Tensor::<f32>::zeros(&[self.out_features, n]);
-        {
-            let g = grad_out.as_slice();
-            let t = gyt.as_mut_slice();
-            for r in 0..n {
-                for o in 0..self.out_features {
-                    t[o * n + r] = g[r * self.out_features + o];
-                }
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to `[n, in]`.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let x = self.ws.take().expect("linear backward without cached forward input");
+        let (n, inf, outf) = (x.shape()[0], self.in_features, self.out_features);
+        assert_eq!(grad_out.shape(), &[n, outf]);
+        let g = grad_out.as_slice();
+        // dW = gyᵀ x, with the [n, out] gradient as the transposed left
+        // operand; db = column sums of gy; dx = gy W.
+        let mut gw = lend(outf * inf);
+        gemm_at(outf, n, inf, g, x.as_slice(), Rhs::Plain, &mut gw);
+        for (a, &b) in self.grad_weight.as_mut_slice().iter_mut().zip(&gw) {
+            *a += b;
+        }
+        give(gw);
+        give_tensor(x);
+        let gb = self.grad_bias.as_mut_slice();
+        for r in 0..n {
+            for o in 0..outf {
+                gb[o] += g[r * outf + o];
             }
         }
-        let gw = matmul(&gyt, &x);
-        self.grad_weight.add_scaled(&gw, 1.0);
-        {
-            let g = grad_out.as_slice();
-            let gb = self.grad_bias.as_mut_slice();
-            for r in 0..n {
-                for o in 0..self.out_features {
-                    gb[o] += g[r * self.out_features + o];
-                }
-            }
-        }
-        matmul(grad_out, &self.weight)
+        grad_in.resize(&[n, inf]);
+        gemm(n, outf, inf, g, self.weight.as_slice(), Rhs::Plain, grad_in.as_mut_slice());
     }
 
     /// Zeroes accumulated gradients.
@@ -167,6 +176,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drq_tensor::matmul;
 
     #[test]
     fn identity_weight_passes_through() {

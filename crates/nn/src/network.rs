@@ -1,16 +1,24 @@
 //! Sequential network container with convolution taps.
 
+use crate::layer::chain;
+use crate::workspace::{WalkBufs, Workspace};
 use crate::{Conv2d, Layer, NnError};
 use drq_tensor::Tensor;
 
-/// Sums a residual block's two paths, surfacing shape mismatches as the
-/// typed error the `try_*` forward variants propagate.
-fn merge_residual(main: &Tensor<f32>, short: &Tensor<f32>) -> Result<Tensor<f32>, NnError> {
-    main.zip_map(short, |a, b| a + b)
-        .map_err(|e| NnError::ShapeMismatch {
+/// Adds a residual block's shortcut result onto its main path's, in place,
+/// surfacing shape mismatches as the typed error the `try_*` forward
+/// variants propagate.
+fn merge_residual(main: &mut Tensor<f32>, short: &Tensor<f32>) -> Result<(), NnError> {
+    if main.shape() != short.shape() {
+        return Err(NnError::ShapeMismatch {
             context: "residual shape mismatch",
-            detail: format!("{e:?}"),
-        })
+            detail: format!("{:?} vs {:?}", main.shape(), short.shape()),
+        });
+    }
+    for (a, &b) in main.as_mut_slice().iter_mut().zip(short.as_slice()) {
+        *a += b;
+    }
+    Ok(())
 }
 
 /// Callback executing one convolution: `(conv_index, layer, input) -> output`.
@@ -41,6 +49,15 @@ pub type ConvExecutor<'a> = dyn FnMut(usize, &Conv2d, &Tensor<f32>) -> Tensor<f3
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
+    ws: Workspace<Walk>,
+}
+
+/// The network's training workspace: the result of the last training
+/// walk, and the capacities of the buffers its intermediate results took.
+#[derive(Default)]
+struct Walk {
+    out: Tensor<f32>,
+    caps: [usize; 3],
 }
 
 /// Information handed to a convolution tap: which conv (in network order,
@@ -58,7 +75,7 @@ pub struct ConvTap<'a> {
 impl Network {
     /// Creates a network from layers executed in order.
     pub fn new(layers: Vec<Layer>) -> Self {
-        Self { layers }
+        Self { layers, ws: Workspace::default() }
     }
 
     /// The network's layers.
@@ -93,13 +110,31 @@ impl Network {
         n
     }
 
-    /// Forward pass through all layers.
+    /// Forward pass through all layers. Training mode is
+    /// [`Self::forward_train`] with its result copied out; evaluation keeps
+    /// no buffers.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
-        let mut y = x.clone();
-        for l in &mut self.layers {
-            y = l.forward(&y, train);
+        if train {
+            return self.forward_train(x).clone();
         }
-        y
+        let (mut bufs, mut out) = (<[Tensor<f32>; 2]>::default(), Tensor::default());
+        let step = |l: &mut Layer, x: &Tensor<f32>, y: &mut Tensor<f32>| l.forward_into(x, false, y);
+        chain(self.layers.iter_mut(), x, &mut bufs, &mut out, step);
+        out
+    }
+
+    /// Training-mode forward pass: every layer caches what its backward
+    /// pass reads in buffers it keeps, and the activations pass through
+    /// buffers borrowed from the thread's scratch. A second step of the
+    /// same input shape allocates no buffer. Returns the output, which the
+    /// next training walk overwrites.
+    pub fn forward_train(&mut self, x: &Tensor<f32>) -> &Tensor<f32> {
+        let ws = &mut *self.ws;
+        let mut walk = WalkBufs::lend(ws.caps, true);
+        let step = |l: &mut Layer, x: &Tensor<f32>, y: &mut Tensor<f32>| l.forward_into(x, true, y);
+        chain(self.layers.iter_mut(), x, &mut walk.bufs, &mut ws.out, step);
+        ws.caps = walk.give();
+        &ws.out
     }
 
     /// Forward pass invoking `tap` with every convolution's input: an
@@ -164,35 +199,55 @@ impl Network {
             idx: &mut usize,
             exec: &mut ConvExecutor<'_>,
         ) -> Result<Tensor<f32>, NnError> {
-            let mut y = x.clone();
+            // The first layer reads `x` in place; an identity shortcut adds
+            // the block input itself.
+            let mut y: Option<Tensor<f32>> = None;
             for l in layers.iter_mut() {
-                match l {
+                let input = y.as_ref().unwrap_or(x);
+                y = Some(match l {
                     Layer::Conv2d(c) => {
-                        y = exec(*idx, c, &y);
+                        let out = exec(*idx, c, input);
                         *idx += 1;
+                        out
                     }
                     Layer::Residual(r) => {
-                        let main = run(r.main_mut(), &y, idx, exec)?;
-                        let short = run(r.shortcut_mut(), &y, idx, exec)?;
-                        y = merge_residual(&main, &short)?;
+                        let mut main = run(r.main_mut(), input, idx, exec)?;
+                        if r.shortcut().is_empty() {
+                            merge_residual(&mut main, input)?;
+                        } else {
+                            merge_residual(&mut main, &run(r.shortcut_mut(), input, idx, exec)?)?;
+                        }
+                        main
                     }
-                    other => {
-                        y = other.forward(&y, false);
-                    }
-                }
+                    other => other.forward(input, false),
+                });
             }
-            Ok(y)
+            Ok(y.unwrap_or_else(|| x.clone()))
         }
         run(&mut self.layers, x, &mut idx, exec)
     }
 
-    /// Backward pass; returns the gradient w.r.t. the network input.
+    /// Backward pass; returns the gradient w.r.t. the network input
+    /// ([`Self::backward_train`], copied out).
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
-        }
-        g
+        self.backward_train(grad_out).clone()
+    }
+
+    /// Backward pass on the network's workspaces, the counterpart of
+    /// [`Self::forward_train`]. Returns the gradient w.r.t. the network
+    /// input, which the next training walk overwrites.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a training-mode forward pass ran since the last
+    /// backward pass.
+    pub fn backward_train(&mut self, grad_out: &Tensor<f32>) -> &Tensor<f32> {
+        let ws = &mut *self.ws;
+        let mut walk = WalkBufs::lend(ws.caps, true);
+        let step = |l: &mut Layer, g: &Tensor<f32>, d: &mut Tensor<f32>| l.backward_into(g, d);
+        chain(self.layers.iter_mut().rev(), grad_out, &mut walk.bufs, &mut ws.out, step);
+        ws.caps = walk.give();
+        &ws.out
     }
 
     /// Zeroes all accumulated gradients.
@@ -351,6 +406,159 @@ mod tests {
             .iter()
             .zip(y_plain.as_slice())
             .any(|(a, b)| (a - b).abs() > 1e-6));
+    }
+
+    /// Stem conv, an identity block, a strided block with a projection
+    /// shortcut, and a pooled dense head: every layer kind the training
+    /// walk keeps memory for.
+    fn small_resnet(seed: u64) -> Network {
+        let block = |cin: usize, cout: usize, stride: usize, seed: u64| {
+            let main = vec![
+                Layer::from(Conv2d::new(cin, cout, 3, stride, 1, seed)),
+                Layer::from(BatchNorm2d::new(cout)),
+                Layer::from(ReLU::new()),
+                Layer::from(Conv2d::new(cout, cout, 3, 1, 1, seed + 1)),
+                Layer::from(BatchNorm2d::new(cout)),
+            ];
+            let shortcut = if stride == 1 && cin == cout {
+                vec![]
+            } else {
+                vec![
+                    Layer::from(Conv2d::new(cin, cout, 1, stride, 0, seed + 2)),
+                    Layer::from(BatchNorm2d::new(cout)),
+                ]
+            };
+            Layer::from(ResidualBlock::new(main, shortcut))
+        };
+        Network::new(vec![
+            Layer::from(Conv2d::new(3, 4, 3, 1, 1, seed)),
+            Layer::from(BatchNorm2d::new(4)),
+            Layer::from(ReLU::new()),
+            Layer::from(Pool2d::new(PoolKind::Max, 2, 2)),
+            block(4, 4, 1, seed + 10),
+            Layer::from(ReLU::new()),
+            block(4, 8, 2, seed + 20),
+            Layer::from(ReLU::new()),
+            Layer::from(Pool2d::global_avg()),
+            Layer::from(Flatten::new()),
+            Layer::from(Linear::new(8, 3, seed + 30)),
+        ])
+    }
+
+    fn batch(n: usize, seed: u64) -> (Tensor<f32>, Vec<usize>) {
+        let mut rng = XorShiftRng::new(seed);
+        let x = Tensor::from_fn(&[n, 3, 12, 12], |_| rng.next_f32() - 0.5);
+        (x, (0..n).map(|i| i % 3).collect())
+    }
+
+    /// One training step on the workspaces; returns the loss.
+    fn step(net: &mut Network, opt: &mut Sgd, x: &Tensor<f32>, t: &[usize]) -> f32 {
+        let (loss, grad) = CrossEntropyLoss::evaluate(net.forward_train(x), t);
+        net.backward_train(&grad);
+        opt.step(net);
+        loss
+    }
+
+    fn bits(net: &mut Network) -> (Vec<u32>, Vec<u32>) {
+        let (mut params, mut grads) = (Vec::new(), Vec::new());
+        net.visit_params(&mut |p, g| {
+            params.extend(p.as_slice().iter().map(|v| v.to_bits()));
+            grads.extend(g.as_slice().iter().map(|v| v.to_bits()));
+        });
+        (params, grads)
+    }
+
+    #[test]
+    fn a_second_same_shape_step_allocates_no_buffer() {
+        // Every buffer a step borrows goes back to the thread's scratch, and
+        // the second step borrows the very same buffers (address and
+        // capacity) without adding one.
+        let mut net = small_resnet(3);
+        let mut opt = Sgd::new(0.01).momentum(0.9);
+        let (x, t) = batch(4, 5);
+        step(&mut net, &mut opt, &x, &t);
+        let after_first = crate::workspace::scratch_buffers();
+        assert!(!after_first.is_empty());
+        for _ in 0..2 {
+            step(&mut net, &mut opt, &x, &t);
+            assert_eq!(crate::workspace::scratch_buffers(), after_first);
+        }
+        // A training forward holds its caches until the backward pass.
+        net.forward_train(&x);
+        assert!(crate::workspace::scratch_buffers().len() < after_first.len());
+    }
+
+    #[test]
+    fn steps_at_changing_batch_sizes_match_a_fresh_clone_bitwise() {
+        // Batch 16, then 4, then 16 again: the workspaces shrink and grow,
+        // and each step matches the same step on a clone whose workspaces
+        // start empty, in loss, every gradient and every parameter.
+        let mut net = small_resnet(7);
+        let mut opt = Sgd::new(0.05).momentum(0.9);
+        for (i, n) in [16, 4, 16].into_iter().enumerate() {
+            let (x, t) = batch(n, 11 + i as u64);
+            let (mut fresh, mut fresh_opt) = (net.clone(), opt.clone());
+            net.zero_grad();
+            fresh.zero_grad();
+            let loss = step(&mut net, &mut opt, &x, &t);
+            let want = step(&mut fresh, &mut fresh_opt, &x, &t);
+            assert_eq!(loss.to_bits(), want.to_bits(), "loss, batch {n}");
+            assert_eq!(bits(&mut net), bits(&mut fresh), "params and grads, batch {n}");
+        }
+    }
+
+    #[test]
+    fn training_walk_matches_the_public_layer_calls_bitwise() {
+        // The walk on lent buffers against each layer's own forward and
+        // backward, which allocate their results.
+        let (mut walked, mut called) = (small_resnet(9), small_resnet(9));
+        let (x, t) = batch(5, 13);
+        let logits = walked.forward_train(&x).clone();
+        let mut y = x.clone();
+        for l in called.layers_mut() {
+            y = l.forward(&y, true);
+        }
+        assert_eq!(logits, y);
+        let (_, grad) = CrossEntropyLoss::evaluate(&logits, &t);
+        let gx = walked.backward_train(&grad).clone();
+        let mut g = grad;
+        for l in called.layers_mut().iter_mut().rev() {
+            g = l.backward(&g);
+        }
+        assert_eq!(gx, g);
+        assert_eq!(bits(&mut walked), bits(&mut called));
+    }
+
+    #[test]
+    fn an_evaluation_forward_leaves_the_training_caches_alone() {
+        // Fine-tuning runs the DRQ forward, which evaluates the same layers,
+        // on the network it trains; between a training forward and its
+        // backward pass that must change no gradient.
+        let (x, t) = batch(3, 8);
+        let mut plain = small_resnet(6);
+        let mut interleaved = plain.clone();
+        let (_, grad) = CrossEntropyLoss::evaluate(plain.forward_train(&x), &t);
+        plain.backward_train(&grad);
+        interleaved.forward_train(&x);
+        let _ = interleaved.forward(&x, false);
+        interleaved.backward_train(&grad);
+        assert_eq!(bits(&mut plain), bits(&mut interleaved));
+    }
+
+    #[test]
+    fn clones_and_equality_ignore_the_workspace() {
+        let mut net = small_resnet(4);
+        let (x, t) = batch(2, 6);
+        let (_, grad) = CrossEntropyLoss::evaluate(net.forward_train(&x), &t);
+        // Caches held by the forward pass neither travel with a clone nor
+        // make the network compare unequal to it.
+        let mut clone = net.clone();
+        assert_eq!(clone, net);
+        let no_cache = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            clone.backward_train(&grad);
+        }));
+        assert!(no_cache.is_err(), "a clone must not carry the forward's caches");
+        net.backward_train(&grad);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Max and average pooling (windowed and global).
 
+use crate::workspace::Workspace;
 use crate::NnError;
 use drq_tensor::{conv_out_dim, Shape4, Tensor};
 
@@ -32,12 +33,14 @@ pub struct Pool2d {
     kind: PoolKind,
     window: usize,
     stride: usize,
-    cache: Option<PoolCache>,
+    ws: Workspace<PoolWs>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct PoolCache {
-    input_shape: Shape4,
+/// The pooling layer's training workspace.
+#[derive(Default)]
+struct PoolWs {
+    /// The training forward's input shape, once a forward has run.
+    input_shape: Option<Shape4>,
     /// For max pooling: the linear input offset of each output's argmax.
     argmax: Vec<usize>,
 }
@@ -67,7 +70,7 @@ impl Pool2d {
                 detail: "window and stride must be positive".to_string(),
             });
         }
-        Ok(Self { kind, window, stride, cache: None })
+        Ok(Self { kind, window, stride, ws: Workspace::default() })
     }
 
     /// Convenience constructor for global average pooling.
@@ -109,12 +112,22 @@ impl Pool2d {
     ///
     /// Panics if `x` is not rank 4.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to the output shape.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
         let s = x.shape4().expect("pool input must be rank 4");
         let os = self.output_shape(s);
-        let mut out = Tensor::<f32>::zeros(&os.as_array());
+        out.resize(&os.as_array());
         let xs = x.as_slice();
         let ov = out.as_mut_slice();
-        let mut argmax = vec![0usize; if self.kind == PoolKind::Max { os.len() } else { 0 }];
+        // Training fills the kept argmax offsets; evaluation touches none.
+        let keep_argmax = train && self.kind == PoolKind::Max;
+        let mut argmax = if keep_argmax { std::mem::take(&mut self.ws.argmax) } else { Vec::new() };
+        argmax.resize(if keep_argmax { os.len() } else { 0 }, 0);
 
         match self.kind {
             PoolKind::GlobalAvg => {
@@ -165,9 +178,9 @@ impl Pool2d {
             }
         }
         if train {
-            self.cache = Some(PoolCache { input_shape: s, argmax });
+            self.ws.input_shape = Some(s);
+            self.ws.argmax = argmax;
         }
-        out
     }
 
     /// Backward pass; returns the input gradient.
@@ -176,19 +189,24 @@ impl Pool2d {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let cache = self
-            .cache
-            .take()
-            .expect("pool backward without cached forward");
-        let s = cache.input_shape;
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to the input
+    /// shape.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let s = self.ws.input_shape.take().expect("pool backward without cached forward");
         let os = self.output_shape(s);
         assert_eq!(grad_out.shape(), &os.as_array(), "grad shape mismatch");
-        let mut grad_in = Tensor::<f32>::zeros(&s.as_array());
+        grad_in.resize(&s.as_array());
         let gi = grad_in.as_mut_slice();
+        gi.fill(0.0);
         let go = grad_out.as_slice();
         match self.kind {
             PoolKind::Max => {
-                for (oo, &src) in cache.argmax.iter().enumerate() {
+                for (oo, &src) in self.ws.argmax.iter().enumerate() {
                     gi[src] += go[oo];
                 }
             }
@@ -227,7 +245,6 @@ impl Pool2d {
                 }
             }
         }
-        grad_in
     }
 }
 

@@ -1,5 +1,6 @@
 //! Rectified linear activation.
 
+use crate::workspace::{give_tensor, hold, lend_tensor, Workspace};
 use drq_tensor::Tensor;
 
 /// The ReLU activation, `y = max(0, x)`.
@@ -20,7 +21,9 @@ use drq_tensor::Tensor;
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReLU {
-    mask: Option<Tensor<u8>>,
+    /// 1 where the training forward's input was positive, until the
+    /// backward pass reads it.
+    ws: Workspace<Option<Tensor<u8>>>,
 }
 
 impl ReLU {
@@ -31,10 +34,24 @@ impl ReLU {
 
     /// Forward pass; caches the activity mask when `train` is set.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
-        if train {
-            self.mask = Some(x.map(|v| u8::from(v > 0.0)));
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`, which is resized to the input shape.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
+        out.resize(x.shape());
+        for (o, &v) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
+            *o = v.max(0.0);
         }
-        x.map(|v| v.max(0.0))
+        if train {
+            let mut mask = lend_tensor(x.shape());
+            for (m, &v) in mask.as_mut_slice().iter_mut().zip(x.as_slice()) {
+                *m = u8::from(v > 0.0);
+            }
+            hold(&mut self.ws, mask);
+        }
     }
 
     /// Backward pass: zeroes gradient where the input was non-positive.
@@ -43,13 +60,22 @@ impl ReLU {
     ///
     /// Panics if called before a training-mode forward pass.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let mask = self
-            .mask
-            .take()
-            .expect("relu backward without cached forward mask");
-        grad_out
-            .zip_map(&mask, |g, m| if m == 1 { g } else { 0.0 })
-            .expect("relu mask shape mismatch")
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, which is resized to the gradient
+    /// shape.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let mask = self.ws.take().expect("relu backward without cached forward mask");
+        assert_eq!(grad_out.shape(), mask.shape(), "relu mask shape mismatch");
+        grad_in.resize(grad_out.shape());
+        let gi = grad_in.as_mut_slice().iter_mut();
+        for ((d, &g), &m) in gi.zip(grad_out.as_slice()).zip(mask.as_slice()) {
+            *d = if m == 1 { g } else { 0.0 };
+        }
+        give_tensor(mask);
     }
 }
 

@@ -1,5 +1,7 @@
 //! Residual blocks (ResNet-style skip connections).
 
+use crate::layer::chain;
+use crate::workspace::{WalkBufs, Workspace};
 use crate::Layer;
 use drq_tensor::Tensor;
 
@@ -33,12 +35,22 @@ use drq_tensor::Tensor;
 pub struct ResidualBlock {
     main: Vec<Layer>,
     shortcut: Vec<Layer>,
+    /// Capacities of the walk buffers the last training walk needed.
+    ws: Workspace<[usize; 3]>,
+}
+
+/// `acc += other`, elementwise: the residual sum, `main + shortcut`.
+fn add_path(acc: &mut Tensor<f32>, other: &Tensor<f32>, what: &str) {
+    assert_eq!(acc.shape(), other.shape(), "{what}");
+    for (a, &b) in acc.as_mut_slice().iter_mut().zip(other.as_slice()) {
+        *a += b;
+    }
 }
 
 impl ResidualBlock {
     /// Creates a block from a main path and a (possibly empty) shortcut path.
     pub fn new(main: Vec<Layer>, shortcut: Vec<Layer>) -> Self {
-        Self { main, shortcut }
+        Self { main, shortcut, ws: Workspace::default() }
     }
 
     /// The main-path layers.
@@ -67,31 +79,54 @@ impl ResidualBlock {
     ///
     /// Panics if the two paths produce different shapes.
     pub fn forward(&mut self, x: &Tensor<f32>, train: bool) -> Tensor<f32> {
-        let mut main = x.clone();
-        for l in &mut self.main {
-            main = l.forward(&main, train);
+        let mut out = Tensor::default();
+        self.forward_into(x, train, &mut out);
+        out
+    }
+
+    /// [`Self::forward`] into `out`: the main path writes `out`, and the
+    /// shortcut's result (the input itself when the shortcut is empty) is
+    /// added onto it. The shortcut walk runs after the main one and reuses
+    /// its intermediate buffers, which training mode borrows from the
+    /// thread's scratch.
+    pub(crate) fn forward_into(&mut self, x: &Tensor<f32>, train: bool, out: &mut Tensor<f32>) {
+        let mut walk = WalkBufs::lend(*self.ws, train);
+        let step = |l: &mut Layer, x: &Tensor<f32>, y: &mut Tensor<f32>| l.forward_into(x, train, y);
+        chain(self.main.iter_mut(), x, &mut walk.bufs, out, step);
+        let short = if self.shortcut.is_empty() {
+            x
+        } else {
+            chain(self.shortcut.iter_mut(), x, &mut walk.bufs, &mut walk.extra, step);
+            &walk.extra
+        };
+        add_path(out, short, "residual paths must produce identical shapes");
+        if train {
+            *self.ws = walk.give();
         }
-        let mut short = x.clone();
-        for l in &mut self.shortcut {
-            short = l.forward(&short, train);
-        }
-        main.zip_map(&short, |a, b| a + b)
-            .expect("residual paths must produce identical shapes")
     }
 
     /// Backward pass; sums gradients from both paths.
     pub fn backward(&mut self, grad_out: &Tensor<f32>) -> Tensor<f32> {
-        let mut g_main = grad_out.clone();
-        for l in self.main.iter_mut().rev() {
-            g_main = l.backward(&g_main);
-        }
-        let mut g_short = grad_out.clone();
-        for l in self.shortcut.iter_mut().rev() {
-            g_short = l.backward(&g_short);
-        }
-        g_main
-            .zip_map(&g_short, |a, b| a + b)
-            .expect("residual gradient shape mismatch")
+        let mut grad_in = Tensor::default();
+        self.backward_into(grad_out, &mut grad_in);
+        grad_in
+    }
+
+    /// [`Self::backward`] into `grad_in`, on buffers borrowed from the
+    /// thread's scratch.
+    pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
+        let mut walk = WalkBufs::lend(*self.ws, true);
+        let step = |l: &mut Layer, g: &Tensor<f32>, d: &mut Tensor<f32>| l.backward_into(g, d);
+        chain(self.main.iter_mut().rev(), grad_out, &mut walk.bufs, grad_in, step);
+        let short = if self.shortcut.is_empty() {
+            grad_out
+        } else {
+            let main = self.shortcut.iter_mut().rev();
+            chain(main, grad_out, &mut walk.bufs, &mut walk.extra, step);
+            &walk.extra
+        };
+        add_path(grad_in, short, "residual gradient shape mismatch");
+        *self.ws = walk.give();
     }
 
     /// Zeroes accumulated gradients on both paths.

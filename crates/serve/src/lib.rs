@@ -7,7 +7,7 @@
 //!
 //! 1. **Bounded admission.** Each shard's queue has a hard capacity; a full
 //!    queue answers `queue_full` with a `retry_after_ms` hint instead of
-//!    growing without bound ([`queue::AdmissionQueue`]).
+//!    growing without bound (the crate-private `AdmissionQueue`).
 //! 2. **Deadlines.** Each request carries a cycle budget measured on its
 //!    shard's virtual clock ([`CycleClock`]). Expired work is cancelled
 //!    between layer boundaries, never mid-layer.

@@ -46,7 +46,8 @@ use drq_tensor::parallel;
 
 /// Builder for one network-level simulation run.
 ///
-/// See the [module docs](self) for the design; see
+/// See the `session` module's documentation (in its source) for the
+/// design; see
 /// [`DrqAccelerator::session`] for a convenience constructor.
 pub struct SimSession<'a, 't> {
     accel: &'a DrqAccelerator,

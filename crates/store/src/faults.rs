@@ -114,8 +114,9 @@ fn prefix_len(inj: &mut FaultInjector<IoFaultSite>, len: usize) -> usize {
 }
 
 /// A [`Storage`] wrapper that injects deterministic I/O faults from an
-/// [`IoFaultPlan`]. See the [module docs](self) for the effect of each
-/// site and the draw discipline that makes schedules replayable.
+/// [`IoFaultPlan`]. The `faults` module's documentation (in its source)
+/// gives the effect of each site and the draw discipline that makes
+/// schedules replayable.
 ///
 /// The wrapper is where chaos comes from in `tests/store_chaos.rs`: the
 /// property suite drives [`crate::ArtifactStore`] commits through a

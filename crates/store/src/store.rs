@@ -253,7 +253,8 @@ pub(crate) fn tmp_path(path: &str) -> String {
 }
 
 /// The crash-safe artifact store. See the [crate docs](crate) and the
-/// [module docs](self) for the commit protocol and recovery invariant.
+/// `store` module's documentation (in its source) for the commit protocol
+/// and recovery invariant.
 #[derive(Debug, Clone)]
 pub struct ArtifactStore<S: Storage = FsStorage> {
     storage: S,

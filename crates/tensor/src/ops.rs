@@ -2,11 +2,12 @@
 //!
 //! [`gemm`] is the compute kernel behind the software convolution (via
 //! im2col) and the fully connected layers used for training and reference
-//! inference; [`matmul`] is its tensor-level wrapper. Large products run a
-//! cache-blocked kernel — MC row blocks sharded across threads, KC-deep
-//! panels of `b` packed into NR-wide strips (straight from either layout of
-//! `b`), and an MR×NR register tile — while small products use a plain
-//! loop whose overhead is lower. Both paths are bit-deterministic in the
+//! inference; [`gemm_at`] is the same product with the left operand stored
+//! transposed, and [`matmul`] the tensor-level wrapper. Large products run
+//! a cache-blocked kernel — MC row blocks sharded across threads, KC-deep
+//! panels of `a` and `b` packed into register-tile order (straight from
+//! either layout of each operand), and an MR×NR register tile — while small
+//! products use a plain loop whose overhead is lower. Both paths are bit-deterministic in the
 //! thread count (see the `parallel` module): every output element is
 //! produced by exactly one worker and its accumulation order depends only
 //! on the shapes.
@@ -69,6 +70,58 @@ pub enum Rhs {
 /// assert_eq!(c, [3.0, 2.0, 7.0, 4.0]);
 /// ```
 pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], rhs: Rhs, c: &mut [f32]) {
+    gemm_op(Lhs { a, transposed: false, m, k }, b, rhs, n, c);
+}
+
+/// [`gemm`] with the left operand stored transposed:
+/// `c (m×n) = atᵀ · op(b)`, where `at` is `[k, m]`, row-major (a weight
+/// matrix read as `Wᵀ`, or an output gradient read as `gyᵀ`). It is packed
+/// straight from that layout, so the result has the same bits as [`gemm`]
+/// on the materialized transpose, at every thread count.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k` and `n`.
+///
+/// # Examples
+///
+/// ```
+/// use drq_tensor::{gemm_at, Rhs};
+///
+/// let at = [1.0, 3.0, 2.0, 4.0]; // [k = 2, m = 2]: a = [[1, 2], [3, 4]]
+/// let b = [1.0, 0.0, 1.0, 1.0]; // [k = 2, n = 2]
+/// let mut c = [f32::NAN; 4];
+/// gemm_at(2, 2, 2, &at, &b, Rhs::Plain, &mut c);
+/// assert_eq!(c, [3.0, 2.0, 7.0, 4.0]);
+/// ```
+pub fn gemm_at(m: usize, k: usize, n: usize, at: &[f32], b: &[f32], rhs: Rhs, c: &mut [f32]) {
+    gemm_op(Lhs { a: at, transposed: true, m, k }, b, rhs, n, c);
+}
+
+/// The left operand of a product as stored: `[m, k]`, or `[k, m]` when
+/// `transposed`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    a: &'a [f32],
+    transposed: bool,
+    m: usize,
+    k: usize,
+}
+
+impl<'a> Lhs<'a> {
+    /// Row `i` of the `[m, k]` operand, in ascending `k` order.
+    fn row(self, i: usize) -> std::iter::StepBy<std::slice::Iter<'a, f32>> {
+        if self.transposed {
+            self.a[i..].iter().step_by(self.m)
+        } else {
+            self.a[i * self.k..][..self.k].iter().step_by(1)
+        }
+    }
+}
+
+/// The body of [`gemm`] and [`gemm_at`].
+fn gemm_op(lhs: Lhs<'_>, b: &[f32], rhs: Rhs, n: usize, c: &mut [f32]) {
+    let (a, m, k) = (lhs.a, lhs.m, lhs.k);
     assert_eq!(a.len(), m * k, "gemm lhs must hold m*k = {m}*{k} values");
     assert_eq!(b.len(), k * n, "gemm rhs must hold k*n = {k}*{n} values");
     assert_eq!(c.len(), m * n, "gemm output must hold m*n = {m}*{n} values");
@@ -79,9 +132,9 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], rhs: Rhs, c: &mu
         return;
     }
     match (m * k * n < SMALL_MACS, rhs) {
-        (true, Rhs::Plain) => matmul_simple(a, b, c, k, n),
-        (true, Rhs::Transposed) => matmul_simple_t(a, b, c, k, n),
-        (false, _) => matmul_blocked(a, b, rhs, c, k, n),
+        (true, Rhs::Plain) => matmul_simple(lhs, b, c, n),
+        (true, Rhs::Transposed) => matmul_simple_t(lhs, b, c, n),
+        (false, _) => matmul_blocked(lhs, b, rhs, c, n),
     }
 }
 
@@ -133,14 +186,15 @@ pub fn matmul_reference(a: &Tensor<f32>, b: &Tensor<f32>) -> Tensor<f32> {
     if m == 0 || k == 0 || n == 0 {
         return out;
     }
-    matmul_simple(a.as_slice(), b.as_slice(), out.as_mut_slice(), k, n);
+    let lhs = Lhs { a: a.as_slice(), transposed: false, m, k };
+    matmul_simple(lhs, b.as_slice(), out.as_mut_slice(), n);
     out
 }
 
 /// `i-k-j` triple loop; cache-friendly on `b`, no blocking.
-fn matmul_simple(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
-    for (arow, orow) in av.chunks_exact(k).zip(ov.chunks_exact_mut(n)) {
-        for (&aik, brow) in arow.iter().zip(bv.chunks_exact(n)) {
+fn matmul_simple(lhs: Lhs<'_>, bv: &[f32], ov: &mut [f32], n: usize) {
+    for (i, orow) in ov.chunks_exact_mut(n).enumerate() {
+        for (&aik, brow) in lhs.row(i).zip(bv.chunks_exact(n)) {
             for (o, &bb) in orow.iter_mut().zip(brow.iter()) {
                 *o += aik * bb;
             }
@@ -150,11 +204,12 @@ fn matmul_simple(av: &[f32], bv: &[f32], ov: &mut [f32], k: usize, n: usize) {
 
 /// [`matmul_simple`] with `b` stored `[n, k]`: NR output columns at a
 /// time, each an independent sum over `k` in ascending order.
-fn matmul_simple_t(av: &[f32], bt: &[f32], ov: &mut [f32], k: usize, n: usize) {
-    for (arow, orow) in av.chunks_exact(k).zip(ov.chunks_exact_mut(n)) {
+fn matmul_simple_t(lhs: Lhs<'_>, bt: &[f32], ov: &mut [f32], n: usize) {
+    let k = lhs.k;
+    for (i, orow) in ov.chunks_exact_mut(n).enumerate() {
         for (ocols, brows) in orow.chunks_mut(NR).zip(bt.chunks(NR * k)) {
             let mut acc = [0.0f32; NR];
-            for (kk, &aik) in arow.iter().enumerate() {
+            for (kk, &aik) in lhs.row(i).enumerate() {
                 for (x, brow) in acc.iter_mut().zip(brows.chunks_exact(k)) {
                     *x += aik * brow[kk];
                 }
@@ -168,9 +223,9 @@ fn matmul_simple_t(av: &[f32], bt: &[f32], ov: &mut [f32], k: usize, n: usize) {
 
 /// Cache-blocked parallel kernel. Each worker owns MC full output rows, so
 /// writes are disjoint and no reduction crosses threads.
-fn matmul_blocked(av: &[f32], bv: &[f32], rhs: Rhs, ov: &mut [f32], k: usize, n: usize) {
+fn matmul_blocked(lhs: Lhs<'_>, bv: &[f32], rhs: Rhs, ov: &mut [f32], n: usize) {
     parallel::for_each_chunk_mut(ov, MC * n, |bi, cchunk| {
-        blocked_rows(av, bv, rhs, cchunk, bi * MC, k, n);
+        blocked_rows(lhs, bv, rhs, cchunk, bi * MC, n);
     });
 }
 
@@ -180,15 +235,8 @@ fn matmul_blocked(av: &[f32], bv: &[f32], rhs: Rhs, ov: &mut [f32], k: usize, n:
 /// machinery, the copy in the spawned workers' entry point ran about half
 /// as fast as the calling thread's.
 #[inline(never)]
-fn blocked_rows(
-    av: &[f32],
-    bv: &[f32],
-    rhs: Rhs,
-    cchunk: &mut [f32],
-    i0: usize,
-    k: usize,
-    n: usize,
-) {
+fn blocked_rows(lhs: Lhs<'_>, bv: &[f32], rhs: Rhs, cchunk: &mut [f32], i0: usize, n: usize) {
+    let k = lhs.k;
     let n_strips = n.div_ceil(NR);
     // Packed buffers hold one panel, so a shallow product packs only `k`.
     let kc_max = KC.min(k);
@@ -200,17 +248,20 @@ fn blocked_rows(
     // padding in the tail lanes (written once here, never by packing).
     let mut pb = vec![0.0f32; n_strips * kc_max * NR];
     // Packed a block: tile-major, each tile's rows interleaved per k step,
-    // so a tile's `a` values for one step are one contiguous load.
-    let mut pa = vec![0.0f32; tail0 * kc_max];
+    // so a tile's `a` values for one step are one contiguous load; the row
+    // tail (< HR rows) follows as one-row panels.
+    let mut pa = vec![0.0f32; rows * kc_max];
     for k0 in (0..k).step_by(KC) {
         let kc = KC.min(k - k0);
         match rhs {
             Rhs::Plain => pack_b(bv, &mut pb, k0, kc, kc_max, n),
             Rhs::Transposed => pack_bt(bv, &mut pb, k0, kc, kc_max, k),
         }
-        let (pa_full, pa_half) = pa[..tail0 * kc].split_at_mut(tiles * MR * kc);
-        pack_a::<MR>(av, pa_full, i0, k0, kc, k);
-        pack_a::<HR>(av, pa_half, i0 + tiles * MR, k0, kc, k);
+        let (pa_full, rest) = pa[..rows * kc].split_at_mut(tiles * MR * kc);
+        let (pa_half, pa_tail) = rest.split_at_mut((tail0 - tiles * MR) * kc);
+        pack_a::<MR>(lhs, pa_full, i0, k0, kc);
+        pack_a::<HR>(lhs, pa_half, i0 + tiles * MR, k0, kc);
+        pack_a::<1>(lhs, pa_tail, i0 + tail0, k0, kc);
         for sb in 0..n_strips {
             let jb = sb * NR;
             let w = NR.min(n - jb);
@@ -222,9 +273,8 @@ fn blocked_rows(
                 tile::<HR>(pa_half, strip, &mut cchunk[tiles * MR * n + jb..], n, w);
             }
             // Row tail (< HR rows): one row is its own packed panel.
-            for i_local in tail0..rows {
-                let a_row = &av[(i0 + i_local) * k + k0..][..kc];
-                tile::<1>(a_row, strip, &mut cchunk[i_local * n + jb..], n, w);
+            for (r, a_row) in pa_tail.chunks_exact(kc).enumerate() {
+                tile::<1>(a_row, strip, &mut cchunk[(tail0 + r) * n + jb..], n, w);
             }
         }
     }
@@ -262,13 +312,22 @@ fn axpy(c: &mut [f32; NR], a: f32, p: &[f32; NR]) {
 
 /// Packs R-row tiles of `a` (rows from `row0`, as many whole tiles as `pa`
 /// holds at depth `kc`, columns `k0..k0+kc`) with the R rows interleaved
-/// per k step.
-fn pack_a<const R: usize>(av: &[f32], pa: &mut [f32], row0: usize, k0: usize, kc: usize, k: usize) {
+/// per k step. A transposed operand already stores each k step's rows
+/// side by side, so its tile rows are one copy per step.
+fn pack_a<const R: usize>(lhs: Lhs<'_>, pa: &mut [f32], row0: usize, k0: usize, kc: usize) {
+    let (a, m, k) = (lhs.a, lhs.m, lhs.k);
     for (t, dst) in pa.chunks_exact_mut(R * kc).enumerate() {
-        for r in 0..R {
-            let src = &av[(row0 + t * R + r) * k + k0..][..kc];
-            for (kl, &v) in src.iter().enumerate() {
-                dst[kl * R + r] = v;
+        let i = row0 + t * R;
+        if lhs.transposed {
+            for (kl, d) in dst.chunks_exact_mut(R).enumerate() {
+                d.copy_from_slice(&a[(k0 + kl) * m + i..][..R]);
+            }
+        } else {
+            for r in 0..R {
+                let src = &a[(i + r) * k + k0..][..kc];
+                for (kl, &v) in src.iter().enumerate() {
+                    dst[kl * R + r] = v;
+                }
             }
         }
     }
@@ -427,6 +486,29 @@ mod tests {
                 for (rhs, bop) in [(Rhs::Plain, b.clone()), (Rhs::Transposed, transpose(&b))] {
                     let mut c = vec![f32::NAN; m * n];
                     gemm(m, k, n, a.as_slice(), bop.as_slice(), rhs, &mut c);
+                    for (x, y) in c.iter().zip(want.as_slice()) {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{rhs:?} m={m} k={k} n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transposed_lhs_is_bit_identical_to_plain_at_every_tile_height() {
+        // m walks the 8-row tile, the 4-row tile, the single-row tail and
+        // (past MC = 64) a second worker's row block, whose packing reads
+        // the transposed operand from a column offset.
+        let mut rng = XorShiftRng::new(8);
+        for m in (1..=17).chain([70]) {
+            for &(k, n) in &[(3, 5), (40, 17), (300, 33)] {
+                let a = Tensor::from_fn(&[m, k], |_| rng.next_f32() - 0.5);
+                let b = Tensor::from_fn(&[k, n], |_| rng.next_f32() - 0.5);
+                let want = matmul(&a, &b);
+                let at = transpose(&a);
+                for (rhs, bop) in [(Rhs::Plain, b.clone()), (Rhs::Transposed, transpose(&b))] {
+                    let mut c = vec![f32::NAN; m * n];
+                    gemm_at(m, k, n, at.as_slice(), bop.as_slice(), rhs, &mut c);
                     for (x, y) in c.iter().zip(want.as_slice()) {
                         assert_eq!(x.to_bits(), y.to_bits(), "{rhs:?} m={m} k={k} n={n}");
                     }

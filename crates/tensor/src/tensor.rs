@@ -134,6 +134,42 @@ impl<T: Element> Tensor<T> {
         Ok(self)
     }
 
+    /// Gives the tensor `shape` in place, keeping its allocation whenever it
+    /// is large enough: the buffers a training step reuses from one step to
+    /// the next. Elements that remain keep their values; storage that has
+    /// to grow is replaced by zeroed storage. A caller writes every element
+    /// it later reads.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use drq_tensor::Tensor;
+    ///
+    /// let mut t = Tensor::<f32>::zeros(&[4, 4]);
+    /// let ptr = t.as_slice().as_ptr();
+    /// t.resize(&[2, 3]);
+    /// assert_eq!((t.shape(), t.len()), (&[2, 3][..], 6));
+    /// assert_eq!(t.as_slice().as_ptr(), ptr);
+    /// ```
+    pub fn resize(&mut self, shape: &[usize]) {
+        if self.shape != shape {
+            self.shape = shape.to_vec();
+            self.strides = row_major_strides(shape);
+        }
+        let len = shape.iter().product();
+        if len > self.data.capacity() {
+            self.data = vec![T::ZERO; len];
+        }
+        self.data.resize(len, T::ZERO);
+    }
+
+    /// Makes this tensor an element-for-element copy of `src`, reusing its
+    /// allocation as [`Self::resize`] does.
+    pub fn copy_from(&mut self, src: &Tensor<T>) {
+        self.resize(&src.shape);
+        self.data.copy_from_slice(&src.data);
+    }
+
     /// The shape as [`Shape4`], for rank-4 (NCHW) tensors.
     ///
     /// # Errors

@@ -20,8 +20,8 @@
 //!   failure exactly, and property panics are captured (not just `Err`
 //!   returns) so shrinking survives `assert!`s inside the library under
 //!   test;
-//! * **reference oracles** ([`reference`]): naive triple-loop GEMM and
-//!   convolution (bit-exact against the blocked/parallel kernels), an exact
+//! * **reference oracles** ([`reference`](mod@reference)): naive
+//!   triple-loop GEMM and convolution (bit-exact against the blocked/parallel kernels), an exact
 //!   `i64` integer-GEMM oracle with wrapping- and saturating-`i32` views
 //!   (the integer GEMM kernels are judged against the wrapping view at
 //!   every depth), the mixed-precision conv as a scalar tap loop (the

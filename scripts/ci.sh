@@ -38,6 +38,12 @@ cargo build --release --offline --workspace
 echo "== test (offline, -Dwarnings, DRQ_TESTKIT_CASES=$DRQ_TESTKIT_CASES) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --workspace
 
+echo "== docs (offline, rustdoc warnings as errors) =="
+# Every library crate's docs build with no broken or private intra-doc
+# link. `--lib` because the CLI binary `drq` would write its page over the
+# `drq` facade's.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib --offline
+
 echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential
 

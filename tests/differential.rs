@@ -17,7 +17,7 @@ use drq::models::FeatureMapSynthesizer;
 use drq::quant::{MaxAbsQuantizer, PerChannelQuantizer, QuantParams, Quantizer};
 use drq::sim::{LayerCycleModel, LayerCycles};
 use drq::tensor::{
-    gemm, int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Rhs, Tensor,
+    gemm, gemm_at, int4_matmul, int8_matmul, int8_matmul_wide, matmul, parallel, Int4Packed, Rhs, Tensor,
     XorShiftRng,
 };
 use drq_testkit::cases::{
@@ -196,6 +196,46 @@ fn f32_gemm_transposed_rhs_matches_matmul_bitwise_at_every_depth() {
             Ok(())
         },
     );
+    parallel::set_max_threads(0);
+}
+
+#[test]
+fn f32_gemm_transposed_lhs_matches_matmul_bitwise_at_every_depth() {
+    // The transposed-left-operand GEMM, with either layout of the right
+    // operand, against `matmul` on the materialized transposes, into a
+    // destination that starts as NaN. The short shapes cross the
+    // small-product cutoff, the KC panel depth and the 8- and 4-row tiles;
+    // the routine ones (up to 96 rows) also a second worker's row block.
+    let _serial = thread_count_lock();
+    let transpose = |t: &Tensor<f32>, r: usize, c: usize| {
+        Tensor::from_fn(&[c, r], |i| t.as_slice()[(i % r) * c + i / r])
+    };
+    for (name, gen) in [
+        ("short", GemmCase::arbitrary_short as fn(&mut XorShiftRng) -> GemmCase),
+        ("routine", GemmCase::arbitrary),
+    ] {
+        kit().check(
+            &format!("f32 gemm transposed lhs vs matmul, {name} shapes"),
+            gen,
+            GemmCase::shrink,
+            |c| {
+                let (a, b) = c.operands();
+                let (at, bt) = (transpose(&a, c.m, c.k), transpose(&b, c.k, c.n));
+                for threads in [1usize, 2, 0] {
+                    parallel::set_max_threads(threads);
+                    let want = matmul(&a, &b);
+                    for (rhs, bop) in [(Rhs::Plain, &b), (Rhs::Transposed, &bt)] {
+                        let mut got = Tensor::<f32>::full(&[c.m, c.n], f32::NAN);
+                        let (atv, bv) = (at.as_slice(), bop.as_slice());
+                        gemm_at(c.m, c.k, c.n, atv, bv, rhs, got.as_mut_slice());
+                        let what = format!("{rhs:?} rhs, {threads} threads");
+                        assert_bits_eq(&got, &want, &format!("transposed lhs, {what}"))?;
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
     parallel::set_max_threads(0);
 }
 
