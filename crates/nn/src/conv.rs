@@ -268,10 +268,10 @@ impl Conv2d {
     ///
     /// Per image and channel group, the GEMM of the group's weight rows and
     /// column-matrix rows writes straight into the output rows, and the bias
-    /// is added in place. Batches shard across threads (one run of
-    /// consecutive images per worker); a single image instead parallelizes
-    /// inside the GEMM kernel. Outputs are bit-identical for every thread
-    /// count and batch split.
+    /// is added in place. Each image is a work item that threads claim
+    /// dynamically, taking a column matrix from a per-call pool; a single
+    /// image instead parallelizes inside im2col and the GEMM kernel.
+    /// Outputs are bit-identical for every thread count and batch split.
     ///
     /// # Panics
     ///

@@ -1,25 +1,10 @@
 //! Sequential network container with convolution taps.
 
 use crate::layer::chain;
+use crate::residual::merge_residual;
 use crate::workspace::{WalkBufs, Workspace};
 use crate::{Conv2d, Layer, NnError};
 use drq_tensor::Tensor;
-
-/// Adds a residual block's shortcut result onto its main path's, in place,
-/// surfacing shape mismatches as the typed error the `try_*` forward
-/// variants propagate.
-fn merge_residual(main: &mut Tensor<f32>, short: &Tensor<f32>) -> Result<(), NnError> {
-    if main.shape() != short.shape() {
-        return Err(NnError::ShapeMismatch {
-            context: "residual shape mismatch",
-            detail: format!("{:?} vs {:?}", main.shape(), short.shape()),
-        });
-    }
-    for (a, &b) in main.as_mut_slice().iter_mut().zip(short.as_slice()) {
-        *a += b;
-    }
-    Ok(())
-}
 
 /// Callback executing one convolution: `(conv_index, layer, input) -> output`.
 pub type ConvExecutor<'a> = dyn FnMut(usize, &Conv2d, &Tensor<f32>) -> Tensor<f32> + 'a;
@@ -505,6 +490,35 @@ mod tests {
             assert_eq!(loss.to_bits(), want.to_bits(), "loss, batch {n}");
             assert_eq!(bits(&mut net), bits(&mut fresh), "params and grads, batch {n}");
         }
+    }
+
+    #[test]
+    fn the_scratch_keeps_what_its_thread_outgrew() {
+        // Each sequence runs on a thread of its own, whose scratch starts
+        // empty. A smaller step between two large ones borrows the large
+        // step's buffers and adds none; a larger step after a smaller one
+        // cannot use the smaller buffers for its own requests, and the
+        // scratch keeps them.
+        fn scratch_after(batches: &'static [usize]) -> Vec<Vec<(usize, usize)>> {
+            std::thread::spawn(move || {
+                let mut net = small_resnet(12);
+                let mut opt = Sgd::new(0.01);
+                let steps = batches.iter().map(|&n| {
+                    let (x, t) = batch(n, n as u64);
+                    step(&mut net, &mut opt, &x, &t);
+                    crate::workspace::scratch_buffers()
+                });
+                steps.collect()
+            })
+            .join()
+            .unwrap()
+        }
+        let held = |s: &[(usize, usize)]| s.iter().map(|&(_, cap)| cap).sum::<usize>();
+        let down_up = scratch_after(&[16, 4, 16]);
+        assert_eq!(down_up[1], down_up[0], "a batch-4 step after batch 16");
+        assert_eq!(down_up[2], down_up[0], "batch 16 again");
+        let up = scratch_after(&[4, 16]);
+        assert!(held(&up[1]) > held(&down_up[0]), "batch 16 after batch 4 holds more than batch 16");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::layer::chain;
 use crate::workspace::{WalkBufs, Workspace};
-use crate::Layer;
+use crate::{Layer, NnError};
 use drq_tensor::Tensor;
 
 /// A residual block: `y = main(x) + shortcut(x)`.
@@ -39,12 +39,20 @@ pub struct ResidualBlock {
     ws: Workspace<[usize; 3]>,
 }
 
-/// `acc += other`, elementwise: the residual sum, `main + shortcut`.
-fn add_path(acc: &mut Tensor<f32>, other: &Tensor<f32>, what: &str) {
-    assert_eq!(acc.shape(), other.shape(), "{what}");
-    for (a, &b) in acc.as_mut_slice().iter_mut().zip(other.as_slice()) {
+/// Adds a residual block's shortcut result onto its main path's, in place,
+/// surfacing shape mismatches as the typed error the `try_*` forward
+/// variants propagate.
+pub(crate) fn merge_residual(main: &mut Tensor<f32>, short: &Tensor<f32>) -> Result<(), NnError> {
+    if main.shape() != short.shape() {
+        return Err(NnError::ShapeMismatch {
+            context: "residual shape mismatch",
+            detail: format!("{:?} vs {:?}", main.shape(), short.shape()),
+        });
+    }
+    for (a, &b) in main.as_mut_slice().iter_mut().zip(short.as_slice()) {
         *a += b;
     }
+    Ok(())
 }
 
 impl ResidualBlock {
@@ -99,7 +107,7 @@ impl ResidualBlock {
             chain(self.shortcut.iter_mut(), x, &mut walk.bufs, &mut walk.extra, step);
             &walk.extra
         };
-        add_path(out, short, "residual paths must produce identical shapes");
+        merge_residual(out, short).expect("residual paths must produce identical shapes");
         if train {
             *self.ws = walk.give();
         }
@@ -125,7 +133,7 @@ impl ResidualBlock {
             chain(main, grad_out, &mut walk.bufs, &mut walk.extra, step);
             &walk.extra
         };
-        add_path(grad_in, short, "residual gradient shape mismatch");
+        merge_residual(grad_in, short).expect("residual gradient shape mismatch");
         *self.ws = walk.give();
     }
 

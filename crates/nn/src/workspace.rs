@@ -17,6 +17,13 @@
 //! buffers serves every network it trains, and a second trained network (a
 //! clone kept for comparison, say) holds no memory between steps.
 //! Evaluation-mode forwards (`train = false`) never borrow from it.
+//!
+//! The scratch gives no memory back until its thread exits (for the main
+//! thread, the process). A lent buffer is the smallest free one that holds
+//! the request, so buffers outgrown by a later, larger step stay in the
+//! free list and serve only smaller requests: a thread that trains at
+//! batch 4 and then at batch 16 keeps buffers of both steps, while one that
+//! steps at batch 16, then 4, then 16 keeps only the batch-16 set.
 
 use std::cell::RefCell;
 use std::fmt;

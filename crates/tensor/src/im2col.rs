@@ -9,7 +9,9 @@ use std::ops::Range;
 
 use crate::{parallel, try_conv_out_dim, Element, Shape4, ShapeError, Tensor};
 
-/// Transforms smaller than this many elements run single-chunk (inline).
+/// Column matrices smaller than this many elements are filled (and
+/// scattered back by [`col2im_accumulate_into`]) inline, on one thread;
+/// larger ones shard their rows (channels) across workers.
 ///
 /// The fill is a memory-bound copy, so a second worker pays for its spawn
 /// only on large matrices. Timed per call into a reused buffer on a
@@ -17,7 +19,7 @@ use crate::{parallel, try_conv_out_dim, Element, Shape4, ShapeError, Tensor};
 /// against 41–47 µs for one, and col2im 76–82 against 69–83 µs; at 452 K
 /// (256×14×14) two took 183–188 µs against 285–349 µs, and col2im 230–306
 /// against 427–454 µs. The cutoff sits between the two.
-const PAR_MIN_ELEMS: usize = 256 * 1024;
+pub const IM2COL_PAR_MIN_ELEMS: usize = 256 * 1024;
 
 /// Geometry of an [`im2col`] expansion.
 ///
@@ -143,7 +145,7 @@ pub fn im2col_into<T: Element>(x: &[T], layout: &Im2ColLayout, out: &mut [T]) {
     let (ow, stride, pad) = (layout.out_w, layout.stride, layout.pad);
     let yspans = valid_spans(s.h, layout.out_h, layout.kh, stride, pad);
     let xspans = valid_spans(s.w, ow, layout.kw, stride, pad);
-    let rows_per_task = if rows * cols < PAR_MIN_ELEMS {
+    let rows_per_task = if rows * cols < IM2COL_PAR_MIN_ELEMS {
         rows
     } else {
         rows.div_ceil(4 * parallel::max_threads()).max(1)
@@ -216,7 +218,7 @@ pub fn col2im_accumulate_into(cv: &[f32], layout: &Im2ColLayout, slab: &mut [f32
     let yspans = valid_spans(s.h, layout.out_h, layout.kh, stride, pad);
     let xspans = valid_spans(s.w, ow, layout.kw, stride, pad);
     let taps = layout.kh * layout.kw;
-    let chans_per_task = if s.c * taps * ncols < PAR_MIN_ELEMS {
+    let chans_per_task = if s.c * taps * ncols < IM2COL_PAR_MIN_ELEMS {
         s.c
     } else {
         s.c.div_ceil(4 * parallel::max_threads()).max(1)

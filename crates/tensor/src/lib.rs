@@ -41,7 +41,10 @@ mod tensor;
 
 pub use element::Element;
 pub use error::ShapeError;
-pub use im2col::{col2im_accumulate, col2im_accumulate_into, im2col, im2col_into, Im2ColLayout};
+pub use im2col::{
+    col2im_accumulate, col2im_accumulate_into, im2col, im2col_into, Im2ColLayout,
+    IM2COL_PAR_MIN_ELEMS,
+};
 pub use init::{he_normal, uniform, XorShiftRng};
 pub use int_ops::{
     int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_gemm_indirect,

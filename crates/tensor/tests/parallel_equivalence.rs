@@ -5,23 +5,35 @@
 
 use drq_tensor::{
     col2im_accumulate, im2col, matmul, matmul_reference, parallel, Im2ColLayout, Shape4, Tensor,
-    XorShiftRng,
+    XorShiftRng, IM2COL_PAR_MIN_ELEMS,
 };
 use std::sync::Mutex;
 
 /// `set_max_threads` is process-global; serialize the tests that sweep it.
 static THREAD_KNOB: Mutex<()> = Mutex::new(());
 
-/// Runs `f` once per thread count and asserts all results are bit-equal.
-fn assert_thread_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) {
+/// Runs `f` once per thread count (1, 2, 8 and every available thread)
+/// and asserts all results are bit-equal; returns the result.
+fn assert_thread_invariant<R: PartialEq + std::fmt::Debug>(f: impl Fn() -> R) -> R {
     let _guard = THREAD_KNOB.lock().unwrap();
     parallel::set_max_threads(1);
     let base = f();
-    for t in [2, 8] {
+    for t in [2, 8, 0] {
         parallel::set_max_threads(t);
-        assert_eq!(f(), base, "result changed at {t} threads");
+        assert_eq!(f(), base, "result changed at {} threads", parallel::max_threads());
     }
     parallel::set_max_threads(0);
+    base
+}
+
+/// Channel count that makes a `k`×`k` layout over `h`×`w` maps at `stride`
+/// (padding 1) produce a column matrix above the sharding cutoff.
+fn sharded_layout(h: usize, w: usize, k: usize, stride: usize) -> Im2ColLayout {
+    let probe = Im2ColLayout::new(Shape4::new(1, 1, h, w), k, k, stride, 1);
+    let c = IM2COL_PAR_MIN_ELEMS / (probe.rows() * probe.cols()) + 1;
+    let layout = Im2ColLayout::new(Shape4::new(1, c, h, w), k, k, stride, 1);
+    assert!(layout.rows() * layout.cols() >= IM2COL_PAR_MIN_ELEMS);
+    layout
 }
 
 #[test]
@@ -71,14 +83,14 @@ fn im2col_bits_stable_across_thread_counts() {
 
 #[test]
 fn im2col_parallel_matches_large_case() {
-    // Big enough to engage the sharded path; compare against a scalar
-    // re-derivation of the definition.
+    // Sized from the cutoff so the sharded path runs; compare every thread
+    // count against a scalar re-derivation of the definition.
     let mut rng = XorShiftRng::new(53);
-    let (c, h, w) = (8, 34, 30);
+    let layout = sharded_layout(34, 30, 3, 1);
+    let s = layout.input;
+    let (c, h, w) = (s.c, s.h, s.w);
     let x = Tensor::from_fn(&[1, c, h, w], |_| rng.next_f32() - 0.5);
-    let s = Shape4::new(1, c, h, w);
-    let layout = Im2ColLayout::new(s, 3, 3, 1, 1);
-    let cols = im2col(&x, &layout, 0);
+    let cols = assert_thread_invariant(|| im2col(&x, &layout, 0));
     for row in 0..layout.rows() {
         let ch = row / 9;
         let ky = (row % 9) / 3;
@@ -96,6 +108,37 @@ fn im2col_parallel_matches_large_case() {
             }
         }
     }
+}
+
+#[test]
+fn col2im_parallel_matches_large_case() {
+    // Sized from the cutoff so the sharded path runs, with stride 2 and odd
+    // maps; accumulates onto a non-zero gradient and compares every thread
+    // count bitwise against a scalar scatter in the same tap order.
+    let mut rng = XorShiftRng::new(61);
+    let layout = sharded_layout(41, 37, 3, 2);
+    let s = layout.input;
+    let y = Tensor::from_fn(&[layout.rows(), layout.cols()], |_| rng.next_f32() - 0.5);
+    let start = Tensor::from_fn(&[1, s.c, s.h, s.w], |_| rng.next_f32() - 0.5);
+    let grad = assert_thread_invariant(|| {
+        let mut grad = start.clone();
+        col2im_accumulate(&y, &layout, &mut grad, 0);
+        grad
+    });
+    let mut expect = start.clone();
+    for row in 0..layout.rows() {
+        let (ch, ky, kx) = (row / 9, (row % 9) / 3, row % 3);
+        for oy in 0..layout.out_h {
+            for ox in 0..layout.out_w {
+                let iy = (oy * 2 + ky) as isize - 1;
+                let ix = (ox * 2 + kx) as isize - 1;
+                if iy >= 0 && (iy as usize) < s.h && ix >= 0 && (ix as usize) < s.w {
+                    expect[[0, ch, iy as usize, ix as usize]] += y[[row, oy * layout.out_w + ox]];
+                }
+            }
+        }
+    }
+    assert_eq!(grad.as_slice(), expect.as_slice());
 }
 
 #[test]
