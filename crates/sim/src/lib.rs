@@ -23,7 +23,7 @@
 //!
 //! Network-level simulation goes through one entry point: the
 //! [`SimSession`] builder. Every session runs its layers as a per-layer
-//! work queue on the `drq_tensor::parallel` scoped-thread pool (at most
+//! work queue on the `drq_tensor::parallel` worker pool (at most
 //! [`Partitions`] workers) and merges the per-layer results in layer order
 //! with a prefix sum of their cycles ([`partition`]), so reports and traces
 //! are byte-identical at any worker or thread count.

@@ -22,9 +22,11 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the integer GEMM tier's `core::arch`
-// micro-kernels (int_ops::simd) carry the crate's only scoped exemption,
-// each call guarded by runtime feature detection.
+// `deny` rather than `forbid`: two scoped exemptions. The integer GEMM
+// tier's `core::arch` micro-kernels (int_ops::simd), each call guarded by
+// runtime feature detection; and the worker pool's `Pool::run`
+// (parallel.rs), which lends a section's work to its helper threads and
+// waits for all of them before it returns or unwinds.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -48,9 +50,11 @@ pub use im2col::{
 pub use init::{he_normal, uniform, XorShiftRng};
 pub use int_ops::{
     int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_gemm_indirect,
-    int_gemm_indirect_wide, int_kernel_name, Int4Packed, PackedLhs,
+    int_gemm_indirect_rows, int_gemm_indirect_wide, int_kernel_name, Int4Packed, PackedLhs,
+    INT_GEMM_ROW_TILE,
 };
 pub use ops::{gemm, gemm_at, matmul, matmul_reference, Rhs};
 pub use shape::{conv_out_dim, try_conv_out_dim, Shape4};
 pub use stats::percentile;
+pub use parallel::{PAR_MIN_MACS, TILE_SPLIT_MIN_MACS};
 pub use tensor::Tensor;

@@ -222,9 +222,11 @@ fn matmul_simple_t(lhs: Lhs<'_>, bt: &[f32], ov: &mut [f32], n: usize) {
 }
 
 /// Cache-blocked parallel kernel. Each worker owns MC full output rows, so
-/// writes are disjoint and no reduction crosses threads.
+/// writes are disjoint and no reduction crosses threads. A product of
+/// fewer than twice [`parallel::PAR_MIN_MACS`] MACs runs on the caller.
 fn matmul_blocked(lhs: Lhs<'_>, bv: &[f32], rhs: Rhs, ov: &mut [f32], n: usize) {
-    parallel::for_each_chunk_mut(ov, MC * n, |bi, cchunk| {
+    let workers = parallel::workers_for_macs(lhs.m * lhs.k * n);
+    parallel::for_each_chunk_capped(ov, MC * n, workers, |bi, cchunk| {
         blocked_rows(lhs, bv, rhs, cchunk, bi * MC, n);
     });
 }

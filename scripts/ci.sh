@@ -55,30 +55,42 @@ echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
 # the simulator's synthesis, predictor and cycle-model fast paths against
 # their pixel-by-pixel oracles, conv_backward the fp32 conv's gradients
 # against the naive backward, and f32_gemm the transposed-operand GEMM
-# against matmul on the materialized transpose. Running each filter under
-# every DRQ_THREADS setting also pins the tests that don't iterate thread
-# counts internally. A filter that matches no test fails the step instead
-# of passing vacuously.
+# against matmul on the materialized transpose. The worker pool's own
+# tests (drq-tensor's `parallel` unit tests and its parallel_equivalence
+# suite) run in the same sweep. Running each under every DRQ_THREADS
+# setting also pins the tests that don't iterate thread counts
+# internally. A run that matches no test fails the step instead of
+# passing vacuously.
 SWEEP_LOG=$(mktemp)
+# sweep_run THREADS LABEL CARGO_TEST_ARGS...: one test run at THREADS
+# (auto leaves DRQ_THREADS unset) that must pass at least one test.
+sweep_run() {
+    t=$1
+    label=$2
+    shift 2
+    echo "-- DRQ_THREADS=$t, $label --"
+    if [ "$t" = auto ]; then
+        RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline "$@" > "$SWEEP_LOG" 2>&1 \
+            || { cat "$SWEEP_LOG"; exit 1; }
+    else
+        RUSTFLAGS="$CI_RUSTFLAGS" DRQ_THREADS="$t" \
+            cargo test -q --offline "$@" > "$SWEEP_LOG" 2>&1 \
+            || { cat "$SWEEP_LOG"; exit 1; }
+    fi
+    cat "$SWEEP_LOG"
+    SWEEP_PASSED=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$SWEEP_LOG" \
+        | awk '{ s += $1 } END { print s + 0 }')
+    [ "$SWEEP_PASSED" -gt 0 ] || {
+        echo "$label ran 0 tests at DRQ_THREADS=$t" >&2
+        exit 1
+    }
+}
 for t in 1 2 auto; do
     for filter in mixed_conv wide_channel_conv int sim_host conv_backward f32_gemm; do
-        echo "-- DRQ_THREADS=$t, filter $filter --"
-        if [ "$t" = auto ]; then
-            RUSTFLAGS="$CI_RUSTFLAGS" \
-                cargo test -q --offline --test differential "$filter" > "$SWEEP_LOG" 2>&1 \
-                || { cat "$SWEEP_LOG"; exit 1; }
-        else
-            RUSTFLAGS="$CI_RUSTFLAGS" DRQ_THREADS="$t" \
-                cargo test -q --offline --test differential "$filter" > "$SWEEP_LOG" 2>&1 \
-                || { cat "$SWEEP_LOG"; exit 1; }
-        fi
-        cat "$SWEEP_LOG"
-        SWEEP_PASSED=$(sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' "$SWEEP_LOG")
-        [ "${SWEEP_PASSED:-0}" -gt 0 ] || {
-            echo "differential filter '$filter' ran 0 tests at DRQ_THREADS=$t" >&2
-            exit 1
-        }
+        sweep_run "$t" "differential filter '$filter'" --test differential "$filter"
     done
+    sweep_run "$t" "drq-tensor parallel_equivalence" -p drq-tensor --test parallel_equivalence
+    sweep_run "$t" "drq-tensor parallel unit tests" -p drq-tensor --lib parallel
 done
 rm -f "$SWEEP_LOG"
 
