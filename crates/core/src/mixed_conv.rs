@@ -4,10 +4,7 @@ use crate::{MaskMap, RegionGrid};
 use drq_nn::Conv2d;
 use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams};
 use drq_telemetry::counter_add;
-use drq_tensor::{
-    int_gemm_indirect_rows, int_gemm_indirect_wide, parallel, PackedLhs, Shape4, Tensor,
-    INT_GEMM_ROW_TILE, TILE_SPLIT_MIN_MACS,
-};
+use drq_tensor::{int_gemm_indirect, int_gemm_indirect_wide, parallel, PackedLhs, Shape4, Tensor};
 use std::ops::Range;
 
 /// MAC-operation counts of one convolution execution, split by precision.
@@ -277,26 +274,17 @@ impl MixedPrecisionConv {
             })
             .map(|o| (o, ConvOpCounts::default()))
             .collect();
-        let run = |j: usize, (out, counts): &mut (&mut [f32], ConvOpCounts), split: bool| {
+        // A call too small to repay a helper's wake-up runs on the caller.
+        let macs: u64 = shapes.iter().map(|&s| conv.mac_count(s)).sum();
+        let workers = parallel::workers_for_macs(macs as usize);
+        parallel::for_each_chunk_capped(&mut slots, 1, workers, |j, slot| {
             let (r, n) = items[j];
             let s = shapes[r];
             let img_len = s.c * s.h * s.w;
             let img = &inputs[r].x.as_slice()[n * img_len..(n + 1) * img_len];
-            *counts = image(conv, plan, &geos[r], img, &aqs[r], &inputs[r].masks[n], out, split);
-        };
-        if items.len() < parallel::max_threads() && !parallel::in_parallel_section() {
-            // Fewer items than workers: each item in turn splits its GEMMs
-            // and dequantization over output-channel tiles.
-            for (j, slot) in slots.iter_mut().enumerate() {
-                run(j, slot, true);
-            }
-        } else {
-            let macs: u64 = shapes.iter().map(|&s| conv.mac_count(s)).sum();
-            let workers = parallel::workers_for_macs(macs as usize);
-            parallel::for_each_chunk_capped(&mut slots, 1, workers, |j, slot| {
-                run(j, &mut slot[0], false)
-            });
-        }
+            let (out, counts) = &mut slot[0];
+            *counts = image(conv, plan, &geos[r], img, &aqs[r], &inputs[r].masks[n], out);
+        });
         let per_item: Vec<ConvOpCounts> = slots.into_iter().map(|(_, c)| c).collect();
         let mut per_item = per_item.into_iter();
         outs.into_iter()
@@ -652,14 +640,6 @@ fn dequantize<A: Copy + Into<i64>>(
 /// the planes, runs the INT4 GEMM and (if any tap is sensitive) the INT8
 /// GEMM through the plane offsets, and dequantizes into `out`
 /// (`[c_out, oh, ow]`, flattened). Returns the image's MAC split.
-///
-/// With `split`, each channel group whose product holds at least
-/// [`TILE_SPLIT_MIN_MACS`] runs its GEMMs and dequantization in parallel
-/// over tiles of [`INT_GEMM_ROW_TILE`] output channels, on at most one
-/// worker per [`parallel::PAR_MIN_MACS`]; every output element belongs to
-/// exactly one tile, and the planes are built once, before the split. The
-/// exact i64 path does not split.
-#[allow(clippy::too_many_arguments)]
 fn image(
     conv: &Conv2d,
     plan: &ConvPlan,
@@ -668,7 +648,6 @@ fn image(
     aq: &QuantParams,
     masks: &[MaskMap],
     out: &mut [f32],
-    split: bool,
 ) -> ConvOpCounts {
     let groups = conv.groups();
     let cpg_in = conv.in_channels() / groups;
@@ -719,31 +698,12 @@ fn image(
             dequantize(group_out, acc8.as_deref(), &acc4, group_bias, dequant, geo);
         } else {
             // Proven i32-safe: dequantize straight from the i32 results.
-            let ItemBuffers { p8, p4, acc8, acc4, .. } = &mut bufs;
-            let tile = |rows: Range<usize>, out: &mut [f32], acc4: &mut [i32], acc8: &mut [i32]| {
-                int_gemm_indirect_rows(w4, rows.clone(), p4, &geo.offsets, n, acc4);
-                if run8 {
-                    int_gemm_indirect_rows(w8, rows.clone(), p8, &geo.offsets, n, acc8);
-                }
-                let bias = &group_bias[rows];
-                dequantize(out, run8.then_some(&acc8[..]), acc4, bias, dequant, geo);
-            };
-            let split = split && macs as usize >= TILE_SPLIT_MIN_MACS;
-            let workers = if split { parallel::workers_for_macs(macs as usize) } else { 1 };
-            if workers == 1 || cpg_out <= INT_GEMM_ROW_TILE {
-                tile(0..cpg_out, group_out, acc4, acc8);
-            } else {
-                let rows = INT_GEMM_ROW_TILE;
-                let mut tiles: Vec<_> = group_out
-                    .chunks_mut(rows * npix)
-                    .zip(acc4.chunks_mut(rows * n))
-                    .zip(acc8.chunks_mut(rows * n))
-                    .collect();
-                parallel::for_each_chunk_capped(&mut tiles, 1, workers, |t, one| {
-                    let ((out, acc4), acc8) = &mut one[0];
-                    tile(t * rows..cpg_out.min((t + 1) * rows), out, acc4, acc8);
-                });
+            int_gemm_indirect(w4, &bufs.p4, &geo.offsets, n, &mut bufs.acc4);
+            if run8 {
+                int_gemm_indirect(w8, &bufs.p8, &geo.offsets, n, &mut bufs.acc8);
             }
+            let acc8 = run8.then_some(&bufs.acc8[..]);
+            dequantize(group_out, acc8, &bufs.acc4, group_bias, dequant, geo);
         }
     }
     counts

@@ -51,10 +51,10 @@ struct ColumnPool {
 }
 
 impl ColumnPool {
-    /// Buffers of `len` elements for `workers` workers (at most
-    /// `max_threads()`), lent from the thread's scratch when `train`.
-    fn new(workers: usize, len: usize, train: bool) -> Self {
-        let workers = parallel::max_threads().min(workers);
+    /// Buffers of `len` elements for a batch of `images`, lent from the
+    /// thread's scratch when `train`.
+    fn new(images: usize, len: usize, train: bool) -> Self {
+        let workers = parallel::max_threads().clamp(1, images.max(1));
         let buf = || if train { lend(len) } else { vec![0.0; len] };
         Self { free: Mutex::new((0..workers).map(|_| buf()).collect()), len }
     }
@@ -270,10 +270,8 @@ impl Conv2d {
     /// column-matrix rows writes straight into the output rows, and the bias
     /// is added in place. Each image is a work item that threads claim
     /// dynamically, taking a column matrix from a per-call pool; a single
-    /// image instead parallelizes inside im2col and the GEMM kernel. A
-    /// batch of fewer than twice [`parallel::PAR_MIN_MACS`] MACs runs on the
-    /// caller. Outputs are bit-identical for every thread count and batch
-    /// split.
+    /// image instead parallelizes inside im2col and the GEMM kernel.
+    /// Outputs are bit-identical for every thread count and batch split.
     ///
     /// # Panics
     ///
@@ -298,9 +296,8 @@ impl Conv2d {
         }
         let in_len = s.c * s.h * s.w;
         let (xv, wv, bv) = (x.as_slice(), weight.as_slice(), self.bias.as_slice());
-        let workers = self.workers(s.n, cpg_out * taps * ncols);
-        let pool = ColumnPool::new(workers, layout.rows() * ncols, train);
-        parallel::for_each_chunk_capped(out.as_mut_slice(), img_len, workers, |n, oimg| {
+        let pool = ColumnPool::new(s.n, layout.rows() * ncols, train);
+        parallel::for_each_chunk_mut(out.as_mut_slice(), img_len, |n, oimg| {
             pool.with(|cols| {
                 im2col_into(&xv[n * in_len..][..in_len], &layout, cols);
                 for g in 0..self.groups {
@@ -334,11 +331,10 @@ impl Conv2d {
     /// [`Self::backward`] into `grad_in`, which is resized to the input
     /// shape.
     ///
-    /// Images are the work items, so the batch shards across threads (a
-    /// batch of fewer than twice [`parallel::PAR_MIN_MACS`] forward MACs
-    /// runs on the caller). Each writes its slab of the input gradient and its weight
-    /// and bias gradients into scratch lent by the calling thread, which
-    /// reduces those in batch order. Gradients are therefore bit-identical for
+    /// Images are the work items, so the batch shards across threads. Each
+    /// writes its slab of the input gradient and its weight and bias
+    /// gradients into scratch lent by the calling thread, which reduces
+    /// those in batch order. Gradients are therefore bit-identical for
     /// every thread count.
     pub(crate) fn backward_into(&mut self, grad_out: &Tensor<f32>, grad_in: &mut Tensor<f32>) {
         let input = self.ws.take().expect("conv backward without cached forward input");
@@ -357,14 +353,13 @@ impl Conv2d {
             return;
         }
         let mut partials = lend(s.n * part_len);
-        let workers = self.workers(s.n, cpg_out * taps * ncols);
-        let pool = ColumnPool::new(workers, layout.rows() * ncols, true);
+        let pool = ColumnPool::new(s.n, layout.rows() * ncols, true);
         let mut items: Vec<_> = grad_in
             .as_mut_slice()
             .chunks_mut(in_len)
             .zip(partials.chunks_mut(part_len))
             .collect();
-        parallel::for_each_chunk_capped(&mut items, 1, workers, |n, item| {
+        parallel::for_each_chunk_mut(&mut items, 1, |n, item| {
             let (grad_img, part) = &mut item[0];
             pool.with(|cols| {
                 let (gw_img, gb_img) = part.split_at_mut(wv.len());
@@ -406,13 +401,6 @@ impl Conv2d {
         give(partials);
         pool.give();
         give_tensor(input);
-    }
-
-    /// Workers for a batch of `images` whose forward pass costs
-    /// `group_macs` MACs per image and channel group: at most one per image
-    /// and per [`parallel::PAR_MIN_MACS`] of the whole batch.
-    fn workers(&self, images: usize, group_macs: usize) -> usize {
-        parallel::workers_for_macs(images * self.groups * group_macs).min(images.max(1))
     }
 
     /// Per channel group: output channels, column-matrix rows (the GEMM

@@ -41,7 +41,6 @@
 //! (masked loads on the last strip).
 
 use crate::{parallel, Tensor};
-use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Row blocks: the unit of parallel work (one worker owns MC output rows).
@@ -56,11 +55,6 @@ const KCP: usize = KC / 2;
 const INR: usize = 32;
 /// Rows of a full packed tile; the last tile of a matrix may be shorter.
 const IMR: usize = 4;
-
-/// The row granularity of [`int_gemm_indirect_rows`]: a row range starts
-/// at a multiple of it and ends at one or at the last row. It is one
-/// register block of the widest kernel, so a split along it cuts no block.
-pub const INT_GEMM_ROW_TILE: usize = 2 * IMR;
 
 /// Which micro-kernel implementation executes the tile update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -350,9 +344,8 @@ impl PackedLhs {
 /// `b` holds pair-interleaved i16 lanes of i8-range codes. Offsets may
 /// overlap or repeat (a convolution's taps read shifted windows of the
 /// same plane); only the lanes below `n` are read. Rows are split across
-/// threads in blocks of 64, on at most one worker per
-/// [`crate::PAR_MIN_MACS`] MACs; the bits do not depend on the thread
-/// count or the kernel.
+/// threads in blocks of 64; the bits do not depend on the thread count
+/// or the kernel.
 ///
 /// # Panics
 ///
@@ -378,44 +371,7 @@ pub fn int_gemm_indirect(
     n: usize,
     out: &mut [i32],
 ) {
-    gemm_indirect(active_kernel(), lhs, 0..lhs.rows(), b, pair_offsets, n, out);
-}
-
-/// Rows `rows` of [`int_gemm_indirect`], written over `out`
-/// (`rows.len() × n`, row-major): row `i` of the product lands in row
-/// `i − rows.start` of `out`, with the same bits as in a full call. Callers
-/// that split one product over workers give each a disjoint range.
-///
-/// # Panics
-///
-/// As [`int_gemm_indirect`] with `out.len() = rows.len() · n`, and if
-/// `rows` ends past the last row, starts at no multiple of
-/// [`INT_GEMM_ROW_TILE`], or ends at none before the last row.
-///
-/// # Examples
-///
-/// ```
-/// use drq_tensor::{int_gemm_indirect, int_gemm_indirect_rows, PackedLhs, INT_GEMM_ROW_TILE};
-///
-/// let m = INT_GEMM_ROW_TILE + 3;
-/// let codes: Vec<i8> = (0..m as i8 * 2).collect();
-/// let lhs = PackedLhs::pack(&codes, m, 2);
-/// let b = [1i16, 2, 3, 4];
-/// let mut full = vec![0i32; m * 2];
-/// int_gemm_indirect(&lhs, &b, &[0], 2, &mut full);
-/// let mut tail = vec![0i32; 3 * 2];
-/// int_gemm_indirect_rows(&lhs, INT_GEMM_ROW_TILE..m, &b, &[0], 2, &mut tail);
-/// assert_eq!(tail, full[INT_GEMM_ROW_TILE * 2..]);
-/// ```
-pub fn int_gemm_indirect_rows(
-    lhs: &PackedLhs,
-    rows: Range<usize>,
-    b: &[i16],
-    pair_offsets: &[usize],
-    n: usize,
-    out: &mut [i32],
-) {
-    gemm_indirect(active_kernel(), lhs, rows, b, pair_offsets, n, out);
+    gemm_indirect(active_kernel(), lhs, b, pair_offsets, n, out);
 }
 
 /// [`int_gemm_indirect`] with exact i64 accumulation, for reductions the
@@ -432,7 +388,7 @@ pub fn int_gemm_indirect_wide(
     n: usize,
     out: &mut [i64],
 ) {
-    check_indirect(lhs, 0..lhs.rows(), b, pair_offsets, n, out.len());
+    check_indirect(lhs, b, pair_offsets, n, out.len());
     out.fill(0);
     if n == 0 {
         return;
@@ -448,31 +404,15 @@ pub fn int_gemm_indirect_wide(
     }
 }
 
-/// The shape and bounds checks of the indirect GEMM over `rows`: after
-/// these, every lane `j < n` of every offset lies inside `b`, and `rows`
-/// starts and ends on packed-tile boundaries.
-fn check_indirect(
-    lhs: &PackedLhs,
-    rows: Range<usize>,
-    b: &[i16],
-    pair_offsets: &[usize],
-    n: usize,
-    out_len: usize,
-) {
+/// The shape and bounds checks of the indirect GEMM: after these, every
+/// lane `j < n` of every offset lies inside `b`.
+fn check_indirect(lhs: &PackedLhs, b: &[i16], pair_offsets: &[usize], n: usize, out_len: usize) {
     assert_eq!(
         pair_offsets.len(),
         lhs.pairs(),
         "need one offset per k-pair of the left operand"
     );
-    let m = lhs.rows();
-    assert!(
-        rows.start <= rows.end
-            && rows.end <= m
-            && rows.start.is_multiple_of(INT_GEMM_ROW_TILE)
-            && (rows.end == m || rows.end.is_multiple_of(INT_GEMM_ROW_TILE)),
-        "rows {rows:?} of {m} are not whole row tiles"
-    );
-    assert_eq!(Some(out_len), rows.len().checked_mul(n), "output is not {}x{n}", rows.len());
+    assert_eq!(Some(out_len), lhs.rows().checked_mul(n), "output is not {}x{n}", lhs.rows());
     let last = pair_offsets.iter().max().filter(|_| n > 0);
     if let Some(&last) = last {
         let end = n.checked_mul(2).and_then(|lanes| last.checked_add(lanes));
@@ -487,24 +427,22 @@ fn check_indirect(
 fn gemm_indirect(
     kernel: IntKernel,
     lhs: &PackedLhs,
-    rows: Range<usize>,
     b: &[i16],
     pair_offsets: &[usize],
     n: usize,
     out: &mut [i32],
 ) {
-    check_indirect(lhs, rows.clone(), b, pair_offsets, n, out.len());
+    check_indirect(lhs, b, pair_offsets, n, out.len());
     assert!(kernel.available(), "{} kernel not supported by this CPU", kernel.name());
-    if n == 0 || rows.is_empty() {
+    if n == 0 || lhs.rows() == 0 {
         return;
     }
     if pair_offsets.is_empty() {
         out.fill(0);
         return;
     }
-    let workers = parallel::workers_for_macs(rows.len() * 2 * pair_offsets.len() * n);
-    parallel::for_each_chunk_capped(out, MC * n, workers, |bi, chunk| {
-        let i0 = rows.start + bi * MC;
+    parallel::for_each_chunk_mut(out, MC * n, |bi, chunk| {
+        let i0 = bi * MC;
         let rows = chunk.len() / n;
         for (q0, offs) in (0..).step_by(KCP).zip(pair_offsets.chunks(KCP)) {
             let kpp = offs.len();
@@ -892,7 +830,7 @@ mod tests {
             let (pairs, offsets) = pack_row_pairs(b.as_slice(), n);
             for kernel in available_kernels() {
                 let mut got = Tensor::<i32>::zeros(&[m, n]);
-                gemm_indirect(kernel, &lhs, 0..m, &pairs, &offsets, n, got.as_mut_slice());
+                gemm_indirect(kernel, &lhs, &pairs, &offsets, n, got.as_mut_slice());
                 assert_eq!(
                     got.as_slice(),
                     want.as_slice(),
@@ -950,36 +888,14 @@ mod tests {
             let lhs = PackedLhs::pack(a.as_slice(), m, k);
             for kernel in available_kernels() {
                 let mut got = vec![i32::MIN; m * n];
-                gemm_indirect(kernel, &lhs, 0..m, &b, &offsets, n, &mut got);
+                gemm_indirect(kernel, &lhs, &b, &offsets, n, &mut got);
                 assert_eq!(got, want.as_slice(), "kernel {} diverged on {m}x{k}x{n}", kernel.name());
-                // Row ranges of one and two row tiles, the last one short.
-                for tile in [INT_GEMM_ROW_TILE, 2 * INT_GEMM_ROW_TILE] {
-                    for r0 in (0..m).step_by(tile) {
-                        let rows = r0..m.min(r0 + tile);
-                        let mut part = vec![i32::MIN; rows.len() * n];
-                        gemm_indirect(kernel, &lhs, rows.clone(), &b, &offsets, n, &mut part);
-                        assert_eq!(
-                            part,
-                            &want.as_slice()[r0 * n..rows.end * n],
-                            "kernel {} diverged on rows {rows:?} of {m}x{k}x{n}",
-                            kernel.name()
-                        );
-                    }
-                }
             }
             let mut wide = vec![i64::MIN; m * n];
             int_gemm_indirect_wide(&lhs, &b, &offsets, n, &mut wide);
             let want: Vec<i64> = want.as_slice().iter().map(|&v| v.into()).collect();
             assert_eq!(wide, want, "wide path diverged on {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "whole row tiles")]
-    fn row_range_must_start_on_a_row_tile() {
-        let lhs = PackedLhs::pack(&[1; 24], 12, 2);
-        let mut out = [0i32; 8];
-        int_gemm_indirect_rows(&lhs, 4..12, &[0i16; 2], &[0], 1, &mut out);
     }
 
     #[test]

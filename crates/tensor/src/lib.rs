@@ -50,11 +50,9 @@ pub use im2col::{
 pub use init::{he_normal, uniform, XorShiftRng};
 pub use int_ops::{
     int4_matmul, int8_matmul, int8_matmul_reference, int8_matmul_wide, int_gemm_indirect,
-    int_gemm_indirect_rows, int_gemm_indirect_wide, int_kernel_name, Int4Packed, PackedLhs,
-    INT_GEMM_ROW_TILE,
+    int_gemm_indirect_wide, int_kernel_name, Int4Packed, PackedLhs,
 };
 pub use ops::{gemm, gemm_at, matmul, matmul_reference, Rhs};
 pub use shape::{conv_out_dim, try_conv_out_dim, Shape4};
 pub use stats::percentile;
-pub use parallel::{PAR_MIN_MACS, TILE_SPLIT_MIN_MACS};
 pub use tensor::Tensor;

@@ -222,20 +222,18 @@ fn matmul_simple_t(lhs: Lhs<'_>, bt: &[f32], ov: &mut [f32], n: usize) {
 }
 
 /// Cache-blocked parallel kernel. Each worker owns MC full output rows, so
-/// writes are disjoint and no reduction crosses threads. A product of
-/// fewer than twice [`parallel::PAR_MIN_MACS`] MACs runs on the caller.
+/// writes are disjoint and no reduction crosses threads.
 fn matmul_blocked(lhs: Lhs<'_>, bv: &[f32], rhs: Rhs, ov: &mut [f32], n: usize) {
-    let workers = parallel::workers_for_macs(lhs.m * lhs.k * n);
-    parallel::for_each_chunk_capped(ov, MC * n, workers, |bi, cchunk| {
+    parallel::for_each_chunk_mut(ov, MC * n, |bi, cchunk| {
         blocked_rows(lhs, bv, rhs, cchunk, bi * MC, n);
     });
 }
 
 /// One worker's share of [`matmul_blocked`]: output rows `i0..` (as many
 /// as `cchunk` holds). Kept out of line so that the calling thread and the
-/// spawned workers run one compiled copy: inlined into the parallel
-/// machinery, the copy in the spawned workers' entry point ran about half
-/// as fast as the calling thread's.
+/// pool's helper threads run one compiled copy: inlined into the parallel
+/// machinery, the copy in the workers' entry point ran about half as fast
+/// as the calling thread's.
 #[inline(never)]
 fn blocked_rows(lhs: Lhs<'_>, bv: &[f32], rhs: Rhs, cchunk: &mut [f32], i0: usize, n: usize) {
     let k = lhs.k;

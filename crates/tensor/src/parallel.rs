@@ -1,15 +1,15 @@
 //! Deterministic data-parallel execution on a pool of parked helper threads.
 //!
 //! Every hot path in the workspace (the blocked GEMM, `im2col`, the batch
-//! loops of the convolutions, the mixed conv's channel tiles, DSE candidate
-//! sweeps, and the network simulator's per-layer work queue) runs its work
-//! through this module. The design rule is **scheduling-independence**: a
-//! work item always produces the same bits no matter which worker runs it,
-//! so results are identical for any thread count — `DRQ_THREADS=1` is the
-//! reference execution and every other setting must match it exactly. That
-//! is achieved by partitioning outputs into disjoint slices (no shared
-//! accumulators, no atomics on data) and keeping every reduction in a fixed
-//! order on the calling thread.
+//! loops of the convolutions, DSE candidate sweeps, and the network
+//! simulator's per-layer work queue) runs its work through this
+//! module. The design rule is **scheduling-independence**: a work item
+//! always produces the same bits no matter which worker runs it, so results
+//! are identical for any thread count — `DRQ_THREADS=1` is the reference
+//! execution and every other setting must match it exactly. That is achieved
+//! by partitioning outputs into disjoint slices (no shared accumulators, no
+//! atomics on data) and keeping every reduction in a fixed order on the
+//! calling thread.
 //!
 //! Thread count resolution order:
 //!
@@ -49,14 +49,6 @@ static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 /// about 10 µs later, about the time the integer kernels take for this
 /// many MACs (DESIGN.md §5 has the measurements).
 pub const PAR_MIN_MACS: usize = 1 << 18;
-
-/// The fewest multiply-accumulates one image's GEMM must hold for the mixed
-/// conv to split it over output-channel tiles when a call has fewer images
-/// than workers. Its planes are built on the caller before the split, so
-/// the split pays later than [`PAR_MIN_MACS`]: on a 2-vCPU Xeon host, in
-/// repeated batch-1 calls, products of 2.4 M MACs took 1.00–1.20× as long
-/// split as unsplit, of 9.4 M 0.86–0.99× and of 19–38 M 0.82–0.86×.
-pub const TILE_SPLIT_MIN_MACS: usize = 1 << 23;
 
 /// The process-wide helper pool every section uses.
 static POOL: Pool = Pool::new();
