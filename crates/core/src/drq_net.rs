@@ -1,11 +1,12 @@
 //! Running a whole network under dynamic region-based quantization.
 
 use crate::{
-    CoalesceInput, ConvOpCounts, DrqConfig, LayerThresholds, MixedPrecisionConv,
-    SensitivityPredictor,
+    CoalesceInput, ConvOpCounts, ConvPlan, DrqConfig, LayerDrqConfig, LayerThresholds, MaskMap,
+    MixedPrecisionConv, SensitivityPredictor,
 };
-use drq_nn::Network;
+use drq_nn::{Conv2d, GroupWalk, Network};
 use drq_tensor::Tensor;
+use std::sync::Arc;
 
 /// Per-convolution-layer statistics of one DRQ inference pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,24 +75,6 @@ impl DrqRunStats {
         }
         self.layers.iter().map(|l| l.sensitive_fraction).sum::<f64>() / self.layers.len() as f64
     }
-
-    /// Merges another run's statistics layer-by-layer (for dataset-level
-    /// aggregation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if layer counts differ.
-    pub fn merge(&mut self, other: &DrqRunStats) {
-        if self.layers.is_empty() {
-            self.layers = other.layers.clone();
-            return;
-        }
-        assert_eq!(self.layers.len(), other.layers.len(), "layer count mismatch");
-        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
-            a.counts.merge(b.counts);
-            a.sensitive_fraction = (a.sensitive_fraction + b.sensitive_fraction) / 2.0;
-        }
-    }
 }
 
 /// A network wrapper that executes every convolution under dynamic
@@ -119,17 +102,30 @@ impl DrqRunStats {
 /// assert_eq!(y.shape(), &[1, 2, 8, 8]);
 /// assert_eq!(stats.layers.len(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DrqNetwork {
     network: Network,
     config: DrqConfig,
     schedule: Option<LayerThresholds>,
+    /// The network's conv plans, prepared once: nothing reachable from
+    /// here changes its weights.
+    plans: Vec<ConvPlan>,
+}
+
+/// Equal wrappers hold equal networks under equal configurations; the
+/// plans follow from the network.
+impl PartialEq for DrqNetwork {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.network, &self.config, &self.schedule)
+            == (&other.network, &other.config, &other.schedule)
+    }
 }
 
 impl DrqNetwork {
     /// Wraps a trained network with a DRQ configuration.
     pub fn new(network: Network, config: DrqConfig) -> Self {
-        Self { network, config, schedule: None }
+        let plans = prepare_plans(&network);
+        Self { network, config, schedule: None, plans }
     }
 
     /// Wraps a trained network with a calibrated per-layer threshold
@@ -138,7 +134,7 @@ impl DrqNetwork {
     /// come from the schedule instead of the uniform base value.
     pub fn with_schedule(network: Network, schedule: LayerThresholds) -> Self {
         let config = schedule.to_uniform_config();
-        Self { network, config, schedule: Some(schedule) }
+        Self { schedule: Some(schedule), ..Self::new(network, config) }
     }
 
     /// The per-layer schedule, if one is installed.
@@ -158,7 +154,8 @@ impl DrqNetwork {
 
     /// Runs DRQ inference, returning the output and per-layer statistics.
     pub fn forward(&mut self, x: &Tensor<f32>) -> (Tensor<f32>, DrqRunStats) {
-        drq_forward(&mut self.network, &self.config, self.schedule.as_ref(), x)
+        let exec = DrqExecutor::new(self.config, self.schedule.as_ref(), &self.plans);
+        forward_one(&mut self.network, exec, x)
     }
 
     /// Classifies a batch and reports top-1 accuracy plus merged statistics.
@@ -172,61 +169,136 @@ impl DrqNetwork {
     }
 }
 
-/// The DRQ forward pass of `network` under `config` (and `schedule`'s
-/// per-layer thresholds, if given): [`DrqNetwork::forward`] on a borrowed
-/// network, which fine-tuning runs without wrapping a copy. The non-conv
-/// layers run in evaluation mode, so the network's training workspaces
-/// are left as they are.
-pub(crate) fn drq_forward(
-    network: &mut Network,
-    config: &DrqConfig,
-    schedule: Option<&LayerThresholds>,
-    x: &Tensor<f32>,
-) -> (Tensor<f32>, DrqRunStats) {
-    let total_convs = network.conv_count().max(1);
-    let mut stats = DrqRunStats::default();
-    let out = network.forward_conv_override(x, &mut |idx, conv, input| {
-        let s = input.shape4().expect("conv input rank");
-        let depth = idx as f64 / total_convs as f64;
-        let mut layer_cfg = config.for_layer(s.h, s.w, depth);
-        if let Some(sched) = schedule {
+/// One prepared [`ConvPlan`] per convolution of `network`, in the order
+/// [`Network::walk_group`] runs them.
+pub fn prepare_plans(network: &Network) -> Vec<ConvPlan> {
+    network.convs().into_iter().map(ConvPlan::prepare).collect()
+}
+
+/// Where a [`DrqExecutor`] takes each member's masks from:
+/// `(conv_index, member, layer, input) -> masks[n][c]`, with `layer` the
+/// conv's resolved region and threshold.
+pub type MaskSource<'a> =
+    dyn FnMut(usize, usize, &LayerDrqConfig, &Tensor<f32>) -> Arc<Vec<Vec<MaskMap>>> + 'a;
+
+/// The DRQ executor of [`Network::walk_group`].
+///
+/// At each convolution it resolves the layer's region and threshold from
+/// the [`DrqConfig`] (deep-layer rules included, a schedule's threshold in
+/// place of the uniform one), takes every live member's masks from its
+/// mask source (by default the [`SensitivityPredictor`] on the member's
+/// own input) and runs one [`MixedPrecisionConv::forward`] call over all
+/// of them with the conv's prepared plan. Each member gets its own
+/// [`DrqRunStats`].
+pub struct DrqExecutor<'a> {
+    config: DrqConfig,
+    schedule: Option<&'a LayerThresholds>,
+    plans: &'a [ConvPlan],
+    masks: Box<MaskSource<'a>>,
+    stats: Vec<DrqRunStats>,
+}
+
+impl<'a> DrqExecutor<'a> {
+    /// An executor over `plans`, which [`prepare_plans`] made from the
+    /// network it walks, predicting every mask.
+    pub fn new(
+        config: DrqConfig,
+        schedule: Option<&'a LayerThresholds>,
+        plans: &'a [ConvPlan],
+    ) -> Self {
+        let predict = |_: usize, _: usize, layer: &LayerDrqConfig, x: &Tensor<f32>| {
+            Arc::new(SensitivityPredictor::new(layer.region, layer.threshold).predict_batch(x))
+        };
+        Self { config, schedule, plans, masks: Box::new(predict), stats: Vec::new() }
+    }
+
+    /// Takes the masks from `source` instead of the predictor.
+    pub fn with_masks(self, source: Box<MaskSource<'a>>) -> Self {
+        Self { masks: source, ..self }
+    }
+
+    /// Statistics per member, in group order; a member no convolution ran
+    /// on may have no entry.
+    pub fn stats(&self) -> &[DrqRunStats] {
+        &self.stats
+    }
+
+    /// The statistics, by value.
+    pub fn into_stats(self) -> Vec<DrqRunStats> {
+        self.stats
+    }
+}
+
+impl GroupWalk for DrqExecutor<'_> {
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]) {
+        let live: Vec<(usize, &Tensor<f32>)> =
+            group.iter().enumerate().filter_map(|(i, x)| Some((i, x.as_ref()?))).collect();
+        let Some(s) = live.first().map(|(_, x)| x.shape4().expect("conv input rank")) else {
+            return;
+        };
+        let depth = conv_index as f64 / self.plans.len().max(1) as f64;
+        let mut layer = self.config.for_layer(s.h, s.w, depth);
+        if let Some(sched) = self.schedule {
             // Calibrated per-layer thresholds replace both the uniform
             // base and the deep-layer divisor (calibration already saw
             // the deep layers' statistics directly).
-            layer_cfg.threshold = sched.threshold_for(idx);
+            layer.threshold = sched.threshold_for(conv_index);
         }
-        let predictor = SensitivityPredictor::new(layer_cfg.region, layer_cfg.threshold);
-        let masks = predictor.predict_batch(input);
-        let sensitive_fraction = {
-            let mut acc = 0.0;
-            let mut cnt = 0usize;
-            for per_image in &masks {
-                for m in per_image {
-                    acc += m.sensitive_fraction();
-                    cnt += 1;
-                }
-            }
-            if cnt == 0 { 0.0 } else { acc / cnt as f64 }
-        };
-        let mask_storage_bits = masks
-            .first()
-            .map(|ms| ms.iter().map(|m| m.storage_bits()).sum())
-            .unwrap_or(0);
-        let (y, counts) =
-            MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x: input, masks: &masks }])
-                .remove(0);
-        stats.layers.push(DrqLayerStats {
-            conv_index: idx,
-            input_shape: input.shape().to_vec(),
-            counts,
-            sensitive_fraction,
-            threshold: layer_cfg.threshold,
-            region: (layer_cfg.region.x, layer_cfg.region.y),
-            mask_storage_bits,
-        });
-        y
-    });
-    (out, stats)
+        let masks: Vec<_> =
+            live.iter().map(|&(i, x)| (self.masks)(conv_index, i, &layer, x)).collect();
+        let inputs: Vec<CoalesceInput<'_>> =
+            live.iter().zip(&masks).map(|(&(_, x), m)| CoalesceInput { x, masks: m }).collect();
+        let outputs = MixedPrecisionConv::forward(conv, Some(&self.plans[conv_index]), &inputs);
+        if self.stats.len() < group.len() {
+            self.stats.resize_with(group.len(), DrqRunStats::default);
+        }
+        let mut done = Vec::with_capacity(live.len());
+        for ((&(i, x), masks), (y, counts)) in live.iter().zip(&masks).zip(outputs) {
+            let all = masks.iter().flatten();
+            let n = all.clone().count();
+            let sensitive: f64 = all.map(MaskMap::sensitive_fraction).sum();
+            let first_image = masks.first().map_or(&[][..], Vec::as_slice);
+            self.stats[i].layers.push(DrqLayerStats {
+                conv_index,
+                input_shape: x.shape().to_vec(),
+                counts,
+                sensitive_fraction: if n == 0 { 0.0 } else { sensitive / n as f64 },
+                threshold: layer.threshold,
+                region: (layer.region.x, layer.region.y),
+                mask_storage_bits: first_image.iter().map(MaskMap::storage_bits).sum(),
+            });
+            done.push((i, y));
+        }
+        for (i, y) in done {
+            group[i] = Some(y);
+        }
+    }
+}
+
+/// Runs `x` through `network` as a group of one on `exec`.
+fn forward_one(
+    network: &mut Network,
+    mut exec: DrqExecutor<'_>,
+    x: &Tensor<f32>,
+) -> (Tensor<f32>, DrqRunStats) {
+    let mut group = [Some(x.clone())];
+    network.walk_group(&mut group, &mut exec).unwrap_or_else(|e| panic!("{e}"));
+    let [Some(y)] = group else { unreachable!("the executor drops no member") };
+    (y, exec.into_stats().pop().unwrap_or_default())
+}
+
+/// The DRQ forward pass of `network` under `config`: [`DrqNetwork::forward`]
+/// on a borrowed network, which fine-tuning runs without wrapping a copy.
+/// The plans are prepared on every call, since fine-tuning changes the
+/// weights between calls. The non-conv layers run in evaluation mode, so
+/// the network's training workspaces are left as they are.
+pub(crate) fn drq_forward(
+    network: &mut Network,
+    config: &DrqConfig,
+    x: &Tensor<f32>,
+) -> (Tensor<f32>, DrqRunStats) {
+    let plans = prepare_plans(network);
+    forward_one(network, DrqExecutor::new(*config, None, &plans), x)
 }
 
 #[cfg(test)]
@@ -337,18 +409,5 @@ mod tests {
         // And the calibration target carries through: mean sensitive
         // fraction at or under the 15% target (within quantizer wiggle).
         assert!(stats.mean_sensitive_fraction() <= 0.20, "{}", stats.mean_sensitive_fraction());
-    }
-
-    #[test]
-    fn merge_accumulates_mac_counts() {
-        let mut drq = DrqNetwork::new(small_net(11), DrqConfig::new(RegionSize::new(4, 4), 20.0));
-        let (_, s1) = drq.forward(&sparse_input(12));
-        let (_, s2) = drq.forward(&sparse_input(13));
-        let mut merged = s1.clone();
-        merged.merge(&s2);
-        assert_eq!(
-            merged.totals().total(),
-            s1.totals().total() + s2.totals().total()
-        );
     }
 }

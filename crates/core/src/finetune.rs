@@ -51,7 +51,7 @@ pub fn finetune_step(
     opt: &mut Sgd,
 ) -> (f32, DrqRunStats) {
     // Mixed-precision forward: the logits the quantized hardware produces.
-    let (q_logits, stats) = drq_forward(net, config, None, x);
+    let (q_logits, stats) = drq_forward(net, config, x);
     let (loss, grad) = CrossEntropyLoss::evaluate(&q_logits, targets);
     // Full-precision forward (to populate layer caches) + backward with the
     // quantized-loss gradient: the straight-through estimator. Both walk the

@@ -51,7 +51,7 @@ pub mod segments;
 
 pub use calibration::{calibrate_thresholds, LayerThresholds};
 pub use config::{DrqConfig, LayerDrqConfig};
-pub use drq_net::{DrqLayerStats, DrqNetwork, DrqRunStats};
+pub use drq_net::{prepare_plans, DrqExecutor, DrqLayerStats, DrqNetwork, DrqRunStats, MaskSource};
 pub use error::DrqError;
 pub use finetune::{finetune, finetune_step};
 pub use mask::MaskMap;

@@ -9,6 +9,34 @@ use drq_tensor::Tensor;
 /// Callback executing one convolution: `(conv_index, layer, input) -> output`.
 pub type ConvExecutor<'a> = dyn FnMut(usize, &Conv2d, &Tensor<f32>) -> Tensor<f32> + 'a;
 
+/// Where in a group walk [`GroupWalk::hook`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WalkPoint {
+    /// Before each layer, and after the last layer of the network, of a
+    /// residual main path and of a shortcut.
+    Boundary,
+    /// After a layer other than a convolution, and after a residual sum.
+    Layer,
+}
+
+/// The caller's side of [`Network::walk_group`]: a convolution executor
+/// and a per-layer hook.
+///
+/// A group is a slice of member slots. Each slot holds its member's
+/// current activation, or `None` once the hook has dropped the member.
+pub trait GroupWalk {
+    /// Runs convolution `conv_index` (execution order, residual main paths
+    /// before shortcuts) in one call over every live member, replacing
+    /// each member's input with its output.
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]);
+
+    /// Runs at `point` with the group; may drop members by emptying their
+    /// slots. Does nothing by default.
+    fn hook(&mut self, point: WalkPoint, group: &mut [Option<Tensor<f32>>]) {
+        let _ = (point, group);
+    }
+}
+
 /// A sequential network of [`Layer`]s (residual blocks nest inside).
 ///
 /// Besides plain forward/backward, the network supports *convolution taps*:
@@ -75,17 +103,7 @@ impl Network {
 
     /// Number of convolution layers, including those inside residual blocks.
     pub fn conv_count(&self) -> usize {
-        fn count(layers: &[Layer]) -> usize {
-            layers
-                .iter()
-                .map(|l| match l {
-                    Layer::Conv2d(_) => 1,
-                    Layer::Residual(r) => count(r.main()) + count(r.shortcut()),
-                    _ => 0,
-                })
-                .sum()
-        }
-        count(&self.layers)
+        self.convs().len()
     }
 
     /// Total trainable parameter count.
@@ -166,7 +184,8 @@ impl Network {
     }
 
     /// Fallible variant of [`Network::forward_conv_override`] returning a
-    /// typed error instead of panicking.
+    /// typed error instead of panicking: [`Network::walk_group`] over a
+    /// group of one.
     ///
     /// # Errors
     ///
@@ -177,39 +196,63 @@ impl Network {
         x: &Tensor<f32>,
         exec: &mut ConvExecutor<'_>,
     ) -> Result<Tensor<f32>, NnError> {
-        let mut idx = 0usize;
-        fn run(
-            layers: &mut [Layer],
-            x: &Tensor<f32>,
-            idx: &mut usize,
-            exec: &mut ConvExecutor<'_>,
-        ) -> Result<Tensor<f32>, NnError> {
-            // The first layer reads `x` in place; an identity shortcut adds
-            // the block input itself.
-            let mut y: Option<Tensor<f32>> = None;
-            for l in layers.iter_mut() {
-                let input = y.as_ref().unwrap_or(x);
-                y = Some(match l {
-                    Layer::Conv2d(c) => {
-                        let out = exec(*idx, c, input);
-                        *idx += 1;
-                        out
-                    }
-                    Layer::Residual(r) => {
-                        let mut main = run(r.main_mut(), input, idx, exec)?;
-                        if r.shortcut().is_empty() {
-                            merge_residual(&mut main, input)?;
-                        } else {
-                            merge_residual(&mut main, &run(r.shortcut_mut(), input, idx, exec)?)?;
-                        }
-                        main
-                    }
-                    other => other.forward(input, false),
-                });
+        /// A group walk whose convolutions run on a [`ConvExecutor`].
+        struct Each<'e, 'a>(&'e mut ConvExecutor<'a>);
+        impl GroupWalk for Each<'_, '_> {
+            fn conv(&mut self, index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]) {
+                for y in group.iter_mut().flatten() {
+                    *y = (self.0)(index, conv, y);
+                }
             }
-            Ok(y.unwrap_or_else(|| x.clone()))
         }
-        run(&mut self.layers, x, &mut idx, exec)
+        let mut group = [Some(x.clone())];
+        self.walk_group(&mut group, &mut Each(exec))?;
+        let [Some(y)] = group else { unreachable!("this walk drops no member") };
+        Ok(y)
+    }
+
+    /// The inference walk: runs every member of `group` through the
+    /// network together, in evaluation mode.
+    ///
+    /// Each convolution is one [`GroupWalk::conv`] call over every live
+    /// member. The other layers run per member. A residual block runs its
+    /// main path, then its shortcut on each member's block input, and adds
+    /// the two. [`GroupWalk::hook`] runs before every layer, after the
+    /// last layer of each layer list and after every other layer or
+    /// residual sum; it may drop members. Once every member is dropped
+    /// the walk runs no more layers. On return each slot holds its
+    /// member's output, or `None` if the member was dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::ShapeMismatch`] if a residual block's main and
+    /// shortcut paths produce different shapes.
+    pub fn walk_group(
+        &mut self,
+        group: &mut [Option<Tensor<f32>>],
+        walk: &mut dyn GroupWalk,
+    ) -> Result<(), NnError> {
+        walk_layers(&mut self.layers, group, &mut 0, walk)
+    }
+
+    /// Every convolution layer, in the order [`Network::walk_group`] runs
+    /// them: residual main paths before their shortcuts.
+    pub fn convs(&self) -> Vec<&Conv2d> {
+        fn collect<'a>(layers: &'a [Layer], out: &mut Vec<&'a Conv2d>) {
+            for l in layers {
+                match l {
+                    Layer::Conv2d(c) => out.push(c),
+                    Layer::Residual(r) => {
+                        collect(r.main(), out);
+                        collect(r.shortcut(), out);
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let mut out = Vec::new();
+        collect(&self.layers, &mut out);
+        out
     }
 
     /// Backward pass; returns the gradient w.r.t. the network input
@@ -248,6 +291,57 @@ impl Network {
             l.visit_params(f);
         }
     }
+}
+
+/// Runs `group` through `layers` (see [`Network::walk_group`]);
+/// `conv_index` counts the convolutions run so far.
+fn walk_layers(
+    layers: &mut [Layer],
+    group: &mut [Option<Tensor<f32>>],
+    conv_index: &mut usize,
+    walk: &mut dyn GroupWalk,
+) -> Result<(), NnError> {
+    for l in layers.iter_mut() {
+        walk.hook(WalkPoint::Boundary, group);
+        if group.iter().all(Option::is_none) {
+            return Ok(());
+        }
+        match l {
+            Layer::Conv2d(c) => {
+                walk.conv(*conv_index, c, group);
+                *conv_index += 1;
+            }
+            Layer::Residual(r) => {
+                // The block inputs: the shortcut's input, and with no
+                // shortcut layers the second addend itself.
+                let mut short = group.to_vec();
+                walk_layers(r.main_mut(), group, conv_index, walk)?;
+                if !r.shortcut().is_empty() {
+                    for (s, main) in short.iter_mut().zip(group.iter()) {
+                        if main.is_none() {
+                            *s = None;
+                        }
+                    }
+                    walk_layers(r.shortcut_mut(), &mut short, conv_index, walk)?;
+                }
+                for (main, s) in group.iter_mut().zip(&short) {
+                    match (main.as_mut(), s) {
+                        (Some(m), Some(s)) => merge_residual(m, s)?,
+                        _ => *main = None,
+                    }
+                }
+                walk.hook(WalkPoint::Layer, group);
+            }
+            other => {
+                for y in group.iter_mut().flatten() {
+                    *y = other.forward(y, false);
+                }
+                walk.hook(WalkPoint::Layer, group);
+            }
+        }
+    }
+    walk.hook(WalkPoint::Boundary, group);
+    Ok(())
 }
 
 impl FromIterator<Layer> for Network {

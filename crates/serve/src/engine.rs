@@ -18,13 +18,16 @@
 //! request so the router can reroute it (the exactly-one-response
 //! invariant spans the death).
 
-use crate::batcher::{run_group, Crashed, GroupCtx, Member};
+use crate::batcher::{Crashed, Group, Member};
 use crate::clock::CycleClock;
 use crate::plan_cache::{config_fingerprint, PlanCache};
 use crate::protocol::{ExecMode, InferRequest, InferReply, Outcome, Response};
 use crate::queue::{AdmissionQueue, Job, Responder};
 use crate::{ServeError, ShedMachine, ShedPolicy, ShedState};
-use drq_core::{ConvOpCounts, DrqConfig, RegionSize};
+use drq_core::{
+    uniform_masks, ConvOpCounts, DrqConfig, DrqExecutor, MaskSource, RegionSize,
+    SensitivityPredictor,
+};
 use drq_models::{Dataset, DatasetKind};
 use drq_nn::Network;
 use drq_tensor::Tensor;
@@ -589,43 +592,63 @@ impl ServeEngine {
         let net = models
             .entry(dataset)
             .or_insert_with(|| bundle.network.clone());
-        let mut members: Vec<Member> = pending
+        let mut group = Vec::with_capacity(pending.len());
+        let members: Vec<Member> = pending
             .iter()
             .map(|(request, expiry)| {
                 let data = Dataset::generate(request.dataset, request.batch, request.sample_seed);
-                let (x, _labels) = data.batch(0, request.batch);
+                group.push(Some(data.batch(0, request.batch).0));
                 Member {
                     request: request.clone(),
                     expiry_cycle: *expiry,
-                    y: x,
                     counts: ConvOpCounts::default(),
                     cost: 0,
                     failed: None,
                 }
             })
             .collect();
-        let mut ctx = GroupCtx {
+        let (cache, config_fp) = (&self.plans, self.config_fp);
+        let masks: Box<MaskSource<'_>> = Box::new(move |conv_index, member, layer, x| {
+            let predict = || {
+                SensitivityPredictor::new(layer.region, layer.threshold).predict_batch(x)
+            };
+            match mode {
+                ExecMode::Uniform8 => {
+                    Arc::new(uniform_masks(x.shape4().expect("conv input rank"), true))
+                }
+                // Conv 0 reads the seeded input, so its masks are a pure
+                // function of the request and the config: shared across
+                // workers.
+                ExecMode::Mixed if conv_index == 0 => {
+                    let r = &pending[member].0;
+                    cache.input_masks(r.dataset, r.sample_seed, r.batch, config_fp, predict)
+                }
+                ExecMode::Mixed => Arc::new(predict()),
+            }
+        });
+        let mut walk = Group {
+            members,
+            exec: DrqExecutor::new(self.config.drq, None, &bundle.plans).with_masks(masks),
             clock: &self.clock,
             hard_stop: &self.hard_stop,
             crashed: &self.crashed,
-            drq: self.config.drq,
-            config_fp: self.config_fp,
-            mode,
-            total_convs: bundle.total_convs,
-            plans: &bundle.plans,
-            cache: &self.plans,
-            conv_index: 0,
-            at_input: true,
+            stopped: false,
         };
-        run_group(net.layers_mut(), &mut members, &mut ctx)?;
+        net.walk_group(&mut group, &mut walk).unwrap_or_else(|e| panic!("{e}"));
+        if walk.stopped {
+            return Err(Crashed);
+        }
         let classes = dataset.classes();
-        Ok(members
+        Ok(walk
+            .members
             .into_iter()
-            .map(|m| {
+            .zip(group)
+            .map(|(m, y)| {
                 if let Some(error) = m.failed {
                     return Err(error);
                 }
-                let predictions = argmax_rows(&m.y, m.request.batch, classes);
+                let y = y.expect("a member that did not fail has an output");
+                let predictions = argmax_rows(&y, m.request.batch, classes);
                 // The raw counts tally padding taps as INT4 even under
                 // uniform masks; the protocol reports the DRQ regioning
                 // effect, which is zero by definition on the fallback.

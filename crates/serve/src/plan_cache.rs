@@ -23,9 +23,9 @@
 //! can never change response bytes — the scale-out differential tests
 //! exercise exactly that.
 
-use drq_core::{ConvPlan, MaskMap};
+use drq_core::{prepare_plans, ConvPlan, MaskMap};
 use drq_models::{default_standin, DatasetKind};
-use drq_nn::{Layer, Network};
+use drq_nn::Network;
 use drq_telemetry::counter_add;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,26 +46,22 @@ pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>, seed: u64) -> u64 {
 }
 
 /// An immutable, shareable execution plan for one model: the pristine
-/// network, its prepared per-conv integer plans (in the traversal order
-/// the layer loop encounters them, residual mains before shortcuts), and
-/// a digest over the built weights.
+/// network, its prepared per-conv integer plans (from
+/// [`drq_core::prepare_plans`], in the order the walk runs the convs),
+/// and a digest over the built weights.
 pub struct PlanBundle {
     /// FNV digest over the dataset, seed and every built weight bit.
     pub digest: u64,
     /// Pristine built network — clone per worker, never mutate in place.
     pub network: Network,
-    /// One prepared plan per convolution, traversal order.
+    /// One prepared plan per convolution, in walk order.
     pub plans: Vec<ConvPlan>,
-    /// Convolution count (denominator of the layer-depth schedule).
-    pub total_convs: usize,
 }
 
 impl PlanBundle {
     fn build(dataset: DatasetKind, model_seed: u64) -> Self {
         let mut network = default_standin(dataset, model_seed);
-        let mut plans = Vec::new();
-        collect_plans(network.layers(), &mut plans);
-        let total_convs = network.conv_count().max(1);
+        let plans = prepare_plans(&network);
         // Digest the actually-built weights, not just the recipe: a
         // model-construction change shows up as a digest change.
         let mut bits: Vec<u8> = Vec::new();
@@ -78,27 +74,12 @@ impl PlanBundle {
             bits.into_iter().chain(format!("{dataset:?}").into_bytes()),
             model_seed,
         );
-        Self { digest, network, plans, total_convs }
+        Self { digest, network, plans }
     }
 
     /// Total bytes held by the packed weight panels of all plans.
     pub fn packed_bytes(&self) -> usize {
         self.plans.iter().map(ConvPlan::packed_bytes).sum()
-    }
-}
-
-/// Collects [`ConvPlan`]s in the order the execution loop visits convs:
-/// top-level order, and inside residual blocks main path then shortcut.
-fn collect_plans(layers: &[Layer], out: &mut Vec<ConvPlan>) {
-    for layer in layers {
-        match layer {
-            Layer::Conv2d(conv) => out.push(ConvPlan::prepare(conv)),
-            Layer::Residual(block) => {
-                collect_plans(block.main(), out);
-                collect_plans(block.shortcut(), out);
-            }
-            _ => {}
-        }
     }
 }
 
@@ -263,7 +244,6 @@ mod tests {
         let b = cache.model(DatasetKind::Digits, 42);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(a.digest, b.digest);
-        assert!(a.total_convs >= 1);
         assert_eq!(a.plans.len(), a.network.conv_count());
         assert!(a.packed_bytes() > 0);
         let s = cache.stats();
