@@ -4,7 +4,7 @@ use crate::{
     CoalesceInput, ConvOpCounts, ConvPlan, DrqConfig, LayerDrqConfig, LayerThresholds, MaskMap,
     MixedPrecisionConv, SensitivityPredictor,
 };
-use drq_nn::{Conv2d, GroupWalk, Network};
+use drq_nn::{Conv2d, Group, GroupWalk, Network};
 use drq_tensor::Tensor;
 use std::sync::Arc;
 
@@ -102,7 +102,7 @@ impl DrqRunStats {
 /// assert_eq!(y.shape(), &[1, 2, 8, 8]);
 /// assert_eq!(stats.layers.len(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrqNetwork {
     network: Network,
     config: DrqConfig,
@@ -110,15 +110,6 @@ pub struct DrqNetwork {
     /// The network's conv plans, prepared once: nothing reachable from
     /// here changes its weights.
     plans: Vec<ConvPlan>,
-}
-
-/// Equal wrappers hold equal networks under equal configurations; the
-/// plans follow from the network.
-impl PartialEq for DrqNetwork {
-    fn eq(&self, other: &Self) -> bool {
-        (&self.network, &self.config, &self.schedule)
-            == (&other.network, &other.config, &other.schedule)
-    }
 }
 
 impl DrqNetwork {
@@ -155,7 +146,7 @@ impl DrqNetwork {
     /// Runs DRQ inference, returning the output and per-layer statistics.
     pub fn forward(&mut self, x: &Tensor<f32>) -> (Tensor<f32>, DrqRunStats) {
         let exec = DrqExecutor::new(self.config, self.schedule.as_ref(), &self.plans);
-        forward_one(&mut self.network, exec, x)
+        exec.forward(&mut self.network, x)
     }
 
     /// Classifies a batch and reports top-1 accuracy plus merged statistics.
@@ -195,7 +186,9 @@ pub struct DrqExecutor<'a> {
     schedule: Option<&'a LayerThresholds>,
     plans: &'a [ConvPlan],
     masks: Box<MaskSource<'a>>,
-    stats: Vec<DrqRunStats>,
+    /// Statistics per member, in group order; a member no convolution
+    /// ran on may have no entry.
+    pub stats: Vec<DrqRunStats>,
 }
 
 impl<'a> DrqExecutor<'a> {
@@ -217,24 +210,28 @@ impl<'a> DrqExecutor<'a> {
         Self { masks: source, ..self }
     }
 
-    /// Statistics per member, in group order; a member no convolution ran
-    /// on may have no entry.
-    pub fn stats(&self) -> &[DrqRunStats] {
-        &self.stats
-    }
-
-    /// The statistics, by value.
-    pub fn into_stats(self) -> Vec<DrqRunStats> {
-        self.stats
+    /// Runs `x` through `network` as a group of one, returning the output
+    /// and its statistics. The non-conv layers run in evaluation mode, so
+    /// the network's training workspaces are left as they are.
+    pub fn forward(
+        mut self,
+        network: &mut Network,
+        x: &Tensor<f32>,
+    ) -> (Tensor<f32>, DrqRunStats) {
+        let mut group = [Some(x.clone())];
+        network.walk_group(&mut group, &mut self).unwrap_or_else(|e| panic!("{e}"));
+        let [Some(y)] = group else { unreachable!("the executor drops no member") };
+        (y, self.stats.pop().unwrap_or_default())
     }
 }
 
 impl GroupWalk for DrqExecutor<'_> {
-    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]) {
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &[Option<Tensor<f32>>]) -> Group {
+        let mut out: Group = group.iter().map(|_| None).collect();
         let live: Vec<(usize, &Tensor<f32>)> =
             group.iter().enumerate().filter_map(|(i, x)| Some((i, x.as_ref()?))).collect();
         let Some(s) = live.first().map(|(_, x)| x.shape4().expect("conv input rank")) else {
-            return;
+            return out;
         };
         let depth = conv_index as f64 / self.plans.len().max(1) as f64;
         let mut layer = self.config.for_layer(s.h, s.w, depth);
@@ -250,9 +247,9 @@ impl GroupWalk for DrqExecutor<'_> {
             live.iter().zip(&masks).map(|(&(_, x), m)| CoalesceInput { x, masks: m }).collect();
         let outputs = MixedPrecisionConv::forward(conv, Some(&self.plans[conv_index]), &inputs);
         if self.stats.len() < group.len() {
-            self.stats.resize_with(group.len(), DrqRunStats::default);
+            let convs = self.plans.len();
+            self.stats.resize_with(group.len(), || DrqRunStats { layers: Vec::with_capacity(convs) });
         }
-        let mut done = Vec::with_capacity(live.len());
         for ((&(i, x), masks), (y, counts)) in live.iter().zip(&masks).zip(outputs) {
             let all = masks.iter().flatten();
             let n = all.clone().count();
@@ -267,38 +264,10 @@ impl GroupWalk for DrqExecutor<'_> {
                 region: (layer.region.x, layer.region.y),
                 mask_storage_bits: first_image.iter().map(MaskMap::storage_bits).sum(),
             });
-            done.push((i, y));
+            out[i] = Some(y);
         }
-        for (i, y) in done {
-            group[i] = Some(y);
-        }
+        out
     }
-}
-
-/// Runs `x` through `network` as a group of one on `exec`.
-fn forward_one(
-    network: &mut Network,
-    mut exec: DrqExecutor<'_>,
-    x: &Tensor<f32>,
-) -> (Tensor<f32>, DrqRunStats) {
-    let mut group = [Some(x.clone())];
-    network.walk_group(&mut group, &mut exec).unwrap_or_else(|e| panic!("{e}"));
-    let [Some(y)] = group else { unreachable!("the executor drops no member") };
-    (y, exec.into_stats().pop().unwrap_or_default())
-}
-
-/// The DRQ forward pass of `network` under `config`: [`DrqNetwork::forward`]
-/// on a borrowed network, which fine-tuning runs without wrapping a copy.
-/// The plans are prepared on every call, since fine-tuning changes the
-/// weights between calls. The non-conv layers run in evaluation mode, so
-/// the network's training workspaces are left as they are.
-pub(crate) fn drq_forward(
-    network: &mut Network,
-    config: &DrqConfig,
-    x: &Tensor<f32>,
-) -> (Tensor<f32>, DrqRunStats) {
-    let plans = prepare_plans(network);
-    forward_one(network, DrqExecutor::new(*config, None, &plans), x)
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //!    (whose layer caches come from an FP32 forward pass on the same
 //!    batch), and update the weights.
 
-use crate::drq_net::drq_forward;
-use crate::{DrqConfig, DrqRunStats};
+use crate::{prepare_plans, DrqConfig, DrqExecutor, DrqRunStats};
 use drq_nn::{CrossEntropyLoss, Network, Sgd};
 use drq_tensor::Tensor;
 
@@ -50,8 +49,10 @@ pub fn finetune_step(
     targets: &[usize],
     opt: &mut Sgd,
 ) -> (f32, DrqRunStats) {
-    // Mixed-precision forward: the logits the quantized hardware produces.
-    let (q_logits, stats) = drq_forward(net, config, x);
+    // Mixed-precision forward: the logits the quantized hardware produces,
+    // on plans of this step's weights.
+    let plans = prepare_plans(net);
+    let (q_logits, stats) = DrqExecutor::new(*config, None, &plans).forward(net, x);
     let (loss, grad) = CrossEntropyLoss::evaluate(&q_logits, targets);
     // Full-precision forward (to populate layer caches) + backward with the
     // quantized-loss gradient: the straight-through estimator. Both walk the

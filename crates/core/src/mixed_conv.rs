@@ -84,7 +84,7 @@ impl ConvOpCounts {
 /// let unplanned = MixedPrecisionConv::forward(&conv, None, &inputs);
 /// assert_eq!(planned, unplanned);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ConvPlan {
     wq8: QuantParams,
     /// Per group, `W8` as kernel tiles over the reduction index (tap,

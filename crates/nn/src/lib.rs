@@ -55,7 +55,7 @@ pub use layer::{Layer, LayerKind};
 pub use linear::Linear;
 pub use loss::{softmax, CrossEntropyLoss};
 pub use metrics::{accuracy, confusion_matrix, top_k_accuracy};
-pub use network::{ConvExecutor, ConvTap, GroupWalk, Network, WalkPoint};
+pub use network::{ConvExecutor, ConvTap, Group, GroupWalk, Network, WalkPoint};
 pub use optimizer::Sgd;
 pub use pool::{Pool2d, PoolKind};
 pub use relu::ReLU;

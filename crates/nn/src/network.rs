@@ -19,21 +19,29 @@ pub enum WalkPoint {
     Layer,
 }
 
+/// The slots of a group walk's members: each holds its member's current
+/// activation, or `None` once the hook has dropped the member.
+pub type Group = Vec<Option<Tensor<f32>>>;
+
 /// The caller's side of [`Network::walk_group`]: a convolution executor
 /// and a per-layer hook.
-///
-/// A group is a slice of member slots. Each slot holds its member's
-/// current activation, or `None` once the hook has dropped the member.
 pub trait GroupWalk {
     /// Runs convolution `conv_index` (execution order, residual main paths
-    /// before shortcuts) in one call over every live member, replacing
-    /// each member's input with its output.
-    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]);
+    /// before shortcuts) in one call over every live member of `group`,
+    /// returning each member's output in its slot.
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &[Option<Tensor<f32>>]) -> Group;
 
     /// Runs at `point` with the group; may drop members by emptying their
     /// slots. Does nothing by default.
     fn hook(&mut self, point: WalkPoint, group: &mut [Option<Tensor<f32>>]) {
         let _ = (point, group);
+    }
+}
+
+/// A closure is a walk with no hook.
+impl<F: FnMut(usize, &Conv2d, &[Option<Tensor<f32>>]) -> Group> GroupWalk for F {
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &[Option<Tensor<f32>>]) -> Group {
+        self(conv_index, conv, group)
     }
 }
 
@@ -196,17 +204,10 @@ impl Network {
         x: &Tensor<f32>,
         exec: &mut ConvExecutor<'_>,
     ) -> Result<Tensor<f32>, NnError> {
-        /// A group walk whose convolutions run on a [`ConvExecutor`].
-        struct Each<'e, 'a>(&'e mut ConvExecutor<'a>);
-        impl GroupWalk for Each<'_, '_> {
-            fn conv(&mut self, index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]) {
-                for y in group.iter_mut().flatten() {
-                    *y = (self.0)(index, conv, y);
-                }
-            }
-        }
         let mut group = [Some(x.clone())];
-        self.walk_group(&mut group, &mut Each(exec))?;
+        self.walk_group(&mut group, &mut |i, conv: &Conv2d, group: &[Option<Tensor<f32>>]| {
+            group.iter().map(|x| x.as_ref().map(|x| exec(i, conv, x))).collect()
+        })?;
         let [Some(y)] = group else { unreachable!("this walk drops no member") };
         Ok(y)
     }
@@ -232,7 +233,10 @@ impl Network {
         group: &mut [Option<Tensor<f32>>],
         walk: &mut dyn GroupWalk,
     ) -> Result<(), NnError> {
-        walk_layers(&mut self.layers, group, &mut 0, walk)
+        if let Some(out) = walk_layers(&mut self.layers, group, &mut 0, walk)? {
+            group.iter_mut().zip(out).for_each(|(slot, y)| *slot = y);
+        }
+        Ok(())
     }
 
     /// Every convolution layer, in the order [`Network::walk_group`] runs
@@ -293,55 +297,70 @@ impl Network {
     }
 }
 
-/// Runs `group` through `layers` (see [`Network::walk_group`]);
+/// Runs the group `x` through `layers` (see [`Network::walk_group`]) and
+/// returns the outputs, or `None` if no layer ran, in which case `x` is
+/// the output. The walk drops members from `x` but leaves its tensors as
+/// they are, so a residual block reads its input after the main path ran.
 /// `conv_index` counts the convolutions run so far.
 fn walk_layers(
     layers: &mut [Layer],
-    group: &mut [Option<Tensor<f32>>],
+    x: &mut [Option<Tensor<f32>>],
     conv_index: &mut usize,
     walk: &mut dyn GroupWalk,
-) -> Result<(), NnError> {
+) -> Result<Option<Group>, NnError> {
+    let mut y: Option<Group> = None;
     for l in layers.iter_mut() {
-        walk.hook(WalkPoint::Boundary, group);
-        if group.iter().all(Option::is_none) {
-            return Ok(());
+        let cur = match y.as_mut() {
+            Some(y) => y.as_mut_slice(),
+            None => &mut *x,
+        };
+        walk.hook(WalkPoint::Boundary, cur);
+        if cur.iter().all(Option::is_none) {
+            return Ok(y);
         }
-        match l {
+        let mut next = match l {
             Layer::Conv2d(c) => {
-                walk.conv(*conv_index, c, group);
+                let out = walk.conv(*conv_index, c, cur);
                 *conv_index += 1;
+                y = Some(out);
+                continue;
             }
             Layer::Residual(r) => {
-                // The block inputs: the shortcut's input, and with no
-                // shortcut layers the second addend itself.
-                let mut short = group.to_vec();
-                walk_layers(r.main_mut(), group, conv_index, walk)?;
-                if !r.shortcut().is_empty() {
-                    for (s, main) in short.iter_mut().zip(group.iter()) {
-                        if main.is_none() {
-                            *s = None;
-                        }
+                let mut main = walk_layers(r.main_mut(), cur, conv_index, walk)?
+                    .unwrap_or_else(|| cur.to_vec());
+                // Members the main path dropped skip the shortcut.
+                for (input, m) in cur.iter_mut().zip(&main) {
+                    if m.is_none() {
+                        *input = None;
                     }
-                    walk_layers(r.shortcut_mut(), &mut short, conv_index, walk)?;
                 }
-                for (main, s) in group.iter_mut().zip(&short) {
-                    match (main.as_mut(), s) {
+                let short = if r.shortcut().is_empty() {
+                    None
+                } else {
+                    walk_layers(r.shortcut_mut(), cur, conv_index, walk)?
+                };
+                for (m, s) in main.iter_mut().zip(short.as_deref().unwrap_or(cur)) {
+                    match (m.as_mut(), s) {
                         (Some(m), Some(s)) => merge_residual(m, s)?,
-                        _ => *main = None,
+                        _ => *m = None,
                     }
                 }
-                walk.hook(WalkPoint::Layer, group);
+                main
             }
-            other => {
-                for y in group.iter_mut().flatten() {
-                    *y = other.forward(y, false);
+            // Owned activations are replaced in place.
+            other => match y.take() {
+                Some(mut owned) => {
+                    owned.iter_mut().flatten().for_each(|t| *t = other.forward(t, false));
+                    owned
                 }
-                walk.hook(WalkPoint::Layer, group);
-            }
-        }
+                None => x.iter().map(|t| t.as_ref().map(|t| other.forward(t, false))).collect(),
+            },
+        };
+        walk.hook(WalkPoint::Layer, &mut next);
+        y = Some(next);
     }
-    walk.hook(WalkPoint::Boundary, group);
-    Ok(())
+    walk.hook(WalkPoint::Boundary, y.as_deref_mut().unwrap_or(x));
+    Ok(y)
 }
 
 impl FromIterator<Layer> for Network {
@@ -667,6 +686,50 @@ mod tests {
         }));
         assert!(no_cache.is_err(), "a clone must not carry the forward's caches");
         net.backward_train(&grad);
+    }
+
+    #[test]
+    fn a_group_walk_drops_members_and_runs_the_rest_as_groups_of_one() {
+        // A hook that drops member 1 at the seventh boundary, between the
+        // first residual block's two main-path convolutions.
+        struct DropOne(usize, Vec<(usize, usize)>);
+        impl GroupWalk for DropOne {
+            fn conv(&mut self, i: usize, conv: &Conv2d, group: &[Option<Tensor<f32>>]) -> Group {
+                self.1.push((i, group.iter().flatten().count()));
+                let run = |x: &Tensor<f32>| conv.forward_with_weights(x, conv.weight());
+                group.iter().map(|x| x.as_ref().map(run)).collect()
+            }
+            fn hook(&mut self, point: WalkPoint, group: &mut [Option<Tensor<f32>>]) {
+                self.0 += (point == WalkPoint::Boundary) as usize;
+                if self.0 == 7 {
+                    group[1] = None;
+                }
+            }
+        }
+        let mut net = small_resnet(2);
+        let xs: Vec<Tensor<f32>> = (0..3).map(|i| batch(1 + i, 20 + i as u64).0).collect();
+        let mut group: Vec<_> = xs.iter().cloned().map(Some).collect();
+        let mut walk = DropOne(0, Vec::new());
+        net.walk_group(&mut group, &mut walk).unwrap();
+        assert!(group[1].is_none());
+        for i in [0, 2] {
+            let alone = net.forward_tapped(&xs[i], &mut |_| {});
+            assert_eq!(group[i].as_ref(), Some(&alone), "member {i}");
+        }
+        let live: Vec<usize> = walk.1.iter().map(|&(_, n)| n).collect();
+        assert_eq!(live, [3, 3, 2, 2, 2, 2]);
+        assert!(walk.1.iter().enumerate().all(|(i, &(c, _))| c == i));
+    }
+
+    #[test]
+    fn convs_are_listed_in_walk_order() {
+        let mut net = small_resnet(3);
+        let mut walked = Vec::new();
+        let mut tap = |tap: ConvTap<'_>| walked.push(tap.conv as *const Conv2d);
+        let _ = net.forward_tapped(&batch(1, 4).0, &mut tap);
+        let listed: Vec<_> = net.convs().into_iter().map(|c| c as *const Conv2d).collect();
+        assert_eq!(listed, walked);
+        assert_eq!(net.conv_count(), 6);
     }
 
     #[test]

@@ -22,17 +22,15 @@
 //! deadline pressure reflects real work done.
 
 use crate::clock::CycleClock;
-use crate::protocol::InferRequest;
 use crate::ServeError;
 use drq_core::{ConvOpCounts, DrqExecutor};
-use drq_nn::{Conv2d, GroupWalk, WalkPoint};
+use drq_nn::{Conv2d, Group, GroupWalk, WalkPoint};
 use drq_tensor::Tensor;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One request's execution state inside a group.
+#[derive(Default)]
 pub(crate) struct Member {
-    /// The admitted request (identity, dataset, seeds).
-    pub request: InferRequest,
     /// Virtual cycle at which this member's budget expires.
     pub expiry_cycle: u64,
     /// Accumulated INT4/INT8 MAC split.
@@ -50,7 +48,7 @@ pub(crate) struct Crashed;
 
 /// One group's run of the walk: the DRQ executor at the convolutions,
 /// and the per-layer hook that checks each boundary and bills each layer.
-pub(crate) struct Group<'a> {
+pub(crate) struct GroupRun<'a> {
     /// The group's members, in slot order.
     pub members: Vec<Member>,
     pub exec: DrqExecutor<'a>,
@@ -72,7 +70,7 @@ pub(crate) fn cheap_cost(elements: usize) -> u64 {
     elements as u64 / 64 + 1
 }
 
-impl Group<'_> {
+impl GroupRun<'_> {
     /// The layer-boundary cancellation point: a crash stops the whole
     /// group; the hard stop or a member's own deadline fails that member.
     fn checkpoint(&mut self, group: &mut [Option<Tensor<f32>>]) {
@@ -120,15 +118,16 @@ impl Group<'_> {
     }
 }
 
-impl GroupWalk for Group<'_> {
-    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &mut [Option<Tensor<f32>>]) {
-        self.exec.conv(conv_index, conv, group);
-        let stats = self.exec.stats();
-        Self::bill(&mut self.members, self.clock, group, |i, m, _| {
+impl GroupWalk for GroupRun<'_> {
+    fn conv(&mut self, conv_index: usize, conv: &Conv2d, group: &[Option<Tensor<f32>>]) -> Group {
+        let out = self.exec.conv(conv_index, conv, group);
+        let stats = &self.exec.stats;
+        Self::bill(&mut self.members, self.clock, &out, |i, m, _| {
             let counts = stats[i].layers.last().expect("the conv ran on every live member").counts;
             m.counts.merge(counts);
             conv_cost(counts)
         });
+        out
     }
 
     fn hook(&mut self, point: WalkPoint, group: &mut [Option<Tensor<f32>>]) {

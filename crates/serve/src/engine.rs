@@ -18,15 +18,14 @@
 //! request so the router can reroute it (the exactly-one-response
 //! invariant spans the death).
 
-use crate::batcher::{Crashed, Group, Member};
+use crate::batcher::{Crashed, GroupRun, Member};
 use crate::clock::CycleClock;
 use crate::plan_cache::{config_fingerprint, PlanCache};
 use crate::protocol::{ExecMode, InferRequest, InferReply, Outcome, Response};
 use crate::queue::{AdmissionQueue, Job, Responder};
 use crate::{ServeError, ShedMachine, ShedPolicy, ShedState};
 use drq_core::{
-    uniform_masks, ConvOpCounts, DrqConfig, DrqExecutor, MaskSource, RegionSize,
-    SensitivityPredictor,
+    uniform_masks, DrqConfig, DrqExecutor, MaskSource, RegionSize, SensitivityPredictor,
 };
 use drq_models::{Dataset, DatasetKind};
 use drq_nn::Network;
@@ -592,21 +591,14 @@ impl ServeEngine {
         let net = models
             .entry(dataset)
             .or_insert_with(|| bundle.network.clone());
-        let mut group = Vec::with_capacity(pending.len());
-        let members: Vec<Member> = pending
+        let (mut group, members): (Vec<_>, Vec<_>) = pending
             .iter()
             .map(|(request, expiry)| {
                 let data = Dataset::generate(request.dataset, request.batch, request.sample_seed);
-                group.push(Some(data.batch(0, request.batch).0));
-                Member {
-                    request: request.clone(),
-                    expiry_cycle: *expiry,
-                    counts: ConvOpCounts::default(),
-                    cost: 0,
-                    failed: None,
-                }
+                let member = Member { expiry_cycle: *expiry, ..Member::default() };
+                (Some(data.batch(0, request.batch).0), member)
             })
-            .collect();
+            .unzip();
         let (cache, config_fp) = (&self.plans, self.config_fp);
         let masks: Box<MaskSource<'_>> = Box::new(move |conv_index, member, layer, x| {
             let predict = || {
@@ -626,7 +618,7 @@ impl ServeEngine {
                 ExecMode::Mixed => Arc::new(predict()),
             }
         });
-        let mut walk = Group {
+        let mut walk = GroupRun {
             members,
             exec: DrqExecutor::new(self.config.drq, None, &bundle.plans).with_masks(masks),
             clock: &self.clock,
@@ -643,12 +635,13 @@ impl ServeEngine {
             .members
             .into_iter()
             .zip(group)
-            .map(|(m, y)| {
+            .zip(pending)
+            .map(|((m, y), (request, _))| {
                 if let Some(error) = m.failed {
                     return Err(error);
                 }
                 let y = y.expect("a member that did not fail has an output");
-                let predictions = argmax_rows(&y, m.request.batch, classes);
+                let predictions = argmax_rows(&y, request.batch, classes);
                 // The raw counts tally padding taps as INT4 even under
                 // uniform masks; the protocol reports the DRQ regioning
                 // effect, which is zero by definition on the fallback.

@@ -54,8 +54,10 @@ echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
 # exact-i64 GEMM oracle, the sim_host family
 # the simulator's synthesis, predictor and cycle-model fast paths against
 # their pixel-by-pixel oracles, conv_backward the fp32 conv's gradients
-# against the naive backward, and f32_gemm the transposed-operand GEMM
-# against matmul on the materialized transpose. The worker pool's own
+# against the naive backward, f32_gemm the transposed-operand GEMM
+# against matmul on the materialized transpose, and coalesced_serving
+# serve's coalesced group walk against one-request-at-a-time replies
+# (full lines, cycles included). The worker pool's own
 # tests (drq-tensor's `parallel` unit tests and its parallel_equivalence
 # suite) run in the same sweep. Running each under every DRQ_THREADS
 # setting also pins the tests that don't iterate thread counts
@@ -86,7 +88,8 @@ sweep_run() {
     }
 }
 for t in 1 2 auto; do
-    for filter in mixed_conv wide_channel_conv int sim_host conv_backward f32_gemm; do
+    for filter in mixed_conv wide_channel_conv int sim_host conv_backward f32_gemm \
+        coalesced_serving; do
         sweep_run "$t" "differential filter '$filter'" --test differential "$filter"
     done
     sweep_run "$t" "drq-tensor parallel_equivalence" -p drq-tensor --test parallel_equivalence

@@ -206,11 +206,15 @@ fn removed_network_sim_shims_stay_gone() {
     //   model, the `try_*` forms no user input reached and their error
     //   variants, and the duplicate tapped inference walk;
     // - the per-draw half-normal sampler (synthesis fills whole planes with
-    //   `fill_half_normal`) and the outlier-ratio getters nothing read.
+    //   `fill_half_normal`) and the outlier-ratio getters nothing read;
+    // - serve's own layer walk, its residual sum and its conv-plan order
+    //   (drq-nn's group walk runs every DRQ inference).
     // The exact tier itself lives in `drq_testkit::exact`; drq-sim keeps
     // one cycle model, so none of the tier's names may appear under
     // `crates/sim/src`. Outside `crates/nn/src/network.rs` convolution
-    // inputs are observed through `forward_conv_override`, the one walk.
+    // inputs are observed through `forward_conv_override`, the one walk,
+    // and nothing outside `crates/nn/src` matches residual blocks: only
+    // drq-nn walks layers.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut sources = Vec::new();
     for dir in ["crates", "tests", "examples"] {
@@ -240,6 +244,9 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "try_forward_", "tapped"),
         format!("{}{}", "next_half_", "normal"),
         format!("{}{}", "fn outlier_", "ratio("),
+        format!("{}{}", "fn run_", "group"),
+        format!("{}{}", "fn collect_", "plans"),
+        format!("{}{}", "fn finish_", "residual"),
     ];
     let exact_tier = [
         format!("{}{}", "Systolic", "Array"),
@@ -260,6 +267,8 @@ fn removed_network_sim_shims_stay_gone() {
     let sim_src = root.join("crates/sim/src");
     let tap_walk = root.join("crates/nn/src/network.rs");
     let tapped = format!("{}{}", "forward_", "tapped");
+    let nn_src = root.join("crates/nn/src");
+    let residual = format!("{}{}", "Layer::", "Residual");
     let mut offenders = Vec::new();
     for path in sources {
         let text = std::fs::read_to_string(&path).expect("readable source file");
@@ -277,6 +286,9 @@ fn removed_network_sim_shims_stay_gone() {
         }
         if path != tap_walk && text.contains(tapped.as_str()) {
             offenders.push((tapped.clone(), path.clone()));
+        }
+        if !path.starts_with(&nn_src) && text.contains(residual.as_str()) {
+            offenders.push((residual.clone(), path.clone()));
         }
     }
     assert!(offenders.is_empty(), "removed names have resurfaced: {offenders:?}");

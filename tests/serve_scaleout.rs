@@ -276,10 +276,10 @@ fn killed_shard_keeps_its_trace_spans() {
     router.shutdown(10_000);
 }
 
-/// The two DRQ network executors agree: serve's coalescing group walk and
-/// `DrqNetwork::forward` each run the stand-in under the serve config's
-/// DRQ parameters, so a 1-worker router must reply with the predictions
-/// and INT4 share the direct forward pass computes on the same batch.
+/// serve and `DrqNetwork::forward` run the same DRQ walk (drq-nn's group
+/// walk with drq-core's executor), serve with its own mask source and
+/// plan bundle: a 1-worker router must reply with the predictions and
+/// INT4 share the direct forward pass computes on the same batch.
 #[test]
 fn router_replies_match_drq_network_forward() {
     let config = ServeConfig { workers: 1, ..ServeConfig::default() };
