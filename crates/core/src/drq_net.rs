@@ -218,10 +218,9 @@ impl<'a> DrqExecutor<'a> {
         network: &mut Network,
         x: &Tensor<f32>,
     ) -> (Tensor<f32>, DrqRunStats) {
-        let mut group = [Some(x.clone())];
-        network.walk_group(&mut group, &mut self).unwrap_or_else(|e| panic!("{e}"));
-        let [Some(y)] = group else { unreachable!("the executor drops no member") };
-        (y, self.stats.pop().unwrap_or_default())
+        let out = network.walk_group(vec![Some(x.clone())], &mut self);
+        let y = out.unwrap_or_else(|e| panic!("{e}")).pop().flatten();
+        (y.expect("the executor drops no member"), self.stats.pop().unwrap_or_default())
     }
 }
 
@@ -248,7 +247,8 @@ impl GroupWalk for DrqExecutor<'_> {
         let outputs = MixedPrecisionConv::forward(conv, Some(&self.plans[conv_index]), &inputs);
         if self.stats.len() < group.len() {
             let convs = self.plans.len();
-            self.stats.resize_with(group.len(), || DrqRunStats { layers: Vec::with_capacity(convs) });
+            let fresh = || DrqRunStats { layers: Vec::with_capacity(convs) };
+            self.stats.resize_with(group.len(), fresh);
         }
         for ((&(i, x), masks), (y, counts)) in live.iter().zip(&masks).zip(outputs) {
             let all = masks.iter().flatten();

@@ -204,12 +204,11 @@ impl Network {
         x: &Tensor<f32>,
         exec: &mut ConvExecutor<'_>,
     ) -> Result<Tensor<f32>, NnError> {
-        let mut group = [Some(x.clone())];
-        self.walk_group(&mut group, &mut |i, conv: &Conv2d, group: &[Option<Tensor<f32>>]| {
+        let mut each = |i, conv: &Conv2d, group: &[Option<Tensor<f32>>]| -> Group {
             group.iter().map(|x| x.as_ref().map(|x| exec(i, conv, x))).collect()
-        })?;
-        let [Some(y)] = group else { unreachable!("this walk drops no member") };
-        Ok(y)
+        };
+        let mut out = self.walk_group(vec![Some(x.clone())], &mut each)?;
+        Ok(out.pop().flatten().expect("this walk drops no member"))
     }
 
     /// The inference walk: runs every member of `group` through the
@@ -221,8 +220,8 @@ impl Network {
     /// the two. [`GroupWalk::hook`] runs before every layer, after the
     /// last layer of each layer list and after every other layer or
     /// residual sum; it may drop members. Once every member is dropped
-    /// the walk runs no more layers. On return each slot holds its
-    /// member's output, or `None` if the member was dropped.
+    /// the walk runs no more layers. Returns each member's output in its
+    /// slot, `None` for a dropped member.
     ///
     /// # Errors
     ///
@@ -230,13 +229,10 @@ impl Network {
     /// shortcut paths produce different shapes.
     pub fn walk_group(
         &mut self,
-        group: &mut [Option<Tensor<f32>>],
+        mut group: Group,
         walk: &mut dyn GroupWalk,
-    ) -> Result<(), NnError> {
-        if let Some(out) = walk_layers(&mut self.layers, group, &mut 0, walk)? {
-            group.iter_mut().zip(out).for_each(|(slot, y)| *slot = y);
-        }
-        Ok(())
+    ) -> Result<Group, NnError> {
+        Ok(walk_layers(&mut self.layers, &mut group, &mut 0, walk)?.unwrap_or(group))
     }
 
     /// Every convolution layer, in the order [`Network::walk_group`] runs
@@ -329,11 +325,8 @@ fn walk_layers(
                 let mut main = walk_layers(r.main_mut(), cur, conv_index, walk)?
                     .unwrap_or_else(|| cur.to_vec());
                 // Members the main path dropped skip the shortcut.
-                for (input, m) in cur.iter_mut().zip(&main) {
-                    if m.is_none() {
-                        *input = None;
-                    }
-                }
+                let dropped = cur.iter_mut().zip(&main).filter(|(_, m)| m.is_none());
+                dropped.for_each(|(input, _)| *input = None);
                 let short = if r.shortcut().is_empty() {
                     None
                 } else {
@@ -708,9 +701,8 @@ mod tests {
         }
         let mut net = small_resnet(2);
         let xs: Vec<Tensor<f32>> = (0..3).map(|i| batch(1 + i, 20 + i as u64).0).collect();
-        let mut group: Vec<_> = xs.iter().cloned().map(Some).collect();
         let mut walk = DropOne(0, Vec::new());
-        net.walk_group(&mut group, &mut walk).unwrap();
+        let group = net.walk_group(xs.iter().cloned().map(Some).collect(), &mut walk).unwrap();
         assert!(group[1].is_none());
         for i in [0, 2] {
             let alone = net.forward_tapped(&xs[i], &mut |_| {});

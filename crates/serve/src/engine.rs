@@ -591,7 +591,7 @@ impl ServeEngine {
         let net = models
             .entry(dataset)
             .or_insert_with(|| bundle.network.clone());
-        let (mut group, members): (Vec<_>, Vec<_>) = pending
+        let (group, members): (Vec<_>, Vec<_>) = pending
             .iter()
             .map(|(request, expiry)| {
                 let data = Dataset::generate(request.dataset, request.batch, request.sample_seed);
@@ -626,7 +626,7 @@ impl ServeEngine {
             crashed: &self.crashed,
             stopped: false,
         };
-        net.walk_group(&mut group, &mut walk).unwrap_or_else(|e| panic!("{e}"));
+        let group = net.walk_group(group, &mut walk).unwrap_or_else(|e| panic!("{e}"));
         if walk.stopped {
             return Err(Crashed);
         }
