@@ -340,7 +340,8 @@ fn walk_layers(
                 }
                 main
             }
-            // Owned activations are replaced in place.
+            // The first layer of a list reads `x`, which a residual block
+            // adds after its main path; later layers replace their input.
             other => match y.take() {
                 Some(mut owned) => {
                     owned.iter_mut().flatten().for_each(|t| *t = other.forward(t, false));
