@@ -274,7 +274,9 @@ impl GroupWalk for DrqExecutor<'_> {
 mod tests {
     use super::*;
     use crate::RegionSize;
-    use drq_nn::{BatchNorm2d, Conv2d, Flatten, Layer, Linear, Pool2d, PoolKind, ReLU};
+    use drq_nn::{
+        BatchNorm2d, Conv2d, Flatten, Layer, Linear, Pool2d, PoolKind, ReLU, ResidualBlock,
+    };
     use drq_tensor::XorShiftRng;
 
     fn small_net(seed: u64) -> Network {
@@ -301,6 +303,72 @@ mod tests {
                 0.02 * rng.next_f32()
             }
         })
+    }
+
+    /// Four convs: a stem, an identity block, and a strided block with a
+    /// 1x1 shortcut conv (run after its main path).
+    fn residual_net(seed: u64) -> Network {
+        Network::new(vec![
+            Layer::from(Conv2d::new(2, 4, 3, 1, 1, seed)),
+            Layer::from(ReLU::new()),
+            Layer::from(ResidualBlock::new(
+                vec![
+                    Layer::from(Conv2d::new(4, 4, 3, 1, 1, seed + 1)),
+                    Layer::from(BatchNorm2d::new(4)),
+                    Layer::from(ReLU::new()),
+                ],
+                vec![],
+            )),
+            Layer::from(ResidualBlock::new(
+                vec![Layer::from(Conv2d::new(4, 6, 3, 2, 1, seed + 2)), Layer::from(ReLU::new())],
+                vec![Layer::from(Conv2d::new(4, 6, 1, 2, 0, seed + 3))],
+            )),
+            Layer::from(Flatten::new()),
+            Layer::from(Linear::new(6 * 6 * 6, 3, seed + 4)),
+        ])
+    }
+
+    #[test]
+    fn executor_equals_predictor_then_mixed_conv_on_each_conv_input() {
+        // Three images at different scales: each conv's INT8 parameters are
+        // fitted over the whole batch, by the predictor and the conv alike.
+        let net = residual_net(31);
+        let mut rng = XorShiftRng::new(32);
+        let x = Tensor::from_fn(&[3, 2, 12, 12], |i| {
+            let v = rng.next_normal();
+            (1 + i / 288) as f32 * if v > 0.8 { v } else { 0.05 * v }
+        });
+        let config = DrqConfig::new(RegionSize::new(4, 4), 12.0);
+        let (y, stats) = DrqNetwork::new(net.clone(), config).forward(&x);
+
+        let mut reference = net;
+        let convs = reference.conv_count();
+        let mut want = Vec::new();
+        let y_want = reference.forward_conv_override(&x, &mut |i, conv, input| {
+            let s = input.shape4().unwrap();
+            let layer = config.for_layer(s.h, s.w, i as f64 / convs as f64);
+            let predictor = SensitivityPredictor::new(layer.region, layer.threshold);
+            let masks = predictor.predict_batch(input);
+            let member = CoalesceInput { x: input, masks: &masks };
+            let (y, counts) = MixedPrecisionConv::forward(conv, None, &[member]).remove(0);
+            let all: Vec<&MaskMap> = masks.iter().flatten().collect();
+            let sensitive: f64 = all.iter().map(|m| m.sensitive_fraction()).sum();
+            want.push(DrqLayerStats {
+                conv_index: i,
+                input_shape: input.shape().to_vec(),
+                counts,
+                sensitive_fraction: sensitive / all.len() as f64,
+                threshold: layer.threshold,
+                region: (layer.region.x, layer.region.y),
+                mask_storage_bits: masks[0].iter().map(MaskMap::storage_bits).sum(),
+            });
+            y
+        });
+        assert_eq!(convs, 4);
+        assert_eq!(stats.layers, want);
+        assert_eq!(y, y_want);
+        let totals = stats.totals();
+        assert!(totals.int8_macs > 0 && totals.int4_macs > 0, "degenerate masks: {totals:?}");
     }
 
     #[test]
