@@ -51,7 +51,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use drq::core::{CoalesceInput, ConvPlan, MixedPrecisionConv, RegionSize, SensitivityPredictor};
+use drq::core::{
+    CoalesceInput, ConvPlan, Int8Codes, MixedPrecisionConv, RegionSize, SensitivityPredictor,
+};
 use drq::models::{default_standin, Dataset, DatasetKind};
 use drq::nn::{Conv2d, CrossEntropyLoss, Sgd};
 use drq::telemetry::Report;
@@ -114,18 +116,21 @@ fn blobby(shape: [usize; 4], rng: &mut XorShiftRng) -> Tensor<f32> {
     })
 }
 
-/// Median-of-`reps` wall time in milliseconds of the mixed-precision conv
-/// `conv` on `x` with a prepared plan and predictor masks, and the INT4
-/// share of its MACs.
+/// Median-of-`reps` wall time in milliseconds of quantizing `x` and
+/// running the mixed-precision conv `conv` on its codes with a prepared
+/// plan and predictor masks, and the INT4 share of its MACs.
 fn mixed_conv_ms(reps: usize, conv: &Conv2d, x: &Tensor<f32>) -> (f64, f64) {
     let masks = SensitivityPredictor::new(RegionSize::new(4, 4), 8.0).predict_batch(x);
     let plan = ConvPlan::prepare(conv);
-    let inputs = [CoalesceInput { x, masks: &masks }];
+    let run = || {
+        let codes = Int8Codes::quantize(x);
+        let inputs = [CoalesceInput { codes: &codes, masks: &masks }];
+        MixedPrecisionConv::forward(conv, Some(&plan), &inputs).remove(0)
+    };
     let ms = time_ms(reps, || {
-        std::hint::black_box(MixedPrecisionConv::forward(conv, Some(&plan), &inputs));
+        std::hint::black_box(run());
     });
-    let (_, counts) = MixedPrecisionConv::forward(conv, Some(&plan), &inputs).remove(0);
-    (ms, counts.int4_fraction())
+    (ms, run().1.int4_fraction())
 }
 
 /// Median wall microseconds of one two-worker parallel section whose two

@@ -548,8 +548,6 @@ fn cmd_soak(args: &ParsedArgs) -> Result<(), Box<dyn Error>> {
     report.push("elapsed_ms", outcome.elapsed_ms);
     report.push("plan_model_hits", outcome.plan.model_hits);
     report.push("plan_model_misses", outcome.plan.model_misses);
-    report.push("plan_mask_hits", outcome.plan.mask_hits);
-    report.push("plan_mask_misses", outcome.plan.mask_misses);
     report.push("plan_hit_rate", outcome.plan.hit_rate());
     write_observability(args, Some(report), Some(outcome.trace.clone()))?;
     if !outcome.clean() {

@@ -9,7 +9,7 @@
 //! the threshold) constant across layers is what keeps the INT4 percentage
 //! stable as activation statistics drift with depth.
 
-use crate::{DrqConfig, RegionSize, RegionSums};
+use crate::{DrqConfig, Int8Codes, RegionSize, RegionSums};
 use drq_nn::Network;
 use drq_tensor::Tensor;
 
@@ -130,7 +130,7 @@ pub fn calibrate_thresholds(
             let s = x.shape4().expect("conv input rank");
             // The region sums do not depend on the threshold: build them
             // once per image, and each search probe is a compare pass.
-            let sums = RegionSums::batch(x, region.clamped_to(s.h, s.w));
+            let sums = RegionSums::batch(&Int8Codes::quantize(x), region.clamped_to(s.h, s.w));
             let frac_at = |t: f32| -> f64 {
                 let mut acc = 0.0;
                 for image in &sums {

@@ -1,12 +1,11 @@
 //! Running a whole network under dynamic region-based quantization.
 
 use crate::{
-    CoalesceInput, ConvOpCounts, ConvPlan, DrqConfig, LayerDrqConfig, LayerThresholds, MaskMap,
-    MixedPrecisionConv, SensitivityPredictor,
+    uniform_masks, CoalesceInput, ConvOpCounts, ConvPlan, DrqConfig, Int8Codes, LayerThresholds,
+    MaskMap, MixedPrecisionConv, SensitivityPredictor,
 };
 use drq_nn::{Conv2d, Group, GroupWalk, Network};
 use drq_tensor::Tensor;
-use std::sync::Arc;
 
 /// Per-convolution-layer statistics of one DRQ inference pass.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,26 +165,22 @@ pub fn prepare_plans(network: &Network) -> Vec<ConvPlan> {
     network.convs().into_iter().map(ConvPlan::prepare).collect()
 }
 
-/// Where a [`DrqExecutor`] takes each member's masks from:
-/// `(conv_index, member, layer, input) -> masks[n][c]`, with `layer` the
-/// conv's resolved region and threshold.
-pub type MaskSource<'a> =
-    dyn FnMut(usize, usize, &LayerDrqConfig, &Tensor<f32>) -> Arc<Vec<Vec<MaskMap>>> + 'a;
-
 /// The DRQ executor of [`Network::walk_group`].
 ///
 /// At each convolution it resolves the layer's region and threshold from
 /// the [`DrqConfig`] (deep-layer rules included, a schedule's threshold in
-/// place of the uniform one), takes every live member's masks from its
-/// mask source (by default the [`SensitivityPredictor`] on the member's
-/// own input) and runs one [`MixedPrecisionConv::forward`] call over all
-/// of them with the conv's prepared plan. Each member gets its own
+/// place of the uniform one) and quantizes every live member's input once
+/// ([`Int8Codes`], fitted over the member's whole input). The
+/// [`SensitivityPredictor`] turns those codes into the member's masks, and
+/// one [`MixedPrecisionConv::forward`] call runs the same codes of every
+/// member with the conv's prepared plan. Each member gets its own
 /// [`DrqRunStats`].
 pub struct DrqExecutor<'a> {
     config: DrqConfig,
     schedule: Option<&'a LayerThresholds>,
     plans: &'a [ConvPlan],
-    masks: Box<MaskSource<'a>>,
+    /// Every region sensitive: a uniform INT8 convolution.
+    all_int8: bool,
     /// Statistics per member, in group order; a member no convolution
     /// ran on may have no entry.
     pub stats: Vec<DrqRunStats>,
@@ -199,15 +194,13 @@ impl<'a> DrqExecutor<'a> {
         schedule: Option<&'a LayerThresholds>,
         plans: &'a [ConvPlan],
     ) -> Self {
-        let predict = |_: usize, _: usize, layer: &LayerDrqConfig, x: &Tensor<f32>| {
-            Arc::new(SensitivityPredictor::new(layer.region, layer.threshold).predict_batch(x))
-        };
-        Self { config, schedule, plans, masks: Box::new(predict), stats: Vec::new() }
+        Self { config, schedule, plans, all_int8: false, stats: Vec::new() }
     }
 
-    /// Takes the masks from `source` instead of the predictor.
-    pub fn with_masks(self, source: Box<MaskSource<'a>>) -> Self {
-        Self { masks: source, ..self }
+    /// Marks every region sensitive instead of predicting, so each conv
+    /// runs as a uniform INT8 convolution (serve's degraded mode).
+    pub fn all_int8(self) -> Self {
+        Self { all_int8: true, ..self }
     }
 
     /// Runs `x` through `network` as a group of one, returning the output
@@ -240,10 +233,20 @@ impl GroupWalk for DrqExecutor<'_> {
             // the deep layers' statistics directly).
             layer.threshold = sched.threshold_for(conv_index);
         }
-        let masks: Vec<_> =
-            live.iter().map(|&(i, x)| (self.masks)(conv_index, i, &layer, x)).collect();
+        let codes: Vec<Int8Codes> = live.iter().map(|&(_, x)| Int8Codes::quantize(x)).collect();
+        let predictor = SensitivityPredictor::new(layer.region, layer.threshold);
+        let masks: Vec<Vec<Vec<MaskMap>>> = codes
+            .iter()
+            .map(|c| {
+                if self.all_int8 {
+                    uniform_masks(c.shape(), true)
+                } else {
+                    predictor.predict_codes(c)
+                }
+            })
+            .collect();
         let inputs: Vec<CoalesceInput<'_>> =
-            live.iter().zip(&masks).map(|(&(_, x), m)| CoalesceInput { x, masks: m }).collect();
+            codes.iter().zip(&masks).map(|(codes, masks)| CoalesceInput { codes, masks }).collect();
         let outputs = MixedPrecisionConv::forward(conv, Some(&self.plans[conv_index]), &inputs);
         if self.stats.len() < group.len() {
             let convs = self.plans.len();
@@ -349,7 +352,8 @@ mod tests {
             let layer = config.for_layer(s.h, s.w, i as f64 / convs as f64);
             let predictor = SensitivityPredictor::new(layer.region, layer.threshold);
             let masks = predictor.predict_batch(input);
-            let member = CoalesceInput { x: input, masks: &masks };
+            let codes = Int8Codes::quantize(input);
+            let member = CoalesceInput { codes: &codes, masks: &masks };
             let (y, counts) = MixedPrecisionConv::forward(conv, None, &[member]).remove(0);
             let all: Vec<&MaskMap> = masks.iter().flatten().collect();
             let sensitive: f64 = all.iter().map(|m| m.sensitive_fraction()).sum();

@@ -7,8 +7,8 @@
 //! * [`SensitivityPredictor`] — mean filtering over each region plus a step
 //!   threshold, producing a binary [`MaskMap`] per channel (Section III-B).
 //!   Its two stages are public: [`RegionSums`] holds the
-//!   threshold-independent region sums, and [`RegionSums::step`] applies a
-//!   threshold to them;
+//!   threshold-independent region sums of a map's [`Int8Codes`], and
+//!   [`RegionSums::step`] applies a threshold to them;
 //! * [`MixedPrecisionConv`] — the sensitivity-aware convolution that runs
 //!   INT8 over sensitive regions and INT4 (with weights clipped from INT8)
 //!   over insensitive ones (Section III-C), with exact INT4/INT8 MAC
@@ -39,6 +39,7 @@
 #![warn(missing_docs)]
 
 mod calibration;
+mod codes;
 mod config;
 mod drq_net;
 mod error;
@@ -50,8 +51,9 @@ mod region;
 pub mod segments;
 
 pub use calibration::{calibrate_thresholds, LayerThresholds};
+pub use codes::Int8Codes;
 pub use config::{DrqConfig, LayerDrqConfig};
-pub use drq_net::{prepare_plans, DrqExecutor, DrqLayerStats, DrqNetwork, DrqRunStats, MaskSource};
+pub use drq_net::{prepare_plans, DrqExecutor, DrqLayerStats, DrqNetwork, DrqRunStats};
 pub use error::DrqError;
 pub use finetune::{finetune, finetune_step};
 pub use mask::MaskMap;

@@ -1,6 +1,6 @@
 //! Mixed-precision convolution (Section III-C).
 
-use crate::{MaskMap, RegionGrid};
+use crate::{Int8Codes, MaskMap, RegionGrid};
 use drq_nn::Conv2d;
 use drq_quant::{analyze_gemm, AccumWidth, Precision, QuantParams};
 use drq_telemetry::counter_add;
@@ -71,14 +71,15 @@ impl ConvOpCounts {
 /// # Examples
 ///
 /// ```
-/// use drq_core::{uniform_masks, CoalesceInput, ConvPlan, MixedPrecisionConv};
+/// use drq_core::{uniform_masks, CoalesceInput, ConvPlan, Int8Codes, MixedPrecisionConv};
 /// use drq_nn::Conv2d;
 /// use drq_tensor::Tensor;
 ///
 /// let conv = Conv2d::new(2, 3, 3, 1, 1, 7);
 /// let x = Tensor::from_fn(&[1, 2, 8, 8], |i| (i % 5) as f32);
-/// let masks = uniform_masks(x.shape4().unwrap(), true);
-/// let inputs = [CoalesceInput { x: &x, masks: &masks }];
+/// let codes = Int8Codes::quantize(&x);
+/// let masks = uniform_masks(codes.shape(), true);
+/// let inputs = [CoalesceInput { codes: &codes, masks: &masks }];
 /// let plan = ConvPlan::prepare(&conv);
 /// let planned = MixedPrecisionConv::forward(&conv, Some(&plan), &inputs);
 /// let unplanned = MixedPrecisionConv::forward(&conv, None, &inputs);
@@ -156,14 +157,17 @@ impl ConvPlan {
     }
 }
 
-/// One request of a [`MixedPrecisionConv::forward`] call: its input
-/// feature map and its per-image, per-channel sensitivity masks.
+/// One request of a [`MixedPrecisionConv::forward`] call: the INT8 codes
+/// of its input feature map and its per-image, per-channel sensitivity
+/// masks. The masks are typically predicted from the same codes
+/// ([`crate::SensitivityPredictor::predict_codes`]), so the input is
+/// quantized once for both.
 #[derive(Debug, Clone, Copy)]
 pub struct CoalesceInput<'a> {
-    /// Input feature map, `[n, c, h, w]`.
-    pub x: &'a Tensor<f32>,
-    /// `masks[n][c]` — the mask of channel `c` of image `n`, as produced
-    /// by [`crate::SensitivityPredictor::predict_image`] on this input.
+    /// The input feature map's codes, `[n, c, h, w]`, quantized over the
+    /// whole request.
+    pub codes: &'a Int8Codes,
+    /// `masks[n][c]` — the mask of channel `c` of image `n`.
     pub masks: &'a [Vec<MaskMap>],
 }
 
@@ -187,12 +191,12 @@ impl MixedPrecisionConv {
     /// requests; a single request is a group of one. `plan` is `conv`'s
     /// prepared weights, or `None` to prepare them here.
     ///
-    /// Activation quantization is fit **per request**, so each request
-    /// gets exactly the codes (and the output bits) it would get alone.
-    /// The work list is flat over every (request, image) pair and runs in
-    /// parallel. Per item and channel group, each input channel is
-    /// quantized and split straight into two zero-padded planes of i16
-    /// codes, with channels interleaved in pairs:
+    /// Each request brings its own codes, quantized over the whole request
+    /// ([`Int8Codes::quantize`]), so it gets exactly the output bits it
+    /// would get alone. The work list is flat over every (request, image)
+    /// pair and runs in parallel. Per item and channel group, the codes of
+    /// each input channel are split straight into two zero-padded planes
+    /// of i16 codes, with channels interleaved in pairs:
     ///
     /// * `P8` — INT8 codes where the pixel is sensitive, else 0;
     /// * `P4` — INT4 codes (`q >> 4`) where it is insensitive, else 0
@@ -244,15 +248,12 @@ impl MixedPrecisionConv {
                 &prepared
             }
         };
-        let shapes: Vec<Shape4> = inputs.iter().map(|i| validate(conv, i.x, i.masks)).collect();
+        let shapes: Vec<Shape4> =
+            inputs.iter().map(|i| validate(conv, i.codes.shape(), i.masks)).collect();
         let wtaps = conv.in_channels() / conv.groups() * conv.kernel() * conv.kernel();
         assert_eq!(wtaps, plan.wtaps, "plan prepared for a different conv geometry");
-        // Per-request activation calibration (the bit-identity anchor) and
-        // plane geometry, then the flat (request, image) work list.
-        let aqs: Vec<QuantParams> = inputs
-            .iter()
-            .map(|i| QuantParams::fit(i.x.as_slice(), Precision::Int8))
-            .collect();
+        // Per-request plane geometry, then the flat (request, image) work
+        // list.
         let geos: Vec<PlaneGeometry> = shapes.iter().map(|&s| PlaneGeometry::new(conv, s)).collect();
         let items: Vec<(usize, usize)> = shapes
             .iter()
@@ -279,11 +280,9 @@ impl MixedPrecisionConv {
         let workers = parallel::workers_for_macs(macs as usize);
         parallel::for_each_chunk_capped(&mut slots, 1, workers, |j, slot| {
             let (r, n) = items[j];
-            let s = shapes[r];
-            let img_len = s.c * s.h * s.w;
-            let img = &inputs[r].x.as_slice()[n * img_len..(n + 1) * img_len];
+            let CoalesceInput { codes, masks } = inputs[r];
             let (out, counts) = &mut slot[0];
-            *counts = image(conv, plan, &geos[r], img, &aqs[r], &inputs[r].masks[n], out);
+            *counts = image(conv, plan, &geos[r], codes.image(n), codes.params(), &masks[n], out);
         });
         let per_item: Vec<ConvOpCounts> = slots.into_iter().map(|(_, c)| c).collect();
         let mut per_item = per_item.into_iter();
@@ -301,8 +300,7 @@ impl MixedPrecisionConv {
 }
 
 /// Shape/mask validation of one input.
-fn validate(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> Shape4 {
-    let s = x.shape4().expect("conv input must be rank 4");
+fn validate(conv: &Conv2d, s: Shape4, masks: &[Vec<MaskMap>]) -> Shape4 {
     assert_eq!(s.c, conv.in_channels(), "channel mismatch");
     assert_eq!(masks.len(), s.n, "need one mask set per image");
     for (n, per_channel) in masks.iter().enumerate() {
@@ -467,8 +465,8 @@ struct ItemBuffers {
     p4: Vec<i16>,
     acc8: Vec<i32>,
     acc4: Vec<i32>,
-    /// The codes of each channel of a pair (`[h, w]`).
-    codes: [Vec<i16>; 2],
+    /// A row of zero codes: the zero channel of an odd group.
+    zero_row: Vec<i8>,
     /// Per channel of a pair, the current region row's column mask: −1
     /// (all ones) where sensitive, 0 elsewhere.
     sensitive: [Vec<i16>; 2],
@@ -481,14 +479,13 @@ impl ItemBuffers {
     /// per group. The planes start zeroed: a lane no pixel lands on is
     /// padding and must read zero.
     fn new(geo: &PlaneGeometry, cpg_out: usize) -> Self {
-        let (h, w) = (geo.h, geo.w);
         Self {
             p8: vec![0; geo.plane_len],
             p4: vec![0; geo.plane_len],
             acc8: vec![0; cpg_out * geo.lanes],
             acc4: vec![0; cpg_out * geo.lanes],
-            codes: [vec![0; h * w], vec![0; h * w]],
-            sensitive: [vec![0; w], vec![0; w]],
+            zero_row: vec![0; geo.w],
+            sensitive: [vec![0; geo.w], vec![0; geo.w]],
             tables: Vec::new(),
         }
     }
@@ -504,17 +501,16 @@ impl ItemBuffers {
         }
     }
 
-    /// Quantizes the channels of pair `cp` (`chans[1]` is `None` for the
-    /// zero channel of an odd group) under `aq`, splits each by its mask
-    /// and writes both into the pair's lanes of `P8` and `P4`. Every lane a
-    /// pixel lands on is rewritten, so the planes need no clearing between
-    /// groups. Returns the pair's INT8 tap count.
+    /// Splits the codes of the channels of pair `cp` (`chans[1]` is `None`
+    /// for the zero channel of an odd group) by their masks and writes both
+    /// into the pair's lanes of `P8` and `P4`. Every lane a pixel lands on
+    /// is rewritten, so the planes need no clearing between groups. Returns
+    /// the pair's INT8 tap count.
     fn split_pair(
         &mut self,
         geo: &PlaneGeometry,
-        aq: &QuantParams,
         cp: usize,
-        chans: [Option<(&[f32], &MaskMap)>; 2],
+        chans: [Option<(&[i8], &MaskMap)>; 2],
     ) -> u64 {
         let (s, pad, phases, w) = (geo.stride, geo.pad, geo.phases, geo.w);
         let mut tables = [0usize; 2];
@@ -522,18 +518,9 @@ impl ItemBuffers {
         let mut mask_row = [usize::MAX; 2];
         let mut c8 = 0;
         for (e, chan) in chans.iter().enumerate() {
-            match chan {
-                Some((x, mask)) => {
-                    tables[e] = self.tables_for(mask.grid(), geo);
-                    c8 += self.tables[tables[e]].int8_taps(mask);
-                    for (q, &v) in self.codes[e].iter_mut().zip(*x) {
-                        *q = aq.quantize_value(v) as i16;
-                    }
-                }
-                None => {
-                    self.codes[e].fill(0);
-                    self.sensitive[e].fill(0);
-                }
+            if let Some((_, mask)) = chan {
+                tables[e] = self.tables_for(mask.grid(), geo);
+                c8 += self.tables[tables[e]].int8_taps(mask);
             }
         }
         let pair_base = cp * phases * phases * geo.plen;
@@ -554,7 +541,11 @@ impl ItemBuffers {
                     }
                 }
             }
-            let row = |e: usize| (&self.codes[e][iy * w..(iy + 1) * w], &self.sensitive[e][..]);
+            // A zero code splits to zero in both planes, whatever its mask.
+            let row = |e: usize| match chans[e] {
+                Some((q, _)) => (&q[iy * w..(iy + 1) * w], &self.sensitive[e][..]),
+                None => (&self.zero_row[..], &self.sensitive[e][..]),
+            };
             let src = [row(0), row(1)];
             for rx in 0..phases {
                 // Columns `ix = px·s + rx − pad` for `px` in `px0..px1`.
@@ -577,7 +568,7 @@ impl ItemBuffers {
 /// Writes the codes `q` of a channel pair, one column every `step`, into
 /// the pair's `P8` lanes where the mask `m` is −1 (sensitive) and their
 /// `>> 4` into its `P4` lanes where it is 0, and zero into the other.
-fn scatter(p8: &mut [i16], p4: &mut [i16], [(q0, m0), (q1, m1)]: [(&[i16], &[i16]); 2], step: usize) {
+fn scatter(p8: &mut [i16], p4: &mut [i16], [(q0, m0), (q1, m1)]: [(&[i8], &[i16]); 2], step: usize) {
     let lanes = p8.chunks_exact_mut(2).zip(p4.chunks_exact_mut(2));
     let split = |(d8, d4): (&mut [i16], &mut [i16]), [q0, m0, q1, m1]: [i16; 4]| {
         d8[0] = q0 & m0;
@@ -588,12 +579,12 @@ fn scatter(p8: &mut [i16], p4: &mut [i16], [(q0, m0), (q1, m1)]: [(&[i16], &[i16
     if step == 1 {
         let src = q0.iter().zip(m0).zip(q1.iter().zip(m1));
         for (lane, ((&q0, &m0), (&q1, &m1))) in lanes.zip(src) {
-            split(lane, [q0, m0, q1, m1]);
+            split(lane, [q0.into(), m0, q1.into(), m1]);
         }
     } else {
         for (i, lane) in lanes.enumerate() {
             let j = i * step;
-            split(lane, [q0[j], m0[j], q1[j], m1[j]]);
+            split(lane, [q0[j].into(), m0[j], q1[j].into(), m1[j]]);
         }
     }
 }
@@ -634,18 +625,18 @@ fn dequantize<A: Copy + Into<i64>>(
     }
 }
 
-/// One work item: one image `x` (`[c, h, w]`), its request's plane
-/// geometry `geo` and activation parameters `aq`, and its per-channel
-/// masks. Per channel group, quantizes and splits each channel pair into
-/// the planes, runs the INT4 GEMM and (if any tap is sensitive) the INT8
-/// GEMM through the plane offsets, and dequantizes into `out`
+/// One work item: the codes `x` of one image (`[c, h, w]`), its request's
+/// plane geometry `geo` and activation parameters `aq`, and its
+/// per-channel masks. Per channel group, splits each channel pair into the
+/// planes, runs the INT4 GEMM and (if any tap is sensitive) the INT8 GEMM
+/// through the plane offsets, and dequantizes into `out`
 /// (`[c_out, oh, ow]`, flattened). Returns the image's MAC split.
 fn image(
     conv: &Conv2d,
     plan: &ConvPlan,
     geo: &PlaneGeometry,
-    x: &[f32],
-    aq: &QuantParams,
+    x: &[i8],
+    aq: QuantParams,
     masks: &[MaskMap],
     out: &mut [f32],
 ) -> ConvOpCounts {
@@ -667,7 +658,7 @@ fn image(
             (c < cpg_in).then(|| (&x[ic * plane..(ic + 1) * plane], &masks[ic]))
         };
         let c8: u64 = (0..cpg_in.div_ceil(2))
-            .map(|cp| bufs.split_pair(geo, aq, cp, [chan(2 * cp), chan(2 * cp + 1)]))
+            .map(|cp| bufs.split_pair(geo, cp, [chan(2 * cp), chan(2 * cp + 1)]))
             .sum();
         counts.int8_macs += c8 * cpg_out as u64;
         counts.int4_macs += ((wtaps * npix) as u64 - c8) * cpg_out as u64;
@@ -745,7 +736,8 @@ mod tests {
 
     /// A group of one.
     fn run(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> (Tensor<f32>, ConvOpCounts) {
-        MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+        let codes = Int8Codes::quantize(x);
+        MixedPrecisionConv::forward(conv, None, &[CoalesceInput { codes: &codes, masks }]).remove(0)
     }
 
     fn random_conv_and_input(seed: u64) -> (Conv2d, Tensor<f32>) {
@@ -920,14 +912,15 @@ mod tests {
             .iter()
             .map(|x| (0..x.shape4().unwrap().n).map(|i| predictor.predict_image(x, i)).collect())
             .collect();
+        let codes: Vec<Int8Codes> = xs.iter().map(Int8Codes::quantize).collect();
         let inputs: Vec<CoalesceInput<'_>> =
-            xs.iter().zip(&masks).map(|(x, m)| CoalesceInput { x, masks: m }).collect();
+            codes.iter().zip(&masks).map(|(codes, m)| CoalesceInput { codes, masks: m }).collect();
         let plan = ConvPlan::prepare(&conv);
         assert!(plan.packed_bytes() > 0);
         let grouped = MixedPrecisionConv::forward(&conv, Some(&plan), &inputs);
         assert_eq!(grouped, MixedPrecisionConv::forward(&conv, None, &inputs));
-        for (input, out) in inputs.iter().zip(&grouped) {
-            assert_eq!(out, &run(&conv, input.x, input.masks));
+        for ((x, input), out) in xs.iter().zip(&inputs).zip(&grouped) {
+            assert_eq!(out, &run(&conv, x, input.masks));
         }
     }
 

@@ -3,31 +3,30 @@
 //! [`RegionSums::step`], the comparison against a threshold.
 //! [`SensitivityPredictor`] composes the two.
 
-use crate::{MaskMap, RegionGrid, RegionSize};
+use crate::{Int8Codes, MaskMap, RegionGrid, RegionSize};
 use drq_quant::{Precision, QuantParams};
 use drq_tensor::Tensor;
 
 /// The threshold-independent stage of the predictor: for every channel of
-/// one image, the `i32` sum of the INT8 codes in each region of a
-/// [`RegionGrid`].
+/// one image, the `i32` sum of its INT8 codes ([`Int8Codes`]) in each
+/// region of a [`RegionGrid`].
 ///
 /// Dividing a sum by its region's pixel count is the paper's mean filter;
 /// [`Self::step`] does that division and the step activation, so one set of
-/// sums serves every threshold. Each channel is quantized in one pass, then
-/// each row of codes adds one contiguous region-width chunk to each region
-/// of its region row; integer sums are order-independent, so they equal a
-/// pixel-by-pixel region walk exactly.
+/// sums serves every threshold. The rows of each region row are added
+/// column by column into one row of `i32`, whose region-width chunks then
+/// give the region row's sums; integer sums are order-independent, so they
+/// equal a pixel-by-pixel region walk exactly.
 ///
 /// # Examples
 ///
 /// ```
-/// use drq_core::{RegionSize, RegionSums, SensitivityPredictor};
+/// use drq_core::{Int8Codes, RegionSize, RegionSums};
 /// use drq_tensor::Tensor;
 ///
 /// // The top half of an 8x8 map is bright, the bottom half dark.
 /// let x = Tensor::from_fn(&[1, 1, 8, 8], |i| if i < 32 { 1.0 } else { 0.0 });
-/// let params = SensitivityPredictor::activation_params(&x);
-/// let sums = RegionSums::new(&x, 0, RegionSize::new(4, 4), &params);
+/// let sums = RegionSums::new(&Int8Codes::quantize(&x), 0, RegionSize::new(4, 4));
 /// // The top regions average 127 codes, the bottom ones 0.
 /// let masks = sums.step(100.0);
 /// assert!(masks[0].is_sensitive(0, 1));
@@ -43,50 +42,45 @@ pub struct RegionSums {
 }
 
 impl RegionSums {
-    /// Sums the INT8 codes of image `n` of an NCHW tensor under `params`
-    /// over the grid `region` induces on the map.
+    /// Sums the codes of image `n` over the grid `region` induces on the
+    /// map.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not rank 4, `n` is out of range, or a region holds
-    /// so many pixels (over 16M) that its sum could overflow `i32`.
-    pub fn new(x: &Tensor<f32>, n: usize, region: RegionSize, params: &QuantParams) -> Self {
-        let s = x.shape4().expect("predictor input must be rank 4");
+    /// Panics if `n` is out of range, or a region holds so many pixels
+    /// (over 16M) that its sum could overflow `i32`.
+    pub fn new(codes: &Int8Codes, n: usize, region: RegionSize) -> Self {
+        let s = codes.shape();
         assert!(n < s.n, "image index out of range");
         let grid = RegionGrid::new(s.h, s.w, region);
         assert!(
             grid.region().area() <= (i32::MAX / 128) as usize,
             "region too large for i32 code sums"
         );
-        let (regions, cols, region_w) = (grid.region_count(), grid.cols(), grid.region().y);
-        let plane = s.h * s.w;
-        let image = &x.as_slice()[n * s.c * plane..(n + 1) * s.c * plane];
+        let (regions, region) = (grid.region_count(), grid.region());
         let mut sums = vec![0i32; s.c * regions];
-        let mut codes = vec![0i32; plane];
-        for (channel, out) in image.chunks_exact(plane).zip(sums.chunks_exact_mut(regions)) {
-            for (q, &v) in codes.iter_mut().zip(channel) {
-                *q = params.quantize_value(v);
-            }
-            for (y, row) in codes.chunks_exact(s.w).enumerate() {
-                let region_row = &mut out[grid.region_of(y, 0).0 * cols..][..cols];
-                for (sum, chunk) in region_row.iter_mut().zip(row.chunks(region_w)) {
-                    *sum += chunk.iter().sum::<i32>();
+        let mut columns = vec![0i32; s.w];
+        let image = codes.image(n);
+        for (channel, out) in image.chunks_exact(s.h * s.w).zip(sums.chunks_exact_mut(regions)) {
+            let region_rows = channel.chunks(region.x * s.w).zip(out.chunks_exact_mut(grid.cols()));
+            for (rows, region_row) in region_rows {
+                columns.fill(0);
+                for row in rows.chunks_exact(s.w) {
+                    for (c, &q) in columns.iter_mut().zip(row) {
+                        *c += i32::from(q);
+                    }
+                }
+                for (sum, chunk) in region_row.iter_mut().zip(columns.chunks(region.y)) {
+                    *sum = chunk.iter().sum();
                 }
             }
         }
         Self { grid, sums }
     }
 
-    /// The sums of every image of an NCHW batch, under the batch-wide INT8
-    /// parameters ([`SensitivityPredictor::activation_params`]) fitted once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not rank 4.
-    pub fn batch(x: &Tensor<f32>, region: RegionSize) -> Vec<Self> {
-        let s = x.shape4().expect("predictor input must be rank 4");
-        let params = SensitivityPredictor::activation_params(x);
-        (0..s.n).map(|n| Self::new(x, n, region, &params)).collect()
+    /// The sums of every image of `codes`.
+    pub fn batch(codes: &Int8Codes, region: RegionSize) -> Vec<Self> {
+        (0..codes.shape().n).map(|n| Self::new(codes, n, region)).collect()
     }
 
     /// The grid the sums cover.
@@ -156,12 +150,13 @@ fn exceeds(sum: i32, pixels: f32, threshold: f32) -> bool {
 /// Predicts sensitive regions of a feature map by mean filtering each
 /// x×y region and comparing against a threshold (a step activation).
 ///
-/// Following the paper, the feature map is first quantized to INT8 and the
-/// threshold is expressed in integer (INT8-code) units — Table III reports
-/// per-network average thresholds of 17–25 on that scale. The predictor
-/// emits one binary [`MaskMap`] per input channel. Each prediction is
-/// [`RegionSums`] followed by [`RegionSums::step`]; a caller that tries many
-/// thresholds on one map can keep the sums and step them itself.
+/// Following the paper, the feature map is first quantized to INT8
+/// ([`Int8Codes`]) and the threshold is expressed in integer (INT8-code)
+/// units — Table III reports per-network average thresholds of 17–25 on
+/// that scale. The predictor emits one binary [`MaskMap`] per input
+/// channel. Each prediction is [`RegionSums`] followed by
+/// [`RegionSums::step`]; a caller that tries many thresholds on one map can
+/// keep the sums and step them itself.
 ///
 /// # Examples
 ///
@@ -230,14 +225,20 @@ impl SensitivityPredictor {
     }
 
     /// Predicts masks for every image of an NCHW batch: `result[n]` equals
-    /// `predict_image(x, n)` bit for bit, with the batch-wide INT8
-    /// parameters fitted once instead of once per image.
+    /// `predict_image(x, n)` bit for bit, with the batch quantized once
+    /// instead of once per image.
     ///
     /// # Panics
     ///
     /// Panics if `x` is not rank 4.
     pub fn predict_batch(&self, x: &Tensor<f32>) -> Vec<Vec<MaskMap>> {
-        RegionSums::batch(x, self.region).iter().map(|sums| sums.step(self.threshold)).collect()
+        self.predict_codes(&Int8Codes::quantize(x))
+    }
+
+    /// Predicts masks for every image of already-quantized maps:
+    /// [`Self::predict_batch`] on the tensor `codes` was quantized from.
+    pub fn predict_codes(&self, codes: &Int8Codes) -> Vec<Vec<MaskMap>> {
+        RegionSums::batch(codes, self.region).iter().map(|sums| sums.step(self.threshold)).collect()
     }
 
     /// Predicts masks for the first image of a batch (the common
@@ -254,7 +255,7 @@ impl SensitivityPredictor {
 
     /// Image `n`'s region sums under the batch-wide INT8 parameters.
     fn sums(&self, x: &Tensor<f32>, n: usize) -> RegionSums {
-        RegionSums::new(x, n, self.region, &Self::activation_params(x))
+        RegionSums::new(&Int8Codes::quantize_images(x, n..n + 1), 0, self.region)
     }
 }
 
@@ -423,7 +424,7 @@ mod tests {
         assert!(cases.iter().any(|(_, x, r)| x.shape4().unwrap().w % r.y != 0));
         for (name, x, region) in &cases {
             let s = x.shape4().unwrap();
-            let batch = RegionSums::batch(x, *region);
+            let batch = RegionSums::batch(&Int8Codes::quantize(x), *region);
             assert_eq!(batch.len(), s.n, "{name}");
             for (n, sums) in batch.iter().enumerate() {
                 for t in THRESHOLDS {
@@ -443,7 +444,7 @@ mod tests {
         }
         // The saturated map: every threshold below 127 flags the positive
         // channel's one region and never the negative channel's.
-        let sums = RegionSums::batch(&cases[2].1, RegionSize::new(64, 64));
+        let sums = RegionSums::batch(&Int8Codes::quantize(&cases[2].1), RegionSize::new(64, 64));
         assert_eq!(sums[0].grid().region_count(), 1);
         let counts: Vec<usize> = sums[0].step(80.0).iter().map(MaskMap::sensitive_count).collect();
         assert_eq!(counts, [1, 0]);

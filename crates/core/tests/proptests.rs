@@ -3,15 +3,16 @@
 //! deterministic, so failures reproduce exactly.
 
 use drq_core::{
-    uniform_masks, CoalesceInput, ConvOpCounts, DrqConfig, MaskMap, MixedPrecisionConv,
-    RegionGrid, RegionSize, SensitivityPredictor,
+    uniform_masks, CoalesceInput, ConvOpCounts, DrqConfig, Int8Codes, MaskMap,
+    MixedPrecisionConv, RegionGrid, RegionSize, SensitivityPredictor,
 };
 use drq_nn::Conv2d;
 use drq_tensor::{Shape4, Tensor, XorShiftRng};
 
 /// The mixed-precision conv on a single input (a group of one).
 fn mixed(conv: &Conv2d, x: &Tensor<f32>, masks: &[Vec<MaskMap>]) -> (Tensor<f32>, ConvOpCounts) {
-    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+    let codes = Int8Codes::quantize(x);
+    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { codes: &codes, masks }]).remove(0)
 }
 
 /// Draws a value in `[lo, hi)`.

@@ -10,7 +10,7 @@
 //! structure so the simulators can be driven at full network scale.
 
 use crate::topology::ConvLayerSpec;
-use drq_core::{DrqConfig, MaskMap, RegionSize, RegionSums, SensitivityPredictor};
+use drq_core::{DrqConfig, Int8Codes, MaskMap, RegionSize, RegionSums};
 use drq_tensor::{Tensor, XorShiftRng};
 
 /// Generates sparse, blob-structured activation maps.
@@ -169,7 +169,7 @@ impl FeatureMapSynthesizer {
         rng: &mut XorShiftRng,
     ) -> RegionSums {
         let x = self.synthesize_layer_input(spec, rng);
-        RegionSums::new(&x, 0, region, &SensitivityPredictor::activation_params(&x))
+        RegionSums::new(&Int8Codes::quantize(&x), 0, region)
     }
 
     /// Synthesizes a layer input and runs the sensitivity predictor on it,

@@ -178,37 +178,23 @@ impl Network {
     /// execution: the surrounding layers (BN, ReLU, pooling, residual sums)
     /// run normally while convolutions go through the caller's datapath.
     ///
+    /// It is [`Network::walk_group`] over a group of one.
+    ///
     /// # Panics
     ///
-    /// Panics on a residual shape mismatch (delegates to
-    /// [`Network::try_forward_conv_override`], preserving the message text).
+    /// Panics on a residual shape mismatch, with the
+    /// [`NnError::ShapeMismatch`] message.
     pub fn forward_conv_override(
         &mut self,
         x: &Tensor<f32>,
         exec: &mut ConvExecutor<'_>,
     ) -> Tensor<f32> {
-        self.try_forward_conv_override(x, exec)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Network::forward_conv_override`] returning a
-    /// typed error instead of panicking: [`Network::walk_group`] over a
-    /// group of one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::ShapeMismatch`] if a residual block's main and
-    /// shortcut paths produce different shapes.
-    pub fn try_forward_conv_override(
-        &mut self,
-        x: &Tensor<f32>,
-        exec: &mut ConvExecutor<'_>,
-    ) -> Result<Tensor<f32>, NnError> {
         let mut each = |i, conv: &Conv2d, group: &[Option<Tensor<f32>>]| -> Group {
             group.iter().map(|x| x.as_ref().map(|x| exec(i, conv, x))).collect()
         };
-        let mut out = self.walk_group(vec![Some(x.clone())], &mut each)?;
-        Ok(out.pop().flatten().expect("this walk drops no member"))
+        let out = self.walk_group(vec![Some(x.clone())], &mut each);
+        let y = out.unwrap_or_else(|e| panic!("{e}")).pop().flatten();
+        y.expect("this walk drops no member")
     }
 
     /// The inference walk: runs every member of `group` through the

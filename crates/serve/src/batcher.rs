@@ -8,9 +8,10 @@
 //! convolutions:
 //!
 //! * Convolutions run as **one [`drq_core::MixedPrecisionConv::forward`]
-//!   call** per layer over every live member — activation quantization
-//!   stays per-request, so every member's output is bit-identical to
-//!   running it alone (the differential suite pins this).
+//!   call** per layer over every live member. Each member's input is
+//!   quantized once, over its own tensor, and its masks are summed from
+//!   those codes (all INT8 in degraded mode), so every member's output is
+//!   bit-identical to running it alone (the differential suite pins this).
 //! * Every layer boundary is a cancellation point: the whole group checks
 //!   the shutdown hard-stop and the engine crash flag, and each member
 //!   checks its own deadline — an expired member drops out of the group

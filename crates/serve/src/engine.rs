@@ -20,13 +20,11 @@
 
 use crate::batcher::{Crashed, GroupRun, Member};
 use crate::clock::CycleClock;
-use crate::plan_cache::{config_fingerprint, PlanCache};
+use crate::plan_cache::PlanCache;
 use crate::protocol::{ExecMode, InferRequest, InferReply, Outcome, Response};
 use crate::queue::{AdmissionQueue, Job, Responder};
 use crate::{ServeError, ShedMachine, ShedPolicy, ShedState};
-use drq_core::{
-    uniform_masks, DrqConfig, DrqExecutor, MaskSource, RegionSize, SensitivityPredictor,
-};
+use drq_core::{DrqConfig, DrqExecutor, RegionSize};
 use drq_models::{Dataset, DatasetKind};
 use drq_nn::Network;
 use drq_tensor::Tensor;
@@ -202,7 +200,6 @@ pub(crate) struct ServeEngine {
     crashed: AtomicBool,
     salvage: Mutex<Vec<(InferRequest, Responder)>>,
     plans: Arc<PlanCache>,
-    config_fp: u64,
     worker: Mutex<Option<thread::JoinHandle<()>>>,
     /// The owning slot's trace: it outlives this engine, so a kill keeps
     /// the spans recorded here.
@@ -228,7 +225,6 @@ impl ServeEngine {
             hard_stop: AtomicBool::new(false),
             crashed: AtomicBool::new(false),
             salvage: Mutex::new(Vec::new()),
-            config_fp: config_fingerprint(&config.drq),
             plans,
             worker: Mutex::new(None),
             tracer,
@@ -599,28 +595,13 @@ impl ServeEngine {
                 (Some(data.batch(0, request.batch).0), member)
             })
             .unzip();
-        let (cache, config_fp) = (&self.plans, self.config_fp);
-        let masks: Box<MaskSource<'_>> = Box::new(move |conv_index, member, layer, x| {
-            let predict = || {
-                SensitivityPredictor::new(layer.region, layer.threshold).predict_batch(x)
-            };
-            match mode {
-                ExecMode::Uniform8 => {
-                    Arc::new(uniform_masks(x.shape4().expect("conv input rank"), true))
-                }
-                // Conv 0 reads the seeded input, so its masks are a pure
-                // function of the request and the config: shared across
-                // workers.
-                ExecMode::Mixed if conv_index == 0 => {
-                    let r = &pending[member].0;
-                    cache.input_masks(r.dataset, r.sample_seed, r.batch, config_fp, predict)
-                }
-                ExecMode::Mixed => Arc::new(predict()),
-            }
-        });
+        let exec = DrqExecutor::new(self.config.drq, None, &bundle.plans);
         let mut walk = GroupRun {
             members,
-            exec: DrqExecutor::new(self.config.drq, None, &bundle.plans).with_masks(masks),
+            exec: match mode {
+                ExecMode::Mixed => exec,
+                ExecMode::Uniform8 => exec.all_int8(),
+            },
             clock: &self.clock,
             hard_stop: &self.hard_stop,
             crashed: &self.crashed,

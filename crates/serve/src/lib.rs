@@ -70,7 +70,7 @@ pub mod soak;
 pub use clock::CycleClock;
 pub use engine::{DrainReport, ServeConfig, ServeStats};
 pub use error::ServeError;
-pub use plan_cache::{config_fingerprint, PlanBundle, PlanCache, PlanCacheStats};
+pub use plan_cache::{PlanBundle, PlanCache, PlanCacheStats};
 pub use protocol::{
     parse_request, ExecMode, InferReply, InferRequest, Outcome, ParsedResponse, RequestBody,
     Response,

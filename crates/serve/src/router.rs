@@ -119,8 +119,6 @@ impl ShardRouter {
         counter_add!("serve/batch/coalesced_requests", 0);
         counter_add!("serve/plan/model_hits", 0);
         counter_add!("serve/plan/model_misses", 0);
-        counter_add!("serve/plan/mask_hits", 0);
-        counter_add!("serve/plan/mask_misses", 0);
         gauge_set!("serve/queue_depth", 0.0);
         counter_add!("serve/router/routed", 0);
         counter_add!("serve/router/rerouted", 0);
@@ -289,8 +287,6 @@ impl ShardRouter {
         r.push("router_restarts", s.restarts);
         r.push("plan_model_hits", p.model_hits);
         r.push("plan_model_misses", p.model_misses);
-        r.push("plan_mask_hits", p.mask_hits);
-        r.push("plan_mask_misses", p.mask_misses);
         r.push("plan_hit_rate", p.hit_rate());
         r.push("final_state", self.state().as_str());
         let final_cycle: u64 = self.slots.lock().unwrap().iter().map(|s| s.engine.now()).sum();

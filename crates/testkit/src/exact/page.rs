@@ -183,7 +183,8 @@ impl PageSimulator {
 mod tests {
     use super::*;
     use drq_core::{
-        uniform_masks, CoalesceInput, MixedPrecisionConv, RegionSize, SensitivityPredictor,
+        uniform_masks, CoalesceInput, Int8Codes, MixedPrecisionConv, RegionSize,
+        SensitivityPredictor,
     };
     use drq_nn::Conv2d;
     use drq_tensor::XorShiftRng;
@@ -216,7 +217,8 @@ mod tests {
 
         // Reference: integer accumulation inside MixedPrecisionConv equals
         // (output - bias) / (scale_w * scale_x).
-        let input = CoalesceInput { x: &x, masks: std::slice::from_ref(&masks) };
+        let codes = Int8Codes::quantize(&x);
+        let input = CoalesceInput { codes: &codes, masks: std::slice::from_ref(&masks) };
         let (y, _) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
         let aq = QuantParams::fit(x.as_slice(), Precision::Int8);
         let wq = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
@@ -245,7 +247,8 @@ mod tests {
         let trace = page.run_conv(&x, &masks, conv.weight(), k, k, 1, 2);
         assert!(trace.tiles >= 4, "5x5 must launch multiple tiles: {}", trace.tiles);
 
-        let input = CoalesceInput { x: &x, masks: &[masks] };
+        let codes = Int8Codes::quantize(&x);
+        let input = CoalesceInput { codes: &codes, masks: &[masks] };
         let (y, _) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
         let aq = QuantParams::fit(x.as_slice(), Precision::Int8);
         let wq = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);

@@ -957,16 +957,16 @@ mod tests {
 
     #[test]
     fn error_bound_holds_on_uniform_masks() {
-        use drq_core::{uniform_masks, CoalesceInput, MixedPrecisionConv};
+        use drq_core::{uniform_masks, CoalesceInput, Int8Codes, MixedPrecisionConv};
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, 3);
         let mut rng = XorShiftRng::new(4);
         let x = Tensor::from_fn(&[1, 2, 8, 8], |_| rng.next_normal().max(0.0));
         let y_ref = conv.forward(&x, false);
+        let codes = Int8Codes::quantize(&x);
         for sensitive in [true, false] {
             let masks = uniform_masks(x.shape4().unwrap(), sensitive);
-            let (y, _) =
-                MixedPrecisionConv::forward(&conv, None, &[CoalesceInput { x: &x, masks: &masks }])
-                    .remove(0);
+            let input = CoalesceInput { codes: &codes, masks: &masks };
+            let (y, _) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
             let bounds = mixed_conv_error_bound(&conv, &x, &masks);
             for ((a, b), bound) in y.as_slice().iter().zip(y_ref.as_slice()).zip(&bounds) {
                 let err = (*a as f64 - *b as f64).abs();

@@ -55,9 +55,12 @@ echo "== differential filter sweep (DRQ_THREADS=1/2/auto) =="
 # the simulator's synthesis, predictor and cycle-model fast paths against
 # their pixel-by-pixel oracles, conv_backward the fp32 conv's gradients
 # against the naive backward, f32_gemm the transposed-operand GEMM
-# against matmul on the materialized transpose, and coalesced_serving
+# against matmul on the materialized transpose, coalesced_serving
 # serve's coalesced group walk against one-request-at-a-time replies
-# (full lines, cycles included). The worker pool's own
+# (full lines, cycles included), and predictor the predictor's masks,
+# summed from the one INT8 code pass the mixed conv also reads, against
+# their pixel-by-pixel oracle and their scaling, permutation, padding
+# and threshold properties. The worker pool's own
 # tests (drq-tensor's `parallel` unit tests and its parallel_equivalence
 # suite) run in the same sweep. Running each under every DRQ_THREADS
 # setting also pins the tests that don't iterate thread counts
@@ -89,7 +92,7 @@ sweep_run() {
 }
 for t in 1 2 auto; do
     for filter in mixed_conv wide_channel_conv int sim_host conv_backward f32_gemm \
-        coalesced_serving; do
+        coalesced_serving predictor; do
         sweep_run "$t" "differential filter '$filter'" --test differential "$filter"
     done
     sweep_run "$t" "drq-tensor parallel_equivalence" -p drq-tensor --test parallel_equivalence

@@ -9,7 +9,7 @@
 //! replays it exactly — see the report emitted by `TestKit::check`.
 
 use drq::core::{
-    CoalesceInput, ConvOpCounts, DrqConfig, MaskMap, MixedPrecisionConv, RegionSize,
+    CoalesceInput, ConvOpCounts, DrqConfig, Int8Codes, MaskMap, MixedPrecisionConv, RegionSize,
     SensitivityPredictor,
 };
 use drq::models::zoo::{self, InputRes};
@@ -374,7 +374,8 @@ fn mixed_conv(
     x: &Tensor<f32>,
     masks: &[Vec<MaskMap>],
 ) -> (Tensor<f32>, ConvOpCounts) {
-    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { x, masks }]).remove(0)
+    let codes = Int8Codes::quantize(x);
+    MixedPrecisionConv::forward(conv, None, &[CoalesceInput { codes: &codes, masks }]).remove(0)
 }
 
 /// A mixed-conv implementation on one input: production or oracle.
@@ -530,9 +531,11 @@ fn mixed_conv_group_members_match_their_own_oracle() {
                 .collect();
             let masks: Vec<Vec<Vec<MaskMap>>> =
                 members.iter().map(|m| m.build_masks(m.conv.input_shape())).collect();
+            let codes: Vec<Int8Codes> = xs.iter().map(Int8Codes::quantize).collect();
             let inputs: Vec<CoalesceInput<'_>> =
-                xs.iter().zip(&masks).map(|(x, masks)| CoalesceInput { x, masks }).collect();
-            let want: Vec<_> = inputs.iter().map(|i| mixed_conv_naive(&conv, i.x, i.masks)).collect();
+                codes.iter().zip(&masks).map(|(codes, masks)| CoalesceInput { codes, masks }).collect();
+            let want: Vec<_> =
+                xs.iter().zip(&masks).map(|(x, masks)| mixed_conv_naive(&conv, x, masks)).collect();
             let plan = drq::core::ConvPlan::prepare(&conv);
             at_thread_counts(|threads| {
                 for (plan, label) in [(None, "unplanned"), (Some(&plan), "planned")] {

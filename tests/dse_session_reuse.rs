@@ -208,7 +208,11 @@ fn removed_network_sim_shims_stay_gone() {
     // - the per-draw half-normal sampler (synthesis fills whole planes with
     //   `fill_half_normal`) and the outlier-ratio getters nothing read;
     // - serve's own layer walk, its residual sum and its conv-plan order
-    //   (drq-nn's group walk runs every DRQ inference).
+    //   (drq-nn's group walk runs every DRQ inference);
+    // - serve's layer-0 input-mask cache and its config fingerprint, the
+    //   boxed mask source, and the fallible conv-override walk (the DRQ
+    //   executor quantizes each conv input once and predicts from those
+    //   codes; uniform INT8 is its one alternative).
     // The exact tier itself lives in `drq_testkit::exact`; drq-sim keeps
     // one cycle model, so none of the tier's names may appear under
     // `crates/sim/src`. Outside `crates/nn/src/network.rs` convolution
@@ -247,6 +251,10 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "fn run_", "group"),
         format!("{}{}", "fn collect_", "plans"),
         format!("{}{}", "fn finish_", "residual"),
+        format!("{}{}", "fn input_", "masks"),
+        format!("{}{}", "config_", "fingerprint"),
+        format!("{}{}", "Mask", "Source"),
+        format!("{}{}", "fn try_forward_", "conv_override"),
     ];
     let exact_tier = [
         format!("{}{}", "Systolic", "Array"),

@@ -3,7 +3,9 @@
 //! array, the detailed page simulator and the fast layer model must all
 //! tell one coherent story.
 
-use drq::core::{CoalesceInput, DrqConfig, MixedPrecisionConv, RegionSize, SensitivityPredictor};
+use drq::core::{
+    CoalesceInput, DrqConfig, Int8Codes, MixedPrecisionConv, RegionSize, SensitivityPredictor,
+};
 use drq::models::{ConvLayerSpec, FeatureMapSynthesizer};
 use drq::nn::Conv2d;
 use drq::quant::{Precision, QuantParams};
@@ -29,7 +31,8 @@ fn page_simulator_agrees_with_algorithm_level_convolution() {
     let page = PageSimulator::new(9, 4);
     let trace = page.run_conv(&x, &masks, conv.weight(), 3, 3, 1, 1);
 
-    let input = CoalesceInput { x: &x, masks: &[masks] };
+    let codes = Int8Codes::quantize(&x);
+    let input = CoalesceInput { codes: &codes, masks: &[masks] };
     let (y, counts) = MixedPrecisionConv::forward(&conv, None, &[input]).remove(0);
     let aq = QuantParams::fit(x.as_slice(), Precision::Int8);
     let wq = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);

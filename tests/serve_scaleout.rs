@@ -185,15 +185,6 @@ fn plan_cache_is_shared_across_workers_and_survives_restarts() {
     let before = router.plan_stats();
     assert_eq!(before.model_misses, 2, "exactly one build per distinct dataset");
     assert_eq!(before.model_hits + before.model_misses, 6, "one lookup per request");
-    // Repeating a (dataset, sample_seed, batch) pair hits the layer-0
-    // input-mask cache.
-    submit("pc-again", drq::models::DatasetKind::Digits, 0);
-    let _ = rx.iter().take(1).count();
-    let repeat = router.plan_stats();
-    assert!(
-        repeat.mask_hits > before.mask_hits,
-        "repeated sample must hit the input-mask cache: {repeat:?} vs {before:?}"
-    );
     // A killed-and-restarted worker rejoins the shared cache: more hits,
     // zero new model builds.
     router.kill_worker(1);

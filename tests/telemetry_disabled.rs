@@ -68,7 +68,7 @@ fn enable_disable_round_trip_restores_recording() {
 
 #[test]
 fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
-    use drq::core::{uniform_masks, CoalesceInput, MixedPrecisionConv};
+    use drq::core::{uniform_masks, CoalesceInput, Int8Codes, MixedPrecisionConv};
     use drq::nn::Conv2d;
     use drq::tensor::{Tensor, XorShiftRng};
 
@@ -80,9 +80,10 @@ fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
     let b = Tensor::from_fn(&[1, 4, 8, 8], |_| rng.next_normal());
     let masks_a = uniform_masks(a.shape4().unwrap(), true);
     let masks_b = uniform_masks(b.shape4().unwrap(), true);
+    let (codes_a, codes_b) = (Int8Codes::quantize(&a), Int8Codes::quantize(&b));
     let inputs = [
-        CoalesceInput { x: &a, masks: &masks_a },
-        CoalesceInput { x: &b, masks: &masks_b },
+        CoalesceInput { codes: &codes_a, masks: &masks_a },
+        CoalesceInput { codes: &codes_b, masks: &masks_b },
     ];
 
     // One INT8 and one INT4 GEMM per (request, image) item per channel
@@ -106,7 +107,8 @@ fn mixed_conv_gemm_counters_record_one_call_per_image_and_group() {
     // counters, while every item still runs its INT4 GEMMs.
     let c = Tensor::from_fn(&[2, 4, 8, 8], |_| rng.next_normal());
     let masks_c = uniform_masks(c.shape4().unwrap(), false);
-    let inputs = [inputs[0], inputs[1], CoalesceInput { x: &c, masks: &masks_c }];
+    let codes_c = Int8Codes::quantize(&c);
+    let inputs = [inputs[0], inputs[1], CoalesceInput { codes: &codes_c, masks: &masks_c }];
     drq::telemetry::reset();
     let outputs = MixedPrecisionConv::forward(&conv, None, &inputs);
     let snap = drq::telemetry::snapshot();
