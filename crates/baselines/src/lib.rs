@@ -12,7 +12,9 @@
 //! * the [`Accelerator`] trait unifies them with the DRQ simulator so the
 //!   benchmark harness can sweep all four;
 //! * [`schemes`] evaluates each accelerator's *quantization scheme* on the
-//!   trained stand-in networks for the accuracy axis of Fig. 11/13.
+//!   trained stand-in networks for the accuracy axis of Fig. 11/13; a
+//!   static scheme fake-quantizes each conv's weights and input with one
+//!   drq-quant call apiece.
 //!
 //! All three baselines share the iso-area budget of Table II and the same
 //! energy coefficient set as the DRQ simulator, so differences come from

@@ -6,12 +6,14 @@
 //! same surrounding layers (BN, ReLU, pooling, residual sums) and differs
 //! only in how convolutions quantize weights and activations — matching the
 //! paper's methodology of swapping the quantizer inside one TensorFlow
-//! graph.
+//! graph. A static scheme is one drq-quant fake-quantization call per
+//! tensor: `fake_quantize_per_channel` or `OutlierQuantizer::apply` for the
+//! weights, `fake_quantize` after `QuantParams::fit` for each conv input.
 
 use drq_core::{DrqConfig, DrqNetwork, LayerThresholds};
 use drq_models::Dataset;
 use drq_nn::{accuracy, Network};
-use drq_quant::{MaxAbsQuantizer, OutlierQuantizer, PerChannelQuantizer, Precision, Quantizer};
+use drq_quant::{fake_quantize, fake_quantize_per_channel, OutlierQuantizer, Precision, QuantParams};
 use drq_tensor::Tensor;
 
 /// A quantization scheme under accuracy evaluation.
@@ -56,20 +58,19 @@ pub struct SchemeResult {
     pub int4_fraction: f64,
 }
 
-/// Runs `net` with every convolution's weights and activations routed
-/// through [`Quantizer`]s: `weight_q` handles the weight tensors and
-/// `act_q_for(layer_idx)` supplies the activation quantizer per layer. All
-/// static baseline schemes are instances of this one function — none of
-/// them match on concrete quantizer types anymore.
+/// Runs `net` with every convolution's weights fake-quantized by
+/// `weight_fq` and its input fake-quantized at `act_prec(layer_idx)` with a
+/// max-abs scale fitted to that input. Every static baseline scheme is one
+/// call of this function.
 fn quantized_forward(
     net: &mut Network,
     x: &Tensor<f32>,
-    weight_q: &dyn Quantizer,
-    act_q_for: &dyn Fn(usize) -> Box<dyn Quantizer>,
+    weight_fq: impl Fn(&Tensor<f32>) -> Tensor<f32>,
+    act_prec: impl Fn(usize) -> Precision,
 ) -> Tensor<f32> {
     net.forward_conv_override(x, &mut |idx, conv, input| {
-        let wq = weight_q.fake_quantize(conv.weight());
-        let xq = act_q_for(idx).fake_quantize(input);
+        let wq = weight_fq(conv.weight());
+        let xq = fake_quantize(input, &QuantParams::fit(input.as_slice(), act_prec(idx)));
         conv.forward_with_weights(&xq, &wq)
     })
 }
@@ -83,8 +84,8 @@ fn uniform_forward(
     quantized_forward(
         net,
         x,
-        &PerChannelQuantizer::new(weight_prec),
-        &|_idx| Box::new(MaxAbsQuantizer::new(act_prec)),
+        |w| fake_quantize_per_channel(w, weight_prec),
+        |_idx| act_prec,
     )
 }
 
@@ -92,10 +93,13 @@ fn olaccel_forward(net: &mut Network, x: &Tensor<f32>) -> Tensor<f32> {
     // First layer runs on the INT16 units; later layers see INT4
     // activations (statically, blind to feature-map geometry — the
     // property DRQ improves on).
-    quantized_forward(net, x, &OutlierQuantizer::olaccel_default(), &|idx| {
-        let prec = if idx == 0 { Precision::Int16 } else { Precision::Int4 };
-        Box::new(MaxAbsQuantizer::new(prec))
-    })
+    let outlier = OutlierQuantizer::olaccel_default();
+    quantized_forward(
+        net,
+        x,
+        |w| outlier.apply(w).0,
+        |idx| if idx == 0 { Precision::Int16 } else { Precision::Int4 },
+    )
 }
 
 /// Evaluates a scheme over a dataset, returning accuracy and the 4-bit MAC

@@ -8,48 +8,10 @@
 //! operating points with synthesized feature maps.
 
 use drq::baselines::{evaluate_scheme, QuantScheme};
-use drq::core::{calibrate_thresholds, RegionSize};
 use drq::models::zoo::InputRes;
 use drq::models::{default_standin, train, Dataset, DatasetKind, TrainConfig};
 use drq::sim::ArchConfig;
-use drq_bench::{network_operating_point, paper_networks, render_table, RunScale};
-
-/// Picks the most INT4-heavy calibration target whose accuracy stays
-/// within 1% of the FP32 reference (falling back to the most accurate).
-fn select_schedule(
-    net: &mut drq::nn::Network,
-    calib_x: &drq::tensor::Tensor<f32>,
-    eval_set: &Dataset,
-    fp32_accuracy: f64,
-) -> drq::core::LayerThresholds {
-    let mut best: Option<(f64, f64, drq::core::LayerThresholds)> = None;
-    for target in [0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 0.95] {
-        let schedule = calibrate_thresholds(net, calib_x, RegionSize::new(4, 4), target);
-        let r = evaluate_scheme(
-            net,
-            &QuantScheme::DrqCalibrated(schedule.clone()),
-            eval_set,
-            20,
-        );
-        let ok = r.accuracy >= fp32_accuracy - 0.01;
-        let better = match &best {
-            None => true,
-            Some((acc, int4, _)) => {
-                if ok && *acc >= fp32_accuracy - 0.01 {
-                    r.int4_fraction > *int4
-                } else if ok {
-                    true
-                } else {
-                    r.accuracy > *acc
-                }
-            }
-        };
-        if better {
-            best = Some((r.accuracy, r.int4_fraction, schedule));
-        }
-    }
-    best.expect("at least one target evaluated").2
-}
+use drq_bench::{network_operating_point, paper_networks, render_table, select_schedule, RunScale};
 
 fn accuracy_block(kind: DatasetKind, label: &str, scale: RunScale) {
     let train_set = Dataset::generate(kind, scale.train_size(), 201);
@@ -67,7 +29,8 @@ fn accuracy_block(kind: DatasetKind, label: &str, scale: RunScale) {
     // targets, keep the most INT4-heavy one whose accuracy stays within 1%
     // of FP32 on a validation slice.
     let (calib_x, _) = train_set.batch(0, train_set.len().min(32));
-    let schedule = select_schedule(&mut net, &calib_x, &eval_set, report.eval_accuracy);
+    let floor = report.eval_accuracy - 0.01;
+    let schedule = select_schedule(&mut net, &calib_x, &eval_set, floor);
     println!(
         "(calibrated per-layer thresholds, avg {:.1} — the Table III quantity)",
         schedule.average()

@@ -6,11 +6,10 @@
 //! ~83 % than BitFusion, ~21 % than OLAccel; energy down 72 % / 49 % / 33 %.
 
 use drq::baselines::{evaluate_scheme, Accelerator, BitFusion, Eyeriss, OlAccel, QuantScheme};
-use drq::core::{calibrate_thresholds, RegionSize};
 use drq::models::zoo::InputRes;
 use drq::models::{default_standin, train, Dataset, DatasetKind, TrainConfig};
 use drq::sim::ArchConfig;
-use drq_bench::{network_operating_point, paper_networks, render_table, RunScale};
+use drq_bench::{network_operating_point, paper_networks, render_table, select_schedule, RunScale};
 
 fn accuracy_loss(kind: DatasetKind, scale: RunScale) -> Vec<(String, f64)> {
     let train_set = Dataset::generate(kind, scale.train_size(), 301);
@@ -20,29 +19,9 @@ fn accuracy_loss(kind: DatasetKind, scale: RunScale) -> Vec<(String, f64)> {
     let _ = train(&mut net, &train_set, &eval_set, &cfg);
     let reference = evaluate_scheme(&mut net, &QuantScheme::Eyeriss, &eval_set, 20).accuracy;
     let (calib_x, _) = train_set.batch(0, train_set.len().min(32));
-    // DSE-style target selection (see fig11): most INT4 subject to the
-    // accuracy floor.
-    let mut schedule = calibrate_thresholds(&mut net, &calib_x, RegionSize::new(4, 4), 0.5);
-    let mut best = (0.0f64, -1.0f64);
-    for target in [0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 0.95] {
-        let cand = calibrate_thresholds(&mut net, &calib_x, RegionSize::new(4, 4), target);
-        let r = evaluate_scheme(&mut net, &QuantScheme::DrqCalibrated(cand.clone()), &eval_set, 20);
-        let ok = r.accuracy >= reference - 0.01;
-        let best_ok = best.0 >= reference - 0.01;
-        // Prefer meeting the accuracy floor; among floor-meeting candidates
-        // maximize the INT4 share; otherwise chase accuracy.
-        let better = if ok && best_ok {
-            r.int4_fraction > best.1
-        } else if ok != best_ok {
-            ok
-        } else {
-            r.accuracy > best.0
-        };
-        if better {
-            best = (r.accuracy, r.int4_fraction);
-            schedule = cand;
-        }
-    }
+    // DSE-style target selection, as in Fig. 11 but with the floor 1 %
+    // under Eyeriss.
+    let schedule = select_schedule(&mut net, &calib_x, &eval_set, reference - 0.01);
     [
         QuantScheme::Eyeriss,
         QuantScheme::BitFusion,

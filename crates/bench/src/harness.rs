@@ -1,9 +1,12 @@
 //! Shared utilities for the figure/table binaries.
 
-use drq::core::{DrqConfig, RegionSize};
+use drq::baselines::{evaluate_scheme, QuantScheme};
+use drq::core::{calibrate_thresholds, DrqConfig, LayerThresholds, RegionSize};
 use drq::models::zoo::{self, InputRes};
-use drq::models::NetworkTopology;
+use drq::models::{Dataset, NetworkTopology};
+use drq::nn::Network;
 use drq::telemetry::{Report, Tracer};
+use drq::tensor::Tensor;
 
 /// The `--metrics <path>` / `--trace <path>` flags shared by every harness
 /// binary (the same global options the `drq` CLI accepts). Parsing is
@@ -136,6 +139,36 @@ pub fn network_operating_point(name: &str) -> DrqConfig {
         _ => (RegionSize::new(4, 16), 21.0),
     };
     DrqConfig::new(region, threshold)
+}
+
+/// Chooses DRQ's calibrated per-layer thresholds for the accuracy figures
+/// (11 and 13), DSE-style: calibrate at each of a few sensitive-fraction
+/// targets on `calib_x`, evaluate each schedule on `eval_set`, and keep the
+/// one with the largest INT4 share among those whose accuracy reaches
+/// `floor`. If none reaches it, keep the most accurate.
+pub fn select_schedule(
+    net: &mut Network,
+    calib_x: &Tensor<f32>,
+    eval_set: &Dataset,
+    floor: f64,
+) -> LayerThresholds {
+    let mut best: Option<(f64, f64, LayerThresholds)> = None;
+    for target in [0.1, 0.2, 0.35, 0.5, 0.7, 0.85, 0.95] {
+        let schedule = calibrate_thresholds(net, calib_x, RegionSize::new(4, 4), target);
+        let r = evaluate_scheme(net, &QuantScheme::DrqCalibrated(schedule.clone()), eval_set, 20);
+        let better = match &best {
+            None => true,
+            Some((acc, int4, _)) => match (r.accuracy >= floor, *acc >= floor) {
+                (true, true) => r.int4_fraction > *int4,
+                (true, false) => true,
+                (false, _) => r.accuracy > *acc,
+            },
+        };
+        if better {
+            best = Some((r.accuracy, r.int4_fraction, schedule));
+        }
+    }
+    best.expect("at least one target evaluated").2
 }
 
 /// The six evaluated networks at the given resolution, in paper order.

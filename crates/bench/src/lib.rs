@@ -4,7 +4,8 @@
 //! under `src/bin/` (see `DESIGN.md` for the experiment index), plus the
 //! `kernel_microbench` timing binary. This library hosts the
 //! shared harness utilities: table rendering, run configuration, the
-//! Table III per-network DRQ operating points, the Fig. 14/15 sweep
+//! Table III per-network DRQ operating points, the threshold-schedule
+//! choice of the accuracy figures, the Fig. 14/15 sweep
 //! points and the dataflow traffic model of the ablation study.
 
 #![forbid(unsafe_code)]
@@ -15,6 +16,7 @@ pub mod harness;
 pub mod sweep;
 
 pub use harness::{
-    network_operating_point, paper_networks, render_table, ObservabilityArgs, RunScale,
+    network_operating_point, paper_networks, render_table, select_schedule, ObservabilityArgs,
+    RunScale,
 };
 pub use sweep::{best_point, sweep_report, SweepPoint};

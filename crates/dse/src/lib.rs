@@ -3,7 +3,7 @@
 //! The one crate that explores the DRQ design space. It holds two
 //! explorers:
 //!
-//! * [`explore`] — the paper's Section III-D trial-and-error loop
+//! * [`explore()`] — the paper's Section III-D trial-and-error loop
 //!   (Table III): start from large values and halve the threshold or the
 //!   region size until a measured accuracy target is met.
 //! * [`pareto`] — a branch-and-bound Pareto search over the combinatorial

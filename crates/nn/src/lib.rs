@@ -43,7 +43,6 @@ mod optimizer;
 mod pool;
 mod relu;
 mod residual;
-mod schedule;
 mod serialize;
 mod workspace;
 
@@ -54,11 +53,10 @@ pub use flatten::Flatten;
 pub use layer::{Layer, LayerKind};
 pub use linear::Linear;
 pub use loss::{softmax, CrossEntropyLoss};
-pub use metrics::{accuracy, confusion_matrix, top_k_accuracy};
+pub use metrics::accuracy;
 pub use network::{ConvExecutor, ConvTap, Group, GroupWalk, Network, WalkPoint};
 pub use optimizer::Sgd;
 pub use pool::{Pool2d, PoolKind};
 pub use relu::ReLU;
-pub use schedule::LrSchedule;
 pub use serialize::{load_weights_durable, save_weights_durable, DurableWeights};
 pub use residual::ResidualBlock;

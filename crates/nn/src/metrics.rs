@@ -18,18 +18,7 @@ use drq_tensor::Tensor;
 ///
 /// Panics if `logits` is not rank 2 or lengths mismatch.
 pub fn accuracy(logits: &Tensor<f32>, targets: &[usize]) -> f64 {
-    top_k_accuracy(logits, targets, 1)
-}
-
-/// Top-k accuracy: fraction of rows whose target is among the k largest
-/// logits.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or `k == 0`.
-pub fn top_k_accuracy(logits: &Tensor<f32>, targets: &[usize], k: usize) -> f64 {
     assert_eq!(logits.rank(), 2, "logits must be [n, classes]");
-    assert!(k > 0, "k must be positive");
     let (n, c) = (logits.shape()[0], logits.shape()[1]);
     assert_eq!(targets.len(), n, "target count mismatch");
     if n == 0 {
@@ -40,39 +29,12 @@ pub fn top_k_accuracy(logits: &Tensor<f32>, targets: &[usize], k: usize) -> f64 
     for r in 0..n {
         let row = &lv[r * c..(r + 1) * c];
         let target_score = row[targets[r]];
-        // Rank = number of classes with a strictly larger logit.
-        let rank = row.iter().filter(|&&v| v > target_score).count();
-        if rank < k {
+        // A hit: no class has a strictly larger logit than the target.
+        if !row.iter().any(|&v| v > target_score) {
             hits += 1;
         }
     }
     hits as f64 / n as f64
-}
-
-/// Builds a `classes x classes` confusion matrix: rows = ground truth,
-/// columns = prediction.
-///
-/// # Panics
-///
-/// Panics on shape mismatch.
-pub fn confusion_matrix(logits: &Tensor<f32>, targets: &[usize], classes: usize) -> Vec<Vec<u64>> {
-    assert_eq!(logits.rank(), 2);
-    let (n, c) = (logits.shape()[0], logits.shape()[1]);
-    assert!(c >= classes, "logit width smaller than class count");
-    assert_eq!(targets.len(), n);
-    let lv = logits.as_slice();
-    let mut m = vec![vec![0u64; classes]; classes];
-    for r in 0..n {
-        let row = &lv[r * c..(r + 1) * c];
-        let pred = row
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN logit"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        m[targets[r]][pred.min(classes - 1)] += 1;
-    }
-    m
 }
 
 #[cfg(test)]
@@ -87,32 +49,8 @@ mod tests {
     }
 
     #[test]
-    fn top_k_is_monotone_in_k() {
-        let logits = Tensor::from_vec(
-            vec![0.5, 0.3, 0.2, 0.1, 0.2, 0.7],
-            &[2, 3],
-        )
-        .unwrap();
-        let t = [2usize, 0];
-        let a1 = top_k_accuracy(&logits, &t, 1);
-        let a2 = top_k_accuracy(&logits, &t, 2);
-        let a3 = top_k_accuracy(&logits, &t, 3);
-        assert!(a1 <= a2 && a2 <= a3);
-        assert_eq!(a3, 1.0);
-    }
-
-    #[test]
     fn empty_batch_has_zero_accuracy() {
         let logits = Tensor::<f32>::zeros(&[0, 4]);
         assert_eq!(accuracy(&logits, &[]), 0.0);
-    }
-
-    #[test]
-    fn confusion_matrix_diagonal_on_perfect_predictions() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2]).unwrap();
-        let m = confusion_matrix(&logits, &[0, 1], 2);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[0][1] + m[1][0], 0);
     }
 }

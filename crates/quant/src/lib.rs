@@ -6,13 +6,13 @@
 //! * [`Precision`] — the INT4/INT8/INT16 bit-widths the accelerators use;
 //! * [`QuantParams`] — symmetric linear quantization with round-to-nearest,
 //!   plus [`QuantParams::fit`] to calibrate a scale from data;
-//! * [`Quantizer`] — the trait every scheme implements (static params,
-//!   per-call max-abs, per-channel weights, outlier-aware), so consumers
-//!   never match on concrete quantizer types;
-//! * [`quantize`]/[`dequantize`]/[`fake_quantize`] — tensor-level transforms
-//!   (fake quantization runs the forward path in f32 while injecting exactly
-//!   the rounding error real integer hardware would, which is how the paper
-//!   evaluates NN accuracy in TensorFlow);
+//! * [`quantize()`]/[`dequantize`]/[`fake_quantize`] and the per-output-channel
+//!   [`fake_quantize_per_channel`] — tensor-level transforms (fake
+//!   quantization runs the forward path in f32 while injecting exactly the
+//!   rounding error real integer hardware would, which is how the paper
+//!   evaluates NN accuracy in TensorFlow); each scheme of the accuracy
+//!   experiments is one call to one of these or to
+//!   [`OutlierQuantizer::apply`];
 //! * [`noise`] — the Section II segment-noise methodology (patterns such as
 //!   "TFF" that perturb only chosen magnitude segments of a feature map);
 //! * [`outlier`] — the OLAccel-style outlier-aware weight quantization used
@@ -36,20 +36,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calibrate;
 pub mod noise;
 pub mod outlier;
 mod precision;
 mod qparams;
 mod quantize;
-mod quantizer;
 mod range;
 
-pub use calibrate::Calibration;
 pub use noise::{NoiseInjector, SegmentPattern, SegmentSplit};
 pub use outlier::{OutlierQuantizer, OutlierStats};
 pub use precision::Precision;
 pub use qparams::QuantParams;
 pub use quantize::{dequantize, fake_quantize, fake_quantize_per_channel, quantize};
-pub use quantizer::{MaxAbsQuantizer, PerChannelQuantizer, Quantizer};
 pub use range::{analyze_gemm, AccumWidth, RangeAnalysis};

@@ -7,7 +7,6 @@
 //! magnitude `u` and measures the accuracy impact. Patterns are written as
 //! strings of `T`/`F` per segment — "TFF" adds noise only to segment 0.
 
-use crate::Precision;
 use drq_tensor::{percentile, Tensor, XorShiftRng};
 use std::fmt;
 use std::str::FromStr;
@@ -243,25 +242,6 @@ impl NoiseInjector {
     }
 }
 
-/// Convenience: emulate quantization as noise by fake-quantizing only the
-/// selected segments at the given precision (the "improper quantization of
-/// sensitive values" scenario of Section II).
-pub fn quantize_segments(
-    x: &Tensor<f32>,
-    split: &SegmentSplit,
-    pattern: &SegmentPattern,
-    precision: Precision,
-) -> Tensor<f32> {
-    let params = crate::QuantParams::fit(x.as_slice(), precision);
-    x.map(|v| {
-        if pattern.affects(split.segment_of(v)) {
-            params.fake_quantize_value(v)
-        } else {
-            v
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,24 +328,6 @@ mod tests {
                 .sqrt()
         };
         assert!(l2(1.0, 3) > l2(0.01, 3) * 10.0);
-    }
-
-    #[test]
-    fn quantize_segments_touches_only_pattern() {
-        let x = ramp();
-        let split = SegmentSplit::paper_default(x.as_slice());
-        let y = quantize_segments(&x, &split, &"FFT".parse().unwrap(), Precision::Int4);
-        // Largest value untouched.
-        assert_eq!(y.as_slice()[999], 999.0);
-        // Small values got snapped to the coarse INT4 grid.
-        let small_changed = x
-            .as_slice()
-            .iter()
-            .zip(y.as_slice())
-            .take(200)
-            .filter(|(a, b)| a != b)
-            .count();
-        assert!(small_changed > 50);
     }
 
     #[test]

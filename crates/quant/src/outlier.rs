@@ -73,17 +73,24 @@ impl OutlierQuantizer {
         Self::new(0.03, Precision::Int4, Precision::Int16)
     }
 
-    /// Calibrates the scheme for one tensor, returning the magnitude
-    /// threshold plus the dense (low-precision) and outlier
-    /// (high-precision) parameters. The dense scale fits the sub-threshold
-    /// range only — the key trick that keeps the dense INT4 grid fine.
-    pub(crate) fn calibrate(&self, w: &Tensor<f32>) -> (f32, QuantParams, QuantParams) {
+    /// Fake-quantizes a weight tensor: outliers round-trip at the high
+    /// precision, everything else at the low precision calibrated to the
+    /// *dense* (non-outlier) range.
+    pub fn apply(&self, w: &Tensor<f32>) -> (Tensor<f32>, OutlierStats) {
+        if w.is_empty() {
+            return (
+                w.clone(),
+                OutlierStats { total: 0, outliers: 0, threshold: 0.0 },
+            );
+        }
         let mags: Vec<f32> = w.as_slice().iter().map(|v| v.abs()).collect();
-        let threshold = if self.outlier_ratio == 0.0 || mags.is_empty() {
+        let threshold = if self.outlier_ratio == 0.0 {
             f32::INFINITY
         } else {
             percentile(&mags, 1.0 - self.outlier_ratio)
         };
+        // The dense scale fits the sub-threshold range only: the key trick
+        // that keeps the dense INT4 grid fine.
         let dense_max = mags
             .iter()
             .copied()
@@ -95,20 +102,6 @@ impl OutlierQuantizer {
             QuantParams::new(1.0, self.low)
         };
         let high_params = QuantParams::fit(w.as_slice(), self.high);
-        (threshold, dense_params, high_params)
-    }
-
-    /// Fake-quantizes a weight tensor: outliers round-trip at the high
-    /// precision, everything else at the low precision calibrated to the
-    /// *dense* (non-outlier) range.
-    pub fn apply(&self, w: &Tensor<f32>) -> (Tensor<f32>, OutlierStats) {
-        if w.is_empty() {
-            return (
-                w.clone(),
-                OutlierStats { total: 0, outliers: 0, threshold: 0.0 },
-            );
-        }
-        let (threshold, dense_params, high_params) = self.calibrate(w);
         let mut outliers = 0usize;
         let out = w.map(|v| {
             if v.abs() > threshold {

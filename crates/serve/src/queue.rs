@@ -46,7 +46,7 @@ impl Ord for Job {
 struct Inner {
     heap: BinaryHeap<Reverse<Job>>,
     closed: bool,
-    /// While held, workers block in [`AdmissionQueue::pop`] without taking
+    /// While held, workers block in [`AdmissionQueue::pop_group`] without taking
     /// jobs — the deterministic way tests fill the queue to a chosen depth.
     held: bool,
 }

@@ -26,8 +26,7 @@ mod trace;
 
 pub use json::{Json, JsonParseError};
 pub use registry::{
-    disable, enable, enabled, global, reset, snapshot, Histogram,
-    MetricsRegistry, WallClockScope,
+    disable, enable, enabled, global, reset, snapshot, Histogram, MetricsRegistry,
 };
 pub use report::{Report, ReportParseError, SCHEMA_NAME, SCHEMA_VERSION};
 pub use trace::{TraceEvent, Tracer, NO_FIELDS};

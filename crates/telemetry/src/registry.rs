@@ -14,7 +14,6 @@ use crate::{Json, Report};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::Instant;
 
 /// Summary statistics of one observed value stream (a histogram collapsed
 /// to its moments — enough for stall ratios, occupancies and timings
@@ -257,45 +256,6 @@ macro_rules! observe {
             $crate::global().observe($name, $v);
         }
     };
-}
-
-/// A wall-clock scope: records elapsed milliseconds into a global histogram
-/// when dropped (if collection was enabled at construction).
-///
-/// # Examples
-///
-/// ```
-/// use drq_telemetry::WallClockScope;
-///
-/// drq_telemetry::enable();
-/// {
-///     let _scope = WallClockScope::new("example/scope_ms");
-///     // ... timed work ...
-/// }
-/// assert_eq!(drq_telemetry::global().histogram("example/scope_ms").unwrap().count, 1);
-/// # drq_telemetry::disable();
-/// # drq_telemetry::reset();
-/// ```
-#[derive(Debug)]
-pub struct WallClockScope {
-    name: &'static str,
-    start: Option<Instant>,
-}
-
-impl WallClockScope {
-    /// Starts timing `name` (a no-op scope when collection is disabled).
-    pub fn new(name: &'static str) -> Self {
-        Self { name, start: enabled().then(Instant::now) }
-    }
-}
-
-impl Drop for WallClockScope {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            global().observe(self.name, ms);
-        }
-    }
 }
 
 #[cfg(test)]

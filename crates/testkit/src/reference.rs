@@ -17,7 +17,7 @@ use crate::exact::StreamElement;
 use drq_core::{ConvOpCounts, MaskMap, RegionGrid, SensitivityPredictor};
 use drq_models::{ConvLayerSpec, FeatureMapSynthesizer, LayerOp};
 use drq_nn::Conv2d;
-use drq_quant::{Precision, QuantParams, Quantizer};
+use drq_quant::{quantize, Precision, QuantParams};
 use drq_sim::{LayerCycleModel, LayerCycles};
 use drq_tensor::{Tensor, XorShiftRng};
 
@@ -303,8 +303,8 @@ pub fn mixed_conv_naive(
     assert_eq!(masks.len(), s.n, "need one mask set per image");
     let aq8 = QuantParams::fit(x.as_slice(), Precision::Int8);
     let wq8 = QuantParams::fit(conv.weight().as_slice(), Precision::Int8);
-    let x8_t = Quantizer::quantize(&aq8, x);
-    let w8_t = Quantizer::quantize(&wq8, conv.weight());
+    let x8_t = quantize(x, &aq8);
+    let w8_t = quantize(conv.weight(), &wq8);
     let (x8, w8) = (x8_t.as_slice(), w8_t.as_slice());
     let dequant = aq8.scale() * wq8.scale();
 

@@ -39,10 +39,12 @@ echo "== test (offline, -Dwarnings, DRQ_TESTKIT_CASES=$DRQ_TESTKIT_CASES) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --workspace
 
 echo "== docs (offline, rustdoc warnings as errors) =="
-# Every library crate's docs build with no broken or private intra-doc
-# link. `--lib` because the CLI binary `drq` would write its page over the
-# `drq` facade's.
-RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib --offline
+# Every library crate's docs build with no broken or ambiguous intra-doc
+# link, private items included, so a doc comment cannot keep naming a
+# deleted item. `--lib` because the CLI binary `drq` would write its page
+# over the `drq` facade's.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --lib --offline \
+    --document-private-items
 
 echo "== differential property suite (offline) =="
 RUSTFLAGS="$CI_RUSTFLAGS" cargo test -q --offline --test differential

@@ -212,7 +212,13 @@ fn removed_network_sim_shims_stay_gone() {
     // - serve's layer-0 input-mask cache and its config fingerprint, the
     //   boxed mask source, and the fallible conv-override walk (the DRQ
     //   executor quantizes each conv input once and predicts from those
-    //   codes; uniform INT8 is its one alternative).
+    //   codes; uniform INT8 is its one alternative);
+    // - drq-quant's quantizer trait layer and its second per-channel and
+    //   max-abs paths, and the percentile/min-MSE calibration nothing used
+    //   (each scheme is one call to a fake-quantization function);
+    // - the uncalled learning-rate schedules, top-k accuracy, confusion
+    //   matrix, wall-clock scope, segment quantizer and the per-layer
+    //   diagnostic bench binary (a needle also matches a file name).
     // The exact tier itself lives in `drq_testkit::exact`; drq-sim keeps
     // one cycle model, so none of the tier's names may appear under
     // `crates/sim/src`. Outside `crates/nn/src/network.rs` convolution
@@ -255,6 +261,19 @@ fn removed_network_sim_shims_stay_gone() {
         format!("{}{}", "config_", "fingerprint"),
         format!("{}{}", "Mask", "Source"),
         format!("{}{}", "fn try_forward_", "conv_override"),
+        format!("{}{}", "trait Quan", "tizer"),
+        format!("{}{}", "impl Quan", "tizer"),
+        format!("{}{}", "dyn Quan", "tizer"),
+        format!("{}{}", "MaxAbs", "Quantizer"),
+        format!("{}{}", "PerChannel", "Quantizer"),
+        format!("{}{}", "enum Calib", "ration"),
+        format!("{}{}", "Calib", "ration::"),
+        format!("{}{}", "LrSched", "ule"),
+        format!("{}{}", "WallClock", "Scope"),
+        format!("{}{}", "top_k_", "accuracy"),
+        format!("{}{}", "confusion_", "matrix"),
+        format!("{}{}", "quantize_", "segments"),
+        format!("{}{}", "diag_", "layers"),
     ];
     let exact_tier = [
         format!("{}{}", "Systolic", "Array"),
@@ -280,8 +299,9 @@ fn removed_network_sim_shims_stay_gone() {
     let mut offenders = Vec::new();
     for path in sources {
         let text = std::fs::read_to_string(&path).expect("readable source file");
+        let name = path.file_name().map(|n| n.to_string_lossy()).unwrap_or_default();
         for needle in &needles {
-            if text.contains(needle.as_str()) {
+            if text.contains(needle.as_str()) || name.contains(needle.as_str()) {
                 offenders.push((needle.clone(), path.clone()));
             }
         }
